@@ -57,13 +57,13 @@
 #include "core/legitimacy.hpp"
 #include "core/protocol.hpp"
 #include "graph/dot.hpp"
+#include "graph/partition.hpp"
 #include "metrics/cluster_metrics.hpp"
 #include "routing/routing.hpp"
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
 #include "sim/async_network.hpp"
 #include "sim/loss.hpp"
-#include "sim/network.hpp"
 #include "sim/sharded_network.hpp"
 #include "sim/trace.hpp"
 #include "stabilize/convergence.hpp"
@@ -103,11 +103,11 @@ std::uint64_t parse_seed(const util::Args& args, std::int64_t fallback) {
 }
 
 /// Validates the --shards execution knob shared by `protocol` and
-/// `campaign`. Like --threads it must never influence results: 0 or 1
-/// selects the unsharded sim::Network, >= 2 the spatially sharded
-/// engine, and the two are bit-identical at any value
-/// (tests/sim/sharded_equivalence_test.cpp), so pre-existing outputs
-/// stay byte-for-byte unchanged.
+/// `campaign`. Like --threads it must never influence results: <= 1
+/// keeps the default shape (one shard per step-engine worker), >= 2
+/// cuts that many contiguous shards, and the trajectory is bit-identical
+/// at any value (tests/sim/sharded_equivalence_test.cpp), so
+/// pre-existing outputs stay byte-for-byte unchanged.
 std::size_t parse_shards(const util::Args& args) {
   return static_cast<std::size_t>(args.get_int_in("shards", 0, 0, 1'000'000));
 }
@@ -416,7 +416,7 @@ int run_protocol_live(const util::Args& args, const Deployment& d,
 
   // Per-phase settle, unified across engines (sync rounds are scaled by
   // window_s so both report virtual seconds).
-  std::optional<sim::Network<core::DensityProtocol>> sync_net;
+  std::optional<sim::ShardedNetwork<core::DensityProtocol>> sync_net;
   std::optional<sim::AsyncNetwork<core::DensityProtocol>> async_net;
   const sim::Stepping stepping = parse_stepping_flag(args);
   const bool dirty = stepping == sim::Stepping::kDirty;
@@ -490,10 +490,11 @@ int run_protocol_live(const util::Args& args, const Deployment& d,
       broke = delta.removed.size();
       sync_net->apply_topology_delta(delta);
     } else {
-      // In-place rebuild carries no delta; under dirty stepping
-      // re-announce the graph so every node wakes to the change.
+      // In-place rebuild carries no delta, so re-announce the graph:
+      // the engine rebuilds its boundary-sender lists and drops its row
+      // hints, and under dirty stepping every node wakes to the change.
       rebuilt.reset(topology::unit_disk_graph(points, radius));
-      if (dirty) sync_net->set_graph(g);
+      sync_net->set_graph(g);
     }
     recompute_oracle();
     const auto report = settle();
@@ -574,61 +575,61 @@ int run_protocol(const util::Args& args, util::Rng& rng) {
         "--stepping dirty on the synchronous engine requires --tau 1 "
         "(use --scheduler async for lossy dirty runs)");
   }
-  // Generic over the step engine: --shards >= 2 swaps in the spatially
-  // sharded engine, whose trajectory is bit-identical to sim::Network,
-  // so every line below prints the same bytes either way.
-  auto drive = [&](auto& network) -> int {
-    network.set_stepping(stepping);
-    if (threads != 1) {
-      // Report the effective size: 0 resolves to hardware concurrency and
-      // oversized requests are clamped by the engine.
-      std::printf("step engine threads: %u\n", network.thread_count());
-    }
+  // --shards >= 2 cuts that many contiguous shards; otherwise the engine
+  // takes one shard per worker. The trajectory is bit-identical either
+  // way, so every line below prints the same bytes.
+  const std::size_t shards = parse_shards(args);
+  auto network =
+      shards >= 2
+          ? sim::ShardedNetwork(
+                d.graph, protocol, *medium,
+                graph::plan_contiguous_shards(d.graph.node_count(), shards)
+                    .bounds,
+                threads)
+          : sim::ShardedNetwork(d.graph, protocol, *medium, threads);
+  network.set_stepping(stepping);
+  if (threads != 1) {
+    // Report the effective size: 0 resolves to hardware concurrency and
+    // oversized requests are clamped by the engine.
+    std::printf("step engine threads: %u\n", network.thread_count());
+  }
 
-    const auto steps = static_cast<std::size_t>(
-        args.get_int_in("steps", 100, 1, 1'000'000));
-    sim::HeadTrace trace;
+  const auto steps =
+      static_cast<std::size_t>(args.get_int_in("steps", 100, 1, 1'000'000));
+  sim::HeadTrace trace;
+  trace.observe(protocol.head_values());
+  for (std::size_t s = 0; s < steps; ++s) {
+    network.step();
     trace.observe(protocol.head_values());
+  }
+  std::printf("cold start: %zu head changes, quiescent since step %zu\n",
+              trace.changes().size(), trace.quiescent_since());
+
+  const double corrupt = args.get_double_in("corrupt", 0.0, 0.0, 1.0);
+  if (corrupt > 0.0) {
+    util::Rng chaos(rng());
+    const auto hit = protocol.corrupt_fraction(chaos, corrupt);
+    sim::HeadTrace recovery;
+    recovery.observe(protocol.head_values());
     for (std::size_t s = 0; s < steps; ++s) {
       network.step();
-      trace.observe(protocol.head_values());
-    }
-    std::printf("cold start: %zu head changes, quiescent since step %zu\n",
-                trace.changes().size(), trace.quiescent_since());
-
-    const double corrupt = args.get_double_in("corrupt", 0.0, 0.0, 1.0);
-    if (corrupt > 0.0) {
-      util::Rng chaos(rng());
-      const auto hit = protocol.corrupt_fraction(chaos, corrupt);
-      sim::HeadTrace recovery;
       recovery.observe(protocol.head_values());
-      for (std::size_t s = 0; s < steps; ++s) {
-        network.step();
-        recovery.observe(protocol.head_values());
-      }
-      std::printf("corrupted %zu nodes: %zu head changes during recovery, "
-                  "quiescent since step %zu\n",
-                  hit, recovery.changes().size(), recovery.quiescent_since());
-      if (recovery.quiescent_since() >= steps) return 1;
     }
-    std::size_t heads = 0;
-    for (char flag : protocol.head_flags()) heads += flag != 0;
-    std::printf("final cluster-heads: %zu\n", heads);
-    if (stepping == sim::Stepping::kDirty) {
-      std::printf(
-          "dirty stepping: %llu rule sweeps run, %llu elided\n",
-          static_cast<unsigned long long>(network.activity().nodes_stepped()),
-          static_cast<unsigned long long>(network.activity().nodes_skipped()));
-    }
-    return trace.quiescent_since() < steps ? 0 : 1;
-  };
-  const std::size_t shards = parse_shards(args);
-  if (shards >= 2) {
-    sim::ShardedNetwork network(d.graph, protocol, *medium, shards, threads);
-    return drive(network);
+    std::printf("corrupted %zu nodes: %zu head changes during recovery, "
+                "quiescent since step %zu\n",
+                hit, recovery.changes().size(), recovery.quiescent_since());
+    if (recovery.quiescent_since() >= steps) return 1;
   }
-  sim::Network network(d.graph, protocol, *medium, threads);
-  return drive(network);
+  std::size_t heads = 0;
+  for (char flag : protocol.head_flags()) heads += flag != 0;
+  std::printf("final cluster-heads: %zu\n", heads);
+  if (stepping == sim::Stepping::kDirty) {
+    std::printf(
+        "dirty stepping: %llu rule sweeps run, %llu elided\n",
+        static_cast<unsigned long long>(network.activity().nodes_stepped()),
+        static_cast<unsigned long long>(network.activity().nodes_skipped()));
+  }
+  return trace.quiescent_since() < steps ? 0 : 1;
 }
 
 int run_routing(const util::Args& args, util::Rng& rng) {

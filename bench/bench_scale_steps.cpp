@@ -4,17 +4,20 @@
 // The paper's step-count results (Table 2: neighbors after 1 step,
 // density after 2, head after 3 + tree depth) are interesting exactly
 // when a "step" over the whole field is cheap. This bench measures
-// steady-state Network::step() throughput for the distributed density
-// protocol on grid and random-geometric deployments at n ∈ {1k, 10k,
-// 100k}, across three engines:
+// steady-state step() throughput for the distributed density protocol
+// on grid and random-geometric deployments at n ∈ {1k, 10k, 100k}, for
+// three configurations:
 //
-//   * seed    — the pre-arena engine: per-step owning ProtocolFrames,
-//               one digest-vector heap allocation per node per step
-//   * arena   — flat preallocated frame buffers, zero steady-state
-//               allocations, one thread
-//   * arena×T — the same, phases fanned out over T worker threads
+//   * seed    — the owning-frame reference stepper the tests keep as
+//               their oracle (tests/support/reference_stepper.hpp):
+//               per-step owning ProtocolFrames, one digest-vector heap
+//               allocation per node per step
+//   * arena   — the step engine (sim::ShardedNetwork) on one thread:
+//               flat preallocated frame buffers, zero steady-state
+//               allocations
+//   * arena×T — the same engine on T workers, one contiguous shard each
 //
-// Steps/sec and speedups vs the seed engine are reported per topology.
+// Steps/sec and speedups vs the seed stepper are reported per topology.
 //
 // Environment:
 //   SSMWN_SCALE_MAX_N  cap on n (default 100000; CI smoke uses 1000)
@@ -28,7 +31,8 @@
 
 #include "bench_support.hpp"
 #include "core/protocol.hpp"
-#include "sim/network.hpp"
+#include "sim/sharded_network.hpp"
+#include "support/reference_stepper.hpp"
 
 namespace {
 
@@ -44,21 +48,31 @@ core::DensityProtocol make_protocol(const bench::Instance& inst,
 }
 
 /// Steady-state steps/sec: warm caches first, then time `steps` steps.
-double measure(const bench::Instance& inst, util::Rng& rng, bool legacy,
-               unsigned threads, std::size_t steps) {
-  util::Rng local = rng;  // identical protocol state for every engine
-  auto protocol = make_protocol(inst, local);
-  sim::PerfectDelivery loss;
-  sim::Network network(inst.graph, protocol, loss, threads);
-  network.set_legacy_engine(legacy);
-  network.run(5);  // warm-up: fill caches, size arena buffers
+template <typename Stepper>
+double time_steady(Stepper& stepper, std::size_t steps) {
+  stepper.run(5);  // warm-up: fill caches, size arena buffers
 
   const auto start = std::chrono::steady_clock::now();
-  network.run(steps);
+  stepper.run(steps);
   const auto elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   return static_cast<double>(steps) / elapsed;
+}
+
+/// `reference` times the owning-frame reference stepper, otherwise the
+/// engine at `threads` workers.
+double measure(const bench::Instance& inst, util::Rng& rng, bool reference,
+               unsigned threads, std::size_t steps) {
+  util::Rng local = rng;  // identical protocol state for every engine
+  auto protocol = make_protocol(inst, local);
+  sim::PerfectDelivery loss;
+  if (reference) {
+    testsupport::ReferenceStepper stepper(inst.graph, protocol, loss);
+    return time_steady(stepper, steps);
+  }
+  sim::ShardedNetwork network(inst.graph, protocol, loss, threads);
+  return time_steady(network, steps);
 }
 
 std::size_t steps_for(std::size_t n) {
@@ -126,10 +140,11 @@ int main() {
           nodes == 0 ? 0.0
                      : 2.0 * static_cast<double>(inst.graph.edge_count()) /
                            static_cast<double>(nodes);
-      const double seed_sps = measure(inst, rng, /*legacy=*/true, 1, steps);
-      const double arena_sps = measure(inst, rng, /*legacy=*/false, 1, steps);
+      const double seed_sps = measure(inst, rng, /*reference=*/true, 1, steps);
+      const double arena_sps =
+          measure(inst, rng, /*reference=*/false, 1, steps);
       const double par_sps =
-          measure(inst, rng, /*legacy=*/false, threads, steps);
+          measure(inst, rng, /*reference=*/false, threads, steps);
       table.row({row.name, util::Table::integer(
                                static_cast<long long>(nodes)),
                  util::Table::num(mean_degree, 1),
@@ -145,8 +160,9 @@ int main() {
                "steps_per_s", par_sps);
     }
   }
-  table.note("seed = per-step owning frames (pre-arena engine); arena = "
-             "flat reusable buffers; xT = arena phases on T threads");
+  table.note("seed = per-step owning frames (reference stepper); arena = "
+             "the engine's flat reusable buffers; xT = the engine on T "
+             "threads, one shard each");
   table.note("all engines step the identical protocol state; steady state "
              "after 5 warm-up steps");
   bench::print(table);

@@ -5,10 +5,11 @@
 // nodes are renumbered cell-major (graph::plan_spatial_shards), each
 // shard owns a contiguous range plus its own frame arena, and all
 // cross-shard traffic rides per-shard-pair mailboxes. This bench runs
-// the full equivalence gate first — the sharded engine must be
-// bit-identical to sim::Network, or the numbers are meaningless — then
-// measures steady-state steps/sec for both engines on random-geometric
-// deployments at n ∈ {10k, 100k, 1M, 10M}.
+// the full equivalence gate first — the engine must be bit-identical to
+// the owning-frame reference stepper at one shard and at SSMWN_SHARDS
+// shards, or the numbers are meaningless — then measures steady-state
+// steps/sec for one shard ("unsharded") against the spatial shards on
+// random-geometric deployments at n ∈ {10k, 100k, 1M, 10M}.
 //
 // Environment:
 //   SSMWN_SHARD_MAX_N  cap on n (default 1000000; CI smoke uses 10000)
@@ -24,8 +25,8 @@
 #include "bench_support.hpp"
 #include "core/protocol.hpp"
 #include "graph/partition.hpp"
-#include "sim/network.hpp"
 #include "sim/sharded_network.hpp"
+#include "support/reference_stepper.hpp"
 
 namespace {
 
@@ -80,22 +81,22 @@ ShardedInstance shard_instance(const bench::Instance& inst, double radius,
 /// The gate: lockstep steps on a mid-size world must stay
 /// bit-identical (state and message counters) or the bench aborts —
 /// a fast sharded engine that drifts is a bug, not a result. Three
-/// engines run side by side: the legacy flat engine (no fast paths) as
-/// the reference, the arena flat engine, and the sharded engine. After
-/// 20 clean steps a mass fault is injected into all three so the
-/// recovery window exercises the redelivery fast paths — including the
-/// delta-encoded frames, whose grading counters must also agree across
-/// the two delta-capable engines and must actually fire.
+/// steppers run side by side: the owning-frame reference stepper (no
+/// fast paths), the engine on one shard, and the engine on the spatial
+/// shards. After 20 clean steps a mass fault is injected into all three
+/// so the recovery window exercises the redelivery fast paths —
+/// including the delta-encoded frames, whose grading counters must also
+/// agree across the two engine runs and must actually fire.
 bool equivalence_gate(util::Rng& rng, std::size_t shards, unsigned threads) {
   const auto inst = bench::poisson_instance(2000.0, 0.035, rng);
   const auto sharded_inst = shard_instance(inst, 0.035, shards);
   auto reference = make_protocol(sharded_inst.instance, rng);
-  auto arena = make_protocol(sharded_inst.instance, rng);
+  auto one = make_protocol(sharded_inst.instance, rng);
   auto candidate = make_protocol(sharded_inst.instance, rng);
   sim::PerfectDelivery loss_a, loss_b, loss_c;
-  sim::Network net_ref(sharded_inst.instance.graph, reference, loss_a, 1);
-  net_ref.set_legacy_engine(true);
-  sim::Network net_arena(sharded_inst.instance.graph, arena, loss_b, 1);
+  testsupport::ReferenceStepper net_ref(sharded_inst.instance.graph,
+                                        reference, loss_a);
+  sim::ShardedNetwork net_one(sharded_inst.instance.graph, one, loss_b);
   sim::ShardedNetwork net_shard(sharded_inst.instance.graph, candidate,
                                 loss_c, sharded_inst.bounds, threads);
   const auto check = [&](std::size_t s, const core::DensityProtocol& other,
@@ -116,35 +117,35 @@ bool equivalence_gate(util::Rng& rng, std::size_t shards, unsigned threads) {
       // payload/delta fast paths carry the traffic.
       util::Rng f1(20050612), f2(20050612), f3(20050612);
       reference.corrupt_fraction(f1, 0.2);
-      arena.corrupt_fraction(f2, 0.2);
+      one.corrupt_fraction(f2, 0.2);
       candidate.corrupt_fraction(f3, 0.2);
     }
     net_ref.step();
-    net_arena.step();
+    net_one.step();
     net_shard.step();
-    if (!check(s, arena, "arena flat") || !check(s, candidate, "sharded")) {
+    if (!check(s, one, "one shard") || !check(s, candidate, "sharded")) {
       return false;
     }
   }
-  if (net_ref.messages_delivered() != net_arena.messages_delivered() ||
+  if (net_ref.messages_delivered() != net_one.messages_delivered() ||
       net_ref.messages_delivered() != net_shard.messages_delivered()) {
     std::fprintf(stderr, "EQUIVALENCE FAILURE: message counters diverged\n");
     return false;
   }
-  if (net_arena.delta_rows_graded() == 0 ||
-      net_arena.delta_rows_graded() != net_shard.delta_rows_graded()) {
+  if (net_one.delta_rows_graded() == 0 ||
+      net_one.delta_rows_graded() != net_shard.delta_rows_graded()) {
     std::fprintf(stderr,
                  "EQUIVALENCE FAILURE: delta-frame grading diverged "
-                 "(arena %llu, sharded %llu; both must be nonzero)\n",
-                 static_cast<unsigned long long>(net_arena.delta_rows_graded()),
+                 "(one shard %llu, sharded %llu; both must be nonzero)\n",
+                 static_cast<unsigned long long>(net_one.delta_rows_graded()),
                  static_cast<unsigned long long>(net_shard.delta_rows_graded()));
     return false;
   }
   std::printf("equivalence gate: PASS (n=%zu, %zu shards, %u threads, "
-              "35 steps bit-identical across legacy/arena/sharded, "
+              "35 steps bit-identical across reference/one-shard/sharded, "
               "%llu delta-graded rows agree)\n\n",
               sharded_inst.instance.graph.node_count(), shards, threads,
-              static_cast<unsigned long long>(net_arena.delta_rows_graded()));
+              static_cast<unsigned long long>(net_one.delta_rows_graded()));
   return true;
 }
 
@@ -154,9 +155,9 @@ std::size_t steps_for(std::size_t n) {
   return 20;
 }
 
-/// Both engines' cost now depends on the regime (the redelivery fast
-/// paths collapse deliveries of settled rows), so one number no longer
-/// characterizes a step. Measured per engine, in one run:
+/// A step's cost depends on the regime (the redelivery fast paths
+/// collapse deliveries of settled rows), so one number does not
+/// characterize it. Measured per shard layout, in one run:
 ///   active — steps 3..5: caches full, id sequences held, but nearly
 ///            every digest payload still churning (the post-fault /
 ///            post-cold-start recovery regime);
@@ -192,8 +193,8 @@ int main() {
       "Sharded — spatial shards + boundary mailboxes at scale",
       "Cell-major renumbered shards, each with its own frame arena; "
       "cross-shard frames ride per-shard-pair mailboxes "
-      "(docs/ARCHITECTURE.md §8). Bit-identical to sim::Network — gated "
-      "below before any timing",
+      "(docs/ARCHITECTURE.md §8). Bit-identical to the reference stepper "
+      "at any shard count — gated below before any timing",
       1);
 
   util::Rng root(util::bench_seed());
@@ -232,7 +233,8 @@ int main() {
     {
       auto protocol = make_protocol(sharded_inst.instance, rng);
       sim::PerfectDelivery loss;
-      sim::Network network(sharded_inst.instance.graph, protocol, loss, 1);
+      sim::ShardedNetwork network(sharded_inst.instance.graph, protocol,
+                                  loss);
       flat = time_regimes(network, steps);
     }
     RegimeSps shard;
@@ -257,8 +259,9 @@ int main() {
     json.add("poisson/sharded", nodes, threads, "steps/s", shard.steady);
   }
 
-  table.note("both engines step the identical protocol state on the "
-             "cell-major renumbered world; the sharded rows use " +
+  table.note("both rows step the identical protocol state on the "
+             "cell-major renumbered world; unsharded = one shard on one "
+             "thread, the sharded rows use " +
              std::to_string(shards) + " spatial shards");
   table.note("active = steps 3..5 (recovery regime: full payload churn "
              "over settled id sequences); steady = steps 10 onward (the "

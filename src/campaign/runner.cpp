@@ -14,13 +14,13 @@
 #include "core/protocol.hpp"
 #include "graph/dynamic.hpp"
 #include "graph/graph.hpp"
+#include "graph/partition.hpp"
 #include "metrics/delta.hpp"
 #include "metrics/stability.hpp"
 #include "mobility/mobility.hpp"
 #include "sim/async_network.hpp"
 #include "sim/churn.hpp"
 #include "sim/loss.hpp"
-#include "sim/network.hpp"
 #include "sim/parallel.hpp"
 #include "sim/sharded_network.hpp"
 #include "stabilize/convergence.hpp"
@@ -221,61 +221,53 @@ RunMetrics execute_live_run(const ScenarioConfig& config,
   RunMetrics out;
   const bool dirty = config.stepping == SteppingKind::kDirty;
   if (config.scheduler == SchedulerKind::kSync) {
-    // Generic over the two sync engines: sim::Network and
-    // sim::ShardedNetwork expose the same stepping surface and are
-    // bit-identical, so the shard knob swaps the type without touching
-    // the run logic (or the results).
-    auto drive_sync = [&](auto& network) {
-      // expand() rejects dirty+sync with tau < 1, so this never throws.
-      if (dirty) network.set_stepping(sim::Stepping::kDirty);
-      // Unified units with the async engine: one synchronous step is one
-      // broadcast round ≈ one window_s of virtual time.
-      auto settle = [&] {
-        legitimacy.reset();
-        std::size_t rounds = 0;
-        const std::uint64_t base = network.messages_delivered();
-        return stabilize::run_until_stable_virtual(
-            [&] {
-              network.step();
-              return static_cast<double>(++rounds) * config.window_s;
-            },
-            [&] { return network.messages_delivered() - base; },
-            [&] { return legitimacy.check(); }, confirm_s, horizon_s);
-      };
-
-      const auto cold = settle();
-      out.converge_time =
-          cold.converged ? cold.stabilization_time_s : cold.time_simulated_s;
-      out.messages = static_cast<double>(
-          cold.converged ? cold.messages_to_converge : cold.messages_total);
-
-      for (std::size_t window = 0; window < config.steps; ++window) {
-        if (mover) mover->step(ws.points, config.window_s);
-        if (churn) churn->step();
-        if (incremental) {
-          // apply_topology_delta also wakes the closed neighborhood of
-          // every delta endpoint under dirty stepping, so quiescent nodes
-          // near a change re-run their rules next step.
-          network.apply_topology_delta(live->update(ws.points, alive_span()));
-        } else {
-          // Rebuild mode mutates the Graph in place with no delta, so
-          // re-announce it: under dirty stepping quiescent nodes would
-          // never learn of the change (set_graph wakes every node), and
-          // the sharded engine caches boundary-sender lists it must
-          // rebuild. For the unsharded full stepper this is a no-op.
-          rebuild_graph();
-          network.set_graph(g);
-        }
-        recompute_oracle();
-        record_window(settle(), 0.0);
-      }
+    // exec.shards contiguous shards on one thread (the plan clamps 0 to
+    // one shard); bit-identical at any count.
+    sim::ShardedNetwork network(
+        g, protocol, *medium,
+        graph::plan_contiguous_shards(g.node_count(), exec.shards).bounds);
+    // expand() rejects dirty+sync with tau < 1, so this never throws.
+    if (dirty) network.set_stepping(sim::Stepping::kDirty);
+    // Unified units with the async engine: one synchronous step is one
+    // broadcast round ≈ one window_s of virtual time.
+    auto settle = [&] {
+      legitimacy.reset();
+      std::size_t rounds = 0;
+      const std::uint64_t base = network.messages_delivered();
+      return stabilize::run_until_stable_virtual(
+          [&] {
+            network.step();
+            return static_cast<double>(++rounds) * config.window_s;
+          },
+          [&] { return network.messages_delivered() - base; },
+          [&] { return legitimacy.check(); }, confirm_s, horizon_s);
     };
-    if (exec.shards >= 2) {
-      sim::ShardedNetwork network(g, protocol, *medium, exec.shards, 1);
-      drive_sync(network);
-    } else {
-      sim::Network network(g, protocol, *medium, 1);
-      drive_sync(network);
+
+    const auto cold = settle();
+    out.converge_time =
+        cold.converged ? cold.stabilization_time_s : cold.time_simulated_s;
+    out.messages = static_cast<double>(
+        cold.converged ? cold.messages_to_converge : cold.messages_total);
+
+    for (std::size_t window = 0; window < config.steps; ++window) {
+      if (mover) mover->step(ws.points, config.window_s);
+      if (churn) churn->step();
+      if (incremental) {
+        // apply_topology_delta also wakes the closed neighborhood of
+        // every delta endpoint under dirty stepping, so quiescent nodes
+        // near a change re-run their rules next step.
+        network.apply_topology_delta(live->update(ws.points, alive_span()));
+      } else {
+        // Rebuild mode mutates the Graph in place with no delta, so
+        // re-announce it: the engine caches boundary-sender lists and
+        // row hints keyed to the adjacency, and under dirty stepping
+        // quiescent nodes would never learn of the change (set_graph
+        // wakes every node).
+        rebuild_graph();
+        network.set_graph(g);
+      }
+      recompute_oracle();
+      record_window(settle(), 0.0);
     }
   } else {
     sim::AsyncConfig async;

@@ -86,12 +86,12 @@ struct RunWorkspace {
 /// thread count — and unlike every ScenarioConfig axis — these are NOT
 /// part of the experiment's identity: they never enter canonical config
 /// strings or run seeds, and campaign outputs are byte-identical at any
-/// value (the sharded engine is bit-identical to sim::Network, asserted
+/// value (the step engine is bit-identical at any shard count, asserted
 /// by tests/sim/sharded_equivalence_test.cpp and the campaign replay
 /// tests).
 struct ExecutionOptions {
-  /// 0 or 1 = the unsharded sim::Network; >= 2 = sim::ShardedNetwork
-  /// with that many contiguous shards. Applies to synchronous
+  /// <= 1 = one shard; >= 2 = that many contiguous shards of the
+  /// synchronous engine (sim::ShardedNetwork). Applies to synchronous
   /// protocol-live runs (the only campaign path that steps a sync
   /// engine); classic-window and async runs ignore it.
   std::size_t shards = 0;

@@ -29,7 +29,8 @@
 // `const auto& s =` (lifetime extension keeps the temporary alive; the
 // referenced storage is the protocol's own and outlives any observer).
 //
-// The class implements the Protocol concept of sim::Network, plus the
+// The class implements the arena Protocol concept of the synchronous
+// engine (sim::ShardedNetwork, alias sim::Network), plus the
 // quiescence extension (sim::QuiescentProtocol) the dirty-region
 // steppers use: with activity tracking enabled it detects, per node and
 // per step, whether anything rule-relevant changed — delivered frame
@@ -252,7 +253,9 @@ class DensityProtocol {
   DensityProtocol(topology::IdAssignment uids, ProtocolConfig config,
                   util::Rng rng);
 
-  // --- sim::Network protocol concept ---------------------------------
+  // --- owning-frame protocol concept --------------------------------
+  // Whole frames by value: what the async engine's per-frame buffers and
+  // the tests' reference stepper exchange.
   using Frame = ProtocolFrame;
   [[nodiscard]] Frame make_frame(graph::NodeId sender) const;
   void deliver(graph::NodeId receiver, const Frame& frame);
@@ -260,8 +263,8 @@ class DensityProtocol {
   void end_step(graph::NodeId node);
 
   // --- arena step-engine concept (zero-alloc hot path) -----------------
-  // sim::Network detects these via `if constexpr` and then builds frames
-  // into preallocated flat buffers instead of heap-owning ProtocolFrames.
+  // The synchronous engine builds frames through these into
+  // preallocated flat buffers instead of heap-owning ProtocolFrames.
   using FrameHeader = ProtocolFrameHeader;
   using Digest = NeighborDigest;
   /// Number of digest slots `make_frame` will fill for `sender` right now

@@ -1,20 +1,20 @@
 // The Scheduler seam: the engine-agnostic core of the runtime.
 //
-// A Protocol (see sim/network.hpp's header comment for the concept)
-// exposes four operations — build a broadcast frame, deliver a frame,
-// fire guarded rules, age caches. *When* those operations happen is the
-// execution model, and this repo now ships two of them behind the same
-// seam:
+// A Protocol (see sim/sharded_network.hpp's header comment for the
+// concept) exposes four operations — build a broadcast frame, deliver a
+// frame, fire guarded rules, age caches. *When* those operations happen
+// is the execution model, and this repo ships two of them behind the
+// same seam:
 //
-//   * sim::Network       — the synchronous Δ(τ) stepper (lockstep
-//                          broadcast → deliver → tick → end_step, the
-//                          abstraction the paper's step-count bounds
-//                          use);
-//   * sim::AsyncNetwork  — the event-driven engine (per-node jittered
-//                          broadcast periods, per-link delivery delays,
-//                          pluggable daemons — the asynchronous regime
-//                          the paper's self-stabilization theorem is
-//                          actually stated for).
+//   * sim::ShardedNetwork — the synchronous Δ(τ) engine, alias
+//                           sim::Network (lockstep broadcast → deliver
+//                           → tick → end_step, the abstraction the
+//                           paper's step-count bounds use);
+//   * sim::AsyncNetwork   — the event-driven engine (per-node jittered
+//                           broadcast periods, per-link delivery delays,
+//                           pluggable daemons — the asynchronous regime
+//                           the paper's self-stabilization theorem is
+//                           actually stated for).
 //
 // This header holds what both engines share: the ArenaProtocol concept
 // (zero-copy flat frames), the TimestampedProtocol concept (the
@@ -22,10 +22,10 @@
 // FrameBuffer — reusable storage for one in-flight frame that builds
 // from / delivers to a protocol through whichever overload set the
 // protocol provides. The synchronous engine's batch arena (one flat
-// digest pool for all n frames of a step) remains its private
-// optimization in network.hpp; FrameBuffer is the per-frame form the
-// event-driven engine needs, where frames from different virtual times
-// are in flight simultaneously.
+// digest pool per shard for all frames of a step) remains its private
+// optimization in sharded_network.hpp; FrameBuffer is the per-frame
+// form the event-driven engine needs, where frames from different
+// virtual times are in flight simultaneously.
 #pragma once
 
 #include <concepts>

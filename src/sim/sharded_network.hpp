@@ -1,43 +1,75 @@
-// Spatially sharded synchronous step engine — sim::Network's phase
-// structure, parallelized over contiguous node ranges ("shards")
-// instead of raw index chunks, with all cross-shard traffic funneled
-// through per-shard-pair mailboxes.
+// The synchronous-step network runtime — the lockstep instance of the
+// Scheduler seam (sim/scheduler.hpp; the event-driven instance is
+// sim/async_network.hpp), and the repo's one synchronous engine.
 //
-// Why shards instead of Network's flat for_nodes? At million-node scale
-// the win is ownership: a shard owns a contiguous node range (ideally
-// cell-major renumbered via graph::plan_spatial_shards, so radio
-// neighbors are range-near), its own frame arena, and — in dirty mode —
-// its own ActivityTracker. Every parallel phase is "one task per
-// shard", each task touching only shard-owned state plus mailboxes it
-// exclusively writes (keyed by source shard) or exclusively reads
-// (keyed by destination shard, filled strictly before the phase
-// barrier). That is the seam later multi-process / NUMA work plugs
-// into: a mailbox flush is the message a process boundary would send.
+// One `step()` realizes the paper's Δ(τ) time unit: every node builds a
+// frame from its shared variables and locally broadcasts it; the loss
+// model decides per receiver whether the frame is heard; then every node
+// atomically executes its guarded rules against its (possibly stale)
+// caches. Reception is double-buffered — all frames of a step are built
+// from the state *before* any rule of that step fires, exactly matching
+// the synchronous semantics the paper's step-count arguments use.
 //
-// Determinism argument (the property the sharded differential tests
-// assert): the engine runs the exact phase sequence of sim::Network —
-// build frames, decide losses, deliver, tick, end-step — with a barrier
-// between phases. Within a phase, each node is processed exactly once
-// with inputs fixed at the barrier, and each receiver pulls its heard
-// frames in ascending-sender order (its sorted CSR row), the same order
-// the unsharded engine uses. Mailboxes are filled in a fixed
+// The Protocol type supplies the node behavior through the arena
+// extension (sim::ArenaProtocol): fixed-size frame headers plus
+// variable-length digest lists written into flat, engine-owned buffers
+// keyed by per-step CSR-style offsets, reused across steps so a
+// steady-state step performs zero heap allocations:
+//
+//   struct Protocol {
+//     using FrameHeader = ...;  using Digest = ...;
+//     std::size_t digest_count(NodeId sender) const;
+//     void make_frame(NodeId sender, FrameHeader&,
+//                     std::span<Digest>) const;    // read-only snapshot
+//     void deliver(NodeId receiver, const FrameHeader&,
+//                  std::span<const Digest>);
+//     void tick(NodeId node);                      // run guarded rules
+//     void end_step(NodeId node);                  // cache aging etc.
+//   };
+//
+// The redelivery, quiescence and topology-aware extensions
+// (sim/scheduler.hpp) are detected with `if constexpr` and unlock the
+// row-grading fast paths, dirty-region stepping and severed-link hooks.
+//
+// Shards. The node range [0, n) is carved into contiguous ranges
+// ("shards"); every parallel phase is "one task per shard", and all
+// cross-shard traffic is funneled through per-shard-pair mailboxes. A
+// shard owns its range, its own frame arena, and — in dirty mode — its
+// own ActivityTracker; each task touches only shard-owned state plus
+// mailboxes it exclusively writes (keyed by source shard) or exclusively
+// reads (keyed by destination shard, filled strictly before the phase
+// barrier). The threads-only constructor cuts one contiguous shard per
+// worker (one shard at the default single thread); at million-node
+// scale callers pass bounds from graph::plan_spatial_shards over a
+// cell-major renumbered world, so radio neighbors are range-near. That
+// is the seam later multi-process / NUMA work plugs into: a mailbox
+// flush is the message a process boundary would send.
+//
+// Determinism argument (the property the differential tests assert):
+// every step runs the phase sequence build frames, decide losses,
+// deliver, tick, end-step with a barrier between phases. Within a
+// phase, each node is processed exactly once with inputs fixed at the
+// barrier, and each receiver pulls its heard frames in ascending-sender
+// order (its sorted CSR row). Mailboxes are filled in a fixed
 // (src-shard, dst-shard, admission) order — admission order is
 // ascending sender id, because shard sweeps walk their range in order —
 // and drained by binary search per edge, so *which* bytes a receiver
 // sees never depends on shard count or thread count. Stateful loss
-// models keep their serial sender-major polling pass, identical RNG
-// draw sequence included. Hence: bit-identical to sim::Network at any
-// shard/thread count, full or dirty stepping (docs/ARCHITECTURE.md §8).
+// models are polled serially in sender-major order, so their RNG draw
+// sequence is that of the owning-frame reference stepper the tests keep
+// as their oracle (tests/support/reference_stepper.hpp). Hence:
+// bit-identical at any shard/thread count, full or dirty stepping
+// (docs/ARCHITECTURE.md §8).
 //
-// Dirty-region composition (PR 6): each shard's tracker wakes and
-// drains locally; a wake that crosses a shard boundary rides a
-// wake-mailbox flushed at the step's final barrier and drained at the
-// next step's first phase — one step of latency is exactly what the
-// unsharded stepper's double-buffered wake set gives, so the union of
-// the per-shard active sets equals the global active set step for step.
-// Frames a shard needs from remote senders are requested through a
-// request-mailbox and answered through a frame-mailbox within the same
-// step (two barriers), so quiescent shards with no requests do no work.
+// Dirty-region composition: each shard's tracker wakes and drains
+// locally; a wake that crosses a shard boundary rides a wake-mailbox
+// flushed at the step's final barrier and drained at the next step's
+// first phase — one step of latency is exactly what the double-buffered
+// wake set gives, so the union of the per-shard active sets equals the
+// one-shard active set step for step. Frames a shard needs from remote
+// senders are requested through a request-mailbox and answered through
+// a frame-mailbox within the same step (two barriers), so quiescent
+// shards with no requests do no work.
 #pragma once
 
 #include <algorithm>
@@ -47,6 +79,7 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -62,9 +95,8 @@ namespace ssmwn::sim {
 template <typename Protocol>
 class ShardedNetwork {
   static_assert(ArenaProtocol<Protocol>,
-                "ShardedNetwork requires the arena extension (flat "
-                "headers + digest pools); the legacy owning-frame "
-                "engine has no shardable storage");
+                "the synchronous engine requires the arena extension "
+                "(flat frame headers + digest pools)");
 
  public:
   /// `bounds` carves [0, n) into shard-owned ranges (see
@@ -72,7 +104,9 @@ class ShardedNetwork {
   /// allowed). Throws std::invalid_argument on a malformed cover.
   /// `threads` is the step-engine parallelism (1 = fully inline,
   /// 0 = hardware concurrency); shards and threads are independent —
-  /// one worker can sweep many shards, and extra workers idle.
+  /// one worker can sweep many shards, and extra workers idle. The
+  /// graph reference is observed, not owned; it may be swapped between
+  /// steps via `set_graph`.
   ShardedNetwork(const graph::Graph& g, Protocol& protocol, LossModel& loss,
                  std::vector<std::size_t> bounds, unsigned threads = 1)
       : graph_(&g), protocol_(&protocol), loss_(&loss) {
@@ -94,19 +128,22 @@ class ShardedNetwork {
     frame_mb_.resize(S * S);
     req_mb_.resize(S * S);
     wake_mb_.resize(S * S);
-    set_threads(threads);
+    threads = effective_threads(threads);
+    if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
   }
 
-  /// Convenience: `shards` equal contiguous chunks (clamped to
-  /// [1, max(1, n)] like graph::plan_contiguous_shards). For spatial
-  /// locality, build the bounds from graph::plan_spatial_shards and a
-  /// permuted graph instead.
+  /// One contiguous shard per effective worker (clamped to [1, max(1,
+  /// n)] like graph::plan_contiguous_shards): the default single thread
+  /// steps one shard inline, `threads` > 1 runs every phase in
+  /// parallel. For spatial locality, build the bounds from
+  /// graph::plan_spatial_shards and a permuted graph instead.
   ShardedNetwork(const graph::Graph& g, Protocol& protocol, LossModel& loss,
-                 std::size_t shards, unsigned threads = 1)
-      : ShardedNetwork(
-            g, protocol, loss,
-            graph::plan_contiguous_shards(g.node_count(), shards).bounds,
-            threads) {}
+                 unsigned threads = 1)
+      : ShardedNetwork(g, protocol, loss,
+                       graph::plan_contiguous_shards(
+                           g.node_count(), effective_threads(threads))
+                           .bounds,
+                       threads) {}
 
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return bounds_.size() - 1;
@@ -115,9 +152,12 @@ class ShardedNetwork {
     return bounds_;
   }
 
-  /// Swaps the observed graph (mobility rebuild mode). The node count
-  /// must still match the shard bounds — a sharded run renumbers once,
-  /// up front, and keeps the numbering for its lifetime.
+  /// Swaps (or re-announces an in-place mutated) observed graph —
+  /// mobility rebuild mode. Rebuilds the boundary-sender lists, drops
+  /// the row hints (adjacency defines who consumed which row), and under
+  /// dirty stepping wakes every node. The node count must still match
+  /// the shard bounds — a sharded run renumbers once, up front, and
+  /// keeps the numbering for its lifetime.
   void set_graph(const graph::Graph& g) {
     if (g.node_count() != bounds_.back()) {
       throw std::invalid_argument(
@@ -134,8 +174,15 @@ class ShardedNetwork {
     }
   }
 
-  /// Same contract as sim::Network::set_stepping — dirty mode needs the
-  /// quiescence extension and a loss-free medium; throws otherwise.
+  /// Selects the stepper. Dirty-region stepping requires a protocol with
+  /// the quiescence extension and a loss model that always delivers
+  /// (skipping a node is only provably a no-op when its inputs are
+  /// deterministic; a lossy medium re-randomizes them — and skipped
+  /// deliveries would desynchronize the loss model's RNG draw sequence
+  /// from the full stepper's). Throws std::invalid_argument when those
+  /// preconditions fail. Entering dirty mode arms the protocol's change
+  /// detector and wakes every node; leaving it disarms the detector,
+  /// restoring the classic byte-for-byte paths.
   void set_stepping(Stepping mode) {
     if (mode == stepping_) return;
     invalidate_row_hints();
@@ -174,10 +221,10 @@ class ShardedNetwork {
 
   [[nodiscard]] Stepping stepping() const noexcept { return stepping_; }
 
-  /// Aggregate stepped/skipped counters across all shards — same
-  /// numbers sim::Network::activity() reports for the same run. The
-  /// aggregate keeps no work list; per-shard lists are at
-  /// `shard_activity(s)`.
+  /// Aggregate stepped/skipped counters across all shards, identical
+  /// for any shard count: `activity().last_nodes_stepped() == 0` after a
+  /// step is the quiescence property the tests assert. The aggregate
+  /// keeps no work list; per-shard lists are at `shard_activity(s)`.
   [[nodiscard]] const ActivityTracker& activity() const noexcept {
     return stats_;
   }
@@ -186,44 +233,48 @@ class ShardedNetwork {
     return shards_[s].tracker;
   }
 
-  /// Wakes each listed node and its closed neighborhood (dirty mode
-  /// only), crossing shard boundaries directly — callers run between
-  /// steps, where every tracker is safely writable.
+  /// Seeds the activity set from outside knowledge — e.g.
+  /// `graph::DynamicGraph::dirty_nodes()` after a live patch: wakes each
+  /// listed node and its closed neighborhood (dirty mode only), crossing
+  /// shard boundaries directly — callers run between steps, where every
+  /// tracker is safely writable.
   void mark_dirty(std::span<const graph::NodeId> nodes) {
     if (stepping_ != Stepping::kDirty) return;
     for (const graph::NodeId p : nodes) wake_closed(p);
   }
 
-  void set_threads(unsigned threads) {
-    if (threads == 0) {
-      threads = std::max(1u, std::thread::hardware_concurrency());
-    }
-    threads = std::min(threads,
-                       std::max(64u, 4u * std::thread::hardware_concurrency()));
-    if (threads == thread_count()) return;
-    pool_ = threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
-  }
-
+  /// The effective worker count: 0 resolved to hardware concurrency,
+  /// absurd requests clamped (see effective_threads).
   [[nodiscard]] unsigned thread_count() const noexcept {
     return pool_ ? pool_->thread_count() : 1u;
   }
 
   [[nodiscard]] std::size_t steps_run() const noexcept { return steps_; }
 
+  /// Frame receptions that actually happened (post-loss) across all
+  /// steps so far. Counted in the serial phases only, so the value is
+  /// identical for any shard/thread count.
   [[nodiscard]] std::uint64_t messages_delivered() const noexcept {
     return messages_delivered_;
   }
 
-  /// Sender rows graded delta-applicable across all steps so far —
-  /// same contract as sim::Network::delta_rows_graded(): folded
+  /// Sender rows graded delta-applicable (id sequence held, a sparse
+  /// subset of digest payloads changed) across all steps so far. Folded
   /// serially in shard order, so identical for any shard/thread count.
+  /// Zero for protocols without the redelivery extension and under
+  /// dirty stepping.
   [[nodiscard]] std::uint64_t delta_rows_graded() const noexcept {
     return delta_rows_graded_;
   }
 
-  /// Same contract as sim::Network::apply_topology_delta; additionally
-  /// marks the static boundary-sender lists stale (a patched edge may
-  /// create or destroy a boundary crossing).
+  /// Notifies the runtime that the observed graph was just patched with
+  /// `delta` (dynamic-topology runs; the owner mutates the graph via
+  /// graph::DynamicGraph, then calls this). Topology-aware protocols get
+  /// told about every severed link so the stale neighbor caches die now
+  /// rather than by aging; the boundary-sender lists are marked stale (a
+  /// patched edge may create or destroy a boundary crossing); under
+  /// dirty stepping the closed neighborhoods of both endpoints of every
+  /// patched edge wake. Call between steps.
   void apply_topology_delta(const graph::EdgeDelta& delta) {
     invalidate_row_hints();
     if constexpr (TopologyAwareProtocol<Protocol>) {
@@ -259,6 +310,7 @@ class ShardedNetwork {
     ++steps_;
   }
 
+  /// Runs `count` steps.
   void run(std::size_t count) {
     for (std::size_t i = 0; i < count; ++i) step();
   }
@@ -303,10 +355,10 @@ class ShardedNetwork {
     std::vector<std::size_t> prev_offsets;
     // This step's delta rows (redelivery protocols, full stepping): the
     // changed digests of every delta-graded owned sender, ascending id,
-    // CSR over local sender index — the shard-local mirror of
-    // sim::Network's DeltaStorage. delta_rows counts the senders graded
-    // delta-applicable this step (folded serially into the engine
-    // total, so the aggregate is thread-count invariant).
+    // CSR over local sender index — what a delta-encoded wire frame
+    // would carry. delta_rows counts the senders graded delta-applicable
+    // this step (folded serially into the engine total, so the
+    // aggregate is thread-count invariant).
     std::vector<typename Protocol::Digest> delta_pool;
     std::vector<std::size_t> delta_offsets;
     std::vector<std::uint32_t> delta_counts;
@@ -322,6 +374,14 @@ class ShardedNetwork {
     std::vector<graph::NodeId> sender_list;  // global ids
     std::uint64_t delivered = 0;             // this step's reception count
   };
+
+  /// 0 = hardware concurrency; absurd counts (e.g. an unsigned-cast -1)
+  /// are clamped — more workers than cores can ever help is waste.
+  static unsigned effective_threads(unsigned threads) noexcept {
+    const unsigned hw = std::thread::hardware_concurrency();
+    if (threads == 0) threads = std::max(1u, hw);
+    return std::min(threads, std::max(64u, 4u * hw));
+  }
 
   [[nodiscard]] std::size_t shard_of(graph::NodeId p) const noexcept {
     const auto it = std::upper_bound(bounds_.begin(), bounds_.end(),
@@ -398,8 +458,7 @@ class ShardedNetwork {
   /// its own CSR rows, so admission order is ascending sender id.
   void rebuild_boundaries() {
     const graph::Graph& g = *graph_;
-    const std::size_t S = shard_count();
-    for_shards([this, &g, S](std::size_t s) {
+    for_shards([this, &g](std::size_t s) {
       Shard& sh = shards_[s];
       for (auto& list : sh.boundary_out) list.clear();
       for (std::size_t p = sh.begin; p < sh.end; ++p) {
@@ -413,7 +472,6 @@ class ShardedNetwork {
           }
         }
       }
-      (void)S;
     });
     boundaries_stale_ = false;
   }
@@ -468,11 +526,16 @@ class ShardedNetwork {
       }
       if constexpr (RedeliveryProtocol<Protocol>) {
         // Each shard writes only its owned slice of the global bitmap.
-        // Same grades as sim::Network's phase 1b: id sequence held
-        // (payload overwrite suffices), whole row bit-equal (age reset
-        // suffices), or ids held with at most half the digests moved
-        // (delta patch suffices — the changed digests are extracted
-        // into the shard's delta arena below).
+        // One streaming pass over two sequential buffers here saves a
+        // gathered per-edge compare in phase 3 — each row is compared
+        // once instead of once per listener. Three grades, same bitwise
+        // field equality contract as the protocol's own change
+        // detection: id sequence held (payload overwrite suffices — the
+        // common active regime), whole row bit-equal (age reset
+        // suffices — the quiescent regime), or ids held with at most
+        // half the digests moved (delta patch suffices — the
+        // late-recovery regime; the changed digests are extracted into
+        // the shard's delta arena below).
         const bool cmp =
             prev_rows_built_ && sh.prev_offsets.size() == local_n + 1;
         sh.delta_counts.assign(local_n, 0);
@@ -485,10 +548,11 @@ class ShardedNetwork {
             const auto* b = sh.prev_pool.data() + sh.prev_offsets[i];
             const bool header_bits = Protocol::header_bits_equal(
                 sh.headers[i], sh.prev_headers[i]);
-            // Same early-exit as the flat engine: past the delta
-            // threshold only the id compares still matter, so the
-            // wider payload compares stop — heavy-churn rows cost
-            // about what the old first-mismatch exit did.
+            // Past the delta threshold the row can only grade
+            // ids-equal, so the wider payload compares stop; the id
+            // compares must still cover the whole row — the ids-equal
+            // gate is what makes redelivery sound. Heavy-churn rows
+            // cost about what a first-mismatch exit would.
             const std::size_t cap = len * kRowDeltaNumerator /
                                     kRowDeltaDenominator;
             bool ids = true;
@@ -568,10 +632,11 @@ class ShardedNetwork {
       }
     });
 
-    // Phase 2 (serial unless τ = 1): identical to Network::step_arena —
-    // per-edge loss decisions polled sender-major so stateful loss
-    // models draw the exact same RNG sequence, stored at the
-    // receiver's incoming CSR slot via the mirror index.
+    // Phase 2 (serial unless τ = 1): per-edge loss decisions polled in
+    // the classic sender-major order, so stateful loss models draw the
+    // exact RNG sequence of the owning-frame reference stepper; the
+    // decision for p → q is stored at q's incoming CSR slot via the
+    // mirror index.
     const auto offsets = g.csr_offsets();
     const auto flat = g.csr_neighbors();
     const bool hear_all = loss_->always_delivers();
@@ -705,12 +770,18 @@ class ShardedNetwork {
     sh.tracker.wake(static_cast<graph::NodeId>(p - sh.begin));
   }
 
-  /// The quiescence-aware sharded step. Same induction as the
-  /// unsharded stepper (docs/ARCHITECTURE.md §7): the union of the
-  /// per-shard active sets equals the global stepper's active set every
-  /// step, because intra-shard wakes land directly and cross-shard
-  /// wakes ride the wake mailboxes flushed at this step's end and
-  /// drained before the next begin_step — the same one-step latency the
+  /// The quiescence-aware step: only active nodes (those whose closed
+  /// neighborhood changed last step) receive, tick and age; everyone
+  /// else is left untouched — which is bit-identical to full stepping
+  /// because a skipped node is at a boundary-state fixpoint with
+  /// unchanged inputs (docs/ARCHITECTURE.md §7 has the induction).
+  /// Active receivers hear *all* their neighbors — quiescent senders'
+  /// frames are built on demand (make_frame is const) — so cache ages
+  /// and contents evolve exactly as under the full stepper. The union
+  /// of the per-shard active sets is the same at any shard count,
+  /// because intra-shard wakes land directly and cross-shard wakes ride
+  /// the wake mailboxes flushed at this step's end and drained before
+  /// the next begin_step — the same one-step latency the
   /// double-buffered wake set already has.
   void step_dirty() {
     // Dirty mode reuses the shard arenas in compact (sender-list) form,

@@ -7,7 +7,7 @@
 #include "core/legitimacy.hpp"
 #include "sim/async_network.hpp"
 #include "sim/loss.hpp"
-#include "sim/network.hpp"
+#include "sim/sharded_network.hpp"
 #include "stabilize/convergence.hpp"
 #include "topology/generators.hpp"
 #include "topology/udg.hpp"
@@ -104,7 +104,7 @@ TrialResult run_trial(const TrialSpec& spec, const TrialHooks* hooks) {
     result.corruption = corruptor.apply(protocol, spec.fault, chaos);
 
     const auto medium = sim::make_loss_model(spec.tau, sync_loss_rng);
-    sim::Network network(g, protocol, *medium, 1);
+    sim::ShardedNetwork network(g, protocol, *medium);
     core::LegitimacyCheck legitimacy(g, protocol, exact ? &oracle : nullptr);
 
     std::size_t rounds = 0;

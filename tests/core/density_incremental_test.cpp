@@ -115,7 +115,8 @@ TEST(DensityIncremental, CheckedModeRunsCleanOnShardedEngine) {
 
   auto protocol = make_protocol(g, ids, core::DensityMaintenance::kChecked, 5);
   sim::PerfectDelivery loss;
-  sim::ShardedNetwork network(g, protocol, loss, std::size_t{4}, 1);
+  sim::ShardedNetwork network(
+      g, protocol, loss, graph::plan_contiguous_shards(n, 4).bounds, 1);
   util::Rng chaos(29);
   EXPECT_NO_THROW({
     network.run(5);

@@ -6,7 +6,7 @@
 // is pure cost model — every test here pins the delta-armed execution
 // bitwise against one that never takes the path, across faults from
 // every certifier class, lossy media, topology deltas, stepping-mode
-// switches, and both step engines.
+// switches, and both one and many shards.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,9 +14,11 @@
 #include <vector>
 
 #include "core/protocol.hpp"
+#include "graph/partition.hpp"
 #include "sim/loss.hpp"
 #include "sim/network.hpp"
 #include "sim/sharded_network.hpp"
+#include "support/reference_stepper.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
 #include "topology/incremental.hpp"
@@ -37,11 +39,12 @@ core::DensityProtocol make_protocol(const graph::Graph& g,
   return core::DensityProtocol(ids, config, util::Rng(seed));
 }
 
-/// Delta-armed arena engine vs legacy engine (full deliver every time),
-/// lockstep through settle → mass fault → recovery → re-settle. The
-/// recovery tail is where delta grades appear (payload churn trickles
-/// down to a few digests per row before rows go fully bit-equal); the
-/// counter assertion proves the path actually ran, not just declined.
+/// Delta-armed engine vs the owning-frame reference stepper (full
+/// deliver every time), lockstep through settle → mass fault → recovery
+/// → re-settle. The recovery tail is where delta grades appear (payload
+/// churn trickles down to a few digests per row before rows go fully
+/// bit-equal); the counter assertion proves the path actually ran, not
+/// just declined.
 TEST(DeltaFrames, DeltaPathBitIdenticalToLegacyEngine) {
   util::Rng rng(20050612);
   const std::size_t n = 250;
@@ -53,8 +56,7 @@ TEST(DeltaFrames, DeltaPathBitIdenticalToLegacyEngine) {
   auto slow = make_protocol(g, ids, 5);
   sim::PerfectDelivery loss_a, loss_b;
   sim::Network net_fast(g, fast, loss_a, 1);
-  sim::Network net_slow(g, slow, loss_b, 1);
-  net_slow.set_legacy_engine(true);
+  testsupport::ReferenceStepper net_slow(g, slow, loss_b);
 
   util::Rng chaos_a(77), chaos_b(77);
   for (std::size_t step = 0; step < 40; ++step) {
@@ -77,13 +79,12 @@ TEST(DeltaFrames, DeltaPathBitIdenticalToLegacyEngine) {
   EXPECT_GT(net_fast.delta_rows_graded(), 0u)
       << "the run never graded a row delta-applicable — the path under "
          "test did not execute";
-  EXPECT_EQ(net_slow.delta_rows_graded(), 0u);  // legacy engine: no grading
 }
 
 /// Every certifier fault class, injected mid-run into both executions
 /// with identical RNG state: the planted state must decline the patch
 /// paths (resync flags) and converge to the same bytes the hint-free
-/// engine produces.
+/// reference stepper produces.
 TEST(DeltaFrames, AllFaultClassesRecoverBitIdentically) {
   util::Rng rng(414);
   const std::size_t n = 180;
@@ -97,8 +98,7 @@ TEST(DeltaFrames, AllFaultClassesRecoverBitIdentically) {
     auto slow = make_protocol(g, ids, 21);
     sim::PerfectDelivery loss_a, loss_b;
     sim::Network net_fast(g, fast, loss_a, 1);
-    sim::Network net_slow(g, slow, loss_b, 1);
-    net_slow.set_legacy_engine(true);
+    testsupport::ReferenceStepper net_slow(g, slow, loss_b);
 
     net_fast.run(10);
     net_slow.run(10);
@@ -136,8 +136,7 @@ TEST(DeltaFrames, LossyMediumStaysBitIdentical) {
   sim::BernoulliDelivery loss_a(0.7, util::Rng(31));
   sim::BernoulliDelivery loss_b(0.7, util::Rng(31));
   sim::Network net_fast(g, fast, loss_a, 1);
-  sim::Network net_slow(g, slow, loss_b, 1);
-  net_slow.set_legacy_engine(true);
+  testsupport::ReferenceStepper net_slow(g, slow, loss_b);
 
   for (std::size_t step = 0; step < 30; ++step) {
     net_fast.step();
@@ -165,8 +164,7 @@ TEST(DeltaFrames, TopologyDeltasPoisonAndRearmBitIdentically) {
   auto slow = make_protocol(topo.graph(), ids, 9);
   sim::PerfectDelivery loss_a, loss_b;
   sim::Network net_fast(topo.graph(), fast, loss_a, 1);
-  sim::Network net_slow(topo.graph(), slow, loss_b, 1);
-  net_slow.set_legacy_engine(true);
+  testsupport::ReferenceStepper net_slow(topo.graph(), slow, loss_b);
 
   util::Rng jitter(13);
   for (int window = 0; window < 6; ++window) {
@@ -188,8 +186,9 @@ TEST(DeltaFrames, TopologyDeltasPoisonAndRearmBitIdentically) {
   }
 }
 
-/// Stepping-mode and engine switches mid-run: each switch drops the row
-/// hints and poisons the delta base; the next windows must re-arm onto
+/// Stepping-mode switches mid-run, full → dirty → full twice: each switch
+/// drops the row hints and poisons the delta base (dirty steps reuse the
+/// arena in compact form); the full windows after each must re-arm onto
 /// the same bytes.
 TEST(DeltaFrames, SteppingAndEngineSwitchesRearmBitIdentically) {
   util::Rng rng(52);
@@ -202,8 +201,7 @@ TEST(DeltaFrames, SteppingAndEngineSwitchesRearmBitIdentically) {
   auto slow = make_protocol(g, ids, 5);
   sim::PerfectDelivery loss_a, loss_b;
   sim::Network net_fast(g, fast, loss_a, 1);
-  sim::Network net_slow(g, slow, loss_b, 1);
-  net_slow.set_legacy_engine(true);
+  testsupport::ReferenceStepper net_slow(g, slow, loss_b);
 
   util::Rng chaos_a(7), chaos_b(7);
   for (std::size_t step = 0; step < 45; ++step) {
@@ -213,8 +211,8 @@ TEST(DeltaFrames, SteppingAndEngineSwitchesRearmBitIdentically) {
     }
     if (step == 18) net_fast.set_stepping(sim::Stepping::kDirty);
     if (step == 28) net_fast.set_stepping(sim::Stepping::kFull);
-    if (step == 34) net_fast.set_legacy_engine(true);
-    if (step == 38) net_fast.set_legacy_engine(false);
+    if (step == 34) net_fast.set_stepping(sim::Stepping::kDirty);
+    if (step == 38) net_fast.set_stepping(sim::Stepping::kFull);
     net_fast.step();
     net_slow.step();
     const auto div = core::first_divergent_node(fast, slow);
@@ -224,10 +222,10 @@ TEST(DeltaFrames, SteppingAndEngineSwitchesRearmBitIdentically) {
   }
 }
 
-/// Sharded engine with boundary crossings: delta rows ride the frame
+/// Many shards with boundary crossings: delta rows ride the frame
 /// mailboxes for boundary senders and the shard-local arena for owned
-/// ones; both must land on the flat engine's bytes, and since both
-/// engines grade the same rows the counters must agree exactly.
+/// ones; both must land on the one-shard engine's bytes, and since both
+/// grade the same rows the counters must agree exactly.
 TEST(DeltaFrames, ShardedDeltaPathBitIdenticalToFlat) {
   util::Rng rng(606);
   const std::size_t n = 220;
@@ -239,7 +237,8 @@ TEST(DeltaFrames, ShardedDeltaPathBitIdenticalToFlat) {
   auto sharded = make_protocol(g, ids, 5);
   sim::PerfectDelivery loss_a, loss_b;
   sim::Network net_flat(g, flat, loss_a, 1);
-  sim::ShardedNetwork net_shard(g, sharded, loss_b, std::size_t{5}, 2);
+  sim::ShardedNetwork net_shard(
+      g, sharded, loss_b, graph::plan_contiguous_shards(n, 5).bounds, 2);
 
   util::Rng chaos_a(17), chaos_b(17);
   for (std::size_t step = 0; step < 40; ++step) {

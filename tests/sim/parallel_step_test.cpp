@@ -1,7 +1,8 @@
 // Parallel step engine: synchronous semantics must be thread-count
-// invariant, and the arena engine must be indistinguishable from the
-// legacy (owning-frame) engine — including the RNG draw order of
-// stateful loss models.
+// invariant (the threads-only constructor cuts one shard per worker),
+// and the engine must be indistinguishable from the owning-frame
+// reference stepper — including the RNG draw order of stateful loss
+// models.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +13,7 @@
 #include "graph/graph.hpp"
 #include "sim/loss.hpp"
 #include "sim/network.hpp"
+#include "support/reference_stepper.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
 #include "topology/udg.hpp"
@@ -141,22 +143,21 @@ TEST(ParallelStep, DeterminismSurvivesCorruptionRecovery) {
 }
 
 TEST(ParallelStep, ArenaEngineMatchesLegacyEngineUnderLoss) {
-  // Same seeds, one network on the seed engine, one on the arena engine:
-  // the Bernoulli medium must draw the same per-edge sequence and the
-  // protocols must stay in lockstep.
+  // Same seeds, one population on the owning-frame reference stepper,
+  // one on the arena engine: the Bernoulli medium must draw the same
+  // per-edge sequence and the protocols must stay in lockstep.
   const auto f = geometric_fixture(120, 0.12, 21);
-  auto legacy = make_protocol(f, 9);
+  auto reference = make_protocol(f, 9);
   auto arena = make_protocol(f, 9);
   sim::BernoulliDelivery loss_a(0.7, util::Rng(13));
   sim::BernoulliDelivery loss_b(0.7, util::Rng(13));
-  sim::Network net_legacy(f.graph, legacy, loss_a, 1);
-  net_legacy.set_legacy_engine(true);
+  testsupport::ReferenceStepper net_ref(f.graph, reference, loss_a);
   sim::Network net_arena(f.graph, arena, loss_b, 1);
 
   for (int s = 0; s < 25; ++s) {
-    net_legacy.step();
+    net_ref.step();
     net_arena.step();
-    ASSERT_TRUE(states_identical(legacy, arena)) << "step " << s;
+    ASSERT_TRUE(states_identical(reference, arena)) << "step " << s;
   }
 }
 
@@ -197,21 +198,6 @@ TEST(ThreadPoolGrain, ZeroCountIsANoOp) {
       },
       &touched);
   EXPECT_FALSE(touched);
-}
-
-TEST(ParallelStep, SetThreadsMidRunKeepsTrajectory) {
-  const auto f = geometric_fixture(100, 0.12, 31);
-  auto a = make_protocol(f, 1);
-  auto b = make_protocol(f, 1);
-  sim::PerfectDelivery loss_a, loss_b;
-  sim::Network net_a(f.graph, a, loss_a, 1);
-  sim::Network net_b(f.graph, b, loss_b, 1);
-  net_a.run(6);
-  net_b.run(6);
-  net_b.set_threads(4);  // must not perturb the trajectory
-  net_a.run(6);
-  net_b.run(6);
-  EXPECT_TRUE(states_identical(a, b));
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "core/protocol.hpp"
 #include "sim/loss.hpp"
 #include "sim/network.hpp"
+#include "support/reference_stepper.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
 #include "topology/incremental.hpp"
@@ -33,9 +34,10 @@ core::DensityProtocol make_protocol(const graph::Graph& g,
   return core::DensityProtocol(ids, config, util::Rng(seed));
 }
 
-/// Arena engine (fast paths armed) vs legacy engine (no row hints, full
-/// deliver every time), identical protocol state, lockstep: any byte the
-/// fast paths fail to write shows up as a divergence. Faults injected
+/// Arena engine (fast paths armed) vs the owning-frame reference stepper
+/// (no row hints, full deliver every time), identical protocol state,
+/// lockstep: any byte the fast paths fail to write shows up as a
+/// divergence. Faults injected
 /// mid-run are the adversarial part — a redelivery that ignored the
 /// resync flag would preserve planted garbage the full path overwrites.
 TEST(Redelivery, ArenaFastPathsBitIdenticalToLegacyEngine) {
@@ -49,8 +51,7 @@ TEST(Redelivery, ArenaFastPathsBitIdenticalToLegacyEngine) {
   auto slow = make_protocol(g, ids, 5);
   sim::PerfectDelivery loss_a, loss_b;
   sim::Network net_fast(g, fast, loss_a, 1);
-  sim::Network net_slow(g, slow, loss_b, 1);
-  net_slow.set_legacy_engine(true);
+  testsupport::ReferenceStepper net_slow(g, slow, loss_b);
 
   util::Rng chaos_a(77), chaos_b(77);
   for (std::size_t step = 0; step < 40; ++step) {
@@ -75,7 +76,7 @@ TEST(Redelivery, ArenaFastPathsBitIdenticalToLegacyEngine) {
 
 /// Topology deltas clobber row identity (nodes hear different senders,
 /// caches are pruned): the engine must drop its hints and the next sweep
-/// must land on the same bytes the hint-free engine produces.
+/// must land on the same bytes the hint-free reference stepper produces.
 TEST(Redelivery, TopologyDeltasInvalidateHintsBitIdentically) {
   util::Rng rng(11);
   const std::size_t n = 150;
@@ -88,8 +89,7 @@ TEST(Redelivery, TopologyDeltasInvalidateHintsBitIdentically) {
   auto slow = make_protocol(topo.graph(), ids, 9);
   sim::PerfectDelivery loss_a, loss_b;
   sim::Network net_fast(topo.graph(), fast, loss_a, 1);
-  sim::Network net_slow(topo.graph(), slow, loss_b, 1);
-  net_slow.set_legacy_engine(true);
+  testsupport::ReferenceStepper net_slow(topo.graph(), slow, loss_b);
 
   util::Rng jitter(13);
   for (int window = 0; window < 6; ++window) {

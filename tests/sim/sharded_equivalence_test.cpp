@@ -1,9 +1,10 @@
 // Differential equivalence harness for the sharded step engine:
-// sim::ShardedNetwork must be *bit-identical* to sim::Network — every
+// sim::ShardedNetwork must be *bit-identical* to the owning-frame
+// reference stepper (tests/support/reference_stepper.hpp) — every
 // shared variable, every cache entry, every per-node RNG — per tick,
 // at every tested shard count {1, 2, 7, 16} × thread count, in full
 // and dirty stepping, under lossy media, mobility deltas, and mid-run
-// fault injection. Same reporting discipline as the PR 6 dirty
+// fault injection. Same reporting discipline as the dirty-stepping
 // harness: any divergence names the first divergent tick + node plus a
 // replayable spec.
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include "sim/network.hpp"
 #include "sim/sharded_network.hpp"
 #include "support/deployments.hpp"
+#include "support/reference_stepper.hpp"
 #include "topology/incremental.hpp"
 #include "topology/udg.hpp"
 #include "util/rng.hpp"
@@ -33,6 +35,11 @@ namespace ssmwn {
 namespace {
 
 constexpr std::size_t kShardCounts[] = {1, 2, 7, 16};
+
+/// `shards` equal contiguous chunks of [0, n) (clamped like the plan).
+std::vector<std::size_t> contiguous(std::size_t n, std::size_t shards) {
+  return graph::plan_contiguous_shards(n, shards).bounds;
+}
 
 core::DensityProtocol make_protocol(const testsupport::World& w,
                                     std::uint64_t seed) {
@@ -75,9 +82,9 @@ TEST(ShardedEquivalence, FullSteppingLockstepAcrossShardAndThreadCounts) {
       auto reference = make_protocol(w, 17);
       auto candidate = make_protocol(w, 17);
       sim::PerfectDelivery loss_a, loss_b;
-      sim::Network net_ref(w.graph, reference, loss_a, 1);
-      sim::ShardedNetwork net_shard(w.graph, candidate, loss_b, shards,
-                                    threads);
+      testsupport::ReferenceStepper net_ref(w.graph, reference, loss_a);
+      sim::ShardedNetwork net_shard(w.graph, candidate, loss_b,
+                                    contiguous(n, shards), threads);
       const std::string spec = spec_string("sharded-full", n, radius, 900, 17,
                                            shards, threads);
       for (std::size_t s = 0; s < 30; ++s) {
@@ -109,8 +116,9 @@ TEST(ShardedEquivalence, FullModeInPlaceRebuildLockstep) {
     graph::DynamicGraph holder;
     holder.reset(topology::unit_disk_graph(w.points, radius));
     sim::PerfectDelivery loss_a, loss_b;
-    sim::Network net_ref(holder.view(), reference, loss_a, 1);
-    sim::ShardedNetwork net_shard(holder.view(), candidate, loss_b, shards, 2);
+    testsupport::ReferenceStepper net_ref(holder.view(), reference, loss_a);
+    sim::ShardedNetwork net_shard(holder.view(), candidate, loss_b,
+                                  contiguous(n, shards), 2);
     const std::string spec =
         spec_string("sharded-rebuild", n, radius, 905, 31, shards, 2);
     std::size_t tick = 0;
@@ -150,7 +158,7 @@ TEST(ShardedEquivalence, SpatialPlanPermutedWorldLockstep) {
   auto reference = make_protocol(pw, 23);
   auto candidate = make_protocol(pw, 23);
   sim::PerfectDelivery loss_a, loss_b;
-  sim::Network net_ref(pw.graph, reference, loss_a, 1);
+  testsupport::ReferenceStepper net_ref(pw.graph, reference, loss_a);
   sim::ShardedNetwork net_shard(pw.graph, candidate, loss_b, plan.bounds, 4);
   const std::string spec =
       spec_string("sharded-spatial", n, radius, 901, 23, plan.shard_count(), 4);
@@ -173,8 +181,9 @@ TEST(ShardedEquivalence, LossyMediumDrawsIdenticalRngSequence) {
     auto candidate = make_protocol(w, 31);
     sim::BernoulliDelivery loss_a(0.7, util::Rng(13));
     sim::BernoulliDelivery loss_b(0.7, util::Rng(13));
-    sim::Network net_ref(w.graph, reference, loss_a, 1);
-    sim::ShardedNetwork net_shard(w.graph, candidate, loss_b, shards, 2);
+    testsupport::ReferenceStepper net_ref(w.graph, reference, loss_a);
+    sim::ShardedNetwork net_shard(w.graph, candidate, loss_b,
+                                  contiguous(n, shards), 2);
     const std::string spec =
         spec_string("sharded-lossy", n, radius, 902, 31, shards, 2);
     for (std::size_t s = 0; s < 25; ++s) {
@@ -189,11 +198,11 @@ TEST(ShardedEquivalence, LossyMediumDrawsIdenticalRngSequence) {
 
 void run_mobility_trial(std::size_t shards, unsigned threads,
                         std::uint64_t world_seed, std::uint64_t proto_seed) {
-  // Three populations in lockstep: unsharded full (ground truth),
-  // unsharded dirty (PR 6 guarantee), sharded dirty (this PR). The
-  // sharded engine must match the ground truth bit for bit *and*
-  // reproduce the unsharded dirty stepper's aggregate activity
-  // counters — same active sets, just carved across shards.
+  // Three populations in lockstep: the reference stepper (ground
+  // truth), one-shard dirty, many-shard dirty. The sharded run must
+  // match the ground truth bit for bit *and* reproduce the one-shard
+  // dirty run's aggregate activity counters — same active sets, just
+  // carved across shards.
   const std::size_t n = 110;
   const double radius = 0.13;
   auto w = testsupport::make_deployment(n, radius, world_seed);
@@ -208,10 +217,10 @@ void run_mobility_trial(std::size_t shards, unsigned threads,
   topology::LiveTopology live_shard(w.points, radius);
 
   sim::PerfectDelivery loss_a, loss_b, loss_c;
-  sim::Network net_full(live_full.graph(), full, loss_a, 1);
+  testsupport::ReferenceStepper net_full(live_full.graph(), full, loss_a);
   sim::Network net_dirty(live_dirty.graph(), dirty, loss_b, 1);
-  sim::ShardedNetwork net_shard(live_shard.graph(), sharded, loss_c, shards,
-                                threads);
+  sim::ShardedNetwork net_shard(live_shard.graph(), sharded, loss_c,
+                                contiguous(n, shards), threads);
   net_dirty.set_stepping(sim::Stepping::kDirty);
   net_shard.set_stepping(sim::Stepping::kDirty);
 
@@ -267,8 +276,9 @@ TEST(ShardedEquivalence, DirtyFaultInjectionWakesCrossShards) {
   auto full = make_protocol(w, 11);
   auto sharded = make_protocol(w, 11);
   sim::PerfectDelivery loss_a, loss_b;
-  sim::Network net_full(w.graph, full, loss_a, 1);
-  sim::ShardedNetwork net_shard(w.graph, sharded, loss_b, 7, 2);
+  testsupport::ReferenceStepper net_full(w.graph, full, loss_a);
+  sim::ShardedNetwork net_shard(w.graph, sharded, loss_b, contiguous(n, 7),
+                                2);
   net_shard.set_stepping(sim::Stepping::kDirty);
   const std::string spec = spec_string("sharded-faults", n, 0.13, 903, 11, 7, 2);
 
@@ -301,8 +311,8 @@ TEST(ShardedEquivalence, ModeSwitchMidRunKeepsTrajectory) {
   auto a = make_protocol(w, 21);
   auto b = make_protocol(w, 21);
   sim::PerfectDelivery loss_a, loss_b;
-  sim::Network net_a(w.graph, a, loss_a, 1);
-  sim::ShardedNetwork net_b(w.graph, b, loss_b, 7, 2);
+  testsupport::ReferenceStepper net_a(w.graph, a, loss_a);
+  sim::ShardedNetwork net_b(w.graph, b, loss_b, contiguous(90, 7), 2);
   const std::string spec = spec_string("sharded-mode-switch", 90, 0.14, 904,
                                        21, 7, 2);
   std::size_t tick = 0;
@@ -330,7 +340,7 @@ TEST(ShardedEquivalence, DegenerateShapesAreWellDefined) {
     topology::IdAssignment ids;
     core::DensityProtocol p(ids, {}, util::Rng(1));
     sim::PerfectDelivery loss;
-    sim::ShardedNetwork net(g, p, loss, std::size_t{16}, 2u);
+    sim::ShardedNetwork net(g, p, loss, contiguous(0, 16), 2u);
     EXPECT_EQ(net.shard_count(), 1u);
     net.run(3);
     EXPECT_EQ(net.steps_run(), 3u);
@@ -344,9 +354,9 @@ TEST(ShardedEquivalence, DegenerateShapesAreWellDefined) {
     auto reference = make_protocol(w, 2);
     auto candidate = make_protocol(w, 2);
     sim::PerfectDelivery loss_a, loss_b;
-    sim::Network net_ref(w.graph, reference, loss_a, 1);
-    sim::ShardedNetwork net_shard(w.graph, candidate, loss_b, std::size_t{64},
-                                  2u);
+    testsupport::ReferenceStepper net_ref(w.graph, reference, loss_a);
+    sim::ShardedNetwork net_shard(w.graph, candidate, loss_b,
+                                  contiguous(5, 64), 2u);
     EXPECT_EQ(net_shard.shard_count(), 5u);
     const std::string spec = spec_string("sharded-tiny", 5, 0.9, 905, 2, 64, 2);
     for (std::size_t s = 0; s < 12; ++s) {
@@ -361,7 +371,7 @@ TEST(ShardedEquivalence, DegenerateShapesAreWellDefined) {
     auto reference = make_protocol(w, 3);
     auto candidate = make_protocol(w, 3);
     sim::PerfectDelivery loss_a, loss_b;
-    sim::Network net_ref(w.graph, reference, loss_a, 1);
+    testsupport::ReferenceStepper net_ref(w.graph, reference, loss_a);
     sim::ShardedNetwork net_shard(w.graph, candidate, loss_b,
                                   std::vector<std::size_t>{0, 8, 8, 8, 20}, 2u);
     net_shard.set_stepping(sim::Stepping::kDirty);
@@ -373,6 +383,24 @@ TEST(ShardedEquivalence, DegenerateShapesAreWellDefined) {
       ASSERT_TRUE(populations_identical(reference, candidate, s, spec));
     }
   }
+}
+
+TEST(ShardedEquivalence, ThreadsOnlyFormCutsOneShardPerWorker) {
+  const auto w = testsupport::make_deployment(40, 0.2, 908);
+  auto p = make_protocol(w, 1);
+  sim::PerfectDelivery loss;
+  sim::Network one(w.graph, p, loss);
+  EXPECT_EQ(one.shard_count(), 1u);
+  EXPECT_EQ(one.thread_count(), 1u);
+  sim::Network four(w.graph, p, loss, 4);
+  EXPECT_EQ(four.shard_count(), 4u);
+  EXPECT_EQ(four.thread_count(), 4u);
+  // Fewer nodes than workers: one node per shard, extra workers idle.
+  const auto tiny = testsupport::make_deployment(3, 0.9, 909);
+  auto q = make_protocol(tiny, 1);
+  sim::Network clamped(tiny.graph, q, loss, 4);
+  EXPECT_EQ(clamped.shard_count(), 3u);
+  EXPECT_EQ(clamped.thread_count(), 4u);
 }
 
 TEST(ShardedEquivalence, RejectsMalformedBoundsAndLossyDirty) {
@@ -390,14 +418,14 @@ TEST(ShardedEquivalence, RejectsMalformedBoundsAndLossyDirty) {
                std::invalid_argument);
   EXPECT_THROW(Net(w.graph, p, perfect, std::vector<std::size_t>{}, 1u),
                std::invalid_argument);
-  // Dirty mode needs a loss-free medium, same contract as sim::Network.
+  // Dirty mode needs a loss-free medium at any shard count.
   sim::BernoulliDelivery lossy(0.7, util::Rng(2));
-  Net net(w.graph, p, lossy, std::size_t{4}, 1u);
+  Net net(w.graph, p, lossy, contiguous(30, 4), 1u);
   EXPECT_THROW(net.set_stepping(sim::Stepping::kDirty), std::invalid_argument);
   // And a graph swap must preserve the node count the bounds cover.
   graph::Graph smaller(10);
   smaller.finalize();
-  Net ok(w.graph, p, perfect, std::size_t{4}, 1u);
+  Net ok(w.graph, p, perfect, contiguous(30, 4), 1u);
   EXPECT_THROW(ok.set_graph(smaller), std::invalid_argument);
 }
 

@@ -2,6 +2,7 @@
 // semantics (double buffering, per-receiver delivery).
 #include <gtest/gtest.h>
 
+#include <span>
 #include <stdexcept>
 
 #include "graph/graph.hpp"
@@ -13,23 +14,31 @@
 namespace ssmwn {
 namespace {
 
+/// Frames of the test protocols are header-only: the arena extension
+/// with no digests, the smallest protocol the engine steps.
+struct NoDigest {};
+
 /// Minimal counting protocol: every node broadcasts its current value;
 /// receivers sum what they hear; tick adds 1 to the value. Exposes the
 /// exact synchronous semantics (frames snapshot pre-tick state).
 struct CountingProtocol {
-  struct Frame {
+  struct FrameHeader {
     graph::NodeId sender;
     int value;
   };
+  using Digest = NoDigest;
 
   explicit CountingProtocol(std::size_t n)
       : value(n, 0), received_sum(n, 0), deliveries(n, 0) {}
 
-  Frame make_frame(graph::NodeId sender) const {
-    return Frame{sender, value[sender]};
+  std::size_t digest_count(graph::NodeId) const { return 0; }
+  void make_frame(graph::NodeId sender, FrameHeader& header,
+                  std::span<Digest>) const {
+    header = FrameHeader{sender, value[sender]};
   }
-  void deliver(graph::NodeId receiver, const Frame& frame) {
-    received_sum[receiver] += frame.value;
+  void deliver(graph::NodeId receiver, const FrameHeader& header,
+               std::span<const Digest>) {
+    received_sum[receiver] += header.value;
     ++deliveries[receiver];
   }
   void tick(graph::NodeId node) { ++value[node]; }
@@ -119,12 +128,18 @@ TEST(Loss, BroadcastCollisionLosesWholeFrame) {
   const auto g = graph::from_edges(3, {{0, 1}, {0, 2}, {1, 2}});
 
   struct RecordingProtocol {
-    struct Frame {
+    struct FrameHeader {
       graph::NodeId sender;
     };
-    Frame make_frame(graph::NodeId sender) const { return Frame{sender}; }
-    void deliver(graph::NodeId receiver, const Frame& frame) {
-      if (frame.sender == 0) heard_zero[receiver] = true;
+    using Digest = NoDigest;
+    std::size_t digest_count(graph::NodeId) const { return 0; }
+    void make_frame(graph::NodeId sender, FrameHeader& header,
+                    std::span<Digest>) const {
+      header = FrameHeader{sender};
+    }
+    void deliver(graph::NodeId receiver, const FrameHeader& header,
+                 std::span<const Digest>) {
+      if (header.sender == 0) heard_zero[receiver] = true;
     }
     void tick(graph::NodeId) {}
     void end_step(graph::NodeId) {}

@@ -1055,7 +1055,7 @@ void usage() {
       "               spec hash does not match the spec file\n"
       "  serve        long-running daemon on 127.0.0.1 (--port 0 =\n"
       "               ephemeral, printed on stdout): framed spec in,\n"
-      "               framed per-run results out, shared work-stealing\n"
+      "               framed per-run results out, shared FIFO run\n"
       "               pool; SIGTERM drains gracefully\n"
       "exit codes: 0 success, 1 run failure, 2 bad arguments or spec");
 }

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -97,9 +98,7 @@ Server::~Server() {
   request_stop();
   {
     const std::scoped_lock lock(threads_mutex_);
-    for (auto& thread : connections_) {
-      if (thread.joinable()) thread.join();
-    }
+    join_connections(/*finished_only=*/false);
   }
   close_fd(listen_fd_);
   close_fd(stop_pipe_[0]);
@@ -136,8 +135,19 @@ void Server::run() {
       throw std::runtime_error(std::string("serve: accept failed: ") +
                                std::strerror(errno));
     }
+    const int one = 1;
+    if (::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) !=
+        0) {
+      ::close(conn);  // would stall every later job; refuse it outright
+      continue;
+    }
     const std::scoped_lock lock(threads_mutex_);
-    connections_.emplace_back(&Server::serve_connection, this, conn);
+    join_connections(/*finished_only=*/true);
+    Connection& c = connections_.emplace_back();
+    c.thread = std::thread([this, conn, &c] {
+      serve_connection(conn);
+      c.done.store(true, std::memory_order_release);
+    });
   }
   // Drain: no new connections; in-flight connections finish their
   // current spec (they check stopping_ before reading the next one);
@@ -145,12 +155,20 @@ void Server::run() {
   close_fd(listen_fd_);
   {
     const std::scoped_lock lock(threads_mutex_);
-    for (auto& thread : connections_) {
-      if (thread.joinable()) thread.join();
-    }
-    connections_.clear();
+    join_connections(/*finished_only=*/false);
   }
   pool_.drain();
+}
+
+void Server::join_connections(bool finished_only) {
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    if (finished_only && !it->done.load(std::memory_order_acquire)) {
+      ++it;
+      continue;
+    }
+    if (it->thread.joinable()) it->thread.join();
+    it = connections_.erase(it);
+  }
 }
 
 void Server::serve_connection(int fd) {
@@ -173,18 +191,25 @@ void Server::serve_connection(int fd) {
       pool_.submit(job);
       // Stream in plan order: slot i+1 is not read before slot i, so the
       // client sees the same bytes however the pool scheduled the runs.
-      for (std::size_t i = 0; i < job->plan.runs.size(); ++i) {
-        job->wait_slot(i);
-        if (!job->failed[i].empty()) {
-          write_frame(fd, FrameType::kError,
-                      "run " + std::to_string(i) + ": " + job->failed[i]);
-        } else {
-          write_frame(fd, FrameType::kResult, result_line(job->plan, i,
-                                                          job->results[i]));
+      try {
+        for (std::size_t i = 0; i < job->plan.runs.size(); ++i) {
+          job->wait_slot(i);
+          if (!job->failed[i].empty()) {
+            write_frame(fd, FrameType::kError,
+                        "run " + std::to_string(i) + ": " + job->failed[i]);
+          } else {
+            write_frame(fd, FrameType::kResult, result_line(job->plan, i,
+                                                            job->results[i]));
+          }
         }
+        write_frame(fd, FrameType::kEnd,
+                    std::to_string(job->plan.runs.size()));
+      } catch (const std::exception&) {
+        // Nobody is left to read the rest: free the workers the job's
+        // queued runs would hold up for every other client.
+        job->cancelled.store(true, std::memory_order_release);
+        throw;
       }
-      write_frame(fd, FrameType::kEnd,
-                  std::to_string(job->plan.runs.size()));
     }
   } catch (const std::exception&) {
     // Torn frame or dead peer: nothing to report to — drop the

@@ -11,6 +11,13 @@
 // multiplexed onto the one pool (which is the point: the pool's
 // workspaces and threads are shared capacity, not per-request cost).
 //
+// Every accepted socket gets TCP_NODELAY: a frame leaves as soon as
+// its run is done instead of waiting out the client's delayed ACK of
+// the previous one (~40 ms per job on a reused connection). A failed
+// frame write means the client is gone, so the job is cancelled and its
+// queued runs stop occupying workers. Finished connection threads are
+// joined by the accept loop before it starts the next one.
+//
 // Shutdown is a graceful drain, reachable from a signal handler:
 // request_stop() writes one byte to a self-pipe (async-signal-safe),
 // the accept loop's poll wakes, the listener closes (no new
@@ -21,9 +28,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include "campaign/runner.hpp"
 #include "serve/worker_pool.hpp"
@@ -61,7 +68,17 @@ class Server {
   void request_stop() noexcept;
 
  private:
+  /// A connection thread and the flag it sets as its last act: an
+  /// exited but unjoined thread still pins its stack mapping.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   void serve_connection(int fd);
+  /// Joins and forgets connection threads (only those already done when
+  /// `finished_only`). Caller holds threads_mutex_.
+  void join_connections(bool finished_only);
 
   ServerOptions options_;
   std::uint16_t port_ = 0;
@@ -70,7 +87,7 @@ class Server {
   std::atomic<bool> stopping_{false};
   ServePool pool_;
   std::mutex threads_mutex_;
-  std::vector<std::thread> connections_;
+  std::list<Connection> connections_;  // list: threads hold &Connection
 };
 
 }  // namespace ssmwn::serve

@@ -1,5 +1,6 @@
 #include "serve/wire.hpp"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -36,11 +37,14 @@ bool read_exact(int fd, void* buffer, std::size_t size, bool eof_ok_at_start) {
   return true;
 }
 
+/// Sends exactly `size` bytes on socket `fd`. MSG_NOSIGNAL turns a
+/// vanished peer into EPIPE (a throw) rather than a process-killing
+/// SIGPIPE, whatever the embedding process's signal disposition.
 void write_exact(int fd, const void* buffer, std::size_t size) {
   const auto* data = static_cast<const char*>(buffer);
   std::size_t sent = 0;
   while (sent < size) {
-    const ssize_t n = ::write(fd, data + sent, size - sent);
+    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       fail("write failed");

@@ -57,8 +57,9 @@ inline constexpr std::uint32_t kMaxFramePayload = 16u << 20;
 /// payload (no type byte), or an oversized length prefix.
 [[nodiscard]] bool read_frame(int fd, Frame& out);
 
-/// Writes one frame to `fd`, looping over partial writes and EINTR.
-/// Throws std::runtime_error on IO errors or an oversized body.
+/// Writes one frame to socket `fd`, looping over partial writes and
+/// EINTR. Throws std::runtime_error on IO errors (a closed peer
+/// included: it never raises SIGPIPE) or an oversized body.
 void write_frame(int fd, FrameType type, std::string_view body);
 
 }  // namespace ssmwn::serve

@@ -11,10 +11,9 @@ ServePool::ServePool(unsigned threads, const campaign::ExecutionOptions& exec)
   const unsigned count =
       threads == 0 ? std::max(1u, std::thread::hardware_concurrency())
                    : threads;
-  deques_.resize(count);
   workers_.reserve(count);
   for (unsigned i = 0; i < count; ++i) {
-    workers_.emplace_back(&ServePool::worker_main, this, i);
+    workers_.emplace_back(&ServePool::worker_main, this);
   }
 }
 
@@ -27,8 +26,7 @@ void ServePool::submit(const std::shared_ptr<ServeJob>& job) {
       throw std::runtime_error("serve pool is draining; job rejected");
     }
     for (std::size_t i = 0; i < job->plan.runs.size(); ++i) {
-      deques_[next_deque_].push_back(Task{job, i});
-      next_deque_ = (next_deque_ + 1) % deques_.size();
+      queue_.push_back(Task{job, i});
     }
   }
   cv_.notify_all();
@@ -46,47 +44,34 @@ void ServePool::drain() {
   }
 }
 
-bool ServePool::try_pop(std::size_t self, Task& out) {
-  // Own deque back-to-front (LIFO, cache-warm tail), then steal the
-  // oldest task from the first non-empty sibling. Caller holds mutex_.
-  if (!deques_[self].empty()) {
-    out = std::move(deques_[self].back());
-    deques_[self].pop_back();
-    return true;
-  }
-  for (std::size_t off = 1; off < deques_.size(); ++off) {
-    auto& victim = deques_[(self + off) % deques_.size()];
-    if (!victim.empty()) {
-      out = std::move(victim.front());
-      victim.pop_front();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ServePool::worker_main(std::size_t self) {
+void ServePool::worker_main() {
   campaign::RunWorkspace ws;  // reused across every run this worker takes
   for (;;) {
     Task task;
     {
       std::unique_lock lock(mutex_);
-      // try_pop first: stopping_ alone must not wake a worker past
-      // queued tasks — the drain contract says everything queued
+      // An empty queue first: stopping_ alone must not wake a worker
+      // past queued tasks — the drain contract says everything queued
       // finishes before the workers exit.
-      cv_.wait(lock, [&] { return try_pop(self, task) || stopping_; });
-      if (!task.job) return;
+      cv_.wait(lock, [&] { return !queue_.empty() || stopping_; });
+      if (queue_.empty()) return;
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
     ServeJob& job = *task.job;
     const auto& entry = job.plan.runs[task.run_index];
     campaign::RunMetrics metrics;
     std::string error;
-    try {
-      metrics = campaign::execute_run(job.plan.grid[entry.grid_index].config,
-                                      entry.seed, ws, exec_);
-    } catch (const std::exception& e) {
-      error = e.what();
-      if (error.empty()) error = "run failed";
+    if (job.cancelled.load(std::memory_order_acquire)) {
+      error = "cancelled";
+    } else {
+      try {
+        metrics = campaign::execute_run(job.plan.grid[entry.grid_index].config,
+                                        entry.seed, ws, exec_);
+      } catch (const std::exception& e) {
+        error = e.what();
+        if (error.empty()) error = "run failed";
+      }
     }
     {
       const std::scoped_lock lock(job.mutex);

@@ -1,16 +1,13 @@
-// Persistent work-stealing run pool for the serve daemon.
+// Persistent FIFO run pool for the serve daemon.
 //
 // sim::ThreadPool is a fork-join pool: parallel_for blocks its caller
 // until the whole range drains, which is exactly wrong for a daemon
 // where many connections submit jobs concurrently and each streams its
 // own results as they land. ServePool is the long-lived counterpart:
-// workers live for the daemon's lifetime, each owns a deque of run
-// tasks and a RunWorkspace reused across every job it ever touches (the
-// same warm-heap property the campaign runner gets per sweep, extended
-// across sweeps). Submission deals a job's runs round-robin across the
-// deques; a worker drains its own deque back-to-front and, when empty,
-// steals from the front of a sibling's — FIFO stealing takes the
-// oldest, coldest tasks and keeps each worker's own tail cache-warm.
+// workers live for the daemon's lifetime, share one FIFO queue of run
+// tasks and each reuse one RunWorkspace across every job they touch.
+// Runs start in submission order — plan order within a job, the order
+// its connection streams them in — so no job overtakes an older one.
 //
 // Results are deterministic by construction, not by scheduling: every
 // run writes its metrics into its plan slot in the job, so whichever
@@ -19,6 +16,7 @@
 // byte-stable stream.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -36,12 +34,14 @@ namespace ssmwn::serve {
 /// tracking. Workers fill `results` and flip `done` flags; readers
 /// block on wait_slot(i) for slots in plan order. `failed[i]` carries a
 /// run's error message instead of metrics (the connection reports it
-/// and keeps serving).
+/// and keeps serving). Once `cancelled` is set (its reader is gone),
+/// queued slots complete as `failed[i]` = "cancelled", unrun.
 struct ServeJob {
   campaign::CampaignPlan plan;
   std::vector<campaign::RunMetrics> results;
   std::vector<char> done;
   std::vector<std::string> failed;  // empty string = run succeeded
+  std::atomic<bool> cancelled{false};
 
   std::mutex mutex;
   std::condition_variable cv;
@@ -74,7 +74,7 @@ class ServePool {
     return static_cast<unsigned>(workers_.size());
   }
 
-  /// Enqueues every run of the job across the worker deques. The job
+  /// Appends every run of the job to the queue in plan order. The job
   /// must outlive its runs — hence shared_ptr; the pool drops its
   /// references as runs complete.
   void submit(const std::shared_ptr<ServeJob>& job);
@@ -89,18 +89,15 @@ class ServePool {
     std::size_t run_index = 0;
   };
 
-  void worker_main(std::size_t self);
-  [[nodiscard]] bool try_pop(std::size_t self, Task& out);
+  void worker_main();
 
   campaign::ExecutionOptions exec_;
-  // One deque per worker, all under one mutex: a task is an entire
-  // simulation run (milliseconds to seconds), so queue operations are
-  // noise and a single lock keeps the stealing logic trivially correct.
-  std::vector<std::deque<Task>> deques_;
+  // One queue under one mutex: a task is an entire simulation run
+  // (milliseconds to seconds), so queue operations are noise.
+  std::deque<Task> queue_;
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stopping_ = false;
-  std::size_t next_deque_ = 0;  // round-robin dealing cursor
   std::vector<std::thread> workers_;
 };
 

@@ -1,7 +1,9 @@
-// Serve daemon surface: wire framing, the work-stealing pool's
-// determinism, and the Server end-to-end — concurrent clients receive
-// byte-identical result streams for the same spec, errors keep the
-// connection usable, and request_stop() drains gracefully.
+// Serve daemon surface: wire framing (no SIGPIPE on a closed peer), the
+// FIFO pool's determinism, submission order and cancellation, and the
+// Server end-to-end — concurrent clients receive byte-identical result
+// streams for the same spec, errors keep the connection usable, a
+// persistent connection streams without a delayed-ACK stall, finished
+// connection threads are reaped, and request_stop() drains gracefully.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -9,8 +11,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <csignal>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -91,6 +97,27 @@ TEST(Wire, RejectsTornAndOversizedFrames) {
   ::close(fds[1]);
 }
 
+// Death-test suites run first, while the process has no other threads.
+TEST(WireDeathTest, WriteToAClosedPeerThrowsInsteadOfRaisingSigpipe) {
+  // The child restores the default SIGPIPE action (terminate), as in a
+  // process embedding a Server without ignoring the signal. A write that
+  // raised SIGPIPE would kill it before it could exit 0.
+  EXPECT_EXIT(
+      {
+        std::signal(SIGPIPE, SIG_DFL);
+        int fds[2];
+        if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) std::_Exit(2);
+        ::close(fds[1]);
+        try {
+          serve::write_frame(fds[0], serve::FrameType::kResult, "orphan");
+        } catch (const std::runtime_error&) {
+          std::_Exit(0);
+        }
+        std::_Exit(3);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
 TEST(ServePool, SlotResultsMatchTheCampaignRunner) {
   const auto plan = campaign::expand(campaign::parse_spec_text(kSpecText));
   campaign::CampaignRunner reference(1);
@@ -119,10 +146,39 @@ TEST(ServePool, DrainFinishesQueuedWorkBeforeJoining) {
   }
 }
 
-/// Client helper: connect to the server, send one spec, read frames
-/// until EOF (write side shut down after the spec, like `ssmwn
-/// submit`), return the concatenated transcript.
-std::string submit_spec(std::uint16_t port, const std::string& spec) {
+TEST(ServePool, RunsExecuteInSubmissionOrder) {
+  // One worker makes the execution order the pop order: every slot of
+  // the older job A must finish before the newer job B's first slot.
+  const auto plan = campaign::expand(campaign::parse_spec_text(kSpecText));
+  serve::ServePool pool(1);
+  auto a = std::make_shared<serve::ServeJob>(plan);
+  auto b = std::make_shared<serve::ServeJob>(plan);
+  pool.submit(a);
+  pool.submit(b);
+  b->wait_slot(0);
+  {
+    const std::scoped_lock lock(a->mutex);
+    for (std::size_t i = 0; i < plan.runs.size(); ++i) {
+      EXPECT_NE(a->done[i], 0) << "job A slot " << i << " overtaken by job B";
+    }
+  }
+  pool.drain();
+}
+
+TEST(ServePool, CancelledJobCompletesEverySlotUnrun) {
+  const auto plan = campaign::expand(campaign::parse_spec_text(kSpecText));
+  serve::ServePool pool(2);
+  auto job = std::make_shared<serve::ServeJob>(plan);
+  job->cancelled = true;
+  pool.submit(job);
+  for (std::size_t i = 0; i < plan.runs.size(); ++i) {
+    job->wait_slot(i);
+    EXPECT_EQ(job->failed[i], "cancelled") << "slot " << i;
+  }
+  pool.drain();  // must return: cancelled slots leave nothing queued
+}
+
+int connect_loopback(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr{};
@@ -132,6 +188,14 @@ std::string submit_spec(std::uint16_t port, const std::string& spec) {
   EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                       sizeof(addr)),
             0);
+  return fd;
+}
+
+/// Client helper: connect to the server, send one spec, read frames
+/// until EOF (write side shut down after the spec, like `ssmwn
+/// submit`), return the concatenated transcript.
+std::string submit_spec(std::uint16_t port, const std::string& spec) {
+  const int fd = connect_loopback(port);
   serve::write_frame(fd, serve::FrameType::kSpec, spec);
   ::shutdown(fd, SHUT_WR);
   std::string transcript;
@@ -143,6 +207,49 @@ std::string submit_spec(std::uint16_t port, const std::string& spec) {
   }
   ::close(fd);
   return transcript;
+}
+
+/// A Server running its accept loop on a thread of its own; stopped and
+/// joined on destruction, so a failed ASSERT leaves no joinable thread.
+struct RunningServer {
+  explicit RunningServer(unsigned threads)
+      : server([threads] {
+          serve::ServerOptions options;
+          options.threads = threads;
+          return options;
+        }()),
+        accept_thread([this] { server.run(); }) {}
+  ~RunningServer() {
+    server.request_stop();
+    accept_thread.join();
+  }
+  RunningServer(const RunningServer&) = delete;
+  RunningServer& operator=(const RunningServer&) = delete;
+
+  serve::Server server;
+  std::thread accept_thread;
+};
+
+/// A spec small enough that a job's compute is a few milliseconds.
+std::string tiny_spec(int seed_base) {
+  return "topology = uniform\nn = 20\nradius = 0.3\nvariant = improved\n"
+         "steps = 2\nreplications = 4\nseed_base = " +
+         std::to_string(seed_base) + "\n";
+}
+
+/// Virtual address space of this process (VmSize), in kB.
+long vm_size_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      long kb = 0;
+      status >> kb;
+      return kb;
+    }
+    status.ignore(1 << 12, '\n');
+  }
+  return -1;
 }
 
 TEST(Server, ConcurrentClientsGetByteIdenticalStreamsAndDrainIsClean) {
@@ -180,6 +287,58 @@ TEST(Server, ConcurrentClientsGetByteIdenticalStreamsAndDrainIsClean) {
   // from a SIGTERM handler — same entry point) and run() must return.
   server.request_stop();
   accept_thread.join();
+}
+
+TEST(Server, PersistentConnectionStreamsLaterJobsWithoutStall) {
+  // A client with default socket options keeps one connection open for
+  // 8 sequential jobs. The first job runs while the kernel quick-ACKs a
+  // fresh connection; later ones would each wait ~40 ms on the client's
+  // delayed ACK if the daemon let Nagle hold its second result frame.
+  RunningServer daemon(2);
+  const int fd = connect_loopback(daemon.server.port());
+  std::vector<double> later_ms;
+  [&] {  // ASSERTs leave this lambda only, so fd is always closed
+    for (int job = 0; job < 8; ++job) {
+      const auto start = std::chrono::steady_clock::now();
+      serve::write_frame(fd, serve::FrameType::kSpec, tiny_spec(100 + job));
+      std::size_t results = 0;
+      serve::Frame frame;
+      for (;;) {
+        ASSERT_TRUE(serve::read_frame(fd, frame));
+        ASSERT_NE(frame.type, serve::FrameType::kError) << frame.body;
+        if (frame.type == serve::FrameType::kEnd) break;
+        ++results;
+      }
+      EXPECT_EQ(results, 4u);
+      const std::chrono::duration<double, std::milli> took =
+          std::chrono::steady_clock::now() - start;
+      if (job > 0) later_ms.push_back(took.count());
+    }
+  }();
+  ::close(fd);
+  ASSERT_EQ(later_ms.size(), 7u);
+  std::nth_element(later_ms.begin(), later_ms.begin() + 3, later_ms.end());
+  EXPECT_LT(later_ms[3], 20.0) << "later jobs on a persistent connection stall";
+}
+
+TEST(Server, FinishedConnectionThreadsAreReaped) {
+  // Each exited but unjoined connection thread keeps its stack mapped
+  // (8 MB by default), so 63 of them would add ~500 MB of VmSize. One
+  // pool worker: it takes its malloc arena during the first connection,
+  // before the baseline, as a second worker might not.
+  RunningServer daemon(1);
+  const std::string spec = tiny_spec(7);
+  ASSERT_EQ(submit_spec(daemon.server.port(), spec).back(), '\n');
+  const long baseline_kb = vm_size_kb();
+  ASSERT_GT(baseline_kb, 0);
+  for (int c = 1; c < 64; ++c) {
+    ASSERT_FALSE(submit_spec(daemon.server.port(), spec).empty());
+    // Let the finished connection thread exit before the next accept,
+    // so its successor reuses its malloc arena instead of reserving one.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_LE(vm_size_kb() - baseline_kb, 64L * 1024)
+      << "connection threads are not being joined";
 }
 
 }  // namespace

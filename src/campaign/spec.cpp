@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <locale>
 #include <set>
 #include <sstream>
@@ -709,6 +710,24 @@ CampaignPlan expand(const CampaignSpec& spec) {
     }
   }
   return plan;
+}
+
+std::size_t run_count_bound(const CampaignSpec& spec) noexcept {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  std::size_t bound = spec.replications;
+  // Every list-valued field of CampaignSpec: a new sweep axis joins here.
+  for (const std::size_t len :
+       {spec.topology.size(), spec.n.size(), spec.radius.size(),
+        spec.variant.size(), spec.mobility.size(), spec.speed_min.size(),
+        spec.speed_max.size(), spec.tau.size(), spec.churn_down.size(),
+        spec.churn_up.size(), spec.steps.size(), spec.scheduler.size(),
+        spec.period_jitter.size(), spec.link_delay.size(),
+        spec.protocol_live.size(), spec.topology_update.size(),
+        spec.verify_faults.size(), spec.fault_class.size(),
+        spec.daemon.size(), spec.stepping.size()}) {
+    bound = (len != 0 && bound > kMax / len) ? kMax : bound * len;
+  }
+  return bound;
 }
 
 }  // namespace ssmwn::campaign

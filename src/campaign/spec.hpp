@@ -240,6 +240,13 @@ struct CampaignPlan {
 /// impossible combinations (e.g. speed_min > speed_max).
 [[nodiscard]] CampaignPlan expand(const CampaignSpec& spec);
 
+/// Upper bound on `expand(spec).runs.size()`, computed without expanding
+/// or allocating: replications × the length of every axis list,
+/// saturating at SIZE_MAX. Knob combinations `expand` collapses (async
+/// knobs on sync points, say) are counted, so the bound can exceed the
+/// real run count but never falls below it.
+[[nodiscard]] std::size_t run_count_bound(const CampaignSpec& spec) noexcept;
+
 /// Seed of replication `rep` of the grid point with the given canonical
 /// serialization. Deterministic, order-independent, and collision-
 /// resistant across a campaign's grid (splitmix64 over an FNV-1a hash).

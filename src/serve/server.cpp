@@ -182,8 +182,15 @@ void Server::serve_connection(int fd) {
       }
       std::shared_ptr<ServeJob> job;
       try {
-        job = std::make_shared<ServeJob>(
-            campaign::expand(campaign::parse_spec_text(frame.body)));
+        const auto spec = campaign::parse_spec_text(frame.body);
+        if (campaign::run_count_bound(spec) > kMaxRunsPerSpec) {
+          write_frame(fd, FrameType::kError,
+                      "spec may expand to more than " +
+                          std::to_string(kMaxRunsPerSpec) +
+                          " runs (replications x sweep values); split it");
+          continue;
+        }
+        job = std::make_shared<ServeJob>(campaign::expand(spec));
       } catch (const std::invalid_argument& e) {
         write_frame(fd, FrameType::kError, e.what());
         continue;

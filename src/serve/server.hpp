@@ -16,7 +16,9 @@
 // the previous one (~40 ms per job on a reused connection). A failed
 // frame write means the client is gone, so the job is cancelled and its
 // queued runs stop occupying workers. Finished connection threads are
-// joined by the accept loop before it starts the next one.
+// joined by the accept loop before it starts the next one. A spec whose
+// run count could exceed kMaxRunsPerSpec is answered with an error frame
+// before anything is expanded, and the connection keeps serving.
 //
 // Shutdown is a graceful drain, reachable from a signal handler:
 // request_stop() writes one byte to a self-pipe (async-signal-safe),
@@ -27,6 +29,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <list>
 #include <mutex>
@@ -36,6 +39,11 @@
 #include "serve/worker_pool.hpp"
 
 namespace ssmwn::serve {
+
+/// Most runs one spec may schedule (campaign::run_count_bound): a job
+/// holds a plan entry, a result slot and a queued task per run, so an
+/// unchecked `replications = 1e14` would try to allocate them all.
+inline constexpr std::size_t kMaxRunsPerSpec = std::size_t{1} << 16;
 
 struct ServerOptions {
   /// Port to bind on 127.0.0.1; 0 asks the kernel for an ephemeral port

@@ -45,27 +45,48 @@
 // is the seam later multi-process / NUMA work plugs into: a mailbox
 // flush is the message a process boundary would send.
 //
+// Node-locality contract (what lets one task run a receiver's whole
+// step): `deliver(q, ...)`, `tick(q)`, `end_step(q)` and, under dirty
+// stepping, `consume_activity(q)` read and write only node q's state
+// (plus the engine-owned frame rows they are handed); only `make_frame`
+// reads a node for someone else, and it runs before any of them.
+//
+// Phases. A full step is: (1) build — every shard snapshots its owned
+// frames into its arena, grades rows against last step's, and flushes
+// boundary rows into the frame mailboxes; (2) loss — serial per-edge
+// decisions; (3) receive — for each owned node q in ascending order,
+// deliver every heard frame in ascending-sender order, then tick(q),
+// then end_step(q). A dirty step is: (0) drain wake mailboxes and
+// promote the wake set; (1) discover senders and post requests;
+// (2) build the requested frames and answer them; (3) receive — as
+// above over the active nodes, followed per node by consume_activity(q)
+// and the one-hop wake propagation. Phases are separated by barriers.
+//
 // Determinism argument (the property the differential tests assert):
-// every step runs the phase sequence build frames, decide losses,
-// deliver, tick, end-step with a barrier between phases. Within a
-// phase, each node is processed exactly once with inputs fixed at the
-// barrier, and each receiver pulls its heard frames in ascending-sender
-// order (its sorted CSR row). Mailboxes are filled in a fixed
-// (src-shard, dst-shard, admission) order — admission order is
-// ascending sender id, because shard sweeps walk their range in order —
-// and drained by binary search per edge, so *which* bytes a receiver
-// sees never depends on shard count or thread count. Stateful loss
-// models are polled serially in sender-major order, so their RNG draw
-// sequence is that of the owning-frame reference stepper the tests keep
-// as their oracle (tests/support/reference_stepper.hpp). Hence:
+// every frame of a step is built into engine-owned rows before the
+// receive pass starts, so no rule firing can leak into a frame of the
+// same step; by the node-locality contract, running q's deliveries,
+// tick and end_step back to back is indistinguishable from running
+// every node's deliveries, then every tick, then every end_step; and
+// wakes land only in the trackers' double-buffered next sets or the
+// wake mailboxes, which begin_step sorts. Each receiver pulls its heard
+// frames in ascending-sender order (its sorted CSR row). Mailboxes are
+// filled in a fixed (src-shard, dst-shard, admission) order — admission
+// order is ascending sender id, because shard sweeps walk their range
+// in order — and drained by binary search per edge, so *which* bytes a
+// receiver sees never depends on shard count or thread count. Stateful
+// loss models are polled serially in sender-major order, so their RNG
+// draw sequence is that of the owning-frame reference stepper the tests
+// keep as their oracle (tests/support/reference_stepper.hpp). Hence:
 // bit-identical at any shard/thread count, full or dirty stepping
-// (docs/ARCHITECTURE.md §8).
+// (docs/ARCHITECTURE.md §8). tests/sim/step_order_test.cpp pins the
+// call order this argument relies on.
 //
 // Dirty-region composition: each shard's tracker wakes and drains
 // locally; a wake that crosses a shard boundary rides a wake-mailbox
-// flushed at the step's final barrier and drained at the next step's
-// first phase — one step of latency is exactly what the double-buffered
-// wake set gives, so the union of the per-shard active sets equals the
+// written during the receive pass and drained at the next step's first
+// phase — one step of latency is exactly what the double-buffered wake
+// set gives, so the union of the per-shard active sets equals the
 // one-shard active set step for step. Frames a shard needs from remote
 // senders are requested through a request-mailbox and answered through
 // a frame-mailbox within the same step (two barriers), so quiescent
@@ -419,38 +440,51 @@ class ShardedNetwork {
                    src.pool.begin() + src.offsets[slot] + len);
   }
 
+  /// Delivers row `k` of `rows` — a shard arena or a frame mailbox,
+  /// which share one CSR row layout — to `q` through the cheapest path
+  /// `grade` allows (redelivery protocols; 0 = full delivery). Mailbox
+  /// rows are byte copies of the sender shard's arena and delta rows, so
+  /// the sender-side grade covers them too. Callers strip
+  /// kRowDeltaApplicable from the grade when the delta rows' base
+  /// generation doesn't name the rows every listener consumed.
+  template <typename Rows>
+  static void deliver_row(Protocol& protocol, graph::NodeId q,
+                          const Rows& rows, std::size_t k,
+                          unsigned char grade) {
+    const auto digests = std::span(rows.pool.data() + rows.offsets[k],
+                                   rows.offsets[k + 1] - rows.offsets[k]);
+    if constexpr (RedeliveryProtocol<Protocol>) {
+      if (grade != 0) {
+        if ((grade & kRowBitsEqual) &&
+            protocol.redeliver_unchanged(q, rows.headers[k])) {
+          return;
+        }
+        if ((grade & kRowDeltaApplicable) &&
+            protocol.deliver_delta(
+                q, rows.headers[k], digests.size(),
+                std::span(rows.delta_pool.data() + rows.delta_offsets[k],
+                          rows.delta_offsets[k + 1] -
+                              rows.delta_offsets[k]))) {
+          return;
+        }
+        if (protocol.deliver_payload(q, rows.headers[k], digests)) return;
+      }
+    }
+    protocol.deliver(q, rows.headers[k], digests);
+  }
+
+  /// Delivers `sender`'s row from mailbox `mb` (binary search over its
+  /// ascending sender list).
   static void deliver_from(Protocol& protocol, graph::NodeId q,
                            const FrameMailbox& mb, graph::NodeId sender,
-                           unsigned char grade = 0) {
+                           unsigned char grade) {
     const auto it =
         std::lower_bound(mb.senders.begin(), mb.senders.end(), sender);
     // A miss here means the graph changed without set_graph /
     // apply_topology_delta — the boundary lists no longer cover it.
     assert(it != mb.senders.end() && *it == sender);
-    const auto k = static_cast<std::size_t>(it - mb.senders.begin());
-    const auto digests = std::span(mb.pool.data() + mb.offsets[k],
-                                   mb.offsets[k + 1] - mb.offsets[k]);
-    if constexpr (RedeliveryProtocol<Protocol>) {
-      // The mailbox rows are byte copies of the sender shard's arena and
-      // delta rows, so the sender-side grade covers them too. Callers
-      // strip kRowDeltaApplicable from the grade when the delta rows'
-      // base generation doesn't name the rows every listener consumed.
-      if (grade != 0) {
-        if ((grade & kRowBitsEqual) &&
-            protocol.redeliver_unchanged(q, mb.headers[k])) {
-          return;
-        }
-        if ((grade & kRowDeltaApplicable) &&
-            protocol.deliver_delta(
-                q, mb.headers[k], digests.size(),
-                std::span(mb.delta_pool.data() + mb.delta_offsets[k],
-                          mb.delta_offsets[k + 1] - mb.delta_offsets[k]))) {
-          return;
-        }
-        if (protocol.deliver_payload(q, mb.headers[k], digests)) return;
-      }
-    }
-    protocol.deliver(q, mb.headers[k], digests);
+    deliver_row(protocol, q, mb,
+                static_cast<std::size_t>(it - mb.senders.begin()), grade);
   }
 
   /// Recomputes the static boundary-sender lists (full stepping) after
@@ -654,13 +688,15 @@ class ShardedNetwork {
       messages_delivered_ += flat.size();
     }
 
-    // Phase 3 (parallel by destination shard): each owned receiver
-    // pulls its heard frames in ascending-sender order — local senders
-    // from the shard arena, remote senders from the (src, dst) mailbox.
-    // With valid row hints (previous step built rows AND was loss-free,
-    // so every listener consumed exactly those rows), an unchanged
-    // sender's delivery collapses to the protocol's redelivery
-    // bookkeeping — the receiver's cache entry already holds the bytes.
+    // Phase 3 (parallel by destination shard): the receive pass. Each
+    // owned receiver pulls its heard frames in ascending-sender order —
+    // local senders from the shard arena, remote senders from the
+    // (src, dst) mailbox — then runs its guarded rules and ages its
+    // caches before the pass moves on to the next receiver. With valid
+    // row hints (previous step built rows AND was loss-free, so every
+    // listener consumed exactly those rows), an unchanged sender's
+    // delivery collapses to the protocol's redelivery bookkeeping — the
+    // receiver's cache entry already holds the bytes.
     const bool hints = row_hints_valid_ && hear_all;
     // Delta patches additionally require the delta rows' base-generation
     // tag to name the arena build every listener consumed; when it
@@ -677,62 +713,25 @@ class ShardedNetwork {
                 S](std::size_t t) {
       Shard& sh = shards_[t];
       for (std::size_t q = sh.begin; q < sh.end; ++q) {
+        const auto node = static_cast<graph::NodeId>(q);
         for (std::size_t e = offsets[q]; e < offsets[q + 1]; ++e) {
           if (!hear_all && !incoming_[e]) continue;
           const graph::NodeId p = flat[e];
-          if (p >= sh.begin && p < sh.end) {
-            const std::size_t slot = static_cast<std::size_t>(p) - sh.begin;
-            const auto digests =
-                std::span(sh.pool.data() + sh.offsets[slot],
-                          sh.offsets[slot + 1] - sh.offsets[slot]);
-            if constexpr (RedeliveryProtocol<Protocol>) {
-              const unsigned char grade =
-                  hints ? static_cast<unsigned char>(row_unchanged_[p] & gmask)
-                        : static_cast<unsigned char>(0);
-              if (grade) {
-                if ((grade & kRowBitsEqual) &&
-                    protocol->redeliver_unchanged(
-                        static_cast<graph::NodeId>(q), sh.headers[slot])) {
-                  continue;
-                }
-                if ((grade & kRowDeltaApplicable) &&
-                    protocol->deliver_delta(
-                        static_cast<graph::NodeId>(q), sh.headers[slot],
-                        digests.size(),
-                        std::span(
-                            sh.delta_pool.data() + sh.delta_offsets[slot],
-                            sh.delta_offsets[slot + 1] -
-                                sh.delta_offsets[slot]))) {
-                  continue;
-                }
-                if (protocol->deliver_payload(static_cast<graph::NodeId>(q),
-                                              sh.headers[slot], digests)) {
-                  continue;
-                }
-              }
+          unsigned char grade = 0;
+          if constexpr (RedeliveryProtocol<Protocol>) {
+            if (hints) {
+              grade = static_cast<unsigned char>(row_unchanged_[p] & gmask);
             }
-            protocol->deliver(static_cast<graph::NodeId>(q), sh.headers[slot],
-                              digests);
+          }
+          if (p >= sh.begin && p < sh.end) {
+            deliver_row(*protocol, node, sh, p - sh.begin, grade);
           } else {
-            deliver_from(*protocol, static_cast<graph::NodeId>(q),
-                         frame_mb_[shard_of(p) * S + t], p,
-                         hints ? static_cast<unsigned char>(
-                                     row_unchanged_[p] & gmask)
-                               : static_cast<unsigned char>(0));
+            deliver_from(*protocol, node, frame_mb_[shard_of(p) * S + t], p,
+                         grade);
           }
         }
-      }
-    });
-
-    // Phases 4 + 5 (parallel by shard): guarded rules, then cache aging.
-    for_shards([this, protocol](std::size_t s) {
-      for (std::size_t p = shards_[s].begin; p < shards_[s].end; ++p) {
-        protocol->tick(static_cast<graph::NodeId>(p));
-      }
-    });
-    for_shards([this, protocol](std::size_t s) {
-      for (std::size_t p = shards_[s].begin; p < shards_[s].end; ++p) {
-        protocol->end_step(static_cast<graph::NodeId>(p));
+        protocol->tick(node);
+        protocol->end_step(node);
       }
     });
 
@@ -905,45 +904,12 @@ class ShardedNetwork {
       }
     });
 
-    // Phase 3 (parallel by destination shard): every active node pulls
-    // every neighbor's frame, ascending-sender order as always.
-    for_shards([this, protocol, &g, S](std::size_t t) {
-      Shard& sh = shards_[t];
-      for (const graph::NodeId lq : sh.tracker.active()) {
-        const auto q = static_cast<graph::NodeId>(sh.begin + lq);
-        for (const graph::NodeId r : g.neighbors(q)) {
-          if (r >= sh.begin && r < sh.end) {
-            const std::size_t slot =
-                sh.sender_slot[static_cast<std::size_t>(r) - sh.begin];
-            protocol->deliver(
-                q, sh.headers[slot],
-                std::span(sh.pool.data() + sh.offsets[slot],
-                          sh.offsets[slot + 1] - sh.offsets[slot]));
-          } else {
-            deliver_from(*protocol, q, frame_mb_[shard_of(r) * S + t], r);
-          }
-        }
-      }
-    });
-
-    // Phases 4 + 5 (parallel by shard): guarded rules, cache aging —
-    // active nodes only.
-    for_shards([this, protocol](std::size_t t) {
-      Shard& sh = shards_[t];
-      for (const graph::NodeId lq : sh.tracker.active()) {
-        protocol->tick(static_cast<graph::NodeId>(sh.begin + lq));
-      }
-    });
-    for_shards([this, protocol](std::size_t t) {
-      Shard& sh = shards_[t];
-      for (const graph::NodeId lq : sh.tracker.active()) {
-        protocol->end_step(static_cast<graph::NodeId>(sh.begin + lq));
-      }
-    });
-
-    // Phase 6 (parallel by shard): one-hop activity propagation. Local
-    // wakes land in the shard's own tracker; wakes for remote nodes
-    // ride the wake mailboxes, drained at the next step's phase 0.
+    // Phase 3 (parallel by destination shard): the receive pass. Every
+    // active node pulls every neighbor's frame (ascending-sender order
+    // as always), ticks, ages, and then propagates its activity one hop:
+    // local wakes land in the shard's own tracker's next set, wakes for
+    // remote nodes ride the wake mailboxes, drained at the next step's
+    // phase 0.
     for_shards([this, protocol, &g, S](std::size_t t) {
       Shard& sh = shards_[t];
       for (std::size_t s = 0; s < S; ++s) {
@@ -951,6 +917,17 @@ class ShardedNetwork {
       }
       for (const graph::NodeId lq : sh.tracker.active()) {
         const auto q = static_cast<graph::NodeId>(sh.begin + lq);
+        for (const graph::NodeId r : g.neighbors(q)) {
+          if (r >= sh.begin && r < sh.end) {
+            deliver_row(*protocol, q, sh,
+                        sh.sender_slot[static_cast<std::size_t>(r) - sh.begin],
+                        0);
+          } else {
+            deliver_from(*protocol, q, frame_mb_[shard_of(r) * S + t], r, 0);
+          }
+        }
+        protocol->tick(q);
+        protocol->end_step(q);
         const auto a = protocol->consume_activity(q);
         if (a.state_changed) sh.tracker.wake(lq);
         if (!a.frame_changed) continue;

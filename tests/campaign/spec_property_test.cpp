@@ -4,6 +4,7 @@
 // rejected with a SpecError — never an assert.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <locale>
 #include <set>
 #include <string>
@@ -41,6 +42,39 @@ TEST(CampaignSpec, ExpansionIsExhaustiveAndDuplicateFree) {
     pairs.insert({run.grid_index, run.replication});
   }
   EXPECT_EQ(pairs.size(), plan.runs.size());
+}
+
+TEST(CampaignSpec, RunCountBoundCoversTheExpansionAndSaturates) {
+  // No collapsed knobs: the bound is the run count exactly.
+  const auto full = campaign::parse_spec_text(R"(
+    topology     = uniform, grid
+    n            = 50, 100, 200
+    replications = 5
+  )");
+  EXPECT_EQ(campaign::run_count_bound(full),
+            campaign::expand(full).runs.size());
+  // Async knobs on the sync point collapse in expand (5 points, not 8);
+  // the bound counts them all and stays above.
+  const auto collapsed = campaign::parse_spec_text(R"(
+    scheduler     = sync, async
+    period_jitter = 0.05, 0.2
+    link_delay    = 0.01, 0.1
+    replications  = 2
+  )");
+  EXPECT_EQ(campaign::expand(collapsed).runs.size(), 10u);
+  EXPECT_EQ(campaign::run_count_bound(collapsed), 16u);
+  // A product past SIZE_MAX saturates instead of wrapping to something
+  // small.
+  const auto huge = campaign::parse_spec_text(R"(
+    n            = 10, 20, 30, 40, 50, 60, 70, 80
+    radius       = 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8
+    steps        = 10, 20, 30, 40, 50, 60, 70, 80
+    tau          = 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8
+    speed_max    = 1, 2, 3, 4, 5, 6, 7, 8
+    replications = 1e15
+  )");
+  EXPECT_EQ(campaign::run_count_bound(huge),
+            std::numeric_limits<std::size_t>::max());
 }
 
 TEST(CampaignSpec, RunSeedsAreUnique) {

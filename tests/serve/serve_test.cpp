@@ -321,6 +321,35 @@ TEST(Server, PersistentConnectionStreamsLaterJobsWithoutStall) {
   EXPECT_LT(later_ms[3], 20.0) << "later jobs on a persistent connection stall";
 }
 
+TEST(Server, OversizedSpecGetsAnErrorFrameAndTheConnectionKeepsServing) {
+  // 1e14 runs would reach expand's reserve (length_error, connection
+  // dropped) or allocate gigabytes; the daemon must refuse it up front.
+  RunningServer daemon(1);
+  const int fd = connect_loopback(daemon.server.port());
+  [&] {  // ASSERTs leave this lambda only, so fd is always closed
+    serve::write_frame(fd, serve::FrameType::kSpec,
+                       "n = 20\nradius = 0.3\nreplications = 1e14\n");
+    serve::Frame frame;
+    ASSERT_TRUE(serve::read_frame(fd, frame));
+    EXPECT_EQ(frame.type, serve::FrameType::kError);
+    EXPECT_NE(frame.body.find(std::to_string(serve::kMaxRunsPerSpec)),
+              std::string::npos)
+        << frame.body;
+    // Same connection, ordinary job: four results, then the end frame.
+    serve::write_frame(fd, serve::FrameType::kSpec, tiny_spec(11));
+    std::size_t results = 0;
+    for (;;) {
+      ASSERT_TRUE(serve::read_frame(fd, frame));
+      ASSERT_NE(frame.type, serve::FrameType::kError) << frame.body;
+      if (frame.type == serve::FrameType::kEnd) break;
+      ++results;
+    }
+    EXPECT_EQ(results, 4u);
+    EXPECT_EQ(frame.body, "4");
+  }();
+  ::close(fd);
+}
+
 TEST(Server, FinishedConnectionThreadsAreReaped) {
   // Each exited but unjoined connection thread keeps its stack mapped
   // (8 MB by default), so 63 of them would add ~500 MB of VmSize. One

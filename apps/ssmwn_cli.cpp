@@ -32,6 +32,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -214,18 +215,15 @@ sim::AsyncConfig parse_async_config(const util::Args& args,
                                     double default_period) {
   sim::AsyncConfig async;
   async.period_s = args.get_double("period", default_period);
-  async.period_jitter = args.get_double("period-jitter", 0.1);
-  async.link_delay_s = args.get_double("link-delay", 0.02);
+  // Half-open ranges: the largest double below the open bound.
+  async.period_jitter = args.get_double_in("period-jitter", 0.1, 0.0,
+                                           std::nextafter(1.0, 0.0));
+  async.link_delay_s = args.get_double_in("link-delay", 0.02, 0.0,
+                                          std::nextafter(1e9, 0.0));
   // Lower bound = one virtual-time tick (1 µs): a sub-tick period
   // cannot advance the event clock.
   if (!(async.period_s >= 1e-6) || async.period_s >= 1e9) {
     throw std::invalid_argument("--period must be in [1e-6, 1e9) seconds");
-  }
-  if (async.period_jitter < 0.0 || async.period_jitter >= 1.0) {
-    throw std::invalid_argument("--period-jitter must be in [0, 1)");
-  }
-  if (async.link_delay_s < 0.0 || async.link_delay_s >= 1e9) {
-    throw std::invalid_argument("--link-delay must be in [0, 1e9) seconds");
   }
   const std::string daemon = args.get("daemon", "randomized");
   if (daemon == "synchronous") {
@@ -351,11 +349,13 @@ int run_protocol_live(const util::Args& args, const Deployment& d,
   }
   const bool incremental = update == "incremental";
   const double radius = args.get_double_in("radius", 0.08, 1e-9, 1e9);
-  const double speed_min = args.get_double("speed-min", 0.0);
-  const double speed_max = args.get_double("speed-max", 1.6);
-  if (speed_min < 0.0 || speed_max < speed_min || speed_max >= 1e9) {
+  const double speed_min =
+      args.get_double_in("speed-min", 0.0, 0.0, std::nextafter(1e9, 0.0));
+  const double speed_max =
+      args.get_double_in("speed-max", 1.6, 0.0, std::nextafter(1e9, 0.0));
+  if (speed_max < speed_min) {
     throw std::invalid_argument(
-        "--speed-min/--speed-max must satisfy 0 <= min <= max");
+        "--speed-min/--speed-max must satisfy min <= max");
   }
   const double window_s = args.get_double("window-s", 2.0);
   if (!(window_s >= 1e-6) || window_s >= 1e9) {

@@ -216,69 +216,6 @@ int main() {
     }
   }
 
-  // --- delta frames: encode + sparse patch vs full-row rewrite ---------
-  // One sender row in the late-recovery regime: `len` digests, `changed`
-  // of them moved since last step. Encode is the engine's per-row
-  // extract pass; apply is the receiver's gallop patch; full_copy is
-  // what deliver_payload does instead — the cost the delta path avoids
-  // once per listener while encode is paid once per sender.
-  {
-    // Independent stream, same reason as the election section above.
-    util::Rng rng(util::bench_seed() ^ 0x64656c7461);  // "delta"
-    struct Shape {
-      const char* name;
-      std::size_t len, changed;
-    };
-    const Shape shapes[] = {{"8x2", 8, 2}, {"64x8", 64, 8},
-                            {"256x16", 256, 16}};
-    const auto digest_id = [](const core::NeighborDigest& d) { return d.id; };
-    for (const auto& s : shapes) {
-      std::vector<core::NeighborDigest> base(s.len);
-      std::uint64_t id = 0;
-      for (auto& d : base) {
-        id += 1 + rng.below(8);
-        d.id = id;
-        d.dag_id = rng();
-        d.metric = rng.uniform();
-        d.metric_valid = true;
-        d.is_head = rng.chance(0.1);
-      }
-      auto next = base;
-      for (std::size_t k = 0; k < s.changed; ++k) {
-        next[(k * s.len) / s.changed].dag_id ^= 0x9e3779b97f4a7c15ULL;
-      }
-      std::vector<core::NeighborDigest> delta(s.changed);
-      const double encode = seconds_per_call([&] {
-        std::size_t m = 0;
-        for (std::size_t k = 0; k < s.len; ++k) {
-          if (!core::digest_bits_equal(base[k], next[k])) delta[m++] = next[k];
-        }
-        sink = m;
-      });
-      auto dest = base;
-      const double apply = seconds_per_call([&] {
-        sink = util::patch_sorted(dest.data(), dest.size(), delta.data(),
-                                  delta.size(), digest_id);
-      });
-      const double full = seconds_per_call([&] {
-        std::copy(next.begin(), next.end(), dest.begin());
-        sink = dest.size();
-      });
-      table.row({"delta_encode", s.name,
-                 util::Table::num(1.0 / encode / 1e6, 1) + " Mrow/s"});
-      table.row({"delta_apply", s.name,
-                 util::Table::num(1.0 / apply / 1e6, 1) + " Mrow/s"});
-      table.row({"full_copy", s.name,
-                 util::Table::num(1.0 / full / 1e6, 1) + " Mrow/s"});
-      json.add(std::string("delta/encode/") + s.name, s.len, 1, "row/s",
-               1.0 / encode);
-      json.add(std::string("delta/apply/") + s.name, s.len, 1, "row/s",
-               1.0 / apply);
-      json.add(std::string("delta/full_copy/") + s.name, s.len, 1, "row/s",
-               1.0 / full);
-    }
-  }
-
   // --- density ---------------------------------------------------------
   {
     util::Rng rng = root.split();

@@ -84,9 +84,9 @@ ShardedInstance shard_instance(const bench::Instance& inst, double radius,
 /// steppers run side by side: the owning-frame reference stepper (no
 /// fast paths), the engine on one shard, and the engine on the spatial
 /// shards. After 20 clean steps a mass fault is injected into all three
-/// so the recovery window exercises the redelivery fast paths —
-/// including the delta-encoded frames, whose grading counters must also
-/// agree across the two engine runs and must actually fire.
+/// so the recovery window exercises the redelivery fast paths. The
+/// sparse-change row counters must also agree across the two engine
+/// runs and must actually fire.
 bool equivalence_gate(util::Rng& rng, std::size_t shards, unsigned threads) {
   const auto inst = bench::poisson_instance(2000.0, 0.035, rng);
   const auto sharded_inst = shard_instance(inst, 0.035, shards);
@@ -114,7 +114,7 @@ bool equivalence_gate(util::Rng& rng, std::size_t shards, unsigned threads) {
     if (s == 20) {
       // One mass fault, identically seeded for all three protocols, so
       // the remaining steps replay the recovery regime where the
-      // payload/delta fast paths carry the traffic.
+      // payload fast path carries the traffic.
       util::Rng f1(20050612), f2(20050612), f3(20050612);
       reference.corrupt_fraction(f1, 0.2);
       one.corrupt_fraction(f2, 0.2);
@@ -135,7 +135,7 @@ bool equivalence_gate(util::Rng& rng, std::size_t shards, unsigned threads) {
   if (net_one.delta_rows_graded() == 0 ||
       net_one.delta_rows_graded() != net_shard.delta_rows_graded()) {
     std::fprintf(stderr,
-                 "EQUIVALENCE FAILURE: delta-frame grading diverged "
+                 "EQUIVALENCE FAILURE: sparse-change row counters diverged "
                  "(one shard %llu, sharded %llu; both must be nonzero)\n",
                  static_cast<unsigned long long>(net_one.delta_rows_graded()),
                  static_cast<unsigned long long>(net_shard.delta_rows_graded()));
@@ -143,7 +143,7 @@ bool equivalence_gate(util::Rng& rng, std::size_t shards, unsigned threads) {
   }
   std::printf("equivalence gate: PASS (n=%zu, %zu shards, %u threads, "
               "35 steps bit-identical across reference/one-shard/sharded, "
-              "%llu delta-graded rows agree)\n\n",
+              "%llu sparse-change rows agree)\n\n",
               sharded_inst.instance.graph.node_count(), shards, threads,
               static_cast<unsigned long long>(net_one.delta_rows_graded()));
   return true;

@@ -187,40 +187,6 @@ bool DensityProtocol::deliver_payload(graph::NodeId receiver,
   return true;
 }
 
-bool DensityProtocol::deliver_delta(graph::NodeId receiver,
-                                    const FrameHeader& header,
-                                    std::size_t row_size,
-                                    std::span<const Digest> changed) {
-  // Same decline conditions as deliver_payload — the engine's id-sequence
-  // proof is the precondition for both, and tracking needs the full
-  // compare's change bits.
-  if (tracking_ || resync_[receiver] != 0) return false;
-  if (header.id == uids_[receiver]) return true;  // dropped either way
-  NodeAux& aux = aux_[receiver];
-  const auto it = aux.cache.find(header.id);
-  if (it == aux.cache.end()) return false;  // evicted: reinsert via deliver
-  CacheEntry& entry = it->second;
-  if (entry.digests.size() != row_size) return false;
-  // Patch only the changed digests in place; the galloping walk declines
-  // (partial patches are unobservable — see the header contract) if any
-  // changed id is missing from the stored list, which would mean the
-  // stored id sequence is not the one the engine proved.
-  if (!util::patch_sorted(entry.digests.data(), entry.digests.size(),
-                          changed.data(), changed.size(), DigestId{})) {
-    return false;
-  }
-  // Ids held, so e(N_p) and the link structure cannot have moved — only
-  // the header fields, the age, and the memoized rank key remain.
-  entry.dag_id = header.dag_id;
-  entry.metric = header.metric;
-  entry.metric_valid = header.metric_valid;
-  entry.head = header.head;
-  entry.head_valid = header.head_valid;
-  entry.age = 0;
-  entry.rank_key = entry_key(header.id, entry);
-  return true;
-}
-
 void DensityProtocol::deliver(graph::NodeId receiver,
                               const FrameHeader& header,
                               std::span<const Digest> digests) {

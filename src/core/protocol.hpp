@@ -172,7 +172,7 @@ class DensityProtocol {
     /// Memoized ≺ key for the R2 election: pack_rank(entry_rank(id, *this))
     /// when metric_valid, the below-everything sentinel otherwise (so
     /// invalid entries lose every arg-max without a branch). Maintained on
-    /// every internal write (deliver/deliver_payload/deliver_delta);
+    /// every internal write (deliver/deliver_payload);
     /// external mutation clears the owning node's ranks_fresh_ flag and
     /// the next R2 firing repacks the whole cache. Like links_among_,
     /// this is a memoization, not protocol state — the differential
@@ -301,22 +301,6 @@ class DensityProtocol {
   /// activity tracking needs the compare's change bits.
   bool deliver_payload(graph::NodeId receiver, const FrameHeader& header,
                        std::span<const Digest> digests);
-  /// Fast path for a delta-encoded frame: the engine proved the sender's
-  /// id sequence unchanged since this receiver last consumed it and ships
-  /// only the digests whose payload bits changed (`changed`, sorted by
-  /// id) plus the full header; `row_size` is the length of the full row
-  /// the delta patches. The stored list is patched in place (one
-  /// galloping merge walk, util::patch_sorted) — e(N_p) and the link
-  /// structure cannot move because no id did. Returns false — demanding
-  /// a fuller path — when the entry is missing, the stored list's length
-  /// disagrees with `row_size`, a changed id is absent from the stored
-  /// list, the receiver was externally mutated since the last full
-  /// sweep, or activity tracking needs the compare's change bits. A
-  /// declined call may leave already-matched digests patched; every
-  /// fallback path (deliver_payload, deliver) rewrites the whole list,
-  /// so the partial patch is never observable.
-  bool deliver_delta(graph::NodeId receiver, const FrameHeader& header,
-                     std::size_t row_size, std::span<const Digest> changed);
   /// Id-projection equality for the engine-side row compare backing
   /// `deliver_payload`.
   [[nodiscard]] static bool digest_id_equal(const Digest& a,

@@ -30,7 +30,6 @@
 
 #include <concepts>
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -55,60 +54,33 @@ concept ArenaProtocol =
 /// Optional redelivery extension: when an engine can prove a sender's
 /// frame is bit-identical to the one every listener already consumed
 /// (double-buffered arena rows + a loss-free medium), it may offer the
-/// delivery as `redeliver_unchanged(receiver, header)` instead; when
+/// delivery as `redeliver_unchanged(receiver, header)` instead; and when
 /// only the digest *payloads* changed but the id sequence held, as
 /// `deliver_payload(receiver, header, digests)` — the common active
 /// regime, where the protocol can skip its compare/delta machinery and
-/// overwrite in place; and when, additionally, only a *sparse subset* of
-/// the payloads changed, as `deliver_delta(receiver, header, row_size,
-/// changed)` — a delta-encoded frame carrying the full header plus only
-/// the digests whose bits moved, which the protocol patches in place.
-/// Any of the calls performs the delivery's remaining side effects and
-/// returns true, or returns false to demand a fuller path — all must
-/// decline when the receiver's cache was mutated from outside the step
-/// loop since the last full sweep. The row compares use the protocol's
-/// own equality predicates so engine and protocol agree on what
-/// "unchanged" means (padding bytes never participate).
+/// overwrite in place. Either call performs the delivery's remaining
+/// side effects and returns true, or returns false to demand the full
+/// `deliver` — both must decline when the receiver's cache was mutated
+/// from outside the step loop since the last full sweep. The row
+/// compares use the protocol's own equality predicates so engine and
+/// protocol agree on what "unchanged" means (padding bytes never
+/// participate).
 ///
-/// Row grades the engines' phase-1b compare produces (a bitmask):
-/// bit-equality implies id-equality, and delta applicability implies
-/// id-equality with bit-inequality, so the valid values are 0,
-/// kRowIdsEqual, kRowIdsEqual | kRowBitsEqual, and
-/// kRowIdsEqual | kRowDeltaApplicable.
+/// Row grades the engine's phase-1 compare produces (a bitmask):
+/// bit-equality implies id-equality, so the valid values are 0,
+/// kRowIdsEqual and kRowIdsEqual | kRowBitsEqual.
 inline constexpr unsigned char kRowIdsEqual = 1;   // id sequence held
 inline constexpr unsigned char kRowBitsEqual = 2;  // whole row bit-equal
-/// Id sequence held, bits moved in at most kRowDeltaNumerator /
-/// kRowDeltaDenominator of the row's digests: the engine has a delta row
-/// (changed digests only, ascending id) banked for this sender.
-inline constexpr unsigned char kRowDeltaApplicable = 4;
-
-/// Delta-profitability threshold: encode a delta row only when
-/// changed · kRowDeltaDenominator ≤ row length · kRowDeltaNumerator.
-/// At half the row or more, the patch walk plus the encode pass stops
-/// beating deliver_payload's straight overwrite.
-inline constexpr std::size_t kRowDeltaNumerator = 1;
-inline constexpr std::size_t kRowDeltaDenominator = 2;
-
-/// Null value for a delta section's base-generation tag ("patches
-/// nothing"). Every batch of delta rows is stamped with the generation
-/// of the arena build it was diffed against; receivers apply a delta
-/// only when that tag names the rows they are known to have consumed,
-/// and anything that breaks the induction (graph swaps, topology
-/// deltas, engine/stepping switches, a lossy step) poisons the tag to
-/// this value — the wire-format analogue of "resend the full frame".
-inline constexpr std::uint64_t kNoGeneration = ~std::uint64_t{0};
 
 template <typename P>
 concept RedeliveryProtocol =
     requires(P& p, graph::NodeId receiver,
              const typename P::FrameHeader& header,
              std::span<const typename P::Digest> in,
-             const typename P::Digest& digest, std::size_t row_size) {
+             const typename P::Digest& digest) {
       { p.redeliver_unchanged(receiver, header) } ->
           std::convertible_to<bool>;
       { p.deliver_payload(receiver, header, in) } -> std::convertible_to<bool>;
-      { p.deliver_delta(receiver, header, row_size, in) } ->
-          std::convertible_to<bool>;
       { P::header_bits_equal(header, header) } -> std::convertible_to<bool>;
       { P::digest_bits_equal(digest, digest) } -> std::convertible_to<bool>;
       { P::digest_id_equal(digest, digest) } -> std::convertible_to<bool>;

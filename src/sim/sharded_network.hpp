@@ -279,8 +279,10 @@ class ShardedNetwork {
     return messages_delivered_;
   }
 
-  /// Sender rows graded delta-applicable (id sequence held, a sparse
-  /// subset of digest payloads changed) across all steps so far. Folded
+  /// Sparse-change rows across all steps so far: sender rows whose id
+  /// sequence held, that are not bit-equal to last step's, and where at
+  /// most half the digests changed (changed · 2 ≤ len). A work counter
+  /// only — such rows are delivered like any other ids-equal row. Folded
   /// serially in shard order, so identical for any shard/thread count.
   /// Zero for protocols without the redelivery extension and under
   /// dirty stepping.
@@ -346,17 +348,6 @@ class ShardedNetwork {
     std::vector<typename Protocol::FrameHeader> headers;
     std::vector<typename Protocol::Digest> pool;
     std::vector<std::size_t> offsets;
-    // Delta rows riding along with the full rows (redelivery protocols,
-    // full stepping): for every sender graded kRowDeltaApplicable, the
-    // digests whose bits moved since last step — the payload a
-    // cross-process frame format would put on the wire, with the full
-    // row kept as the fallback for receivers that decline the patch.
-    // delta_offsets is CSR over mailbox slots (senders + 1 entries);
-    // rows of senders without the grade are empty. Maintained only by
-    // the full stepper's flush; the dirty stepper always grades 0, so
-    // these are never read there.
-    std::vector<typename Protocol::Digest> delta_pool;
-    std::vector<std::size_t> delta_offsets;
   };
 
   struct Shard {
@@ -374,16 +365,10 @@ class ShardedNetwork {
     std::vector<typename Protocol::FrameHeader> prev_headers;
     std::vector<typename Protocol::Digest> prev_pool;
     std::vector<std::size_t> prev_offsets;
-    // This step's delta rows (redelivery protocols, full stepping): the
-    // changed digests of every delta-graded owned sender, ascending id,
-    // CSR over local sender index — what a delta-encoded wire frame
-    // would carry. delta_rows counts the senders graded delta-applicable
-    // this step (folded serially into the engine total, so the
-    // aggregate is thread-count invariant).
-    std::vector<typename Protocol::Digest> delta_pool;
-    std::vector<std::size_t> delta_offsets;
-    std::vector<std::uint32_t> delta_counts;
-    std::uint64_t delta_rows = 0;
+    // This step's sparse-change rows among the owned senders
+    // (redelivery protocols, full stepping), folded serially into the
+    // engine total so the aggregate is thread-count invariant.
+    std::uint64_t sparse_rows = 0;
     // Full stepping: for each destination shard, the owned nodes with at
     // least one neighbor there (ascending). Rebuilt after topology
     // changes; copied into the frame mailboxes every step.
@@ -443,10 +428,8 @@ class ShardedNetwork {
   /// Delivers row `k` of `rows` — a shard arena or a frame mailbox,
   /// which share one CSR row layout — to `q` through the cheapest path
   /// `grade` allows (redelivery protocols; 0 = full delivery). Mailbox
-  /// rows are byte copies of the sender shard's arena and delta rows, so
-  /// the sender-side grade covers them too. Callers strip
-  /// kRowDeltaApplicable from the grade when the delta rows' base
-  /// generation doesn't name the rows every listener consumed.
+  /// rows are byte copies of the sender shard's arena rows, so the
+  /// sender-side grade covers them too.
   template <typename Rows>
   static void deliver_row(Protocol& protocol, graph::NodeId q,
                           const Rows& rows, std::size_t k,
@@ -457,14 +440,6 @@ class ShardedNetwork {
       if (grade != 0) {
         if ((grade & kRowBitsEqual) &&
             protocol.redeliver_unchanged(q, rows.headers[k])) {
-          return;
-        }
-        if ((grade & kRowDeltaApplicable) &&
-            protocol.deliver_delta(
-                q, rows.headers[k], digests.size(),
-                std::span(rows.delta_pool.data() + rows.delta_offsets[k],
-                          rows.delta_offsets[k + 1] -
-                              rows.delta_offsets[k]))) {
           return;
         }
         if (protocol.deliver_payload(q, rows.headers[k], digests)) return;
@@ -524,17 +499,7 @@ class ShardedNetwork {
     // the arena: last step's rows move to prev_* before the build, then
     // each fresh row is bit-compared against its predecessor so phase 3
     // can skip the full delivery of provably unchanged frames.
-    if constexpr (RedeliveryProtocol<Protocol>) {
-      row_unchanged_.resize(n);
-      // One arena build per step, stamped serially. The delta rows this
-      // build produces patch against the previous build's rows, so
-      // their base-generation tag is generation_ - 1 — valid only when
-      // those rows exist (and actually reached every listener, which
-      // phase 3's hints flag checks on top).
-      ++generation_;
-      delta_base_generation_ =
-          prev_rows_built_ ? generation_ - 1 : kNoGeneration;
-    }
+    if constexpr (RedeliveryProtocol<Protocol>) row_unchanged_.resize(n);
     for_shards([this, protocol, S](std::size_t s) {
       Shard& sh = shards_[s];
       const std::size_t local_n = sh.end - sh.begin;
@@ -562,18 +527,16 @@ class ShardedNetwork {
         // Each shard writes only its owned slice of the global bitmap.
         // One streaming pass over two sequential buffers here saves a
         // gathered per-edge compare in phase 3 — each row is compared
-        // once instead of once per listener. Three grades, same bitwise
+        // once instead of once per listener. Two grades, same bitwise
         // field equality contract as the protocol's own change
         // detection: id sequence held (payload overwrite suffices — the
-        // common active regime), whole row bit-equal (age reset
-        // suffices — the quiescent regime), or ids held with at most
-        // half the digests moved (delta patch suffices — the
-        // late-recovery regime; the changed digests are extracted into
-        // the shard's delta arena below).
+        // common active regime) or whole row bit-equal (age reset
+        // suffices — the quiescent regime). Ids-equal rows with at most
+        // half the digests moved are also counted as sparse-change rows
+        // (delta_rows_graded); the count changes no delivery.
         const bool cmp =
             prev_rows_built_ && sh.prev_offsets.size() == local_n + 1;
-        sh.delta_counts.assign(local_n, 0);
-        sh.delta_rows = 0;
+        sh.sparse_rows = 0;
         for (std::size_t i = 0; i < local_n; ++i) {
           unsigned char grade = 0;
           const std::size_t len = sh.offsets[i + 1] - sh.offsets[i];
@@ -582,13 +545,12 @@ class ShardedNetwork {
             const auto* b = sh.prev_pool.data() + sh.prev_offsets[i];
             const bool header_bits = Protocol::header_bits_equal(
                 sh.headers[i], sh.prev_headers[i]);
-            // Past the delta threshold the row can only grade
-            // ids-equal, so the wider payload compares stop; the id
-            // compares must still cover the whole row — the ids-equal
-            // gate is what makes redelivery sound. Heavy-churn rows
-            // cost about what a first-mismatch exit would.
-            const std::size_t cap = len * kRowDeltaNumerator /
-                                    kRowDeltaDenominator;
+            // Past half the row the changed count no longer matters
+            // (the row can be neither bit-equal nor sparse-change), so
+            // the payload compares stop; the id compares must still
+            // cover the whole row — the ids-equal gate is what makes
+            // redelivery sound.
+            const std::size_t cap = len / 2;
             bool ids = true;
             std::size_t changed = 0;
             std::size_t k = 0;
@@ -604,38 +566,12 @@ class ShardedNetwork {
               grade = kRowIdsEqual;
               if (header_bits && changed == 0) {
                 grade |= kRowBitsEqual;
-              } else if (changed * kRowDeltaDenominator <=
-                         len * kRowDeltaNumerator) {
-                grade |= kRowDeltaApplicable;
-                sh.delta_counts[i] = static_cast<std::uint32_t>(changed);
-                ++sh.delta_rows;
+              } else if (changed * 2 <= len) {
+                ++sh.sparse_rows;
               }
             }
           }
           row_unchanged_[sh.begin + i] = grade;
-        }
-        // Shard-local delta arena: prefix-sum the per-sender changed
-        // counts (each shard sums only its own slice, so the build is
-        // parallel by shard), then extract the changed digests.
-        sh.delta_offsets.resize(local_n + 1);
-        sh.delta_offsets[0] = 0;
-        for (std::size_t i = 0; i < local_n; ++i) {
-          sh.delta_offsets[i + 1] = sh.delta_offsets[i] + sh.delta_counts[i];
-        }
-        // changed <= len/2 per applicable row, so half the shard's
-        // digest count bounds the pool; reserving it pins the
-        // high-water mark at the first delta build.
-        sh.delta_pool.reserve(sh.offsets[local_n] / 2);
-        sh.delta_pool.resize(sh.delta_offsets[local_n]);
-        for (std::size_t i = 0; i < local_n; ++i) {
-          if (sh.delta_counts[i] == 0) continue;
-          const auto* a = sh.pool.data() + sh.offsets[i];
-          const auto* b = sh.prev_pool.data() + sh.prev_offsets[i];
-          const std::size_t len = sh.offsets[i + 1] - sh.offsets[i];
-          auto* out = sh.delta_pool.data() + sh.delta_offsets[i];
-          for (std::size_t k = 0; k < len; ++k) {
-            if (!Protocol::digest_bits_equal(a[k], b[k])) *out++ = a[k];
-          }
         }
       }
       for (std::size_t t = 0; t < S; ++t) {
@@ -646,22 +582,8 @@ class ShardedNetwork {
         mb.headers.clear();
         mb.pool.clear();
         mb.offsets.assign(1, 0);
-        if constexpr (RedeliveryProtocol<Protocol>) {
-          mb.delta_pool.clear();
-          mb.delta_offsets.assign(1, 0);
-        }
         for (const graph::NodeId p : mb.senders) {
-          const std::size_t slot = static_cast<std::size_t>(p) - sh.begin;
-          append_frame(mb, sh, slot);
-          if constexpr (RedeliveryProtocol<Protocol>) {
-            if (row_unchanged_[p] & kRowDeltaApplicable) {
-              mb.delta_pool.insert(
-                  mb.delta_pool.end(),
-                  sh.delta_pool.begin() + sh.delta_offsets[slot],
-                  sh.delta_pool.begin() + sh.delta_offsets[slot + 1]);
-            }
-            mb.delta_offsets.push_back(mb.delta_pool.size());
-          }
+          append_frame(mb, sh, static_cast<std::size_t>(p) - sh.begin);
         }
       }
     });
@@ -698,18 +620,7 @@ class ShardedNetwork {
     // delivery collapses to the protocol's redelivery bookkeeping — the
     // receiver's cache entry already holds the bytes.
     const bool hints = row_hints_valid_ && hear_all;
-    // Delta patches additionally require the delta rows' base-generation
-    // tag to name the arena build every listener consumed; when it
-    // doesn't, the delta bit is masked out of every grade and those rows
-    // fall through to the payload/full paths.
-    unsigned char gmask = 0;
-    if constexpr (RedeliveryProtocol<Protocol>) {
-      const bool deltas_ok =
-          hints && delta_base_generation_ + 1 == generation_;
-      gmask = deltas_ok ? static_cast<unsigned char>(0xFF)
-                        : static_cast<unsigned char>(~kRowDeltaApplicable);
-    }
-    for_shards([this, protocol, offsets, flat, hear_all, hints, gmask,
+    for_shards([this, protocol, offsets, flat, hear_all, hints,
                 S](std::size_t t) {
       Shard& sh = shards_[t];
       for (std::size_t q = sh.begin; q < sh.end; ++q) {
@@ -719,9 +630,7 @@ class ShardedNetwork {
           const graph::NodeId p = flat[e];
           unsigned char grade = 0;
           if constexpr (RedeliveryProtocol<Protocol>) {
-            if (hints) {
-              grade = static_cast<unsigned char>(row_unchanged_[p] & gmask);
-            }
+            if (hints) grade = row_unchanged_[p];
           }
           if (p >= sh.begin && p < sh.end) {
             deliver_row(*protocol, node, sh, p - sh.begin, grade);
@@ -736,9 +645,9 @@ class ShardedNetwork {
     });
 
     if constexpr (RedeliveryProtocol<Protocol>) {
-      // Serial fold of the per-shard delta tallies (shard order), so the
-      // aggregate is identical for any thread count.
-      for (const Shard& sh : shards_) delta_rows_graded_ += sh.delta_rows;
+      // Serial fold of the per-shard sparse-change tallies (shard
+      // order), so the aggregate is identical for any thread count.
+      for (const Shard& sh : shards_) delta_rows_graded_ += sh.sparse_rows;
       prev_rows_built_ = true;
       // Hints are trustworthy next step only if *this* step delivered
       // every row to every listener (loss would leave some caches
@@ -748,13 +657,10 @@ class ShardedNetwork {
   }
 
   /// Drops the double-buffered row state (redelivery protocols): the
-  /// next full step runs every delivery through the full compare path,
-  /// and any banked delta rows are orphaned (their base generation no
-  /// longer names rows every listener consumed).
+  /// next full step runs every delivery through the full compare path.
   void invalidate_row_hints() noexcept {
     prev_rows_built_ = false;
     row_hints_valid_ = false;
-    delta_base_generation_ = kNoGeneration;
   }
 
   /// Wakes `p` and its neighbors across whichever shards own them.
@@ -966,8 +872,6 @@ class ShardedNetwork {
   // owned slice; the flags gate whether prev_* rows exist and whether
   // every listener actually consumed them (loss-free previous step).
   std::vector<unsigned char> row_unchanged_;
-  std::uint64_t generation_ = 0;  // arena builds since construction
-  std::uint64_t delta_base_generation_ = kNoGeneration;
   std::uint64_t delta_rows_graded_ = 0;
   bool prev_rows_built_ = false;
   bool row_hints_valid_ = false;

@@ -161,32 +161,6 @@ constexpr void merge_walk(const TA* a, std::size_t na, const TB* b,
   while (j < nb) only_b(b[j++]);
 }
 
-/// In-place sparse patch: for every element of sorted `delta`, find the
-/// matching key in sorted `dest` and overwrite the whole element. This is
-/// the receive side of a delta-encoded digest frame — the merge_walk
-/// restricted to the `both` arm, with the cursor galloping across the
-/// unchanged gaps (O(m·log gap) instead of O(n) when the delta is
-/// sparse, which is the whole point of sending one).
-///
-/// Returns false — leaving `dest` partially patched — if any delta key is
-/// absent from `dest`. Callers treat that as "the base diverged" and fall
-/// back to a full-frame delivery, which rewrites every element anyway, so
-/// a partial patch of matching keys is never observable.
-template <typename T, typename Proj = std::identity>
-[[nodiscard]] constexpr bool patch_sorted(T* dest, std::size_t n,
-                                          const T* delta, std::size_t m,
-                                          Proj proj = {}) noexcept {
-  std::size_t i = 0;
-  for (std::size_t j = 0; j < m; ++j) {
-    const auto key = proj(delta[j]);
-    i = gallop_lower_bound(dest, n, i, key, proj);
-    if (i >= n || proj(dest[i]) != key) return false;
-    dest[i] = delta[j];
-    ++i;
-  }
-  return true;
-}
-
 /// First index where two same-typed arrays differ bitwise, or n. Scans
 /// in blocks with a branch-free OR accumulator so the common all-equal
 /// prefix runs at memory bandwidth, then refines inside the differing

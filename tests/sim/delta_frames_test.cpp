@@ -1,17 +1,17 @@
-// Delta-encoded digest frames: when the engine proves a sender's id
-// sequence held but a sparse subset of digest payloads moved, delivery
-// collapses to an in-place patch of just the changed digests
-// (deliver_delta), gated by a base-generation tag naming the arena
-// build every listener consumed. Like the other redelivery paths this
-// is pure cost model — every test here pins the delta-armed execution
-// bitwise against one that never takes the path, across faults from
-// every certifier class, lossy media, topology deltas, stepping-mode
+// Sparse-change rows: sender rows whose id sequence held while at most
+// half their digest payloads moved — the late-recovery regime. The
+// engine counts them (delta_rows_graded) and delivers them through the
+// ids-equal payload overwrite (deliver_payload), from the shard arena
+// for local senders and from the frame mailboxes for remote ones. Like
+// the other redelivery paths this is pure cost model — every test here
+// pins the hint-armed engine bitwise against the reference stepper,
+// which always runs the full deliver, across faults from every
+// certifier class, lossy media, topology deltas, stepping-mode
 // switches, and both one and many shards.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <optional>
-#include <vector>
 
 #include "core/protocol.hpp"
 #include "graph/partition.hpp"
@@ -39,13 +39,13 @@ core::DensityProtocol make_protocol(const graph::Graph& g,
   return core::DensityProtocol(ids, config, util::Rng(seed));
 }
 
-/// Delta-armed engine vs the owning-frame reference stepper (full
+/// Hint-armed engine vs the owning-frame reference stepper (full
 /// deliver every time), lockstep through settle → mass fault → recovery
-/// → re-settle. The recovery tail is where delta grades appear (payload
-/// churn trickles down to a few digests per row before rows go fully
-/// bit-equal); the counter assertion proves the path actually ran, not
-/// just declined.
-TEST(DeltaFrames, DeltaPathBitIdenticalToLegacyEngine) {
+/// → re-settle. The recovery tail is where sparse-change rows appear
+/// (payload churn trickles down to a few digests per row before rows go
+/// fully bit-equal); the counter assertion proves the run reached that
+/// regime.
+TEST(DeltaFrames, SparseChangeRowsBitIdenticalToReference) {
   util::Rng rng(20050612);
   const std::size_t n = 250;
   const auto points = topology::uniform_points(n, rng);
@@ -77,12 +77,12 @@ TEST(DeltaFrames, DeltaPathBitIdenticalToLegacyEngine) {
   }
   EXPECT_EQ(net_fast.messages_delivered(), net_slow.messages_delivered());
   EXPECT_GT(net_fast.delta_rows_graded(), 0u)
-      << "the run never graded a row delta-applicable — the path under "
-         "test did not execute";
+      << "the run never saw a sparse-change row — the regime under test "
+         "never occurred";
 }
 
 /// Every certifier fault class, injected mid-run into both executions
-/// with identical RNG state: the planted state must decline the patch
+/// with identical RNG state: the planted state must decline the fast
 /// paths (resync flags) and converge to the same bytes the hint-free
 /// reference stepper produces.
 TEST(DeltaFrames, AllFaultClassesRecoverBitIdentically) {
@@ -122,8 +122,8 @@ TEST(DeltaFrames, AllFaultClassesRecoverBitIdentically) {
 }
 
 /// A lossy medium never lets the hints arm (a frame some listener missed
-/// invalidates the consumed-rows induction), but the grading and delta
-/// extraction still run every step — they must be inert.
+/// invalidates the consumed-rows induction), but the grading and the
+/// sparse-change count still run every step — they must be inert.
 TEST(DeltaFrames, LossyMediumStaysBitIdentical) {
   util::Rng rng(88);
   const std::size_t n = 200;
@@ -149,10 +149,10 @@ TEST(DeltaFrames, LossyMediumStaysBitIdentical) {
   EXPECT_EQ(net_fast.messages_delivered(), net_slow.messages_delivered());
 }
 
-/// Topology deltas orphan the banked delta rows (receivers prune caches,
-/// adjacency changes who consumed what): the base-generation tag must be
-/// poisoned, then re-arm after one clean full sweep.
-TEST(DeltaFrames, TopologyDeltasPoisonAndRearmBitIdentically) {
+/// Topology deltas void the row hints (receivers prune caches, adjacency
+/// changes who consumed what): the hints must drop, then re-arm after
+/// one clean full sweep.
+TEST(DeltaFrames, TopologyDeltasDropAndRearmHintsBitIdentically) {
   util::Rng rng(11);
   const std::size_t n = 150;
   const double radius = 0.14;
@@ -187,10 +187,9 @@ TEST(DeltaFrames, TopologyDeltasPoisonAndRearmBitIdentically) {
 }
 
 /// Stepping-mode switches mid-run, full → dirty → full twice: each switch
-/// drops the row hints and poisons the delta base (dirty steps reuse the
-/// arena in compact form); the full windows after each must re-arm onto
-/// the same bytes.
-TEST(DeltaFrames, SteppingAndEngineSwitchesRearmBitIdentically) {
+/// drops the row hints (dirty steps reuse the arena in compact form);
+/// the full windows after each must re-arm onto the same bytes.
+TEST(DeltaFrames, SteppingSwitchesRearmBitIdentically) {
   util::Rng rng(52);
   const std::size_t n = 200;
   const auto points = topology::uniform_points(n, rng);
@@ -222,11 +221,12 @@ TEST(DeltaFrames, SteppingAndEngineSwitchesRearmBitIdentically) {
   }
 }
 
-/// Many shards with boundary crossings: delta rows ride the frame
-/// mailboxes for boundary senders and the shard-local arena for owned
-/// ones; both must land on the one-shard engine's bytes, and since both
-/// grade the same rows the counters must agree exactly.
-TEST(DeltaFrames, ShardedDeltaPathBitIdenticalToFlat) {
+/// Many shards with boundary crossings: sparse-change rows of boundary
+/// senders are delivered from the frame mailboxes, those of owned
+/// senders from the shard-local arena; both must land on the one-shard
+/// engine's bytes, and since both grade the same rows the sparse-change
+/// counters must agree exactly.
+TEST(DeltaFrames, ShardedSparseChangeRowsMatchOneShard) {
   util::Rng rng(606);
   const std::size_t n = 220;
   const auto points = topology::uniform_points(n, rng);
@@ -256,73 +256,6 @@ TEST(DeltaFrames, ShardedDeltaPathBitIdenticalToFlat) {
   EXPECT_EQ(net_flat.messages_delivered(), net_shard.messages_delivered());
   EXPECT_EQ(net_flat.delta_rows_graded(), net_shard.delta_rows_graded());
   EXPECT_GT(net_shard.delta_rows_graded(), 0u);
-}
-
-/// Unit semantics of the protocol-side half of the delta contract.
-TEST(DeltaFrames, DeliverDeltaDeclinesWhenUnsafe) {
-  util::Rng rng(3);
-  const std::size_t n = 40;
-  const auto points = topology::uniform_points(n, rng);
-  const auto ids = topology::random_ids(n, rng);
-  const auto g = topology::unit_disk_graph(points, 0.25);
-
-  auto protocol = make_protocol(g, ids, 1);
-  sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss, 1);
-  network.run(10);  // settled: caches mirror neighborhoods
-
-  graph::NodeId sender = 0, receiver = 0;
-  bool found = false;
-  for (graph::NodeId p = 0; p < static_cast<graph::NodeId>(n) && !found;
-       ++p) {
-    for (const auto q : g.neighbors(p)) {
-      sender = p;
-      receiver = q;
-      found = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(found) << "deployment has no edge";
-
-  core::DensityProtocol::FrameHeader header;
-  std::vector<core::DensityProtocol::Digest> digests(
-      protocol.digest_count(sender));
-  protocol.make_frame(sender, header, digests);
-  const std::size_t len = digests.size();
-  ASSERT_GT(len, 0u);
-
-  // Settled and untouched: an empty delta (header-only refresh) and a
-  // one-digest patch both accept.
-  EXPECT_TRUE(protocol.deliver_delta(receiver, header, len, {}));
-  EXPECT_TRUE(protocol.deliver_delta(
-      receiver, header, len, std::span(digests.data(), 1)));
-
-  // Delivering a node's own frame back to it is a recognized no-op.
-  EXPECT_TRUE(protocol.deliver_delta(sender, header, len, {}));
-
-  // Unknown sender id: the receiver has no entry to patch.
-  core::DensityProtocol::FrameHeader phantom = header;
-  phantom.id = 0xFFFFFFFF;
-  EXPECT_FALSE(protocol.deliver_delta(receiver, phantom, len, {}));
-
-  // Row-length mismatch: the engine's id-sequence proof cannot apply.
-  EXPECT_FALSE(protocol.deliver_delta(receiver, header, len + 1, {}));
-
-  // A changed digest whose id the cached entry doesn't hold: the base
-  // diverged, decline so the engine falls back to a fuller path.
-  core::DensityProtocol::Digest missing = digests[0];
-  missing.id = 0xFFFFFFFF;
-  EXPECT_FALSE(protocol.deliver_delta(receiver, header, len,
-                                      std::span(&missing, 1)));
-
-  // External mutation raises the resync flag: decline until the next
-  // full sweep clears it.
-  { auto s = protocol.mutable_state(receiver); (void)s; }
-  EXPECT_FALSE(protocol.deliver_delta(receiver, header, len, {}));
-  network.step();
-  digests.resize(protocol.digest_count(sender));
-  protocol.make_frame(sender, header, digests);
-  EXPECT_TRUE(protocol.deliver_delta(receiver, header, digests.size(), {}));
 }
 
 }  // namespace

@@ -130,13 +130,12 @@ TEST(ZeroAlloc, ActiveRecoveryRegimeDoesNotTouchTheHeap) {
                         << " times";
 }
 
-// The late-recovery regime the delta frames target: after the
-// structural settling, rows trickle toward quiescence with only a few
-// digests changing per step, so the engine grades rows delta-applicable
-// and receivers patch in place. Encode (grade + extract into the delta
-// pool) and apply (gallop patch of the cached entry) must both run out
-// of capacity-retained buffers — zero heap traffic once warm.
-TEST(ZeroAlloc, DeltaEncodeAndApplyDoNotTouchTheHeap) {
+// The late-recovery regime of sparse-change rows: after the structural
+// settling, rows trickle toward quiescence with only a few digests
+// changing per step. Grading those rows and overwriting the cached
+// entries in place must run out of capacity-retained buffers — zero
+// heap traffic once warm.
+TEST(ZeroAlloc, SparseChangeRowsDoNotTouchTheHeap) {
   util::Rng rng(2009);
   const std::size_t n = 300;
   const auto pts = topology::uniform_points(n, rng);
@@ -154,8 +153,8 @@ TEST(ZeroAlloc, DeltaEncodeAndApplyDoNotTouchTheHeap) {
   network.run(30);  // steady: caches, slabs, arenas at high water
 
   // A mild fault keeps payloads churning for a while; after the first
-  // few steps the delta pool has seen its high-water mark and the
-  // remaining recovery — where delta grades dominate — allocates
+  // few steps every buffer has seen its high-water mark and the
+  // remaining recovery — where sparse-change rows dominate — allocates
   // nothing.
   util::Rng chaos(2010);
   protocol.corrupt_fraction(chaos, 0.1);
@@ -164,10 +163,10 @@ TEST(ZeroAlloc, DeltaEncodeAndApplyDoNotTouchTheHeap) {
   const std::size_t before = g_allocations.load();
   network.run(10);
   const std::size_t during = g_allocations.load() - before;
-  EXPECT_EQ(during, 0u) << "delta-churn steps allocated " << during
+  EXPECT_EQ(during, 0u) << "sparse-change steps allocated " << during
                         << " times";
   EXPECT_GT(network.delta_rows_graded(), graded_before)
-      << "the audited window never took the delta path";
+      << "the audited window never saw a sparse-change row";
 }
 
 TEST(ZeroAlloc, PoolDispatchDoesNotTouchTheHeap) {

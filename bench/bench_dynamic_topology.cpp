@@ -4,8 +4,8 @@
 // The dynamic-topology runtime (topology/incremental.hpp +
 // graph/dynamic.hpp) claims that topology *change* is cheap: per tick,
 // a skin/Verlet candidate scan plus an in-place CSR patch, instead of
-// re-bucketing all n nodes, re-staging per-node edge lists, re-sorting
-// and re-packing a whole new Graph. This bench measures both pipelines
+// re-bucketing all n nodes, re-staging the edge list, re-sorting and
+// re-packing a whole new Graph. This bench measures both pipelines
 // — mobility step + topology maintenance, nothing else — at n ∈ {1k,
 // 10k, 100k} for the paper's pedestrian (0–1.6 m/s) and vehicular
 // (0–10 m/s) speed ranges, and verifies on every configuration that the

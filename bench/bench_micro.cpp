@@ -1,8 +1,9 @@
 // Kernel-level micro-benchmarks for the protocol's hot paths: the
 // density computation, the branchless intersection kernels under the
 // balanced and skewed shapes the density rule produces, the SoA compare
-// scans the differential harness runs every step, and the per-step cost
-// of incremental density maintenance against the full-recompute oracle.
+// scans the differential harness runs every step, the per-step cost of
+// incremental density maintenance against the full-recompute oracle, and
+// the per-window UDG build and clustering oracle.
 // Self-contained timing (no external benchmark framework); emits
 // BENCH_micro.json via bench_support::JsonReport so the numbers join
 // the tracked baseline trajectory in bench/baselines/.
@@ -15,11 +16,15 @@
 #include <vector>
 
 #include "bench_support.hpp"
+#include "core/clustering.hpp"
 #include "core/density.hpp"
 #include "core/protocol.hpp"
 #include "core/rank.hpp"
 #include "core/soa_state.hpp"
 #include "sim/network.hpp"
+#include "topology/generators.hpp"
+#include "topology/ids.hpp"
+#include "topology/udg.hpp"
 #include "util/merge.hpp"
 #include "util/rng.hpp"
 
@@ -261,6 +266,44 @@ int main() {
       json.add(inc ? "step/incremental" : "step/recompute",
                inst.graph.node_count(), 1, "steps/s", 1.0 / t);
     }
+  }
+
+  // --- per-window kernels: UDG build and the clustering oracle ---------
+  // What every classic-window run pays each window: a fresh unit-disk
+  // graph (edge-list staging + CSR finalize) and cluster_density
+  // (densities + election + fusion scans). Appended after the step
+  // block so the worlds drawn above keep their seeds.
+  {
+    util::Rng rng = root.split();
+    struct UdgShape {
+      const char* name;
+      std::size_t n;
+      double radius;
+    };
+    const UdgShape shapes[] = {
+        {"n100_r0.14", 100, 0.14},
+        {"n10k_deg8", 10000, std::sqrt(8.0 / (3.14159 * 10000.0))}};
+    for (const auto& shape : shapes) {
+      const auto pts = topology::uniform_points(shape.n, rng);
+      const double t = seconds_per_call([&] {
+        sink = topology::unit_disk_graph(pts, shape.radius).edge_count();
+      });
+      table.row({"unit_disk_graph", shape.name,
+                 util::Table::num(static_cast<double>(shape.n) / t / 1e6, 2) +
+                     " Mnode/s"});
+      json.add(std::string("topology/udg/") + shape.name, shape.n, 1,
+               "node/s", static_cast<double>(shape.n) / t);
+    }
+    const auto pts = topology::uniform_points(200, rng);
+    const auto g = topology::unit_disk_graph(pts, 0.14);
+    const auto ids = topology::random_ids(g.node_count(), rng);
+    const double t = seconds_per_call([&] {
+      sink = core::cluster_density(g, ids, core::ClusterOptions::improved())
+                 .cluster_count();
+    });
+    table.row({"cluster_density", "improved n200 r0.14",
+               util::Table::num(200.0 / t / 1e6, 2) + " Mnode/s"});
+    json.add("cluster/oracle/improved_n200", 200, 1, "node/s", 200.0 / t);
   }
 
   bench::print(table);

@@ -5,7 +5,6 @@
 
 #include "core/density.hpp"
 #include "core/soa_state.hpp"
-#include "graph/algorithms.hpp"
 
 namespace ssmwn::core {
 
@@ -29,6 +28,21 @@ std::vector<NodeRank> build_ranks(const graph::Graph& g,
                          previous_heads[p] != 0;
   }
   return ranks;
+}
+
+/// Calls `visit` on every node of N²_p (N_p and its neighbors, minus p)
+/// until it returns true; returns whether it did. Walks the CSR rows in
+/// place, so a node reachable along several paths is visited once per
+/// path: callers must only ask order- and repeat-insensitive questions.
+template <class Visit>
+bool scan_two_hops(const graph::Graph& g, graph::NodeId p, Visit&& visit) {
+  for (graph::NodeId v : g.neighbors(p)) {
+    if (visit(v)) return true;
+    for (graph::NodeId w : g.neighbors(v)) {
+      if (w != p && visit(w)) return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -90,14 +104,11 @@ ClusteringResult cluster_by_metric(const graph::Graph& g,
                 return packed_precedes(key[b], key[a]);  // decreasing
               });
     for (graph::NodeId p : order) {
-      bool blocked = false;
-      for (graph::NodeId q : graph::two_hop_neighborhood(g, p)) {
-        if (result.is_head[q] && packed_precedes(key[p], key[q])) {
-          blocked = true;
-          break;
-        }
+      if (!scan_two_hops(g, p, [&](graph::NodeId q) {
+            return result.is_head[q] && packed_precedes(key[p], key[q]);
+          })) {
+        result.is_head[p] = 1;
       }
-      if (!blocked) result.is_head[p] = 1;
     }
   }
 
@@ -121,13 +132,14 @@ ClusteringResult cluster_by_metric(const graph::Graph& g,
     // Demoted local maximum (fusion only): join the dominating head
     // through the ≺-best common neighbor.
     graph::NodeId dominating = graph::kInvalidNode;
-    for (graph::NodeId q : graph::two_hop_neighborhood(g, p)) {
-      if (!result.is_head[q] || !packed_precedes(key[p], key[q])) continue;
-      if (dominating == graph::kInvalidNode ||
-          packed_precedes(key[dominating], key[q])) {
+    scan_two_hops(g, p, [&](graph::NodeId q) {
+      if (result.is_head[q] && packed_precedes(key[p], key[q]) &&
+          (dominating == graph::kInvalidNode ||
+           packed_precedes(key[dominating], key[q]))) {
         dominating = q;
       }
-    }
+      return false;
+    });
     if (dominating == graph::kInvalidNode) {
       throw std::logic_error("cluster_by_metric: demoted without dominator");
     }

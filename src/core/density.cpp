@@ -24,9 +24,33 @@ double node_density(const graph::Graph& g, graph::NodeId p) {
 }
 
 std::vector<double> compute_densities(const graph::Graph& g) {
-  std::vector<double> densities(g.node_count(), 0.0);
-  for (graph::NodeId p = 0; p < g.node_count(); ++p) {
-    densities[p] = node_density(g, p);
+  // e(N_p) is the number of triangles through p. Find each triangle
+  // p < q < w once, from its lowest corner: mark N_p, scan N_q above q
+  // for marked nodes, and credit all three corners. The numerator and
+  // division below are node_density's, so the results are bit-equal.
+  const std::size_t n = g.node_count();
+  std::vector<std::size_t> triangles(n, 0);
+  std::vector<graph::NodeId> mark(n, graph::kInvalidNode);
+  for (graph::NodeId p = 0; p < n; ++p) {
+    const auto np = g.neighbors(p);
+    for (graph::NodeId q : np) mark[q] = p;
+    for (graph::NodeId q : np) {
+      if (q < p) continue;
+      for (graph::NodeId w : g.neighbors(q)) {
+        if (w > q && mark[w] == p) {
+          ++triangles[p];
+          ++triangles[q];
+          ++triangles[w];
+        }
+      }
+    }
+  }
+  std::vector<double> densities(n, 0.0);
+  for (graph::NodeId p = 0; p < n; ++p) {
+    const std::size_t degree = g.degree(p);
+    if (degree == 0) continue;
+    densities[p] = static_cast<double>(degree + triangles[p]) /
+                   static_cast<double>(degree);
   }
   return densities;
 }

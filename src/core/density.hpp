@@ -24,8 +24,9 @@ namespace ssmwn::core {
 /// trivially their own cluster-heads, so the value never competes).
 [[nodiscard]] double node_density(const graph::Graph& g, graph::NodeId p);
 
-/// Densities of all nodes. O(sum_p deg(p) * avg_deg) via sorted-adjacency
-/// intersections.
+/// Densities of all nodes, bit-equal to `node_density` at every node.
+/// Counts each triangle once, from its lowest corner:
+/// O(sum over edges {p < q} of deg(q)).
 [[nodiscard]] std::vector<double> compute_densities(const graph::Graph& g);
 
 /// Number of edges among the members of `nodes` (each counted once),

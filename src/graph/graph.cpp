@@ -10,17 +10,17 @@ void Graph::add_edge(NodeId a, NodeId b) {
   if (a >= node_count_ || b >= node_count_) {
     throw std::out_of_range("Graph::add_edge: node out of range");
   }
-  if (staging_.size() != node_count_) {
-    // Re-opening a finalized graph: unpack the CSR arrays back into
-    // staging lists so further edges can be added.
-    staging_.assign(node_count_, {});
+  if (finalized_ && edge_count_ > 0) {
+    // Re-opening a finalized graph: unpack the CSR edges into the edge
+    // list. The CSR arrays stay queryable until the next finalize().
+    pending_.reserve(edge_count_ + 1);
     for (NodeId p = 0; p < node_count_; ++p) {
-      const auto ns = neighbors(p);
-      staging_[p].assign(ns.begin(), ns.end());
+      for (NodeId q : neighbors(p)) {
+        if (p < q) pending_.emplace_back(p, q);
+      }
     }
   }
-  staging_[a].push_back(b);
-  staging_[b].push_back(a);
+  pending_.emplace_back(a, b);
   ++edge_count_;
   finalized_ = false;
 }
@@ -28,23 +28,38 @@ void Graph::add_edge(NodeId a, NodeId b) {
 void Graph::finalize() {
   if (finalized_) return;
 
+  // Counting sort by endpoint: degrees into offsets_[p + 1], prefix
+  // sums, then scatter each edge into both rows using offsets_[p] as the
+  // row cursor. Afterwards offsets_[p] holds the end of row p, so one
+  // shift restores the row starts.
   offsets_.assign(node_count_ + 1, 0);
+  for (const auto& [a, b] : pending_) {
+    ++offsets_[a + 1];
+    ++offsets_[b + 1];
+  }
+  for (std::size_t p = 1; p <= node_count_; ++p) {
+    offsets_[p] += offsets_[p - 1];
+  }
+  flat_.resize(2 * pending_.size());
+  for (const auto& [a, b] : pending_) {
+    flat_[offsets_[a]++] = b;
+    flat_[offsets_[b]++] = a;
+  }
+  for (std::size_t p = node_count_; p > 0; --p) offsets_[p] = offsets_[p - 1];
+  offsets_[0] = 0;
+
   for (NodeId p = 0; p < node_count_; ++p) {
-    auto& list = staging_[p];
-    std::sort(list.begin(), list.end());
-    if (std::adjacent_find(list.begin(), list.end()) != list.end()) {
+    const auto row_begin =
+        flat_.begin() + static_cast<std::ptrdiff_t>(offsets_[p]);
+    const auto row_end =
+        flat_.begin() + static_cast<std::ptrdiff_t>(offsets_[p + 1]);
+    std::sort(row_begin, row_end);
+    if (std::adjacent_find(row_begin, row_end) != row_end) {
       throw std::logic_error("Graph::finalize: duplicate edge inserted");
     }
-    offsets_[p + 1] = offsets_[p] + list.size();
   }
-
-  flat_.resize(offsets_[node_count_]);
-  for (NodeId p = 0; p < node_count_; ++p) {
-    std::copy(staging_[p].begin(), staging_[p].end(),
-              flat_.begin() + static_cast<std::ptrdiff_t>(offsets_[p]));
-  }
-  staging_.clear();
-  staging_.shrink_to_fit();
+  pending_.clear();
+  pending_.shrink_to_fit();
   mirror_.clear();  // stale after a rebuild; rebuilt on demand
 
   finalized_ = true;

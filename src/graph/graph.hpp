@@ -7,10 +7,11 @@
 // cache-contiguous array of neighbor indices plus per-node offsets — so
 // that the simulation hot path (`sim::Network::step` touching every
 // directed edge every step) streams memory instead of chasing one heap
-// allocation per node. Edges are staged in per-node vectors during
-// construction; `finalize()` sorts them, packs the CSR arrays, and
-// releases the staging memory. All higher layers (density metric,
-// clustering, the radio simulator) consume the graph read-only.
+// allocation per node. Edges are staged in one flat edge list during
+// construction; `finalize()` counting-sorts that list into the CSR
+// arrays, sorts each row, and releases the list. All higher layers
+// (density metric, clustering, the radio simulator) consume the graph
+// read-only.
 #pragma once
 
 #include <cstddef>
@@ -55,9 +56,7 @@ class Graph {
  public:
   Graph() = default;
   explicit Graph(std::size_t node_count)
-      : node_count_(node_count),
-        staging_(node_count),
-        offsets_(node_count + 1, 0) {}
+      : node_count_(node_count), offsets_(node_count + 1, 0) {}
 
   [[nodiscard]] std::size_t node_count() const noexcept { return node_count_; }
   [[nodiscard]] std::size_t edge_count() const noexcept { return edge_count_; }
@@ -69,10 +68,11 @@ class Graph {
   /// `finalize()` runs again (only `edge_count()` updates immediately).
   void add_edge(NodeId a, NodeId b);
 
-  /// Sorts adjacency, packs the CSR arrays (including the mirror-edge
-  /// index used by the parallel step engine), and frees the staging
-  /// lists; must be called once after the last `add_edge` and before any
-  /// query. Idempotent.
+  /// Counting-sorts the staged edge list into the CSR arrays, sorts each
+  /// row, and frees the list; must be called once after the last
+  /// `add_edge` and before any query. Throws `std::logic_error` if an
+  /// edge was inserted twice. Idempotent. The mirror-edge index is
+  /// rebuilt lazily on its next use.
   void finalize();
 
   /// N_p: the 1-neighborhood of `node` (sorted, never contains `node`),
@@ -124,13 +124,15 @@ class Graph {
 
   /// DynamicGraph patches offsets_/flat_ in place (live topology); it
   /// preserves every Graph invariant (sorted rows, edge_count_, cleared
-  /// mirror) without routing each tick through staging + finalize().
+  /// mirror) without routing each tick through the edge list +
+  /// finalize().
   friend class DynamicGraph;
 
   std::size_t node_count_ = 0;
   std::size_t edge_count_ = 0;
-  /// Build-time per-node edge lists; emptied by `finalize()`.
-  std::vector<std::vector<NodeId>> staging_;
+  /// Edges added since the last `finalize()` (re-opening a finalized
+  /// graph first unpacks its CSR edges here); emptied by `finalize()`.
+  std::vector<std::pair<NodeId, NodeId>> pending_;
   std::vector<std::size_t> offsets_{0};  // CSR row offsets, n + 1 entries
   std::vector<NodeId> flat_;             // CSR neighbor array, 2|E| entries
   /// Reverse directed-edge index; lazily derived from the CSR arrays

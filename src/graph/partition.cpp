@@ -5,6 +5,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "topology/cell_grid.hpp"
+
 namespace ssmwn::graph {
 
 namespace {
@@ -71,32 +73,17 @@ ShardPlan plan_spatial_shards(std::span<const topology::Point> points,
   if (n == 0) return plan_contiguous_shards(0, shards);
 
   // Identical cell geometry to topology::unit_disk_graph: cells of side
-  // `radius` over the bounding box, indexed cy * cells_x + cx. Keeping
-  // the two in lockstep means a shard boundary in the new numbering is
-  // also a cell boundary of the radio model (up to chunk rounding), so
-  // cross-shard edges are confined to adjacent cell rows.
-  double min_x = points[0].x, max_x = points[0].x;
-  double min_y = points[0].y, max_y = points[0].y;
-  for (const topology::Point& p : points) {
-    min_x = std::min(min_x, p.x);
-    max_x = std::max(max_x, p.x);
-    min_y = std::min(min_y, p.y);
-    max_y = std::max(max_y, p.y);
-  }
-  const auto cells_x = static_cast<std::size_t>((max_x - min_x) / radius) + 1;
-  const auto cells_y = static_cast<std::size_t>((max_y - min_y) / radius) + 1;
-  auto cell_of = [&](const topology::Point& p) {
-    auto cx = static_cast<std::size_t>((p.x - min_x) / radius);
-    auto cy = static_cast<std::size_t>((p.y - min_y) / radius);
-    cx = std::min(cx, cells_x - 1);
-    cy = std::min(cy, cells_y - 1);
-    return cy * cells_x + cx;
-  };
+  // `radius` (widened only for a tiny radius) over the bounding box,
+  // indexed cy * cells_x + cx. Keeping the two in lockstep means a shard
+  // boundary in the new numbering is also a cell boundary of the radio
+  // model (up to chunk rounding), so cross-shard edges are confined to
+  // adjacent cell rows.
+  const topology::CellGrid grid = topology::make_cell_grid(points, radius);
 
   // Counting sort by cell (stable: within a cell, ascending original
   // index) — the cell-major order IS the new numbering.
-  std::vector<std::uint32_t> cell_start(cells_x * cells_y + 1, 0);
-  for (const topology::Point& p : points) ++cell_start[cell_of(p) + 1];
+  std::vector<std::uint32_t> cell_start(grid.cell_count() + 1, 0);
+  for (const topology::Point& p : points) ++cell_start[grid.cell_of(p) + 1];
   for (std::size_t c = 1; c < cell_start.size(); ++c) {
     cell_start[c] += cell_start[c - 1];
   }
@@ -105,7 +92,7 @@ ShardPlan plan_spatial_shards(std::span<const topology::Point> points,
   {
     std::vector<std::uint32_t> cursor(cell_start.begin(), cell_start.end() - 1);
     for (NodeId i = 0; i < n; ++i) {
-      plan.to_old[cursor[cell_of(points[i])]++] = i;
+      plan.to_old[cursor[grid.cell_of(points[i])]++] = i;
     }
   }
   plan.to_new.resize(n);

@@ -11,10 +11,11 @@
 //
 //   * `plan_spatial_shards` renumbers nodes in cell-major order over the
 //     same uniform cell grid the UDG construction buckets with
-//     (topology/udg.cpp): cells of side `radius` scanned row-major,
-//     nodes within a cell in ascending original index. Radio neighbors
-//     are then at most one cell row apart in the new numbering, so
-//     cutting the sequence into equal chunks yields shards whose
+//     (topology/cell_grid.hpp): cells of side `radius`, widened only
+//     when a tiny radius would need more than 4n + 64 cells, scanned
+//     row-major, nodes within a cell in ascending original index. Radio
+//     neighbors are then at most one cell row apart in the new numbering,
+//     so cutting the sequence into equal chunks yields shards whose
 //     boundary (cross-shard) edges are a thin geometric strip instead
 //     of a random half of the edge set.
 //   * `plan_contiguous_shards` keeps the original numbering (identity

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "topology/cell_grid.hpp"
+
 namespace ssmwn::topology {
 
 namespace {
@@ -52,26 +54,10 @@ void IncrementalUdg::build_candidates(std::vector<std::size_t>& offsets,
   // widened to the candidate horizon.
   const double h = radius_ * (1.0 + config_.skin_fraction);
   const double h2 = h * h;
-  double min_x = positions_[0].x, max_x = positions_[0].x;
-  double min_y = positions_[0].y, max_y = positions_[0].y;
-  for (const Point& p : positions_) {
-    min_x = std::min(min_x, p.x);
-    max_x = std::max(max_x, p.x);
-    min_y = std::min(min_y, p.y);
-    max_y = std::max(max_y, p.y);
-  }
-  const auto cells_x = static_cast<std::size_t>((max_x - min_x) / h) + 1;
-  const auto cells_y = static_cast<std::size_t>((max_y - min_y) / h) + 1;
-  auto cell_of = [&](const Point& p) {
-    auto cx = static_cast<std::size_t>((p.x - min_x) / h);
-    auto cy = static_cast<std::size_t>((p.y - min_y) / h);
-    cx = std::min(cx, cells_x - 1);
-    cy = std::min(cy, cells_y - 1);
-    return cy * cells_x + cx;
-  };
+  const CellGrid grid = make_cell_grid(positions_, h);
 
-  cell_start_.assign(cells_x * cells_y + 1, 0);
-  for (const Point& p : positions_) ++cell_start_[cell_of(p) + 1];
+  cell_start_.assign(grid.cell_count() + 1, 0);
+  for (const Point& p : positions_) ++cell_start_[grid.cell_of(p) + 1];
   for (std::size_t c = 1; c < cell_start_.size(); ++c) {
     cell_start_[c] += cell_start_[c - 1];
   }
@@ -81,7 +67,7 @@ void IncrementalUdg::build_candidates(std::vector<std::size_t>& offsets,
     std::vector<std::uint32_t> cursor(cell_start_.begin(),
                                       cell_start_.end() - 1);
     for (graph::NodeId i = 0; i < n; ++i) {
-      const std::uint32_t slot = cursor[cell_of(positions_[i])]++;
+      const std::uint32_t slot = cursor[grid.cell_of(positions_[i])]++;
       by_cell_[slot] = i;
       // Cell-ordered position copy: the distance pass below streams it
       // sequentially instead of gathering positions_[j] at random —
@@ -105,15 +91,17 @@ void IncrementalUdg::build_candidates(std::vector<std::size_t>& offsets,
   slack_offsets_[0] = 0;
   row_size_.resize(n);
   for (std::size_t s = 0; s < n; ++s) {
-    const auto cx = static_cast<long>((sorted_pos_[s].x - min_x) / h);
-    const auto cy = static_cast<long>((sorted_pos_[s].y - min_y) / h);
-    const std::size_t own = cell_of(sorted_pos_[s]);
+    const auto cx = static_cast<long>(grid.column(sorted_pos_[s]));
+    const auto cy = static_cast<long>(grid.row(sorted_pos_[s]));
+    const std::size_t own = grid.cell_of(sorted_pos_[s]);
     std::size_t bound = cell_start_[own + 1] - (s + 1);  // successors
     for (const auto& [dx, dy] : kForward) {
-      const long nx = std::clamp(cx + dx, 0L, static_cast<long>(cells_x) - 1);
-      const long ny = std::clamp(cy + dy, 0L, static_cast<long>(cells_y) - 1);
+      const long nx =
+          std::clamp(cx + dx, 0L, static_cast<long>(grid.cells_x) - 1);
+      const long ny =
+          std::clamp(cy + dy, 0L, static_cast<long>(grid.cells_y) - 1);
       if (nx != cx + dx || ny != cy + dy) continue;  // border-cell alias
-      const std::size_t cell = static_cast<std::size_t>(ny) * cells_x +
+      const std::size_t cell = static_cast<std::size_t>(ny) * grid.cells_x +
                                static_cast<std::size_t>(nx);
       bound += cell_start_[cell + 1] - cell_start_[cell];
     }
@@ -126,13 +114,13 @@ void IncrementalUdg::build_candidates(std::vector<std::size_t>& offsets,
   for (std::size_t s = 0; s < n; ++s) {
     const graph::NodeId i = by_cell_[s];
     const Point pi = sorted_pos_[s];
-    const auto cx = static_cast<long>((pi.x - min_x) / h);
-    const auto cy = static_cast<long>((pi.y - min_y) / h);
+    const auto cx = static_cast<long>(grid.column(pi));
+    const auto cy = static_cast<long>(grid.row(pi));
     std::size_t cursor = slack_offsets_[s];
     // Branchless filter: the horizon test is data-dependent and
     // mispredicts constantly; store unconditionally and bump the cursor
     // by the keep flag instead.
-    const std::size_t own = cell_of(pi);
+    const std::size_t own = grid.cell_of(pi);
     for (std::uint32_t t = static_cast<std::uint32_t>(s) + 1;
          t < cell_start_[own + 1]; ++t) {
       const double d2 = squared_distance(pi, sorted_pos_[t]);
@@ -141,10 +129,12 @@ void IncrementalUdg::build_candidates(std::vector<std::size_t>& offsets,
       cursor += static_cast<std::size_t>(d2 <= h2);
     }
     for (const auto& [dx, dy] : kForward) {
-      const long nx = std::clamp(cx + dx, 0L, static_cast<long>(cells_x) - 1);
-      const long ny = std::clamp(cy + dy, 0L, static_cast<long>(cells_y) - 1);
+      const long nx =
+          std::clamp(cx + dx, 0L, static_cast<long>(grid.cells_x) - 1);
+      const long ny =
+          std::clamp(cy + dy, 0L, static_cast<long>(grid.cells_y) - 1);
       if (nx != cx + dx || ny != cy + dy) continue;
-      const std::size_t cell = static_cast<std::size_t>(ny) * cells_x +
+      const std::size_t cell = static_cast<std::size_t>(ny) * grid.cells_x +
                                static_cast<std::size_t>(nx);
       for (std::uint32_t t = cell_start_[cell]; t < cell_start_[cell + 1];
            ++t) {

@@ -1,9 +1,9 @@
 #include "topology/udg.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <stdexcept>
+
+#include "topology/cell_grid.hpp"
 
 namespace ssmwn::topology {
 
@@ -15,60 +15,55 @@ graph::Graph unit_disk_graph(std::span<const Point> points, double radius) {
   graph::Graph g(n);
   if (n == 0) return g;
 
-  // Bucket nodes into cells of side `radius`; candidate neighbors of a
-  // node then all live in its own or the 8 surrounding cells.
-  double min_x = points[0].x, max_x = points[0].x;
-  double min_y = points[0].y, max_y = points[0].y;
-  for (const Point& p : points) {
-    min_x = std::min(min_x, p.x);
-    max_x = std::max(max_x, p.x);
-    min_y = std::min(min_y, p.y);
-    max_y = std::max(max_y, p.y);
-  }
-  const auto cells_x = static_cast<std::size_t>((max_x - min_x) / radius) + 1;
-  const auto cells_y = static_cast<std::size_t>((max_y - min_y) / radius) + 1;
-  auto cell_of = [&](const Point& p) {
-    auto cx = static_cast<std::size_t>((p.x - min_x) / radius);
-    auto cy = static_cast<std::size_t>((p.y - min_y) / radius);
-    cx = std::min(cx, cells_x - 1);
-    cy = std::min(cy, cells_y - 1);
-    return cy * cells_x + cx;
-  };
+  // Bucket nodes into cells of side >= `radius`; candidate neighbors of
+  // a node then all live in its own or the 8 surrounding cells.
+  const CellGrid grid = make_cell_grid(points, radius);
 
-  // Counting-sort nodes by cell for cache-friendly traversal.
-  std::vector<std::uint32_t> cell_start(cells_x * cells_y + 1, 0);
-  for (const Point& p : points) ++cell_start[cell_of(p) + 1];
+  // Counting-sort nodes by cell for cache-friendly traversal, with a
+  // cell-ordered copy of the positions for the distance pass to stream.
+  std::vector<std::uint32_t> cell_start(grid.cell_count() + 1, 0);
+  for (const Point& p : points) ++cell_start[grid.cell_of(p) + 1];
   for (std::size_t c = 1; c < cell_start.size(); ++c) {
     cell_start[c] += cell_start[c - 1];
   }
   std::vector<graph::NodeId> by_cell(n);
+  std::vector<Point> sorted(n);
   {
     std::vector<std::uint32_t> cursor(cell_start.begin(), cell_start.end() - 1);
     for (graph::NodeId i = 0; i < n; ++i) {
-      by_cell[cursor[cell_of(points[i])]++] = i;
+      const std::uint32_t slot = cursor[grid.cell_of(points[i])]++;
+      by_cell[slot] = i;
+      sorted[slot] = points[i];
     }
   }
 
+  // Half stencil: a node's cell successors plus the four forward
+  // neighbor cells that exist, so every pair in the same or adjacent
+  // cells is tested exactly once.
+  constexpr long kForward[4][2] = {{1, 0}, {-1, 1}, {0, 1}, {1, 1}};
   const double r2 = radius * radius;
-  for (graph::NodeId i = 0; i < n; ++i) {
-    const auto cx = static_cast<long>((points[i].x - min_x) / radius);
-    const auto cy = static_cast<long>((points[i].y - min_y) / radius);
-    for (long dy = -1; dy <= 1; ++dy) {
-      for (long dx = -1; dx <= 1; ++dx) {
-        const long nx = std::clamp(cx + dx, 0L, static_cast<long>(cells_x) - 1);
-        const long ny = std::clamp(cy + dy, 0L, static_cast<long>(cells_y) - 1);
-        // Clamping can alias border cells; skip repeats.
-        if (nx != cx + dx || ny != cy + dy) continue;
-        const std::size_t cell =
-            static_cast<std::size_t>(ny) * cells_x + static_cast<std::size_t>(nx);
-        for (std::uint32_t s = cell_start[cell]; s < cell_start[cell + 1]; ++s) {
-          const graph::NodeId j = by_cell[s];
-          if (j <= i) continue;  // each pair once
-          if (squared_distance(points[i], points[j]) <= r2) {
-            g.add_edge(i, j);
-          }
-        }
+  auto test_range = [&](std::size_t s, std::uint32_t from, std::uint32_t to) {
+    for (std::uint32_t t = from; t < to; ++t) {
+      if (squared_distance(sorted[s], sorted[t]) <= r2) {
+        g.add_edge(by_cell[s], by_cell[t]);
       }
+    }
+  };
+  for (std::size_t s = 0; s < n; ++s) {
+    const auto cx = static_cast<long>(grid.column(sorted[s]));
+    const auto cy = static_cast<long>(grid.row(sorted[s]));
+    const std::size_t own = grid.cell_of(sorted[s]);
+    test_range(s, static_cast<std::uint32_t>(s) + 1, cell_start[own + 1]);
+    for (const auto& [dx, dy] : kForward) {
+      const long nx = cx + dx;
+      const long ny = cy + dy;
+      if (nx < 0 || ny < 0 || nx >= static_cast<long>(grid.cells_x) ||
+          ny >= static_cast<long>(grid.cells_y)) {
+        continue;
+      }
+      const std::size_t cell = static_cast<std::size_t>(ny) * grid.cells_x +
+                               static_cast<std::size_t>(nx);
+      test_range(s, cell_start[cell], cell_start[cell + 1]);
     }
   }
   g.finalize();

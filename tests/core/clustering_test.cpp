@@ -1,6 +1,7 @@
 // Tests for the synchronous clustering solver: the paper's worked example
 // end-to-end, structural invariants on random geometry, the Section 4.3
-// improvements, and the Section 5 grid pathology.
+// improvements, the Section 5 grid pathology, and a differential check
+// against the two-hop-set reference solver.
 #include "core/clustering.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/forest.hpp"
 #include "support/paper_example.hpp"
+#include "support/reference_clustering.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
 #include "topology/udg.hpp"
@@ -343,6 +345,57 @@ TEST(Clustering, MetricGeneralization) {
   const auto r = core::cluster_by_metric(g, ids, metric, {});
   EXPECT_TRUE(r.is_head[0]);
   EXPECT_EQ(r.cluster_count(), 1u);
+}
+
+void expect_same_clustering(const core::ClusteringResult& got,
+                            const core::ClusteringResult& want) {
+  EXPECT_EQ(got.metric, want.metric);
+  EXPECT_EQ(got.rank, want.rank);
+  EXPECT_EQ(got.parent, want.parent);
+  EXPECT_EQ(got.head_index, want.head_index);
+  EXPECT_EQ(got.head_id, want.head_id);
+  EXPECT_EQ(got.is_head, want.is_head);
+  EXPECT_EQ(got.heads, want.heads);
+}
+
+TEST(Clustering, MatchesTheTwoHopSetReferenceOnRandomWorlds) {
+  // The solver walks N²_p in place, visiting a node once per path to
+  // it; the reference visits the sorted, deduplicated set. Random worlds
+  // (some with heavily tied metrics) × {basic, improved, full} × random
+  // incumbent masks must give identical results.
+  util::Rng rng(2027);
+  const core::ClusterOptions variants[] = {core::ClusterOptions::basic(),
+                                           core::ClusterOptions::improved(),
+                                           core::ClusterOptions::full()};
+  for (int world = 0; world < 500; ++world) {
+    const std::size_t n = 1 + rng.index(120);
+    const auto pts = topology::uniform_points(n, rng);
+    const auto g = topology::unit_disk_graph(pts, rng.uniform(0.05, 0.4));
+    const auto ids = topology::random_ids(n, rng);
+    std::vector<double> metric = core::compute_densities(g);
+    if (world % 3 == 0) {
+      // Few distinct values: most comparisons fall through to the ties.
+      for (double& m : metric) m = static_cast<double>(rng.index(3));
+    }
+    const auto dag = core::build_dag_ids(g, ids, {}, rng);
+    ASSERT_TRUE(dag.converged);
+    std::vector<char> incumbents(n);
+    const double share = rng.uniform();
+    for (char& c : incumbents) c = rng.chance(share) ? 1 : 0;
+    for (const auto& options : variants) {
+      const std::span<const std::uint64_t> dag_ids =
+          options.use_dag_ids ? std::span<const std::uint64_t>(dag.ids)
+                              : std::span<const std::uint64_t>();
+      SCOPED_TRACE(::testing::Message()
+                   << "world " << world << " n " << n << " dag "
+                   << options.use_dag_ids << " fusion " << options.fusion);
+      expect_same_clustering(
+          core::cluster_by_metric(g, ids, metric, options, dag_ids,
+                                  incumbents),
+          reference_cluster_by_metric(g, ids, metric, options, dag_ids,
+                                      incumbents));
+    }
+  }
 }
 
 }  // namespace

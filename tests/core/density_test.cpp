@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "graph/graph.hpp"
 #include "support/paper_example.hpp"
 #include "topology/generators.hpp"
@@ -133,6 +136,42 @@ TEST(Density, FormulaEquivalenceOnRandomGeometricGraphs) {
           << "trial " << trial << " node " << p;
     }
   }
+}
+
+/// compute_densities must reproduce node_density bit for bit: same
+/// integer numerator, same double division.
+void expect_bit_equal_to_node_density(const graph::Graph& g,
+                                      const char* label) {
+  const auto all = core::compute_densities(g);
+  ASSERT_EQ(all.size(), g.node_count());
+  for (graph::NodeId p = 0; p < g.node_count(); ++p) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(all[p]),
+              std::bit_cast<std::uint64_t>(core::node_density(g, p)))
+        << label << " node " << p;
+  }
+}
+
+TEST(Density, ComputeDensitiesIsBitEqualToNodeDensity) {
+  util::Rng rng(7);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto pts = topology::uniform_points(1 + rng.index(400), rng);
+    expect_bit_equal_to_node_density(
+        topology::unit_disk_graph(pts, rng.uniform(0.02, 0.5)), "udg");
+  }
+  for (std::size_t n = 1; n <= 40; n += 3) {
+    graph::Graph complete(n);
+    graph::Graph star(n);
+    for (graph::NodeId a = 0; a < n; ++a) {
+      for (graph::NodeId b = a + 1; b < n; ++b) complete.add_edge(a, b);
+      if (a > 0) star.add_edge(0, a);
+    }
+    complete.finalize();
+    star.finalize();
+    expect_bit_equal_to_node_density(complete, "complete");
+    expect_bit_equal_to_node_density(star, "star");
+    expect_bit_equal_to_node_density(graph::Graph(n), "edgeless");
+  }
+  expect_bit_equal_to_node_density(graph::Graph(), "empty");
 }
 
 TEST(Density, SmoothsDegreeChanges) {

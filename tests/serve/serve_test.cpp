@@ -2,8 +2,9 @@
 // FIFO pool's determinism, submission order and cancellation, and the
 // Server end-to-end — concurrent clients receive byte-identical result
 // streams for the same spec, errors keep the connection usable, a
-// persistent connection streams without a delayed-ACK stall, finished
-// connection threads are reaped, and request_stop() drains gracefully.
+// persistent connection streams without a delayed-ACK stall, a spec at
+// a tiny radius completes, finished connection threads are reaped, and
+// request_stop() drains gracefully.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -348,6 +349,20 @@ TEST(Server, OversizedSpecGetsAnErrorFrameAndTheConnectionKeepsServing) {
     EXPECT_EQ(frame.body, "4");
   }();
   ::close(fd);
+}
+
+TEST(Server, TinyRadiusSpecGetsAnEndFrame) {
+  // The spec grammar accepts any 0 < radius < 1e9. A side-radius cell
+  // grid over 50 nodes at radius 1e-6 would need ~10^12 cells; both runs
+  // must stream their results and the job end with an end frame.
+  RunningServer daemon(1);
+  const std::string transcript = submit_spec(
+      daemon.server.port(),
+      "n = 50\nradius = 1e-6\nsteps = 2\nreplications = 2\n");
+  ASSERT_FALSE(transcript.empty());
+  EXPECT_NE(transcript.front(), 'X') << transcript;
+  EXPECT_GE(transcript.size(), 3u);
+  EXPECT_EQ(transcript.substr(transcript.size() - 3), "E2\n") << transcript;
 }
 
 TEST(Server, FinishedConnectionThreadsAreReaped) {

@@ -42,7 +42,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "campaign/aggregate.hpp"
@@ -900,9 +899,7 @@ int run_serve(const util::Args& args) {
 
   // Scripts parse this line for the resolved port (--port 0 = ephemeral).
   std::printf("ssmwn serve: listening on 127.0.0.1:%u (%u worker thread(s))\n",
-              static_cast<unsigned>(server.port()),
-              options.threads == 0 ? std::thread::hardware_concurrency()
-                                   : options.threads);
+              static_cast<unsigned>(server.port()), server.thread_count());
   std::fflush(stdout);
   server.run();
   g_server = nullptr;

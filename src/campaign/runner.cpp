@@ -1,11 +1,12 @@
 #include "campaign/runner.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
-#include <thread>
+#include <stdexcept>
+#include <utility>
 
 #include "campaign/checkpoint.hpp"
 
@@ -21,7 +22,6 @@
 #include "sim/async_network.hpp"
 #include "sim/churn.hpp"
 #include "sim/loss.hpp"
-#include "sim/parallel.hpp"
 #include "sim/sharded_network.hpp"
 #include "stabilize/convergence.hpp"
 #include "topology/generators.hpp"
@@ -462,104 +462,141 @@ RunMetrics execute_run(const ScenarioConfig& config, std::uint64_t seed,
   return out;
 }
 
+std::string RunJob::error_text(std::size_t i) const {
+  if (errors[i] == nullptr) return {};
+  try {
+    std::rethrow_exception(errors[i]);
+  } catch (const std::exception& e) {
+    if (*e.what() != '\0') return e.what();
+  } catch (...) {
+  }
+  return "run failed";
+}
+
 namespace {
 
-/// Thread-safe checkpoint publisher shared by the serial and pooled
-/// paths. Workers report completions through mark_complete(); the
-/// worker that crosses the cadence threshold copies the completed slots
-/// under the lock and publishes the snapshot *off* the lock, so file IO
-/// (including fsync) never stalls the other workers. The copy is
-/// race-free: a result is written before its completion flag is set
-/// under the mutex, and the copier holds the same mutex.
+/// Checkpoint publisher driven by run()'s waiting caller as it passes
+/// slots in plan order — never by a worker, so fsync cannot stall a run.
+/// A snapshot holds the resumed slots plus every slot the caller has
+/// passed; runs that finished ahead of it land in a later snapshot.
 class CheckpointSink {
  public:
   CheckpointSink(const CheckpointOptions& ckpt, const CampaignPlan& plan,
-                 const std::vector<RunMetrics>& results,
-                 std::vector<char> completed)
-      : ckpt_(ckpt),
-        plan_(plan),
-        results_(results),
-        completed_(std::move(completed)) {}
+                 const RunJob& job)
+      : ckpt_(ckpt), plan_(plan), job_(job), completed_(job.done) {}
 
-  [[nodiscard]] bool enabled() const noexcept { return !ckpt_.path.empty(); }
-  [[nodiscard]] bool is_complete(std::size_t i) const {
-    return completed_[i] != 0;
+  /// Records slot `i` as complete (its result is readable: the caller
+  /// waited on it) and publishes once `every_runs` new slots piled up.
+  void passed(std::size_t i) {
+    if (ckpt_.path.empty() || completed_[i] != 0) return;
+    completed_[i] = 1;
+    if (++since_snapshot_ < ckpt_.every_runs) return;
+    since_snapshot_ = 0;
+    publish();
   }
 
-  void mark_complete(std::size_t i) {
-    if (!enabled()) return;
-    bool write_now = false;
-    {
-      const std::scoped_lock lock(mutex_);
-      completed_[i] = 1;
-      ++since_snapshot_;
-      if (since_snapshot_ >= ckpt_.every_runs && !writer_busy_ &&
-          error_ == nullptr) {
-        writer_busy_ = true;
-        since_snapshot_ = 0;
-        write_now = true;
-      }
-    }
-    if (write_now) publish();
-  }
-
-  /// Publishes the final complete snapshot and rethrows any checkpoint
-  /// write error deferred from a worker. Call after all runs finish.
-  void finish() {
-    if (!enabled()) return;
-    std::exception_ptr error;
-    {
-      const std::scoped_lock lock(mutex_);
-      error = error_;
-    }
-    if (error) std::rethrow_exception(error);
+  void publish() const {
+    if (ckpt_.path.empty()) return;
     CheckpointState snap;
     snap.completed = completed_;
-    snap.results = results_;
+    snap.results.assign(completed_.size(), RunMetrics{});
+    for (std::size_t i = 0; i < completed_.size(); ++i) {
+      if (completed_[i] != 0) snap.results[i] = job_.results[i];
+    }
     write_checkpoint(ckpt_.path, plan_, snap);
   }
 
  private:
-  void publish() {
-    CheckpointState snap;
-    {
-      const std::scoped_lock lock(mutex_);
-      snap.completed = completed_;
-    }
-    snap.results.assign(results_.size(), RunMetrics{});
-    for (std::size_t i = 0; i < snap.completed.size(); ++i) {
-      if (snap.completed[i] != 0) snap.results[i] = results_[i];
-    }
-    // Workers must never unwind through the pool's raw range callback;
-    // park the error and fail the campaign from finish() instead.
-    std::exception_ptr error;
-    try {
-      write_checkpoint(ckpt_.path, plan_, snap);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    const std::scoped_lock lock(mutex_);
-    writer_busy_ = false;
-    if (error && error_ == nullptr) error_ = error;
-  }
-
   const CheckpointOptions& ckpt_;
   const CampaignPlan& plan_;
-  const std::vector<RunMetrics>& results_;
+  const RunJob& job_;
   std::vector<char> completed_;
-  std::mutex mutex_;
   std::size_t since_snapshot_ = 0;
-  bool writer_busy_ = false;
-  std::exception_ptr error_;
 };
 
 }  // namespace
 
 CampaignRunner::CampaignRunner(unsigned threads, const ExecutionOptions& exec)
-    : threads_(threads == 0
-                   ? std::max(1u, std::thread::hardware_concurrency())
-                   : threads),
-      exec_(exec) {}
+    : exec_(exec) {
+  const unsigned count =
+      threads == 0 ? std::max(1u, std::thread::hardware_concurrency())
+                   : threads;
+  workers_.reserve(count);
+  try {
+    for (unsigned i = 0; i < count; ++i) {
+      workers_.emplace_back(&CampaignRunner::worker_main, this);
+    }
+  } catch (...) {
+    drain();  // join the workers already started
+    throw;
+  }
+}
+
+CampaignRunner::~CampaignRunner() { drain(); }
+
+void CampaignRunner::submit(const std::shared_ptr<RunJob>& job) {
+  {
+    const std::scoped_lock lock(mutex_);
+    if (stopping_) {
+      throw std::runtime_error("campaign runner is draining; job rejected");
+    }
+    for (std::size_t i = 0; i < job->plan.runs.size(); ++i) {
+      if (job->done[i] == 0) queue_.push_back(Task{job, i});
+    }
+  }
+  cv_.notify_all();
+}
+
+void CampaignRunner::drain() {
+  {
+    const std::scoped_lock lock(mutex_);
+    if (stopping_) return;
+    stopping_ = true;
+  }
+  cv_.notify_all();
+  for (auto& worker : workers_) {
+    if (worker.joinable()) worker.join();
+  }
+}
+
+void CampaignRunner::worker_main() {
+  RunWorkspace ws;  // reused across every run this worker takes
+  for (;;) {
+    Task task;
+    {
+      std::unique_lock lock(mutex_);
+      // An empty queue first: stopping_ alone must not wake a worker
+      // past queued tasks — the drain contract says everything queued
+      // finishes before the workers exit.
+      cv_.wait(lock, [&] { return !queue_.empty() || stopping_; });
+      if (queue_.empty()) return;
+      task = std::move(queue_.front());
+      queue_.pop_front();
+    }
+    RunJob& job = *task.job;
+    const auto& entry = job.plan.runs[task.run_index];
+    RunMetrics metrics;
+    std::exception_ptr error;
+    if (job.cancelled.load(std::memory_order_acquire)) {
+      error = std::make_exception_ptr(std::runtime_error("cancelled"));
+    } else {
+      try {
+        metrics = execute_run(job.plan.grid[entry.grid_index].config,
+                              entry.seed, ws, exec_);
+      } catch (...) {
+        error = std::current_exception();
+      }
+    }
+    {
+      const std::scoped_lock lock(job.mutex);
+      job.results[task.run_index] = metrics;
+      job.errors[task.run_index] = std::move(error);
+      job.done[task.run_index] = 1;
+    }
+    job.cv.notify_all();
+    task.job.reset();  // release before sleeping; jobs die promptly
+  }
+}
 
 std::vector<RunMetrics> CampaignRunner::run(const CampaignPlan& plan) {
   return run(plan, CheckpointOptions{}, nullptr);
@@ -568,79 +605,38 @@ std::vector<RunMetrics> CampaignRunner::run(const CampaignPlan& plan) {
 std::vector<RunMetrics> CampaignRunner::run(const CampaignPlan& plan,
                                             const CheckpointOptions& ckpt,
                                             const CheckpointState* resume) {
-  std::vector<RunMetrics> results(plan.runs.size());
-  std::vector<char> completed(plan.runs.size(), 0);
+  if (plan.runs.empty()) return {};
+  auto job = std::make_shared<RunJob>(plan);
   if (resume != nullptr) {
-    completed = resume->completed;
-    for (std::size_t i = 0; i < completed.size(); ++i) {
-      if (completed[i] != 0) results[i] = resume->results[i];
+    for (std::size_t i = 0; i < job->done.size(); ++i) {
+      if (resume->completed[i] == 0) continue;
+      job->done[i] = 1;
+      job->results[i] = resume->results[i];
     }
   }
-  if (plan.runs.empty()) return results;
-
-  CheckpointSink sink(ckpt, plan, results, completed);
-
-  if (threads_ == 1 || plan.runs.size() == 1) {
-    RunWorkspace ws;
+  CheckpointSink sink(ckpt, plan, *job);
+  submit(job);
+  try {
+    // Waiting in plan order makes a failure deterministic: every slot
+    // before the first failed one has finished, whatever the thread
+    // count.
     for (std::size_t i = 0; i < plan.runs.size(); ++i) {
-      if (completed[i] != 0) continue;
-      const auto& entry = plan.runs[i];
-      results[i] =
-          execute_run(plan.grid[entry.grid_index].config, entry.seed, ws, exec_);
-      sink.mark_complete(i);
+      job->wait_slot(i);
+      if (job->errors[i] != nullptr) {
+        // Move the error out so the exception dies on this thread even
+        // if a worker drops the job last: libstdc++ counts exception_ptr
+        // references where ThreadSanitizer cannot see them.
+        std::rethrow_exception(std::exchange(job->errors[i], nullptr));
+      }
+      sink.passed(i);
     }
-    sink.finish();
-    return results;
+    sink.publish();
+  } catch (...) {
+    // Nobody will read the rest: free the workers its queued runs hold.
+    job->cancelled.store(true, std::memory_order_release);
+    throw;
   }
-
-  sim::ThreadPool pool(threads_);
-  struct Ctx {
-    const CampaignPlan* plan;
-    RunMetrics* results;
-    const char* completed;
-    std::vector<RunWorkspace>* workspaces;
-    std::vector<std::size_t>* free_slots;
-    std::mutex* mutex;
-    const ExecutionOptions* exec;
-    CheckpointSink* sink;
-  };
-  // One workspace per pool thread; a range claims one for its duration.
-  // At most thread_count() ranges execute concurrently, so the free list
-  // can never underflow.
-  std::vector<RunWorkspace> workspaces(pool.thread_count());
-  std::vector<std::size_t> free_slots;
-  free_slots.reserve(workspaces.size());
-  for (std::size_t i = 0; i < workspaces.size(); ++i) free_slots.push_back(i);
-  std::mutex mutex;
-  Ctx ctx{&plan,       results.data(), completed.data(), &workspaces,
-          &free_slots, &mutex,         &exec_,           &sink};
-
-  pool.parallel_for(
-      plan.runs.size(), 1,
-      [](void* raw, std::size_t begin, std::size_t end) {
-        auto& ctx = *static_cast<Ctx*>(raw);
-        std::size_t slot;
-        {
-          const std::scoped_lock lock(*ctx.mutex);
-          slot = ctx.free_slots->back();
-          ctx.free_slots->pop_back();
-        }
-        RunWorkspace& ws = (*ctx.workspaces)[slot];
-        for (std::size_t i = begin; i < end; ++i) {
-          // `completed` is the immutable resume prefill, not live
-          // progress; the sink tracks live completions separately.
-          if (ctx.completed[i] != 0) continue;
-          const auto& entry = ctx.plan->runs[i];
-          ctx.results[i] = execute_run(ctx.plan->grid[entry.grid_index].config,
-                                       entry.seed, ws, *ctx.exec);
-          ctx.sink->mark_complete(i);
-        }
-        const std::scoped_lock lock(*ctx.mutex);
-        ctx.free_slots->push_back(slot);
-      },
-      &ctx);
-  sink.finish();
-  return results;
+  return std::move(job->results);
 }
 
 }  // namespace ssmwn::campaign

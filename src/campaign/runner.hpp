@@ -1,20 +1,34 @@
-// Sharded replication runner for experiment campaigns.
+// Persistent FIFO run pool for experiment campaigns and the daemon.
 //
 // A campaign is an embarrassingly parallel bag of runs: each run owns
 // its deployment, its mobility/churn/loss processes, and its RNG (seeded
-// solely from the plan), and never reads another run's state. The runner
-// shards the bag across a `sim::ThreadPool` — one run per dynamically
-// claimed chunk — and writes each result into its plan slot, so the
-// result vector (and everything aggregated from it in index order) is
-// bit-identical for any thread count. Per-worker `RunWorkspace`s are
-// leased for the duration of a run and reused across runs, so the
-// window-loop scratch state stops churning the heap once every worker
-// has warmed up; the per-window graph/clustering rebuilds allocate and
-// free symmetrically, keeping the steady-state heap flat (audited by
-// bench_campaign).
+// solely from the plan), and never reads another run's state. The
+// runner's workers live as long as the runner and share one FIFO queue
+// of run tasks; each worker owns one `RunWorkspace` for its whole life,
+// so the window-loop scratch state stops churning the heap once every
+// worker has warmed up, across jobs and across run() calls (the
+// per-window graph/clustering rebuilds allocate and free symmetrically,
+// keeping the steady-state heap flat — audited by bench_campaign).
+//
+// Work arrives as `RunJob`s: run(plan) wraps the plan in one and waits
+// for it in the calling thread; the serve daemon submit()s one per spec
+// and streams each slot as it lands. Runs start in submission order —
+// plan order within a job — so no job overtakes an older one. Every run
+// writes its metrics (or its exception) into its plan slot, so the
+// result vector, and everything aggregated from it in index order, is
+// bit-identical for any thread count, and a failing run surfaces as the
+// same exception at any thread count too.
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <exception>
+#include <memory>
+#include <mutex>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/spec.hpp"
@@ -73,7 +87,7 @@ struct RunMetrics {
   std::size_t windows = 0;
 };
 
-/// Reusable scratch state for one worker; lease one per concurrent run.
+/// Reusable scratch state for one worker; one per concurrent run.
 /// `clear()`-style reuse keeps capacity, so a warmed-up worker re-enters
 /// the window loop without growing the heap.
 struct RunWorkspace {
@@ -108,10 +122,9 @@ struct CheckpointOptions {
   /// either absent or a loadable checkpoint.
   std::string path;
   /// Publish a snapshot after at least this many newly completed runs
-  /// since the last one. Snapshots are written by whichever worker
-  /// crosses the threshold, off the lock; if a write is still in flight
-  /// the trigger is deferred, so slow storage throttles checkpoint
-  /// frequency instead of stalling the sweep.
+  /// since the last one. Snapshots are written by the thread waiting in
+  /// run(), never by a worker, so slow storage delays checkpoints
+  /// instead of stalling the sweep.
   std::size_t every_runs = 64;
 };
 
@@ -124,21 +137,70 @@ struct CheckpointOptions {
                                      std::uint64_t seed, RunWorkspace& ws,
                                      const ExecutionOptions& exec = {});
 
+/// One submitted batch of runs: the expanded plan plus per-slot
+/// completion state. Workers fill `results[i]` (or `errors[i]`) and flip
+/// `done[i]` under `mutex`; readers block on wait_slot(i), after which
+/// slot i's fields are safe to read. Once `cancelled` is set, queued
+/// slots complete unrun with a "cancelled" error.
+struct RunJob {
+  CampaignPlan plan;
+  std::vector<RunMetrics> results;
+  std::vector<char> done;
+  std::vector<std::exception_ptr> errors;  // null = the run succeeded
+  std::atomic<bool> cancelled{false};
+
+  std::mutex mutex;
+  std::condition_variable cv;
+
+  explicit RunJob(CampaignPlan p)
+      : plan(std::move(p)),
+        results(plan.runs.size()),
+        done(plan.runs.size(), 0),
+        errors(plan.runs.size()) {}
+
+  /// Blocks until run slot `i` completes.
+  void wait_slot(std::size_t i) {
+    std::unique_lock lock(mutex);
+    cv.wait(lock, [&] { return done[i] != 0; });
+  }
+
+  /// what() of slot `i`'s failure ("run failed" if that is empty); the
+  /// empty string if the run succeeded. Call after wait_slot(i).
+  [[nodiscard]] std::string error_text(std::size_t i) const;
+};
+
 class CampaignRunner {
  public:
-  /// `threads` is the total parallelism including the caller; 0 means
-  /// hardware concurrency. 1 runs everything inline. `exec` carries the
-  /// result-neutral engine knobs every run shares.
+  /// Spawns `threads` workers; 0 means hardware concurrency. `exec`
+  /// carries the result-neutral engine knobs every run shares.
   explicit CampaignRunner(unsigned threads = 1,
                           const ExecutionOptions& exec = {});
+  ~CampaignRunner();  // drains: queued work finishes before workers exit
 
-  [[nodiscard]] unsigned thread_count() const noexcept { return threads_; }
+  CampaignRunner(const CampaignRunner&) = delete;
+  CampaignRunner& operator=(const CampaignRunner&) = delete;
+
+  [[nodiscard]] unsigned thread_count() const noexcept {
+    return static_cast<unsigned>(workers_.size());
+  }
   [[nodiscard]] const ExecutionOptions& execution() const noexcept {
     return exec_;
   }
 
+  /// Appends every slot of the job not already `done` to the queue in
+  /// plan order. The job must outlive its runs — hence shared_ptr; the
+  /// pool drops its references as runs complete. Throws
+  /// std::runtime_error once the runner is draining.
+  void submit(const std::shared_ptr<RunJob>& job);
+
+  /// Graceful drain: stop accepting work, finish everything queued,
+  /// join the workers. Idempotent; the destructor calls it.
+  void drain();
+
   /// Runs every entry of the plan and returns the metrics in plan order.
-  /// Deterministic for any thread count.
+  /// Deterministic for any thread count. If a run throws, the first
+  /// failed slot in plan order is rethrown and the job's still-queued
+  /// runs are cancelled; the runner stays usable.
   [[nodiscard]] std::vector<RunMetrics> run(const CampaignPlan& plan);
 
   /// As run(plan), with optional checkpointing and resume. `resume`
@@ -153,8 +215,21 @@ class CampaignRunner {
                                             const CheckpointState* resume);
 
  private:
-  unsigned threads_;
+  struct Task {
+    std::shared_ptr<RunJob> job;
+    std::size_t run_index = 0;
+  };
+
+  void worker_main();
+
   ExecutionOptions exec_;
+  // One queue under one mutex: a task is an entire simulation run
+  // (milliseconds to seconds), so queue operations are noise.
+  std::deque<Task> queue_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool stopping_ = false;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace ssmwn::campaign

@@ -59,7 +59,7 @@ std::string result_line(const campaign::CampaignPlan& plan, std::size_t i,
 }  // namespace
 
 Server::Server(const ServerOptions& options)
-    : options_(options), pool_(options.threads, options.exec) {
+    : options_(options), runner_(options.threads, options.exec) {
   if (::pipe2(stop_pipe_, O_CLOEXEC) != 0) {
     throw std::runtime_error(std::string("serve: cannot create stop pipe: ") +
                              std::strerror(errno));
@@ -151,13 +151,13 @@ void Server::run() {
   }
   // Drain: no new connections; in-flight connections finish their
   // current spec (they check stopping_ before reading the next one);
-  // then the pool finishes every queued run before its workers join.
+  // then the runner finishes every queued run before its workers join.
   close_fd(listen_fd_);
   {
     const std::scoped_lock lock(threads_mutex_);
     join_connections(/*finished_only=*/false);
   }
-  pool_.drain();
+  runner_.drain();
 }
 
 void Server::join_connections(bool finished_only) {
@@ -180,7 +180,7 @@ void Server::serve_connection(int fd) {
         write_frame(fd, FrameType::kError, "expected a spec ('S') frame");
         continue;
       }
-      std::shared_ptr<ServeJob> job;
+      std::shared_ptr<campaign::RunJob> job;
       try {
         const auto spec = campaign::parse_spec_text(frame.body);
         if (campaign::run_count_bound(spec) > kMaxRunsPerSpec) {
@@ -190,20 +190,20 @@ void Server::serve_connection(int fd) {
                           " runs (replications x sweep values); split it");
           continue;
         }
-        job = std::make_shared<ServeJob>(campaign::expand(spec));
+        job = std::make_shared<campaign::RunJob>(campaign::expand(spec));
       } catch (const std::invalid_argument& e) {
         write_frame(fd, FrameType::kError, e.what());
         continue;
       }
-      pool_.submit(job);
+      runner_.submit(job);
       // Stream in plan order: slot i+1 is not read before slot i, so the
-      // client sees the same bytes however the pool scheduled the runs.
+      // client sees the same bytes however the runner scheduled the runs.
       try {
         for (std::size_t i = 0; i < job->plan.runs.size(); ++i) {
           job->wait_slot(i);
-          if (!job->failed[i].empty()) {
+          if (job->errors[i] != nullptr) {
             write_frame(fd, FrameType::kError,
-                        "run " + std::to_string(i) + ": " + job->failed[i]);
+                        "run " + std::to_string(i) + ": " + job->error_text(i));
           } else {
             write_frame(fd, FrameType::kResult, result_line(job->plan, i,
                                                             job->results[i]));

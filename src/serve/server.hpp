@@ -2,14 +2,17 @@
 //
 // One long-lived TCP listener; each accepted connection gets its own
 // thread that speaks the framed protocol (serve/wire.hpp): read a spec
-// frame, expand it, submit every run to the shared ServePool, then
-// stream result frames back *in plan order* — workers complete slots in
+// frame, expand it, submit it as one campaign::RunJob to the shared
+// campaign::CampaignRunner (the same persistent FIFO pool batch
+// campaigns run on), then stream result frames back *in plan order* — a
+// run that throws becomes an error frame carrying its what() text, the
+// same text `ssmwn campaign` reports for it; workers complete slots in
 // whatever order scheduling produces, but the connection thread waits
 // on slot i before slot i+1, so the client-visible stream is
 // byte-deterministic. A connection can submit any number of specs
 // sequentially; concurrent specs come from concurrent connections, all
-// multiplexed onto the one pool (which is the point: the pool's
-// workspaces and threads are shared capacity, not per-request cost).
+// multiplexed onto the one runner (which is the point: its workspaces
+// and threads are shared capacity, not per-request cost).
 //
 // Every accepted socket gets TCP_NODELAY: a frame leaves as soon as
 // its run is done instead of waiting out the client's delayed ACK of
@@ -24,8 +27,8 @@
 // request_stop() writes one byte to a self-pipe (async-signal-safe),
 // the accept loop's poll wakes, the listener closes (no new
 // connections), in-flight connections finish the spec they are serving
-// and see the stop flag before reading another, and the pool drains its
-// queue before the workers join. Nothing in flight is dropped.
+// and see the stop flag before reading another, and the runner drains
+// its queue before the workers join. Nothing in flight is dropped.
 #pragma once
 
 #include <atomic>
@@ -36,7 +39,6 @@
 #include <thread>
 
 #include "campaign/runner.hpp"
-#include "serve/worker_pool.hpp"
 
 namespace ssmwn::serve {
 
@@ -49,7 +51,7 @@ struct ServerOptions {
   /// Port to bind on 127.0.0.1; 0 asks the kernel for an ephemeral port
   /// (tests bind 0 and read the real port back from port()).
   std::uint16_t port = 0;
-  /// Worker pool size; 0 = hardware concurrency.
+  /// Runner worker count; 0 = hardware concurrency.
   unsigned threads = 0;
   campaign::ExecutionOptions exec;
 };
@@ -66,9 +68,13 @@ class Server {
 
   /// The actually bound port (resolves port 0 to the kernel's choice).
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+  /// The runner's worker count (resolves threads = 0).
+  [[nodiscard]] unsigned thread_count() const noexcept {
+    return runner_.thread_count();
+  }
 
   /// Accept loop; returns after request_stop() once every connection
-  /// has finished its in-flight spec and the pool has drained.
+  /// has finished its in-flight spec and the runner has drained.
   void run();
 
   /// Initiates the graceful drain. Async-signal-safe (one write(2) to a
@@ -93,7 +99,7 @@ class Server {
   int listen_fd_ = -1;
   int stop_pipe_[2] = {-1, -1};
   std::atomic<bool> stopping_{false};
-  ServePool pool_;
+  campaign::CampaignRunner runner_;
   std::mutex threads_mutex_;
   std::list<Connection> connections_;  // list: threads hold &Connection
 };

@@ -1,6 +1,7 @@
 #include "verify/certifier.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <sstream>
 
 #include "sim/parallel.hpp"
@@ -68,21 +69,33 @@ CertificationReport certify(const CertifierConfig& config,
       results[i] = run_trial(specs[i], hooks);
     }
   } else {
+    // The pool's range callback must never unwind: each trial's
+    // exception lands in its slot, and the first in trial order is
+    // rethrown once the pool is idle — the one the serial loop throws.
+    std::vector<std::exception_ptr> errors(total);
     sim::ThreadPool pool(threads);
     struct Ctx {
       const std::vector<TrialSpec>* specs;
       TrialResult* results;
+      std::exception_ptr* errors;
       const TrialHooks* hooks;
-    } ctx{&specs, results.data(), hooks};
+    } ctx{&specs, results.data(), errors.data(), hooks};
     pool.parallel_for(
         total, 1,
         [](void* raw, std::size_t begin, std::size_t end) {
           auto& ctx = *static_cast<Ctx*>(raw);
           for (std::size_t i = begin; i < end; ++i) {
-            ctx.results[i] = run_trial((*ctx.specs)[i], ctx.hooks);
+            try {
+              ctx.results[i] = run_trial((*ctx.specs)[i], ctx.hooks);
+            } catch (...) {
+              ctx.errors[i] = std::current_exception();
+            }
           }
         },
         &ctx);
+    for (const auto& error : errors) {
+      if (error != nullptr) std::rethrow_exception(error);
+    }
   }
 
   report.per_class.resize(classes);

@@ -1,6 +1,5 @@
-// Serve daemon surface: wire framing (no SIGPIPE on a closed peer), the
-// FIFO pool's determinism, submission order and cancellation, and the
-// Server end-to-end — concurrent clients receive byte-identical result
+// Serve daemon surface: wire framing (no SIGPIPE on a closed peer) and
+// the Server end-to-end — concurrent clients receive byte-identical result
 // streams for the same spec, errors keep the connection usable, a
 // persistent connection streams without a delayed-ACK stall, a spec at
 // a tiny radius completes, finished connection threads are reaped, and
@@ -27,7 +26,6 @@
 #include "campaign/spec.hpp"
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
-#include "serve/worker_pool.hpp"
 
 namespace ssmwn {
 namespace {
@@ -117,66 +115,6 @@ TEST(WireDeathTest, WriteToAClosedPeerThrowsInsteadOfRaisingSigpipe) {
         std::_Exit(3);
       },
       ::testing::ExitedWithCode(0), "");
-}
-
-TEST(ServePool, SlotResultsMatchTheCampaignRunner) {
-  const auto plan = campaign::expand(campaign::parse_spec_text(kSpecText));
-  campaign::CampaignRunner reference(1);
-  const auto want = reference.run(plan);
-
-  serve::ServePool pool(4);
-  auto job = std::make_shared<serve::ServeJob>(plan);
-  pool.submit(job);
-  for (std::size_t i = 0; i < plan.runs.size(); ++i) {
-    job->wait_slot(i);
-    EXPECT_TRUE(job->failed[i].empty());
-    EXPECT_EQ(std::memcmp(&job->results[i], &want[i], sizeof(want[i])), 0)
-        << "slot " << i;
-  }
-  pool.drain();
-}
-
-TEST(ServePool, DrainFinishesQueuedWorkBeforeJoining) {
-  const auto plan = campaign::expand(campaign::parse_spec_text(kSpecText));
-  serve::ServePool pool(2);
-  auto job = std::make_shared<serve::ServeJob>(plan);
-  pool.submit(job);
-  pool.drain();  // must not strand queued runs
-  for (std::size_t i = 0; i < plan.runs.size(); ++i) {
-    EXPECT_NE(job->done[i], 0) << "slot " << i << " stranded by drain";
-  }
-}
-
-TEST(ServePool, RunsExecuteInSubmissionOrder) {
-  // One worker makes the execution order the pop order: every slot of
-  // the older job A must finish before the newer job B's first slot.
-  const auto plan = campaign::expand(campaign::parse_spec_text(kSpecText));
-  serve::ServePool pool(1);
-  auto a = std::make_shared<serve::ServeJob>(plan);
-  auto b = std::make_shared<serve::ServeJob>(plan);
-  pool.submit(a);
-  pool.submit(b);
-  b->wait_slot(0);
-  {
-    const std::scoped_lock lock(a->mutex);
-    for (std::size_t i = 0; i < plan.runs.size(); ++i) {
-      EXPECT_NE(a->done[i], 0) << "job A slot " << i << " overtaken by job B";
-    }
-  }
-  pool.drain();
-}
-
-TEST(ServePool, CancelledJobCompletesEverySlotUnrun) {
-  const auto plan = campaign::expand(campaign::parse_spec_text(kSpecText));
-  serve::ServePool pool(2);
-  auto job = std::make_shared<serve::ServeJob>(plan);
-  job->cancelled = true;
-  pool.submit(job);
-  for (std::size_t i = 0; i < plan.runs.size(); ++i) {
-    job->wait_slot(i);
-    EXPECT_EQ(job->failed[i], "cancelled") << "slot " << i;
-  }
-  pool.drain();  // must return: cancelled slots leave nothing queued
 }
 
 int connect_loopback(std::uint16_t port) {

@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
+#include "core/protocol.hpp"
 #include "util/env.hpp"
 #include "verify/certifier.hpp"
+#include "verify/trial.hpp"
 
 namespace ssmwn {
 namespace {
@@ -102,6 +106,41 @@ TEST(Certifier, ThreadCountDoesNotChangeTheReport) {
     EXPECT_EQ(serial.per_class[c].async_messages.mean(),
               parallel.per_class[c].async_messages.mean());
   }
+}
+
+/// what() of the runtime_error certify() throws; fails the test if it
+/// returns normally or throws anything else.
+std::string certify_failure(const CertifierConfig& config,
+                            const verify::TrialHooks& hooks) {
+  try {
+    (void)verify::certify(config, &hooks);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "certify() did not throw std::runtime_error";
+  return {};
+}
+
+TEST(Certifier, ThrowingTrialFailsTheSameAtAnyThreadCount) {
+  // Only some trials throw, each naming its own size: the pooled run
+  // must rethrow the first failure in trial order, exactly the one the
+  // serial loop stops at, instead of unwinding through the pool.
+  verify::TrialHooks hooks;
+  hooks.interfere = [](core::DensityProtocol& protocol) {
+    const std::size_t n = protocol.node_count();
+    if (n % 3 == 0) {
+      throw std::runtime_error("interfered at n=" + std::to_string(n));
+    }
+  };
+  CertifierConfig config;
+  config.trials_per_class = 6;
+  config.n_min = 8;
+  config.n_max = 40;
+  config.threads = 1;
+  const std::string serial = certify_failure(config, hooks);
+  EXPECT_FALSE(serial.empty());
+  config.threads = 4;
+  EXPECT_EQ(certify_failure(config, hooks), serial);
 }
 
 }  // namespace

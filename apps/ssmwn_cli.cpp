@@ -1,28 +1,7 @@
-// ssmwn — command-line driver for clustering experiments.
-//
-//   ssmwn cluster  --n 500 --radius 0.08 [--grid] [--dag] [--fusion]
-//                  [--metric density|degree|lowest-id|max-min]
-//                  [--seed S] [--dot out.dot] [--csv out.csv] [--map]
-//   ssmwn protocol --n 200 --radius 0.1 [--tau 0.8] [--steps 100]
-//                  [--corrupt 0.3] [--dag] [--threads 4] [--shards 8]
-//                  [--scheduler sync|async] [--daemon randomized|...]
-//                  [--period 1.0] [--period-jitter 0.1] [--link-delay 0.02]
-//   ssmwn routing  --n 500 --radius 0.08 [--pairs 300]
-//   ssmwn campaign spec-file [--threads 4] [--shards 8] [--csv F] [--json F]
-//                  [--checkpoint F] [--checkpoint-every N] [--resume F]
-//   ssmwn serve    [--port N] [--threads 4] [--shards 8]
-//   ssmwn submit   spec-file --port N
-//
-// `cluster` builds a deployment, clusters it, and prints the metrics of
-// the paper's evaluation (optionally a DOT file, a per-node CSV, or an
-// ASCII map for grid deployments). `protocol` runs the distributed
-// self-stabilizing protocol and reports convergence. `routing` compares
-// flat vs hierarchical routing. `campaign` expands a declarative
-// experiment spec into a replication grid and runs it sharded across a
-// worker pool (src/campaign/), optionally publishing resumable
-// checkpoints. `serve` is the long-running daemon form of `campaign`:
-// specs stream in over a framed TCP protocol, results stream back;
-// `submit` is the matching client.
+// ssmwn — command-line driver for clustering experiments. Each command
+// (kCommands) and each flag (kFlags) is declared once, at the end of
+// this file; `ssmwn` with no command prints the usage generated from
+// them.
 //
 // Exit codes: 0 success, 1 run failure (a simulation ran but did not
 // meet its success condition, or an output file could not be written),
@@ -37,7 +16,6 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -86,32 +64,6 @@ constexpr int kExitOk = 0;
 constexpr int kExitRunFailure = 1;
 constexpr int kExitUsage = 2;
 
-/// Validates a --threads value shared by `protocol`, `campaign`, and
-/// `serve` (0 = hardware concurrency — a deliberate in-range meaning,
-/// not a degenerate value). Returns the parsed value or throws the
-/// bad-arguments exception.
-unsigned parse_threads(const util::Args& args) {
-  return static_cast<unsigned>(args.get_int_in("threads", 1, 0, 65536));
-}
-
-/// `--seed` is consumed as uint64, so a negative value would wrap
-/// through the cast into a surprising (and irreproducible-looking)
-/// seed; reject it instead.
-std::uint64_t parse_seed(const util::Args& args, std::int64_t fallback) {
-  return static_cast<std::uint64_t>(args.get_int_in(
-      "seed", fallback, 0, std::numeric_limits<std::int64_t>::max()));
-}
-
-/// Validates the --shards execution knob shared by `protocol` and
-/// `campaign`. Like --threads it must never influence results: <= 1
-/// keeps the default shape (one shard per step-engine worker), >= 2
-/// cuts that many contiguous shards, and the trajectory is bit-identical
-/// at any value (tests/sim/sharded_equivalence_test.cpp), so
-/// pre-existing outputs stay byte-for-byte unchanged.
-std::size_t parse_shards(const util::Args& args) {
-  return static_cast<std::size_t>(args.get_int_in("shards", 0, 0, 1'000'000));
-}
-
 struct Deployment {
   std::vector<topology::Point> points;
   graph::Graph graph;
@@ -121,13 +73,8 @@ struct Deployment {
 
 Deployment make_deployment(const util::Args& args, util::Rng& rng) {
   Deployment d;
-  // Both feed size_t/geometry code paths: a negative --n would wrap
-  // through the cast into a ~2^64 allocation, a non-positive radius
-  // yields an empty graph that *looks* like a result.
-  const auto n =
-      static_cast<std::size_t>(args.get_int_in("n", 500, 1, 10'000'000));
-  const double radius = args.get_double_in("radius", 0.08, 1e-9, 1e9);
-  if (args.get_bool("grid", false)) {
+  const auto n = static_cast<std::size_t>(args.integer("n"));
+  if (args.boolean("grid")) {
     d.grid_side = topology::grid_side_for(n);
     d.points = topology::grid_points(d.grid_side);
     d.ids = topology::sequential_ids(d.points.size());
@@ -135,18 +82,38 @@ Deployment make_deployment(const util::Args& args, util::Rng& rng) {
     d.points = topology::uniform_points(n, rng);
     d.ids = topology::random_ids(n, rng);
   }
-  d.graph = topology::unit_disk_graph(d.points, radius);
+  d.graph = topology::unit_disk_graph(d.points, args.real("radius"));
   return d;
 }
 
-int run_cluster(const util::Args& args, util::Rng& rng) {
+/// Stages output file `--name F` (null when not given) *before* any
+/// work: an unwritable path must abort up front (invalid_argument → exit
+/// 2), not after hours of simulation whose results it would discard.
+/// Through AtomicFile a crash mid-report never tears the destination:
+/// it gets the complete new bytes at commit() or keeps its old content.
+std::unique_ptr<util::AtomicFile> stage_output(const util::Args& args,
+                                               const std::string& name) {
+  if (!args.has(name)) return nullptr;
+  return std::make_unique<util::AtomicFile>(args.text(name));
+}
+
+/// Commits a staged output and reports it.
+void publish(util::AtomicFile& file) {
+  file.commit();  // throws runtime_error → run-failure exit
+  std::printf("wrote %s\n", file.path().c_str());
+}
+
+int run_cluster(const util::Args& args) {
+  auto dot = stage_output(args, "dot");
+  auto csv = stage_output(args, "csv");
+  util::Rng rng(static_cast<std::uint64_t>(args.integer("seed")));
   const auto d = make_deployment(args, rng);
   core::ClusterOptions options;
-  options.fusion = args.get_bool("fusion", false);
-  options.incumbency = args.get_bool("incumbency", false);
-  options.use_dag_ids = args.get_bool("dag", false);
+  options.fusion = args.boolean("fusion");
+  options.incumbency = args.boolean("incumbency");
+  options.use_dag_ids = args.boolean("dag");
 
-  const std::string metric = args.get("metric", "density");
+  const std::string& metric = args.text("metric");
   core::ClusteringResult result;
   if (metric == "density") {
     if (options.use_dag_ids) {
@@ -159,12 +126,9 @@ int run_cluster(const util::Args& args, util::Rng& rng) {
     result = cluster::cluster_highest_degree(d.graph, d.ids, options);
   } else if (metric == "lowest-id") {
     result = cluster::cluster_lowest_id(d.graph, d.ids, options);
-  } else if (metric == "max-min") {
-    result = cluster::cluster_max_min(
-        d.graph, d.ids, static_cast<std::size_t>(args.get_int_in("d", 2, 1, 64)));
   } else {
-    std::fprintf(stderr, "unknown --metric '%s'\n", metric.c_str());
-    return 2;
+    result = cluster::cluster_max_min(
+        d.graph, d.ids, static_cast<std::size_t>(args.integer("d")));
   }
 
   const auto stats = metrics::analyze(d.graph, result);
@@ -177,11 +141,11 @@ int run_cluster(const util::Args& args, util::Rng& rng) {
               stats.min_head_separation,
               metrics::cluster_size_fairness(result));
 
-  if (args.has("map") && d.grid_side > 0) {
+  if (args.boolean("map") && d.grid_side > 0) {
     std::fputs(metrics::render_grid_clusters(d.grid_side, result).c_str(),
                stdout);
   }
-  if (const auto path = args.get("dot", ""); !path.empty()) {
+  if (dot) {
     graph::DotOptions dot_options;
     dot_options.positions.reserve(d.points.size());
     for (const auto& p : d.points) {
@@ -190,76 +154,33 @@ int run_cluster(const util::Args& args, util::Rng& rng) {
     dot_options.cluster_of = result.head_index;
     dot_options.is_head = result.is_head;
     dot_options.parent = result.parent;
-    std::ofstream out(path);
-    out << graph::to_dot(d.graph, dot_options);
-    std::printf("wrote %s\n", path.c_str());
+    dot->stream() << graph::to_dot(d.graph, dot_options);
+    publish(*dot);
   }
-  if (const auto path = args.get("csv", ""); !path.empty()) {
-    std::ofstream out(path);
+  if (csv) {
+    auto& out = csv->stream();
     out << "node,id,density,head,parent,is_head\n";
     for (graph::NodeId p = 0; p < d.graph.node_count(); ++p) {
       out << p << ',' << d.ids[p] << ',' << result.metric[p] << ','
           << result.head_id[p] << ',' << d.ids[result.parent[p]] << ','
           << int{result.is_head[p]} << '\n';
     }
-    std::printf("wrote %s\n", path.c_str());
+    publish(*csv);
   }
   return 0;
 }
 
-/// Parses and validates the async-engine knobs (--period,
-/// --period-jitter, --link-delay, --daemon) shared by the async and
-/// live-async paths — every path must apply the same range checks.
-sim::AsyncConfig parse_async_config(const util::Args& args,
-                                    double default_period) {
+/// The async-engine knobs shared by the async and live-async paths.
+sim::AsyncConfig async_config(const util::Args& args) {
   sim::AsyncConfig async;
-  async.period_s = args.get_double("period", default_period);
-  // Half-open ranges: the largest double below the open bound.
-  async.period_jitter = args.get_double_in("period-jitter", 0.1, 0.0,
-                                           std::nextafter(1.0, 0.0));
-  async.link_delay_s = args.get_double_in("link-delay", 0.02, 0.0,
-                                          std::nextafter(1e9, 0.0));
-  // Lower bound = one virtual-time tick (1 µs): a sub-tick period
-  // cannot advance the event clock.
-  if (!(async.period_s >= 1e-6) || async.period_s >= 1e9) {
-    throw std::invalid_argument("--period must be in [1e-6, 1e9) seconds");
-  }
-  const std::string daemon = args.get("daemon", "randomized");
-  if (daemon == "synchronous") {
-    async.daemon = sim::DaemonKind::kSynchronous;
-  } else if (daemon == "randomized") {
-    async.daemon = sim::DaemonKind::kRandomized;
-  } else if (daemon == "unfair") {
-    async.daemon = sim::DaemonKind::kUnfairRoundRobin;
-  } else {
-    throw std::invalid_argument(
-        "--daemon must be synchronous|randomized|unfair (got '" + daemon +
-        "')");
-  }
+  async.period_s = args.real("period");
+  async.period_jitter = args.real("period-jitter");
+  async.link_delay_s = args.real("link-delay");
+  const std::string& daemon = args.text("daemon");
+  async.daemon = daemon == "synchronous" ? sim::DaemonKind::kSynchronous
+                 : daemon == "unfair"    ? sim::DaemonKind::kUnfairRoundRobin
+                                         : sim::DaemonKind::kRandomized;
   return async;
-}
-
-/// `--stepping full|dirty` (protocol subcommand): selects the classic
-/// full sweep or the quiescence-aware dirty-region stepper. Results are
-/// bit-identical; only the per-tick cost changes.
-sim::Stepping parse_stepping_flag(const util::Args& args) {
-  const std::string stepping = args.get("stepping", "full");
-  if (stepping == "full") return sim::Stepping::kFull;
-  if (stepping == "dirty") return sim::Stepping::kDirty;
-  throw std::invalid_argument("--stepping must be full|dirty (got '" +
-                              stepping + "')");
-}
-
-/// Rejects the async-only flags when the selected mode never reads them
-/// — a silently ignored --daemon would mislabel an experiment.
-void reject_async_flags(const util::Args& args) {
-  for (const char* async_only :
-       {"daemon", "period", "period-jitter", "link-delay"}) {
-    if (args.has(async_only)) {
-      throw std::invalid_argument(std::string("--") + async_only +
-                                  " requires --scheduler async");
-    }
-  }
 }
 
 /// `protocol --scheduler async`: the event-driven engine. Runs the
@@ -267,14 +188,11 @@ void reject_async_flags(const util::Args& args) {
 /// under the chosen daemon and reports virtual-time convergence and
 /// messages-to-convergence instead of step counts.
 int run_protocol_async(const util::Args& args, const Deployment& d,
-                       core::DensityProtocol& protocol, util::Rng& rng) {
-  const sim::AsyncConfig async = parse_async_config(args, 1.0);
-  const std::string daemon = args.get("daemon", "randomized");
-
-  const double tau = args.get_double_in("tau", 1.0, 1e-9, 1.0);
+                       core::DensityProtocol& protocol, util::Rng& rng,
+                       double tau, sim::Stepping stepping) {
+  const sim::AsyncConfig async = async_config(args);
   const auto medium = sim::make_loss_model(tau, rng.split());
   sim::AsyncNetwork network(d.graph, protocol, *medium, async, rng.split());
-  const sim::Stepping stepping = parse_stepping_flag(args);
   network.set_stepping(stepping);
 
   // Shared legitimacy definition (core/legitimacy.hpp) — the CLI and
@@ -289,8 +207,7 @@ int run_protocol_async(const util::Args& args, const Deployment& d,
   core::LegitimacyCheck legitimacy(d.graph, protocol,
                                    exact ? &oracle : nullptr);
 
-  const auto periods =
-      static_cast<double>(args.get_int_in("steps", 100, 1, 1'000'000));
+  const auto periods = static_cast<double>(args.integer("steps"));
   auto settle = [&](const char* label) {
     legitimacy.reset();
     // settle_async counts messages relative to the phase start, so a
@@ -310,11 +227,11 @@ int run_protocol_async(const util::Args& args, const Deployment& d,
 
   std::printf("scheduler=async daemon=%s period=%gs jitter=%g "
               "link_delay=%gs\n",
-              daemon.c_str(), async.period_s, async.period_jitter,
+              args.text("daemon").c_str(), async.period_s, async.period_jitter,
               async.link_delay_s);
   bool ok = settle("cold start");
 
-  const double corrupt = args.get_double_in("corrupt", 0.0, 0.0, 1.0);
+  const double corrupt = args.real("corrupt");
   if (corrupt > 0.0) {
     util::Rng chaos(rng());
     const auto hit = protocol.corrupt_fraction(chaos, corrupt);
@@ -340,48 +257,26 @@ int run_protocol_async(const util::Args& args, const Deployment& d,
 /// and measures the time and messages to re-reach legitimacy.
 int run_protocol_live(const util::Args& args, const Deployment& d,
                       core::DensityProtocol& protocol, util::Rng& rng,
-                      bool async_engine) {
-  const std::string update = args.get("topology", "incremental");
-  if (update != "incremental" && update != "rebuild") {
-    throw std::invalid_argument(
-        "--topology must be incremental|rebuild (got '" + update + "')");
-  }
+                      bool async_engine, double tau, sim::Stepping stepping) {
+  const std::string& update = args.text("topology");
   const bool incremental = update == "incremental";
-  const double radius = args.get_double_in("radius", 0.08, 1e-9, 1e9);
-  const double speed_min =
-      args.get_double_in("speed-min", 0.0, 0.0, std::nextafter(1e9, 0.0));
-  const double speed_max =
-      args.get_double_in("speed-max", 1.6, 0.0, std::nextafter(1e9, 0.0));
-  if (speed_max < speed_min) {
-    throw std::invalid_argument(
-        "--speed-min/--speed-max must satisfy min <= max");
-  }
-  const double window_s = args.get_double("window-s", 2.0);
-  if (!(window_s >= 1e-6) || window_s >= 1e9) {
-    throw std::invalid_argument("--window-s must be in [1e-6, 1e9) seconds");
-  }
-  const auto windows_raw = args.get_int("windows", 20);
-  if (windows_raw < 1 || windows_raw > 1'000'000) {
-    throw std::invalid_argument("--windows must be in [1, 1e6]");
-  }
-  const int windows = static_cast<int>(windows_raw);  // fits %d after check
-  const auto horizon_rounds =
-      static_cast<double>(args.get_int_in("steps", 100, 1, 1'000'000));
+  const double radius = args.real("radius");
+  const double speed_min = args.real("speed-min");
+  const double speed_max = args.real("speed-max");
+  const double window_s = args.real("window-s");
+  const auto windows = static_cast<int>(args.integer("windows"));
+  const auto horizon_rounds = static_cast<double>(args.integer("steps"));
 
   const mobility::SpeedRange speeds{speed_min, speed_max};
-  const std::string mobility = args.get("mobility", "random-direction");
+  const std::string& mobility = args.text("mobility");
   auto points = d.points;
   std::unique_ptr<mobility::MobilityModel> mover;
-  if (mobility == "random-direction") {
-    mover = std::make_unique<mobility::RandomDirection>(
-        points.size(), speeds, 1000.0, rng.split());
-  } else if (mobility == "random-waypoint") {
+  if (mobility == "random-waypoint") {
     mover = std::make_unique<mobility::RandomWaypoint>(points.size(), speeds,
                                                        1000.0, rng.split());
   } else {
-    throw std::invalid_argument(
-        "--mobility must be random-direction|random-waypoint (got '" +
-        mobility + "')");
+    mover = std::make_unique<mobility::RandomDirection>(
+        points.size(), speeds, 1000.0, rng.split());
   }
 
   // One Graph object lives for the whole run; both engines observe it.
@@ -394,7 +289,6 @@ int run_protocol_live(const util::Args& args, const Deployment& d,
   }
   const graph::Graph& g = incremental ? live->graph() : rebuilt.view();
 
-  const double tau = args.get_double_in("tau", 1.0, 1e-9, 1.0);
   const auto medium = sim::make_loss_model(tau, rng.split());
 
   const bool exact =
@@ -417,20 +311,16 @@ int run_protocol_live(const util::Args& args, const Deployment& d,
   // window_s so both report virtual seconds).
   std::optional<sim::ShardedNetwork<core::DensityProtocol>> sync_net;
   std::optional<sim::AsyncNetwork<core::DensityProtocol>> async_net;
-  const sim::Stepping stepping = parse_stepping_flag(args);
   const bool dirty = stepping == sim::Stepping::kDirty;
   if (async_engine) {
-    async_net.emplace(g, protocol, *medium, parse_async_config(args, window_s),
-                      rng.split());
+    sim::AsyncConfig async = async_config(args);
+    // Live nodes broadcast once per window unless --period is given.
+    if (!args.has("period")) async.period_s = window_s;
+    async_net.emplace(g, protocol, *medium, async, rng.split());
     async_net->set_stepping(stepping);
   } else {
-    reject_async_flags(args);
-    if (dirty && tau < 1.0) {
-      throw std::invalid_argument(
-          "--stepping dirty on the synchronous engine requires --tau 1 "
-          "(use --scheduler async for lossy dirty runs)");
-    }
-    sync_net.emplace(g, protocol, *medium, parse_threads(args));
+    sync_net.emplace(g, protocol, *medium,
+                     static_cast<unsigned>(args.integer("threads")));
     sync_net->set_stepping(stepping);
   }
   auto settle = [&] {
@@ -527,57 +417,48 @@ int run_protocol_live(const util::Args& args, const Deployment& d,
   return cold.converged ? kExitOk : kExitRunFailure;
 }
 
-int run_protocol(const util::Args& args, util::Rng& rng) {
-  const auto d = make_deployment(args, rng);
-  core::ProtocolConfig config;
-  config.cluster.use_dag_ids = args.get_bool("dag", false);
-  config.cluster.fusion = args.get_bool("fusion", false);
-  config.delta_hint = std::max<std::uint64_t>(2, d.graph.max_degree());
-  const double tau = args.get_double_in("tau", 1.0, 1e-9, 1.0);
-  config.cache_max_age = tau < 1.0 ? 16 : 8;
-
-  core::DensityProtocol protocol(d.ids, config, rng.split());
-
-  const std::string scheduler = args.get("scheduler", "sync");
-  if (scheduler != "sync" && scheduler != "async") {
-    throw std::invalid_argument("--scheduler must be sync|async (got '" +
-                                scheduler + "')");
-  }
-  if (args.has("shards") &&
-      (args.get_bool("live", false) || scheduler == "async")) {
-    throw std::invalid_argument(
-        "--shards applies to the synchronous batch engine only (drop "
-        "--live / --scheduler async)");
-  }
-  if (args.get_bool("live", false)) {
-    return run_protocol_live(args, d, protocol, rng, scheduler == "async");
-  }
-  for (const char* live_only : {"topology", "mobility", "speed-min",
-                                "speed-max", "windows", "window-s"}) {
-    if (args.has(live_only)) {
-      throw std::invalid_argument(std::string("--") + live_only +
-                                  " requires --live");
-    }
-  }
-  if (scheduler == "async") {
-    return run_protocol_async(args, d, protocol, rng);
-  }
-  reject_async_flags(args);
-
-  const auto medium = sim::make_loss_model(tau, rng.split());
-  // --threads N parallelizes the step engine; 0 = hardware concurrency.
-  // Results are bit-identical for any value (see docs/ARCHITECTURE.md).
-  const unsigned threads = parse_threads(args);
-  const sim::Stepping stepping = parse_stepping_flag(args);
-  if (stepping == sim::Stepping::kDirty && tau < 1.0) {
+int run_protocol(const util::Args& args) {
+  const double tau = args.real("tau");
+  const bool async_engine = args.text("scheduler") == "async";
+  const bool live = args.boolean("live");
+  const sim::Stepping stepping = args.text("stepping") == "dirty"
+                                     ? sim::Stepping::kDirty
+                                     : sim::Stepping::kFull;
+  if (!async_engine && stepping == sim::Stepping::kDirty && tau < 1.0) {
     throw std::invalid_argument(
         "--stepping dirty on the synchronous engine requires --tau 1 "
         "(use --scheduler async for lossy dirty runs)");
   }
+  if (live && args.real("speed-max") < args.real("speed-min")) {
+    throw std::invalid_argument(
+        "--speed-min/--speed-max must satisfy min <= max");
+  }
+
+  util::Rng rng(static_cast<std::uint64_t>(args.integer("seed")));
+  const auto d = make_deployment(args, rng);
+  core::ProtocolConfig config;
+  config.cluster.use_dag_ids = args.boolean("dag");
+  config.cluster.fusion = args.boolean("fusion");
+  config.delta_hint = std::max<std::uint64_t>(2, d.graph.max_degree());
+  config.cache_max_age = tau < 1.0 ? 16 : 8;
+
+  core::DensityProtocol protocol(d.ids, config, rng.split());
+  if (live) {
+    return run_protocol_live(args, d, protocol, rng, async_engine, tau,
+                             stepping);
+  }
+  if (async_engine) {
+    return run_protocol_async(args, d, protocol, rng, tau, stepping);
+  }
+
+  const auto medium = sim::make_loss_model(tau, rng.split());
+  // --threads N parallelizes the step engine; 0 = hardware concurrency.
+  // Results are bit-identical for any value (see docs/ARCHITECTURE.md).
+  const auto threads = static_cast<unsigned>(args.integer("threads"));
   // --shards >= 2 cuts that many contiguous shards; otherwise the engine
   // takes one shard per worker. The trajectory is bit-identical either
   // way, so every line below prints the same bytes.
-  const std::size_t shards = parse_shards(args);
+  const auto shards = static_cast<std::size_t>(args.integer("shards"));
   auto network =
       shards >= 2
           ? sim::ShardedNetwork(
@@ -593,8 +474,7 @@ int run_protocol(const util::Args& args, util::Rng& rng) {
     std::printf("step engine threads: %u\n", network.thread_count());
   }
 
-  const auto steps =
-      static_cast<std::size_t>(args.get_int_in("steps", 100, 1, 1'000'000));
+  const auto steps = static_cast<std::size_t>(args.integer("steps"));
   sim::HeadTrace trace;
   trace.observe(protocol.head_values());
   for (std::size_t s = 0; s < steps; ++s) {
@@ -604,7 +484,7 @@ int run_protocol(const util::Args& args, util::Rng& rng) {
   std::printf("cold start: %zu head changes, quiescent since step %zu\n",
               trace.changes().size(), trace.quiescent_since());
 
-  const double corrupt = args.get_double_in("corrupt", 0.0, 0.0, 1.0);
+  const double corrupt = args.real("corrupt");
   if (corrupt > 0.0) {
     util::Rng chaos(rng());
     const auto hit = protocol.corrupt_fraction(chaos, corrupt);
@@ -631,13 +511,13 @@ int run_protocol(const util::Args& args, util::Rng& rng) {
   return trace.quiescent_since() < steps ? 0 : 1;
 }
 
-int run_routing(const util::Args& args, util::Rng& rng) {
+int run_routing(const util::Args& args) {
+  util::Rng rng(static_cast<std::uint64_t>(args.integer("seed")));
   const auto d = make_deployment(args, rng);
   const auto clustering = core::cluster_density(d.graph, d.ids, {});
   routing::FlatRouter flat(d.graph);
   routing::HierarchicalRouter hier(d.graph, clustering);
-  const auto pairs =
-      static_cast<std::size_t>(args.get_int_in("pairs", 300, 1, 10'000'000));
+  const auto pairs = static_cast<std::size_t>(args.integer("pairs"));
   const auto stats = routing::compare_routers(d.graph, flat, hier, pairs, rng);
   std::printf("clusters=%zu sampled_pairs=%zu failures=%zu\n",
               hier.cluster_count(), stats.pairs, stats.failures);
@@ -658,62 +538,33 @@ int run_routing(const util::Args& args, util::Rng& rng) {
 /// cross-engine agreement. On any violation the failing tuple is shrunk
 /// to a minimal spec and (with --repro FILE) written out as a
 /// replayable campaign spec.
-int run_verify(const util::Args& args, util::Rng& rng) {
-  (void)rng;  // the certifier derives everything from --seed directly
+int run_verify(const util::Args& args) {
+  auto repro_file = stage_output(args, "repro");
   verify::CertifierConfig config;
-  config.seed = parse_seed(args, 20050612);
-  const auto trials = args.get_int("trials", 200);
-  if (trials < 1 || trials > 10'000'000) {
-    throw std::invalid_argument("--trials must be in [1, 1e7]");
+  config.seed = static_cast<std::uint64_t>(args.integer("seed"));
+  config.trials_per_class = static_cast<std::size_t>(args.integer("trials"));
+  config.n_min = static_cast<std::size_t>(args.integer("n-min"));
+  config.n_max = static_cast<std::size_t>(args.integer("n-max"));
+  if (config.n_max < config.n_min) {
+    throw std::invalid_argument("--n-max must be at least --n-min");
   }
-  config.trials_per_class = static_cast<std::size_t>(trials);
-  const auto n_min = args.get_int("n-min", 8);
-  const auto n_max = args.get_int("n-max", 64);
-  if (n_min < 1 || n_max < n_min || n_max > 1'000'000) {
-    throw std::invalid_argument(
-        "--n-min/--n-max must satisfy 1 <= min <= max <= 1e6");
-  }
-  config.n_min = static_cast<std::size_t>(n_min);
-  config.n_max = static_cast<std::size_t>(n_max);
-  config.radius = args.get_double("radius", 0.16);
-  if (!(config.radius > 0.0) || config.radius >= 1e9) {
-    throw std::invalid_argument("--radius must be positive");
-  }
-  config.tau = args.get_double("tau", 1.0);
-  if (!(config.tau > 0.0) || config.tau > 1.0) {
-    throw std::invalid_argument("--tau must be in (0, 1]");
-  }
-  const auto horizon = args.get_int("steps", 240);
-  if (horizon < static_cast<std::int64_t>(verify::kMinHorizonRounds) ||
-      horizon > 1'000'000) {
-    throw std::invalid_argument(
-        "--steps must be in [" +
-        std::to_string(verify::kMinHorizonRounds) +
-        ", 1e6] (below that no trial can confirm legitimacy)");
-  }
-  config.horizon_rounds = static_cast<std::size_t>(horizon);
-  config.threads = parse_threads(args);
+  config.radius = args.real("radius");
+  config.tau = args.real("tau");
+  config.horizon_rounds = static_cast<std::size_t>(args.integer("steps"));
+  config.threads = static_cast<unsigned>(args.integer("threads"));
+  config.variants = {args.text("variant")};
 
-  if (const auto classes = args.get("classes", "all"); classes != "all") {
+  if (const auto& classes = args.text("classes"); classes != "all") {
     config.classes.clear();
-    std::size_t start = 0;
-    while (start <= classes.size()) {
-      const auto comma = classes.find(',', start);
-      const auto piece =
-          classes.substr(start, comma == std::string::npos
-                                    ? std::string::npos
-                                    : comma - start);
-      config.classes.push_back(verify::parse_fault_class(piece));
-      if (comma == std::string::npos) break;
-      start = comma + 1;
+    for (std::size_t start = 0, comma = 0; comma != std::string::npos;
+         start = comma + 1) {
+      comma = classes.find(',', start);
+      config.classes.push_back(verify::parse_fault_class(
+          classes.substr(start, comma - start)));  // npos - start: the rest
     }
   }
-  if (const auto variant = args.get("variant", "basic"); true) {
-    (void)verify::cluster_options_for(variant);  // validate spelling
-    config.variants = {variant};
-  }
 
-  const bool quiet = args.get_bool("quiet", false);
+  const bool quiet = args.boolean("quiet");
   if (!quiet) {
     std::printf("certifying self-stabilization: %zu fault class(es) x %zu "
                 "trial(s), n in [%zu, %zu], variant %s, tau %g, horizon "
@@ -771,13 +622,9 @@ int run_verify(const util::Args& args, util::Rng& rng) {
                std::string(verify::to_string(shrunk.minimal.daemon)).c_str(),
                shrunk.minimal.variant.c_str(), shrunk.attempts,
                shrunk.shrinks, repro.reproduces ? "verified" : "UNVERIFIED");
-  if (const auto path = args.get("repro", ""); !path.empty()) {
-    std::ofstream out(path);
-    out << repro.text;
-    if (!out.flush()) {
-      throw std::runtime_error("failed writing repro spec '" + path + "'");
-    }
-    std::printf("wrote %s\n", path.c_str());
+  if (repro_file) {
+    repro_file->stream() << repro.text;
+    publish(*repro_file);
   } else {
     std::fputs(repro.text.c_str(), stderr);
   }
@@ -785,28 +632,21 @@ int run_verify(const util::Args& args, util::Rng& rng) {
 }
 
 int run_campaign(const util::Args& args) {
-  const auto& positional = args.positional();
-  if (positional.size() < 2) {
-    std::fprintf(stderr, "campaign: missing <spec-file> argument\n");
-    return kExitUsage;
-  }
-  auto spec = campaign::load_spec(positional[1]);
+  auto spec = campaign::load_spec(args.positional().front());
   // CLI overrides for the two knobs one typically varies per invocation.
   if (args.has("replications")) {
-    spec.replications = static_cast<std::size_t>(
-        args.get_int_in("replications", 16, 1, 1'000'000'000));
+    spec.replications = static_cast<std::size_t>(args.integer("replications"));
   }
   if (args.has("seed")) {
-    spec.seed_base = parse_seed(args, 0);
+    spec.seed_base = static_cast<std::uint64_t>(args.integer("seed"));
   }
-  const unsigned threads = parse_threads(args);
 
   const auto plan = campaign::expand(spec);
 
   // Resume must be validated before anything runs or any output opens:
   // a checkpoint for a different spec, or a torn file, aborts with the
   // bad-arguments exit and zero partial execution.
-  const std::string resume_path = args.get("resume", "");
+  const std::string& resume_path = args.text("resume");
   campaign::CheckpointState resume_state;
   if (!resume_path.empty()) {
     resume_state = campaign::load_checkpoint(resume_path, plan);
@@ -814,34 +654,17 @@ int run_campaign(const util::Args& args) {
   campaign::CheckpointOptions ckpt;
   // --resume without --checkpoint keeps checkpointing to the same file,
   // so a twice-interrupted sweep resumes twice without extra flags.
-  ckpt.path = args.get("checkpoint", resume_path);
-  ckpt.every_runs = static_cast<std::size_t>(
-      args.get_int_in("checkpoint-every", 64, 1, 1'000'000'000));
+  ckpt.path = args.has("checkpoint") ? args.text("checkpoint") : resume_path;
+  ckpt.every_runs = static_cast<std::size_t>(args.integer("checkpoint-every"));
 
-  // Stage the output files *before* running: an unwritable path must
-  // abort up front, not after hours of simulation whose results it
-  // would then discard (invalid_argument → the bad-arguments exit
-  // code). Staging through AtomicFile also means a crash mid-report can
-  // never tear the destination — it gets the complete new bytes at
-  // commit() or keeps its old content.
-  struct PendingOutput {
-    std::unique_ptr<util::AtomicFile> file;
-    void (*writer)(std::ostream&, const campaign::CampaignPlan&,
-                   const std::vector<campaign::ScenarioAggregate>&);
-  };
-  std::vector<PendingOutput> outputs;
-  for (const auto& [flag, writer] :
-       {std::pair{"csv", &campaign::write_csv},
-        std::pair{"json", &campaign::write_json}}) {
-    const auto path = args.get(flag, "");
-    if (path.empty()) continue;
-    outputs.push_back({std::make_unique<util::AtomicFile>(path), writer});
-  }
+  auto csv = stage_output(args, "csv");
+  auto json = stage_output(args, "json");
 
   campaign::ExecutionOptions exec;
-  exec.shards = parse_shards(args);
-  campaign::CampaignRunner runner(threads, exec);
-  if (!args.get_bool("quiet", false)) {
+  exec.shards = static_cast<std::size_t>(args.integer("shards"));
+  campaign::CampaignRunner runner(
+      static_cast<unsigned>(args.integer("threads")), exec);
+  if (!args.boolean("quiet")) {
     std::printf("campaign '%s': %zu scenario(s) x %zu replication(s) = %zu "
                 "run(s) on %u thread(s)\n",
                 plan.name.c_str(), plan.grid.size(), plan.replications,
@@ -864,14 +687,17 @@ int run_campaign(const util::Args& args) {
   }
   const auto aggregates = aggregator.summarize();
 
-  if (!args.get_bool("quiet", false)) {
+  if (!args.boolean("quiet")) {
     std::fputs(campaign::summary_table(plan, aggregates).render().c_str(),
                stdout);
   }
-  for (auto& output : outputs) {
-    output.writer(output.file->stream(), plan, aggregates);
-    output.file->commit();  // throws runtime_error → run-failure exit
-    std::printf("wrote %s\n", output.file->path().c_str());
+  if (csv) {
+    campaign::write_csv(csv->stream(), plan, aggregates);
+    publish(*csv);
+  }
+  if (json) {
+    campaign::write_json(json->stream(), plan, aggregates);
+    publish(*json);
   }
   return kExitOk;
 }
@@ -884,10 +710,9 @@ extern "C" void handle_stop_signal(int) {
 
 int run_serve(const util::Args& args) {
   serve::ServerOptions options;
-  options.port =
-      static_cast<std::uint16_t>(args.get_int_in("port", 0, 0, 65535));
-  options.threads = parse_threads(args);
-  options.exec.shards = parse_shards(args);
+  options.port = static_cast<std::uint16_t>(args.integer("port"));
+  options.threads = static_cast<unsigned>(args.integer("threads"));
+  options.exec.shards = static_cast<std::size_t>(args.integer("shards"));
 
   serve::Server server(options);
   g_server = &server;
@@ -912,21 +737,15 @@ int run_serve(const util::Args& args) {
 /// prints result lines to stdout. Keeping the client in the CLI makes
 /// the daemon scriptable with nothing but this binary.
 int run_submit(const util::Args& args) {
-  const auto& positional = args.positional();
-  if (positional.size() < 2) {
-    std::fprintf(stderr, "submit: missing <spec-file> argument\n");
-    return kExitUsage;
-  }
   if (!args.has("port")) {
     throw std::invalid_argument("submit: --port is required");
   }
-  const auto port =
-      static_cast<std::uint16_t>(args.get_int_in("port", 0, 1, 65535));
+  const auto port = static_cast<std::uint16_t>(args.integer("port"));
 
-  std::ifstream in(positional[1], std::ios::binary);
+  const std::string& spec_path = args.positional().front();
+  std::ifstream in(spec_path, std::ios::binary);
   if (!in) {
-    throw std::invalid_argument("cannot read spec file '" + positional[1] +
-                                "'");
+    throw std::invalid_argument("cannot read spec file '" + spec_path + "'");
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
@@ -979,145 +798,173 @@ int run_submit(const util::Args& args) {
   return exit_code;
 }
 
-void usage() {
-  std::puts(
-      "usage: ssmwn <command> [flags]\n"
-      "commands:\n"
-      "  cluster  --n N --radius R [--grid] [--seed S]\n"
-      "           [--metric density|degree|lowest-id|max-min] [--d D]\n"
-      "           [--dag] [--fusion] [--incumbency]\n"
-      "           [--dot F] [--csv F] [--map]\n"
-      "  protocol --n N --radius R [--grid] [--seed S] [--tau T]\n"
-      "           [--steps K] [--corrupt FRAC] [--dag] [--fusion]\n"
-      "           [--threads N] [--shards N] [--scheduler sync|async]\n"
-      "           [--daemon synchronous|randomized|unfair]\n"
-      "           [--period SECS] [--period-jitter FRAC]\n"
-      "           [--link-delay SECS]\n"
-      "           [--live] [--topology incremental|rebuild]\n"
-      "           [--mobility random-direction|random-waypoint]\n"
-      "           [--speed-min MPS] [--speed-max MPS]\n"
-      "           [--windows W] [--window-s SECS]\n"
-      "           [--stepping full|dirty]\n"
-      "  routing  --n N --radius R [--grid] [--seed S] [--pairs K]\n"
-      "  campaign <spec-file> [--threads N] [--shards N] [--csv F]\n"
-      "           [--json F] [--quiet] [--replications N] [--seed S]\n"
-      "           [--checkpoint F] [--checkpoint-every N] [--resume F]\n"
-      "  serve    [--port N] [--threads N] [--shards N]\n"
-      "  submit   <spec-file> --port N\n"
-      "  verify   [--trials N] [--classes all|c1,c2,...] [--n-min A]\n"
-      "           [--n-max B] [--radius R] [--variant V] [--tau T]\n"
-      "           [--steps H] [--seed S] [--threads N] [--repro F]\n"
-      "           [--quiet]\n"
-      "flags:\n"
-      "  --threads N  step-engine / runner parallelism; 0 = hardware\n"
-      "               concurrency, default 1; results are identical\n"
-      "               for any value\n"
-      "  --shards N   spatially sharded sync engine (protocol/campaign):\n"
-      "               0/1 = unsharded (default), >= 2 carves the node\n"
-      "               range into N shards with per-pair boundary\n"
-      "               mailboxes; bit-identical results at any value\n"
-      "  --seed S     experiment seed (campaign: overrides seed_base)\n"
-      "  --scheduler  execution engine: sync (lockstep steps, default)\n"
-      "               or async (event-driven: per-node jittered\n"
-      "               broadcast periods, per-link delays, pluggable\n"
-      "               daemon; reports virtual convergence time and\n"
-      "               messages-to-convergence; --steps bounds the\n"
-      "               horizon in periods)\n"
-      "  verify       self-stabilization certifier: --trials seeded\n"
-      "               arbitrary-state trials per fault class (random-all,\n"
-      "               metric-skew, cluster-id-noise, stale-cache,\n"
-      "               hierarchy-loops, partial-frame), each played to\n"
-      "               fixpoint on BOTH engines under rotating daemons and\n"
-      "               checked for legitimacy, closure, and cross-engine\n"
-      "               agreement; violations are shrunk to a minimal\n"
-      "               replayable campaign spec (--repro FILE)\n"
-      "  --live       protocol-under-mobility: the protocol keeps\n"
-      "               running while nodes move (--windows perturbations\n"
-      "               of --window-s seconds each); per-perturbation\n"
-      "               re-convergence time and messages are reported.\n"
-      "               --topology incremental patches live edge deltas\n"
-      "               (eager stale-link invalidation); rebuild swaps in\n"
-      "               a fresh graph (recovery by cache aging alone)\n"
-      "  --stepping   full (default) re-runs every node each tick; dirty\n"
-      "               runs only nodes whose closed neighborhood changed\n"
-      "               (bit-identical results, large steady-state speedup;\n"
-      "               sync engine requires --tau 1)\n"
-      "  --checkpoint F        campaign: publish resumable checkpoints to\n"
-      "               F (atomic rename; snapshot every --checkpoint-every\n"
-      "               completed runs, default 64, plus a final one)\n"
-      "  --resume F   campaign: skip runs already recorded in checkpoint\n"
-      "               F; output is byte-identical to an uninterrupted run\n"
-      "               at any --threads. Keeps checkpointing to F unless\n"
-      "               --checkpoint overrides. Rejects checkpoints whose\n"
-      "               spec hash does not match the spec file\n"
-      "  serve        long-running daemon on 127.0.0.1 (--port 0 =\n"
-      "               ephemeral, printed on stdout): framed spec in,\n"
-      "               framed per-run results out, shared FIFO run\n"
-      "               pool; SIGTERM drains gracefully\n"
-      "exit codes: 0 success, 1 run failure, 2 bad arguments or spec");
-}
-
-/// Marks every flag the command understands as consumed and reports
-/// anything left over. Runs *before* dispatch: a mistyped flag must
-/// abort up front, not after a multi-hour campaign already ran with
-/// the flag's default. kKnownFlags is the flag source of truth for
-/// rejection — keep it in sync with usage() above and with the get_*
-/// calls in the run_* handlers when adding a flag.
-const std::map<std::string, std::vector<std::string>> kKnownFlags = {
-    {"cluster",
-     {"n", "radius", "grid", "metric", "d", "dag", "fusion", "incumbency",
-      "dot", "csv", "map"}},
-    {"protocol",
-     {"n", "radius", "grid", "tau", "steps", "corrupt", "dag", "fusion",
-      "threads", "shards", "scheduler", "daemon", "period", "period-jitter",
-      "link-delay", "live", "topology", "mobility", "speed-min", "speed-max",
-      "windows", "window-s", "stepping"}},
-    {"routing", {"n", "radius", "grid", "pairs"}},
-    {"campaign",
-     {"threads", "shards", "csv", "json", "quiet", "replications",
-      "checkpoint", "checkpoint-every", "resume"}},
-    {"serve", {"port", "threads", "shards"}},
-    {"submit", {"port"}},
-    {"verify",
-     {"trials", "classes", "n-min", "n-max", "radius", "variant", "tau",
-      "steps", "threads", "repro", "quiet"}},
+// Each command's bit in a flag row's command set.
+enum : unsigned {
+  kCluster = 1, kProtocol = 2, kRouting = 4, kCampaign = 8, kServe = 16,
+  kSubmit = 32, kVerify = 64, kDeploy = kCluster | kProtocol | kRouting,
 };
 
-bool reject_unknown_flags(const std::string& command,
-                          const util::Args& args) {
-  for (const auto& flag : kKnownFlags.at(command)) (void)args.has(flag);
-  (void)args.has("seed");  // common to every command
-  const auto unknown = args.unknown();
-  for (const auto& flag : unknown) {
-    std::fprintf(stderr, "unrecognized flag --%s\n", flag.c_str());
+struct FlagRow {
+  unsigned commands;
+  util::Flag flag;
+};
+
+using enum util::Flag::Kind;
+const double kBelow1 = std::nextafter(1.0, 0.0);
+const double kBelow1e9 = std::nextafter(1e9, 0.0);
+const double kTiny = std::numeric_limits<double>::denorm_min();
+const double kMaxSeed = 0x1p63;  // 2^63: every int64 seed >= 0 fits
+
+// Every flag of every command: {name, kind, default, help, min, max,
+// choices, needs}. A name has two rows only where two commands give it
+// a different default or range. A need rejects the flag in a mode that
+// never reads it.
+const std::vector<FlagRow> kFlags = {
+    {kDeploy, {"n", kInt, "500", "number of nodes", 1, 1e7}},
+    {kDeploy, {"radius", kReal, "0.08", "radio range", 1e-9, 1e9}},
+    {kDeploy, {"grid", kBool, "false", "square grid, sequential ids"}},
+    {kDeploy | kVerify,
+     {"seed", kInt, "20050612", "experiment seed", 0, kMaxSeed}},
+    {kCampaign, {"seed", kInt, "", "override seed_base", 0, kMaxSeed}},
+    {kCluster, {"metric", kChoice, "density", "head election metric", 0, 0,
+                {"density", "degree", "lowest-id", "max-min"}}},
+    {kCluster, {"d", kInt, "2", "max-min radius in hops", 1, 64, {},
+                {{"metric", "max-min"}}}},
+    {kCluster | kProtocol, {"dag", kBool, "false", "DAG ids (paper 4.1)"}},
+    {kCluster | kProtocol,
+     {"fusion", kBool, "false", "fuse heads < 3 hops apart (paper 4.3)"}},
+    {kCluster, {"incumbency", kBool, "false", "heads keep ties (paper 4.3)"}},
+    {kCluster, {"dot", kText, "", "write the clustering as DOT"}},
+    {kCluster | kCampaign, {"csv", kText, "", "write per-node/scenario CSV"}},
+    {kCluster, {"map", kBool, "false", "ASCII map (with --grid)"}},
+    {kRouting, {"pairs", kInt, "300", "sampled node pairs", 1, 1e7}},
+    {kProtocol | kVerify,
+     {"tau", kReal, "1", "per-link delivery probability", kTiny, 1}},
+    {kProtocol, {"steps", kInt, "100", "steps (async, live: periods)", 1, 1e6}},
+    {kVerify, {"steps", kInt, "240", "trial horizon in rounds",
+               verify::kMinHorizonRounds, 1e6}},
+    {kProtocol, {"corrupt", kReal, "0", "corrupt this node share, recover",
+                 0, 1, {}, {{"live", "false"}}}},
+    {kProtocol | kCampaign | kServe | kVerify,
+     {"threads", kInt, "1", "workers, 0 = all; same results", 0, 65536, {},
+      {{"scheduler", "sync"}}}},
+    {kProtocol | kCampaign | kServe,
+     {"shards", kInt, "0", "shards, 0 = per worker; same results", 0, 1e6,
+      {}, {{"scheduler", "sync"}, {"live", "false"}}}},
+    {kProtocol, {"scheduler", kChoice, "sync", "lockstep or event-driven", 0,
+                 0, {"sync", "async"}}},
+    {kProtocol, {"daemon", kChoice, "randomized", "async activation order", 0,
+                 0, {"randomized", "synchronous", "unfair"},
+                 {{"scheduler", "async"}}}},
+    // 1e-6 s is one virtual-time tick: a shorter period cannot advance
+    // the event clock.
+    {kProtocol, {"period", kReal, "1", "broadcast period in s (live: "
+                 "--window-s)", 1e-6, kBelow1e9, {}, {{"scheduler", "async"}}}},
+    {kProtocol, {"period-jitter", kReal, "0.1", "period jitter", 0, kBelow1,
+                 {}, {{"scheduler", "async"}}}},
+    {kProtocol, {"link-delay", kReal, "0.02", "link delay in s", 0, kBelow1e9,
+                 {}, {{"scheduler", "async"}}}},
+    {kProtocol, {"live", kBool, "false", "keep running while nodes move"}},
+    {kProtocol, {"topology", kChoice, "incremental", "per-window update", 0,
+                 0, {"incremental", "rebuild"}, {{"live", "true"}}}},
+    {kProtocol, {"mobility", kChoice, "random-direction", "mobility model",
+                 0, 0, {"random-direction", "random-waypoint"},
+                 {{"live", "true"}}}},
+    {kProtocol, {"speed-min", kReal, "0", "slowest node in m/s", 0,
+                 kBelow1e9, {}, {{"live", "true"}}}},
+    {kProtocol, {"speed-max", kReal, "1.6", "fastest node in m/s", 0,
+                 kBelow1e9, {}, {{"live", "true"}}}},
+    {kProtocol, {"windows", kInt, "20", "mobility windows", 1, 1e6, {},
+                 {{"live", "true"}}}},
+    {kProtocol, {"window-s", kReal, "2", "seconds per window", 1e-6,
+                 kBelow1e9, {}, {{"live", "true"}}}},
+    {kProtocol, {"stepping", kChoice, "full", "dirty: changed nodes only", 0,
+                 0, {"full", "dirty"}}},
+    {kCampaign, {"json", kText, "", "write per-scenario JSON"}},
+    {kCampaign | kVerify, {"quiet", kBool, "false", "no progress or table"}},
+    {kCampaign, {"replications", kInt, "", "override replications", 1, 1e9}},
+    {kCampaign, {"checkpoint", kText, "", "publish resumable checkpoints"}},
+    {kCampaign, {"checkpoint-every", kInt, "64", "runs per checkpoint", 1,
+                 1e9}},
+    {kCampaign, {"resume", kText, "", "skip the runs a checkpoint holds"}},
+    {kServe, {"port", kInt, "0", "127.0.0.1 port, 0 = ephemeral", 0, 65535}},
+    {kSubmit, {"port", kInt, "", "the daemon's port (required)", 1, 65535}},
+    {kVerify, {"trials", kInt, "200", "trials per fault class", 1, 1e7}},
+    {kVerify, {"classes", kText, "all", "all, or a comma list"}},
+    {kVerify, {"n-min", kInt, "8", "smallest trial world", 1, 1e6}},
+    {kVerify, {"n-max", kInt, "64", "largest trial world", 1, 1e6}},
+    {kVerify, {"radius", kReal, "0.16", "trial radio range", kTiny,
+               kBelow1e9}},
+    {kVerify, {"variant", kChoice, "basic", "protocol variant", 0, 0,
+               {"basic", "dag", "improved", "full"}}},
+    {kVerify, {"repro", kText, "", "write a shrunk violation's spec"}},
+};
+
+struct Command {
+  const char* name;
+  unsigned bit;
+  std::vector<std::string> operands;
+  const char* summary;
+  int (*run)(const util::Args&);
+};
+
+const std::vector<Command> kCommands = {
+    {"cluster", kCluster, {}, "cluster one deployment", run_cluster},
+    {"protocol", kProtocol, {}, "run the distributed protocol", run_protocol},
+    {"routing", kRouting, {}, "flat vs cluster-based routing", run_routing},
+    {"campaign", kCampaign, {"<spec-file>"}, "run a spec's grid", run_campaign},
+    {"serve", kServe, {}, "daemon: specs in, results out", run_serve},
+    {"submit", kSubmit, {"<spec-file>"}, "send a spec to serve", run_submit},
+    {"verify", kVerify, {}, "certify self-stabilization", run_verify},
+};
+
+std::vector<util::Flag> flags_of(const Command& command) {
+  std::vector<util::Flag> flags;
+  for (const auto& row : kFlags) {
+    if (row.commands & command.bit) flags.push_back(row.flag);
   }
-  return unknown.empty();
+  return flags;
+}
+
+void usage() {
+  std::puts("usage: ssmwn <command> [operands] [--flag value ...]\n"
+            "a bool flag is bare --flag or --flag=false");
+  for (const auto& command : kCommands) {
+    std::string head = command.name;
+    for (const auto& operand : command.operands) head += " " + operand;
+    std::printf("\n%s: %s\n", head.c_str(), command.summary);
+    for (const auto& flag : flags_of(command)) {
+      std::string left = "  --" + flag.name;
+      if (flag.kind == kInt) left += " N";
+      if (flag.kind == kReal) left += " X";
+      if (flag.kind == kText) left += " TEXT";
+      for (const auto& choice : flag.choices) {
+        left += (&choice == &flag.choices.front() ? " " : "|") + choice;
+      }
+      if (left.size() >= 24) left += "\n" + std::string(24, ' ');
+      std::string help = flag.help;
+      if (flag.kind != kBool && !flag.fallback.empty()) {
+        help += " (default " + flag.fallback + ")";
+      }
+      std::printf("%-24s%s\n", left.c_str(), help.c_str());
+    }
+  }
+  std::puts("\nexit codes: 0 success, 1 run failure, 2 bad arguments or spec");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
-    const util::Args args(argc, argv);
-    if (args.positional().empty()) {
-      usage();
-      return kExitUsage;
+    for (const auto& command : kCommands) {
+      if (argc > 1 && std::string(argv[1]) == command.name) {
+        return command.run(util::Args(argc - 1, argv + 1, flags_of(command),
+                                      command.operands));
+      }
     }
-    util::Rng rng(parse_seed(args, 20050612));
-    const std::string command = args.positional().front();
-    if (!kKnownFlags.count(command)) {
-      std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
-      usage();
-      return kExitUsage;
-    }
-    if (!reject_unknown_flags(command, args)) return kExitUsage;
-    if (command == "cluster") return run_cluster(args, rng);
-    if (command == "protocol") return run_protocol(args, rng);
-    if (command == "routing") return run_routing(args, rng);
-    if (command == "verify") return run_verify(args, rng);
-    if (command == "serve") return run_serve(args);
-    if (command == "submit") return run_submit(args);
-    return run_campaign(args);
+    if (argc > 1) std::fprintf(stderr, "unknown command '%s'\n", argv[1]);
+    usage();
+    return kExitUsage;
   } catch (const std::invalid_argument& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return kExitUsage;

@@ -1,55 +1,68 @@
-// Minimal command-line flag parsing for the CLI driver (`apps/ssmwn`).
-// Flags are `--name value` or `--name=value`; booleans accept bare
-// `--name`. No external dependencies; unknown flags are reported.
+// Table-driven command-line flags for the CLI driver (`apps/ssmwn`).
+// A command declares each flag once, as a `Flag` row, and `Args` reads
+// argv against those rows, rejecting bad input before the command does
+// any work. No external dependencies.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ssmwn::util {
 
+struct Flag {
+  enum class Kind { kBool, kInt, kReal, kText, kChoice };
+
+  std::string name;
+  Kind kind = Kind::kText;
+  std::string fallback;  // the default as text; "" = none
+  std::string help;
+  double min = 0.0, max = 0.0;         // inclusive range of a kInt / kReal
+  std::vector<std::string> choices{};  // the values a kChoice accepts
+  /// {flag, value} pairs that must hold (given or by default; a bool
+  /// reads "true"/"false") for this flag to be given at all.
+  std::vector<std::pair<std::string, std::string>> needs{};
+};
+
 class Args {
  public:
-  /// Parses argv; throws std::invalid_argument on malformed input
-  /// (missing value for the last flag).
-  Args(int argc, const char* const* argv);
+  /// Reads argv[1..argc) against `flags`: `--name value` or
+  /// `--name=value`, except that a bool takes a value only as
+  /// `--name=value`. An empty value means the default; the last value
+  /// wins. Takes exactly `operands.size()` positional arguments (the
+  /// names serve the error messages). Throws std::invalid_argument,
+  /// naming the flag, on an unknown flag, a missing or malformed value,
+  /// a value outside the row's range or choices (NaN included), an unmet
+  /// need, or a missing or extra positional argument. Defaults are not
+  /// range-checked.
+  Args(int argc, const char* const* argv, std::vector<Flag> flags,
+       const std::vector<std::string>& operands = {});
 
+  /// Whether the flag was given (with a non-empty value).
   [[nodiscard]] bool has(const std::string& name) const;
-  [[nodiscard]] std::string get(const std::string& name,
-                                const std::string& fallback) const;
-  [[nodiscard]] std::int64_t get_int(const std::string& name,
-                                     std::int64_t fallback) const;
-  [[nodiscard]] double get_double(const std::string& name,
-                                  double fallback) const;
-  [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
+  [[nodiscard]] bool boolean(const std::string& name) const;
+  [[nodiscard]] std::int64_t integer(const std::string& name) const;
+  [[nodiscard]] double real(const std::string& name) const;
+  /// The value of a kText or kChoice flag.
+  [[nodiscard]] const std::string& text(const std::string& name) const;
 
-  /// Range-checked getters: like get_int/get_double, then reject values
-  /// outside [min, max] with a message naming the flag and the accepted
-  /// range. The range check applies to provided values only, never to
-  /// the fallback — a command's default must already be legal. These
-  /// exist so every numeric CLI flag rejects degenerate input (negative
-  /// counts, ports above 65535, huge fractions) with exit code 2
-  /// instead of wrapping through a cast or silently clamping.
-  [[nodiscard]] std::int64_t get_int_in(const std::string& name,
-                                        std::int64_t fallback,
-                                        std::int64_t min,
-                                        std::int64_t max) const;
-  [[nodiscard]] double get_double_in(const std::string& name, double fallback,
-                                     double min, double max) const;
-
-  /// Positional (non-flag) arguments in order.
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;
   }
-  /// Flags that were provided but never queried via get*/has.
-  [[nodiscard]] std::vector<std::string> unknown() const;
 
  private:
+  /// The value (given, else default) of a declared flag of one of
+  /// `kinds` (empty: any kind); std::logic_error otherwise — a slip in
+  /// the caller, not bad input.
+  const std::string& value(const std::string& name,
+                           std::initializer_list<Flag::Kind> kinds) const;
+  const Flag* find(const std::string& name) const;
+
+  std::vector<Flag> flags_;
   std::map<std::string, std::string> values_;
-  mutable std::map<std::string, bool> queried_;
   std::vector<std::string> positional_;
 };
 

@@ -1,4 +1,4 @@
-// Tests for the CLI flag parser.
+// Tests for the table-driven CLI flag parser.
 #include "util/args.hpp"
 
 #include <gtest/gtest.h>
@@ -6,202 +6,228 @@
 namespace ssmwn {
 namespace {
 
-util::Args parse(std::initializer_list<const char*> tokens) {
-  std::vector<const char*> argv{"prog"};
+using util::Flag;
+using enum Flag::Kind;
+
+// A small command: every kind, one range per number, two needs.
+std::vector<Flag> table() {
+  return {
+      {"n", kInt, "7", "nodes", 1, 100},
+      {"threads", kInt, "1", "workers", 0, 65536, {}, {{"scheduler", "sync"}}},
+      {"port", kInt, "0", "default below the range", 1, 65535},
+      {"radius", kReal, "2.5", "default above the range", -1.0, 1.0},
+      {"tau", kReal, "1", "delivery", 1e-9, 1.0},
+      {"grid", kBool, "false", "grid"},
+      {"fusion", kBool, "false", "fusion"},
+      {"live", kBool, "false", "live"},
+      {"csv", kText, "", "file"},
+      {"scheduler", kChoice, "sync", "engine", 0, 0, {"sync", "async"}},
+      {"topology", kChoice, "incremental", "update", 0, 0,
+       {"incremental", "rebuild"}, {{"live", "true"}}},
+  };
+}
+
+util::Args parse(std::initializer_list<const char*> tokens,
+                 const std::vector<std::string>& operands = {}) {
+  std::vector<const char*> argv{"cmd"};
   argv.insert(argv.end(), tokens.begin(), tokens.end());
-  return util::Args(static_cast<int>(argv.size()), argv.data());
+  return util::Args(static_cast<int>(argv.size()), argv.data(), table(),
+                    operands);
+}
+
+/// The what() of the invalid_argument `tokens` raise, or "" if none.
+std::string rejection(std::initializer_list<const char*> tokens,
+                      const std::vector<std::string>& operands = {}) {
+  try {
+    (void)parse(tokens, operands);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(Args, SpaceAndEqualsSyntax) {
-  const auto args = parse({"--n", "500", "--radius=0.08"});
-  EXPECT_EQ(args.get_int("n", 0), 500);
-  EXPECT_DOUBLE_EQ(args.get_double("radius", 0.0), 0.08);
+  const auto args = parse({"--n", "50", "--radius=0.08", "--csv", "out.csv"});
+  EXPECT_EQ(args.integer("n"), 50);
+  EXPECT_DOUBLE_EQ(args.real("radius"), 0.08);
+  EXPECT_EQ(args.text("csv"), "out.csv");
 }
 
 TEST(Args, BareBooleanFlags) {
   const auto args = parse({"--grid", "--fusion", "--n", "10"});
-  EXPECT_TRUE(args.get_bool("grid", false));
-  EXPECT_TRUE(args.get_bool("fusion", false));
-  EXPECT_FALSE(args.get_bool("dag", false));
-  EXPECT_EQ(args.get_int("n", 0), 10);
+  EXPECT_TRUE(args.boolean("grid"));
+  EXPECT_TRUE(args.boolean("fusion"));
+  EXPECT_FALSE(args.boolean("live"));
+  EXPECT_EQ(args.integer("n"), 10);
 }
 
 TEST(Args, BooleanSpellings) {
-  EXPECT_TRUE(parse({"--x", "yes"}).get_bool("x", false));
-  EXPECT_TRUE(parse({"--x", "on"}).get_bool("x", false));
-  EXPECT_FALSE(parse({"--x", "0"}).get_bool("x", true));
-  EXPECT_FALSE(parse({"--x", "no"}).get_bool("x", true));
-  EXPECT_THROW((void)parse({"--x", "maybe"}).get_bool("x", true),
-               std::invalid_argument);
+  EXPECT_TRUE(parse({"--grid=yes"}).boolean("grid"));
+  EXPECT_TRUE(parse({"--grid=on"}).boolean("grid"));
+  EXPECT_TRUE(parse({"--grid=1"}).boolean("grid"));
+  EXPECT_FALSE(parse({"--grid=0"}).boolean("grid"));
+  EXPECT_FALSE(parse({"--grid=no"}).boolean("grid"));
+  EXPECT_FALSE(parse({"--grid=off"}).boolean("grid"));
+  EXPECT_NE(rejection({"--grid=maybe"}).find("--grid"), std::string::npos);
 }
 
-TEST(Args, PositionalArguments) {
-  const auto args = parse({"cluster", "--n", "5", "extra"});
-  ASSERT_EQ(args.positional().size(), 2u);
-  EXPECT_EQ(args.positional()[0], "cluster");
-  EXPECT_EQ(args.positional()[1], "extra");
+// A bool takes a value only as `--flag=value`: the next token is never
+// its value, so `campaign --quiet run.spec` keeps its spec path.
+TEST(Args, BareBooleanNeverTakesTheNextToken) {
+  const auto args = parse({"--grid", "run.spec"}, {"<spec-file>"});
+  EXPECT_TRUE(args.boolean("grid"));
+  ASSERT_EQ(args.positional().size(), 1u);
+  EXPECT_EQ(args.positional()[0], "run.spec");
+  // Without an operand slot the token is an extra argument, not "false".
+  EXPECT_NE(rejection({"--grid", "false"}).find("'false'"), std::string::npos);
+}
+
+TEST(Args, PositionalCountIsExact) {
+  EXPECT_NE(rejection({"--n", "5", "extra"}).find("'extra'"),
+            std::string::npos);
+  EXPECT_NE(rejection({"a.spec", "b.spec"}, {"<spec-file>"}).find("'b.spec'"),
+            std::string::npos);
+  EXPECT_NE(rejection({"--n", "5"}, {"<spec-file>"}).find("<spec-file>"),
+            std::string::npos);
 }
 
 TEST(Args, Fallbacks) {
   const auto args = parse({});
-  EXPECT_EQ(args.get("missing", "dflt"), "dflt");
-  EXPECT_EQ(args.get_int("missing", 7), 7);
-  EXPECT_DOUBLE_EQ(args.get_double("missing", 2.5), 2.5);
+  EXPECT_FALSE(args.has("n"));
+  EXPECT_EQ(args.integer("n"), 7);
+  EXPECT_DOUBLE_EQ(args.real("tau"), 1.0);
+  EXPECT_EQ(args.text("csv"), "");
+  EXPECT_EQ(args.text("scheduler"), "sync");
+  EXPECT_FALSE(args.boolean("grid"));
 }
 
 TEST(Args, MalformedNumbersThrow) {
-  EXPECT_THROW((void)parse({"--n", "abc"}).get_int("n", 0), std::invalid_argument);
-  EXPECT_THROW((void)parse({"--r", "abc"}).get_double("r", 0),
-               std::invalid_argument);
+  EXPECT_NE(rejection({"--n", "abc"}).find("integer"), std::string::npos);
+  EXPECT_NE(rejection({"--tau", "abc"}).find("number"), std::string::npos);
   // Trailing junk is an error, not a silent prefix parse.
-  EXPECT_THROW((void)parse({"--n", "5x"}).get_int("n", 0),
-               std::invalid_argument);
-  EXPECT_THROW((void)parse({"--r", "0.1abc"}).get_double("r", 0),
-               std::invalid_argument);
+  EXPECT_NE(rejection({"--n", "5x"}), "");
+  EXPECT_NE(rejection({"--tau", "0.1abc"}), "");
   // A single leading '+' stays accepted (strtod compatibility); a
   // doubled sign does not.
-  EXPECT_EQ(parse({"--n", "+42"}).get_int("n", 0), 42);
-  EXPECT_DOUBLE_EQ(parse({"--r", "+0.5"}).get_double("r", 0), 0.5);
-  EXPECT_THROW((void)parse({"--n", "+-4"}).get_int("n", 0),
-               std::invalid_argument);
+  EXPECT_EQ(parse({"--n", "+42"}).integer("n"), 42);
+  EXPECT_DOUBLE_EQ(parse({"--tau", "+0.5"}).real("tau"), 0.5);
+  EXPECT_NE(rejection({"--n", "+-4"}), "");
 }
 
-TEST(Args, UnknownTracksUnqueriedFlags) {
-  const auto args = parse({"--known", "1", "--typo", "2"});
-  EXPECT_EQ(args.get_int("known", 0), 1);
-  const auto unknown = args.unknown();
-  ASSERT_EQ(unknown.size(), 1u);
-  EXPECT_EQ(unknown[0], "typo");
+TEST(Args, UnknownFlagIsRejected) {
+  EXPECT_EQ(rejection({"--n", "1", "--typo", "2"}), "unknown flag --typo");
+  EXPECT_EQ(rejection({"--typo=2"}), "unknown flag --typo");
+}
+
+TEST(Args, MissingValueIsRejected) {
+  EXPECT_NE(rejection({"--n"}).find("--n"), std::string::npos);
+  EXPECT_NE(rejection({"--n", "--grid"}).find("--n"), std::string::npos);
+}
+
+TEST(Args, ChoicesAreChecked) {
+  EXPECT_EQ(parse({"--scheduler", "async"}).text("scheduler"), "async");
+  const auto error = rejection({"--scheduler", "fast"});
+  EXPECT_NE(error.find("--scheduler"), std::string::npos) << error;
+  EXPECT_NE(error.find("sync|async"), std::string::npos) << error;
 }
 
 TEST(Args, LastValueWins) {
-  const auto args = parse({"--n", "1", "--n", "2"});
-  EXPECT_EQ(args.get_int("n", 0), 2);
+  EXPECT_EQ(parse({"--n", "1", "--n", "2"}).integer("n"), 2);
 }
 
-// The CLI rejects unrecognized flags with the bad-arguments exit code
-// (2, distinct from run-failure 1); that hinges on `unknown()` seeing
-// exactly the flags no handler consumed — via any accessor, including
-// `has`.
-TEST(Args, HasMarksFlagsAsConsumed) {
-  const auto args = parse({"--replications", "8", "--quiet"});
-  EXPECT_TRUE(args.has("replications"));
-  EXPECT_TRUE(args.get_bool("quiet", false));
-  EXPECT_TRUE(args.unknown().empty());
-}
-
-TEST(Args, UnknownIsEmptyWhenNoFlagsGiven) {
-  const auto args = parse({"campaign", "spec.file"});
-  EXPECT_TRUE(args.unknown().empty());
+// A need holds on the other flag's effective value, given or default.
+TEST(Args, NeedsRejectFlagsTheModeNeverReads) {
+  EXPECT_EQ(rejection({"--topology", "rebuild"}),
+            "--topology requires --live=true");
+  EXPECT_EQ(rejection({"--live=false", "--topology", "rebuild"}),
+            "--topology requires --live=true");
+  EXPECT_EQ(parse({"--live", "--topology", "rebuild"}).text("topology"),
+            "rebuild");
+  EXPECT_EQ(rejection({"--scheduler", "async", "--threads", "4"}),
+            "--threads requires --scheduler=sync");
+  EXPECT_EQ(parse({"--threads", "4"}).integer("threads"), 4);
 }
 
 // Negative numbers start with a single dash, not a flag prefix, so they
-// parse as values (`--corrupt -0.5` must not eat the next flag).
+// parse as values (`--radius -0.5` must not eat the next flag).
 TEST(Args, NegativeNumbersAreValues) {
-  const auto args = parse({"--threads", "-1", "--radius", "-0.5"});
-  EXPECT_EQ(args.get_int("threads", 0), -1);
-  EXPECT_DOUBLE_EQ(args.get_double("radius", 0.0), -0.5);
+  const auto args = parse({"--radius", "-0.5", "--n", "3"});
+  EXPECT_DOUBLE_EQ(args.real("radius"), -0.5);
+  EXPECT_EQ(args.integer("n"), 3);
+  EXPECT_NE(rejection({"--threads", "-1"}).find("(got -1)"),
+            std::string::npos);
 }
 
-// `--key=` yields an empty value, which every typed accessor treats as
-// absent: the fallback applies instead of a parse error.
+// `--key=` means the default, for every kind.
 TEST(Args, EmptyValueFallsBack) {
-  const auto args = parse({"--n="});
-  EXPECT_EQ(args.get_int("n", 7), 7);
-  EXPECT_EQ(args.get("n", "dflt"), "");
+  const auto args = parse({"--n=", "--csv="});
+  EXPECT_EQ(args.integer("n"), 7);
+  EXPECT_FALSE(args.has("n"));
+  EXPECT_EQ(parse({"--n", "5", "--n="}).integer("n"), 7);
 }
 
-// A bare flag directly before a positional consumes it as its value —
-// the documented reason `ssmwn campaign <spec>` puts the subcommand and
-// spec path first.
-TEST(Args, BareFlagBeforePositionalConsumesIt) {
-  const auto args = parse({"--grid", "cluster"});
-  EXPECT_EQ(args.get("grid", ""), "cluster");
-  EXPECT_TRUE(args.positional().empty());
-}
-
-// Positionals keep their order even when interleaved with flags: the
-// campaign subcommand reads positional()[1] as the spec path.
+// Positionals keep their place even when interleaved with flags.
 TEST(Args, SubcommandThenFileWithFlagsInterleaved) {
-  const auto args =
-      parse({"campaign", "--threads", "4", "run.spec", "--csv", "out.csv"});
-  ASSERT_EQ(args.positional().size(), 2u);
-  EXPECT_EQ(args.positional()[0], "campaign");
-  EXPECT_EQ(args.positional()[1], "run.spec");
-  EXPECT_EQ(args.get_int("threads", 1), 4);
-  EXPECT_EQ(args.get("csv", ""), "out.csv");
+  const auto args = parse({"--threads", "4", "run.spec", "--csv", "out.csv"},
+                          {"<spec-file>"});
+  ASSERT_EQ(args.positional().size(), 1u);
+  EXPECT_EQ(args.positional()[0], "run.spec");
+  EXPECT_EQ(args.integer("threads"), 4);
+  EXPECT_EQ(args.text("csv"), "out.csv");
 }
 
-// Range-checked accessors back the CLI's numeric-flag audit: a value
-// outside [min, max] must throw invalid_argument (→ exit 2) with a
-// message that names the offending flag — never wrap, clamp, or pass a
-// degenerate value through to the simulation.
+// A value outside [min, max] must be rejected (→ exit 2) — never
+// wrapped, clamped, or passed through to the simulation.
 TEST(Args, RangeCheckedIntRejectsOutOfRange) {
-  EXPECT_EQ(parse({"--threads", "8"}).get_int_in("threads", 1, 0, 65536), 8);
-  // Boundary values are in range.
-  EXPECT_EQ(parse({"--threads", "0"}).get_int_in("threads", 1, 0, 65536), 0);
-  EXPECT_EQ(parse({"--threads", "65536"}).get_int_in("threads", 1, 0, 65536),
-            65536);
-  EXPECT_THROW(
-      (void)parse({"--threads", "65537"}).get_int_in("threads", 1, 0, 65536),
-      std::invalid_argument);
-  EXPECT_THROW((void)parse({"--shards", "-3"}).get_int_in("shards", 0, 0,
-                                                          1'000'000),
-               std::invalid_argument);
-  EXPECT_THROW(
-      (void)parse({"--port", "65536"}).get_int_in("port", 0, 1, 65535),
-      std::invalid_argument);
-  // Trailing junk stays a parse error even through the ranged accessor.
-  EXPECT_THROW((void)parse({"--n", "5x"}).get_int_in("n", 1, 1, 100),
-               std::invalid_argument);
+  EXPECT_EQ(parse({"--threads", "0"}).integer("threads"), 0);
+  EXPECT_EQ(parse({"--threads", "65536"}).integer("threads"), 65536);
+  EXPECT_NE(rejection({"--threads", "65537"}), "");
+  EXPECT_NE(rejection({"--port", "65536"}), "");
+  EXPECT_NE(rejection({"--port", "0"}), "");
 }
 
 TEST(Args, RangeCheckedDoubleRejectsDegenerateValues) {
-  EXPECT_DOUBLE_EQ(
-      parse({"--tau", "0.9"}).get_double_in("tau", 1.0, 1e-9, 1.0), 0.9);
-  EXPECT_THROW(
-      (void)parse({"--tau", "0"}).get_double_in("tau", 1.0, 1e-9, 1.0),
-      std::invalid_argument);
-  EXPECT_THROW(
-      (void)parse({"--tau", "1.5"}).get_double_in("tau", 1.0, 1e-9, 1.0),
-      std::invalid_argument);
-  EXPECT_THROW((void)parse({"--corrupt", "-0.1"})
-                   .get_double_in("corrupt", 0.0, 0.0, 1.0),
-               std::invalid_argument);
-  // NaN satisfies no range predicate — must be rejected, not clamped.
-  EXPECT_THROW(
-      (void)parse({"--tau", "nan"}).get_double_in("tau", 1.0, 1e-9, 1.0),
-      std::invalid_argument);
-  EXPECT_THROW(
-      (void)parse({"--tau", "inf"}).get_double_in("tau", 1.0, 1e-9, 1.0),
-      std::invalid_argument);
+  EXPECT_DOUBLE_EQ(parse({"--tau", "0.9"}).real("tau"), 0.9);
+  EXPECT_DOUBLE_EQ(parse({"--tau", "1e-9"}).real("tau"), 1e-9);
+  EXPECT_NE(rejection({"--tau", "0"}), "");
+  EXPECT_NE(rejection({"--tau", "1.5"}), "");
+  // NaN satisfies no range predicate — it must be rejected, not clamped.
+  for (const char* bad : {"nan", "inf", "-inf"}) {
+    const auto error = rejection({"--tau", bad});
+    EXPECT_NE(error.find("--tau"), std::string::npos) << bad << ": " << error;
+  }
 }
 
 TEST(Args, RangeCheckErrorNamesTheFlag) {
-  try {
-    (void)parse({"--threads", "70000"}).get_int_in("threads", 1, 0, 65536);
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("--threads"), std::string::npos)
-        << e.what();
-    EXPECT_NE(std::string(e.what()).find("70000"), std::string::npos)
-        << e.what();
-  }
-  try {
-    (void)parse({"--tau", "2.5"}).get_double_in("tau", 1.0, 1e-9, 1.0);
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("--tau"), std::string::npos)
-        << e.what();
-  }
+  auto error = rejection({"--threads", "70000"});
+  EXPECT_NE(error.find("--threads"), std::string::npos) << error;
+  EXPECT_NE(error.find("70000"), std::string::npos) << error;
+  error = rejection({"--tau", "2.5"});
+  EXPECT_NE(error.find("--tau"), std::string::npos) << error;
+  // Bounds print in shortest form: 1e-9 must not read as 0.000000.
+  EXPECT_NE(error.find("1e-09"), std::string::npos) << error;
 }
 
-// An absent flag returns the fallback verbatim — the range applies only
-// to user input. parse_shards relies on this: its fallback 0 means
-// "auto", below the user-facing minimum of some call sites.
+// A default is not range-checked: only given values are. --port's
+// default 0 sits below its minimum of 1, --radius's 2.5 above its 1.
 TEST(Args, RangeCheckDoesNotApplyToFallbacks) {
-  EXPECT_EQ(parse({}).get_int_in("port", 0, 1, 65535), 0);
-  EXPECT_DOUBLE_EQ(parse({}).get_double_in("tau", -1.0, 1e-9, 1.0), -1.0);
+  EXPECT_EQ(parse({}).integer("port"), 0);
+  EXPECT_DOUBLE_EQ(parse({}).real("radius"), 2.5);
+}
+
+// Reading a flag the table does not declare, or as the wrong kind, is a
+// slip in the caller, not bad input: logic_error, not the exit-2 type.
+TEST(Args, UndeclaredReadsAreLogicErrors) {
+  const auto args = parse({});
+  EXPECT_THROW((void)args.integer("bogus"), std::logic_error);
+  EXPECT_THROW((void)args.real("n"), std::logic_error);
+  EXPECT_THROW((void)args.has("bogus"), std::logic_error);
+  try {
+    (void)args.integer("bogus");
+  } catch (const std::invalid_argument&) {
+    FAIL() << "an undeclared read must not look like bad input";
+  } catch (const std::logic_error&) {
+  }
 }
 
 }  // namespace

@@ -106,8 +106,10 @@ DensityProtocol::DensityProtocol(topology::IdAssignment uids,
   // whatever the cache then holds (trivially 0 for an empty cache).
   links_fresh_.assign(uids_.size(), 0);
   resync_.assign(uids_.size(), 0);
-  // Rank keys are trivially fresh at birth: every cache is empty.
-  ranks_fresh_.assign(uids_.size(), 1);
+  std::vector<topology::ProtocolId> sorted = uids_;
+  std::sort(sorted.begin(), sorted.end());
+  uids_distinct_ =
+      std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
 
   // The paper's program, verbatim as guarded commands. Guards that are
   // plain `true` in the paper stay `true` here; N1's effective guard is
@@ -183,7 +185,6 @@ bool DensityProtocol::deliver_payload(graph::NodeId receiver,
   entry.head_valid = header.head_valid;
   std::copy(digests.begin(), digests.end(), entry.digests.data());
   entry.age = 0;
-  entry.rank_key = entry_key(header.id, entry);
   return true;
 }
 
@@ -210,7 +211,6 @@ void DensityProtocol::deliver(graph::NodeId receiver,
     entry.head_valid = header.head_valid;
     entry.digests.assign(digests.begin(), digests.end());
     entry.age = 0;
-    entry.rank_key = entry_key(header.id, entry);
     return;
   }
 
@@ -310,7 +310,6 @@ void DensityProtocol::deliver(graph::NodeId receiver,
     entry->digests.assign(digests.begin(), digests.end());
   }
   entry->age = 0;
-  entry->rank_key = entry_key(header.id, *entry);
   if (tracking_) {
     if (header_diff || digests_diff) {
       pending_[receiver] = 1;
@@ -321,16 +320,15 @@ void DensityProtocol::deliver(graph::NodeId receiver,
 }
 
 bool DensityProtocol::redeliver_unchanged(graph::NodeId receiver,
-                                          const FrameHeader& header) {
-  if (resync_[receiver] != 0) return false;
+                                          std::size_t heard) {
   auto& cache = aux_[receiver].cache;
-  const auto it = cache.find(header.id);
-  if (it == cache.end()) return false;
-  // The entry already holds these exact bytes (engine-proved: the row is
-  // bit-identical to the one this receiver consumed last sweep), so the
-  // only delivery side effect left is the age reset. No tracking flags:
-  // nothing rule-relevant or frame-visible changed.
-  it->second.age = 0;
+  if (resync_[receiver] != 0 || !uids_distinct_ || cache.size() != heard) {
+    return false;
+  }
+  // Every entry is a heard neighbor's and already holds its frame's bytes
+  // (engine-proved), so only the age resets remain; nothing rule-relevant
+  // or frame-visible changed, so no tracking flags.
+  for (auto& item : cache) item.second.age = 0;
   return true;
 }
 
@@ -679,18 +677,9 @@ void DensityProtocol::rule_r1(NodeState& s) {
 void DensityProtocol::rule_r2(NodeState& s) {
   if (!s.metric_valid) return;  // R1 always runs first in the sweep
   const bool inc = config_.cluster.incumbency;
-  if (ranks_fresh_[s.node] == 0) {
-    // An external mutation may have scribbled any entry since the last
-    // repack; the memoized keys are a pure function of the entries, so
-    // one pass restores the invariant before the election trusts them.
-    for (auto& item : s.cache) {
-      item.second.rank_key = entry_key(item.first, item.second);
-    }
-    ranks_fresh_[s.node] = 1;
-  }
   const PackedRank me = pack_rank(self_rank(s), inc);
 
-  // One ≺-arg-max over the memoized key column replaces both the
+  // One ≺-arg-max over the entries' packed keys replaces both the
   // local-max scan and the join-best scan: invalid entries carry the
   // below-everything sentinel, so they lose without a validity branch,
   // and keys of valid entries are distinct (unique uid sub-keys), so the
@@ -701,8 +690,9 @@ void DensityProtocol::rule_r2(NodeState& s) {
   topology::ProtocolId best_id = 0;
   PackedRank best_key{};  // sentinel
   for (const auto& [id, entry] : s.cache) {
-    if (packed_precedes(best_key, entry.rank_key)) {
-      best_key = entry.rank_key;
+    const PackedRank key = entry_key(id, entry);
+    if (packed_precedes(best_key, key)) {
+      best_key = key;
       best = &entry;
       best_id = id;
     }
@@ -747,9 +737,10 @@ void DensityProtocol::rule_r2(NodeState& s) {
     topology::ProtocolId witness_id = 0;
     PackedRank witness_key{};  // sentinel
     for (const auto& [id, entry] : s.cache) {
-      if (packed_precedes(witness_key, entry.rank_key) &&
+      const PackedRank key = entry_key(id, entry);
+      if (packed_precedes(witness_key, key) &&
           digest_contains(entry.digests, dominating)) {
-        witness_key = entry.rank_key;
+        witness_key = key;
         witness = &entry;
         witness_id = id;
       }
@@ -839,7 +830,6 @@ void DensityProtocol::corrupt_all(util::Rng& rng) {
   for (graph::NodeId p = 0; p < aux_.size(); ++p) {
     links_fresh_[p] = 0;
     resync_[p] = 1;
-    ranks_fresh_[p] = 0;
     scramble_state(view(p), name_space_, aux_.size(), rng);
     externally_touched(p);
   }
@@ -852,7 +842,6 @@ std::size_t DensityProtocol::corrupt_fraction(util::Rng& rng,
     if (rng.chance(fraction)) {
       links_fresh_[p] = 0;
       resync_[p] = 1;
-      ranks_fresh_[p] = 0;
       scramble_state(view(p), name_space_, aux_.size(), rng);
       externally_touched(p);
       ++hit;
@@ -864,7 +853,6 @@ std::size_t DensityProtocol::corrupt_fraction(util::Rng& rng,
 void DensityProtocol::reset_node(graph::NodeId p) {
   links_fresh_[p] = 0;
   resync_[p] = 1;
-  ranks_fresh_[p] = 0;
   NodeState s = view(p);
   s.links_among = 0;
   s.dag_id = 0;

@@ -159,25 +159,19 @@ struct ProtocolConfig {
 
 class DensityProtocol {
  public:
+  /// Wide fields first, bools last: 56 bytes, so a cache item (key +
+  /// entry) fills exactly one 64-byte line. The receive pass walks these
+  /// every step; a new field should earn the line it costs.
   struct CacheEntry {
     std::uint64_t dag_id = 0;
     double metric = 0.0;
-    bool metric_valid = false;
     topology::ProtocolId head = 0;
-    bool head_valid = false;
     /// Sorted by id; a span into the owning node's digest pool. Entries
     /// are move-only as a consequence (see slab_pool.hpp).
     DigestList digests;
     std::uint32_t age = 0;
-    /// Memoized ≺ key for the R2 election: pack_rank(entry_rank(id, *this))
-    /// when metric_valid, the below-everything sentinel otherwise (so
-    /// invalid entries lose every arg-max without a branch). Maintained on
-    /// every internal write (deliver/deliver_payload);
-    /// external mutation clears the owning node's ranks_fresh_ flag and
-    /// the next R2 firing repacks the whole cache. Like links_among_,
-    /// this is a memoization, not protocol state — the differential
-    /// harness does not compare it.
-    PackedRank rank_key{};
+    bool metric_valid = false;
+    bool head_valid = false;
   };
 
   /// Cold per-node state: everything that is not one of the seven hot
@@ -282,14 +276,14 @@ class DensityProtocol {
                std::span<const Digest> digests);
 
   // --- redelivery concept (sim::RedeliveryProtocol) --------------------
-  /// Fast path for a frame the engine proved bit-identical to the one
-  /// this receiver already consumed: only the delivery's bookkeeping
-  /// side effect remains (the cache entry's age resets). Returns false —
-  /// demanding the full compare path — when the entry is missing or the
-  /// receiver's cache was externally mutated since the last full sweep
-  /// (the engine's proof says nothing about state planted by a fault
-  /// injector).
-  bool redeliver_unchanged(graph::NodeId receiver, const FrameHeader& header);
+  /// Fast path for a receiver whose `heard` frames the engine all proved
+  /// bit-identical to the ones it consumed last step, which put every
+  /// neighbor's uid in its cache: with pairwise-distinct uids, a cache of
+  /// exactly `heard` entries is the neighbors, and only the age resets
+  /// remain. Returns false — demanding per-frame delivery — when the
+  /// sizes differ (a phantom entry, an eviction), the receiver was
+  /// externally mutated since the last full sweep, or uids repeat.
+  bool redeliver_unchanged(graph::NodeId receiver, std::size_t heard);
   /// Fast path for a frame whose *id sequence* the engine proved
   /// unchanged since this receiver last consumed it (payloads — DAG ids,
   /// metrics, head bits — may differ): e(N_p) depends only on which ids
@@ -405,9 +399,6 @@ class DensityProtocol {
     // sweep must run full compares for this receiver (cleared by that
     // sweep's end_step).
     resync_[p] = 1;
-    // And for the memoized ≺ keys: the next R2 firing repacks the whole
-    // cache before electing.
-    ranks_fresh_[p] = 0;
     return view(p);
   }
   [[nodiscard]] const ProtocolConfig& config() const noexcept {
@@ -492,8 +483,9 @@ class DensityProtocol {
   [[nodiscard]] NodeRank entry_rank(topology::ProtocolId id,
                                     const CacheEntry& e) const;
   [[nodiscard]] NodeRank digest_rank(const NeighborDigest& d) const;
-  /// The memoized key an entry must carry: its packed rank when valid,
-  /// the sentinel otherwise.
+  /// An entry's ≺ key for the R2 election: its packed rank when valid,
+  /// the below-everything sentinel otherwise (so invalid entries lose
+  /// every arg-max without a branch).
   [[nodiscard]] PackedRank entry_key(topology::ProtocolId id,
                                      const CacheEntry& e) const {
     return e.metric_valid
@@ -535,16 +527,13 @@ class DensityProtocol {
   /// reset_node); set again by the first R1 recompute afterwards. Kept
   /// internal so fault injectors cannot forge trust in a planted count.
   std::vector<std::uint8_t> links_fresh_;
-  /// Set by any external mutation; while set, `redeliver_unchanged`
-  /// declines so the next sweep's full compares resync this receiver's
+  /// Set by any external mutation; while set, the redelivery fast paths
+  /// decline so the next sweep's full compares resync this receiver's
   /// cache. Cleared by `end_step` (which runs after that sweep).
   std::vector<std::uint8_t> resync_;
-  /// Memoized-≺-key counterpart of links_fresh_: when set, every cache
-  /// entry of p carries rank_key == entry_key(...). Cleared by external
-  /// mutation; restored by the repack at the next R2 firing. Internal
-  /// writes keep keys correct regardless of the flag (the key is a pure
-  /// function of the entry, recomputed whenever one is written).
-  std::vector<std::uint8_t> ranks_fresh_;
+  /// No two nodes share a uid — what lets a cache's size prove which
+  /// entries it holds (`redeliver_unchanged`).
+  bool uids_distinct_ = true;
 
   // --- quiescence machinery (all empty / untouched while tracking_ is
   // off, so the classic engines pay nothing) ---------------------------

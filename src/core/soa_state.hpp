@@ -146,9 +146,9 @@ template <typename T>
 /// A packed rank-key column: one PackedRank per node, the eighth hot
 /// column. The clustering oracle fills it once per run (pack_rank_column)
 /// and every ≺ scan afterwards — local-max tests, the fusion sort, parent
-/// selection — is an integer compare against it. The protocol keeps the
-/// same encoding per cache entry (CacheEntry::rank_key) so the R2
-/// election is the same reduction over a strided column.
+/// selection — is an integer compare against it. The protocol's R2
+/// election packs each cache entry into the same encoding as it scans
+/// (DensityProtocol::entry_key), so it is the same reduction.
 using RankKeyColumn = std::vector<PackedRank>;
 
 /// Packs every rank in `ranks` for the given incumbency mode.

@@ -51,20 +51,19 @@ concept ArenaProtocol =
       p.deliver(node, header, in);
     };
 
-/// Optional redelivery extension: when an engine can prove a sender's
-/// frame is bit-identical to the one every listener already consumed
-/// (double-buffered arena rows + a loss-free medium), it may offer the
-/// delivery as `redeliver_unchanged(receiver, header)` instead; and when
-/// only the digest *payloads* changed but the id sequence held, as
-/// `deliver_payload(receiver, header, digests)` — the common active
-/// regime, where the protocol can skip its compare/delta machinery and
-/// overwrite in place. Either call performs the delivery's remaining
-/// side effects and returns true, or returns false to demand the full
-/// `deliver` — both must decline when the receiver's cache was mutated
-/// from outside the step loop since the last full sweep. The row
-/// compares use the protocol's own equality predicates so engine and
-/// protocol agree on what "unchanged" means (padding bytes never
-/// participate).
+/// Optional redelivery extension: when an engine can prove every frame a
+/// receiver hears bit-identical to the one it consumed last step
+/// (double-buffered arena rows + a loss-free medium), it may offer them
+/// all as one `redeliver_unchanged(receiver, heard)`; and a row whose
+/// digest *payloads* changed but whose id sequence held as
+/// `deliver_payload(receiver, header, digests)`, where the protocol can
+/// skip its compare/delta machinery and overwrite in place. Either call
+/// performs the remaining side effects and returns true, or returns
+/// false to demand per-frame `deliver` — both must decline when the
+/// receiver's cache was mutated from outside the step loop since the
+/// last full sweep. The row compares use the protocol's own equality
+/// predicates so engine and protocol agree on what "unchanged" means
+/// (padding bytes never participate).
 ///
 /// Row grades the engine's phase-1 compare produces (a bitmask):
 /// bit-equality implies id-equality, so the valid values are 0,
@@ -74,12 +73,11 @@ inline constexpr unsigned char kRowBitsEqual = 2;  // whole row bit-equal
 
 template <typename P>
 concept RedeliveryProtocol =
-    requires(P& p, graph::NodeId receiver,
+    requires(P& p, graph::NodeId receiver, std::size_t heard,
              const typename P::FrameHeader& header,
              std::span<const typename P::Digest> in,
              const typename P::Digest& digest) {
-      { p.redeliver_unchanged(receiver, header) } ->
-          std::convertible_to<bool>;
+      { p.redeliver_unchanged(receiver, heard) } -> std::convertible_to<bool>;
       { p.deliver_payload(receiver, header, in) } -> std::convertible_to<bool>;
       { P::header_bits_equal(header, header) } -> std::convertible_to<bool>;
       { P::digest_bits_equal(digest, digest) } -> std::convertible_to<bool>;

@@ -290,6 +290,13 @@ class ShardedNetwork {
     return delta_rows_graded_;
   }
 
+  /// Receivers served by one accepted `redeliver_unchanged` call, across
+  /// all steps so far; folded like delta_rows_graded (zero under loss
+  /// and dirty stepping).
+  [[nodiscard]] std::uint64_t receivers_refreshed() const noexcept {
+    return receivers_refreshed_;
+  }
+
   /// Notifies the runtime that the observed graph was just patched with
   /// `delta` (dynamic-topology runs; the owner mutates the graph via
   /// graph::DynamicGraph, then calls this). Topology-aware protocols get
@@ -365,10 +372,11 @@ class ShardedNetwork {
     std::vector<typename Protocol::FrameHeader> prev_headers;
     std::vector<typename Protocol::Digest> prev_pool;
     std::vector<std::size_t> prev_offsets;
-    // This step's sparse-change rows among the owned senders
-    // (redelivery protocols, full stepping), folded serially into the
-    // engine total so the aggregate is thread-count invariant.
+    // This step's sparse-change rows among the owned senders and refreshed
+    // owned receivers (redelivery protocols, full stepping), folded
+    // serially into the engine totals so they are thread-count invariant.
     std::uint64_t sparse_rows = 0;
+    std::uint64_t refreshed = 0;
     // Full stepping: for each destination shard, the owned nodes with at
     // least one neighbor there (ascending). Rebuilt after topology
     // changes; copied into the frame mailboxes every step.
@@ -426,26 +434,21 @@ class ShardedNetwork {
   }
 
   /// Delivers row `k` of `rows` — a shard arena or a frame mailbox,
-  /// which share one CSR row layout — to `q` through the cheapest path
-  /// `grade` allows (redelivery protocols; 0 = full delivery). Mailbox
-  /// rows are byte copies of the sender shard's arena rows, so the
-  /// sender-side grade covers them too.
+  /// which share one CSR row layout — to `q`, as a payload overwrite when
+  /// `grade` proves its id sequence held (redelivery protocols; 0 = full
+  /// delivery). Mailbox rows are byte copies of the sender shard's arena
+  /// rows, so the sender-side grade covers them too.
   template <typename Rows>
   static void deliver_row(Protocol& protocol, graph::NodeId q,
                           const Rows& rows, std::size_t k,
                           unsigned char grade) {
+    const auto& header = rows.headers[k];
     const auto digests = std::span(rows.pool.data() + rows.offsets[k],
                                    rows.offsets[k + 1] - rows.offsets[k]);
     if constexpr (RedeliveryProtocol<Protocol>) {
-      if (grade != 0) {
-        if ((grade & kRowBitsEqual) &&
-            protocol.redeliver_unchanged(q, rows.headers[k])) {
-          return;
-        }
-        if (protocol.deliver_payload(q, rows.headers[k], digests)) return;
-      }
+      if (grade != 0 && protocol.deliver_payload(q, header, digests)) return;
     }
-    protocol.deliver(q, rows.headers[k], digests);
+    protocol.deliver(q, header, digests);
   }
 
   /// Delivers `sender`'s row from mailbox `mb` (binary search over its
@@ -530,10 +533,10 @@ class ShardedNetwork {
         // once instead of once per listener. Two grades, same bitwise
         // field equality contract as the protocol's own change
         // detection: id sequence held (payload overwrite suffices — the
-        // common active regime) or whole row bit-equal (age reset
-        // suffices — the quiescent regime). Ids-equal rows with at most
-        // half the digests moved are also counted as sparse-change rows
-        // (delta_rows_graded); the count changes no delivery.
+        // common active regime) or whole row bit-equal (an all-bit-equal
+        // receiver only resets ages — the quiescent regime). Ids-equal
+        // rows with at most half the digests moved are also counted as
+        // sparse-change rows (delta_rows_graded); the count steers nothing.
         const bool cmp =
             prev_rows_built_ && sh.prev_offsets.size() == local_n + 1;
         sh.sparse_rows = 0;
@@ -616,16 +619,29 @@ class ShardedNetwork {
     // (src, dst) mailbox — then runs its guarded rules and ages its
     // caches before the pass moves on to the next receiver. With valid
     // row hints (previous step built rows AND was loss-free, so every
-    // listener consumed exactly those rows), an unchanged sender's
-    // delivery collapses to the protocol's redelivery bookkeeping — the
-    // receiver's cache entry already holds the bytes.
+    // listener consumed exactly those rows), a receiver whose heard rows
+    // are all bit-equal collapses its deliveries into one redelivery
+    // call — its cache entries already hold the bytes.
     const bool hints = row_hints_valid_ && hear_all;
     for_shards([this, protocol, offsets, flat, hear_all, hints,
                 S](std::size_t t) {
       Shard& sh = shards_[t];
+      sh.refreshed = 0;
       for (std::size_t q = sh.begin; q < sh.end; ++q) {
         const auto node = static_cast<graph::NodeId>(q);
-        for (std::size_t e = offsets[q]; e < offsets[q + 1]; ++e) {
+        std::size_t e = offsets[q];
+        const std::size_t end = offsets[q + 1];
+        if constexpr (RedeliveryProtocol<Protocol>) {
+          unsigned char quiet = hints ? kRowBitsEqual : 0;
+          for (std::size_t f = e; quiet != 0 && f < end; ++f) {
+            quiet &= row_unchanged_[flat[f]];
+          }
+          if (quiet != 0 && protocol->redeliver_unchanged(node, end - e)) {
+            ++sh.refreshed;
+            e = end;  // every delivery done
+          }
+        }
+        for (; e < end; ++e) {
           if (!hear_all && !incoming_[e]) continue;
           const graph::NodeId p = flat[e];
           unsigned char grade = 0;
@@ -645,9 +661,10 @@ class ShardedNetwork {
     });
 
     if constexpr (RedeliveryProtocol<Protocol>) {
-      // Serial fold of the per-shard sparse-change tallies (shard
-      // order), so the aggregate is identical for any thread count.
+      // Serial fold of the per-shard tallies (shard order), so the
+      // aggregates are identical for any thread count.
       for (const Shard& sh : shards_) delta_rows_graded_ += sh.sparse_rows;
+      for (const Shard& sh : shards_) receivers_refreshed_ += sh.refreshed;
       prev_rows_built_ = true;
       // Hints are trustworthy next step only if *this* step delivered
       // every row to every listener (loss would leave some caches
@@ -873,6 +890,7 @@ class ShardedNetwork {
   // every listener actually consumed them (loss-free previous step).
   std::vector<unsigned char> row_unchanged_;
   std::uint64_t delta_rows_graded_ = 0;
+  std::uint64_t receivers_refreshed_ = 0;
   bool prev_rows_built_ = false;
   bool row_hints_valid_ = false;
   ActivityTracker stats_;                // aggregate counters only

@@ -1,17 +1,19 @@
-// The redelivery fast paths: when the step engine proves a sender's
-// frame row unchanged since the previous step (bit-identical, or
-// id-sequence-identical with churned payloads), delivery collapses to an
-// age reset or a straight payload overwrite. These paths are pure cost
-// model — every test here pins them bitwise against an execution that
-// never takes them, including across the external mutations (faults,
-// topology deltas) that must force a resync.
+// The redelivery fast paths: when the step engine proves every frame row
+// a receiver hears bit-identical to last step's, its whole delivery batch
+// collapses to one age reset of its cache; a row whose id sequence held
+// (payloads may churn) collapses to a straight payload overwrite. These
+// paths are pure cost model — every test here pins them bitwise against
+// an execution that never takes them, including across the external
+// mutations (faults, topology deltas) that must force a resync.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/protocol.hpp"
+#include "graph/partition.hpp"
 #include "sim/loss.hpp"
 #include "sim/network.hpp"
 #include "support/reference_stepper.hpp"
@@ -112,6 +114,21 @@ TEST(Redelivery, TopologyDeltasInvalidateHintsBitIdentically) {
   }
 }
 
+/// Plants a cache entry for a uid no node holds, through the fault
+/// injector's door (`mutable_state` raises the resync flag).
+void plant_phantom(core::DensityProtocol& protocol, graph::NodeId q,
+                   topology::ProtocolId id) {
+  auto s = protocol.mutable_state(q);
+  auto& entry = s.cache[id];
+  entry.digests.attach(s.digest_pool);
+  entry.dag_id = 7;
+  entry.metric = 3.5;
+  entry.metric_valid = true;
+  entry.head = id;
+  entry.head_valid = true;
+  entry.age = 0;
+}
+
 /// Unit semantics of the protocol-side half of the contract.
 TEST(Redelivery, ProtocolFastPathsDeclineWhenUnsafe) {
   util::Rng rng(3);
@@ -125,33 +142,37 @@ TEST(Redelivery, ProtocolFastPathsDeclineWhenUnsafe) {
   sim::Network network(g, protocol, loss, 1);
   network.run(10);  // settled: caches mirror neighborhoods
 
-  graph::NodeId sender = 0, receiver = 0;
-  bool found = false;
-  for (graph::NodeId p = 0; p < static_cast<graph::NodeId>(n) && !found;
-       ++p) {
-    for (const auto q : g.neighbors(p)) {
-      sender = p;
-      receiver = q;
-      found = true;
-      break;
-    }
+  graph::NodeId receiver = 0;
+  while (g.degree(receiver) == 0) {
+    ++receiver;
+    ASSERT_LT(receiver, n) << "deployment has no edge";
   }
-  ASSERT_TRUE(found) << "deployment has no edge";
+  const graph::NodeId sender = g.neighbors(receiver)[0];
+  const std::size_t heard = g.degree(receiver);
+  ASSERT_EQ(protocol.state(receiver).cache.size(), heard);
 
   core::DensityProtocol::FrameHeader header;
   std::vector<core::DensityProtocol::Digest> digests(
       protocol.digest_count(sender));
   protocol.make_frame(sender, header, digests);
 
-  // Settled and untouched: both fast paths accept.
-  EXPECT_TRUE(protocol.redeliver_unchanged(receiver, header));
+  // Settled and untouched: both fast paths accept, and the per-receiver
+  // one leaves every entry freshly heard (end_step aged them to 1).
+  EXPECT_TRUE(protocol.redeliver_unchanged(receiver, heard));
+  for (const auto& item : protocol.state(receiver).cache) {
+    EXPECT_EQ(item.second.age, 0u);
+  }
   EXPECT_TRUE(protocol.deliver_payload(receiver, header, digests));
 
-  // Unknown sender id: the receiver has no entry to refresh.
-  core::DensityProtocol::FrameHeader phantom = header;
-  phantom.id = 0xFFFFFFFF;  // ids are random_ids(n) values, not this
-  EXPECT_FALSE(protocol.redeliver_unchanged(receiver, phantom));
-  EXPECT_FALSE(protocol.deliver_payload(receiver, phantom, digests));
+  // A heard count that is not the cache size: the engine's proof cannot
+  // say which entries are the neighbors'.
+  EXPECT_FALSE(protocol.redeliver_unchanged(receiver, heard + 1));
+  EXPECT_FALSE(protocol.redeliver_unchanged(receiver, heard - 1));
+
+  // Unknown sender id: the receiver has no entry to overwrite.
+  core::DensityProtocol::FrameHeader stranger = header;
+  stranger.id = 0xFFFFFFFF;  // ids are random_ids(n) values, not this
+  EXPECT_FALSE(protocol.deliver_payload(receiver, stranger, digests));
 
   // Digest-list length mismatch: the engine's proof cannot apply.
   if (!digests.empty()) {
@@ -163,13 +184,145 @@ TEST(Redelivery, ProtocolFastPathsDeclineWhenUnsafe) {
   // External mutation raises the resync flag: both paths must decline
   // until the next full sweep clears it.
   { auto s = protocol.mutable_state(receiver); (void)s; }
-  EXPECT_FALSE(protocol.redeliver_unchanged(receiver, header));
+  EXPECT_FALSE(protocol.redeliver_unchanged(receiver, heard));
   EXPECT_FALSE(protocol.deliver_payload(receiver, header, digests));
   network.step();  // full sweep: end_step clears the flag
   digests.resize(protocol.digest_count(sender));
   protocol.make_frame(sender, header, digests);
-  EXPECT_TRUE(protocol.redeliver_unchanged(receiver, header));
+  EXPECT_TRUE(protocol.redeliver_unchanged(receiver, heard));
   EXPECT_TRUE(protocol.deliver_payload(receiver, header, digests));
+
+  // A phantom entry outlives the resync sweep that clears the flag; the
+  // cache size is what still gives it away.
+  plant_phantom(protocol, receiver, 0xFFFFFFFF);
+  EXPECT_FALSE(protocol.redeliver_unchanged(receiver, heard + 1));
+  network.step();
+  ASSERT_EQ(protocol.state(receiver).cache.size(), heard + 1);
+  digests.resize(protocol.digest_count(sender));
+  protocol.make_frame(sender, header, digests);
+  EXPECT_TRUE(protocol.deliver_payload(receiver, header, digests))
+      << "the resync sweep should have cleared the flag";
+  EXPECT_FALSE(protocol.redeliver_unchanged(receiver, heard));
+}
+
+/// Duplicate uids break the size argument (two senders, one entry), so
+/// the per-receiver path declines for the protocol's whole life.
+TEST(Redelivery, PerReceiverPathDeclinesOnDuplicateUids) {
+  const auto g = graph::from_edges(4, {{0, 1}, {1, 2}, {2, 3}});
+  auto protocol = make_protocol(g, {1, 1, 2, 3}, 4);
+  sim::PerfectDelivery loss;
+  sim::Network network(g, protocol, loss, 1);
+  network.run(12);
+  // Node 2 hears uids 1 and 3: its cache is exactly its neighborhood.
+  ASSERT_EQ(protocol.state(2).cache.size(), g.degree(2));
+  for (graph::NodeId q = 0; q < 4; ++q) {
+    EXPECT_FALSE(protocol.redeliver_unchanged(q, g.degree(q))) << q;
+  }
+  EXPECT_EQ(network.receivers_refreshed(), 0u);
+}
+
+/// The phantom and duplicate-uid scenarios end to end: the arena engine
+/// (per-receiver path armed) in lockstep with the hint-free reference
+/// stepper, at one shard inline and at five shards on four threads. A
+/// refresh that swallowed a phantom would keep it young forever while
+/// the reference ages it out.
+void expect_lockstep_with_phantoms(const topology::IdAssignment& ids,
+                                   bool expect_refreshes) {
+  util::Rng rng(20050612);
+  const std::size_t n = ids.size();
+  const auto points = topology::uniform_points(n, rng);
+  const auto g = topology::unit_disk_graph(points, 0.11);
+  for (const auto& [shards, threads] :
+       {std::pair<std::size_t, unsigned>{1, 1}, {5, 4}}) {
+    auto fast = make_protocol(g, ids, 5);
+    auto slow = make_protocol(g, ids, 5);
+    sim::PerfectDelivery loss_a, loss_b;
+    sim::Network net_fast(g, fast, loss_a,
+                          graph::plan_contiguous_shards(n, shards).bounds,
+                          threads);
+    testsupport::ReferenceStepper net_slow(g, slow, loss_b);
+    for (std::size_t step = 0; step < 40; ++step) {
+      if (step == 20 || step == 23) {
+        for (graph::NodeId q = static_cast<graph::NodeId>(step); q < n;
+             q += 37) {
+          plant_phantom(fast, q, 0xFFFFFF00 + q);
+          plant_phantom(slow, q, 0xFFFFFF00 + q);
+        }
+      }
+      net_fast.step();
+      net_slow.step();
+      const auto div = core::first_divergent_node(fast, slow);
+      ASSERT_EQ(div, std::nullopt)
+          << "shards " << shards << " threads " << threads << " step "
+          << step << ":\n"
+          << core::describe_divergence(fast, slow, *div);
+    }
+    if (expect_refreshes) {
+      EXPECT_GT(net_fast.receivers_refreshed(), 0u);
+    } else {
+      EXPECT_EQ(net_fast.receivers_refreshed(), 0u);
+    }
+  }
+}
+
+TEST(Redelivery, PhantomEntriesBitIdenticalAcrossShardsAndThreads) {
+  util::Rng rng(41);
+  expect_lockstep_with_phantoms(topology::random_ids(250, rng), true);
+}
+
+TEST(Redelivery, DuplicateUidWorldBitIdenticalAcrossShardsAndThreads) {
+  util::Rng rng(42);
+  auto ids = topology::random_ids(250, rng);
+  for (std::size_t i = 0; i + 1 < ids.size(); i += 9) ids[i + 1] = ids[i];
+  expect_lockstep_with_phantoms(ids, false);
+}
+
+/// receivers_refreshed counts exactly the receivers the per-receiver
+/// path served: all n on a settled loss-free world, none when loss or
+/// dirty stepping takes the row hints away.
+TEST(Redelivery, ReceiversRefreshedCountsQuietReceivers) {
+  util::Rng rng(7);
+  const std::size_t n = 200;
+  const auto points = topology::uniform_points(n, rng);
+  const auto ids = topology::random_ids(n, rng);
+  const auto g = topology::unit_disk_graph(points, 0.12);
+  {
+    auto protocol = make_protocol(g, ids, 2);
+    sim::PerfectDelivery loss;
+    sim::Network network(g, protocol, loss, 1);
+    network.run(60);
+    for (int step = 0; step < 5; ++step) {
+      const std::uint64_t before = network.receivers_refreshed();
+      network.step();
+      EXPECT_EQ(network.receivers_refreshed() - before, n) << step;
+    }
+  }
+  {
+    auto protocol = make_protocol(g, ids, 2);
+    sim::BernoulliDelivery loss(0.9, util::Rng(8));
+    sim::Network network(g, protocol, loss, 1);
+    network.run(60);
+    EXPECT_EQ(network.receivers_refreshed(), 0u);
+  }
+  {
+    auto protocol = make_protocol(g, ids, 2);
+    sim::PerfectDelivery loss;
+    sim::Network network(g, protocol, loss, 1);
+    network.set_stepping(sim::Stepping::kDirty);
+    network.run(60);
+    EXPECT_EQ(network.receivers_refreshed(), 0u);
+  }
+}
+
+/// One cached neighbor per 64-byte line: the receive pass walks these
+/// entries every step, so a field added here must fail loudly rather
+/// than silently cost step time.
+TEST(Redelivery, CacheItemFillsOneCacheLine) {
+  if (sizeof(void*) != 8) GTEST_SKIP() << "layout pinned for LP64 only";
+  EXPECT_EQ(sizeof(core::DensityProtocol::CacheEntry), 56u);
+  EXPECT_EQ((sizeof(core::FlatMap<topology::ProtocolId,
+                                  core::DensityProtocol::CacheEntry>::Item)),
+            64u);
 }
 
 }  // namespace

@@ -99,6 +99,46 @@ TEST(ShardedEquivalence, FullSteppingLockstepAcrossShardAndThreadCounts) {
   }
 }
 
+TEST(ShardedEquivalence, ReceiversRefreshedIsShardAndThreadInvariant) {
+  // The per-receiver redelivery count is a deterministic work counter:
+  // one shard inline, five shards inline and five shards on four
+  // threads must refresh the same receivers every step, through a
+  // settled regime and the fault recovery that interrupts it.
+  const std::size_t n = 140;
+  const double radius = 0.11;
+  const auto w = testsupport::make_deployment(n, radius, 903);
+  auto one = make_protocol(w, 19);
+  auto five = make_protocol(w, 19);
+  auto threaded = make_protocol(w, 19);
+  sim::PerfectDelivery loss_a, loss_b, loss_c;
+  sim::ShardedNetwork net_one(w.graph, one, loss_a, contiguous(n, 1), 1);
+  sim::ShardedNetwork net_five(w.graph, five, loss_b, contiguous(n, 5), 1);
+  sim::ShardedNetwork net_threaded(w.graph, threaded, loss_c,
+                                   contiguous(n, 5), 4);
+  const std::string spec =
+      spec_string("sharded-refreshed", n, radius, 903, 19, 5, 4);
+  for (std::size_t s = 0; s < 50; ++s) {
+    if (s == 30) {
+      util::Rng fa(23), fb(23), fc(23);
+      one.corrupt_fraction(fa, 0.2);
+      five.corrupt_fraction(fb, 0.2);
+      threaded.corrupt_fraction(fc, 0.2);
+    }
+    net_one.step();
+    net_five.step();
+    net_threaded.step();
+    ASSERT_TRUE(populations_identical(one, five, s, spec));
+    ASSERT_TRUE(populations_identical(one, threaded, s, spec));
+    ASSERT_EQ(net_one.receivers_refreshed(), net_five.receivers_refreshed())
+        << spec << " tick=" << s;
+    ASSERT_EQ(net_one.receivers_refreshed(),
+              net_threaded.receivers_refreshed())
+        << spec << " tick=" << s;
+  }
+  EXPECT_GT(net_one.receivers_refreshed(), 0u) << spec;
+  EXPECT_LT(net_one.receivers_refreshed(), 50 * n) << spec;
+}
+
 TEST(ShardedEquivalence, FullModeInPlaceRebuildLockstep) {
   // The campaign runner's rebuild mode mutates ONE Graph object in
   // place and re-announces it via set_graph. The sharded engine caches

@@ -4,6 +4,8 @@
 // acceptance gate for `ssmwn campaign ... --threads N`.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -394,6 +396,118 @@ TEST(CampaignReplay, ShardCountDoesNotChangeTheBytes) {
   const auto classic_sharded = render_campaign_text(kSpecText, 1, exec);
   EXPECT_EQ(classic.csv, classic_sharded.csv);
   EXPECT_EQ(classic.json, classic_sharded.json);
+}
+
+// One mixed plan over every run kind — classic windows on all three
+// topologies, async runs (randomized daemon, lossy and lossless, full and
+// dirty), live runs on both engines x both topology updates x both
+// steppers with churn, lossy live runs, and verify trials under the
+// synchronous and unfair daemons — folded into one FNV-1a digest of the
+// raw RunMetrics bits. The pinned value was recorded before the run code
+// was consolidated; any change to how a run is built moves it.
+constexpr const char* kPinnedSpecTexts[] = {
+    R"(
+name       = pin-window
+topology   = uniform, grid, poisson
+n          = 50
+radius     = 0.16
+variant    = basic, dag, improved
+mobility   = random-waypoint
+tau        = 0.9
+churn_down = 0.05
+steps      = 5
+replications = 1
+seed_base  = 9101
+)",
+    R"(
+name       = pin-async
+topology   = uniform, grid
+n          = 40
+radius     = 0.18
+variant    = basic, full
+scheduler  = async
+tau        = 0.9, 1
+stepping   = full, dirty
+steps      = 12
+replications = 1
+seed_base  = 9102
+)",
+    R"(
+name            = pin-live
+n               = 40
+radius          = 0.18
+variant         = basic, improved
+scheduler       = sync, async
+mobility        = random-direction
+speed_max       = 10
+churn_down      = 0.05
+protocol_live   = true
+topology_update = incremental, rebuild
+stepping        = full, dirty
+live_horizon    = 16
+steps           = 3
+replications    = 1
+seed_base       = 9103
+)",
+    R"(
+name            = pin-live-lossy
+n               = 40
+radius          = 0.18
+scheduler       = sync, async
+mobility        = random-waypoint
+tau             = 0.9
+protocol_live   = true
+topology_update = incremental, rebuild
+live_horizon    = 16
+steps           = 3
+replications    = 1
+seed_base       = 9104
+)",
+    R"(
+name          = pin-verify
+n             = 20
+radius        = 0.3
+variant       = basic, dag
+verify_faults = true
+fault_class   = random-all, stale-cache
+daemon        = synchronous, unfair
+steps         = 240
+replications  = 1
+seed_base     = 9105
+)",
+};
+
+std::uint64_t pinned_plan_digest(unsigned threads,
+                                 const campaign::ExecutionOptions& exec) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto fold = [&h](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (value >> (8 * byte)) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  };
+  campaign::CampaignRunner runner(threads, exec);
+  for (const char* text : kPinnedSpecTexts) {
+    const auto plan = campaign::expand(campaign::parse_spec_text(text));
+    for (const auto& m : runner.run(plan)) {
+      for (const double v :
+           {m.stability, m.delta, m.reaffiliation, m.cluster_count,
+            m.converge_time, m.messages, m.reconverge_time,
+            m.reconverge_messages, m.sync_steps, m.sync_messages}) {
+        fold(std::bit_cast<std::uint64_t>(v));
+      }
+      fold(m.windows);
+    }
+  }
+  return h;
+}
+
+TEST(CampaignReplay, MixedPlanDigestIsPinned) {
+  constexpr std::uint64_t kPinned = 0xcc25bfc838710dccULL;
+  EXPECT_EQ(pinned_plan_digest(1, {}), kPinned);
+  campaign::ExecutionOptions exec;
+  exec.shards = 3;
+  EXPECT_EQ(pinned_plan_digest(3, exec), kPinned);
 }
 
 TEST(CampaignReplay, ReportsAreWellFormed) {

@@ -221,6 +221,76 @@ TEST_F(CliContract, EveryCommandsHappyPathExits0) {
   }
 }
 
+// The protocol command's report, pinned byte for byte on one small world
+// per engine and mode: sync with a fault, async under the unfair daemon,
+// and live runs on both engines and both topology updates with dirty
+// stepping. A refactor of the run code must leave every line as it is.
+TEST_F(CliContract, ProtocolReportsArePinned) {
+  const std::vector<std::string> world = {"protocol", "--n", "60", "--radius",
+                                          "0.2", "--seed", "7"};
+  struct Pin {
+    std::vector<std::string> args;
+    int code;
+    const char* out;
+  };
+  const std::vector<Pin> pins = {
+      {{"--steps", "40", "--dag", "--fusion", "--corrupt", "0.3"},
+       0,
+       "cold start: 156 head changes, quiescent since step 8\n"
+       "corrupted 14 nodes: 70 head changes during recovery, quiescent "
+       "since step 14\n"
+       "final cluster-heads: 8\n"},
+      {{"--steps", "100", "--scheduler", "async", "--daemon", "unfair",
+        "--corrupt", "0.3"},
+       0,
+       "scheduler=async daemon=unfair period=1s jitter=0.1 link_delay=0.02s\n"
+       "cold start: converged at t=20.00s (virtual), 5221 messages to "
+       "convergence, 5998 delivered this phase, 7079 events\n"
+       "corrupted 19 nodes\n"
+       "recovery: converged at t=111.00s (virtual), 22812 messages to "
+       "convergence, 23593 delivered this phase, 34927 events\n"
+       "final cluster-heads: 8\n"},
+      {{"--steps", "40", "--live", "--topology", "rebuild", "--stepping",
+        "dirty", "--windows", "4", "--speed-max", "10"},
+       0,
+       "live mode: sync engine, topology=rebuild, random-direction 0-10 m/s, "
+       "4 windows of 2s\n"
+       "cold start: converged at t=12.00s (virtual), 1944 messages\n"
+       "window   1: +0/-0 edges, re-converged in 30.00s, 3140 messages\n"
+       "window   2: +0/-0 edges, re-converged in 30.00s, 2874 messages\n"
+       "window   3: +0/-0 edges, re-converged in 22.00s, 2463 messages\n"
+       "window   4: +0/-0 edges, re-converged in 26.00s, 3082 messages\n"
+       "re-converged 4/4 windows; mean 27.00s, mean 2890 messages per "
+       "perturbation\n"
+       "final cluster-heads: 7\n"
+       "dirty stepping: 2549 rule sweeps run, 1951 elided\n"},
+      {{"--steps", "40", "--live", "--scheduler", "async", "--topology",
+        "incremental", "--mobility", "random-waypoint", "--stepping", "dirty",
+        "--windows", "4", "--speed-max", "10"},
+       0,
+       "live mode: async engine, topology=incremental, random-waypoint 0-10 "
+       "m/s, 4 windows of 2s\n"
+       "cold start: converged at t=10.00s (virtual), 1636 messages\n"
+       "window   1: +8/-6 edges, re-converged in 10.00s, 1661 messages\n"
+       "window   2: +12/-6 edges, re-converged in 10.00s, 1694 messages\n"
+       "window   3: +11/-3 edges, re-converged in 10.00s, 1776 messages\n"
+       "window   4: +16/-4 edges, re-converged in 10.00s, 1883 messages\n"
+       "re-converged 4/4 windows; mean 10.00s, mean 1754 messages per "
+       "perturbation\n"
+       "final cluster-heads: 5\n"
+       "dirty stepping: 1043 rule sweeps run, 1355 elided\n"},
+  };
+  for (const auto& pin : pins) {
+    auto args = world;
+    args.insert(args.end(), pin.args.begin(), pin.args.end());
+    const auto r = run(args);
+    std::string line;
+    for (const auto& arg : pin.args) line += arg + " ";
+    EXPECT_EQ(r.code, pin.code) << line << "\n" << r.err;
+    EXPECT_EQ(r.out, pin.out) << line;
+  }
+}
+
 TEST_F(CliContract, ServeAndSubmitExit0) {
   const pid_t daemon = spawn({"serve", "--port", "0", "--threads", "2"},
                              "serve.txt");

@@ -24,30 +24,21 @@
 
 #include "campaign/aggregate.hpp"
 #include "campaign/checkpoint.hpp"
+#include "campaign/protocol_run.hpp"
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
-#include "mobility/mobility.hpp"
 #include "cluster/baselines.hpp"
 #include "cluster/max_min.hpp"
 #include "core/clustering.hpp"
 #include "core/dag_ids.hpp"
-#include "core/legitimacy.hpp"
-#include "core/protocol.hpp"
 #include "graph/dot.hpp"
-#include "graph/partition.hpp"
 #include "metrics/cluster_metrics.hpp"
 #include "routing/routing.hpp"
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
-#include "sim/async_network.hpp"
-#include "sim/loss.hpp"
-#include "sim/sharded_network.hpp"
 #include "sim/trace.hpp"
-#include "stabilize/convergence.hpp"
 #include "topology/generators.hpp"
-#include "topology/ids.hpp"
-#include "topology/incremental.hpp"
 #include "topology/udg.hpp"
 #include "util/args.hpp"
 #include "util/atomic_file.hpp"
@@ -64,24 +55,19 @@ constexpr int kExitOk = 0;
 constexpr int kExitRunFailure = 1;
 constexpr int kExitUsage = 2;
 
-struct Deployment {
-  std::vector<topology::Point> points;
+struct Deployment : campaign::Deployment {
   graph::Graph graph;
-  topology::IdAssignment ids;
   std::size_t grid_side = 0;  // nonzero iff --grid
 };
 
 Deployment make_deployment(const util::Args& args, util::Rng& rng) {
-  Deployment d;
   const auto n = static_cast<std::size_t>(args.integer("n"));
-  if (args.boolean("grid")) {
-    d.grid_side = topology::grid_side_for(n);
-    d.points = topology::grid_points(d.grid_side);
-    d.ids = topology::sequential_ids(d.points.size());
-  } else {
-    d.points = topology::uniform_points(n, rng);
-    d.ids = topology::random_ids(n, rng);
-  }
+  const bool grid = args.boolean("grid");
+  Deployment d;
+  static_cast<campaign::Deployment&>(d) = campaign::draw_deployment(
+      grid ? campaign::TopologyKind::kGrid : campaign::TopologyKind::kUniform,
+      n, rng);
+  if (grid) d.grid_side = topology::grid_side_for(n);
   d.graph = topology::unit_disk_graph(d.points, args.real("radius"));
   return d;
 }
@@ -176,76 +162,95 @@ sim::AsyncConfig async_config(const util::Args& args) {
   async.period_s = args.real("period");
   async.period_jitter = args.real("period-jitter");
   async.link_delay_s = args.real("link-delay");
-  const std::string& daemon = args.text("daemon");
-  async.daemon = daemon == "synchronous" ? sim::DaemonKind::kSynchronous
-                 : daemon == "unfair"    ? sim::DaemonKind::kUnfairRoundRobin
-                                         : sim::DaemonKind::kRandomized;
+  async.daemon = verify::sim_daemon(verify::parse_daemon(args.text("daemon")));
   return async;
+}
+
+/// The report's closing lines, the same for every engine and mode.
+void print_final(const campaign::ProtocolRun& run) {
+  std::printf("final cluster-heads: %zu\n", run.head_count());
+  if (run.recipe().stepping == sim::Stepping::kDirty) {
+    std::printf(
+        "dirty stepping: %llu rule sweeps run, %llu elided\n",
+        static_cast<unsigned long long>(run.activity().nodes_stepped()),
+        static_cast<unsigned long long>(run.activity().nodes_skipped()));
+  }
+}
+
+/// `protocol` on the synchronous engine: --steps rounds from a cold
+/// start (and as many again after corrupting --corrupt of the nodes);
+/// reports head changes and the step each phase went quiet.
+int print_sync(const util::Args& args, campaign::ProtocolRun& run,
+               util::Rng& rng) {
+  if (run.recipe().threads != 1) {
+    // Report the effective size: 0 resolves to hardware concurrency and
+    // oversized requests are clamped by the engine.
+    std::printf("step engine threads: %u\n", run.thread_count());
+  }
+  const auto steps = static_cast<std::size_t>(args.integer("steps"));
+  const auto trace_steps = [&] {
+    sim::HeadTrace trace;
+    trace.observe(run.protocol().head_values());
+    for (std::size_t s = 0; s < steps; ++s) {
+      run.round();
+      trace.observe(run.protocol().head_values());
+    }
+    return trace;
+  };
+  const auto cold = trace_steps();
+  std::printf("cold start: %zu head changes, quiescent since step %zu\n",
+              cold.changes().size(), cold.quiescent_since());
+
+  const double corrupt = args.real("corrupt");
+  if (corrupt > 0.0) {
+    util::Rng chaos(rng());
+    const auto hit = run.protocol().corrupt_fraction(chaos, corrupt);
+    const auto recovery = trace_steps();
+    std::printf("corrupted %zu nodes: %zu head changes during recovery, "
+                "quiescent since step %zu\n",
+                hit, recovery.changes().size(), recovery.quiescent_since());
+    if (recovery.quiescent_since() >= steps) return kExitRunFailure;
+  }
+  print_final(run);
+  return cold.quiescent_since() < steps ? kExitOk : kExitRunFailure;
 }
 
 /// `protocol --scheduler async`: the event-driven engine. Runs the
 /// protocol from a cold start (and optionally from a corrupted state)
 /// under the chosen daemon and reports virtual-time convergence and
 /// messages-to-convergence instead of step counts.
-int run_protocol_async(const util::Args& args, const Deployment& d,
-                       core::DensityProtocol& protocol, util::Rng& rng,
-                       double tau, sim::Stepping stepping) {
-  const sim::AsyncConfig async = async_config(args);
-  const auto medium = sim::make_loss_model(tau, rng.split());
-  sim::AsyncNetwork network(d.graph, protocol, *medium, async, rng.split());
-  network.set_stepping(stepping);
-
-  // Shared legitimacy definition (core/legitimacy.hpp) — the CLI and
-  // the campaign runner must agree on what "converged" means.
-  const bool exact =
-      core::head_identity_is_deterministic(protocol.config().cluster);
-  core::ClusteringResult oracle;
-  if (exact) {
-    oracle = core::cluster_density(d.graph, d.ids,
-                                   protocol.config().cluster);
-  }
-  core::LegitimacyCheck legitimacy(d.graph, protocol,
-                                   exact ? &oracle : nullptr);
-
+int print_async(const util::Args& args, campaign::ProtocolRun& run,
+                util::Rng& rng) {
+  const sim::AsyncConfig& async = *run.recipe().async;
+  std::printf("scheduler=async daemon=%s period=%gs jitter=%g "
+              "link_delay=%gs\n",
+              args.text("daemon").c_str(), async.period_s, async.period_jitter,
+              async.link_delay_s);
   const auto periods = static_cast<double>(args.integer("steps"));
   auto settle = [&](const char* label) {
-    legitimacy.reset();
-    // settle_async counts messages relative to the phase start, so a
-    // recovery phase reports only its own traffic, not the cold
-    // start's.
-    const auto report = sim::settle_async(
-        network, [&] { return legitimacy.check(); }, periods);
+    // Message counts are relative to the phase start, so a recovery
+    // phase reports only its own traffic, not the cold start's; times
+    // are on the engine's clock.
+    const auto report = run.settle(periods).report;
     std::printf("%s: %s at t=%.2fs (virtual), %llu messages to "
                 "convergence, %llu delivered this phase, %llu events\n",
                 label, report.converged ? "converged" : "NOT converged",
                 report.stabilization_time_s,
                 static_cast<unsigned long long>(report.messages_to_converge),
                 static_cast<unsigned long long>(report.messages_total),
-                static_cast<unsigned long long>(network.events_processed()));
+                static_cast<unsigned long long>(run.events_processed()));
     return report.converged;
   };
-
-  std::printf("scheduler=async daemon=%s period=%gs jitter=%g "
-              "link_delay=%gs\n",
-              args.text("daemon").c_str(), async.period_s, async.period_jitter,
-              async.link_delay_s);
   bool ok = settle("cold start");
 
   const double corrupt = args.real("corrupt");
   if (corrupt > 0.0) {
     util::Rng chaos(rng());
-    const auto hit = protocol.corrupt_fraction(chaos, corrupt);
+    const auto hit = run.protocol().corrupt_fraction(chaos, corrupt);
     std::printf("corrupted %zu nodes\n", hit);
     ok = settle("recovery") && ok;
   }
-  std::size_t heads = 0;
-  for (const char flag : protocol.head_flags()) heads += flag != 0;
-  std::printf("final cluster-heads: %zu\n", heads);
-  if (stepping == sim::Stepping::kDirty) {
-    std::printf("dirty stepping: %llu rule sweeps run, %llu elided\n",
-                static_cast<unsigned long long>(network.activity().nodes_stepped()),
-                static_cast<unsigned long long>(network.activity().nodes_skipped()));
-  }
+  print_final(run);
   return ok ? kExitOk : kExitRunFailure;
 }
 
@@ -255,166 +260,48 @@ int run_protocol_async(const util::Args& args, const Deployment& d,
 /// network (--topology incremental: edge deltas + eager stale-link
 /// invalidation; rebuild: fresh graph, recovery by cache aging alone),
 /// and measures the time and messages to re-reach legitimacy.
-int run_protocol_live(const util::Args& args, const Deployment& d,
-                      core::DensityProtocol& protocol, util::Rng& rng,
-                      bool async_engine, double tau, sim::Stepping stepping) {
-  const std::string& update = args.text("topology");
-  const bool incremental = update == "incremental";
-  const double radius = args.real("radius");
-  const double speed_min = args.real("speed-min");
-  const double speed_max = args.real("speed-max");
+int print_live(const util::Args& args, campaign::ProtocolRun& run) {
   const double window_s = args.real("window-s");
   const auto windows = static_cast<int>(args.integer("windows"));
-  const auto horizon_rounds = static_cast<double>(args.integer("steps"));
-
-  const mobility::SpeedRange speeds{speed_min, speed_max};
-  const std::string& mobility = args.text("mobility");
-  auto points = d.points;
-  std::unique_ptr<mobility::MobilityModel> mover;
-  if (mobility == "random-waypoint") {
-    mover = std::make_unique<mobility::RandomWaypoint>(points.size(), speeds,
-                                                       1000.0, rng.split());
-  } else {
-    mover = std::make_unique<mobility::RandomDirection>(
-        points.size(), speeds, 1000.0, rng.split());
-  }
-
-  // One Graph object lives for the whole run; both engines observe it.
-  std::optional<topology::LiveTopology> live;
-  graph::DynamicGraph rebuilt;
-  if (incremental) {
-    live.emplace(points, radius);
-  } else {
-    rebuilt.reset(topology::unit_disk_graph(points, radius));
-  }
-  const graph::Graph& g = incremental ? live->graph() : rebuilt.view();
-
-  const auto medium = sim::make_loss_model(tau, rng.split());
-
-  const bool exact =
-      core::head_identity_is_deterministic(protocol.config().cluster);
-  core::ClusteringResult oracle;
-  auto recompute_oracle = [&] {
-    if (exact) {
-      oracle = core::cluster_density(g, d.ids, protocol.config().cluster);
-    }
-  };
-  recompute_oracle();
-  core::LegitimacyCheck legitimacy(g, protocol, exact ? &oracle : nullptr);
-
   std::printf("live mode: %s engine, topology=%s, %s %g-%g m/s, %d windows "
               "of %gs\n",
-              async_engine ? "async" : "sync", update.c_str(),
-              mobility.c_str(), speed_min, speed_max, windows, window_s);
+              run.recipe().async ? "async" : "sync",
+              args.text("topology").c_str(), args.text("mobility").c_str(),
+              args.real("speed-min"), args.real("speed-max"), windows,
+              window_s);
 
-  // Per-phase settle, unified across engines (sync rounds are scaled by
-  // window_s so both report virtual seconds).
-  std::optional<sim::ShardedNetwork<core::DensityProtocol>> sync_net;
-  std::optional<sim::AsyncNetwork<core::DensityProtocol>> async_net;
-  const bool dirty = stepping == sim::Stepping::kDirty;
-  if (async_engine) {
-    sim::AsyncConfig async = async_config(args);
-    // Live nodes broadcast once per window unless --period is given.
-    if (!args.has("period")) async.period_s = window_s;
-    async_net.emplace(g, protocol, *medium, async, rng.split());
-    async_net->set_stepping(stepping);
-  } else {
-    sync_net.emplace(g, protocol, *medium,
-                     static_cast<unsigned>(args.integer("threads")));
-    sync_net->set_stepping(stepping);
-  }
-  auto settle = [&] {
-    legitimacy.reset();
-    if (async_engine) {
-      const double start_s = async_net->now_seconds();
-      auto report = sim::settle_async(
-          *async_net, [&] { return legitimacy.check(); }, horizon_rounds);
-      report.stabilization_time_s -= start_s;
-      report.time_simulated_s -= start_s;
-      return report;
-    }
-    std::size_t rounds = 0;
-    const std::uint64_t base = sync_net->messages_delivered();
-    return stabilize::run_until_stable_virtual(
-        [&] {
-          sync_net->step();
-          return static_cast<double>(++rounds) * window_s;
-        },
-        [&] { return sync_net->messages_delivered() - base; },
-        [&] { return legitimacy.check(); }, 3.0 * window_s,
-        horizon_rounds * window_s);
-  };
-
-  const auto cold = settle();
-  std::printf("cold start: %s at t=%.2fs (virtual), %llu messages\n",
-              cold.converged ? "converged" : "NOT converged",
-              cold.converged ? cold.stabilization_time_s
-                             : cold.time_simulated_s,
-              static_cast<unsigned long long>(
-                  cold.converged ? cold.messages_to_converge
-                                 : cold.messages_total));
-
+  bool cold_converged = false;
   std::size_t reconverged = 0;
   double time_sum = 0.0, msg_sum = 0.0;
-  for (int w = 0; w < windows; ++w) {
-    mover->step(points, window_s);
-    std::size_t grew = 0, broke = 0;
-    if (async_engine) {
-      async_net->schedule_topology_update(
-          async_net->now(), [&]() -> const graph::EdgeDelta& {
-            if (incremental) {
-              const auto& delta = live->update(points);
-              grew = delta.added.size();
-              broke = delta.removed.size();
-              return delta;
-            }
-            static const graph::EdgeDelta kNoDelta;
-            rebuilt.reset(topology::unit_disk_graph(points, radius));
-            return kNoDelta;
-          });
-      async_net->run_until(async_net->now());  // fire before the oracle
-    } else if (incremental) {
-      const auto& delta = live->update(points);
-      grew = delta.added.size();
-      broke = delta.removed.size();
-      sync_net->apply_topology_delta(delta);
-    } else {
-      // In-place rebuild carries no delta, so re-announce the graph:
-      // the engine rebuilds its boundary-sender lists and drops its row
-      // hints, and under dirty stepping every node wakes to the change.
-      rebuilt.reset(topology::unit_disk_graph(points, radius));
-      sync_net->set_graph(g);
-    }
-    recompute_oracle();
-    const auto report = settle();
-    const double t = report.converged ? report.stabilization_time_s
-                                      : report.time_simulated_s;
-    const auto msgs = report.converged ? report.messages_to_converge
-                                       : report.messages_total;
-    reconverged += report.converged;
-    time_sum += t;
-    msg_sum += static_cast<double>(msgs);
-    std::printf("window %3d: +%zu/-%zu edges, %s in %.2fs, %llu messages\n",
-                w + 1, grew, broke,
-                report.converged ? "re-converged" : "NOT re-converged", t,
-                static_cast<unsigned long long>(msgs));
-  }
+  run.live(static_cast<std::size_t>(windows),
+           static_cast<double>(args.integer("steps")),
+           [&](std::size_t window, campaign::EdgeChange edges,
+               const campaign::Settled& settled) {
+             const bool converged = settled.report.converged;
+             const auto msgs =
+                 static_cast<unsigned long long>(settled.messages());
+             if (window == 0) {
+               cold_converged = converged;
+               std::printf("cold start: %s at t=%.2fs (virtual), %llu "
+                           "messages\n",
+                           converged ? "converged" : "NOT converged",
+                           settled.time_s(), msgs);
+               return;
+             }
+             reconverged += converged;
+             time_sum += settled.time_s();
+             msg_sum += static_cast<double>(settled.messages());
+             std::printf("window %3zu: +%zu/-%zu edges, %s in %.2fs, %llu "
+                         "messages\n",
+                         window, edges.added, edges.removed,
+                         converged ? "re-converged" : "NOT re-converged",
+                         settled.time_s(), msgs);
+           });
   std::printf("re-converged %zu/%d windows; mean %.2fs, mean %.0f messages "
               "per perturbation\n",
               reconverged, windows, time_sum / windows, msg_sum / windows);
-  std::size_t heads = 0;
-  for (const char flag : protocol.head_flags()) heads += flag != 0;
-  std::printf("final cluster-heads: %zu\n", heads);
-  if (dirty) {
-    const auto stepped = async_engine ? async_net->activity().nodes_stepped()
-                                      : sync_net->activity().nodes_stepped();
-    const auto skipped = async_engine ? async_net->activity().nodes_skipped()
-                                      : sync_net->activity().nodes_skipped();
-    std::printf("dirty stepping: %llu rule sweeps run, %llu elided\n",
-                static_cast<unsigned long long>(stepped),
-                static_cast<unsigned long long>(skipped));
-  }
-  return cold.converged ? kExitOk : kExitRunFailure;
+  print_final(run);
+  return cold_converged ? kExitOk : kExitRunFailure;
 }
 
 int run_protocol(const util::Args& args) {
@@ -435,80 +322,48 @@ int run_protocol(const util::Args& args) {
   }
 
   util::Rng rng(static_cast<std::uint64_t>(args.integer("seed")));
-  const auto d = make_deployment(args, rng);
-  core::ProtocolConfig config;
-  config.cluster.use_dag_ids = args.boolean("dag");
-  config.cluster.fusion = args.boolean("fusion");
-  config.delta_hint = std::max<std::uint64_t>(2, d.graph.max_degree());
-  config.cache_max_age = tau < 1.0 ? 16 : 8;
+  auto d = make_deployment(args, rng);
+  campaign::RunRecipe recipe;
+  recipe.cluster.use_dag_ids = args.boolean("dag");
+  recipe.cluster.fusion = args.boolean("fusion");
+  recipe.tau = tau;
+  // --threads N parallelizes the sync engine (0 = hardware concurrency);
+  // --shards >= 2 cuts that many contiguous shards. The trajectory is
+  // bit-identical for any value, so every line prints the same bytes.
+  recipe.threads = static_cast<unsigned>(args.integer("threads"));
+  recipe.shards = static_cast<std::size_t>(args.integer("shards"));
+  recipe.stepping = stepping;
 
-  core::DensityProtocol protocol(d.ids, config, rng.split());
+  // Stream order: protocol, mover (live), medium, async engine; the
+  // corruption stream is drawn after all of them.
+  campaign::RunStreams streams;
+  streams.protocol = rng.split();
+  campaign::RunWorld world{.graph = live ? nullptr : &d.graph};
   if (live) {
-    return run_protocol_live(args, d, protocol, rng, async_engine, tau,
-                             stepping);
+    recipe.window_s = args.real("window-s");
+    world.points = &d.points;
+    world.radius = args.real("radius");
+    world.incremental = args.text("topology") == "incremental";
+    world.mover = campaign::make_mover(
+        args.text("mobility") == "random-waypoint"
+            ? campaign::MobilityKind::kRandomWaypoint
+            : campaign::MobilityKind::kRandomDirection,
+        d.points.size(), {args.real("speed-min"), args.real("speed-max")},
+        1000.0, rng.split());
   }
+  streams.loss = rng.split();
   if (async_engine) {
-    return run_protocol_async(args, d, protocol, rng, tau, stepping);
+    recipe.async = async_config(args);
+    // Live nodes broadcast once per window unless --period is given.
+    if (live && !args.has("period")) recipe.async->period_s = recipe.window_s;
+    streams.engine = rng.split();
   }
 
-  const auto medium = sim::make_loss_model(tau, rng.split());
-  // --threads N parallelizes the step engine; 0 = hardware concurrency.
-  // Results are bit-identical for any value (see docs/ARCHITECTURE.md).
-  const auto threads = static_cast<unsigned>(args.integer("threads"));
-  // --shards >= 2 cuts that many contiguous shards; otherwise the engine
-  // takes one shard per worker. The trajectory is bit-identical either
-  // way, so every line below prints the same bytes.
-  const auto shards = static_cast<std::size_t>(args.integer("shards"));
-  auto network =
-      shards >= 2
-          ? sim::ShardedNetwork(
-                d.graph, protocol, *medium,
-                graph::plan_contiguous_shards(d.graph.node_count(), shards)
-                    .bounds,
-                threads)
-          : sim::ShardedNetwork(d.graph, protocol, *medium, threads);
-  network.set_stepping(stepping);
-  if (threads != 1) {
-    // Report the effective size: 0 resolves to hardware concurrency and
-    // oversized requests are clamped by the engine.
-    std::printf("step engine threads: %u\n", network.thread_count());
-  }
-
-  const auto steps = static_cast<std::size_t>(args.integer("steps"));
-  sim::HeadTrace trace;
-  trace.observe(protocol.head_values());
-  for (std::size_t s = 0; s < steps; ++s) {
-    network.step();
-    trace.observe(protocol.head_values());
-  }
-  std::printf("cold start: %zu head changes, quiescent since step %zu\n",
-              trace.changes().size(), trace.quiescent_since());
-
-  const double corrupt = args.real("corrupt");
-  if (corrupt > 0.0) {
-    util::Rng chaos(rng());
-    const auto hit = protocol.corrupt_fraction(chaos, corrupt);
-    sim::HeadTrace recovery;
-    recovery.observe(protocol.head_values());
-    for (std::size_t s = 0; s < steps; ++s) {
-      network.step();
-      recovery.observe(protocol.head_values());
-    }
-    std::printf("corrupted %zu nodes: %zu head changes during recovery, "
-                "quiescent since step %zu\n",
-                hit, recovery.changes().size(), recovery.quiescent_since());
-    if (recovery.quiescent_since() >= steps) return 1;
-  }
-  std::size_t heads = 0;
-  for (char flag : protocol.head_flags()) heads += flag != 0;
-  std::printf("final cluster-heads: %zu\n", heads);
-  if (stepping == sim::Stepping::kDirty) {
-    std::printf(
-        "dirty stepping: %llu rule sweeps run, %llu elided\n",
-        static_cast<unsigned long long>(network.activity().nodes_stepped()),
-        static_cast<unsigned long long>(network.activity().nodes_skipped()));
-  }
-  return trace.quiescent_since() < steps ? 0 : 1;
+  campaign::ProtocolRun run(std::move(world), d.ids, std::move(recipe),
+                            streams);
+  if (live) return print_live(args, run);
+  return async_engine ? print_async(args, run, rng)
+                      : print_sync(args, run, rng);
 }
 
 int run_routing(const util::Args& args) {
@@ -552,7 +407,7 @@ int run_verify(const util::Args& args) {
   config.tau = args.real("tau");
   config.horizon_rounds = static_cast<std::size_t>(args.integer("steps"));
   config.threads = static_cast<unsigned>(args.integer("threads"));
-  config.variants = {args.text("variant")};
+  config.variants = {campaign::parse_variant(args.text("variant"))};
 
   if (const auto& classes = args.text("classes"); classes != "all") {
     config.classes.clear();
@@ -570,7 +425,9 @@ int run_verify(const util::Args& args) {
                 "trial(s), n in [%zu, %zu], variant %s, tau %g, horizon "
                 "%zu rounds, seed %llu\n",
                 config.classes.size(), config.trials_per_class,
-                config.n_min, config.n_max, config.variants.front().c_str(),
+                config.n_min, config.n_max,
+                std::string(campaign::to_string(config.variants.front()))
+                    .c_str(),
                 config.tau, config.horizon_rounds,
                 static_cast<unsigned long long>(config.seed));
   }
@@ -620,7 +477,8 @@ int run_verify(const util::Args& args) {
                shrunk.minimal.n,
                std::string(verify::to_string(shrunk.minimal.fault)).c_str(),
                std::string(verify::to_string(shrunk.minimal.daemon)).c_str(),
-               shrunk.minimal.variant.c_str(), shrunk.attempts,
+               std::string(campaign::to_string(shrunk.minimal.variant)).c_str(),
+               shrunk.attempts,
                shrunk.shrinks, repro.reproduces ? "verified" : "UNVERIFIED");
   if (repro_file) {
     repro_file->stream() << repro.text;

@@ -9,24 +9,12 @@
 #include <utility>
 
 #include "campaign/checkpoint.hpp"
-
+#include "campaign/protocol_run.hpp"
 #include "core/dag_ids.hpp"
-#include "core/legitimacy.hpp"
-#include "core/protocol.hpp"
-#include "graph/dynamic.hpp"
 #include "graph/graph.hpp"
-#include "graph/partition.hpp"
 #include "metrics/delta.hpp"
 #include "metrics/stability.hpp"
-#include "mobility/mobility.hpp"
-#include "sim/async_network.hpp"
 #include "sim/churn.hpp"
-#include "sim/loss.hpp"
-#include "sim/sharded_network.hpp"
-#include "stabilize/convergence.hpp"
-#include "topology/generators.hpp"
-#include "topology/ids.hpp"
-#include "topology/incremental.hpp"
 #include "topology/udg.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -36,24 +24,23 @@ namespace ssmwn::campaign {
 
 namespace {
 
-core::ClusterOptions variant_options(Variant variant) noexcept {
-  switch (variant) {
-    case Variant::kBasic: return core::ClusterOptions::basic();
-    case Variant::kDag: return core::ClusterOptions::with_dag();
-    case Variant::kImproved: return core::ClusterOptions::improved();
-    case Variant::kFull: return core::ClusterOptions::full();
-  }
-  return {};
-}
-
-/// One async run: play the distributed protocol on the event-driven
-/// engine (randomized daemon, per-link delays) from an adversarial
-/// initial state, against the topology the grid point describes, and
-/// measure virtual-time convergence to a legitimate configuration plus
-/// the messages it took. `tau < 1` becomes per-delivery Bernoulli loss.
-RunMetrics execute_async_run(const ScenarioConfig& config,
-                             const topology::IdAssignment& ids,
-                             util::Rng& rng, RunWorkspace& ws) {
+/// A run that plays the distributed protocol on an engine from an
+/// arbitrary initial state. An async run (scheduler=async) settles once
+/// on the event-driven engine (randomized daemon, per-link delays) and
+/// measures virtual-time convergence to a legitimate configuration plus
+/// the messages it took; `tau < 1` becomes per-delivery Bernoulli loss.
+/// A live run (protocol_live) keeps the protocol running, on either
+/// engine, while mobility and churn evolve the topology: every `window_s`
+/// of movement is one *perturbation*, and the run records how long
+/// (virtual seconds) and how many frame deliveries each perturbation
+/// needed to re-reach a legitimate configuration. `topology_update`
+/// selects how change reaches the runtime: incremental edge deltas with
+/// eager stale-link invalidation, or full rebuilds the protocol discovers
+/// only through its own cache aging.
+RunMetrics execute_protocol_run(const ScenarioConfig& config,
+                                const topology::IdAssignment& ids,
+                                util::Rng& rng, RunWorkspace& ws,
+                                const ExecutionOptions& exec) {
   // One independent sub-stream per stochastic component, split in a
   // fixed order so adding one never perturbs the others.
   util::Rng protocol_rng = rng.split();
@@ -61,257 +48,72 @@ RunMetrics execute_async_run(const ScenarioConfig& config,
   util::Rng engine_rng = rng.split();
   util::Rng chaos_rng = rng.split();
 
-  const graph::Graph g = topology::unit_disk_graph(ws.points, config.radius);
+  const std::size_t n = ws.points.size();
+  RunWorld world{.points = &ws.points, .radius = config.radius};
+  world.incremental =
+      config.protocol_live &&
+      config.topology_update == TopologyUpdateKind::kIncremental;
+  if (config.protocol_live) {
+    world.mover = make_mover(config.mobility, n,
+                             {config.speed_min, config.speed_max},
+                             config.world_m, rng.split());
+    util::Rng churn_rng = rng.split();
+    if (config.churn_down > 0.0) {
+      world.churn.emplace(n, config.churn_down, config.churn_up, churn_rng);
+    }
+  }
 
-  core::ProtocolConfig pconfig;
-  pconfig.cluster = variant_options(config.variant);
-  pconfig.delta_hint = std::max<std::uint64_t>(2, g.max_degree());
-  pconfig.cache_max_age = config.tau < 1.0 ? 16 : 8;
-  core::DensityProtocol protocol(ids, pconfig, protocol_rng);
+  RunRecipe recipe;
+  recipe.cluster = cluster_options(config.variant);
+  recipe.tau = config.tau;
+  if (config.scheduler == SchedulerKind::kAsync) {
+    sim::AsyncConfig async;
+    async.period_s = config.window_s;  // one "window" = one mean period
+    async.period_jitter = config.period_jitter;
+    async.link_delay_s = config.link_delay;
+    recipe.async = async;
+  }
+  // exec.shards contiguous shards on one thread; bit-identical at any
+  // count. expand() rejects dirty+sync with tau < 1, so the engine never
+  // throws on the stepping.
+  recipe.shards = exec.shards;
+  recipe.stepping = config.stepping == SteppingKind::kDirty
+                        ? sim::Stepping::kDirty
+                        : sim::Stepping::kFull;
+  recipe.window_s = config.window_s;
   // "From an arbitrary initial state": scramble every shared variable
   // and stuff the caches with garbage before the first event fires.
-  protocol.corrupt_all(chaos_rng);
-
-  const auto medium = sim::make_loss_model(config.tau, loss_rng);
-
-  sim::AsyncConfig async;
-  async.period_s = config.window_s;  // one "window" = one mean period
-  async.period_jitter = config.period_jitter;
-  async.link_delay_s = config.link_delay;
-  async.daemon = sim::DaemonKind::kRandomized;
-  sim::AsyncNetwork network(g, protocol, *medium, async, engine_rng);
-  if (config.stepping == SteppingKind::kDirty) {
-    network.set_stepping(sim::Stepping::kDirty);
-  }
-
-  // Shared legitimacy definition (core/legitimacy.hpp): exact oracle
-  // match only when head identity is a pure function of the topology.
-  const bool exact = core::head_identity_is_deterministic(pconfig.cluster);
-  core::ClusteringResult oracle;
-  if (exact) oracle = core::cluster_density(g, ids, pconfig.cluster);
-  core::LegitimacyCheck legitimacy(g, protocol, exact ? &oracle : nullptr);
-
-  const auto report = sim::settle_async(
-      network, [&] { return legitimacy.check(); },
-      /*horizon_periods=*/static_cast<double>(config.steps));
+  recipe.initial_state = [&chaos_rng](core::DensityProtocol& protocol) {
+    protocol.corrupt_all(chaos_rng);
+  };
+  ProtocolRun run(std::move(world), ids, std::move(recipe),
+                  {protocol_rng, loss_rng, engine_rng});
 
   RunMetrics out;
-  out.stability = report.converged ? 1.0 : 0.0;
-  out.delta = 0.0;
-  out.reaffiliation = 0.0;
-  std::size_t heads = 0;
-  for (const char flag : protocol.head_flags()) heads += flag != 0;
-  out.cluster_count = static_cast<double>(heads);
-  out.converge_time = report.converged ? report.stabilization_time_s
-                                       : report.time_simulated_s;
-  out.messages = static_cast<double>(report.converged
-                                         ? report.messages_to_converge
-                                         : report.messages_total);
-  out.windows = report.checks;
-  return out;
-}
-
-/// Shared per-node mobility factory (live + classic sync paths draw the
-/// same way, so the models stay interchangeable between modes).
-std::unique_ptr<mobility::MobilityModel> make_mover(
-    const ScenarioConfig& config, std::size_t n, util::Rng rng) {
-  const mobility::SpeedRange speeds{config.speed_min, config.speed_max};
-  switch (config.mobility) {
-    case MobilityKind::kNone:
-      return nullptr;
-    case MobilityKind::kRandomDirection:
-      return std::make_unique<mobility::RandomDirection>(n, speeds,
-                                                         config.world_m, rng);
-    case MobilityKind::kRandomWaypoint:
-      return std::make_unique<mobility::RandomWaypoint>(n, speeds,
-                                                        config.world_m, rng);
+  if (!config.protocol_live) {
+    const Settled settled = run.settle(static_cast<double>(config.steps));
+    out.stability = settled.report.converged ? 1.0 : 0.0;
+    out.cluster_count = static_cast<double>(run.head_count());
+    out.converge_time = settled.time_s();
+    out.messages = static_cast<double>(settled.messages());
+    out.windows = settled.report.checks;
+    return out;
   }
-  return nullptr;
-}
-
-/// One protocol-under-mobility run: the distributed protocol executes
-/// continuously (on either engine) while mobility and churn evolve the
-/// topology; every `window_s` of movement is one *perturbation*, and the
-/// run records how long (virtual seconds) and how many frame deliveries
-/// each perturbation needed to re-reach a legitimate configuration.
-/// `topology_update` selects how change reaches the runtime: incremental
-/// edge deltas with eager stale-link invalidation, or full rebuilds the
-/// protocol discovers only through its own cache aging.
-RunMetrics execute_live_run(const ScenarioConfig& config,
-                            const topology::IdAssignment& ids,
-                            util::Rng& rng, RunWorkspace& ws,
-                            const ExecutionOptions& exec) {
-  // Fixed split order (see execute_async_run).
-  util::Rng protocol_rng = rng.split();
-  util::Rng loss_rng = rng.split();
-  util::Rng engine_rng = rng.split();
-  util::Rng chaos_rng = rng.split();
-  util::Rng mobility_rng = rng.split();
-  util::Rng churn_rng = rng.split();
-
-  const std::size_t n = ws.points.size();
-  auto mover = make_mover(config, n, mobility_rng);
-  std::optional<sim::NodeChurn> churn;
-  if (config.churn_down > 0.0) {
-    churn.emplace(n, config.churn_down, config.churn_up, churn_rng);
-  }
-  const auto alive_span = [&]() -> std::span<const char> {
-    if (!churn) return {};
-    return {churn->alive().data(), churn->alive().size()};
-  };
-
-  // Topology holder. Both modes keep ONE Graph object alive for the
-  // whole run (the engines hold a reference to it): incremental patches
-  // it via edge deltas, rebuild move-assigns a fresh build into it.
-  const bool incremental =
-      config.topology_update == TopologyUpdateKind::kIncremental;
-  std::optional<topology::LiveTopology> live;
-  graph::DynamicGraph rebuilt;
-  auto rebuild_graph = [&] {
-    graph::Graph g = topology::unit_disk_graph(ws.points, config.radius);
-    if (churn) g = sim::mask_nodes(g, alive_span());
-    rebuilt.reset(std::move(g));
-  };
-  if (incremental) {
-    live.emplace(ws.points, config.radius, alive_span());
-  } else {
-    rebuild_graph();
-  }
-  const graph::Graph& g = incremental ? live->graph() : rebuilt.view();
-
-  core::ProtocolConfig pconfig;
-  pconfig.cluster = variant_options(config.variant);
-  pconfig.delta_hint = std::max<std::uint64_t>(2, g.max_degree());
-  pconfig.cache_max_age = config.tau < 1.0 ? 16 : 8;
-  core::DensityProtocol protocol(ids, pconfig, protocol_rng);
-  protocol.corrupt_all(chaos_rng);
-  const auto medium = sim::make_loss_model(config.tau, loss_rng);
-
-  const bool exact = core::head_identity_is_deterministic(pconfig.cluster);
-  core::ClusteringResult oracle;
-  auto recompute_oracle = [&] {
-    if (exact) oracle = core::cluster_density(g, ids, pconfig.cluster);
-  };
-  recompute_oracle();
-  core::LegitimacyCheck legitimacy(g, protocol, exact ? &oracle : nullptr);
-
-  const double horizon_s =
-      static_cast<double>(config.live_horizon) * config.window_s;
-  const double confirm_s = 3.0 * config.window_s;
 
   util::RunningStats reconv_time, reconv_messages, clusters;
   std::size_t reconverged = 0;
-  auto count_heads = [&protocol] {
-    std::size_t heads = 0;
-    for (const char flag : protocol.head_flags()) heads += flag != 0;
-    return static_cast<double>(heads);
-  };
-  auto record_window = [&](const stabilize::VirtualTimeReport& report,
-                           double window_start_s) {
-    reconverged += report.converged;
-    reconv_time.add((report.converged ? report.stabilization_time_s
-                                      : report.time_simulated_s) -
-                    window_start_s);
-    reconv_messages.add(static_cast<double>(
-        report.converged ? report.messages_to_converge
-                         : report.messages_total));
-    clusters.add(count_heads());
-  };
-
-  RunMetrics out;
-  const bool dirty = config.stepping == SteppingKind::kDirty;
-  if (config.scheduler == SchedulerKind::kSync) {
-    // exec.shards contiguous shards on one thread (the plan clamps 0 to
-    // one shard); bit-identical at any count.
-    sim::ShardedNetwork network(
-        g, protocol, *medium,
-        graph::plan_contiguous_shards(g.node_count(), exec.shards).bounds);
-    // expand() rejects dirty+sync with tau < 1, so this never throws.
-    if (dirty) network.set_stepping(sim::Stepping::kDirty);
-    // Unified units with the async engine: one synchronous step is one
-    // broadcast round ≈ one window_s of virtual time.
-    auto settle = [&] {
-      legitimacy.reset();
-      std::size_t rounds = 0;
-      const std::uint64_t base = network.messages_delivered();
-      return stabilize::run_until_stable_virtual(
-          [&] {
-            network.step();
-            return static_cast<double>(++rounds) * config.window_s;
-          },
-          [&] { return network.messages_delivered() - base; },
-          [&] { return legitimacy.check(); }, confirm_s, horizon_s);
-    };
-
-    const auto cold = settle();
-    out.converge_time =
-        cold.converged ? cold.stabilization_time_s : cold.time_simulated_s;
-    out.messages = static_cast<double>(
-        cold.converged ? cold.messages_to_converge : cold.messages_total);
-
-    for (std::size_t window = 0; window < config.steps; ++window) {
-      if (mover) mover->step(ws.points, config.window_s);
-      if (churn) churn->step();
-      if (incremental) {
-        // apply_topology_delta also wakes the closed neighborhood of
-        // every delta endpoint under dirty stepping, so quiescent nodes
-        // near a change re-run their rules next step.
-        network.apply_topology_delta(live->update(ws.points, alive_span()));
-      } else {
-        // Rebuild mode mutates the Graph in place with no delta, so
-        // re-announce it: the engine caches boundary-sender lists and
-        // row hints keyed to the adjacency, and under dirty stepping
-        // quiescent nodes would never learn of the change (set_graph
-        // wakes every node).
-        rebuild_graph();
-        network.set_graph(g);
-      }
-      recompute_oracle();
-      record_window(settle(), 0.0);
-    }
-  } else {
-    sim::AsyncConfig async;
-    async.period_s = config.window_s;
-    async.period_jitter = config.period_jitter;
-    async.link_delay_s = config.link_delay;
-    async.daemon = sim::DaemonKind::kRandomized;
-    sim::AsyncNetwork network(g, protocol, *medium, async, engine_rng);
-    // Safe under both topology-update modes: the async skip decision
-    // reads only protocol cache state, never adjacency.
-    if (dirty) network.set_stepping(sim::Stepping::kDirty);
-    auto settle = [&] {
-      legitimacy.reset();
-      return sim::settle_async(
-          network, [&] { return legitimacy.check(); },
-          static_cast<double>(config.live_horizon));
-    };
-
-    const auto cold = settle();
-    out.converge_time =
-        cold.converged ? cold.stabilization_time_s : cold.time_simulated_s;
-    out.messages = static_cast<double>(
-        cold.converged ? cold.messages_to_converge : cold.messages_total);
-
-    // Mobility advances one window_s of *movement* per perturbation; the
-    // network clock between perturbations is whatever the settle took.
-    graph::EdgeDelta no_delta;  // rebuild mode applies without a delta
-    for (std::size_t window = 0; window < config.steps; ++window) {
-      if (mover) mover->step(ws.points, config.window_s);
-      if (churn) churn->step();
-      network.schedule_topology_update(
-          network.now(), [&]() -> const graph::EdgeDelta& {
-            if (incremental) return live->update(ws.points, alive_span());
-            rebuild_graph();
-            return no_delta;
-          });
-      // Fire the perturbation now so the oracle sees the new graph.
-      network.run_until(network.now());
-      const double window_start_s = network.now_seconds();
-      recompute_oracle();
-      record_window(settle(), window_start_s);
-    }
-  }
-
+  run.live(config.steps, static_cast<double>(config.live_horizon),
+           [&](std::size_t window, EdgeChange, const Settled& settled) {
+             if (window == 0) {
+               out.converge_time = settled.time_s();
+               out.messages = static_cast<double>(settled.messages());
+               return;
+             }
+             reconverged += settled.report.converged;
+             reconv_time.add(settled.time_s());
+             reconv_messages.add(static_cast<double>(settled.messages()));
+             clusters.add(static_cast<double>(run.head_count()));
+           });
   out.stability = config.steps == 0
                       ? 1.0
                       : static_cast<double>(reconverged) /
@@ -322,10 +124,6 @@ RunMetrics execute_live_run(const ScenarioConfig& config,
   out.windows = reconv_time.count();
   return out;
 }
-
-}  // namespace
-
-namespace {
 
 /// One certification trial (verify_faults=true): corrupt with the grid
 /// point's fault class, run to fixpoint on both engines (async half
@@ -363,41 +161,21 @@ RunMetrics execute_run(const ScenarioConfig& config, std::uint64_t seed,
   }
 
   util::Rng rng(seed);
-
-  switch (config.topology) {
-    case TopologyKind::kUniform:
-      ws.points = topology::uniform_points(config.n, rng);
-      break;
-    case TopologyKind::kGrid:
-      ws.points = topology::grid_points(topology::grid_side_for(config.n));
-      break;
-    case TopologyKind::kPoisson:
-      ws.points = topology::poisson_points(static_cast<double>(config.n), rng);
-      break;
-  }
+  Deployment deployment = draw_deployment(config.topology, config.n, rng);
+  ws.points = std::move(deployment.points);
   const std::size_t n = ws.points.size();
   RunMetrics out;
   if (n == 0) {  // a Poisson draw can be empty; nothing to measure
     out.cluster_count = 0.0;
     return out;
   }
+  const topology::IdAssignment& ids = deployment.ids;
 
-  // Grid deployments get the paper's adversarial left-to-right id order;
-  // everything else gets uniformly random identifiers (same convention as
-  // the CLI's make_deployment).
-  const auto ids = config.topology == TopologyKind::kGrid
-                       ? topology::sequential_ids(n)
-                       : topology::random_ids(n, rng);
-
-  // The live (protocol-under-mobility) and async modes get their own
-  // execution paths; the deployment above (points, ids) is drawn
-  // identically, so every mode over the same topology axes sees the
-  // same world.
-  if (config.protocol_live) {
-    return execute_live_run(config, ids, rng, ws, exec);
-  }
-  if (config.scheduler == SchedulerKind::kAsync) {
-    return execute_async_run(config, ids, rng, ws);
+  // Live and async runs play the protocol on an engine; the deployment
+  // above (points, ids) is drawn identically, so every mode over the
+  // same topology axes sees the same world.
+  if (config.protocol_live || config.scheduler == SchedulerKind::kAsync) {
+    return execute_protocol_run(config, ids, rng, ws, exec);
   }
 
   // One independent sub-stream per stochastic process, split in a fixed
@@ -407,14 +185,16 @@ RunMetrics execute_run(const ScenarioConfig& config, std::uint64_t seed,
   util::Rng loss_rng = rng.split();
   util::Rng dag_rng = rng.split();
 
-  auto mover = make_mover(config, n, mobility_rng);
+  auto mover = make_mover(config.mobility, n,
+                          {config.speed_min, config.speed_max},
+                          config.world_m, mobility_rng);
 
   std::optional<sim::NodeChurn> churn;
   if (config.churn_down > 0.0) {
     churn.emplace(n, config.churn_down, config.churn_up, churn_rng);
   }
 
-  const core::ClusterOptions options = variant_options(config.variant);
+  const core::ClusterOptions options = cluster_options(config.variant);
 
   util::RunningStats stability, delta, reaffiliation, clusters;
   ws.prev_heads.clear();

@@ -88,14 +88,6 @@ MobilityKind parse_mobility(const std::string& raw) {
        raw + "'");
 }
 
-Variant parse_variant(const std::string& raw) {
-  if (raw == "basic") return Variant::kBasic;
-  if (raw == "dag") return Variant::kDag;
-  if (raw == "improved") return Variant::kImproved;
-  if (raw == "full") return Variant::kFull;
-  fail("variant: expected basic|dag|improved|full, got '" + raw + "'");
-}
-
 SchedulerKind parse_scheduler(const std::string& raw) {
   if (raw == "sync") return SchedulerKind::kSync;
   if (raw == "async") return SchedulerKind::kAsync;
@@ -186,6 +178,24 @@ std::string_view to_string(MobilityKind kind) noexcept {
     case MobilityKind::kRandomWaypoint: return "random-waypoint";
   }
   return "?";
+}
+
+Variant parse_variant(const std::string& raw) {
+  if (raw == "basic") return Variant::kBasic;
+  if (raw == "dag") return Variant::kDag;
+  if (raw == "improved") return Variant::kImproved;
+  if (raw == "full") return Variant::kFull;
+  fail("variant: expected basic|dag|improved|full, got '" + raw + "'");
+}
+
+core::ClusterOptions cluster_options(Variant variant) noexcept {
+  switch (variant) {
+    case Variant::kBasic: return core::ClusterOptions::basic();
+    case Variant::kDag: return core::ClusterOptions::with_dag();
+    case Variant::kImproved: return core::ClusterOptions::improved();
+    case Variant::kFull: return core::ClusterOptions::full();
+  }
+  return {};
 }
 
 std::string_view to_string(Variant variant) noexcept {

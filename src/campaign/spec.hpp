@@ -43,6 +43,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/options.hpp"
 #include "verify/faults.hpp"
 
 namespace ssmwn::campaign {
@@ -60,6 +61,11 @@ enum class MobilityKind { kNone, kRandomDirection, kRandomWaypoint };
 
 /// Protocol variant, mirroring core::ClusterOptions presets.
 enum class Variant { kBasic, kDag, kImproved, kFull };
+
+/// The spelling basic|dag|improved|full; throws SpecError otherwise.
+[[nodiscard]] Variant parse_variant(const std::string& raw);
+/// The feature toggles of a variant (one map for every entry point).
+[[nodiscard]] core::ClusterOptions cluster_options(Variant variant) noexcept;
 
 /// Which execution engine plays the run. `kSync` is the oracle-based
 /// window loop over the synchronous Δ(τ) abstraction; `kAsync` executes

@@ -38,6 +38,7 @@
 // verdict through `consume_activity` / `maybe_tick`.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -156,6 +157,27 @@ struct ProtocolConfig {
   /// results in every mode).
   DensityMaintenance density_maintenance = DensityMaintenance::kIncremental;
 };
+
+/// The cache timeout (ProtocolConfig::cache_max_age) for a deployment:
+/// 8 rounds on a lossless medium, 16 under loss (τ < 1). A deployment
+/// whose slowest node broadcasts `daemon_slowdown` times less often than
+/// the mean (periods jittered by ± `period_jitter`) needs more: a fast
+/// node must not evict a live-but-slow neighbor between its frames, or
+/// legitimacy flickers after convergence. The certifier caught exactly
+/// that at 8 under the 8x-unfair daemon (~0.3% closure-broken trials).
+/// The worst gap in the fast node's rounds is slowdown x (1+jitter) /
+/// (1-jitter), stretched by loss; the timeout keeps a 2x margin for
+/// jitter stacking. `daemon_slowdown` <= 1 leaves the base timeout.
+[[nodiscard]] inline std::uint32_t cache_timeout(double tau,
+                                                 double daemon_slowdown = 1.0,
+                                                 double period_jitter = 0.0) {
+  const std::uint32_t base = tau < 1.0 ? 16 : 8;
+  if (daemon_slowdown <= 1.0) return base;
+  const double worst_gap = daemon_slowdown * (1.0 + period_jitter) /
+                           (1.0 - period_jitter) / std::max(tau, 0.05);
+  return std::max<std::uint32_t>(
+      base, static_cast<std::uint32_t>(2.0 * worst_gap + 1.0));
+}
 
 class DensityProtocol {
  public:

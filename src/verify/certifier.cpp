@@ -28,7 +28,7 @@ TrialSpec trial_spec(const CertifierConfig& config, FaultClass fault,
   spec.n = config.n_min + pick.index(span);
   spec.radius = config.radius;
   spec.variant = config.variants.empty()
-                     ? "basic"
+                     ? campaign::Variant::kBasic
                      : config.variants[pick.index(config.variants.size())];
   spec.fault = fault;
   // Rotate, don't draw: every daemon gets exactly its share of each
@@ -131,14 +131,7 @@ campaign::ScenarioConfig scenario_for(const TrialSpec& spec) {
   config.topology = campaign::TopologyKind::kUniform;
   config.n = spec.n;
   config.radius = spec.radius;
-  // Validates the spelling as a side effect; the mapping itself is by
-  // name, so an unknown variant fails here rather than mid-campaign.
-  (void)cluster_options_for(spec.variant);
-  config.variant = spec.variant == "dag" ? campaign::Variant::kDag
-                   : spec.variant == "improved"
-                       ? campaign::Variant::kImproved
-                   : spec.variant == "full" ? campaign::Variant::kFull
-                                            : campaign::Variant::kBasic;
+  config.variant = spec.variant;
   config.tau = spec.tau;
   config.steps = spec.horizon_rounds;
   config.verify_faults = true;
@@ -152,7 +145,7 @@ TrialSpec trial_from_scenario(const campaign::ScenarioConfig& config,
   TrialSpec spec;
   spec.n = config.n;
   spec.radius = config.radius;
-  spec.variant = std::string(campaign::to_string(config.variant));
+  spec.variant = config.variant;
   spec.fault = config.fault_class;
   spec.daemon = config.daemon;
   spec.tau = config.tau;
@@ -207,7 +200,7 @@ ReproSpec make_repro(const TrialSpec& minimal, Violation expected,
        << "topology = uniform\n"
        << "n = " << minimal.n << "\n"
        << "radius = " << campaign::format_double(minimal.radius) << "\n"
-       << "variant = " << minimal.variant << "\n"
+       << "variant = " << campaign::to_string(minimal.variant) << "\n"
        << "tau = " << campaign::format_double(minimal.tau) << "\n"
        << "steps = " << minimal.horizon_rounds << "\n"
        << "replications = 1\n"

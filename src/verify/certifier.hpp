@@ -30,7 +30,7 @@ namespace ssmwn::verify {
 struct CertifierConfig {
   std::vector<FaultClass> classes{kAllFaultClasses.begin(),
                                   kAllFaultClasses.end()};
-  std::vector<std::string> variants{"basic"};
+  std::vector<campaign::Variant> variants{campaign::Variant::kBasic};
   /// Trials per fault class; daemons rotate per trial so each class
   /// covers all three.
   std::size_t trials_per_class = 200;

@@ -30,8 +30,8 @@ bool simplify_daemon(TrialSpec& spec) {
 }
 
 bool simplify_variant(TrialSpec& spec) {
-  if (spec.variant == "basic") return false;
-  spec.variant = "basic";
+  if (spec.variant == campaign::Variant::kBasic) return false;
+  spec.variant = campaign::Variant::kBasic;
   return true;
 }
 

@@ -22,13 +22,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <string>
 #include <string_view>
+#include <vector>
 
-#include "core/clustering.hpp"
-#include "core/options.hpp"
-#include "core/protocol.hpp"
+#include "campaign/protocol_run.hpp"
+#include "campaign/spec.hpp"
 #include "verify/faults.hpp"
 
 namespace ssmwn::verify {
@@ -43,13 +41,13 @@ inline constexpr std::size_t kDefaultConfirmRounds = 4;
 /// trial by construction — the spec layer and the CLI both reject them.
 inline constexpr std::size_t kMinHorizonRounds = kDefaultConfirmRounds + 2;
 
-/// Everything one trial needs; deterministic replay key. `variant` uses
-/// the campaign spelling (basic|dag|improved|full) so failing tuples
-/// translate 1:1 into campaign spec axes.
+/// Everything one trial needs; deterministic replay key. `variant` is
+/// the campaign axis, so failing tuples translate 1:1 into campaign
+/// specs.
 struct TrialSpec {
   std::size_t n = 60;
   double radius = 0.14;
-  std::string variant = "basic";
+  campaign::Variant variant = campaign::Variant::kBasic;
   FaultClass fault = FaultClass::kRandomAll;
   Daemon daemon = Daemon::kRandomized;
   double tau = 1.0;              ///< per-link delivery probability
@@ -57,11 +55,6 @@ struct TrialSpec {
   std::size_t horizon_rounds = 240;  ///< sync steps / async periods
   std::size_t confirm_rounds = kDefaultConfirmRounds;
 };
-
-/// Maps the campaign variant spelling to the feature toggles; throws
-/// std::invalid_argument on unknown names.
-[[nodiscard]] core::ClusterOptions cluster_options_for(
-    std::string_view variant);
 
 enum class Violation : std::uint8_t {
   kNone,
@@ -78,6 +71,9 @@ enum class Violation : std::uint8_t {
 };
 
 [[nodiscard]] std::string_view to_string(Violation violation) noexcept;
+
+/// The event engine's daemon for a trial (and CLI) daemon.
+[[nodiscard]] sim::DaemonKind sim_daemon(Daemon daemon) noexcept;
 
 struct TrialResult {
   bool passed = false;
@@ -97,16 +93,10 @@ struct TrialResult {
   CorruptionStats corruption;
 };
 
-/// Test seams for mutation checks: a certifier that cannot catch a
-/// deliberately broken system certifies nothing. `corrupt_oracle`
-/// mutates the reference clustering after it is computed (a wrong
-/// oracle must surface as a violation, not silently pass);
-/// `interfere` runs against the protocol before every legitimacy check
-/// on both engines (a stuck/Byzantine node the trial must flag).
-struct TrialHooks {
-  std::function<void(core::ClusteringResult&)> corrupt_oracle;
-  std::function<void(core::DensityProtocol&)> interfere;
-};
+/// Test seams for mutation checks (see campaign::RunHooks): a wrong
+/// oracle must surface as a violation, and so must a stuck/Byzantine
+/// node that `interfere` keeps poking on both engines.
+using TrialHooks = campaign::RunHooks;
 
 /// Executes the trial. Pure function of `spec` (and `hooks`, which
 /// production callers leave null).

@@ -50,7 +50,7 @@ TEST_P(ProtocolSweep, ConvergesAndRecovers) {
   config.cluster.use_dag_ids = param.use_dag;
   config.cluster.fusion = param.fusion;
   config.delta_hint = std::max<std::uint64_t>(2, g.max_degree());
-  config.cache_max_age = param.tau < 1.0 ? 16 : 8;
+  config.cache_max_age = core::cache_timeout(param.tau);
   core::DensityProtocol protocol(ids, config, rng.split());
 
   sim::PerfectDelivery perfect;

@@ -30,9 +30,9 @@ struct World {
 };
 
 /// Deployment without the oracle (for suites that cluster differently
-/// or not at all). Draw order: points first, then ids — matching the
-/// CLI's make_deployment and campaign::execute_run, so a seed names the
-/// same world everywhere.
+/// or not at all). Draw order: points first, then ids — matching
+/// campaign::draw_deployment (the CLI's, the campaign runner's and the
+/// certifier's draw), so a seed names the same world everywhere.
 inline World make_deployment(std::size_t n, double radius,
                              std::uint64_t seed) {
   util::Rng rng(seed);

@@ -63,10 +63,9 @@ struct Deployment : campaign::Deployment {
 Deployment make_deployment(const util::Args& args, util::Rng& rng) {
   const auto n = static_cast<std::size_t>(args.integer("n"));
   const bool grid = args.boolean("grid");
-  Deployment d;
-  static_cast<campaign::Deployment&>(d) = campaign::draw_deployment(
+  Deployment d{campaign::draw_deployment(
       grid ? campaign::TopologyKind::kGrid : campaign::TopologyKind::kUniform,
-      n, rng);
+      n, rng)};
   if (grid) d.grid_side = topology::grid_side_for(n);
   d.graph = topology::unit_disk_graph(d.points, args.real("radius"));
   return d;

@@ -111,6 +111,9 @@ void ProtocolRun::rebuild() {
 }
 
 bool ProtocolRun::legitimate() {
+  // The exact oracle applies only when head identity is a pure function
+  // of the topology (core/legitimacy.hpp); it is recomputed at the first
+  // check after a graph change.
   if (oracle_stale_ && core::head_identity_is_deterministic(recipe_.cluster)) {
     oracle_ = core::cluster_density(*graph_, *ids_, recipe_.cluster);
     if (recipe_.hooks && recipe_.hooks->corrupt_oracle) {

@@ -229,13 +229,16 @@ int print_async(const util::Args& args, campaign::ProtocolRun& run,
   auto settle = [&](const char* label) {
     // Message counts are relative to the phase start, so a recovery
     // phase reports only its own traffic, not the cold start's; times
-    // are on the engine's clock.
-    const auto report = run.settle(periods).report;
+    // are on the engine's clock. A phase that did not converge reports
+    // its horizon and all its traffic (Settled::messages).
+    const auto settled = run.settle(periods);
+    const auto& report = settled.report;
     std::printf("%s: %s at t=%.2fs (virtual), %llu messages to "
                 "convergence, %llu delivered this phase, %llu events\n",
                 label, report.converged ? "converged" : "NOT converged",
-                report.stabilization_time_s,
-                static_cast<unsigned long long>(report.messages_to_converge),
+                report.converged ? report.stabilization_time_s
+                                 : report.time_simulated_s,
+                static_cast<unsigned long long>(settled.messages()),
                 static_cast<unsigned long long>(report.messages_total),
                 static_cast<unsigned long long>(run.events_processed()));
     return report.converged;

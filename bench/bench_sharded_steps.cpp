@@ -3,8 +3,9 @@
 // The sharded engine exists so one synchronous step over the whole
 // field stays cheap when the field no longer fits one worker's cache:
 // nodes are renumbered cell-major (graph::plan_spatial_shards), each
-// shard owns a contiguous range plus its own frame arena, and all
-// cross-shard traffic rides per-shard-pair mailboxes. This bench runs
+// shard owns a contiguous range plus its own frame arena, and a
+// receiver reads a remote sender's row in place from the owner's arena.
+// This bench runs
 // the full equivalence gate first — the engine must be bit-identical to
 // the owning-frame reference stepper at one shard and at SSMWN_SHARDS
 // shards, or the numbers are meaningless — then measures steady-state
@@ -190,9 +191,9 @@ int main() {
   }
 
   bench::print_header(
-      "Sharded — spatial shards + boundary mailboxes at scale",
+      "Sharded — spatial shards at scale",
       "Cell-major renumbered shards, each with its own frame arena; "
-      "cross-shard frames ride per-shard-pair mailboxes "
+      "cross-shard rows are read in place from the owner's arena "
       "(docs/ARCHITECTURE.md §8). Bit-identical to the reference stepper "
       "at any shard count — gated below before any timing",
       1);
@@ -268,7 +269,7 @@ int main() {
              "converged regime the table's former single number claimed "
              "but, at n = 1M, never warmed up to)");
   table.note("single-worker machines measure the sharding overhead "
-             "(mailboxes + per-shard arenas); the parallel win needs "
+             "(per-shard arenas, cross-shard reads); the parallel win needs "
              "SSMWN_THREADS > 1");
   bench::print(table);
   json.write();

@@ -164,27 +164,43 @@ DensityProtocol::Frame DensityProtocol::make_frame(
 
 bool DensityProtocol::deliver_payload(graph::NodeId receiver,
                                       const FrameHeader& header,
-                                      std::span<const Digest> digests) {
-  // Tracking needs the full compare's change bits; resync means the
-  // engine's proof says nothing about what the cache now holds.
-  if (tracking_ || resync_[receiver] != 0) return false;
+                                      std::span<const Digest> digests,
+                                      bool bits_equal) {
+  // Resync means the engine's proof says nothing about what the cache
+  // now holds; with repeated uids one entry may hold another sender's
+  // row.
+  if (resync_[receiver] != 0 || !uids_distinct_) return false;
   if (header.id == uids_[receiver]) return true;  // dropped either way
   NodeAux& aux = aux_[receiver];
   const auto it = aux.cache.find(header.id);
   if (it == aux.cache.end()) return false;  // evicted: reinsert via deliver
   CacheEntry& entry = it->second;
   if (entry.digests.size() != digests.size()) return false;
+  entry.age = 0;
+  if (bits_equal) return true;  // the entry already holds these bytes
+  if (tracking_) {
+    // Engine-proved: the row differs from the one the entry holds, so
+    // `deliver` would flag a rule-input change, and a frame change iff
+    // one of the relayed header fields moved.
+    pending_[receiver] = 1;
+    step_state_changed_[receiver] = 1;
+    if (entry.dag_id != header.dag_id ||
+        !double_bits_equal(entry.metric, header.metric) ||
+        entry.metric_valid != header.metric_valid ||
+        entry.head != header.head || entry.head_valid != header.head_valid) {
+      step_frame_changed_[receiver] = 1;
+    }
+  }
   // Engine-proved: the stored id sequence equals the incoming one, so
   // the believed-link count cannot move and the whole delivery is the
-  // header fields, the digest payloads, and the age reset. The copy
-  // rewrites the (identical) ids too — cheaper than skipping them.
+  // header fields and the digest payloads. The copy rewrites the
+  // (identical) ids too — cheaper than skipping them.
   entry.dag_id = header.dag_id;
   entry.metric = header.metric;
   entry.metric_valid = header.metric_valid;
   entry.head = header.head;
   entry.head_valid = header.head_valid;
   std::copy(digests.begin(), digests.end(), entry.digests.data());
-  entry.age = 0;
   return true;
 }
 

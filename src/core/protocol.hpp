@@ -311,12 +311,15 @@ class DensityProtocol {
   /// metrics, head bits — may differ): e(N_p) depends only on which ids
   /// each digest list names, so the delta walk and the compare both
   /// vanish and the delivery collapses to a straight payload overwrite.
-  /// Returns false — demanding the full compare path — when the entry is
-  /// missing, its stored list disagrees with the engine's proof, the
-  /// receiver was externally mutated since the last full sweep, or
-  /// activity tracking needs the compare's change bits.
+  /// `bits_equal` says the engine proved the whole row bit-equal too:
+  /// then only the age resets. Otherwise the row differs, and with
+  /// activity tracking on the change bits `deliver` would raise follow
+  /// from that proof plus a header compare. Returns false — demanding
+  /// the full compare path — when the entry is missing, its stored list
+  /// disagrees with the engine's proof, the receiver was externally
+  /// mutated since the last full sweep, or uids repeat.
   bool deliver_payload(graph::NodeId receiver, const FrameHeader& header,
-                       std::span<const Digest> digests);
+                       std::span<const Digest> digests, bool bits_equal);
   /// Id-projection equality for the engine-side row compare backing
   /// `deliver_payload`.
   [[nodiscard]] static bool digest_id_equal(const Digest& a,

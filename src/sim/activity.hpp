@@ -1,4 +1,5 @@
-// The ActivityTracker seam shared by both dirty-region steppers.
+// The ActivityTracker seam shared by both engines' quiescence-aware
+// stepping.
 //
 // Dirty-region ("quiescence-aware") stepping re-runs the protocol only
 // for nodes whose closed neighborhood actually changed. The tracker owns
@@ -28,10 +29,12 @@
 
 namespace ssmwn::sim {
 
-/// Which stepper a run uses: the classic full sweep (every node, every
-/// step) or the quiescence-aware dirty-region stepper. Dirty stepping is
-/// bit-identical to full stepping at any thread count — that guarantee
-/// is the point of the differential harness in tests/sim.
+/// The stepping mode. On the event-driven engine it picks the sweep:
+/// every activation, or only the ones the protocol cannot prove
+/// redundant. On the synchronous engine, which skips provably quiet
+/// nodes whenever the medium is loss-free, it picks the counter
+/// definitions (sim/sharded_network.hpp). Either way the results are
+/// bit-identical — the point of the differential harnesses in tests/sim.
 enum class Stepping {
   kFull,
   kDirty,
@@ -43,6 +46,7 @@ class ActivityTracker {
   /// this is a corrupt id (e.g. kInvalidNode), not a late-arriving
   /// topology delta, and would turn the resize into an OOM.
   static constexpr std::size_t kMaxTrackedNode = std::size_t{1} << 31;
+  static constexpr std::size_t kDenseShare = 16;
 
   /// Sizes the tracker for `n` nodes and empties both sets; with
   /// `all_active`, every node is queued for the next step (how a dirty
@@ -52,6 +56,10 @@ class ActivityTracker {
     next_mark_.assign(n, 0);
     next_list_.clear();
     current_list_.clear();
+    // Both lists swap roles every step; room for every node up front
+    // keeps wakes allocation-free.
+    next_list_.reserve(n);
+    current_list_.reserve(n);
     if (all_active) {
       next_list_.resize(n);
       for (std::size_t p = 0; p < n; ++p) next_list_[p] = p;
@@ -84,10 +92,23 @@ class ActivityTracker {
   }
 
   /// Promotes the accumulated wakes to the current work list (sorted
-  /// ascending) and starts accumulating the following step's set.
+  /// ascending) and starts accumulating the following step's set. A
+  /// dense set (at least 1/kDenseShare of the marks) is collected by one
+  /// ordered sweep of the marks instead of a sort.
   void begin_step() {
     current_list_.swap(next_list_);
     next_list_.clear();
+    if (current_list_.size() * kDenseShare >= next_mark_.size()) {
+      current_list_.resize(next_mark_.size());
+      std::size_t k = 0;
+      for (std::size_t p = 0; p < next_mark_.size(); ++p) {
+        current_list_[k] = static_cast<graph::NodeId>(p);
+        k += next_mark_[p];
+        next_mark_[p] = 0;
+      }
+      current_list_.resize(k);
+      return;
+    }
     for (const graph::NodeId p : current_list_) next_mark_[p] = 0;
     std::sort(current_list_.begin(), current_list_.end());
   }

@@ -54,10 +54,11 @@ concept ArenaProtocol =
 /// Optional redelivery extension: when an engine can prove every frame a
 /// receiver hears bit-identical to the one it consumed last step
 /// (double-buffered arena rows + a loss-free medium), it may offer them
-/// all as one `redeliver_unchanged(receiver, heard)`; and a row whose
-/// digest *payloads* changed but whose id sequence held as
-/// `deliver_payload(receiver, header, digests)`, where the protocol can
-/// skip its compare/delta machinery and overwrite in place. Either call
+/// all as one `redeliver_unchanged(receiver, heard)`; and a row whose id
+/// sequence held as `deliver_payload(receiver, header, digests,
+/// bits_equal)`, where the protocol can skip its compare/delta machinery
+/// and overwrite in place (or, for a row proved bit-equal as a whole,
+/// only refresh it). Either call
 /// performs the remaining side effects and returns true, or returns
 /// false to demand per-frame `deliver` — both must decline when the
 /// receiver's cache was mutated from outside the step loop since the
@@ -78,7 +79,7 @@ concept RedeliveryProtocol =
              std::span<const typename P::Digest> in,
              const typename P::Digest& digest) {
       { p.redeliver_unchanged(receiver, heard) } -> std::convertible_to<bool>;
-      { p.deliver_payload(receiver, header, in) } -> std::convertible_to<bool>;
+      { p.deliver_payload(receiver, header, in, true) } -> std::convertible_to<bool>;
       { P::header_bits_equal(header, header) } -> std::convertible_to<bool>;
       { P::digest_bits_equal(digest, digest) } -> std::convertible_to<bool>;
       { P::digest_id_equal(digest, digest) } -> std::convertible_to<bool>;
@@ -108,18 +109,20 @@ concept TopologyAwareProtocol = requires(P& p, graph::NodeId a,
 
 /// Optional quiescence extension: the protocol can detect, per node and
 /// per step, whether anything rule-relevant changed, and can skip a rule
-/// sweep when it is provably a no-op. Both dirty-region steppers key off
-/// this concept:
+/// sweep when it is provably a no-op. Both engines' quiescence-aware
+/// stepping keys off this concept:
 ///
 ///   * set_activity_tracking(on) arms/disarms the change detector (off,
 ///     the protocol's hot paths must be byte-for-byte the classic ones);
 ///   * maybe_tick(p) sweeps unless provably redundant, returns whether
-///     it swept (the async engine's activation uses this in place of
-///     tick);
+///     it swept (the async engine's dirty activations and every
+///     synchronous step use this in place of tick; untracked, it is
+///     exactly tick);
 ///   * consume_activity(p) reports and clears what changed during the
 ///     step that just ran — `state_changed` keeps p itself awake,
-///     `frame_changed` wakes p's neighbors (the synchronous dirty
-///     stepper's one-hop activity propagation);
+///     `frame_changed` wakes p's neighbors and marks p's frame row for
+///     rebuild (the synchronous stepper's one-hop activity
+///     propagation);
 ///   * take_external_wakes() lists nodes mutated from outside the step
 ///     loop (fault injection, severed links) so the stepper can wake
 ///     their closed neighborhoods before the next step.

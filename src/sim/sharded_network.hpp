@@ -13,7 +13,7 @@
 // The Protocol type supplies the node behavior through the arena
 // extension (sim::ArenaProtocol): fixed-size frame headers plus
 // variable-length digest lists written into flat, engine-owned buffers
-// keyed by per-step CSR-style offsets, reused across steps so a
+// keyed by per-row offsets and lengths, reused across steps so a
 // steady-state step performs zero heap allocations:
 //
 //   struct Protocol {
@@ -29,72 +29,73 @@
 //
 // The redelivery, quiescence and topology-aware extensions
 // (sim/scheduler.hpp) are detected with `if constexpr` and unlock the
-// row-grading fast paths, dirty-region stepping and severed-link hooks.
+// row-grading fast paths, activity tracking and severed-link hooks.
+//
+// One stepper, two kinds of step. With the quiescence extension and a
+// medium that always delivers, the engine arms the protocol's change
+// detector and keeps an active set: a node steps only when its closed
+// neighborhood changed last step (consume_activity, external wakes,
+// topology wakes); every other node sits at a fixpoint with unchanged
+// inputs, so skipping it is bit-identical (docs/ARCHITECTURE.md §7 has
+// the induction). Every node owns one persistent row in its shard's
+// frame arena, and after every build phase each row equals the frame
+// its node would build then. A *whole* step rebuilds and grades every
+// row; a *subset* step rebuilds only the rows of nodes whose frame
+// changed or that were mutated from outside — every other row is
+// bit-equal by construction. The kind is a global rule on the
+// stale-row count (kWholeBuildShare), so it never depends on shard or
+// thread count, and it moves no counter. Lossy media and protocols without the extension
+// step every node with whole builds. `set_stepping` picks only the
+// counter definitions (and, for kDirty, demands a loss-free medium).
 //
 // Shards. The node range [0, n) is carved into contiguous ranges
-// ("shards"); every parallel phase is "one task per shard", and all
-// cross-shard traffic is funneled through per-shard-pair mailboxes. A
-// shard owns its range, its own frame arena, and — in dirty mode — its
-// own ActivityTracker; each task touches only shard-owned state plus
-// mailboxes it exclusively writes (keyed by source shard) or exclusively
-// reads (keyed by destination shard, filled strictly before the phase
-// barrier). The threads-only constructor cuts one contiguous shard per
-// worker (one shard at the default single thread); at million-node
-// scale callers pass bounds from graph::plan_spatial_shards over a
-// cell-major renumbered world, so radio neighbors are range-near. That
-// is the seam later multi-process / NUMA work plugs into: a mailbox
-// flush is the message a process boundary would send.
+// ("shards"); every parallel phase is "one task per shard". A shard owns
+// its range, its frame arena and its ActivityTracker; a task writes only
+// shard-owned state plus the wake mailboxes of its own row
+// (wake_mb_[writer * S + reader]). Arenas are written only in the build
+// phase, so after its barrier a receiver reads a remote sender's row
+// straight from the owning shard's arena; wakes are the only traffic
+// that crosses shards through mailboxes. The threads-only constructor
+// cuts one contiguous shard per worker (one shard at the default single
+// thread); at million-node scale callers pass bounds from
+// graph::plan_spatial_shards over a cell-major renumbered world, so
+// radio neighbors are range-near.
 //
 // Node-locality contract (what lets one task run a receiver's whole
-// step): `deliver(q, ...)`, `tick(q)`, `end_step(q)` and, under dirty
-// stepping, `consume_activity(q)` read and write only node q's state
-// (plus the engine-owned frame rows they are handed); only `make_frame`
-// reads a node for someone else, and it runs before any of them.
+// step): `deliver(q, ...)`, `tick(q)`, `end_step(q)` and
+// `consume_activity(q)` read and write only node q's state (plus the
+// engine-owned frame rows they are handed); only `make_frame` reads a
+// node for someone else, and it runs before any of them.
 //
-// Phases. A full step is: (1) build — every shard snapshots its owned
-// frames into its arena, grades rows against last step's, and flushes
-// boundary rows into the frame mailboxes; (2) loss — serial per-edge
-// decisions; (3) receive — for each owned node q in ascending order,
-// deliver every heard frame in ascending-sender order, then tick(q),
-// then end_step(q). A dirty step is: (0) drain wake mailboxes and
-// promote the wake set; (1) discover senders and post requests;
-// (2) build the requested frames and answer them; (3) receive — as
-// above over the active nodes, followed per node by consume_activity(q)
-// and the one-hop wake propagation. Phases are separated by barriers.
+// Phases. (1) build — each shard drains its inbound wake mailboxes,
+// promotes its wake set to this step's work list, and rebuilds (whole or
+// subset) and grades its rows; (2) loss — serial per-edge decisions
+// (lossy media only); (3) receive — for each stepped node q in ascending
+// order, deliver every heard frame in ascending-sender order, then
+// tick(q) (maybe_tick with the quiescence extension, which also skips a
+// sweep the protocol proves a no-op), end_step(q) and, under tracking,
+// consume_activity(q) and the one-hop wake propagation. Phases are
+// separated by barriers.
 //
 // Determinism argument (the property the differential tests assert):
-// every frame of a step is built into engine-owned rows before the
-// receive pass starts, so no rule firing can leak into a frame of the
-// same step; by the node-locality contract, running q's deliveries,
-// tick and end_step back to back is indistinguishable from running
-// every node's deliveries, then every tick, then every end_step; and
-// wakes land only in the trackers' double-buffered next sets or the
-// wake mailboxes, which begin_step sorts. Each receiver pulls its heard
-// frames in ascending-sender order (its sorted CSR row). Mailboxes are
-// filled in a fixed (src-shard, dst-shard, admission) order — admission
-// order is ascending sender id, because shard sweeps walk their range
-// in order — and drained by binary search per edge, so *which* bytes a
-// receiver sees never depends on shard count or thread count. Stateful
-// loss models are polled serially in sender-major order, so their RNG
-// draw sequence is that of the owning-frame reference stepper the tests
-// keep as their oracle (tests/support/reference_stepper.hpp). Hence:
-// bit-identical at any shard/thread count, full or dirty stepping
-// (docs/ARCHITECTURE.md §8). tests/sim/step_order_test.cpp pins the
-// call order this argument relies on.
-//
-// Dirty-region composition: each shard's tracker wakes and drains
-// locally; a wake that crosses a shard boundary rides a wake-mailbox
-// written during the receive pass and drained at the next step's first
-// phase — one step of latency is exactly what the double-buffered wake
-// set gives, so the union of the per-shard active sets equals the
-// one-shard active set step for step. Frames a shard needs from remote
-// senders are requested through a request-mailbox and answered through
-// a frame-mailbox within the same step (two barriers), so quiescent
-// shards with no requests do no work.
+// every row of a step is built before the receive pass starts, so no
+// rule firing can leak into a frame of the same step; by the
+// node-locality contract, running q's deliveries, tick and end_step back
+// to back is indistinguishable from running every node's deliveries,
+// then every tick, then every end_step; each receiver pulls its heard
+// rows in ascending-sender order (its sorted CSR row), from whichever
+// arena owns them, so *which* bytes it sees never depends on shard or
+// thread count; and wakes land only in the trackers' double-buffered
+// next sets or the wake mailboxes, which begin_step sorts. Stateful loss
+// models are polled serially in sender-major order, so their RNG draw
+// sequence is that of the owning-frame reference stepper the tests keep
+// as their oracle (tests/support/reference_stepper.hpp). Hence:
+// bit-identical at any shard/thread count (docs/ARCHITECTURE.md §8).
+// tests/sim/step_order_test.cpp pins the call order this argument relies
+// on.
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -120,6 +121,11 @@ class ShardedNetwork {
                 "(flat frame headers + digest pools)");
 
  public:
+  /// A step rebuilds every row once the rows to rebuild reach
+  /// 1/kWholeBuildShare of the population, and only those rows below it
+  /// (docs/BENCHMARKS.md has the ablation that picked the share).
+  static constexpr std::size_t kWholeBuildShare = 2;
+
   /// `bounds` carves [0, n) into shard-owned ranges (see
   /// graph::ShardPlan::bounds — front 0, back n, monotone; empty ranges
   /// allowed). Throws std::invalid_argument on a malformed cover.
@@ -127,7 +133,9 @@ class ShardedNetwork {
   /// 0 = hardware concurrency); shards and threads are independent —
   /// one worker can sweep many shards, and extra workers idle. The
   /// graph reference is observed, not owned; it may be swapped between
-  /// steps via `set_graph`.
+  /// steps via `set_graph`. With the quiescence extension and a medium
+  /// that always delivers, construction arms the protocol's change
+  /// detector and queues every node for the first step.
   ShardedNetwork(const graph::Graph& g, Protocol& protocol, LossModel& loss,
                  std::vector<std::size_t> bounds, unsigned threads = 1)
       : graph_(&g), protocol_(&protocol), loss_(&loss) {
@@ -144,13 +152,23 @@ class ShardedNetwork {
     for (std::size_t s = 0; s < S; ++s) {
       shards_[s].begin = bounds_[s];
       shards_[s].end = bounds_[s + 1];
-      shards_[s].boundary_out.resize(S);
+      // Sized once, so tracked steps never grow them.
+      const std::size_t local_n = bounds_[s + 1] - bounds_[s];
+      shards_[s].stale_mark.assign(local_n, 0);
+      shards_[s].stale.reserve(local_n);
+      shards_[s].graded.reserve(local_n);
     }
-    frame_mb_.resize(S * S);
-    req_mb_.resize(S * S);
     wake_mb_.resize(S * S);
     threads = effective_threads(threads);
     if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
+    if constexpr (QuiescentProtocol<Protocol>) {
+      if (loss.always_delivers()) {
+        // Quiescence is discovered, never assumed: every node steps first.
+        protocol_->set_activity_tracking(true);
+        tracked_ = true;
+        wake_all();
+      }
+    }
   }
 
   /// One contiguous shard per effective worker (clamped to [1, max(1,
@@ -174,11 +192,10 @@ class ShardedNetwork {
   }
 
   /// Swaps (or re-announces an in-place mutated) observed graph —
-  /// mobility rebuild mode. Rebuilds the boundary-sender lists, drops
-  /// the row hints (adjacency defines who consumed which row), and under
-  /// dirty stepping wakes every node. The node count must still match
-  /// the shard bounds — a sharded run renumbers once, up front, and
-  /// keeps the numbering for its lifetime.
+  /// mobility rebuild mode. Drops the row hints (adjacency defines who
+  /// consumed which row) and, under tracking, wakes every node. The node
+  /// count must still match the shard bounds — a sharded run renumbers
+  /// once, up front, and keeps the numbering for its lifetime.
   void set_graph(const graph::Graph& g) {
     if (g.node_count() != bounds_.back()) {
       throw std::invalid_argument(
@@ -186,66 +203,48 @@ class ShardedNetwork {
           "bounds the engine was built with");
     }
     graph_ = &g;
-    boundaries_stale_ = true;
-    invalidate_row_hints();
-    if (stepping_ == Stepping::kDirty) {
-      for (Shard& sh : shards_) {
-        sh.tracker.reset(sh.end - sh.begin, /*all_active=*/true);
-      }
-    }
+    row_hints_valid_ = false;
+    if (tracked_) wake_all();
   }
 
-  /// Selects the stepper. Dirty-region stepping requires a protocol with
-  /// the quiescence extension and a loss model that always delivers
-  /// (skipping a node is only provably a no-op when its inputs are
-  /// deterministic; a lossy medium re-randomizes them — and skipped
-  /// deliveries would desynchronize the loss model's RNG draw sequence
-  /// from the full stepper's). Throws std::invalid_argument when those
-  /// preconditions fail. Entering dirty mode arms the protocol's change
-  /// detector and wakes every node; leaving it disarms the detector,
-  /// restoring the classic byte-for-byte paths.
+  /// Selects the counter definitions (messages_delivered, activity; see
+  /// there) — not a code path: with the quiescence extension and a
+  /// loss-free medium both modes skip the same quiet nodes. kDirty
+  /// requires exactly that (throws std::invalid_argument otherwise: a
+  /// lossy medium re-randomizes every node's inputs, so no skip is ever
+  /// provable). Entering kDirty wakes every node and restarts the
+  /// stepped/skipped counters, so a dirty run's first step steps all n.
   void set_stepping(Stepping mode) {
     if (mode == stepping_) return;
-    invalidate_row_hints();
-    if constexpr (QuiescentProtocol<Protocol>) {
-      if (mode == Stepping::kDirty) {
-        if (!loss_->always_delivers()) {
-          throw std::invalid_argument(
-              "dirty-region stepping requires a loss-free medium "
-              "(loss model must report always_delivers)");
-        }
-        stepping_ = Stepping::kDirty;
-        protocol_->set_activity_tracking(true);
-        for (Shard& sh : shards_) {
-          sh.tracker.reset(sh.end - sh.begin, /*all_active=*/true);
-          sh.tracker.reset_counters();
-        }
-        for (auto& mb : wake_mb_) mb.clear();
-        stats_.reset(0, false);
-        stats_.reset_counters();
-        return;
-      }
+    if (mode == Stepping::kFull) {
       stepping_ = Stepping::kFull;
-      protocol_->set_activity_tracking(false);
-      for (Shard& sh : shards_) sh.tracker.reset(0, false);
-      stats_.reset(0, false);
       return;
-    } else {
-      if (mode == Stepping::kDirty) {
+    }
+    if constexpr (QuiescentProtocol<Protocol>) {
+      if (!tracked_) {
         throw std::invalid_argument(
-            "protocol does not implement the arena + quiescence "
-            "extensions dirty-region stepping needs");
+            "dirty-region stepping requires a loss-free medium "
+            "(loss model must report always_delivers)");
       }
-      stepping_ = Stepping::kFull;
+      stepping_ = Stepping::kDirty;
+      wake_all();
+      for (Shard& sh : shards_) sh.tracker.reset_counters();
+      stats_.reset_counters();
+    } else {
+      throw std::invalid_argument(
+          "protocol does not implement the arena + quiescence "
+          "extensions dirty-region stepping needs");
     }
   }
 
   [[nodiscard]] Stepping stepping() const noexcept { return stepping_; }
 
   /// Aggregate stepped/skipped counters across all shards, identical
-  /// for any shard count: `activity().last_nodes_stepped() == 0` after a
-  /// step is the quiescence property the tests assert. The aggregate
-  /// keeps no work list; per-shard lists are at `shard_activity(s)`.
+  /// for any shard count. Under kDirty they count the nodes that really
+  /// stepped (`activity().last_nodes_stepped() == 0` after a step is the
+  /// quiescence property the tests assert); under kFull every step
+  /// counts n stepped. The aggregate keeps no work list; per-shard lists
+  /// are at `shard_activity(s)`.
   [[nodiscard]] const ActivityTracker& activity() const noexcept {
     return stats_;
   }
@@ -256,11 +255,11 @@ class ShardedNetwork {
 
   /// Seeds the activity set from outside knowledge — e.g.
   /// `graph::DynamicGraph::dirty_nodes()` after a live patch: wakes each
-  /// listed node and its closed neighborhood (dirty mode only), crossing
+  /// listed node and its closed neighborhood (under tracking), crossing
   /// shard boundaries directly — callers run between steps, where every
   /// tracker is safely writable.
   void mark_dirty(std::span<const graph::NodeId> nodes) {
-    if (stepping_ != Stepping::kDirty) return;
+    if (!tracked_) return;
     for (const graph::NodeId p : nodes) wake_closed(p);
   }
 
@@ -272,27 +271,41 @@ class ShardedNetwork {
 
   [[nodiscard]] std::size_t steps_run() const noexcept { return steps_; }
 
-  /// Frame receptions that actually happened (post-loss) across all
-  /// steps so far. Counted in the serial phases only, so the value is
+  /// Steps that rebuilt only the stale rows (the rest rebuilt every
+  /// row), and frame rows rebuilt across all steps so far; functions of
+  /// the active-set history alone, so identical for any shard/thread
+  /// count.
+  [[nodiscard]] std::size_t subset_steps() const noexcept {
+    return subset_steps_;
+  }
+  [[nodiscard]] std::uint64_t rows_rebuilt() const noexcept {
+    return rows_rebuilt_;
+  }
+
+  /// Frame receptions across all steps so far. Lossy media count the
+  /// receptions that happened (post-loss); a loss-free medium counts the
+  /// logical 2|E| per step under kFull, and under kDirty the in-degree
+  /// sum of the nodes that stepped. Folded serially, so the value is
   /// identical for any shard/thread count.
   [[nodiscard]] std::uint64_t messages_delivered() const noexcept {
     return messages_delivered_;
   }
 
-  /// Sparse-change rows across all steps so far: sender rows whose id
-  /// sequence held, that are not bit-equal to last step's, and where at
-  /// most half the digests changed (changed · 2 ≤ len). A work counter
-  /// only — such rows are delivered like any other ids-equal row. Folded
-  /// serially in shard order, so identical for any shard/thread count.
-  /// Zero for protocols without the redelivery extension and under
-  /// dirty stepping.
+  /// Sparse-change rows across all steps so far: rebuilt rows whose id
+  /// sequence held, that are not bit-equal to their predecessor, and
+  /// where at most half the digests changed (changed · 2 ≤ len). A work
+  /// counter only — such rows are delivered like any other ids-equal
+  /// row. Rows a step does not rebuild are bit-equal and never count, so
+  /// the total does not depend on the kind of step. Folded serially in
+  /// shard order, so identical for any shard/thread count. Zero for
+  /// protocols without the redelivery extension.
   [[nodiscard]] std::uint64_t delta_rows_graded() const noexcept {
     return delta_rows_graded_;
   }
 
-  /// Receivers served by one accepted `redeliver_unchanged` call, across
-  /// all steps so far; folded like delta_rows_graded (zero under loss
-  /// and dirty stepping).
+  /// Stepped receivers served by one accepted `redeliver_unchanged`
+  /// call, across all steps so far; folded like delta_rows_graded (zero
+  /// under loss; skipped nodes are never counted).
   [[nodiscard]] std::uint64_t receivers_refreshed() const noexcept {
     return receivers_refreshed_;
   }
@@ -301,42 +314,130 @@ class ShardedNetwork {
   /// `delta` (dynamic-topology runs; the owner mutates the graph via
   /// graph::DynamicGraph, then calls this). Topology-aware protocols get
   /// told about every severed link so the stale neighbor caches die now
-  /// rather than by aging; the boundary-sender lists are marked stale (a
-  /// patched edge may create or destroy a boundary crossing); under
-  /// dirty stepping the closed neighborhoods of both endpoints of every
-  /// patched edge wake. Call between steps.
+  /// rather than by aging; the row hints drop; under tracking the closed
+  /// neighborhoods of both endpoints of every patched edge wake. Call
+  /// between steps.
   void apply_topology_delta(const graph::EdgeDelta& delta) {
-    invalidate_row_hints();
+    row_hints_valid_ = false;
     if constexpr (TopologyAwareProtocol<Protocol>) {
       for (const auto& [a, b] : delta.removed) {
         protocol_->on_edge_removed(a, b);
       }
     }
-    boundaries_stale_ = true;
-    if (stepping_ == Stepping::kDirty) {
-      for (const auto& [a, b] : delta.added) {
-        wake_closed(a);
-        wake_closed(b);
-      }
-      for (const auto& [a, b] : delta.removed) {
-        wake_closed(a);
-        wake_closed(b);
-      }
+    if (!tracked_) return;
+    for (const auto& [a, b] : delta.added) {
+      wake_closed(a);
+      wake_closed(b);
+    }
+    for (const auto& [a, b] : delta.removed) {
+      wake_closed(a);
+      wake_closed(b);
     }
   }
 
   /// Runs one synchronous broadcast-receive-compute step.
   void step() {
+    const graph::Graph& g = *graph_;
+    const std::size_t n = g.node_count();
+    const bool tracked = tracked_;
     loss_->begin_step();
+
+    // Prologue (tracking): externally mutated nodes wake their closed
+    // neighborhood — in a full sweep those neighbors would hear the
+    // mutated frame this very step — and queue their rows for rebuild,
+    // each owner shard in parallel (remote neighbors through the wake
+    // mailboxes, drained in phase 1). Then the global choice of the kind
+    // of step.
+    std::size_t stale = n;
     if constexpr (QuiescentProtocol<Protocol>) {
-      if (stepping_ == Stepping::kDirty) {
-        step_dirty();
-        ++steps_;
-        return;
+      if (tracked) {
+        const auto external = protocol_->take_external_wakes();
+        if (!external.empty()) {
+          for_shards([this, &external](std::size_t t) {
+            wake_external(t, external);
+          });
+        }
+        stale = 0;
+        for (const Shard& sh : shards_) stale += sh.stale.size();
       }
     }
-    step_full();
-    stats_.record(graph_->node_count(), 0);
+    const bool whole = !arena_built_ || stale * kWholeBuildShare >= n;
+    subset_steps_ += whole ? 0 : 1;
+    rows_rebuilt_ += whole ? n : stale;
+
+    // Phase 1 (parallel by shard): promote the wake set, then rebuild
+    // the shard's rows (all of them, or only the stale ones) and grade
+    // each rebuilt row against its predecessor.
+    if constexpr (RedeliveryProtocol<Protocol>) row_unchanged_.resize(n);
+    for_shards([this, tracked, whole](std::size_t s) {
+      Shard& sh = shards_[s];
+      sh.sparse_rows = sh.refreshed = sh.delivered = 0;
+      if (tracked) promote_wakes(s);
+      if (whole) {
+        build_whole(sh);
+      } else {
+        build_stale(sh);
+      }
+    });
+    arena_built_ = true;
+    std::size_t stepped = n;
+    if (tracked) {
+      stepped = 0;
+      for (const Shard& sh : shards_) stepped += sh.tracker.active().size();
+    }
+
+    // Phase 2 (serial unless τ = 1): per-edge loss decisions polled in
+    // the classic sender-major order, so stateful loss models draw the
+    // exact RNG sequence of the owning-frame reference stepper; the
+    // decision for p → q is stored at q's incoming CSR slot via the
+    // mirror index.
+    const auto offsets = g.csr_offsets();
+    const auto flat = g.csr_neighbors();
+    const bool hear_all = loss_->always_delivers();
+    if (!hear_all) {
+      incoming_.resize(flat.size());
+      for (std::size_t p = 0; p < n; ++p) {
+        for (std::size_t e = offsets[p]; e < offsets[p + 1]; ++e) {
+          const bool heard =
+              loss_->delivered(static_cast<graph::NodeId>(p), flat[e]);
+          incoming_[g.mirror_edge(e)] = heard;
+          messages_delivered_ += heard;
+        }
+      }
+    }
+
+    // Phase 3 (parallel by destination shard): the receive pass over the
+    // stepped nodes (every node when untracked).
+    if (stepped > 0) {
+      const bool hints = row_hints_valid_ && hear_all;
+      for_shards([this, tracked, hints, hear_all](std::size_t t) {
+        receive(t, tracked, hints, hear_all);
+      });
+    }
+
+    // Serial epilogue: fold the per-shard tallies in shard order, so the
+    // aggregates are identical for any thread count.
+    if constexpr (RedeliveryProtocol<Protocol>) {
+      for (Shard& sh : shards_) {
+        delta_rows_graded_ += sh.sparse_rows;
+        receivers_refreshed_ += sh.refreshed;
+      }
+      // Hints are trustworthy next step only if *this* step delivered
+      // every row to every listener (loss would leave some caches
+      // behind the rows the grades compare against).
+      row_hints_valid_ = hear_all;
+    }
+    if (tracked && stepping_ == Stepping::kDirty) {
+      for (Shard& sh : shards_) {
+        const std::size_t active = sh.tracker.active().size();
+        messages_delivered_ += sh.delivered;
+        sh.tracker.record(active, (sh.end - sh.begin) - active);
+      }
+      stats_.record(stepped, n - stepped);
+    } else {
+      if (hear_all) messages_delivered_ += flat.size();
+      stats_.record(n, 0);
+    }
     ++steps_;
   }
 
@@ -346,47 +447,38 @@ class ShardedNetwork {
   }
 
  private:
-  /// One (src-shard, dst-shard) mailbox: the src shard's boundary
-  /// frames, admitted in ascending sender id. `offsets` is CSR-style
-  /// over `senders`; the sorted sender list is what the destination's
-  /// delivery loop binary-searches per cross-shard edge.
-  struct FrameMailbox {
-    std::vector<graph::NodeId> senders;
-    std::vector<typename Protocol::FrameHeader> headers;
-    std::vector<typename Protocol::Digest> pool;
-    std::vector<std::size_t> offsets;
-  };
-
   struct Shard {
     std::size_t begin = 0;
     std::size_t end = 0;
-    // Frame arena. Full stepping: one row per owned node (local index).
-    // Dirty stepping: one row per entry of `sender_list` (compact).
+    // Frame arena: one row per owned node (local index) — its header and
+    // the digests at pool[offsets[i], offsets[i] + lengths[i]). A whole
+    // build lays the rows out back to back; a stale build may leave dead
+    // digests behind (`dead` of them) until it compacts. `prev_*` is the
+    // other half of the double buffer: a whole build swaps the live rows
+    // there and grades the fresh rows against them, a stale build keeps
+    // the old bytes of its same-length rows there, and compaction re-lays
+    // the pool through it.
     std::vector<typename Protocol::FrameHeader> headers;
     std::vector<typename Protocol::Digest> pool;
     std::vector<std::size_t> offsets;
-    // Last full step's arena (redelivery protocols only): swapped with
-    // the live buffers at the top of phase 1, so the freshly built rows
-    // can be bit-compared against what every listener consumed last
-    // step. Meaningful only while the engine-level validity flags hold.
+    std::vector<std::size_t> lengths;
+    std::size_t dead = 0;
     std::vector<typename Protocol::FrameHeader> prev_headers;
     std::vector<typename Protocol::Digest> prev_pool;
     std::vector<std::size_t> prev_offsets;
-    // This step's sparse-change rows among the owned senders and refreshed
-    // owned receivers (redelivery protocols, full stepping), folded
-    // serially into the engine totals so they are thread-count invariant.
+    std::vector<std::size_t> prev_lengths;
+    // Rows to rebuild at the next step (local indices, unsorted, marked
+    // once), and the rows the last stale build graded (their grades
+    // revert to bit-equal next step).
+    std::vector<graph::NodeId> stale;
+    std::vector<std::uint8_t> stale_mark;
+    std::vector<graph::NodeId> graded;
+    bool graded_all = false;  // the last build was whole
+    // This step's tallies, folded serially into the engine totals.
     std::uint64_t sparse_rows = 0;
     std::uint64_t refreshed = 0;
-    // Full stepping: for each destination shard, the owned nodes with at
-    // least one neighbor there (ascending). Rebuilt after topology
-    // changes; copied into the frame mailboxes every step.
-    std::vector<std::vector<graph::NodeId>> boundary_out;
-    // Dirty stepping (all indices local unless noted).
+    std::uint64_t delivered = 0;  // in-degree sum of the stepped nodes
     ActivityTracker tracker;
-    std::vector<std::uint8_t> sender_mark;
-    std::vector<std::size_t> sender_slot;
-    std::vector<graph::NodeId> sender_list;  // global ids
-    std::uint64_t delivered = 0;             // this step's reception count
   };
 
   /// 0 = hardware concurrency; absurd counts (e.g. an unsigned-cast -1)
@@ -423,454 +515,322 @@ class ShardedNetwork {
         &body);
   }
 
-  /// Copies row `slot` of `src`'s arena to the back of `mb`.
-  static void append_frame(FrameMailbox& mb, const Shard& src,
-                           std::size_t slot) {
-    mb.headers.push_back(src.headers[slot]);
-    const std::size_t len = src.offsets[slot + 1] - src.offsets[slot];
-    mb.offsets.push_back(mb.offsets.back() + len);
-    mb.pool.insert(mb.pool.end(), src.pool.begin() + src.offsets[slot],
-                   src.pool.begin() + src.offsets[slot] + len);
+  void wake_all() {
+    for (Shard& sh : shards_) sh.tracker.reset(sh.end - sh.begin, true);
+    for (auto& mb : wake_mb_) mb.clear();
   }
 
-  /// Delivers row `k` of `rows` — a shard arena or a frame mailbox,
-  /// which share one CSR row layout — to `q`, as a payload overwrite when
-  /// `grade` proves its id sequence held (redelivery protocols; 0 = full
-  /// delivery). Mailbox rows are byte copies of the sender shard's arena
-  /// rows, so the sender-side grade covers them too.
-  template <typename Rows>
-  static void deliver_row(Protocol& protocol, graph::NodeId q,
-                          const Rows& rows, std::size_t k,
-                          unsigned char grade) {
-    const auto& header = rows.headers[k];
-    const auto digests = std::span(rows.pool.data() + rows.offsets[k],
-                                   rows.offsets[k + 1] - rows.offsets[k]);
-    if constexpr (RedeliveryProtocol<Protocol>) {
-      if (grade != 0 && protocol.deliver_payload(q, header, digests)) return;
-    }
-    protocol.deliver(q, header, digests);
+  /// Wakes `p` and its neighbors; between steps only.
+  void wake_closed(graph::NodeId p) {
+    const std::size_t t = shard_of(p);
+    shards_[t].tracker.wake(static_cast<graph::NodeId>(p - shards_[t].begin));
+    wake_neighbors(t, p);
   }
 
-  /// Delivers `sender`'s row from mailbox `mb` (binary search over its
-  /// ascending sender list).
-  static void deliver_from(Protocol& protocol, graph::NodeId q,
-                           const FrameMailbox& mb, graph::NodeId sender,
-                           unsigned char grade) {
-    const auto it =
-        std::lower_bound(mb.senders.begin(), mb.senders.end(), sender);
-    // A miss here means the graph changed without set_graph /
-    // apply_topology_delta — the boundary lists no longer cover it.
-    assert(it != mb.senders.end() && *it == sender);
-    deliver_row(protocol, q, mb,
-                static_cast<std::size_t>(it - mb.senders.begin()), grade);
-  }
-
-  /// Recomputes the static boundary-sender lists (full stepping) after
-  /// a topology or graph change. Parallel by shard; each shard scans
-  /// its own CSR rows, so admission order is ascending sender id.
-  void rebuild_boundaries() {
-    const graph::Graph& g = *graph_;
-    for_shards([this, &g](std::size_t s) {
-      Shard& sh = shards_[s];
-      for (auto& list : sh.boundary_out) list.clear();
-      for (std::size_t p = sh.begin; p < sh.end; ++p) {
-        for (const graph::NodeId r :
-             g.neighbors(static_cast<graph::NodeId>(p))) {
-          const std::size_t t = shard_of(r);
-          if (t == s) continue;
-          auto& list = sh.boundary_out[t];
-          if (list.empty() || list.back() != static_cast<graph::NodeId>(p)) {
-            list.push_back(static_cast<graph::NodeId>(p));
-          }
-        }
-      }
-    });
-    boundaries_stale_ = false;
-  }
-
-  void step_full() {
-    const graph::Graph& g = *graph_;
-    const std::size_t n = g.node_count();
+  /// Wakes the neighbors of `q`, a node of shard `t`: the shard's own in
+  /// its tracker, the rest through the wake mailboxes of row `t`, which
+  /// their owners drain at the next build phase. Runs in shard `t`'s
+  /// task or between steps.
+  void wake_neighbors(std::size_t t, graph::NodeId q) {
+    Shard& sh = shards_[t];
     const std::size_t S = shard_count();
-    auto* protocol = protocol_;
-    if (boundaries_stale_) rebuild_boundaries();
+    for (const graph::NodeId r : graph_->neighbors(q)) {
+      if (r >= sh.begin && r < sh.end) {
+        sh.tracker.wake(static_cast<graph::NodeId>(r - sh.begin));
+      } else {
+        wake_mb_[t * S + shard_of(r)].push_back(r);
+      }
+    }
+  }
 
-    // Phase 1 (parallel by source shard): snapshot all owned frames
-    // into the shard arena, then flush every boundary frame into the
-    // (src, dst) mailboxes — fixed admission order because the
-    // boundary lists are ascending. Redelivery protocols double-buffer
-    // the arena: last step's rows move to prev_* before the build, then
-    // each fresh row is bit-compared against its predecessor so phase 3
-    // can skip the full delivery of provably unchanged frames.
-    if constexpr (RedeliveryProtocol<Protocol>) row_unchanged_.resize(n);
-    for_shards([this, protocol, S](std::size_t s) {
-      Shard& sh = shards_[s];
-      const std::size_t local_n = sh.end - sh.begin;
-      if constexpr (RedeliveryProtocol<Protocol>) {
-        std::swap(sh.headers, sh.prev_headers);
-        std::swap(sh.pool, sh.prev_pool);
-        std::swap(sh.offsets, sh.prev_offsets);
+  /// The prologue for shard `t`: its externally mutated nodes (a range
+  /// of the sorted `external`) queue their rows and wake their closed
+  /// neighborhood.
+  void wake_external(std::size_t t, std::span<const graph::NodeId> external) {
+    Shard& sh = shards_[t];
+    const auto lo = std::lower_bound(external.begin(), external.end(),
+                                     static_cast<graph::NodeId>(sh.begin));
+    const auto hi = std::lower_bound(lo, external.end(),
+                                     static_cast<graph::NodeId>(sh.end));
+    for (auto it = lo; it != hi; ++it) {
+      const std::size_t local = *it - sh.begin;
+      mark_stale(sh, local);
+      sh.tracker.wake(static_cast<graph::NodeId>(local));
+      wake_neighbors(t, *it);
+    }
+  }
+
+  static void mark_stale(Shard& sh, std::size_t local) {
+    if (sh.stale_mark[local]) return;
+    sh.stale_mark[local] = 1;
+    sh.stale.push_back(static_cast<graph::NodeId>(local));
+  }
+
+  /// Drains shard `t`'s inbound wake mailboxes into its tracker, then
+  /// promotes the accumulated wake set to this step's work list.
+  void promote_wakes(std::size_t t) {
+    Shard& sh = shards_[t];
+    const std::size_t S = shard_count();
+    for (std::size_t s = 0; s < S; ++s) {
+      auto& mb = wake_mb_[s * S + t];
+      for (const graph::NodeId p : mb) {
+        sh.tracker.wake(static_cast<graph::NodeId>(p - sh.begin));
       }
-      sh.offsets.resize(local_n + 1);
-      sh.offsets[0] = 0;
+      mb.clear();
+    }
+    sh.tracker.begin_step();
+  }
+
+  /// The row grade of a freshly built row against its predecessor, with
+  /// the same bitwise field-equality contract as the protocol's own
+  /// change detection: id sequence held (payload overwrite suffices —
+  /// the common active regime) or whole row bit-equal (an all-bit-equal
+  /// receiver only resets ages — the quiescent regime). Ids-equal rows
+  /// with at most half the digests moved count as sparse-change rows.
+  static unsigned char grade_row(const typename Protocol::FrameHeader& h,
+                                 const typename Protocol::Digest* a,
+                                 std::size_t len,
+                                 const typename Protocol::FrameHeader& old_h,
+                                 const typename Protocol::Digest* b,
+                                 std::size_t old_len, std::uint64_t& sparse) {
+    if (len != old_len) return 0;
+    // Past half the row the changed count no longer matters (the row can
+    // be neither bit-equal nor sparse-change), so the payload compares
+    // stop; the id compares must still cover the whole row — the
+    // ids-equal gate is what makes redelivery sound.
+    const std::size_t cap = len / 2;
+    bool ids = true;
+    std::size_t changed = 0;
+    std::size_t k = 0;
+    for (; k < len && ids; ++k) {
+      ids = Protocol::digest_id_equal(a[k], b[k]);
+      changed += !Protocol::digest_bits_equal(a[k], b[k]);
+      if (changed > cap) break;
+    }
+    for (; k < len && ids; ++k) ids = Protocol::digest_id_equal(a[k], b[k]);
+    if (!ids) return 0;
+    if (changed == 0 && Protocol::header_bits_equal(h, old_h)) {
+      return kRowIdsEqual | kRowBitsEqual;
+    }
+    sparse += changed * 2 <= len;
+    return kRowIdsEqual;
+  }
+
+  /// Swaps the digest pool's halves and gives both the larger capacity:
+  /// the halves alternate (and a stale build mirrors the live half into
+  /// the other), so both reach the high-water mark together and later
+  /// builds stay allocation-free.
+  static void swap_pools(Shard& sh) {
+    std::swap(sh.pool, sh.prev_pool);
+    const std::size_t cap =
+        std::max(sh.pool.capacity(), sh.prev_pool.capacity());
+    sh.pool.reserve(cap);
+    sh.prev_pool.reserve(cap);
+  }
+
+  /// Rebuilds every owned row, back to back. Redelivery protocols
+  /// double-buffer: the live rows move to prev_* first, then each fresh
+  /// row is graded against its predecessor (one pass over two buffers
+  /// instead of a gathered per-edge compare in phase 3) — except at the
+  /// first build, which grades every row 0.
+  void build_whole(Shard& sh) {
+    const std::size_t local_n = sh.end - sh.begin;
+    if constexpr (RedeliveryProtocol<Protocol>) {
+      std::swap(sh.headers, sh.prev_headers);
+      swap_pools(sh);
+      std::swap(sh.offsets, sh.prev_offsets);
+      std::swap(sh.lengths, sh.prev_lengths);
+    }
+    sh.offsets.resize(local_n);
+    sh.lengths.resize(local_n);
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < local_n; ++i) {
+      sh.offsets[i] = total;
+      sh.lengths[i] =
+          protocol_->digest_count(static_cast<graph::NodeId>(sh.begin + i));
+      total += sh.lengths[i];
+    }
+    sh.pool.resize(total);
+    sh.dead = 0;
+    sh.headers.resize(local_n);
+    for (std::size_t i = 0; i < local_n; ++i) {
+      protocol_->make_frame(
+          static_cast<graph::NodeId>(sh.begin + i), sh.headers[i],
+          std::span(sh.pool.data() + sh.offsets[i], sh.lengths[i]));
+    }
+    if constexpr (RedeliveryProtocol<Protocol>) {
+      // Each shard writes only its owned slice of the global grades.
+      const bool cmp = arena_built_;
       for (std::size_t i = 0; i < local_n; ++i) {
-        sh.offsets[i + 1] =
-            sh.offsets[i] + protocol->digest_count(static_cast<graph::NodeId>(
-                                sh.begin + i));
+        row_unchanged_[sh.begin + i] =
+            cmp ? grade_row(sh.headers[i], sh.pool.data() + sh.offsets[i],
+                            sh.lengths[i], sh.prev_headers[i],
+                            sh.prev_pool.data() + sh.prev_offsets[i],
+                            sh.prev_lengths[i], sh.sparse_rows)
+                : 0;
       }
-      sh.pool.resize(sh.offsets[local_n]);
-      sh.headers.resize(local_n);
-      for (std::size_t i = 0; i < local_n; ++i) {
-        protocol->make_frame(
-            static_cast<graph::NodeId>(sh.begin + i), sh.headers[i],
-            std::span(sh.pool.data() + sh.offsets[i],
-                      sh.offsets[i + 1] - sh.offsets[i]));
-      }
-      if constexpr (RedeliveryProtocol<Protocol>) {
-        // Each shard writes only its owned slice of the global bitmap.
-        // One streaming pass over two sequential buffers here saves a
-        // gathered per-edge compare in phase 3 — each row is compared
-        // once instead of once per listener. Two grades, same bitwise
-        // field equality contract as the protocol's own change
-        // detection: id sequence held (payload overwrite suffices — the
-        // common active regime) or whole row bit-equal (an all-bit-equal
-        // receiver only resets ages — the quiescent regime). Ids-equal
-        // rows with at most half the digests moved are also counted as
-        // sparse-change rows (delta_rows_graded); the count steers nothing.
-        const bool cmp =
-            prev_rows_built_ && sh.prev_offsets.size() == local_n + 1;
-        sh.sparse_rows = 0;
-        for (std::size_t i = 0; i < local_n; ++i) {
-          unsigned char grade = 0;
-          const std::size_t len = sh.offsets[i + 1] - sh.offsets[i];
-          if (cmp && sh.prev_offsets[i + 1] - sh.prev_offsets[i] == len) {
-            const auto* a = sh.pool.data() + sh.offsets[i];
-            const auto* b = sh.prev_pool.data() + sh.prev_offsets[i];
-            const bool header_bits = Protocol::header_bits_equal(
-                sh.headers[i], sh.prev_headers[i]);
-            // Past half the row the changed count no longer matters
-            // (the row can be neither bit-equal nor sparse-change), so
-            // the payload compares stop; the id compares must still
-            // cover the whole row — the ids-equal gate is what makes
-            // redelivery sound.
-            const std::size_t cap = len / 2;
-            bool ids = true;
-            std::size_t changed = 0;
-            std::size_t k = 0;
-            for (; k < len && ids; ++k) {
-              ids = Protocol::digest_id_equal(a[k], b[k]);
-              changed += !Protocol::digest_bits_equal(a[k], b[k]);
-              if (changed > cap) break;
-            }
-            for (; k < len && ids; ++k) {
-              ids = Protocol::digest_id_equal(a[k], b[k]);
-            }
-            if (ids) {
-              grade = kRowIdsEqual;
-              if (header_bits && changed == 0) {
-                grade |= kRowBitsEqual;
-              } else if (changed * 2 <= len) {
-                ++sh.sparse_rows;
-              }
-            }
-          }
-          row_unchanged_[sh.begin + i] = grade;
+      sh.graded_all = true;
+    }
+    for (const graph::NodeId i : sh.stale) sh.stale_mark[i] = 0;
+    sh.stale.clear();
+  }
+
+  /// Rebuilds only the stale rows; every other row is bit-equal to its
+  /// predecessor by construction and keeps the bit-equal grade. A row
+  /// that keeps its length or shrinks is rebuilt in place; a row that
+  /// grows moves to the end of the pool. Once a quarter of the pool is
+  /// dead the live rows are re-laid back to back, so the pool stays
+  /// within 4/3 of its live digests and each rebuilt row costs its own
+  /// length, amortized.
+  void build_stale(Shard& sh) {
+    constexpr bool kGraded = RedeliveryProtocol<Protocol>;
+    const std::size_t local_n = sh.end - sh.begin;
+    if constexpr (kGraded) {
+      unsigned char* grades = row_unchanged_.data() + sh.begin;
+      if (sh.graded_all) {
+        std::fill(grades, grades + local_n, kRowIdsEqual | kRowBitsEqual);
+      } else {
+        for (const graph::NodeId i : sh.graded) {
+          grades[i] = kRowIdsEqual | kRowBitsEqual;
         }
       }
-      for (std::size_t t = 0; t < S; ++t) {
-        if (t == s) continue;
-        FrameMailbox& mb = frame_mb_[s * S + t];
-        mb.senders.assign(sh.boundary_out[t].begin(),
-                          sh.boundary_out[t].end());
-        mb.headers.clear();
-        mb.pool.clear();
-        mb.offsets.assign(1, 0);
-        for (const graph::NodeId p : mb.senders) {
-          append_frame(mb, sh, static_cast<std::size_t>(p) - sh.begin);
-        }
+      sh.graded_all = false;
+      // A same-length row's old bytes, for its grade, are kept in the
+      // other pool half at the same offset.
+      sh.prev_pool.resize(sh.pool.size());
+    }
+    std::sort(sh.stale.begin(), sh.stale.end());
+    for (const graph::NodeId i : sh.stale) {
+      const auto p = static_cast<graph::NodeId>(sh.begin + i);
+      const std::size_t len = protocol_->digest_count(p);
+      const std::size_t old_len = sh.lengths[i];
+      const typename Protocol::FrameHeader old_header = sh.headers[i];
+      if (len > old_len) {
+        sh.dead += old_len;
+        sh.offsets[i] = sh.pool.size();
+        sh.pool.resize(sh.pool.size() + len);
+      } else {
+        sh.dead += old_len - len;
       }
-    });
+      sh.lengths[i] = len;
+      typename Protocol::Digest* row = sh.pool.data() + sh.offsets[i];
+      if (kGraded && len == old_len) {
+        std::copy(row, row + len, sh.prev_pool.data() + sh.offsets[i]);
+      }
+      protocol_->make_frame(p, sh.headers[i], std::span(row, len));
+      if constexpr (kGraded) {
+        // A row whose length moved grades 0 whatever its bytes.
+        row_unchanged_[sh.begin + i] =
+            len == old_len
+                ? grade_row(sh.headers[i], row, len, old_header,
+                            sh.prev_pool.data() + sh.offsets[i], len,
+                            sh.sparse_rows)
+                : 0;
+      }
+      sh.stale_mark[i] = 0;
+    }
+    std::swap(sh.stale, sh.graded);
+    sh.stale.clear();
+    if (sh.dead * 4 > sh.pool.size()) {
+      sh.prev_pool.resize(sh.pool.size() - sh.dead);
+      std::size_t total = 0;
+      for (std::size_t i = 0; i < local_n; ++i) {
+        std::copy(sh.pool.data() + sh.offsets[i],
+                  sh.pool.data() + sh.offsets[i] + sh.lengths[i],
+                  sh.prev_pool.data() + total);
+        sh.offsets[i] = total;
+        total += sh.lengths[i];
+      }
+      swap_pools(sh);
+      sh.dead = 0;
+    }
+  }
 
-    // Phase 2 (serial unless τ = 1): per-edge loss decisions polled in
-    // the classic sender-major order, so stateful loss models draw the
-    // exact RNG sequence of the owning-frame reference stepper; the
-    // decision for p → q is stored at q's incoming CSR slot via the
-    // mirror index.
+  /// Delivers `src`'s row `i` to `q`, as a payload overwrite when `grade`
+  /// proves its id sequence held (redelivery protocols; 0 = full
+  /// delivery).
+  void deliver_row(graph::NodeId q, const Shard& src, std::size_t i,
+                   unsigned char grade) {
+    const auto& header = src.headers[i];
+    const auto digests =
+        std::span(src.pool.data() + src.offsets[i], src.lengths[i]);
+    if constexpr (RedeliveryProtocol<Protocol>) {
+      if (grade != 0 && protocol_->deliver_payload(
+                            q, header, digests, (grade & kRowBitsEqual) != 0)) {
+        return;
+      }
+    }
+    protocol_->deliver(q, header, digests);
+  }
+
+  /// Phase 3 for shard `t`. Each stepped receiver pulls its heard rows
+  /// in ascending-sender order — local senders from the shard's arena,
+  /// remote senders straight from the owner's — then runs its guarded
+  /// rules and ages its caches before the pass moves on. With valid row
+  /// hints (every listener consumed the graded rows' predecessors), a
+  /// receiver whose heard rows are all bit-equal collapses its
+  /// deliveries into one redelivery call — its cache entries already
+  /// hold the bytes. Under tracking the receiver then reports its
+  /// activity: a state change keeps it awake, a frame change marks its
+  /// row stale and wakes its neighbors (local ones in the shard's own
+  /// tracker, remote ones through the wake mailboxes, drained at the
+  /// next step's phase 1).
+  void receive(std::size_t t, bool tracked, bool hints, bool hear_all) {
+    Shard& sh = shards_[t];
+    const graph::Graph& g = *graph_;
     const auto offsets = g.csr_offsets();
     const auto flat = g.csr_neighbors();
-    const bool hear_all = loss_->always_delivers();
-    if (!hear_all) {
-      incoming_.resize(flat.size());
-      for (std::size_t p = 0; p < n; ++p) {
-        for (std::size_t e = offsets[p]; e < offsets[p + 1]; ++e) {
-          const bool heard =
-              loss_->delivered(static_cast<graph::NodeId>(p), flat[e]);
-          incoming_[g.mirror_edge(e)] = heard;
-          messages_delivered_ += heard;
+    const auto step_node = [&](graph::NodeId q) {
+      std::size_t e = offsets[q];
+      const std::size_t end = offsets[q + 1];
+      if constexpr (RedeliveryProtocol<Protocol>) {
+        unsigned char quiet = hints ? kRowBitsEqual : 0;
+        for (std::size_t f = e; quiet != 0 && f < end; ++f) {
+          quiet &= row_unchanged_[flat[f]];
+        }
+        if (quiet != 0 && protocol_->redeliver_unchanged(q, end - e)) {
+          ++sh.refreshed;
+          e = end;  // every delivery done
         }
       }
-    } else {
-      messages_delivered_ += flat.size();
-    }
-
-    // Phase 3 (parallel by destination shard): the receive pass. Each
-    // owned receiver pulls its heard frames in ascending-sender order —
-    // local senders from the shard arena, remote senders from the
-    // (src, dst) mailbox — then runs its guarded rules and ages its
-    // caches before the pass moves on to the next receiver. With valid
-    // row hints (previous step built rows AND was loss-free, so every
-    // listener consumed exactly those rows), a receiver whose heard rows
-    // are all bit-equal collapses its deliveries into one redelivery
-    // call — its cache entries already hold the bytes.
-    const bool hints = row_hints_valid_ && hear_all;
-    for_shards([this, protocol, offsets, flat, hear_all, hints,
-                S](std::size_t t) {
-      Shard& sh = shards_[t];
-      sh.refreshed = 0;
-      for (std::size_t q = sh.begin; q < sh.end; ++q) {
-        const auto node = static_cast<graph::NodeId>(q);
-        std::size_t e = offsets[q];
-        const std::size_t end = offsets[q + 1];
+      for (; e < end; ++e) {
+        if (!hear_all && !incoming_[e]) continue;
+        const graph::NodeId p = flat[e];
+        unsigned char grade = 0;
         if constexpr (RedeliveryProtocol<Protocol>) {
-          unsigned char quiet = hints ? kRowBitsEqual : 0;
-          for (std::size_t f = e; quiet != 0 && f < end; ++f) {
-            quiet &= row_unchanged_[flat[f]];
-          }
-          if (quiet != 0 && protocol->redeliver_unchanged(node, end - e)) {
-            ++sh.refreshed;
-            e = end;  // every delivery done
-          }
+          if (hints) grade = row_unchanged_[p];
         }
-        for (; e < end; ++e) {
-          if (!hear_all && !incoming_[e]) continue;
-          const graph::NodeId p = flat[e];
-          unsigned char grade = 0;
-          if constexpr (RedeliveryProtocol<Protocol>) {
-            if (hints) grade = row_unchanged_[p];
-          }
-          if (p >= sh.begin && p < sh.end) {
-            deliver_row(*protocol, node, sh, p - sh.begin, grade);
-          } else {
-            deliver_from(*protocol, node, frame_mb_[shard_of(p) * S + t], p,
-                         grade);
-          }
-        }
-        protocol->tick(node);
-        protocol->end_step(node);
+        const Shard& src =
+            p >= sh.begin && p < sh.end ? sh : shards_[shard_of(p)];
+        deliver_row(q, src, p - src.begin, grade);
       }
-    });
-
-    if constexpr (RedeliveryProtocol<Protocol>) {
-      // Serial fold of the per-shard tallies (shard order), so the
-      // aggregates are identical for any thread count.
-      for (const Shard& sh : shards_) delta_rows_graded_ += sh.sparse_rows;
-      for (const Shard& sh : shards_) receivers_refreshed_ += sh.refreshed;
-      prev_rows_built_ = true;
-      // Hints are trustworthy next step only if *this* step delivered
-      // every row to every listener (loss would leave some caches
-      // behind the rows the compare runs against).
-      row_hints_valid_ = hear_all;
-    }
-  }
-
-  /// Drops the double-buffered row state (redelivery protocols): the
-  /// next full step runs every delivery through the full compare path.
-  void invalidate_row_hints() noexcept {
-    prev_rows_built_ = false;
-    row_hints_valid_ = false;
-  }
-
-  /// Wakes `p` and its neighbors across whichever shards own them.
-  /// Serial contexts only (between steps / serial prologue).
-  void wake_closed(graph::NodeId p) {
-    wake_owned(p);
-    for (const graph::NodeId r : graph_->neighbors(p)) wake_owned(r);
-  }
-
-  void wake_owned(graph::NodeId p) {
-    Shard& sh = shards_[shard_of(p)];
-    sh.tracker.wake(static_cast<graph::NodeId>(p - sh.begin));
-  }
-
-  /// The quiescence-aware step: only active nodes (those whose closed
-  /// neighborhood changed last step) receive, tick and age; everyone
-  /// else is left untouched — which is bit-identical to full stepping
-  /// because a skipped node is at a boundary-state fixpoint with
-  /// unchanged inputs (docs/ARCHITECTURE.md §7 has the induction).
-  /// Active receivers hear *all* their neighbors — quiescent senders'
-  /// frames are built on demand (make_frame is const) — so cache ages
-  /// and contents evolve exactly as under the full stepper. The union
-  /// of the per-shard active sets is the same at any shard count,
-  /// because intra-shard wakes land directly and cross-shard wakes ride
-  /// the wake mailboxes flushed at this step's end and drained before
-  /// the next begin_step — the same one-step latency the
-  /// double-buffered wake set already has.
-  void step_dirty() {
-    // Dirty mode reuses the shard arenas in compact (sender-list) form,
-    // clobbering the per-node rows the redelivery compare needs.
-    invalidate_row_hints();
-    const graph::Graph& g = *graph_;
-    const std::size_t n = g.node_count();
-    const std::size_t S = shard_count();
-    auto* protocol = protocol_;
-
-    // Serial prologue: externally mutated nodes wake their closed
-    // neighborhood, crossing shard boundaries directly.
-    for (const graph::NodeId p : protocol_->take_external_wakes()) {
-      wake_closed(p);
-    }
-
-    // Phase 0 (parallel by shard): drain inbound wake mailboxes, then
-    // promote the accumulated wake set to this step's work list.
-    for_shards([this, S](std::size_t t) {
-      Shard& sh = shards_[t];
-      for (std::size_t s = 0; s < S; ++s) {
-        auto& mb = wake_mb_[s * S + t];
-        for (const graph::NodeId p : mb) {
-          sh.tracker.wake(static_cast<graph::NodeId>(p - sh.begin));
-        }
-        mb.clear();
+      if constexpr (QuiescentProtocol<Protocol>) {
+        // A stepped node whose inputs did not move since a sweep that
+        // changed nothing skips its sweep (a plain tick when untracked).
+        protocol_->maybe_tick(q);
+      } else {
+        protocol_->tick(q);
       }
-      sh.tracker.begin_step();
-    });
-
-    std::size_t total_active = 0;
-    for (const Shard& sh : shards_) total_active += sh.tracker.active().size();
-    if (total_active == 0) {
-      for (Shard& sh : shards_) sh.tracker.record(0, sh.end - sh.begin);
-      stats_.record(0, n);
+      protocol_->end_step(q);
+    };
+    if (!tracked) {
+      for (std::size_t q = sh.begin; q < sh.end; ++q) {
+        step_node(static_cast<graph::NodeId>(q));
+      }
       return;
     }
-
-    // Phase 1 (parallel by destination shard): discover the sender set.
-    // Local senders go straight into the compact list; remote senders
-    // are requested from their owning shard via the request mailboxes
-    // (sorted + deduplicated, so the owner admits them in ascending
-    // order).
-    for_shards([this, &g, S](std::size_t t) {
-      Shard& sh = shards_[t];
-      const std::size_t local_n = sh.end - sh.begin;
-      sh.sender_mark.assign(local_n, 0);
-      sh.sender_slot.resize(local_n);
-      sh.sender_list.clear();
-      sh.delivered = 0;
-      for (std::size_t s = 0; s < S; ++s) {
-        if (s != t) req_mb_[t * S + s].clear();
-      }
+    if constexpr (QuiescentProtocol<Protocol>) {
       for (const graph::NodeId lq : sh.tracker.active()) {
         const auto q = static_cast<graph::NodeId>(sh.begin + lq);
-        sh.delivered += g.degree(q);
-        for (const graph::NodeId r : g.neighbors(q)) {
-          if (r >= sh.begin && r < sh.end) {
-            const std::size_t lr = static_cast<std::size_t>(r) - sh.begin;
-            if (!sh.sender_mark[lr]) {
-              sh.sender_mark[lr] = 1;
-              sh.sender_list.push_back(r);
-            }
-          } else {
-            req_mb_[t * S + shard_of(r)].push_back(r);
-          }
-        }
-      }
-      for (std::size_t s = 0; s < S; ++s) {
-        if (s == t) continue;
-        auto& req = req_mb_[t * S + s];
-        std::sort(req.begin(), req.end());
-        req.erase(std::unique(req.begin(), req.end()), req.end());
-      }
-    });
-
-    // Phase 2 (parallel by source shard): merge remote requests into
-    // the local sender set, build every needed frame once, then answer
-    // each request list through the frame mailboxes.
-    for_shards([this, protocol, S](std::size_t s) {
-      Shard& sh = shards_[s];
-      for (std::size_t t = 0; t < S; ++t) {
-        if (t == s) continue;
-        for (const graph::NodeId p : req_mb_[t * S + s]) {
-          const std::size_t lp = static_cast<std::size_t>(p) - sh.begin;
-          if (!sh.sender_mark[lp]) {
-            sh.sender_mark[lp] = 1;
-            sh.sender_list.push_back(p);
-          }
-        }
-      }
-      const std::size_t senders = sh.sender_list.size();
-      sh.offsets.resize(senders + 1);
-      sh.offsets[0] = 0;
-      for (std::size_t i = 0; i < senders; ++i) {
-        sh.offsets[i + 1] =
-            sh.offsets[i] + protocol->digest_count(sh.sender_list[i]);
-      }
-      sh.pool.resize(sh.offsets[senders]);
-      sh.headers.resize(senders);
-      for (std::size_t i = 0; i < senders; ++i) {
-        sh.sender_slot[static_cast<std::size_t>(sh.sender_list[i]) -
-                       sh.begin] = i;
-        protocol->make_frame(
-            sh.sender_list[i], sh.headers[i],
-            std::span(sh.pool.data() + sh.offsets[i],
-                      sh.offsets[i + 1] - sh.offsets[i]));
-      }
-      for (std::size_t t = 0; t < S; ++t) {
-        if (t == s) continue;
-        const auto& req = req_mb_[t * S + s];
-        FrameMailbox& mb = frame_mb_[s * S + t];
-        mb.senders.assign(req.begin(), req.end());
-        mb.headers.clear();
-        mb.pool.clear();
-        mb.offsets.assign(1, 0);
-        for (const graph::NodeId p : req) {
-          append_frame(mb, sh,
-                       sh.sender_slot[static_cast<std::size_t>(p) - sh.begin]);
-        }
-      }
-    });
-
-    // Phase 3 (parallel by destination shard): the receive pass. Every
-    // active node pulls every neighbor's frame (ascending-sender order
-    // as always), ticks, ages, and then propagates its activity one hop:
-    // local wakes land in the shard's own tracker's next set, wakes for
-    // remote nodes ride the wake mailboxes, drained at the next step's
-    // phase 0.
-    for_shards([this, protocol, &g, S](std::size_t t) {
-      Shard& sh = shards_[t];
-      for (std::size_t s = 0; s < S; ++s) {
-        if (s != t) wake_mb_[t * S + s].clear();
-      }
-      for (const graph::NodeId lq : sh.tracker.active()) {
-        const auto q = static_cast<graph::NodeId>(sh.begin + lq);
-        for (const graph::NodeId r : g.neighbors(q)) {
-          if (r >= sh.begin && r < sh.end) {
-            deliver_row(*protocol, q, sh,
-                        sh.sender_slot[static_cast<std::size_t>(r) - sh.begin],
-                        0);
-          } else {
-            deliver_from(*protocol, q, frame_mb_[shard_of(r) * S + t], r, 0);
-          }
-        }
-        protocol->tick(q);
-        protocol->end_step(q);
-        const auto a = protocol->consume_activity(q);
+        sh.delivered += offsets[q + 1] - offsets[q];
+        step_node(q);
+        const auto a = protocol_->consume_activity(q);
         if (a.state_changed) sh.tracker.wake(lq);
         if (!a.frame_changed) continue;
-        for (const graph::NodeId r : g.neighbors(q)) {
-          if (r >= sh.begin && r < sh.end) {
-            sh.tracker.wake(static_cast<graph::NodeId>(r - sh.begin));
-          } else {
-            wake_mb_[t * S + shard_of(r)].push_back(r);
-          }
-        }
+        mark_stale(sh, lq);
+        wake_neighbors(t, q);
       }
-    });
-
-    // Serial epilogue: fold the per-shard tallies in shard order.
-    for (Shard& sh : shards_) {
-      messages_delivered_ += sh.delivered;
-      const std::size_t stepped = sh.tracker.active().size();
-      sh.tracker.record(stepped, (sh.end - sh.begin) - stepped);
     }
-    stats_.record(total_active, n - total_active);
   }
 
   const graph::Graph* graph_;
@@ -879,29 +839,29 @@ class ShardedNetwork {
   std::vector<std::size_t> bounds_;
   std::vector<Shard> shards_;
   std::size_t steps_ = 0;
+  std::size_t subset_steps_ = 0;
+  std::uint64_t rows_rebuilt_ = 0;
   std::uint64_t messages_delivered_ = 0;
   Stepping stepping_ = Stepping::kFull;
-  bool boundaries_stale_ = true;
+  bool tracked_ = false;  // change detector armed: the active set is kept
   std::unique_ptr<ThreadPool> pool_;
-  std::vector<unsigned char> incoming_;  // per-edge decisions (lossy full)
-  // Redelivery (full stepping): global per-node bitmap of "this step's
-  // row is bit-identical to last step's", each shard writing only its
-  // owned slice; the flags gate whether prev_* rows exist and whether
-  // every listener actually consumed them (loss-free previous step).
+  std::vector<unsigned char> incoming_;  // per-edge decisions (lossy)
+  // Redelivery: global per-node row grades, each shard writing only its
+  // owned slice in phase 1. The flags say whether the arena holds every
+  // node's current row (false only before the first step) and whether
+  // every listener holds the rows the grades compare against: a lossy
+  // step, a topology delta or a swapped graph clears the hints for one
+  // step, whose full deliveries restore them.
   std::vector<unsigned char> row_unchanged_;
   std::uint64_t delta_rows_graded_ = 0;
   std::uint64_t receivers_refreshed_ = 0;
-  bool prev_rows_built_ = false;
+  bool arena_built_ = false;
   bool row_hints_valid_ = false;
-  ActivityTracker stats_;                // aggregate counters only
-  // Mailboxes, all indexed [writer_shard * S + reader_shard] so every
-  // parallel phase writes only its own row. frame_mb_ and wake_mb_ are
-  // written by the frame/wake *source* shard; req_mb_ is written by the
-  // *requesting* (destination) shard, so req_mb_[t * S + s] holds the
-  // senders shard t wants from shard s.
-  std::vector<FrameMailbox> frame_mb_;
-  std::vector<std::vector<graph::NodeId>> req_mb_;
-  std::vector<std::vector<graph::NodeId>> wake_mb_;  // cross-shard wakes
+  ActivityTracker stats_;  // aggregate counters only
+  // Cross-shard wakes, indexed [writer_shard * S + reader_shard]: written
+  // in the receive pass by the shard that stepped the waking node,
+  // drained by the owner at the next step's phase 1.
+  std::vector<std::vector<graph::NodeId>> wake_mb_;
 };
 
 }  // namespace ssmwn::sim

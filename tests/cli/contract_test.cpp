@@ -291,6 +291,25 @@ TEST_F(CliContract, ProtocolReportsArePinned) {
   }
 }
 
+// An async phase that runs out of horizon reports the horizon time and
+// all the phase's messages, as the live report does — not a convergence
+// time and message count it never had.
+TEST_F(CliContract, AsyncPhaseThatDidNotConvergeReportsItsHorizon) {
+  const auto r = run({"protocol", "--n", "60", "--radius", "0.2", "--steps",
+                      "40", "--scheduler", "async", "--daemon", "unfair",
+                      "--corrupt", "0.3", "--seed", "7"});
+  EXPECT_EQ(r.code, 1) << r.err;
+  EXPECT_EQ(r.out,
+            "scheduler=async daemon=unfair period=1s jitter=0.1 "
+            "link_delay=0.02s\n"
+            "cold start: converged at t=20.00s (virtual), 5221 messages to "
+            "convergence, 5998 delivered this phase, 7079 events\n"
+            "corrupted 19 nodes\n"
+            "recovery: NOT converged at t=63.00s (virtual), 10378 messages "
+            "to convergence, 10378 delivered this phase, 19328 events\n"
+            "final cluster-heads: 8\n");
+}
+
 TEST_F(CliContract, ServeAndSubmitExit0) {
   const pid_t daemon = spawn({"serve", "--port", "0", "--threads", "2"},
                              "serve.txt");

@@ -1,8 +1,9 @@
 // Sparse-change rows: sender rows whose id sequence held while at most
 // half their digest payloads moved — the late-recovery regime. The
 // engine counts them (delta_rows_graded) and delivers them through the
-// ids-equal payload overwrite (deliver_payload), from the shard arena
-// for local senders and from the frame mailboxes for remote ones. Like
+// ids-equal payload overwrite (deliver_payload), from the receiver's
+// own shard arena for local senders and in place from the owner's arena
+// for remote ones. Like
 // the other redelivery paths this is pure cost model — every test here
 // pins the hint-armed engine bitwise against the reference stepper,
 // which always runs the full deliver, across faults from every
@@ -186,9 +187,9 @@ TEST(DeltaFrames, TopologyDeltasDropAndRearmHintsBitIdentically) {
   }
 }
 
-/// Stepping-mode switches mid-run, full → dirty → full twice: each switch
-/// drops the row hints (dirty steps reuse the arena in compact form);
-/// the full windows after each must re-arm onto the same bytes.
+/// Stepping-mode switches mid-run, full → dirty → full twice: a switch
+/// changes only the counter definitions, and entering dirty wakes every
+/// node; the windows after each must land on the same bytes.
 TEST(DeltaFrames, SteppingSwitchesRearmBitIdentically) {
   util::Rng rng(52);
   const std::size_t n = 200;
@@ -222,8 +223,8 @@ TEST(DeltaFrames, SteppingSwitchesRearmBitIdentically) {
 }
 
 /// Many shards with boundary crossings: sparse-change rows of boundary
-/// senders are delivered from the frame mailboxes, those of owned
-/// senders from the shard-local arena; both must land on the one-shard
+/// senders are read in place from their owner's arena, those of owned
+/// senders from the receiver's own; both must land on the one-shard
 /// engine's bytes, and since both grade the same rows the sparse-change
 /// counters must agree exactly.
 TEST(DeltaFrames, ShardedSparseChangeRowsMatchOneShard) {

@@ -223,9 +223,9 @@ TEST(DirtyEquivalence, SyncChurnWindowsLockstep) {
 }
 
 TEST(DirtyEquivalence, SyncDirtyIsThreadCountInvariant) {
-  // Full-vs-dirty at 4 workers, under vehicular mobility — the dirty
-  // stepper's compact sender pool and active-only phases must keep the
-  // thread-invariance guarantee of the arena engine.
+  // Full-vs-dirty at 4 workers, under vehicular mobility — subset
+  // steps, in-place remote row reads and cross-shard wakes must keep
+  // the thread-invariance guarantee of the arena engine.
   run_mobility_trial({"vehicular", 10.0, 0.1}, 500, 9, 4);
 }
 

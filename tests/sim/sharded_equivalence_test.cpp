@@ -387,8 +387,8 @@ TEST(ShardedEquivalence, DegenerateShapesAreWellDefined) {
     EXPECT_EQ(net.messages_delivered(), 0u);
   }
   // shards > nodes: clamped to one node per shard; single-node shards
-  // make every edge a boundary edge, so the mailboxes carry the whole
-  // step and the result must still match.
+  // make every edge cross shards, so every row is read from another
+  // shard's arena and the result must still match.
   {
     const auto w = testsupport::make_deployment(5, 0.9, 905);
     auto reference = make_protocol(w, 2);

@@ -5,10 +5,13 @@
 // then all ages" only because (a) every frame of a step is built before
 // any receiver-side call and (b) each receiver sees its heard frames in
 // ascending-sender order, followed by exactly one tick and one end_step
-// (and, under dirty stepping, one consume_activity). This suite pins
+// (and, with activity tracking, one consume_activity). This suite pins
 // that order with a toy arena protocol that stamps every call from a
-// global atomic clock into a lock-free event log, across full, lossy
-// and dirty stepping, 1 and 4 threads, 1 and 5 shards.
+// global atomic clock into a lock-free event log, across kFull and
+// kDirty on a loss-free medium (both keep an active set and skip quiet
+// nodes), a lossy medium (every node steps), 1 and 4 threads, 1 and 5
+// shards. Frames a step does not rebuild, and rows read from another
+// shard's arena, must still carry the sender's pre-step value.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -172,16 +175,17 @@ std::size_t check_step(const graph::Graph& g, std::span<const Event> log,
   for (auto it = first_recv; it != log.end(); ++it) {
     per_node[it->node].push_back(*it);
   }
+  const bool tracked = mode != Mode::kLossy;
   std::size_t stepped = 0;
   for (graph::NodeId q = 0; q < n; ++q) {
     const auto& calls = per_node[q];
     if (calls.empty()) {
-      EXPECT_EQ(mode, Mode::kDirty)
-          << "node " << q << " skipped by a full step " << step;
+      EXPECT_TRUE(tracked)
+          << "node " << q << " skipped by a lossy step " << step;
       continue;
     }
     ++stepped;
-    const std::size_t tail = mode == Mode::kDirty ? 3 : 2;
+    const std::size_t tail = tracked ? 3 : 2;
     if (calls.size() < tail) {
       ADD_FAILURE() << "node " << q << " made " << calls.size()
                     << " calls at step " << step;
@@ -211,7 +215,7 @@ std::size_t check_step(const graph::Graph& g, std::span<const Event> log,
     }
     EXPECT_EQ(calls[heard].call, Call::kTick) << "node " << q;
     EXPECT_EQ(calls[heard + 1].call, Call::kEndStep) << "node " << q;
-    if (mode == Mode::kDirty) {
+    if (tracked) {
       EXPECT_EQ(calls[heard + 2].call, Call::kConsume) << "node " << q;
     }
   }
@@ -241,7 +245,7 @@ void run_shape(const Shape& shape) {
   ASSERT_EQ(net.shard_count(), shape.shards);
   if (shape.mode == Mode::kDirty) net.set_stepping(sim::Stepping::kDirty);
 
-  std::size_t dirty_partial_steps = 0;
+  std::size_t partial_steps = 0;
   for (std::size_t step = 0; step < 14; ++step) {
     protocol.begin_log();
     const std::uint64_t before = net.messages_delivered();
@@ -252,18 +256,31 @@ void run_shape(const Shape& shape) {
     const auto deliveries = static_cast<std::uint64_t>(
         std::count_if(log.begin(), log.end(),
                       [](const Event& e) { return e.call == Call::kDeliver; }));
-    EXPECT_EQ(net.messages_delivered() - before, deliveries) << "step " << step;
-    if (shape.mode == Mode::kDirty) {
-      EXPECT_EQ(net.activity().last_nodes_stepped(), stepped);
-      if (stepped > 0 && stepped < n) ++dirty_partial_steps;
-    } else {
+    // kFull counts the logical 2|E| per step, whoever stepped.
+    EXPECT_EQ(net.messages_delivered() - before,
+              shape.mode == Mode::kFull ? g.csr_neighbors().size()
+                                        : deliveries)
+        << "step " << step;
+    if (shape.mode == Mode::kLossy) {
       EXPECT_EQ(stepped, n);
+      continue;
     }
+    std::size_t listed = 0;
+    for (std::size_t s = 0; s < net.shard_count(); ++s) {
+      listed += net.shard_activity(s).active().size();
+    }
+    EXPECT_EQ(listed, stepped) << "step " << step;
+    EXPECT_EQ(net.activity().last_nodes_stepped(),
+              shape.mode == Mode::kDirty ? stepped : n);
+    if (stepped > 0 && stepped < n) ++partial_steps;
   }
   EXPECT_EQ(protocol.bad_frames.load(), 0u);
   // The max flood must actually have shrunk the active set, or the
-  // dirty shapes would only re-test full stepping.
-  if (shape.mode == Mode::kDirty) EXPECT_GT(dirty_partial_steps, 0u);
+  // loss-free shapes would only re-test whole-population stepping.
+  if (shape.mode != Mode::kLossy) {
+    EXPECT_GT(partial_steps, 0u);
+    EXPECT_GT(net.subset_steps(), 0u);
+  }
 }
 
 const char* mode_name(Mode mode) {

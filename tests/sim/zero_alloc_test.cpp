@@ -124,10 +124,15 @@ TEST(ZeroAlloc, ActiveRecoveryRegimeDoesNotTouchTheHeap) {
   protocol.corrupt_fraction(chaos, 0.3);
   network.run(5);
   const std::size_t before = g_allocations.load();
+  const std::size_t subset_before = network.subset_steps();
   network.run(10);
   const std::size_t during = g_allocations.load() - before;
   EXPECT_EQ(during, 0u) << "active-recovery steps allocated " << during
                         << " times";
+  // The window holds both kinds of step and the switches between them.
+  const std::size_t subset = network.subset_steps() - subset_before;
+  EXPECT_GT(subset, 0u);
+  EXPECT_LT(subset, 10u);
 }
 
 // The late-recovery regime of sparse-change rows: after the structural
@@ -167,6 +172,39 @@ TEST(ZeroAlloc, SparseChangeRowsDoNotTouchTheHeap) {
                         << " times";
   EXPECT_GT(network.delta_rows_graded(), graded_before)
       << "the audited window never saw a sparse-change row";
+}
+
+// The same recovery window on four workers and four shards: wakes that
+// cross shards ride the wake mailboxes, remote rows are read in place,
+// and the window again switches between whole and subset steps.
+TEST(ZeroAlloc, ShardedRecoveryDoesNotTouchTheHeap) {
+  util::Rng rng(2011);
+  const std::size_t n = 300;
+  const auto pts = topology::uniform_points(n, rng);
+  const auto g = topology::unit_disk_graph(pts, 0.09);
+  const auto ids = topology::random_ids(n, rng);
+
+  core::ProtocolConfig config;
+  config.cluster.use_dag_ids = true;
+  config.cluster.fusion = true;
+  config.delta_hint = std::max<std::uint64_t>(2, g.max_degree());
+  core::DensityProtocol protocol(ids, config, util::Rng(4));
+  sim::PerfectDelivery loss;
+  sim::Network network(g, protocol, loss, 4);
+
+  network.run(30);
+  util::Rng chaos(2012);
+  protocol.corrupt_fraction(chaos, 0.3);
+  network.run(5);
+  const std::size_t before = g_allocations.load();
+  const std::size_t subset_before = network.subset_steps();
+  network.run(10);
+  const std::size_t during = g_allocations.load() - before;
+  EXPECT_EQ(during, 0u) << "sharded recovery steps allocated " << during
+                        << " times";
+  const std::size_t subset = network.subset_steps() - subset_before;
+  EXPECT_GT(subset, 0u);
+  EXPECT_LT(subset, 10u);
 }
 
 TEST(ZeroAlloc, PoolDispatchDoesNotTouchTheHeap) {

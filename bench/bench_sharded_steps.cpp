@@ -8,9 +8,10 @@
 // This bench runs
 // the full equivalence gate first — the engine must be bit-identical to
 // the owning-frame reference stepper at one shard and at SSMWN_SHARDS
-// shards, or the numbers are meaningless — then measures steady-state
-// steps/sec for one shard ("unsharded") against the spatial shards on
-// random-geometric deployments at n ∈ {10k, 100k, 1M, 10M}.
+// shards, or the numbers are meaningless — then measures steps/sec in
+// two regimes (active, recovery) for one shard ("unsharded") against the
+// spatial shards on random-geometric deployments at n ∈ {10k, 100k, 1M,
+// 10M}.
 //
 // Environment:
 //   SSMWN_SHARD_MAX_N  cap on n (default 1000000; CI smoke uses 10000)
@@ -43,7 +44,7 @@ core::DensityProtocol make_protocol(const bench::Instance& inst,
   return core::DensityProtocol(inst.ids, config, local.split());
 }
 
-/// Steady-state steps/sec over an already constructed engine.
+/// Steps/sec of `steps` steps after `warm` untimed ones.
 template <typename Network>
 double time_steps(Network& network, std::size_t warm, std::size_t steps) {
   network.run(warm);
@@ -157,24 +158,30 @@ std::size_t steps_for(std::size_t n) {
 }
 
 /// A step's cost depends on the regime (the redelivery fast paths
-/// collapse deliveries of settled rows), so one number does not
-/// characterize it. Measured per shard layout, in one run:
-///   active — steps 3..5: caches full, id sequences held, but nearly
-///            every digest payload still churning (the post-fault /
-///            post-cold-start recovery regime);
-///   steady — steps 10+: the clustering has converged (metric-degree-8
-///            Poisson worlds settle ≈99% of frame rows by step 10), the
-///            regime the old warm-up never reached at n = 1M.
+/// collapse deliveries of settled rows, and a node whose inputs did not
+/// move does not step at all), so one number does not characterize it.
+/// Measured per shard layout, in one run:
+///   active   — steps 3..5: caches full, id sequences held, but nearly
+///              every digest payload still churning (the post-cold-start
+///              regime);
+///   recovery — at step 10, corrupt_fraction(0.1), then `steps` steps:
+///              the fault-then-recover window stabilize-250k times. (A
+///              converged step steps no node, so timing one measures no
+///              work.)
 struct RegimeSps {
   double active = 0.0;
-  double steady = 0.0;
+  double recovery = 0.0;
 };
 
 template <typename Network>
-RegimeSps time_regimes(Network& network, std::size_t steps) {
+RegimeSps time_regimes(Network& network, core::DensityProtocol& protocol,
+                       std::size_t steps) {
   RegimeSps out;
   out.active = time_steps(network, 3, 3);
-  out.steady = time_steps(network, 4, steps);
+  network.run(4);
+  util::Rng fault(20050612);
+  protocol.corrupt_fraction(fault, 0.1);
+  out.recovery = time_steps(network, 0, steps);
   return out;
 }
 
@@ -206,9 +213,9 @@ int main() {
   util::Table table("Steps per second by regime (higher is better)");
   const std::string shard_tag =
       std::to_string(shards) + "s/" + std::to_string(threads) + "t";
-  table.header({"n", "mean deg", "unsharded active", "unsharded steady",
+  table.header({"n", "mean deg", "unsharded active", "unsharded recovery",
                 "sharded " + shard_tag + " active",
-                "sharded " + shard_tag + " steady"});
+                "sharded " + shard_tag + " recovery"});
 
   const std::size_t sizes[] = {10000, 100000, 1000000, 10000000};
   for (const std::size_t n : sizes) {
@@ -236,7 +243,7 @@ int main() {
       sim::PerfectDelivery loss;
       sim::ShardedNetwork network(sharded_inst.instance.graph, protocol,
                                   loss);
-      flat = time_regimes(network, steps);
+      flat = time_regimes(network, protocol, steps);
     }
     RegimeSps shard;
     {
@@ -244,30 +251,30 @@ int main() {
       sim::PerfectDelivery loss;
       sim::ShardedNetwork network(sharded_inst.instance.graph, protocol,
                                   loss, sharded_inst.bounds, threads);
-      shard = time_regimes(network, steps);
+      shard = time_regimes(network, protocol, steps);
     }
 
     table.row({util::Table::integer(static_cast<long long>(nodes)),
                util::Table::num(mean_degree, 1),
                util::Table::num(flat.active, 2),
-               util::Table::num(flat.steady, 2),
+               util::Table::num(flat.recovery, 2),
                util::Table::num(shard.active, 2),
-               util::Table::num(shard.steady, 2)});
+               util::Table::num(shard.recovery, 2)});
     json.add("poisson/unsharded-active", nodes, 1, "steps/s", flat.active);
-    json.add("poisson/unsharded", nodes, 1, "steps/s", flat.steady);
+    json.add("poisson/unsharded", nodes, 1, "steps/s", flat.recovery);
     json.add("poisson/sharded-active", nodes, threads, "steps/s",
              shard.active);
-    json.add("poisson/sharded", nodes, threads, "steps/s", shard.steady);
+    json.add("poisson/sharded", nodes, threads, "steps/s", shard.recovery);
   }
 
   table.note("both rows step the identical protocol state on the "
              "cell-major renumbered world; unsharded = one shard on one "
              "thread, the sharded rows use " +
              std::to_string(shards) + " spatial shards");
-  table.note("active = steps 3..5 (recovery regime: full payload churn "
-             "over settled id sequences); steady = steps 10 onward (the "
-             "converged regime the table's former single number claimed "
-             "but, at n = 1M, never warmed up to)");
+  table.note("active = steps 3..5 (full payload churn over settled id "
+             "sequences); recovery = corrupt_fraction(0.1) at step 10, "
+             "then 20 steps (5 at 100k, 3 from 1M); a converged step steps "
+             "no node, so none is timed alone");
   table.note("single-worker machines measure the sharding overhead "
              "(per-shard arenas, cross-shard reads); the parallel win needs "
              "SSMWN_THREADS > 1");

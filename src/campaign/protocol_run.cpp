@@ -45,13 +45,25 @@ std::unique_ptr<mobility::MobilityModel> make_mover(
 
 namespace {
 
+/// Mean async periods between the slowest node's broadcasts: the unfair
+/// daemon's victims broadcast unfair_slowdown× slower, so the cache
+/// timeout must cover their gap (core::cache_timeout) and one async
+/// round spans that many periods — every daemon gets the same number of
+/// slowest-node rounds. 1 for the other daemons and the sync engine.
+double daemon_slowdown(const RunRecipe& recipe) {
+  return recipe.async &&
+                 recipe.async->daemon == sim::DaemonKind::kUnfairRoundRobin
+             ? recipe.async->unfair_slowdown
+             : 1.0;
+}
+
 core::ProtocolConfig protocol_config(const RunRecipe& recipe,
                                      const graph::Graph& g) {
   core::ProtocolConfig config;
   config.cluster = recipe.cluster;
   config.delta_hint = std::max<std::uint64_t>(2, g.max_degree());
   config.cache_max_age = core::cache_timeout(
-      recipe.tau, recipe.daemon_slowdown,
+      recipe.tau, daemon_slowdown(recipe),
       recipe.async ? recipe.async->period_jitter : 0.0);
   return config;
 }
@@ -131,7 +143,7 @@ Settled ProtocolRun::settle(double horizon_rounds, double confirm_rounds) {
   legitimacy_.reset();
   const auto check = [this] { return legitimate(); };
   if (async_) {
-    const double slowdown = recipe_.daemon_slowdown;
+    const double slowdown = daemon_slowdown(recipe_);
     const double start_s = async_->now_seconds();
     return {sim::settle_async(*async_, check, horizon_rounds * slowdown,
                               confirm_rounds * slowdown),
@@ -197,7 +209,7 @@ void ProtocolRun::live(
 
 void ProtocolRun::round() {
   if (async_) {
-    async_->run_for(async_->config().period_s * recipe_.daemon_slowdown);
+    async_->run_for(async_->config().period_s * daemon_slowdown(recipe_));
   } else {
     sync_->step();
   }

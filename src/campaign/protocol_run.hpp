@@ -64,9 +64,6 @@ struct RunRecipe {
   sim::Stepping stepping = sim::Stepping::kFull;
   /// Virtual seconds per sync round, and the movement per perturbation.
   double window_s = 1.0;
-  /// Mean async periods between the slowest node's broadcasts: the cache
-  /// timeout covers that gap and one async round spans it.
-  double daemon_slowdown = 1.0;
   /// Sets the protocol's start state before the engine attaches.
   std::function<void(core::DensityProtocol&)> initial_state;
   const RunHooks* hooks = nullptr;
@@ -130,7 +127,8 @@ class ProtocolRun {
   void live(std::size_t windows, double horizon_rounds,
             const std::function<void(std::size_t, EdgeChange,
                                      const Settled&)>& observe);
-  /// One sync step, or `daemon_slowdown` async periods.
+  /// One sync step, or one slowest-node round of async periods (see
+  /// daemon_slowdown).
   void round();
   [[nodiscard]] bool legitimate();
 

@@ -180,16 +180,9 @@ bool DensityProtocol::deliver_payload(graph::NodeId receiver,
   if (bits_equal) return true;  // the entry already holds these bytes
   if (tracking_) {
     // Engine-proved: the row differs from the one the entry holds, so
-    // `deliver` would flag a rule-input change, and a frame change iff
-    // one of the relayed header fields moved.
+    // `deliver` would flag a rule-input change.
     pending_[receiver] = 1;
     step_state_changed_[receiver] = 1;
-    if (entry.dag_id != header.dag_id ||
-        !double_bits_equal(entry.metric, header.metric) ||
-        entry.metric_valid != header.metric_valid ||
-        entry.head != header.head || entry.head_valid != header.head_valid) {
-      step_frame_changed_[receiver] = 1;
-    }
   }
   // Engine-proved: the stored id sequence equals the incoming one, so
   // the believed-link count cannot move and the whole delivery is the
@@ -235,11 +228,7 @@ void DensityProtocol::deliver(graph::NodeId receiver,
   // appeared/vanished (an e(N_p) delta and a rule-input change), whether
   // any matched id's payload moved (a rule-input change only), and — via
   // their disjunction — whether the stored list must be rewritten at
-  // all. A differing header means the receiver's *own* next frame
-  // changes too (the digest row it relays for this sender is derived
-  // from exactly these fields); a difference only in the relayed list
-  // feeds R1/R2 but never re-enters a frame, so it wakes the receiver
-  // without waking the receiver's neighbors.
+  // all.
   auto it = cache.find(header.id);
   bool header_diff;
   bool digests_diff;
@@ -257,8 +246,8 @@ void DensityProtocol::deliver(graph::NodeId receiver,
   } else {
     entry = &it->second;
     entry->digests.attach(*aux.digest_pool);
-    // header_diff feeds only the dirty-tracking wake sets; the fields are
-    // rewritten below either way, so skip the compare when not tracking.
+    // header_diff feeds only the change bit; the fields are rewritten
+    // below either way, so skip the compare when not tracking.
     header_diff = tracking_ && (entry->dag_id != header.dag_id ||
                                 !double_bits_equal(entry->metric, header.metric) ||
                                 entry->metric_valid != header.metric_valid ||
@@ -326,12 +315,9 @@ void DensityProtocol::deliver(graph::NodeId receiver,
     entry->digests.assign(digests.begin(), digests.end());
   }
   entry->age = 0;
-  if (tracking_) {
-    if (header_diff || digests_diff) {
-      pending_[receiver] = 1;
-      step_state_changed_[receiver] = 1;
-    }
-    if (header_diff) step_frame_changed_[receiver] = 1;
+  if (tracking_ && (header_diff || digests_diff)) {
+    pending_[receiver] = 1;
+    step_state_changed_[receiver] = 1;
   }
 }
 
@@ -343,7 +329,7 @@ bool DensityProtocol::redeliver_unchanged(graph::NodeId receiver,
   }
   // Every entry is a heard neighbor's and already holds its frame's bytes
   // (engine-proved), so only the age resets remain; nothing rule-relevant
-  // or frame-visible changed, so no tracking flags.
+  // changed, so no tracking flags.
   for (auto& item : cache) item.second.age = 0;
   return true;
 }
@@ -412,8 +398,8 @@ void DensityProtocol::on_edge_removed(graph::NodeId a, graph::NodeId b) {
         compact_digest_pool(*aux_[node].digest_pool, cache);
       }
       // The evicted digest row vanishes from the node's next frame, so
-      // this counts as an external mutation: the node and (via the
-      // stepper's closed-neighborhood wake) its neighbors must step.
+      // this counts as an external mutation: the node must step, and the
+      // grade of its rebuilt row wakes its neighbors.
       // The cache also stopped matching what perfect delivery implies,
       // so redeliveries must run full compares until the next sweep.
       resync_[node] = 1;
@@ -437,11 +423,8 @@ void DensityProtocol::tracked_tick(graph::NodeId node) {
   const ScalarRow before = scalar_row(cols_, node);
   NodeState s = view(node);
   engine_.sweep(s);
-  const ScalarRow after = scalar_row(cols_, node);
-  const bool frame_diff = frame_scalars_differ(before, after);
-  const bool own_diff = !rows_bitwise_equal(before, after);
+  const bool own_diff = !rows_bitwise_equal(before, scalar_row(cols_, node));
   if (own_diff) step_state_changed_[node] = 1;
-  if (frame_diff) step_frame_changed_[node] = 1;
   stable_[node] = own_diff ? 0 : 1;
   pending_[node] = 0;
 }
@@ -460,13 +443,10 @@ bool DensityProtocol::maybe_tick(graph::NodeId node) {
   return true;
 }
 
-DensityProtocol::Activity DensityProtocol::consume_activity(
-    graph::NodeId node) {
-  Activity activity{step_state_changed_[node] != 0,
-                    step_frame_changed_[node] != 0};
+bool DensityProtocol::consume_activity(graph::NodeId node) {
+  const bool changed = step_state_changed_[node] != 0;
   step_state_changed_[node] = 0;
-  step_frame_changed_[node] = 0;
-  return activity;
+  return changed;
 }
 
 void DensityProtocol::set_activity_tracking(bool on) {
@@ -478,14 +458,12 @@ void DensityProtocol::set_activity_tracking(bool on) {
     pending_.assign(n, 1);
     stable_.assign(n, 0);
     step_state_changed_.assign(n, 0);
-    step_frame_changed_.assign(n, 0);
     external_mark_.assign(n, 0);
     external_list_.clear();
   } else {
     pending_.clear();
     stable_.clear();
     step_state_changed_.clear();
-    step_frame_changed_.clear();
     external_mark_.clear();
     external_list_.clear();
   }
@@ -496,7 +474,6 @@ void DensityProtocol::externally_touched(graph::NodeId p) {
   pending_[p] = 1;
   stable_[p] = 0;
   step_state_changed_[p] = 1;
-  step_frame_changed_[p] = 1;
   if (!external_mark_[p]) {
     external_mark_[p] = 1;
     external_list_.push_back(p);
@@ -525,11 +502,9 @@ void DensityProtocol::end_step(graph::NodeId node) {
             {it->second.digests.data(), it->second.digests.size()});
       }
       if (tracking_) {
-        // Eviction changes the cache (a rule input) and removes a digest
-        // row from the node's next frame.
+        // Eviction changes the cache (a rule input).
         pending_[node] = 1;
         step_state_changed_[node] = 1;
-        step_frame_changed_[node] = 1;
       }
       it = cache.erase(it);
     } else {

@@ -35,7 +35,9 @@
 // steppers use: with activity tracking enabled it detects, per node and
 // per step, whether anything rule-relevant changed — delivered frame
 // content, own shared variables, cache aging/eviction — and exposes the
-// verdict through `consume_activity` / `maybe_tick`.
+// verdict through `consume_activity` / `maybe_tick`. Whether a node's
+// *frame* changed is not its call: the synchronous engine grades every
+// rebuilt row against the row before it.
 #pragma once
 
 #include <algorithm>
@@ -313,21 +315,22 @@ class DensityProtocol {
   /// vanish and the delivery collapses to a straight payload overwrite.
   /// `bits_equal` says the engine proved the whole row bit-equal too:
   /// then only the age resets. Otherwise the row differs, and with
-  /// activity tracking on the change bits `deliver` would raise follow
-  /// from that proof plus a header compare. Returns false — demanding
-  /// the full compare path — when the entry is missing, its stored list
-  /// disagrees with the engine's proof, the receiver was externally
-  /// mutated since the last full sweep, or uids repeat.
+  /// activity tracking on that proof raises the change bit `deliver`
+  /// would. Returns false — demanding the full compare path — when the
+  /// entry is missing, its stored list disagrees with the engine's
+  /// proof, the receiver was externally mutated since the last full
+  /// sweep, or uids repeat.
   bool deliver_payload(graph::NodeId receiver, const FrameHeader& header,
                        std::span<const Digest> digests, bool bits_equal);
-  /// Id-projection equality for the engine-side row compare backing
-  /// `deliver_payload`.
+  /// The row-equality predicates (sim::RowEqualityProtocol) the engine
+  /// grades rebuilt rows with — the grades back `deliver_payload` and,
+  /// under tracking, decide whose neighbors step. Id projection first.
   [[nodiscard]] static bool digest_id_equal(const Digest& a,
                                             const Digest& b) noexcept {
     return a.id == b.id;
   }
-  /// Bitwise frame-header equality, the engine side of the redelivery
-  /// contract (field-wise — padding bytes never participate).
+  /// Bitwise frame-header equality (field-wise — padding bytes never
+  /// participate).
   [[nodiscard]] static bool header_bits_equal(
       const FrameHeader& a, const FrameHeader& b) noexcept {
     return a.id == b.id && a.dag_id == b.dag_id &&
@@ -336,7 +339,7 @@ class DensityProtocol {
            a.head_valid == b.head_valid;
   }
   /// Digest counterpart; forwards to the namespace-scope predicate the
-  /// change detector and differential harness already use.
+  /// differential harness also uses.
   [[nodiscard]] static bool digest_bits_equal(const Digest& a,
                                               const Digest& b) noexcept {
     return core::digest_bits_equal(a, b);
@@ -364,16 +367,6 @@ class DensityProtocol {
   }
 
   // --- quiescence concept (sim::QuiescentProtocol) ----------------------
-  /// What a node did during the step that just ran, from the point of
-  /// view of the dirty-region stepper: did any rule-relevant part of its
-  /// own state change (it must step again), and did any frame-visible
-  /// part change (its neighbors must step too — knowledge travels one
-  /// hop per step, so one hop of wake-up is exactly enough).
-  struct Activity {
-    bool state_changed = false;
-    bool frame_changed = false;
-  };
-
   /// Turns per-node change detection on or off. Off (the default) the
   /// hot paths are exactly the classic ones — `deliver` overwrites
   /// without comparing, `tick` sweeps without snapshotting. Turning it
@@ -389,16 +382,17 @@ class DensityProtocol {
   /// this is exactly `tick`.
   bool maybe_tick(graph::NodeId node);
 
-  /// Returns and clears the node's accumulated activity flags for the
-  /// step that just completed. Only meaningful with tracking enabled.
-  [[nodiscard]] Activity consume_activity(graph::NodeId node);
+  /// Returns and clears whether any rule-relevant part of the node's
+  /// state changed during the step that just completed (it must step
+  /// again). Whether its frame changed is the engine's row grade, not
+  /// this bit. Only meaningful with tracking enabled.
+  [[nodiscard]] bool consume_activity(graph::NodeId node);
 
   /// Nodes whose state was mutated from outside the step loop since the
   /// last call (fault injection, `mutable_state`, severed links). The
-  /// dirty-region stepper drains this before each step and wakes each
-  /// listed node together with its closed neighborhood — in full
-  /// stepping those neighbors would hear the mutated frame that same
-  /// step, so the wake must not lag by one. Sorted ascending.
+  /// stepper drains this before each step and queues each listed node,
+  /// so its row is rebuilt that step and, if the frame moved, its grade
+  /// wakes the neighbors that same step. Sorted ascending.
   [[nodiscard]] std::vector<graph::NodeId> take_external_wakes();
 
   // --- observation ----------------------------------------------------
@@ -523,7 +517,7 @@ class DensityProtocol {
   void rule_r2(NodeState& s);
 
   /// Marks a node as mutated outside the step loop (tracking only):
-  /// pending, not self-stable, both step flags raised, queued for
+  /// pending, not self-stable, change bit raised, queued for
   /// `take_external_wakes`.
   void externally_touched(graph::NodeId p);
   void tracked_tick(graph::NodeId node);
@@ -569,8 +563,6 @@ class DensityProtocol {
   std::vector<std::uint8_t> stable_;
   /// Step-scoped: some rule-relevant state changed this step.
   std::vector<std::uint8_t> step_state_changed_;
-  /// Step-scoped: some frame-visible state changed this step.
-  std::vector<std::uint8_t> step_frame_changed_;
   std::vector<std::uint8_t> external_mark_;
   std::vector<graph::NodeId> external_list_;
 };

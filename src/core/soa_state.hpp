@@ -84,21 +84,13 @@ struct ScalarRow {
                    cols.parent_valid[i]};
 }
 
-/// True iff the *frame-visible* part of the row changed: everything a
-/// neighbor could observe through a broadcast (Id_p, d_p, H(p) and the
-/// valid bits that travel in the frame header). Parent changes are
-/// local — they never enter a frame — so they wake the node itself but
-/// not its neighbors.
-[[nodiscard]] inline bool frame_scalars_differ(const ScalarRow& a,
-                                               const ScalarRow& b) noexcept {
-  return a.dag_id != b.dag_id || !double_bits_equal(a.metric, b.metric) ||
-         a.metric_valid != b.metric_valid || a.head != b.head ||
-         a.head_valid != b.head_valid;
-}
-
+/// True iff every shared variable of the two rows is bit-equal (doubles
+/// compare as bit patterns).
 [[nodiscard]] inline bool rows_bitwise_equal(const ScalarRow& a,
                                              const ScalarRow& b) noexcept {
-  return !frame_scalars_differ(a, b) && a.parent == b.parent &&
+  return a.dag_id == b.dag_id && double_bits_equal(a.metric, b.metric) &&
+         a.metric_valid == b.metric_valid && a.head == b.head &&
+         a.head_valid == b.head_valid && a.parent == b.parent &&
          a.parent_valid == b.parent_valid;
 }
 
@@ -179,9 +171,9 @@ using RankKeyColumn = std::vector<PackedRank>;
   return best;
 }
 
-/// Number of rows whose frame-visible scalars differ — the population
-/// analogue of `frame_scalars_differ`, used by bench_micro to measure
-/// the diff kernel at scale.
+/// Number of rows whose scalars differ — the population analogue of
+/// `rows_bitwise_equal`, used by bench_micro to measure the diff kernel
+/// at scale.
 [[nodiscard]] inline std::size_t count_divergent_rows(const NodeScalars& a,
                                                       const NodeScalars& b) {
   const std::size_t n = a.size();

@@ -117,6 +117,11 @@ class ActivityTracker {
   [[nodiscard]] std::span<const graph::NodeId> active() const noexcept {
     return current_list_;
   }
+  /// The wakes accumulated for the next `begin_step`, in wake order;
+  /// valid until the next `wake` or `begin_step`.
+  [[nodiscard]] std::span<const graph::NodeId> pending() const noexcept {
+    return next_list_;
+  }
 
   void record(std::size_t stepped, std::size_t skipped) noexcept {
     nodes_stepped_ += stepped;

@@ -51,6 +51,25 @@ concept ArenaProtocol =
       p.deliver(node, header, in);
     };
 
+/// Optional row-equality extension: the protocol's own equality
+/// predicates over frame headers and digests (field-wise, so padding
+/// bytes never participate), with which the synchronous engine grades
+/// every rebuilt frame row against the row before it, so engine and
+/// protocol agree on what "unchanged" means. Row grades (a bitmask):
+/// bit-equality implies id-equality, so the valid values are 0,
+/// kRowIdsEqual and kRowIdsEqual | kRowBitsEqual.
+inline constexpr unsigned char kRowIdsEqual = 1;   // id sequence held
+inline constexpr unsigned char kRowBitsEqual = 2;  // whole row bit-equal
+
+template <typename P>
+concept RowEqualityProtocol =
+    requires(const typename P::FrameHeader& header,
+             const typename P::Digest& digest) {
+      { P::header_bits_equal(header, header) } -> std::convertible_to<bool>;
+      { P::digest_bits_equal(digest, digest) } -> std::convertible_to<bool>;
+      { P::digest_id_equal(digest, digest) } -> std::convertible_to<bool>;
+    };
+
 /// Optional redelivery extension: when an engine can prove every frame a
 /// receiver hears bit-identical to the one it consumed last step
 /// (double-buffered arena rows + a loss-free medium), it may offer them
@@ -58,31 +77,18 @@ concept ArenaProtocol =
 /// sequence held as `deliver_payload(receiver, header, digests,
 /// bits_equal)`, where the protocol can skip its compare/delta machinery
 /// and overwrite in place (or, for a row proved bit-equal as a whole,
-/// only refresh it). Either call
-/// performs the remaining side effects and returns true, or returns
-/// false to demand per-frame `deliver` — both must decline when the
-/// receiver's cache was mutated from outside the step loop since the
-/// last full sweep. The row compares use the protocol's own equality
-/// predicates so engine and protocol agree on what "unchanged" means
-/// (padding bytes never participate).
-///
-/// Row grades the engine's phase-1 compare produces (a bitmask):
-/// bit-equality implies id-equality, so the valid values are 0,
-/// kRowIdsEqual and kRowIdsEqual | kRowBitsEqual.
-inline constexpr unsigned char kRowIdsEqual = 1;   // id sequence held
-inline constexpr unsigned char kRowBitsEqual = 2;  // whole row bit-equal
-
+/// only refresh it). Either call performs the remaining side effects and
+/// returns true, or returns false to demand per-frame `deliver` — both
+/// must decline when the receiver's cache was mutated from outside the
+/// step loop since the last full sweep.
 template <typename P>
 concept RedeliveryProtocol =
+    RowEqualityProtocol<P> &&
     requires(P& p, graph::NodeId receiver, std::size_t heard,
              const typename P::FrameHeader& header,
-             std::span<const typename P::Digest> in,
-             const typename P::Digest& digest) {
+             std::span<const typename P::Digest> in) {
       { p.redeliver_unchanged(receiver, heard) } -> std::convertible_to<bool>;
       { p.deliver_payload(receiver, header, in, true) } -> std::convertible_to<bool>;
-      { P::header_bits_equal(header, header) } -> std::convertible_to<bool>;
-      { P::digest_bits_equal(digest, digest) } -> std::convertible_to<bool>;
-      { P::digest_id_equal(digest, digest) } -> std::convertible_to<bool>;
     };
 
 /// Optional async extension: the protocol is told the virtual time of
@@ -118,22 +124,25 @@ concept TopologyAwareProtocol = requires(P& p, graph::NodeId a,
 ///     it swept (the async engine's dirty activations and every
 ///     synchronous step use this in place of tick; untracked, it is
 ///     exactly tick);
-///   * consume_activity(p) reports and clears what changed during the
-///     step that just ran — `state_changed` keeps p itself awake,
-///     `frame_changed` wakes p's neighbors and marks p's frame row for
-///     rebuild (the synchronous stepper's one-hop activity
-///     propagation);
+///   * consume_activity(p) reports and clears whether p's state changed
+///     during the step that just ran — one bit, which keeps p awake and
+///     queues its frame row for rebuild;
 ///   * take_external_wakes() lists nodes mutated from outside the step
-///     loop (fault injection, severed links) so the stepper can wake
-///     their closed neighborhoods before the next step.
+///     loop (fault injection, severed links) so the stepper can queue
+///     them before the next step.
+///
+/// Whether p's *frame* changed — whether p's neighbors must step — is
+/// never the protocol's call: the synchronous engine grades p's rebuilt
+/// row with the row-equality predicates, which the extension therefore
+/// requires.
 template <typename P>
 concept QuiescentProtocol =
+    RowEqualityProtocol<P> &&
     requires(P& p, const P& cp, graph::NodeId node) {
       p.set_activity_tracking(true);
       { cp.activity_tracking() } -> std::convertible_to<bool>;
       { p.maybe_tick(node) } -> std::convertible_to<bool>;
-      { p.consume_activity(node).state_changed } -> std::convertible_to<bool>;
-      { p.consume_activity(node).frame_changed } -> std::convertible_to<bool>;
+      { p.consume_activity(node) } -> std::convertible_to<bool>;
       { p.take_external_wakes() } -> std::convertible_to<std::vector<graph::NodeId>>;
     };
 

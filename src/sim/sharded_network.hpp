@@ -27,26 +27,31 @@
 //     void end_step(NodeId node);                  // cache aging etc.
 //   };
 //
-// The redelivery, quiescence and topology-aware extensions
-// (sim/scheduler.hpp) are detected with `if constexpr` and unlock the
-// row-grading fast paths, activity tracking and severed-link hooks.
+// The row-equality, redelivery, quiescence and topology-aware
+// extensions (sim/scheduler.hpp) are detected with `if constexpr` and
+// unlock the row grades, the redelivery fast paths, activity tracking
+// and severed-link hooks.
 //
 // One stepper, two kinds of step. With the quiescence extension and a
 // medium that always delivers, the engine arms the protocol's change
-// detector and keeps an active set: a node steps only when its closed
-// neighborhood changed last step (consume_activity, external wakes,
-// topology wakes); every other node sits at a fixpoint with unchanged
-// inputs, so skipping it is bit-identical (docs/ARCHITECTURE.md §7 has
-// the induction). Every node owns one persistent row in its shard's
-// frame arena, and after every build phase each row equals the frame
-// its node would build then. A *whole* step rebuilds and grades every
-// row; a *subset* step rebuilds only the rows of nodes whose frame
-// changed or that were mutated from outside — every other row is
-// bit-equal by construction. The kind is a global rule on the
-// stale-row count (kWholeBuildShare), so it never depends on shard or
-// thread count, and it moves no counter. Lossy media and protocols without the extension
-// step every node with whole builds. `set_stepping` picks only the
-// counter definitions (and, for kDirty, demands a loss-free medium).
+// detector and keeps an active set. Every node owns one persistent row
+// in its shard's frame arena, and after every build phase each row
+// equals the frame its node would build then. A step rebuilds the rows
+// of the *queued* nodes — those whose state changed last step
+// (consume_activity), that were mutated from outside, or that a
+// topology change woke — and grades each against the row before it;
+// every other row is bit-equal by construction. The queued nodes step,
+// and so does every neighbor of a rebuilt row that is not bit-equal:
+// the grade is the one test of whether a frame changed. Every other
+// node sits at a fixpoint with unchanged inputs, so skipping it is
+// bit-identical (docs/ARCHITECTURE.md §7 has the induction). A *whole*
+// step rebuilds every row, a *subset* step only the queued ones; the
+// kind is a global rule on the queued count (kWholeBuildShare), so it
+// never depends on shard or thread count, and it moves no counter but
+// rows_rebuilt and subset_steps. A step with nothing queued runs no
+// phase at all. Lossy media and protocols without the extension step
+// every node with whole builds. `set_stepping` picks only the counter
+// definitions (and, for kDirty, demands a loss-free medium).
 //
 // Shards. The node range [0, n) is carved into contiguous ranges
 // ("shards"); every parallel phase is "one task per shard". A shard owns
@@ -54,8 +59,8 @@
 // shard-owned state plus the wake mailboxes of its own row
 // (wake_mb_[writer * S + reader]). Arenas are written only in the build
 // phase, so after its barrier a receiver reads a remote sender's row
-// straight from the owning shard's arena; wakes are the only traffic
-// that crosses shards through mailboxes. The threads-only constructor
+// straight from the owning shard's arena; grade wakes are the only
+// traffic that crosses shards through mailboxes. The threads-only constructor
 // cuts one contiguous shard per worker (one shard at the default single
 // thread); at million-node scale callers pass bounds from
 // graph::plan_spatial_shards over a cell-major renumbered world, so
@@ -67,15 +72,19 @@
 // engine-owned frame rows they are handed); only `make_frame` reads a
 // node for someone else, and it runs before any of them.
 //
-// Phases. (1) build — each shard drains its inbound wake mailboxes,
-// promotes its wake set to this step's work list, and rebuilds (whole or
-// subset) and grades its rows; (2) loss — serial per-edge decisions
-// (lossy media only); (3) receive — for each stepped node q in ascending
-// order, deliver every heard frame in ascending-sender order, then
-// tick(q) (maybe_tick with the quiescence extension, which also skips a
-// sweep the protocol proves a no-op), end_step(q) and, under tracking,
-// consume_activity(q) and the one-hop wake propagation. Phases are
-// separated by barriers.
+// Phases. (0) prologue — serial: externally mutated nodes join the
+// queue, and the queued count picks the kind of step; (1) build — each
+// shard rebuilds (whole or subset) and grades its rows, and every row
+// that is not bit-equal wakes its sender's neighbors, local ones in the
+// shard's tracker, remote ones through the wake mailboxes; (2) loss —
+// serial per-edge decisions (lossy media only); (3) receive — each
+// shard drains its inbound mailboxes and promotes its wake set to the
+// step's work list, then for each stepped node q in ascending order
+// delivers every heard frame in ascending-sender order, then tick(q)
+// (maybe_tick with the quiescence extension, which also skips a sweep
+// the protocol proves a no-op), end_step(q) and, under tracking,
+// consume_activity(q), whose bit queues q for the next step. Phases
+// are separated by barriers.
 //
 // Determinism argument (the property the differential tests assert):
 // every row of a step is built before the receive pass starts, so no
@@ -85,8 +94,8 @@
 // then every tick, then every end_step; each receiver pulls its heard
 // rows in ascending-sender order (its sorted CSR row), from whichever
 // arena owns them, so *which* bytes it sees never depends on shard or
-// thread count; and wakes land only in the trackers' double-buffered
-// next sets or the wake mailboxes, which begin_step sorts. Stateful loss
+// thread count; and wakes land only in the trackers' wake sets or the
+// wake mailboxes, which begin_step sorts. Stateful loss
 // models are polled serially in sender-major order, so their RNG draw
 // sequence is that of the owning-frame reference stepper the tests keep
 // as their oracle (tests/support/reference_stepper.hpp). Hence:
@@ -103,6 +112,7 @@
 #include <stdexcept>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -121,7 +131,7 @@ class ShardedNetwork {
                 "(flat frame headers + digest pools)");
 
  public:
-  /// A step rebuilds every row once the rows to rebuild reach
+  /// A step rebuilds every row once the queued rows reach
   /// 1/kWholeBuildShare of the population, and only those rows below it
   /// (docs/BENCHMARKS.md has the ablation that picked the share).
   static constexpr std::size_t kWholeBuildShare = 2;
@@ -152,11 +162,8 @@ class ShardedNetwork {
     for (std::size_t s = 0; s < S; ++s) {
       shards_[s].begin = bounds_[s];
       shards_[s].end = bounds_[s + 1];
-      // Sized once, so tracked steps never grow them.
-      const std::size_t local_n = bounds_[s + 1] - bounds_[s];
-      shards_[s].stale_mark.assign(local_n, 0);
-      shards_[s].stale.reserve(local_n);
-      shards_[s].graded.reserve(local_n);
+      // Sized once, so tracked steps never grow it.
+      shards_[s].changed.reserve(bounds_[s + 1] - bounds_[s]);
     }
     wake_mb_.resize(S * S);
     threads = effective_threads(threads);
@@ -254,13 +261,16 @@ class ShardedNetwork {
   }
 
   /// Seeds the activity set from outside knowledge — e.g.
-  /// `graph::DynamicGraph::dirty_nodes()` after a live patch: wakes each
-  /// listed node and its closed neighborhood (under tracking), crossing
-  /// shard boundaries directly — callers run between steps, where every
-  /// tracker is safely writable.
+  /// `graph::DynamicGraph::dirty_nodes()` after a live patch: queues each
+  /// listed node and its closed neighborhood (under tracking) in the
+  /// owners' trackers — callers run between steps, where every tracker
+  /// is safely writable.
   void mark_dirty(std::span<const graph::NodeId> nodes) {
     if (!tracked_) return;
-    for (const graph::NodeId p : nodes) wake_closed(p);
+    for (const graph::NodeId p : nodes) {
+      wake(p);
+      for (const graph::NodeId r : graph_->neighbors(p)) wake(r);
+    }
   }
 
   /// The effective worker count: 0 resolved to hardware concurrency,
@@ -271,7 +281,7 @@ class ShardedNetwork {
 
   [[nodiscard]] std::size_t steps_run() const noexcept { return steps_; }
 
-  /// Steps that rebuilt only the stale rows (the rest rebuilt every
+  /// Steps that rebuilt only the queued rows (the rest rebuilt every
   /// row), and frame rows rebuilt across all steps so far; functions of
   /// the active-set history alone, so identical for any shard/thread
   /// count.
@@ -298,7 +308,7 @@ class ShardedNetwork {
   /// row. Rows a step does not rebuild are bit-equal and never count, so
   /// the total does not depend on the kind of step. Folded serially in
   /// shard order, so identical for any shard/thread count. Zero for
-  /// protocols without the redelivery extension.
+  /// protocols without the row-equality extension.
   [[nodiscard]] std::uint64_t delta_rows_graded() const noexcept {
     return delta_rows_graded_;
   }
@@ -314,9 +324,10 @@ class ShardedNetwork {
   /// `delta` (dynamic-topology runs; the owner mutates the graph via
   /// graph::DynamicGraph, then calls this). Topology-aware protocols get
   /// told about every severed link so the stale neighbor caches die now
-  /// rather than by aging; the row hints drop; under tracking the closed
-  /// neighborhoods of both endpoints of every patched edge wake. Call
-  /// between steps.
+  /// rather than by aging; the row hints drop; under tracking both
+  /// endpoints of every patched edge are queued — they hear a different
+  /// set of rows — and the grades of their rebuilt rows decide whether
+  /// their neighbors step. Call between steps.
   void apply_topology_delta(const graph::EdgeDelta& delta) {
     row_hints_valid_ = false;
     if constexpr (TopologyAwareProtocol<Protocol>) {
@@ -325,13 +336,11 @@ class ShardedNetwork {
       }
     }
     if (!tracked_) return;
-    for (const auto& [a, b] : delta.added) {
-      wake_closed(a);
-      wake_closed(b);
-    }
-    for (const auto& [a, b] : delta.removed) {
-      wake_closed(a);
-      wake_closed(b);
+    for (const auto* edges : {&delta.added, &delta.removed}) {
+      for (const auto& [a, b] : *edges) {
+        wake(a);
+        wake(b);
+      }
     }
   }
 
@@ -342,73 +351,69 @@ class ShardedNetwork {
     const bool tracked = tracked_;
     loss_->begin_step();
 
-    // Prologue (tracking): externally mutated nodes wake their closed
-    // neighborhood — in a full sweep those neighbors would hear the
-    // mutated frame this very step — and queue their rows for rebuild,
-    // each owner shard in parallel (remote neighbors through the wake
-    // mailboxes, drained in phase 1). Then the global choice of the kind
-    // of step.
-    std::size_t stale = n;
+    // Prologue (tracking): externally mutated nodes join the queue — the
+    // grade of their rebuilt rows decides whether their neighbors step.
+    // The queued nodes are the rows to rebuild, and their count is the
+    // global choice of the kind of step.
+    std::size_t queued = n;
     if constexpr (QuiescentProtocol<Protocol>) {
       if (tracked) {
-        const auto external = protocol_->take_external_wakes();
-        if (!external.empty()) {
-          for_shards([this, &external](std::size_t t) {
-            wake_external(t, external);
-          });
+        for (const graph::NodeId p : protocol_->take_external_wakes()) {
+          wake(p);
         }
-        stale = 0;
-        for (const Shard& sh : shards_) stale += sh.stale.size();
+        queued = 0;
+        for (const Shard& sh : shards_) queued += sh.tracker.pending().size();
       }
     }
-    const bool whole = !arena_built_ || stale * kWholeBuildShare >= n;
+    const bool whole = !arena_built_ || queued * kWholeBuildShare >= n;
     subset_steps_ += whole ? 0 : 1;
-    rows_rebuilt_ += whole ? n : stale;
+    rows_rebuilt_ += whole ? n : queued;
 
-    // Phase 1 (parallel by shard): promote the wake set, then rebuild
-    // the shard's rows (all of them, or only the stale ones) and grade
-    // each rebuilt row against its predecessor.
-    if constexpr (RedeliveryProtocol<Protocol>) row_unchanged_.resize(n);
-    for_shards([this, tracked, whole](std::size_t s) {
-      Shard& sh = shards_[s];
-      sh.sparse_rows = sh.refreshed = sh.delivered = 0;
-      if (tracked) promote_wakes(s);
-      if (whole) {
-        build_whole(sh);
-      } else {
-        build_stale(sh);
-      }
-    });
-    arena_built_ = true;
-    std::size_t stepped = n;
-    if (tracked) {
-      stepped = 0;
-      for (const Shard& sh : shards_) stepped += sh.tracker.active().size();
-    }
-
-    // Phase 2 (serial unless τ = 1): per-edge loss decisions polled in
-    // the classic sender-major order, so stateful loss models draw the
-    // exact RNG sequence of the owning-frame reference stepper; the
-    // decision for p → q is stored at q's incoming CSR slot via the
-    // mirror index.
     const auto offsets = g.csr_offsets();
     const auto flat = g.csr_neighbors();
     const bool hear_all = loss_->always_delivers();
-    if (!hear_all) {
-      incoming_.resize(flat.size());
-      for (std::size_t p = 0; p < n; ++p) {
-        for (std::size_t e = offsets[p]; e < offsets[p + 1]; ++e) {
-          const bool heard =
-              loss_->delivered(static_cast<graph::NodeId>(p), flat[e]);
-          incoming_[g.mirror_edge(e)] = heard;
-          messages_delivered_ += heard;
+    if (!whole && queued == 0) {
+      // Nothing queued: no row changes, so no node steps.
+      for (Shard& sh : shards_) sh.tracker.begin_step();
+    } else {
+      // Phase 1 (parallel by shard): rebuild the shard's rows (all of
+      // them, or only the queued ones), grade each rebuilt row against
+      // its predecessor, and wake the neighbors of every row that is not
+      // bit-equal — they hear it this very step.
+      if constexpr (kGraded) row_unchanged_.resize(n);
+      for_shards([this, tracked, whole](std::size_t s) {
+        Shard& sh = shards_[s];
+        if (whole) {
+          build_whole(sh);
+        } else {
+          build_queued(sh);
+        }
+        if (!tracked) return;
+        for (const graph::NodeId i : sh.changed) {
+          wake_neighbors(s, static_cast<graph::NodeId>(sh.begin + i));
+        }
+      });
+      arena_built_ = true;
+
+      // Phase 2 (serial unless τ = 1): per-edge loss decisions polled in
+      // the classic sender-major order, so stateful loss models draw the
+      // exact RNG sequence of the owning-frame reference stepper; the
+      // decision for p → q is stored at q's incoming CSR slot via the
+      // mirror index.
+      if (!hear_all) {
+        incoming_.resize(flat.size());
+        for (std::size_t p = 0; p < n; ++p) {
+          for (std::size_t e = offsets[p]; e < offsets[p + 1]; ++e) {
+            const bool heard =
+                loss_->delivered(static_cast<graph::NodeId>(p), flat[e]);
+            incoming_[g.mirror_edge(e)] = heard;
+            messages_delivered_ += heard;
+          }
         }
       }
-    }
 
-    // Phase 3 (parallel by destination shard): the receive pass over the
-    // stepped nodes (every node when untracked).
-    if (stepped > 0) {
+      // Phase 3 (parallel by destination shard): the receive pass over
+      // the stepped nodes (every node when untracked).
       const bool hints = row_hints_valid_ && hear_all;
       for_shards([this, tracked, hints, hear_all](std::size_t t) {
         receive(t, tracked, hints, hear_all);
@@ -417,22 +422,25 @@ class ShardedNetwork {
 
     // Serial epilogue: fold the per-shard tallies in shard order, so the
     // aggregates are identical for any thread count.
-    if constexpr (RedeliveryProtocol<Protocol>) {
-      for (Shard& sh : shards_) {
-        delta_rows_graded_ += sh.sparse_rows;
-        receivers_refreshed_ += sh.refreshed;
-      }
-      // Hints are trustworthy next step only if *this* step delivered
-      // every row to every listener (loss would leave some caches
-      // behind the rows the grades compare against).
-      row_hints_valid_ = hear_all;
-    }
-    if (tracked && stepping_ == Stepping::kDirty) {
-      for (Shard& sh : shards_) {
-        const std::size_t active = sh.tracker.active().size();
-        messages_delivered_ += sh.delivered;
+    const bool dirty = tracked && stepping_ == Stepping::kDirty;
+    std::size_t stepped = tracked ? 0 : n;
+    for (Shard& sh : shards_) {
+      delta_rows_graded_ += std::exchange(sh.sparse_rows, 0);
+      receivers_refreshed_ += std::exchange(sh.refreshed, 0);
+      const std::uint64_t delivered = std::exchange(sh.delivered, 0);
+      if (!tracked) continue;
+      const std::size_t active = sh.tracker.active().size();
+      stepped += active;
+      if (dirty) {
+        messages_delivered_ += delivered;
         sh.tracker.record(active, (sh.end - sh.begin) - active);
       }
+    }
+    // Hints are trustworthy next step only if *this* step delivered every
+    // row to every listener (loss would leave some caches behind the rows
+    // the grades compare against).
+    row_hints_valid_ = hear_all;
+    if (dirty) {
       stats_.record(stepped, n - stepped);
     } else {
       if (hear_all) messages_delivered_ += flat.size();
@@ -447,15 +455,20 @@ class ShardedNetwork {
   }
 
  private:
+  /// Rows are graded whenever the protocol has the row-equality
+  /// predicates (always under tracking: the quiescence extension
+  /// requires them).
+  static constexpr bool kGraded = RowEqualityProtocol<Protocol>;
+
   struct Shard {
     std::size_t begin = 0;
     std::size_t end = 0;
     // Frame arena: one row per owned node (local index) — its header and
     // the digests at pool[offsets[i], offsets[i] + lengths[i]). A whole
-    // build lays the rows out back to back; a stale build may leave dead
+    // build lays the rows out back to back; a subset build may leave dead
     // digests behind (`dead` of them) until it compacts. `prev_*` is the
     // other half of the double buffer: a whole build swaps the live rows
-    // there and grades the fresh rows against them, a stale build keeps
+    // there and grades the fresh rows against them, a subset build keeps
     // the old bytes of its same-length rows there, and compaction re-lays
     // the pool through it.
     std::vector<typename Protocol::FrameHeader> headers;
@@ -467,13 +480,10 @@ class ShardedNetwork {
     std::vector<typename Protocol::Digest> prev_pool;
     std::vector<std::size_t> prev_offsets;
     std::vector<std::size_t> prev_lengths;
-    // Rows to rebuild at the next step (local indices, unsorted, marked
-    // once), and the rows the last stale build graded (their grades
-    // revert to bit-equal next step).
-    std::vector<graph::NodeId> stale;
-    std::vector<std::uint8_t> stale_mark;
-    std::vector<graph::NodeId> graded;
-    bool graded_all = false;  // the last build was whole
+    // The rows the last build graded not bit-equal (local indices): their
+    // senders' neighbors step, and their grades revert to bit-equal at
+    // the next subset build.
+    std::vector<graph::NodeId> changed;
     // This step's tallies, folded serially into the engine totals.
     std::uint64_t sparse_rows = 0;
     std::uint64_t refreshed = 0;
@@ -517,20 +527,18 @@ class ShardedNetwork {
 
   void wake_all() {
     for (Shard& sh : shards_) sh.tracker.reset(sh.end - sh.begin, true);
-    for (auto& mb : wake_mb_) mb.clear();
   }
 
-  /// Wakes `p` and its neighbors; between steps only.
-  void wake_closed(graph::NodeId p) {
-    const std::size_t t = shard_of(p);
-    shards_[t].tracker.wake(static_cast<graph::NodeId>(p - shards_[t].begin));
-    wake_neighbors(t, p);
+  /// Queues `p` in its owner's tracker; serial code only.
+  void wake(graph::NodeId p) {
+    Shard& sh = shards_[shard_of(p)];
+    sh.tracker.wake(static_cast<graph::NodeId>(p - sh.begin));
   }
 
-  /// Wakes the neighbors of `q`, a node of shard `t`: the shard's own in
-  /// its tracker, the rest through the wake mailboxes of row `t`, which
-  /// their owners drain at the next build phase. Runs in shard `t`'s
-  /// task or between steps.
+  /// Wakes the neighbors of `q`, a node of shard `t`, from shard `t`'s
+  /// build task: the shard's own in its tracker, the rest through the
+  /// wake mailboxes of row `t`, which their owners drain at the start of
+  /// the receive pass.
   void wake_neighbors(std::size_t t, graph::NodeId q) {
     Shard& sh = shards_[t];
     const std::size_t S = shard_count();
@@ -541,29 +549,6 @@ class ShardedNetwork {
         wake_mb_[t * S + shard_of(r)].push_back(r);
       }
     }
-  }
-
-  /// The prologue for shard `t`: its externally mutated nodes (a range
-  /// of the sorted `external`) queue their rows and wake their closed
-  /// neighborhood.
-  void wake_external(std::size_t t, std::span<const graph::NodeId> external) {
-    Shard& sh = shards_[t];
-    const auto lo = std::lower_bound(external.begin(), external.end(),
-                                     static_cast<graph::NodeId>(sh.begin));
-    const auto hi = std::lower_bound(lo, external.end(),
-                                     static_cast<graph::NodeId>(sh.end));
-    for (auto it = lo; it != hi; ++it) {
-      const std::size_t local = *it - sh.begin;
-      mark_stale(sh, local);
-      sh.tracker.wake(static_cast<graph::NodeId>(local));
-      wake_neighbors(t, *it);
-    }
-  }
-
-  static void mark_stale(Shard& sh, std::size_t local) {
-    if (sh.stale_mark[local]) return;
-    sh.stale_mark[local] = 1;
-    sh.stale.push_back(static_cast<graph::NodeId>(local));
   }
 
   /// Drains shard `t`'s inbound wake mailboxes into its tracker, then
@@ -581,12 +566,12 @@ class ShardedNetwork {
     sh.tracker.begin_step();
   }
 
-  /// The row grade of a freshly built row against its predecessor, with
-  /// the same bitwise field-equality contract as the protocol's own
-  /// change detection: id sequence held (payload overwrite suffices —
-  /// the common active regime) or whole row bit-equal (an all-bit-equal
-  /// receiver only resets ages — the quiescent regime). Ids-equal rows
-  /// with at most half the digests moved count as sparse-change rows.
+  /// The row grade of a freshly built row against its predecessor, by the
+  /// protocol's own field-equality predicates: id sequence held (payload
+  /// overwrite suffices — the common active regime) or whole row
+  /// bit-equal (nobody needs to hear it again; an all-bit-equal receiver
+  /// only resets ages — the quiescent regime). Ids-equal rows with at
+  /// most half the digests moved count as sparse-change rows.
   static unsigned char grade_row(const typename Protocol::FrameHeader& h,
                                  const typename Protocol::Digest* a,
                                  std::size_t len,
@@ -617,7 +602,7 @@ class ShardedNetwork {
   }
 
   /// Swaps the digest pool's halves and gives both the larger capacity:
-  /// the halves alternate (and a stale build mirrors the live half into
+  /// the halves alternate (and a subset build mirrors the live half into
   /// the other), so both reach the high-water mark together and later
   /// builds stay allocation-free.
   static void swap_pools(Shard& sh) {
@@ -628,14 +613,14 @@ class ShardedNetwork {
     sh.prev_pool.reserve(cap);
   }
 
-  /// Rebuilds every owned row, back to back. Redelivery protocols
+  /// Rebuilds every owned row, back to back. Graded protocols
   /// double-buffer: the live rows move to prev_* first, then each fresh
   /// row is graded against its predecessor (one pass over two buffers
   /// instead of a gathered per-edge compare in phase 3) — except at the
   /// first build, which grades every row 0.
   void build_whole(Shard& sh) {
     const std::size_t local_n = sh.end - sh.begin;
-    if constexpr (RedeliveryProtocol<Protocol>) {
+    if constexpr (kGraded) {
       std::swap(sh.headers, sh.prev_headers);
       swap_pools(sh);
       std::swap(sh.offsets, sh.prev_offsets);
@@ -658,49 +643,46 @@ class ShardedNetwork {
           static_cast<graph::NodeId>(sh.begin + i), sh.headers[i],
           std::span(sh.pool.data() + sh.offsets[i], sh.lengths[i]));
     }
-    if constexpr (RedeliveryProtocol<Protocol>) {
+    if constexpr (kGraded) {
       // Each shard writes only its owned slice of the global grades.
       const bool cmp = arena_built_;
+      sh.changed.clear();
       for (std::size_t i = 0; i < local_n; ++i) {
-        row_unchanged_[sh.begin + i] =
+        const unsigned char grade =
             cmp ? grade_row(sh.headers[i], sh.pool.data() + sh.offsets[i],
                             sh.lengths[i], sh.prev_headers[i],
                             sh.prev_pool.data() + sh.prev_offsets[i],
                             sh.prev_lengths[i], sh.sparse_rows)
                 : 0;
+        row_unchanged_[sh.begin + i] = grade;
+        if ((grade & kRowBitsEqual) == 0) {
+          sh.changed.push_back(static_cast<graph::NodeId>(i));
+        }
       }
-      sh.graded_all = true;
     }
-    for (const graph::NodeId i : sh.stale) sh.stale_mark[i] = 0;
-    sh.stale.clear();
   }
 
-  /// Rebuilds only the stale rows; every other row is bit-equal to its
-  /// predecessor by construction and keeps the bit-equal grade. A row
-  /// that keeps its length or shrinks is rebuilt in place; a row that
-  /// grows moves to the end of the pool. Once a quarter of the pool is
-  /// dead the live rows are re-laid back to back, so the pool stays
+  /// Rebuilds only the queued rows (the shard's pending wakes, taken
+  /// before any grade wake joins them); every other row is bit-equal to
+  /// its predecessor by construction and keeps the bit-equal grade. A
+  /// row that keeps its length or shrinks is rebuilt in place; a row
+  /// that grows moves to the end of the pool. Once a quarter of the pool
+  /// is dead the live rows are re-laid back to back, so the pool stays
   /// within 4/3 of its live digests and each rebuilt row costs its own
   /// length, amortized.
-  void build_stale(Shard& sh) {
-    constexpr bool kGraded = RedeliveryProtocol<Protocol>;
+  void build_queued(Shard& sh) {
     const std::size_t local_n = sh.end - sh.begin;
     if constexpr (kGraded) {
       unsigned char* grades = row_unchanged_.data() + sh.begin;
-      if (sh.graded_all) {
-        std::fill(grades, grades + local_n, kRowIdsEqual | kRowBitsEqual);
-      } else {
-        for (const graph::NodeId i : sh.graded) {
-          grades[i] = kRowIdsEqual | kRowBitsEqual;
-        }
+      for (const graph::NodeId i : sh.changed) {
+        grades[i] = kRowIdsEqual | kRowBitsEqual;
       }
-      sh.graded_all = false;
+      sh.changed.clear();
       // A same-length row's old bytes, for its grade, are kept in the
       // other pool half at the same offset.
       sh.prev_pool.resize(sh.pool.size());
     }
-    std::sort(sh.stale.begin(), sh.stale.end());
-    for (const graph::NodeId i : sh.stale) {
+    for (const graph::NodeId i : sh.tracker.pending()) {
       const auto p = static_cast<graph::NodeId>(sh.begin + i);
       const std::size_t len = protocol_->digest_count(p);
       const std::size_t old_len = sh.lengths[i];
@@ -720,17 +702,16 @@ class ShardedNetwork {
       protocol_->make_frame(p, sh.headers[i], std::span(row, len));
       if constexpr (kGraded) {
         // A row whose length moved grades 0 whatever its bytes.
-        row_unchanged_[sh.begin + i] =
+        const unsigned char grade =
             len == old_len
                 ? grade_row(sh.headers[i], row, len, old_header,
                             sh.prev_pool.data() + sh.offsets[i], len,
                             sh.sparse_rows)
                 : 0;
+        row_unchanged_[sh.begin + i] = grade;
+        if ((grade & kRowBitsEqual) == 0) sh.changed.push_back(i);
       }
-      sh.stale_mark[i] = 0;
     }
-    std::swap(sh.stale, sh.graded);
-    sh.stale.clear();
     if (sh.dead * 4 > sh.pool.size()) {
       sh.prev_pool.resize(sh.pool.size() - sh.dead);
       std::size_t total = 0;
@@ -770,11 +751,10 @@ class ShardedNetwork {
   /// hints (every listener consumed the graded rows' predecessors), a
   /// receiver whose heard rows are all bit-equal collapses its
   /// deliveries into one redelivery call — its cache entries already
-  /// hold the bytes. Under tracking the receiver then reports its
-  /// activity: a state change keeps it awake, a frame change marks its
-  /// row stale and wakes its neighbors (local ones in the shard's own
-  /// tracker, remote ones through the wake mailboxes, drained at the
-  /// next step's phase 1).
+  /// hold the bytes. Under tracking the pass starts by draining the
+  /// shard's inbound wake mailboxes and promoting its wake set, and each
+  /// receiver ends by reporting its change bit: a state change queues it
+  /// for the next step, which rebuilds and grades its row.
   void receive(std::size_t t, bool tracked, bool hints, bool hear_all) {
     Shard& sh = shards_[t];
     const graph::Graph& g = *graph_;
@@ -820,15 +800,12 @@ class ShardedNetwork {
       return;
     }
     if constexpr (QuiescentProtocol<Protocol>) {
+      promote_wakes(t);
       for (const graph::NodeId lq : sh.tracker.active()) {
         const auto q = static_cast<graph::NodeId>(sh.begin + lq);
         sh.delivered += offsets[q + 1] - offsets[q];
         step_node(q);
-        const auto a = protocol_->consume_activity(q);
-        if (a.state_changed) sh.tracker.wake(lq);
-        if (!a.frame_changed) continue;
-        mark_stale(sh, lq);
-        wake_neighbors(t, q);
+        if (protocol_->consume_activity(q)) sh.tracker.wake(lq);
       }
     }
   }
@@ -846,8 +823,8 @@ class ShardedNetwork {
   bool tracked_ = false;  // change detector armed: the active set is kept
   std::unique_ptr<ThreadPool> pool_;
   std::vector<unsigned char> incoming_;  // per-edge decisions (lossy)
-  // Redelivery: global per-node row grades, each shard writing only its
-  // owned slice in phase 1. The flags say whether the arena holds every
+  // Global per-node row grades (graded protocols), each shard writing
+  // only its owned slice in phase 1. The flags say whether the arena holds every
   // node's current row (false only before the first step) and whether
   // every listener holds the rows the grades compare against: a lossy
   // step, a topology delta or a swapped graph clears the hints for one
@@ -858,9 +835,9 @@ class ShardedNetwork {
   bool arena_built_ = false;
   bool row_hints_valid_ = false;
   ActivityTracker stats_;  // aggregate counters only
-  // Cross-shard wakes, indexed [writer_shard * S + reader_shard]: written
-  // in the receive pass by the shard that stepped the waking node,
-  // drained by the owner at the next step's phase 1.
+  // Cross-shard grade wakes, indexed [writer_shard * S + reader_shard]:
+  // written in the build phase by the shard that graded the changed row,
+  // drained by the owner at the start of the same step's receive pass.
   std::vector<std::vector<graph::NodeId>> wake_mb_;
 };
 

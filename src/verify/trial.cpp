@@ -105,12 +105,6 @@ TrialResult run_trial(const TrialSpec& spec, const TrialHooks* hooks) {
     async.period_s = 1.0;
     async.daemon = sim_daemon(spec.daemon);
     recipe.async = async;
-    // The unfair daemon's victims broadcast unfair_slowdown x slower: the
-    // cache timeout must cover their gap (core::cache_timeout), and one
-    // of *their* rounds spans that many periods, so every daemon gets
-    // the same number of slowest-node rounds.
-    recipe.daemon_slowdown =
-        spec.daemon == Daemon::kUnfair ? async.unfair_slowdown : 1.0;
     util::Rng async_chaos = chaos_rng;
     recipe.initial_state = [&](core::DensityProtocol& protocol) {
       (void)corruptor.apply(protocol, spec.fault, async_chaos);

@@ -245,10 +245,10 @@ TEST_F(CliContract, ProtocolReportsArePinned) {
        0,
        "scheduler=async daemon=unfair period=1s jitter=0.1 link_delay=0.02s\n"
        "cold start: converged at t=20.00s (virtual), 5221 messages to "
-       "convergence, 5998 delivered this phase, 7079 events\n"
+       "convergence, 11434 delivered this phase, 13496 events\n"
        "corrupted 19 nodes\n"
-       "recovery: converged at t=111.00s (virtual), 22812 messages to "
-       "convergence, 23593 delivered this phase, 34927 events\n"
+       "recovery: converged at t=223.00s (virtual), 46522 messages to "
+       "convergence, 52740 delivered this phase, 75740 events\n"
        "final cluster-heads: 8\n"},
       {{"--steps", "40", "--live", "--topology", "rebuild", "--stepping",
         "dirty", "--windows", "4", "--speed-max", "10"},
@@ -256,14 +256,14 @@ TEST_F(CliContract, ProtocolReportsArePinned) {
        "live mode: sync engine, topology=rebuild, random-direction 0-10 m/s, "
        "4 windows of 2s\n"
        "cold start: converged at t=12.00s (virtual), 1944 messages\n"
-       "window   1: +0/-0 edges, re-converged in 30.00s, 3140 messages\n"
-       "window   2: +0/-0 edges, re-converged in 30.00s, 2874 messages\n"
-       "window   3: +0/-0 edges, re-converged in 22.00s, 2463 messages\n"
-       "window   4: +0/-0 edges, re-converged in 26.00s, 3082 messages\n"
-       "re-converged 4/4 windows; mean 27.00s, mean 2890 messages per "
+       "window   1: +0/-0 edges, re-converged in 30.00s, 3035 messages\n"
+       "window   2: +0/-0 edges, re-converged in 30.00s, 2725 messages\n"
+       "window   3: +0/-0 edges, re-converged in 22.00s, 2390 messages\n"
+       "window   4: +0/-0 edges, re-converged in 26.00s, 2886 messages\n"
+       "re-converged 4/4 windows; mean 27.00s, mean 2759 messages per "
        "perturbation\n"
        "final cluster-heads: 7\n"
-       "dirty stepping: 2549 rule sweeps run, 1951 elided\n"},
+       "dirty stepping: 2424 rule sweeps run, 2076 elided\n"},
       {{"--steps", "40", "--live", "--scheduler", "async", "--topology",
         "incremental", "--mobility", "random-waypoint", "--stepping", "dirty",
         "--windows", "4", "--speed-max", "10"},
@@ -296,17 +296,17 @@ TEST_F(CliContract, ProtocolReportsArePinned) {
 // time and message count it never had.
 TEST_F(CliContract, AsyncPhaseThatDidNotConvergeReportsItsHorizon) {
   const auto r = run({"protocol", "--n", "60", "--radius", "0.2", "--steps",
-                      "40", "--scheduler", "async", "--daemon", "unfair",
+                      "20", "--scheduler", "async", "--daemon", "unfair",
                       "--corrupt", "0.3", "--seed", "7"});
   EXPECT_EQ(r.code, 1) << r.err;
   EXPECT_EQ(r.out,
             "scheduler=async daemon=unfair period=1s jitter=0.1 "
             "link_delay=0.02s\n"
             "cold start: converged at t=20.00s (virtual), 5221 messages to "
-            "convergence, 5998 delivered this phase, 7079 events\n"
+            "convergence, 11434 delivered this phase, 13496 events\n"
             "corrupted 19 nodes\n"
-            "recovery: NOT converged at t=63.00s (virtual), 10378 messages "
-            "to convergence, 10378 delivered this phase, 19328 events\n"
+            "recovery: NOT converged at t=204.00s (virtual), 41557 messages "
+            "to convergence, 41557 delivered this phase, 62542 events\n"
             "final cluster-heads: 8\n");
 }
 

@@ -1,7 +1,7 @@
 // The one synchronous stepper: with the quiescence extension and a
 // loss-free medium, sim::ShardedNetwork keeps an active set and runs a
 // whole step (every frame row rebuilt and graded) or a subset step (only
-// the stale rows) as the stale-row count dictates, under either counter
+// the queued rows) as the queued count dictates, under either counter
 // definition (kFull, kDirty). This suite plays one history — cold start,
 // fault epochs, a live topology delta, a swapped graph and a planted
 // phantom — on a ~20k-node world cut into 16 spatial shards, at 1 and 4

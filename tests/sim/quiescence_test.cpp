@@ -2,7 +2,9 @@
 // has converged and topology stops changing, *zero* nodes step — not
 // "cheap steps", none — and a single injected edge delta wakes exactly
 // the delta's closed neighborhood, with no false wakeups and immediate
-// return to quiescence when the wake turns out to be a no-op.
+// return to quiescence when the wake turns out to be a no-op. A fault
+// wakes the neighbors only when the faulted node's frame row really
+// changed: the engine's row grade, not the protocol, decides.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -171,6 +173,32 @@ TEST(Quiescence, AddedEdgeWakesExactlyItsClosedNeighborhood) {
   EXPECT_EQ(active_nodes(net), expected);
 }
 
+TEST(Quiescence, AddedEdgeAloneStepsOnlyItsEndpoints) {
+  // Without mark_dirty, a topology delta queues only the endpoints: they
+  // now hear each other, but no row changed yet, so the grades wake no
+  // one else.
+  const auto w = testsupport::make_deployment(100, 0.13, 12);
+  graph::DynamicGraph dyn(w.graph);
+  auto protocol = make_protocol(w, 6);
+  sim::PerfectDelivery loss;
+  sim::Network net(dyn.view(), protocol, loss, 1);
+  net.set_stepping(sim::Stepping::kDirty);
+  step_to_quiescence(net, 300);
+  if (HasFatalFailure()) return;
+
+  graph::NodeId a = 0, b = 0;
+  for (graph::NodeId q = 1; q < dyn.view().node_count() && b == 0; ++q) {
+    if (!dyn.view().adjacent(a, q)) b = q;
+  }
+  ASSERT_NE(a, b);
+  graph::EdgeDelta delta;
+  delta.added.push_back({a, b});
+  dyn.apply_delta(delta);
+  net.apply_topology_delta(delta);
+  net.step();
+  EXPECT_EQ(active_nodes(net), (std::vector<graph::NodeId>{a, b}));
+}
+
 TEST(Quiescence, SpuriousWakeDiesOutInOneStep) {
   // mark_dirty on an unchanged node: its closed neighborhood re-runs
   // once, finds nothing to do, and the system is quiescent again on the
@@ -192,6 +220,70 @@ TEST(Quiescence, SpuriousWakeDiesOutInOneStep) {
   net.step();
   EXPECT_EQ(net.activity().last_nodes_stepped(), 0u)
       << "a no-op wake must not keep echoing through the activity set";
+}
+
+/// Steps a converged tracked world once after `corrupt` mutates node `p`
+/// from outside, then returns the nodes that step stepped; steps on to
+/// quiescence and checks that every shared variable is back to its
+/// pre-fault value.
+template <typename Corrupt>
+std::vector<graph::NodeId> step_after_fault(const testsupport::World& w,
+                                            graph::NodeId p,
+                                            Corrupt corrupt) {
+  auto protocol = make_protocol(w, 8);
+  sim::PerfectDelivery loss;
+  sim::Network net(w.graph, protocol, loss, 1);
+  net.set_stepping(sim::Stepping::kDirty);
+  step_to_quiescence(net, 300);
+  if (::testing::Test::HasFatalFailure()) return {};
+  const core::NodeScalars frozen = protocol.scalars();
+
+  auto s = protocol.mutable_state(p);
+  corrupt(s);
+  net.step();
+  const auto stepped = active_nodes(net);
+  step_to_quiescence(net, 50);
+  EXPECT_EQ(core::first_divergent_row(frozen, protocol.scalars()),
+            frozen.size())
+      << "the fault did not heal back to the pre-fault state";
+  return stepped;
+}
+
+/// A node of `w` with neighbors that heads no cluster.
+graph::NodeId plain_member(const testsupport::World& w) {
+  auto protocol = make_protocol(w, 8);
+  sim::PerfectDelivery loss;
+  sim::Network net(w.graph, protocol, loss, 1);
+  net.run(60);
+  for (graph::NodeId p = 0; p < w.graph.node_count(); ++p) {
+    const auto s = protocol.state(p);
+    if (w.graph.degree(p) > 0 && !(s.head_valid && s.head == s.uid)) return p;
+  }
+  return 0;
+}
+
+TEST(Quiescence, FrameInvisibleFaultStepsOnlyTheNode) {
+  // The parent pointer never enters a frame: the node's rebuilt row
+  // grades bit-equal, so its neighbors have nothing new to hear and only
+  // the node itself steps.
+  const auto w = testsupport::make_deployment(120, 0.12, 77);
+  const graph::NodeId p = plain_member(w);
+  const auto stepped = step_after_fault(w, p, [](auto& s) {
+    s.parent = s.uid;
+    s.parent_valid = 1;
+  });
+  EXPECT_EQ(stepped, std::vector<graph::NodeId>{p});
+}
+
+TEST(Quiescence, FrameVisibleFaultStepsTheClosedNeighborhood) {
+  // The metric travels in the header: the rebuilt row is not bit-equal,
+  // and the grade wakes every neighbor in the same step.
+  const auto w = testsupport::make_deployment(120, 0.12, 77);
+  const graph::NodeId p = plain_member(w);
+  const auto stepped = step_after_fault(w, p, [](auto& s) {
+    s.metric = s.metric / 2;
+  });
+  EXPECT_EQ(stepped, closed_neighborhood(w.graph, {p}));
 }
 
 TEST(Quiescence, AsyncActivationsKeepFiringButSweepsStop) {

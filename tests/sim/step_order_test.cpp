@@ -114,17 +114,24 @@ struct OrderProtocol {
     tick(q);
     return true;
   }
-  struct Activity {
-    bool state_changed;
-    bool frame_changed;
-  };
-  Activity consume_activity(graph::NodeId q) {
+  bool consume_activity(graph::NodeId q) {
     record({Call::kConsume, q, q});
     const bool moved = changed[q] != 0;
     changed[q] = 0;
-    return {moved, moved};
+    return moved;
   }
   std::vector<graph::NodeId> take_external_wakes() { return {}; }
+  // Row-equality predicates: the engine's grades decide whose neighbors
+  // step.
+  static bool header_bits_equal(const FrameHeader& a, const FrameHeader& b) {
+    return a.sender == b.sender && a.value == b.value;
+  }
+  static bool digest_bits_equal(const Digest& a, const Digest& b) {
+    return a.owner == b.owner && a.index == b.index;
+  }
+  static bool digest_id_equal(const Digest& a, const Digest& b) {
+    return a.owner == b.owner;
+  }
 
   /// Starts a step's log: clears it and snapshots the frame values.
   void begin_log() {

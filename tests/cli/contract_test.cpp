@@ -240,6 +240,12 @@ TEST_F(CliContract, ProtocolReportsArePinned) {
        "corrupted 14 nodes: 70 head changes during recovery, quiescent "
        "since step 14\n"
        "final cluster-heads: 8\n"},
+      {{"--steps", "60", "--tau", "0.8", "--corrupt", "0.3"},
+       0,
+       "cold start: 156 head changes, quiescent since step 7\n"
+       "corrupted 14 nodes: 63 head changes during recovery, quiescent "
+       "since step 20\n"
+       "final cluster-heads: 8\n"},
       {{"--steps", "100", "--scheduler", "async", "--daemon", "unfair",
         "--corrupt", "0.3"},
        0,

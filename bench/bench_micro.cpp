@@ -1,6 +1,6 @@
 // Kernel-level micro-benchmarks for the protocol's hot paths: the
-// density computation, the branchless intersection kernels under the
-// balanced and skewed shapes the density rule produces, the SoA compare
+// density computation, the branchless intersection kernel under
+// balanced and skewed shapes, the SoA compare
 // scans the differential harness runs every step, the per-step cost of
 // incremental density maintenance against the full-recompute oracle, and
 // the per-window UDG build and clustering oracle.
@@ -67,7 +67,7 @@ volatile std::size_t sink;  // keeps the optimizer honest
 int main() {
   bench::print_header(
       "Micro — hot-path kernels",
-      "Density computation, branchless intersection kernels (balanced "
+      "Density computation, the branchless intersection kernel (balanced "
       "and skewed), the SoA divergence scans, and a full protocol step "
       "under incremental vs recompute density maintenance",
       1);
@@ -77,9 +77,9 @@ int main() {
   util::Table table("Kernel throughput (higher is better)");
   table.header({"kernel", "shape", "rate"});
 
-  // --- intersection kernels -------------------------------------------
-  // Balanced (radio-degree lists) and skewed (a short delta against a
-  // long cache) — the two shapes intersect_count dispatches between.
+  // --- intersection kernel --------------------------------------------
+  // Balanced (radio-degree lists) and skewed (a short list against a
+  // long one).
   {
     util::Rng rng = root.split();
     struct Shape {
@@ -96,20 +96,12 @@ int main() {
         sink = util::intersect_count_linear(a.data(), a.size(), b.data(),
                                             b.size());
       });
-      const double gallop = seconds_per_call([&] {
-        sink = util::intersect_count_gallop(a.data(), a.size(), b.data(),
-                                            b.size());
-      });
       const double elems =
           static_cast<double>(s.na + s.nb);
       table.row({"intersect_linear", s.name,
                  util::Table::num(elems / linear / 1e6, 1) + " Melem/s"});
-      table.row({"intersect_gallop", s.name,
-                 util::Table::num(elems / gallop / 1e6, 1) + " Melem/s"});
       json.add(std::string("intersect/linear/") + s.name, s.na + s.nb, 1,
                "elem/s", elems / linear);
-      json.add(std::string("intersect/gallop/") + s.name, s.na + s.nb, 1,
-               "elem/s", elems / gallop);
     }
   }
 

@@ -84,11 +84,10 @@ enum class SchedulerKind { kSync, kAsync };
 /// differs, which is exactly the scientific axis.
 enum class TopologyUpdateKind { kRebuild, kIncremental };
 
-/// Which stepper executes a protocol-under-engine run: the classic full
-/// sweep or the quiescence-aware dirty-region stepper (sim::Stepping).
-/// Dirty stepping is bit-identical to full stepping — the axis sweeps
-/// *cost*, never results — so campaigns can flip it on for speed and
-/// replay tests can assert the outputs match byte for byte.
+/// Which counter definitions a protocol-under-engine run reports
+/// (sim::Stepping). Both run the one quiescence-aware code path, so the
+/// axis never changes results — replay tests assert the outputs match
+/// byte for byte — only what the stepped/skipped counts count.
 enum class SteppingKind { kFull, kDirty };
 
 [[nodiscard]] std::string_view to_string(TopologyKind kind) noexcept;

@@ -10,14 +10,14 @@ double node_density(const graph::Graph& g, graph::NodeId p) {
   const auto neighbors = g.neighbors(p);
   if (neighbors.empty()) return 0.0;
   // Each neighbor q contributes |N_q ∩ N_p| ordered pairs of adjacent
-  // neighbors; halving yields e(N_p). The branchless merge/gallop kernel
-  // picks its strategy per pair of adjacency lists (skewed degrees are
-  // common at cluster borders).
+  // neighbors; halving yields e(N_p). This is the definition the
+  // triangle count in compute_densities is tested against, so it stays
+  // the plainest merge.
   std::size_t ordered_pairs = 0;
   for (graph::NodeId q : neighbors) {
     const auto nq = g.neighbors(q);
-    ordered_pairs += util::intersect_count(nq.data(), nq.size(),
-                                           neighbors.data(), neighbors.size());
+    ordered_pairs += util::intersect_count_linear(
+        nq.data(), nq.size(), neighbors.data(), neighbors.size());
   }
   const std::size_t links = neighbors.size() + ordered_pairs / 2;
   return static_cast<double>(links) / static_cast<double>(neighbors.size());

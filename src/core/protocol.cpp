@@ -106,6 +106,12 @@ DensityProtocol::DensityProtocol(topology::IdAssignment uids,
   // whatever the cache then holds (trivially 0 for an empty cache).
   links_fresh_.assign(uids_.size(), 0);
   resync_.assign(uids_.size(), 0);
+  // Every node starts pending: its first sweep always runs, after which
+  // quiescence is discovered, never assumed.
+  pending_.assign(uids_.size(), 1);
+  stable_.assign(uids_.size(), 0);
+  step_state_changed_.assign(uids_.size(), 0);
+  external_mark_.assign(uids_.size(), 0);
   std::vector<topology::ProtocolId> sorted = uids_;
   std::sort(sorted.begin(), sorted.end());
   uids_distinct_ =
@@ -147,21 +153,6 @@ void DensityProtocol::make_frame(graph::NodeId sender, FrameHeader& header,
   }
 }
 
-DensityProtocol::Frame DensityProtocol::make_frame(
-    graph::NodeId sender) const {
-  Frame frame;
-  frame.digests.resize(digest_count(sender));
-  FrameHeader header;
-  make_frame(sender, header, frame.digests);
-  frame.id = header.id;
-  frame.dag_id = header.dag_id;
-  frame.metric = header.metric;
-  frame.metric_valid = header.metric_valid;
-  frame.head = header.head;
-  frame.head_valid = header.head_valid;
-  return frame;
-}
-
 bool DensityProtocol::deliver_payload(graph::NodeId receiver,
                                       const FrameHeader& header,
                                       std::span<const Digest> digests,
@@ -178,12 +169,10 @@ bool DensityProtocol::deliver_payload(graph::NodeId receiver,
   if (entry.digests.size() != digests.size()) return false;
   entry.age = 0;
   if (bits_equal) return true;  // the entry already holds these bytes
-  if (tracking_) {
-    // Engine-proved: the row differs from the one the entry holds, so
-    // `deliver` would flag a rule-input change.
-    pending_[receiver] = 1;
-    step_state_changed_[receiver] = 1;
-  }
+  // Engine-proved: the row differs from the one the entry holds, so
+  // `deliver` would flag a rule-input change.
+  pending_[receiver] = 1;
+  step_state_changed_[receiver] = 1;
   // Engine-proved: the stored id sequence equals the incoming one, so
   // the believed-link count cannot move and the whole delivery is the
   // header fields and the digest payloads. The copy rewrites the
@@ -207,21 +196,6 @@ void DensityProtocol::deliver(graph::NodeId receiver,
   // after an external mutation the next R1 recomputes from scratch and
   // deliveries until then just write content.
   const bool maintain = maintain_links_ && links_fresh_[receiver] != 0;
-
-  if (!tracking_ && !maintain) {
-    // Classic blind overwrite — the cheapest path, taken by the
-    // kRecompute oracle and by any node whose count is stale anyway.
-    CacheEntry& entry = cache[header.id];
-    entry.digests.attach(*aux.digest_pool);
-    entry.dag_id = header.dag_id;
-    entry.metric = header.metric;
-    entry.metric_valid = header.metric_valid;
-    entry.head = header.head;
-    entry.head_valid = header.head_valid;
-    entry.digests.assign(digests.begin(), digests.end());
-    entry.age = 0;
-    return;
-  }
 
   // Compare-and-delta delivery. One merge walk over the cached list and
   // the incoming one yields everything at once: whether any digest id
@@ -247,12 +221,12 @@ void DensityProtocol::deliver(graph::NodeId receiver,
     entry = &it->second;
     entry->digests.attach(*aux.digest_pool);
     // header_diff feeds only the change bit; the fields are rewritten
-    // below either way, so skip the compare when not tracking.
-    header_diff = tracking_ && (entry->dag_id != header.dag_id ||
-                                !double_bits_equal(entry->metric, header.metric) ||
-                                entry->metric_valid != header.metric_valid ||
-                                entry->head != header.head ||
-                                entry->head_valid != header.head_valid);
+    // below either way.
+    header_diff = entry->dag_id != header.dag_id ||
+                  !double_bits_equal(entry->metric, header.metric) ||
+                  entry->metric_valid != header.metric_valid ||
+                  entry->head != header.head ||
+                  entry->head_valid != header.head_valid;
     const NeighborDigest* olds = entry->digests.data();
     const std::size_t na = entry->digests.size();
     const std::size_t nb = digests.size();
@@ -315,7 +289,7 @@ void DensityProtocol::deliver(graph::NodeId receiver,
     entry->digests.assign(digests.begin(), digests.end());
   }
   entry->age = 0;
-  if (tracking_ && (header_diff || digests_diff)) {
+  if (header_diff || digests_diff) {
     pending_[receiver] = 1;
     step_state_changed_[receiver] = 1;
   }
@@ -329,21 +303,9 @@ bool DensityProtocol::redeliver_unchanged(graph::NodeId receiver,
   }
   // Every entry is a heard neighbor's and already holds its frame's bytes
   // (engine-proved), so only the age resets remain; nothing rule-relevant
-  // changed, so no tracking flags.
+  // changed, so no change bit.
   for (auto& item : cache) item.second.age = 0;
   return true;
-}
-
-void DensityProtocol::deliver(graph::NodeId receiver, const Frame& frame) {
-  const FrameHeader header{
-      .id = frame.id,
-      .dag_id = frame.dag_id,
-      .metric = frame.metric,
-      .metric_valid = frame.metric_valid,
-      .head = frame.head,
-      .head_valid = frame.head_valid,
-  };
-  deliver(receiver, header, frame.digests);
 }
 
 namespace {
@@ -411,15 +373,6 @@ void DensityProtocol::on_edge_removed(graph::NodeId a, graph::NodeId b) {
 }
 
 void DensityProtocol::tick(graph::NodeId node) {
-  if (tracking_) {
-    tracked_tick(node);
-    return;
-  }
-  NodeState s = view(node);
-  engine_.sweep(s);
-}
-
-void DensityProtocol::tracked_tick(graph::NodeId node) {
   const ScalarRow before = scalar_row(cols_, node);
   NodeState s = view(node);
   engine_.sweep(s);
@@ -430,16 +383,12 @@ void DensityProtocol::tracked_tick(graph::NodeId node) {
 }
 
 bool DensityProtocol::maybe_tick(graph::NodeId node) {
-  if (!tracking_) {
-    tick(node);
-    return true;
-  }
   // Provably a no-op: the previous sweep left every shared variable
   // unchanged (so it also drew no randomness — N1 only draws when it
   // renames), and no input moved since. Sweeping again would recompute
   // identical values from identical inputs.
   if (!pending_[node] && stable_[node]) return false;
-  tracked_tick(node);
+  tick(node);
   return true;
 }
 
@@ -449,28 +398,7 @@ bool DensityProtocol::consume_activity(graph::NodeId node) {
   return changed;
 }
 
-void DensityProtocol::set_activity_tracking(bool on) {
-  tracking_ = on;
-  const std::size_t n = aux_.size();
-  if (on) {
-    // Every node starts pending: the first tracked step is a full one,
-    // after which quiescence is discovered, never assumed.
-    pending_.assign(n, 1);
-    stable_.assign(n, 0);
-    step_state_changed_.assign(n, 0);
-    external_mark_.assign(n, 0);
-    external_list_.clear();
-  } else {
-    pending_.clear();
-    stable_.clear();
-    step_state_changed_.clear();
-    external_mark_.clear();
-    external_list_.clear();
-  }
-}
-
 void DensityProtocol::externally_touched(graph::NodeId p) {
-  if (!tracking_) return;
   pending_[p] = 1;
   stable_[p] = 0;
   step_state_changed_[p] = 1;
@@ -501,14 +429,12 @@ void DensityProtocol::end_step(graph::NodeId node) {
             cache, it->first,
             {it->second.digests.data(), it->second.digests.size()});
       }
-      if (tracking_) {
-        // Eviction changes the cache (a rule input).
-        pending_[node] = 1;
-        step_state_changed_[node] = 1;
-      }
+      // Eviction changes the cache (a rule input).
+      pending_[node] = 1;
+      step_state_changed_[node] = 1;
       it = cache.erase(it);
     } else {
-      if (tracking_ && it->second.age >= 2) {
+      if (it->second.age >= 2) {
         // An entry nobody refreshed this step (phantom neighbor or a
         // silenced sender) is counting toward eviction: the node's
         // boundary state differs from one where the entry was fresh, so

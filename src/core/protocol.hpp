@@ -29,13 +29,15 @@
 // `const auto& s =` (lifetime extension keeps the temporary alive; the
 // referenced storage is the protocol's own and outlives any observer).
 //
-// The class implements the arena Protocol concept of the synchronous
-// engine (sim::ShardedNetwork, alias sim::Network), plus the
-// quiescence extension (sim::QuiescentProtocol) the dirty-region
-// steppers use: with activity tracking enabled it detects, per node and
-// per step, whether anything rule-relevant changed — delivered frame
-// content, own shared variables, cache aging/eviction — and exposes the
-// verdict through `consume_activity` / `maybe_tick`. Whether a node's
+// The class implements the arena Protocol concept both engines drive
+// (sim/scheduler.hpp), plus the quiescence extension
+// (sim::QuiescentProtocol). Its change detector is armed from
+// construction: per node and per step it notes whether anything
+// rule-relevant changed — delivered frame content, own shared
+// variables, cache aging/eviction — and exposes the verdict through
+// `consume_activity` / `maybe_tick`. A sweep whose inputs did not move
+// since a sweep that changed nothing is a provable no-op, so
+// `maybe_tick` skips it; there is no untracked mode. Whether a node's
 // *frame* changed is not its call: the synchronous engine grades every
 // rebuilt row against the row before it.
 #pragma once
@@ -82,21 +84,10 @@ struct NeighborDigest {
          a.metric_valid == b.metric_valid && a.is_head == b.is_head;
 }
 
-/// The broadcast payload: the sender's shared variables plus its digest of
-/// its own 1-neighborhood (sorted by id).
-struct ProtocolFrame {
-  topology::ProtocolId id = 0;
-  std::uint64_t dag_id = 0;
-  double metric = 0.0;
-  bool metric_valid = false;
-  topology::ProtocolId head = 0;
-  bool head_valid = false;
-  std::vector<NeighborDigest> digests;
-};
-
-/// The fixed-size part of a frame, used by the arena step engine: the
-/// variable-length digest list lives in a flat pool owned by the engine
-/// and travels alongside as a span. Same wire content as ProtocolFrame.
+/// The broadcast payload is the sender's shared variables (this header)
+/// plus its digest of its own 1-neighborhood, sorted by id. The digest
+/// list lives in storage the engine owns and travels alongside the
+/// header as a span.
 struct ProtocolFrameHeader {
   topology::ProtocolId id = 0;
   std::uint64_t dag_id = 0;
@@ -271,18 +262,9 @@ class DensityProtocol {
   DensityProtocol(topology::IdAssignment uids, ProtocolConfig config,
                   util::Rng rng);
 
-  // --- owning-frame protocol concept --------------------------------
-  // Whole frames by value: what the async engine's per-frame buffers and
-  // the tests' reference stepper exchange.
-  using Frame = ProtocolFrame;
-  [[nodiscard]] Frame make_frame(graph::NodeId sender) const;
-  void deliver(graph::NodeId receiver, const Frame& frame);
-  void tick(graph::NodeId node);
-  void end_step(graph::NodeId node);
-
-  // --- arena step-engine concept (zero-alloc hot path) -----------------
-  // The synchronous engine builds frames through these into
-  // preallocated flat buffers instead of heap-owning ProtocolFrames.
+  // --- arena protocol concept (sim::ArenaProtocol) ---------------------
+  // Both engines build frames through these into storage they own and
+  // reuse, so a steady-state step allocates nothing.
   using FrameHeader = ProtocolFrameHeader;
   using Digest = NeighborDigest;
   /// Number of digest slots `make_frame` will fill for `sender` right now
@@ -290,14 +272,19 @@ class DensityProtocol {
   [[nodiscard]] std::size_t digest_count(graph::NodeId sender) const {
     return aux_[sender].cache.size();
   }
-  /// Arena overload: writes the shared variables into `header` and
-  /// exactly `digest_count(sender)` digests into `digests`.
+  /// Writes the shared variables into `header` and exactly
+  /// `digest_count(sender)` digests into `digests`.
   void make_frame(graph::NodeId sender, FrameHeader& header,
                   std::span<Digest> digests) const;
-  /// Arena overload of `deliver`; digest storage is only borrowed for the
-  /// duration of the call (the cache copies what it keeps).
+  /// Digest storage is only borrowed for the duration of the call (the
+  /// cache copies what it keeps).
   void deliver(graph::NodeId receiver, const FrameHeader& header,
                std::span<const Digest> digests);
+  /// Sweeps the guarded rules N1, R1, R2 once, unconditionally, and
+  /// notes whether the sweep moved a shared variable.
+  void tick(graph::NodeId node);
+  /// Ages the cache and evicts entries older than `cache_max_age`.
+  void end_step(graph::NodeId node);
 
   // --- redelivery concept (sim::RedeliveryProtocol) --------------------
   /// Fast path for a receiver whose `heard` frames the engine all proved
@@ -314,17 +301,16 @@ class DensityProtocol {
   /// each digest list names, so the delta walk and the compare both
   /// vanish and the delivery collapses to a straight payload overwrite.
   /// `bits_equal` says the engine proved the whole row bit-equal too:
-  /// then only the age resets. Otherwise the row differs, and with
-  /// activity tracking on that proof raises the change bit `deliver`
-  /// would. Returns false — demanding the full compare path — when the
+  /// then only the age resets. Otherwise the row differs, and that
+  /// proof raises the change bit `deliver` would. Returns false — demanding the full compare path — when the
   /// entry is missing, its stored list disagrees with the engine's
   /// proof, the receiver was externally mutated since the last full
   /// sweep, or uids repeat.
   bool deliver_payload(graph::NodeId receiver, const FrameHeader& header,
                        std::span<const Digest> digests, bool bits_equal);
   /// The row-equality predicates (sim::RowEqualityProtocol) the engine
-  /// grades rebuilt rows with — the grades back `deliver_payload` and,
-  /// under tracking, decide whose neighbors step. Id projection first.
+  /// grades rebuilt rows with — the grades back `deliver_payload` and
+  /// decide whose neighbors step. Id projection first.
   [[nodiscard]] static bool digest_id_equal(const Digest& a,
                                             const Digest& b) noexcept {
     return a.id == b.id;
@@ -367,32 +353,26 @@ class DensityProtocol {
   }
 
   // --- quiescence concept (sim::QuiescentProtocol) ----------------------
-  /// Turns per-node change detection on or off. Off (the default) the
-  /// hot paths are exactly the classic ones — `deliver` overwrites
-  /// without comparing, `tick` sweeps without snapshotting. Turning it
-  /// on (re)arms every node as pending, so the first tracked step is
-  /// always a full one.
-  void set_activity_tracking(bool on);
-  [[nodiscard]] bool activity_tracking() const noexcept { return tracking_; }
-
   /// Sweeps the guarded rules unless the sweep is provably a no-op: the
   /// previous sweep changed nothing (`self-stable`) and no input changed
   /// since (no differing frame content, no eviction, no external
-  /// mutation). Returns true iff the sweep ran. With tracking disabled
-  /// this is exactly `tick`.
+  /// mutation). Returns true iff the sweep ran. Every node is pending at
+  /// construction, so its first call always sweeps.
   bool maybe_tick(graph::NodeId node);
 
   /// Returns and clears whether any rule-relevant part of the node's
   /// state changed during the step that just completed (it must step
   /// again). Whether its frame changed is the engine's row grade, not
-  /// this bit. Only meaningful with tracking enabled.
+  /// this bit.
   [[nodiscard]] bool consume_activity(graph::NodeId node);
 
   /// Nodes whose state was mutated from outside the step loop since the
   /// last call (fault injection, `mutable_state`, severed links). The
-  /// stepper drains this before each step and queues each listed node,
-  /// so its row is rebuilt that step and, if the frame moved, its grade
-  /// wakes the neighbors that same step. Sorted ascending.
+  /// synchronous stepper drains this before each step and queues each
+  /// listed node, so its row is rebuilt that step and, if the frame
+  /// moved, its grade wakes the neighbors that same step. Sorted
+  /// ascending; one mark per node keeps the list within n entries when
+  /// nobody drains it (async and lossy runs).
   [[nodiscard]] std::vector<graph::NodeId> take_external_wakes();
 
   // --- observation ----------------------------------------------------
@@ -402,9 +382,8 @@ class DensityProtocol {
   [[nodiscard]] ConstNodeState state(graph::NodeId p) const {
     return const_view(p);
   }
-  /// Mutable access for tests and fault injectors. With tracking on,
-  /// conservatively marks the node externally dirty (any field may be
-  /// about to change).
+  /// Mutable access for tests and fault injectors. Conservatively marks
+  /// the node externally dirty (any field may be about to change).
   [[nodiscard]] NodeState mutable_state(graph::NodeId p) {
     externally_touched(p);
     // Any field — the cache and digest lists included — may be about to
@@ -516,11 +495,9 @@ class DensityProtocol {
   void rule_r1(NodeState& s);
   void rule_r2(NodeState& s);
 
-  /// Marks a node as mutated outside the step loop (tracking only):
-  /// pending, not self-stable, change bit raised, queued for
-  /// `take_external_wakes`.
+  /// Marks a node as mutated outside the step loop: pending, not
+  /// self-stable, change bit raised, queued for `take_external_wakes`.
   void externally_touched(graph::NodeId p);
-  void tracked_tick(graph::NodeId node);
 
   topology::IdAssignment uids_;
   ProtocolConfig config_;
@@ -554,9 +531,7 @@ class DensityProtocol {
   /// entries it holds (`redeliver_unchanged`).
   bool uids_distinct_ = true;
 
-  // --- quiescence machinery (all empty / untouched while tracking_ is
-  // off, so the classic engines pay nothing) ---------------------------
-  bool tracking_ = false;
+  // --- quiescence machinery --------------------------------------------
   /// An input changed since the last sweep; the next sweep must run.
   std::vector<std::uint8_t> pending_;
   /// The last sweep changed none of the node's shared variables.

@@ -29,11 +29,13 @@
 
 namespace ssmwn::sim {
 
-/// The stepping mode. On the event-driven engine it picks the sweep:
-/// every activation, or only the ones the protocol cannot prove
-/// redundant. On the synchronous engine, which skips provably quiet
-/// nodes whenever the medium is loss-free, it picks the counter
-/// definitions (sim/sharded_network.hpp). Either way the results are
+/// The stepping mode: counter definitions, not a code path, on both
+/// engines. The protocol skips every sweep it proves a no-op whatever
+/// the mode, and the synchronous engine skips provably quiet nodes
+/// whenever the medium is loss-free. kFull counts every node (every
+/// activation) as stepped and, on the synchronous engine, 2|E|
+/// messages per step; kDirty counts what really ran
+/// (sim/sharded_network.hpp, sim/async_network.hpp). The results are
 /// bit-identical — the point of the differential harnesses in tests/sim.
 enum class Stepping {
   kFull,

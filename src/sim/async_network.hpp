@@ -11,7 +11,8 @@
 //
 // Execution is a totally ordered event stream (sim::EventQueue):
 //
-//   Activation(p) at t:  tick(p) → build frame → for each neighbor q,
+//   Activation(p) at t:  maybe_tick(p) (tick without the quiescence
+//                        extension) → build frame → for each neighbor q,
 //                        loss model decides; heard frames are scheduled
 //                        as Delivery(q) at t + link delay → end_step(p)
 //                        → next Activation(p) at t + daemon delay.
@@ -40,8 +41,9 @@
 // one). Asserted by tests/sim/async_determinism_test.cpp.
 //
 // Frames in flight are reference-counted FrameBuffer slots (see
-// sim/scheduler.hpp): a broadcast may still be traveling on a slow link
-// when the sender broadcasts again, so per-node storage would be wrong.
+// sim/scheduler.hpp; the engine requires the arena extension): a
+// broadcast may still be traveling on a slow link when the sender
+// broadcasts again, so per-node storage would be wrong.
 // Slots and their digest capacity are recycled through a free list, so
 // the steady state allocates nothing new once the in-flight high-water
 // mark has been reached.
@@ -98,6 +100,10 @@ struct AsyncConfig {
 
 template <typename Protocol>
 class AsyncNetwork {
+  static_assert(ArenaProtocol<Protocol>,
+                "the event-driven engine requires the arena extension "
+                "(frame headers + digests in reusable slots)");
+
  public:
   /// The graph reference is observed, not owned, and must outlive the
   /// engine. Topology is fixed unless the owner schedules updates via
@@ -181,35 +187,32 @@ class AsyncNetwork {
 
   // --- quiescence-aware stepping ---------------------------------------
 
-  /// Enables dirty-region execution for the event-driven engine. Unlike
-  /// the synchronous stepper, nothing about the *event* schedule may
+  /// Selects the counter definitions of `activity()` and restarts the
+  /// counters — not a code path. Nothing about the *event* schedule may
   /// change — skipping a broadcast or a delivery would shift the RNG
-  /// draw sequences and the trace — so the only thing elided is the rule
-  /// sweep inside an activation, and only when the protocol proves it a
-  /// no-op (`maybe_tick`). The event trace, message counters, and every
-  /// node state stay byte-identical to full stepping under any daemon
-  /// and any loss model. Requires the quiescence extension; throws
-  /// std::invalid_argument otherwise.
+  /// draw sequences and the trace — so the only thing ever elided is the
+  /// rule sweep inside an activation, whenever a protocol with the
+  /// quiescence extension proves it a no-op (`maybe_tick`), under either
+  /// mode. kDirty counts the sweeps that really ran and requires the
+  /// extension (throws std::invalid_argument otherwise); kFull counts
+  /// every activation as swept.
   void set_stepping(Stepping mode) {
-    if constexpr (QuiescentProtocol<Protocol>) {
-      stepping_ = mode;
-      protocol_->set_activity_tracking(mode == Stepping::kDirty);
-      tracker_.reset_counters();
-    } else {
+    if constexpr (!QuiescentProtocol<Protocol>) {
       if (mode == Stepping::kDirty) {
         throw std::invalid_argument(
             "protocol does not implement the quiescence extension "
             "dirty-region stepping needs");
       }
-      stepping_ = Stepping::kFull;
     }
+    stepping_ = mode;
+    tracker_.reset_counters();
   }
 
   [[nodiscard]] Stepping stepping() const noexcept { return stepping_; }
 
-  /// Stepped/skipped counters: one count per activation (did its rule
-  /// sweep run?). `nodes_stepped` staying flat while activations keep
-  /// firing is the async form of quiescence.
+  /// Stepped/skipped counters: one count per activation (under kDirty,
+  /// did its rule sweep run?). `nodes_stepped` staying flat while
+  /// activations keep firing is the async form of quiescence.
   [[nodiscard]] const ActivityTracker& activity() const noexcept {
     return tracker_;
   }
@@ -306,17 +309,12 @@ class AsyncNetwork {
   void activate(graph::NodeId p, VirtualTime t) {
     // Rules first: the node computes on what it has heard so far, then
     // announces the result. (The synchronous engine orders one global
-    // step broadcast-then-tick; per node the cycle is the same.) Under
-    // dirty-region stepping the sweep is skipped when provably a no-op;
-    // the broadcast still happens — neighbors' caches must age and
-    // refresh exactly as under full stepping.
+    // step broadcast-then-tick; per node the cycle is the same.) The
+    // sweep is skipped when the protocol proves it a no-op; the broadcast
+    // still happens — neighbors' caches must age and refresh as ever.
     bool swept = true;
     if constexpr (QuiescentProtocol<Protocol>) {
-      if (stepping_ == Stepping::kDirty) {
-        swept = protocol_->maybe_tick(p);
-      } else {
-        protocol_->tick(p);
-      }
+      swept = protocol_->maybe_tick(p) || stepping_ == Stepping::kFull;
     } else {
       protocol_->tick(p);
     }

@@ -1,7 +1,7 @@
 // The Scheduler seam: the engine-agnostic core of the runtime.
 //
-// A Protocol (see sim/sharded_network.hpp's header comment for the
-// concept) exposes four operations — build a broadcast frame, deliver a
+// A Protocol exposes four operations through the arena extension —
+// build a broadcast frame into caller-provided storage, deliver a
 // frame, fire guarded rules, age caches. *When* those operations happen
 // is the execution model, and this repo ships two of them behind the
 // same seam:
@@ -17,29 +17,33 @@
 //                           actually stated for).
 //
 // This header holds what both engines share: the ArenaProtocol concept
-// (zero-copy flat frames), the TimestampedProtocol concept (the
-// per-delivery virtual-time hook the async engine feeds), and
-// FrameBuffer — reusable storage for one in-flight frame that builds
-// from / delivers to a protocol through whichever overload set the
-// protocol provides. The synchronous engine's batch arena (one flat
-// digest pool per shard for all frames of a step) remains its private
-// optimization in sharded_network.hpp; FrameBuffer is the per-frame
-// form the event-driven engine needs, where frames from different
-// virtual times are in flight simultaneously.
+// (zero-copy flat frames) both require, the optional extensions they
+// detect, and FrameBuffer — reusable storage for one in-flight frame,
+// built from and delivered to a protocol through the arena calls. The
+// synchronous engine's batch arena (one flat digest pool per shard for
+// all frames of a step) remains its private optimization in
+// sharded_network.hpp; FrameBuffer is the per-frame form the
+// event-driven engine needs, where frames from different virtual times
+// are in flight simultaneously.
+//
+// A protocol with the quiescence extension decides by itself whether a
+// rule sweep is a provable no-op (`maybe_tick`); both engines call it in
+// place of `tick` whenever the extension is present. Neither engine
+// switches the protocol into a mode: the stepping choice
+// (sim::Stepping) selects counter definitions only.
 #pragma once
 
 #include <concepts>
 #include <cstddef>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "graph/graph.hpp"
 
 namespace ssmwn::sim {
 
-/// Optional zero-alloc extension of the Protocol concept: split frames
-/// into a POD header plus digests written into caller-provided storage.
+/// The Protocol concept both engines require: frames split into a POD
+/// header plus digests written into caller-provided storage.
 template <typename P>
 concept ArenaProtocol =
     requires(const P& cp, P& p, graph::NodeId node,
@@ -113,17 +117,14 @@ concept TopologyAwareProtocol = requires(P& p, graph::NodeId a,
   p.on_edge_removed(a, b);
 };
 
-/// Optional quiescence extension: the protocol can detect, per node and
-/// per step, whether anything rule-relevant changed, and can skip a rule
-/// sweep when it is provably a no-op. Both engines' quiescence-aware
-/// stepping keys off this concept:
+/// Optional quiescence extension: the protocol detects, per node and
+/// per step, whether anything rule-relevant changed, and skips a rule
+/// sweep when it is provably a no-op. Its change detector is always
+/// armed; both engines key their quiescence-aware stepping off this
+/// concept:
 ///
-///   * set_activity_tracking(on) arms/disarms the change detector (off,
-///     the protocol's hot paths must be byte-for-byte the classic ones);
-///   * maybe_tick(p) sweeps unless provably redundant, returns whether
-///     it swept (the async engine's dirty activations and every
-///     synchronous step use this in place of tick; untracked, it is
-///     exactly tick);
+///   * maybe_tick(p) sweeps unless provably redundant and returns
+///     whether it swept (both engines call it in place of tick);
 ///   * consume_activity(p) reports and clears whether p's state changed
 ///     during the step that just ran — one bit, which keeps p awake and
 ///     queues its frame row for rebuild;
@@ -138,32 +139,17 @@ concept TopologyAwareProtocol = requires(P& p, graph::NodeId a,
 template <typename P>
 concept QuiescentProtocol =
     RowEqualityProtocol<P> &&
-    requires(P& p, const P& cp, graph::NodeId node) {
-      p.set_activity_tracking(true);
-      { cp.activity_tracking() } -> std::convertible_to<bool>;
+    requires(P& p, graph::NodeId node) {
       { p.maybe_tick(node) } -> std::convertible_to<bool>;
       { p.consume_activity(node) } -> std::convertible_to<bool>;
       { p.take_external_wakes() } -> std::convertible_to<std::vector<graph::NodeId>>;
     };
 
-/// Reusable storage for one in-flight frame. Arena protocols get a POD
-/// header plus a digest vector whose capacity survives reuse (steady
-/// state: zero allocations once every slot has seen its deepest frame);
-/// other protocols fall back to storing an owning `Protocol::Frame`.
-template <typename Protocol, bool = ArenaProtocol<Protocol>>
+/// Reusable storage for one in-flight frame: a POD header plus a digest
+/// vector whose capacity survives reuse (steady state: zero allocations
+/// once every slot has seen its deepest frame).
+template <ArenaProtocol Protocol>
 struct FrameBuffer {
-  typename Protocol::Frame frame;
-
-  void build_from(const Protocol& protocol, graph::NodeId sender) {
-    frame = protocol.make_frame(sender);
-  }
-  void deliver_to(Protocol& protocol, graph::NodeId receiver) const {
-    protocol.deliver(receiver, frame);
-  }
-};
-
-template <typename Protocol>
-struct FrameBuffer<Protocol, true> {
   typename Protocol::FrameHeader header{};
   std::vector<typename Protocol::Digest> digests;
 

@@ -29,14 +29,14 @@
 //
 // The row-equality, redelivery, quiescence and topology-aware
 // extensions (sim/scheduler.hpp) are detected with `if constexpr` and
-// unlock the row grades, the redelivery fast paths, activity tracking
+// unlock the row grades, the redelivery fast paths, the active set
 // and severed-link hooks.
 //
 // One stepper, two kinds of step. With the quiescence extension and a
-// medium that always delivers, the engine arms the protocol's change
-// detector and keeps an active set. Every node owns one persistent row
-// in its shard's frame arena, and after every build phase each row
-// equals the frame its node would build then. A step rebuilds the rows
+// medium that always delivers, the engine keeps an active set. Every
+// node owns one persistent row in its shard's frame arena, and after
+// every build phase each row equals the frame its node would build
+// then. A step rebuilds the rows
 // of the *queued* nodes — those whose state changed last step
 // (consume_activity), that were mutated from outside, or that a
 // topology change woke — and grades each against the row before it;
@@ -50,8 +50,9 @@
 // never depends on shard or thread count, and it moves no counter but
 // rows_rebuilt and subset_steps. A step with nothing queued runs no
 // phase at all. Lossy media and protocols without the extension step
-// every node with whole builds. `set_stepping` picks only the counter
-// definitions (and, for kDirty, demands a loss-free medium).
+// every node with whole builds (the extension still lets a stepped node
+// skip a sweep it proves a no-op). `set_stepping` picks only the
+// counter definitions (and, for kDirty, demands a loss-free medium).
 //
 // Shards. The node range [0, n) is carved into contiguous ranges
 // ("shards"); every parallel phase is "one task per shard". A shard owns
@@ -144,8 +145,8 @@ class ShardedNetwork {
   /// one worker can sweep many shards, and extra workers idle. The
   /// graph reference is observed, not owned; it may be swapped between
   /// steps via `set_graph`. With the quiescence extension and a medium
-  /// that always delivers, construction arms the protocol's change
-  /// detector and queues every node for the first step.
+  /// that always delivers, construction queues every node for the first
+  /// step and keeps an active set from then on.
   ShardedNetwork(const graph::Graph& g, Protocol& protocol, LossModel& loss,
                  std::vector<std::size_t> bounds, unsigned threads = 1)
       : graph_(&g), protocol_(&protocol), loss_(&loss) {
@@ -170,10 +171,13 @@ class ShardedNetwork {
     if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
     if constexpr (QuiescentProtocol<Protocol>) {
       if (loss.always_delivers()) {
-        // Quiescence is discovered, never assumed: every node steps first.
-        protocol_->set_activity_tracking(true);
+        // Quiescence is discovered, never assumed: every node steps
+        // first, which covers whatever changed before the engine existed.
         tracked_ = true;
         wake_all();
+        for (graph::NodeId p = 0; p < g.node_count(); ++p) {
+          (void)protocol_->consume_activity(p);
+        }
       }
     }
   }
@@ -786,7 +790,7 @@ class ShardedNetwork {
       }
       if constexpr (QuiescentProtocol<Protocol>) {
         // A stepped node whose inputs did not move since a sweep that
-        // changed nothing skips its sweep (a plain tick when untracked).
+        // changed nothing skips its sweep.
         protocol_->maybe_tick(q);
       } else {
         protocol_->tick(q);
@@ -820,7 +824,7 @@ class ShardedNetwork {
   std::uint64_t rows_rebuilt_ = 0;
   std::uint64_t messages_delivered_ = 0;
   Stepping stepping_ = Stepping::kFull;
-  bool tracked_ = false;  // change detector armed: the active set is kept
+  bool tracked_ = false;  // the active set is kept (loss-free medium)
   std::unique_ptr<ThreadPool> pool_;
   std::vector<unsigned char> incoming_;  // per-edge decisions (lossy)
   // Global per-node row grades (graded protocols), each shard writing

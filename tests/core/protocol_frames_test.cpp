@@ -18,6 +18,15 @@ core::ProtocolConfig tiny_config() {
   return config;
 }
 
+using Frame = sim::FrameBuffer<core::DensityProtocol>;
+
+/// A frame as node `p` of `protocol` would broadcast it now.
+Frame frame_of(const core::DensityProtocol& protocol, graph::NodeId p) {
+  Frame frame;
+  frame.build_from(protocol, p);
+  return frame;
+}
+
 TEST(ProtocolFrames, FrameCarriesSharedVariables) {
   core::DensityProtocol protocol({7, 9}, tiny_config(), util::Rng(1));
   auto s = protocol.mutable_state(0);
@@ -25,32 +34,32 @@ TEST(ProtocolFrames, FrameCarriesSharedVariables) {
   s.metric_valid = true;
   s.head = 7;
   s.head_valid = true;
-  const auto frame = protocol.make_frame(0);
-  EXPECT_EQ(frame.id, 7u);
-  EXPECT_DOUBLE_EQ(frame.metric, 1.25);
-  EXPECT_TRUE(frame.metric_valid);
-  EXPECT_EQ(frame.head, 7u);
-  EXPECT_TRUE(frame.head_valid);
+  const auto frame = frame_of(protocol, 0);
+  EXPECT_EQ(frame.header.id, 7u);
+  EXPECT_DOUBLE_EQ(frame.header.metric, 1.25);
+  EXPECT_TRUE(frame.header.metric_valid);
+  EXPECT_EQ(frame.header.head, 7u);
+  EXPECT_TRUE(frame.header.head_valid);
   EXPECT_TRUE(frame.digests.empty());  // cold cache -> no digests
 }
 
 TEST(ProtocolFrames, DigestsMirrorTheCacheSortedById) {
   core::DensityProtocol protocol({1, 2, 3}, tiny_config(), util::Rng(2));
   // Deliver frames from nodes with ids 3 then 2 into node 0's cache.
-  core::ProtocolFrame from3;
-  from3.id = 3;
-  from3.metric = 2.0;
-  from3.metric_valid = true;
-  from3.head = 3;
-  from3.head_valid = true;
-  core::ProtocolFrame from2;
-  from2.id = 2;
-  from2.metric = 1.0;
-  from2.metric_valid = true;
-  protocol.deliver(0, from3);
-  protocol.deliver(0, from2);
+  Frame from3;
+  from3.header.id = 3;
+  from3.header.metric = 2.0;
+  from3.header.metric_valid = true;
+  from3.header.head = 3;
+  from3.header.head_valid = true;
+  Frame from2;
+  from2.header.id = 2;
+  from2.header.metric = 1.0;
+  from2.header.metric_valid = true;
+  from3.deliver_to(protocol, 0);
+  from2.deliver_to(protocol, 0);
 
-  const auto frame = protocol.make_frame(0);
+  const auto frame = frame_of(protocol, 0);
   ASSERT_EQ(frame.digests.size(), 2u);
   EXPECT_EQ(frame.digests[0].id, 2u);  // sorted ascending by id
   EXPECT_EQ(frame.digests[1].id, 3u);
@@ -60,9 +69,9 @@ TEST(ProtocolFrames, DigestsMirrorTheCacheSortedById) {
 
 TEST(ProtocolFrames, SelfFramesAreIgnored) {
   core::DensityProtocol protocol({5}, tiny_config(), util::Rng(3));
-  core::ProtocolFrame self;
-  self.id = 5;
-  protocol.deliver(0, self);
+  Frame self;
+  self.header.id = 5;
+  self.deliver_to(protocol, 0);
   EXPECT_TRUE(protocol.state(0).cache.empty());
 }
 

@@ -11,6 +11,7 @@
 #include "sim/network.hpp"
 #include "stabilize/convergence.hpp"
 #include "support/paper_example.hpp"
+#include "support/reference_stepper.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
 #include "topology/udg.hpp"
@@ -330,6 +331,82 @@ TEST(Protocol, IsolatedNodeElectsItself) {
   const auto& s = protocol.state(0);
   EXPECT_TRUE(s.head_valid);
   EXPECT_EQ(s.head, 42u);
+}
+
+// --- the change detector is armed from construction -------------------
+
+/// Steps `protocol` on `g` with the owning-frame reference stepper — no
+/// engine arms anything — until one step moves no shared variable, then
+/// one more, so every cache holds its neighbors' settled rows.
+void settle(const graph::Graph& g, core::DensityProtocol& protocol) {
+  sim::PerfectDelivery loss;
+  testsupport::ReferenceStepper stepper(g, protocol, loss);
+  for (int step = 0; step < 60; ++step) {
+    const core::NodeScalars before = protocol.scalars();
+    stepper.step();
+    if (core::first_divergent_row(before, protocol.scalars()) ==
+        protocol.node_count()) {
+      stepper.step();
+      return;
+    }
+  }
+  FAIL() << "the paper example did not settle within 60 steps";
+}
+
+TEST(ProtocolChangeDetector, SettledNodesSkipUntilAnInputMoves) {
+  const auto g = paper_example_graph();
+  core::DensityProtocol protocol(paper_example_ids(), basic_config(),
+                                 util::Rng(31));
+  ASSERT_NO_FATAL_FAILURE(settle(g, protocol));
+  for (graph::NodeId p = 0; p < g.node_count(); ++p) {
+    EXPECT_FALSE(protocol.maybe_tick(p)) << "node " << p << " not settled";
+  }
+
+  // An external mutation: the next sweep runs, and re-settles the node.
+  (void)protocol.mutable_state(1);
+  EXPECT_TRUE(protocol.maybe_tick(1));
+  EXPECT_FALSE(protocol.maybe_tick(1));
+
+  // A delivery: the settled bytes again are no input change, a differing
+  // frame is.
+  const graph::NodeId q = g.neighbors(4).front();
+  sim::FrameBuffer<core::DensityProtocol> frame;
+  frame.build_from(protocol, q);
+  frame.deliver_to(protocol, 4);
+  EXPECT_FALSE(protocol.maybe_tick(4));
+  frame.header.metric += 1.0;
+  frame.deliver_to(protocol, 4);
+  EXPECT_TRUE(protocol.maybe_tick(4));
+
+  // Aging: ages are no rule input, an eviction is. The last step left
+  // every entry at age 1, and an entry past cache_max_age is evicted.
+  const graph::NodeId r = 7;
+  ASSERT_FALSE(protocol.state(r).cache.empty());
+  for (std::uint32_t age = 1; age < protocol.config().cache_max_age; ++age) {
+    protocol.end_step(r);
+    EXPECT_FALSE(protocol.maybe_tick(r)) << "age " << age + 1;
+  }
+  const std::size_t cached = protocol.state(r).cache.size();
+  protocol.end_step(r);
+  EXPECT_LT(protocol.state(r).cache.size(), cached);
+  EXPECT_TRUE(protocol.maybe_tick(r));
+}
+
+TEST(ProtocolChangeDetector, UndrainedExternalWakesStayBoundedByNodeCount) {
+  // Async and lossy runs never drain the external-wake list; one mark
+  // per node keeps it at n entries however often nodes are mutated.
+  const auto ids = paper_example_ids();
+  core::DensityProtocol protocol(ids, basic_config(), util::Rng(32));
+  util::Rng chaos(33);
+  for (int round = 0; round < 3; ++round) {
+    protocol.corrupt_all(chaos);
+    protocol.reset_node(2);
+    (void)protocol.mutable_state(5);
+  }
+  const auto wakes = protocol.take_external_wakes();
+  ASSERT_EQ(wakes.size(), ids.size());
+  for (graph::NodeId p = 0; p < ids.size(); ++p) EXPECT_EQ(wakes[p], p);
+  EXPECT_TRUE(protocol.take_external_wakes().empty());
 }
 
 }  // namespace

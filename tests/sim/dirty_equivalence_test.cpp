@@ -1,5 +1,6 @@
 // Differential equivalence harness for dirty-region stepping: the
 // quiescence-aware stepper must be *bit-identical* to the full stepper
+// (on the event-driven engine, to one that sweeps every activation)
 // — every shared variable, every cache entry (ages and relayed digests
 // included), every per-node RNG — from identical seeds, per tick, on
 // both engines, under all three daemons, under mobility (pedestrian and
@@ -29,6 +30,7 @@
 #include "sim/loss.hpp"
 #include "sim/network.hpp"
 #include "support/deployments.hpp"
+#include "support/full_sweep_protocol.hpp"
 #include "topology/incremental.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
@@ -243,6 +245,11 @@ TEST(DirtyEquivalence, SyncRejectsLossyMedium) {
 }
 
 // --- event-driven engine ----------------------------------------------
+//
+// Both stepping modes let the protocol skip a sweep it proves a no-op,
+// so each is diffed against an engine that sweeps on every activation:
+// AsyncNetwork over testsupport::FullSweepProtocol, which hides the
+// quiescence extension from the engine.
 
 struct AsyncCase {
   const char* name;
@@ -250,34 +257,57 @@ struct AsyncCase {
   double tau;  // delivery probability; 1 = perfect
 };
 
+/// The event schedule itself must be untouched by the skip: the same
+/// trace byte for byte, the same message counters.
+template <typename Oracle, typename Lane>
+::testing::AssertionResult schedules_identical(
+    const sim::AsyncNetwork<Oracle>& oracle,
+    const std::vector<sim::Event>& oracle_trace,
+    const sim::AsyncNetwork<Lane>& lane, const std::vector<sim::Event>& trace,
+    std::size_t chunk, const std::string& spec) {
+  if (trace != oracle_trace) {
+    return ::testing::AssertionFailure()
+           << "event traces diverged within chunk " << chunk << "; " << spec;
+  }
+  if (lane.messages_delivered() != oracle.messages_delivered() ||
+      lane.messages_lost() != oracle.messages_lost() ||
+      lane.messages_expired() != oracle.messages_expired()) {
+    return ::testing::AssertionFailure()
+           << "message counters diverged within chunk " << chunk << "; "
+           << spec;
+  }
+  return ::testing::AssertionSuccess();
+}
+
 void run_async_trial(const AsyncCase& ac, std::uint64_t world_seed,
                      std::uint64_t proto_seed) {
   const std::size_t n = 80;
   const double radius = 0.15;
   const auto w = testsupport::make_deployment(n, radius, world_seed);
+  auto oracle = make_protocol(w, proto_seed);
   auto full = make_protocol(w, proto_seed);
   auto dirty = make_protocol(w, proto_seed);
-  util::Rng chaos_a(world_seed ^ 0xBAD), chaos_b(world_seed ^ 0xBAD);
-  full.corrupt_all(chaos_a);
-  dirty.corrupt_all(chaos_b);
-
-  sim::PerfectDelivery perfect_a, perfect_b;
-  sim::BernoulliDelivery bern_a(ac.tau, util::Rng(world_seed ^ 5));
-  sim::BernoulliDelivery bern_b(ac.tau, util::Rng(world_seed ^ 5));
-  sim::LossModel& loss_a =
-      ac.tau < 1.0 ? static_cast<sim::LossModel&>(bern_a) : perfect_a;
-  sim::LossModel& loss_b =
-      ac.tau < 1.0 ? static_cast<sim::LossModel&>(bern_b) : perfect_b;
+  for (core::DensityProtocol* p : {&oracle, &full, &dirty}) {
+    util::Rng chaos(world_seed ^ 0xBAD);
+    p->corrupt_all(chaos);
+  }
+  const auto loss_o = sim::make_loss_model(ac.tau, util::Rng(world_seed ^ 5));
+  const auto loss_f = sim::make_loss_model(ac.tau, util::Rng(world_seed ^ 5));
+  const auto loss_d = sim::make_loss_model(ac.tau, util::Rng(world_seed ^ 5));
 
   sim::AsyncConfig config;
   config.daemon = ac.daemon;
-  sim::AsyncNetwork net_full(w.graph, full, loss_a, config,
+  testsupport::FullSweepProtocol sweeping(oracle);
+  sim::AsyncNetwork net_oracle(w.graph, sweeping, *loss_o, config,
+                               util::Rng(world_seed ^ 0xE));
+  sim::AsyncNetwork net_full(w.graph, full, *loss_f, config,
                              util::Rng(world_seed ^ 0xE));
-  sim::AsyncNetwork net_dirty(w.graph, dirty, loss_b, config,
+  sim::AsyncNetwork net_dirty(w.graph, dirty, *loss_d, config,
                               util::Rng(world_seed ^ 0xE));
   net_dirty.set_stepping(sim::Stepping::kDirty);
 
-  std::vector<sim::Event> trace_full, trace_dirty;
+  std::vector<sim::Event> trace_oracle, trace_full, trace_dirty;
+  net_oracle.set_event_log(&trace_oracle);
   net_full.set_event_log(&trace_full);
   net_dirty.set_event_log(&trace_dirty);
 
@@ -287,18 +317,21 @@ void run_async_trial(const AsyncCase& ac, std::uint64_t world_seed,
                                        proto_seed, extra.str().c_str());
 
   for (std::size_t chunk = 0; chunk < 25; ++chunk) {
+    net_oracle.run_for(1.0);
     net_full.run_for(1.0);
     net_dirty.run_for(1.0);
-    ASSERT_TRUE(populations_identical(full, dirty, chunk, spec));
-    // The event schedule itself must be untouched by the skip: same
-    // trace byte for byte, same message counters.
-    ASSERT_EQ(trace_full.size(), trace_dirty.size()) << spec;
-    ASSERT_TRUE(trace_full == trace_dirty)
-        << "event traces diverged within chunk " << chunk << "; " << spec;
-    ASSERT_EQ(net_full.messages_delivered(), net_dirty.messages_delivered());
-    ASSERT_EQ(net_full.messages_lost(), net_dirty.messages_lost());
+    ASSERT_TRUE(populations_identical(oracle, full, chunk, spec + " full"));
+    ASSERT_TRUE(populations_identical(oracle, dirty, chunk, spec + " dirty"));
+    ASSERT_TRUE(schedules_identical(net_oracle, trace_oracle, net_full,
+                                    trace_full, chunk, spec + " full"));
+    ASSERT_TRUE(schedules_identical(net_oracle, trace_oracle, net_dirty,
+                                    trace_dirty, chunk, spec + " dirty"));
   }
-  // Post-convergence the dirty engine must have skipped some sweeps.
+  // kFull counts every activation as swept, as the oracle does; past
+  // convergence the dirty count must show skipped sweeps.
+  EXPECT_EQ(net_full.activity().nodes_stepped(),
+            net_oracle.activity().nodes_stepped());
+  EXPECT_EQ(net_full.activity().nodes_skipped(), 0u);
   EXPECT_GT(net_dirty.activity().nodes_skipped(), 0u) << spec;
 }
 
@@ -324,45 +357,60 @@ TEST(DirtyEquivalence, AsyncMobilityLockstep) {
   const std::size_t n = 70;
   const double radius = 0.16;
   auto w = testsupport::make_deployment(n, radius, 700);
+  auto oracle = make_protocol(w, 13);
   auto full = make_protocol(w, 13);
   auto dirty = make_protocol(w, 13);
 
   mobility::RandomDirection mover(n, {0.0, 1.6}, 1.0, util::Rng(701));
+  topology::LiveTopology live_oracle(w.points, radius);
   topology::LiveTopology live_full(w.points, radius);
   topology::LiveTopology live_dirty(w.points, radius);
 
-  sim::PerfectDelivery loss_a, loss_b;
+  sim::PerfectDelivery loss_o, loss_f, loss_d;
   sim::AsyncConfig config;
   config.daemon = sim::DaemonKind::kRandomized;
-  sim::AsyncNetwork net_full(live_full.graph(), full, loss_a, config,
+  testsupport::FullSweepProtocol sweeping(oracle);
+  sim::AsyncNetwork net_oracle(live_oracle.graph(), sweeping, loss_o, config,
+                               util::Rng(702));
+  sim::AsyncNetwork net_full(live_full.graph(), full, loss_f, config,
                              util::Rng(702));
-  sim::AsyncNetwork net_dirty(live_dirty.graph(), dirty, loss_b, config,
+  sim::AsyncNetwork net_dirty(live_dirty.graph(), dirty, loss_d, config,
                               util::Rng(702));
   net_dirty.set_stepping(sim::Stepping::kDirty);
+  std::vector<sim::Event> trace_oracle, trace_full, trace_dirty;
+  net_oracle.set_event_log(&trace_oracle);
+  net_full.set_event_log(&trace_full);
+  net_dirty.set_event_log(&trace_dirty);
   const std::string spec =
       spec_string("async-mobility", n, radius, 700, 13, "daemon=randomized");
 
+  // Same points, independent topology indexes; every engine sees the
+  // perturbation as an event at "now".
+  const auto perturb = [&w](auto& net, topology::LiveTopology& live) {
+    net.schedule_topology_update(
+        net.now(),
+        [&w, &live]() -> const graph::EdgeDelta& { return live.update(w.points); });
+  };
   for (std::size_t window = 0; window < 10; ++window) {
     mover.step(w.points, 0.2);
-    // Same points, two independent topology indexes; both engines see
-    // the perturbation as an event at "now".
-    net_full.schedule_topology_update(
-        net_full.now(),
-        [&]() -> const graph::EdgeDelta& { return live_full.update(w.points); });
-    net_dirty.schedule_topology_update(
-        net_dirty.now(), [&]() -> const graph::EdgeDelta& {
-          return live_dirty.update(w.points);
-        });
+    perturb(net_oracle, live_oracle);
+    perturb(net_full, live_full);
+    perturb(net_dirty, live_dirty);
+    net_oracle.run_for(2.0);
     net_full.run_for(2.0);
     net_dirty.run_for(2.0);
-    ASSERT_TRUE(populations_identical(full, dirty, window, spec));
-    ASSERT_EQ(net_full.messages_expired(), net_dirty.messages_expired());
+    ASSERT_TRUE(populations_identical(oracle, full, window, spec + " full"));
+    ASSERT_TRUE(populations_identical(oracle, dirty, window, spec + " dirty"));
+    ASSERT_TRUE(schedules_identical(net_oracle, trace_oracle, net_full,
+                                    trace_full, window, spec + " full"));
+    ASSERT_TRUE(schedules_identical(net_oracle, trace_oracle, net_dirty,
+                                    trace_dirty, window, spec + " dirty"));
   }
 }
 
 TEST(DirtyEquivalence, ModeSwitchMidRunKeepsTrajectory) {
   // Entering and leaving dirty mode mid-run must leave the trajectory
-  // untouched: tracking off restores the classic byte-for-byte paths.
+  // untouched: the mode picks counter definitions, not code paths.
   const auto w = testsupport::make_deployment(80, 0.14, 800);
   auto a = make_protocol(w, 21);
   auto b = make_protocol(w, 21);

@@ -34,6 +34,7 @@ namespace ssmwn {
 namespace {
 
 using Engine = sim::ShardedNetwork<core::DensityProtocol>;
+using Frame = sim::FrameBuffer<core::DensityProtocol>;
 
 core::DensityProtocol make_protocol(const graph::Graph& g,
                                     const topology::IdAssignment& ids) {
@@ -66,8 +67,8 @@ World make_world(double lambda, std::uint64_t seed) {
 }
 
 /// Plants a cache entry for a uid no node holds, through the fault
-/// injector's door (`mutable_state` raises the resync flag and, with
-/// tracking on, queues an external wake).
+/// injector's door (`mutable_state` raises the resync flag and queues
+/// an external wake).
 void plant_phantom(core::DensityProtocol& protocol, graph::NodeId q,
                    topology::ProtocolId id) {
   auto s = protocol.mutable_state(q);
@@ -87,11 +88,12 @@ void plant_phantom(core::DensityProtocol& protocol, graph::NodeId q,
 /// for the nodes the step skipped.
 ::testing::AssertionResult caches_hold_rows(
     const graph::Graph& g, const core::DensityProtocol& protocol,
-    const std::vector<core::DensityProtocol::Frame>& frames) {
+    const std::vector<Frame>& frames) {
   for (graph::NodeId q = 0; q < g.node_count(); ++q) {
     const auto& cache = protocol.state(q).cache;
     for (const graph::NodeId p : g.neighbors(q)) {
-      const auto& f = frames[p];
+      const auto& f = frames[p].header;
+      const auto& digests = frames[p].digests;
       const auto it = cache.find(f.id);
       if (it == cache.end()) {
         return ::testing::AssertionFailure()
@@ -102,9 +104,9 @@ void plant_phantom(core::DensityProtocol& protocol, graph::NodeId q,
                   core::double_bits_equal(e.metric, f.metric) &&
                   e.metric_valid == f.metric_valid && e.head == f.head &&
                   e.head_valid == f.head_valid &&
-                  e.digests.size() == f.digests.size();
-      for (std::size_t k = 0; same && k < f.digests.size(); ++k) {
-        same = core::digest_bits_equal(e.digests.data()[k], f.digests[k]);
+                  e.digests.size() == digests.size();
+      for (std::size_t k = 0; same && k < digests.size(); ++k) {
+        same = core::digest_bits_equal(e.digests.data()[k], digests[k]);
       }
       if (!same) {
         return ::testing::AssertionFailure()
@@ -167,7 +169,7 @@ TEST(OneStepper, BitIdenticalToReferenceAcrossKindsShardsAndThreads) {
   };
   const graph::Graph* g = &topo.graph();
   util::Rng motion(99);
-  std::vector<core::DensityProtocol::Frame> frames(n);
+  std::vector<Frame> frames(n);
   for (std::size_t step = 0; step < 90; ++step) {
     if (step == 25 || step == 65) {
       for_all([&](core::DensityProtocol& p) {
@@ -204,7 +206,7 @@ TEST(OneStepper, BitIdenticalToReferenceAcrossKindsShardsAndThreads) {
       });
     }
     for (graph::NodeId p = 0; p < n; ++p) {
-      frames[p] = reference_protocol.make_frame(p);
+      frames[p].build_from(reference_protocol, p);
     }
     reference.step();
     for (auto& lane : lanes) {

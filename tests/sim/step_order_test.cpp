@@ -5,7 +5,7 @@
 // then all ages" only because (a) every frame of a step is built before
 // any receiver-side call and (b) each receiver sees its heard frames in
 // ascending-sender order, followed by exactly one tick and one end_step
-// (and, with activity tracking, one consume_activity). This suite pins
+// (and, where the engine keeps an active set, one consume_activity). This suite pins
 // that order with a toy arena protocol that stamps every call from a
 // global atomic clock into a lock-free event log, across kFull and
 // kDirty on a loss-free medium (both keep an active set and skip quiet
@@ -108,8 +108,6 @@ struct OrderProtocol {
   }
 
   // Quiescence extension.
-  void set_activity_tracking(bool on) { tracking = on; }
-  bool activity_tracking() const { return tracking; }
   bool maybe_tick(graph::NodeId q) {
     tick(q);
     return true;
@@ -152,7 +150,6 @@ struct OrderProtocol {
   std::vector<std::uint64_t> heard_max;
   std::vector<std::uint8_t> changed;
   std::vector<std::uint64_t> snapshot;
-  bool tracking = false;
   mutable std::atomic<std::size_t> cursor{0};
   mutable std::vector<Event> log;
   std::atomic<std::uint64_t> bad_frames{0};

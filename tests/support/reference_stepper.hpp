@@ -1,8 +1,9 @@
 // The owning-frame reference stepper: the textbook Δ(τ) step with none
-// of the engine's machinery — no arena, no row grades, no shards, no
-// dirty sets. Every node's `make_frame(p)` is snapshotted before any
-// delivery, the loss model is polled sender-major, then every node
-// ticks and ages. The differential tests and the bench equivalence
+// of the engine's machinery — no shared arena, no row grades, no
+// shards, no dirty sets. Every node's frame is snapshotted into its own
+// header + digest vector (sim::FrameBuffer, through the arena calls)
+// before any delivery, the loss model is polled sender-major, then
+// every node ticks and ages. The differential tests and the bench equivalence
 // gates step sim::ShardedNetwork in lockstep with this and demand
 // bit-identical protocol state; it is never used to produce results.
 #pragma once
@@ -38,14 +39,12 @@ class ReferenceStepper {
     const graph::Graph& g = *graph_;
     const std::size_t n = g.node_count();
     loss_->begin_step();
-    frames_.clear();
-    for (graph::NodeId p = 0; p < n; ++p) {
-      frames_.push_back(protocol_->make_frame(p));
-    }
+    frames_.resize(n);
+    for (graph::NodeId p = 0; p < n; ++p) frames_[p].build_from(*protocol_, p);
     for (graph::NodeId p = 0; p < n; ++p) {
       for (const graph::NodeId q : g.neighbors(p)) {
         if (loss_->delivered(p, q)) {
-          protocol_->deliver(q, frames_[p]);
+          frames_[p].deliver_to(*protocol_, q);
           ++messages_delivered_;
         }
       }
@@ -68,7 +67,7 @@ class ReferenceStepper {
   const graph::Graph* graph_;
   Protocol* protocol_;
   sim::LossModel* loss_;
-  std::vector<typename Protocol::Frame> frames_;
+  std::vector<sim::FrameBuffer<Protocol>> frames_;
   std::size_t steps_ = 0;
   std::uint64_t messages_delivered_ = 0;
 };

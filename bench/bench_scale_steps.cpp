@@ -11,7 +11,7 @@
 //
 //   * seed    — the owning-frame reference stepper the tests keep as
 //               their oracle (tests/support/reference_stepper.hpp):
-//               per-step owning ProtocolFrames, one digest-vector heap
+//               per-step owning frames, one digest-vector heap
 //               allocation per node per step
 //   * arena   — the step engine (sim::ShardedNetwork) on one thread:
 //               flat preallocated frame buffers, zero steady-state

@@ -37,7 +37,7 @@
 // variables, cache aging/eviction — and exposes the verdict through
 // `consume_activity` / `maybe_tick`. A sweep whose inputs did not move
 // since a sweep that changed nothing is a provable no-op, so
-// `maybe_tick` skips it; there is no untracked mode. Whether a node's
+// `maybe_tick` skips it. Whether a node's
 // *frame* changed is not its call: the synchronous engine grades every
 // rebuilt row against the row before it.
 #pragma once

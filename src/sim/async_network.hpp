@@ -100,10 +100,6 @@ struct AsyncConfig {
 
 template <typename Protocol>
 class AsyncNetwork {
-  static_assert(ArenaProtocol<Protocol>,
-                "the event-driven engine requires the arena extension "
-                "(frame headers + digests in reusable slots)");
-
  public:
   /// The graph reference is observed, not owned, and must outlive the
   /// engine. Topology is fixed unless the owner schedules updates via

@@ -39,6 +39,9 @@ class ReferenceStepper {
     const graph::Graph& g = *graph_;
     const std::size_t n = g.node_count();
     loss_->begin_step();
+    // Fresh frames every step, one digest vector per node: the stepper
+    // also stands in for the seed engine's cost (bench_scale_steps).
+    frames_.clear();
     frames_.resize(n);
     for (graph::NodeId p = 0; p < n; ++p) frames_[p].build_from(*protocol_, p);
     for (graph::NodeId p = 0; p < n; ++p) {

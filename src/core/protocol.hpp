@@ -37,9 +37,9 @@
 // variables, cache aging/eviction — and exposes the verdict through
 // `consume_activity` / `maybe_tick`. A sweep whose inputs did not move
 // since a sweep that changed nothing is a provable no-op, so
-// `maybe_tick` skips it. Whether a node's
-// *frame* changed is not its call: the synchronous engine grades every
-// rebuilt row against the row before it.
+// `maybe_tick` skips it. Whether a node's *frame* changed is not its
+// call: the synchronous engine grades every rebuilt row against the row
+// before it.
 #pragma once
 
 #include <algorithm>
@@ -295,17 +295,17 @@ class DensityProtocol {
   /// sizes differ (a phantom entry, an eviction), the receiver was
   /// externally mutated since the last full sweep, or uids repeat.
   bool redeliver_unchanged(graph::NodeId receiver, std::size_t heard);
-  /// Fast path for a frame whose *id sequence* the engine proved
-  /// unchanged since this receiver last consumed it (payloads — DAG ids,
-  /// metrics, head bits — may differ): e(N_p) depends only on which ids
-  /// each digest list names, so the delta walk and the compare both
-  /// vanish and the delivery collapses to a straight payload overwrite.
-  /// `bits_equal` says the engine proved the whole row bit-equal too:
-  /// then only the age resets. Otherwise the row differs, and that
-  /// proof raises the change bit `deliver` would. Returns false — demanding the full compare path — when the
-  /// entry is missing, its stored list disagrees with the engine's
-  /// proof, the receiver was externally mutated since the last full
-  /// sweep, or uids repeat.
+  /// Fast path for a frame whose *id sequence* the engine proved unchanged
+  /// since this receiver last consumed it (payloads — DAG ids, metrics,
+  /// head bits — may differ): e(N_p) depends only on which ids each digest
+  /// list names, so the delta walk and the compare both vanish and the
+  /// delivery collapses to a straight payload overwrite. `bits_equal` says
+  /// the engine proved the whole row bit-equal too: then only the age
+  /// resets. Otherwise the row differs, and that proof raises the change
+  /// bit `deliver` would. Returns false — demanding the full compare path —
+  /// when the entry is missing, its stored list disagrees with the engine's
+  /// proof, the receiver was externally mutated since the last full sweep,
+  /// or uids repeat.
   bool deliver_payload(graph::NodeId receiver, const FrameHeader& header,
                        std::span<const Digest> digests, bool bits_equal);
   /// The row-equality predicates (sim::RowEqualityProtocol) the engine

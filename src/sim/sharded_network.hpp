@@ -36,23 +36,23 @@
 // medium that always delivers, the engine keeps an active set. Every
 // node owns one persistent row in its shard's frame arena, and after
 // every build phase each row equals the frame its node would build
-// then. A step rebuilds the rows
-// of the *queued* nodes — those whose state changed last step
-// (consume_activity), that were mutated from outside, or that a
-// topology change woke — and grades each against the row before it;
-// every other row is bit-equal by construction. The queued nodes step,
-// and so does every neighbor of a rebuilt row that is not bit-equal:
-// the grade is the one test of whether a frame changed. Every other
-// node sits at a fixpoint with unchanged inputs, so skipping it is
-// bit-identical (docs/ARCHITECTURE.md §7 has the induction). A *whole*
-// step rebuilds every row, a *subset* step only the queued ones; the
-// kind is a global rule on the queued count (kWholeBuildShare), so it
-// never depends on shard or thread count, and it moves no counter but
-// rows_rebuilt and subset_steps. A step with nothing queued runs no
-// phase at all. Lossy media and protocols without the extension step
-// every node with whole builds (the extension still lets a stepped node
-// skip a sweep it proves a no-op). `set_stepping` picks only the
-// counter definitions (and, for kDirty, demands a loss-free medium).
+// then. A step rebuilds the rows of the *queued* nodes — those whose
+// state changed last step (consume_activity), that were mutated from
+// outside, or that a topology change woke — and grades each against the
+// row before it; every other row is bit-equal by construction. The
+// queued nodes step, and so does every neighbor of a rebuilt row that
+// is not bit-equal: the grade is the one test of whether a frame
+// changed. Every other node sits at a fixpoint with unchanged inputs,
+// so skipping it is bit-identical (docs/ARCHITECTURE.md §7 has the
+// induction). A *whole* step rebuilds every row, a *subset* step only
+// the queued ones; the kind is a global rule on the queued count
+// (kWholeBuildShare), so it never depends on shard or thread count, and
+// it moves no counter but rows_rebuilt and subset_steps. A step with
+// nothing queued runs no phase at all. Lossy media and protocols
+// without the extension step every node with whole builds (the
+// extension still lets a stepped node skip a sweep it proves a no-op).
+// `set_stepping` picks only the counter definitions (and, for kDirty,
+// demands a loss-free medium).
 //
 // Shards. The node range [0, n) is carved into contiguous ranges
 // ("shards"); every parallel phase is "one task per shard". A shard owns
@@ -172,7 +172,8 @@ class ShardedNetwork {
     if constexpr (QuiescentProtocol<Protocol>) {
       if (loss.always_delivers()) {
         // Quiescence is discovered, never assumed: every node steps
-        // first, which covers whatever changed before the engine existed.
+        // first. That step covers whatever changed before the engine
+        // existed, so change bits raised before then are dropped.
         tracked_ = true;
         wake_all();
         for (graph::NodeId p = 0; p < g.node_count(); ++p) {

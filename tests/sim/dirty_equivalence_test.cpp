@@ -388,8 +388,9 @@ TEST(DirtyEquivalence, AsyncMobilityLockstep) {
   // perturbation as an event at "now".
   const auto perturb = [&w](auto& net, topology::LiveTopology& live) {
     net.schedule_topology_update(
-        net.now(),
-        [&w, &live]() -> const graph::EdgeDelta& { return live.update(w.points); });
+        net.now(), [&w, &live]() -> const graph::EdgeDelta& {
+          return live.update(w.points);
+        });
   };
   for (std::size_t window = 0; window < 10; ++window) {
     mover.step(w.points, 0.2);

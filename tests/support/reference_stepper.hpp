@@ -3,9 +3,10 @@
 // shards, no dirty sets. Every node's frame is snapshotted into its own
 // header + digest vector (sim::FrameBuffer, through the arena calls)
 // before any delivery, the loss model is polled sender-major, then
-// every node ticks and ages. The differential tests and the bench equivalence
-// gates step sim::ShardedNetwork in lockstep with this and demand
-// bit-identical protocol state; it is never used to produce results.
+// every node ticks and ages. The differential tests and the bench
+// equivalence gates step sim::ShardedNetwork in lockstep with this and
+// demand bit-identical protocol state; it is never used to produce
+// results.
 #pragma once
 
 #include <cstddef>

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "campaign/aggregate.hpp"
 #include "campaign/report.hpp"
@@ -479,6 +480,16 @@ seed_base     = 9105
 )",
 };
 
+/// FNV-1a 64 over `bytes`, continuing from `h`.
+std::uint64_t fnv1a(std::string_view bytes,
+                    std::uint64_t h = 1469598103934665603ULL) {
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
 std::uint64_t pinned_plan_digest(unsigned threads,
                                  const campaign::ExecutionOptions& exec) {
   std::uint64_t h = 1469598103934665603ULL;
@@ -510,6 +521,34 @@ TEST(CampaignReplay, MixedPlanDigestIsPinned) {
   campaign::ExecutionOptions exec;
   exec.shards = 3;
   EXPECT_EQ(pinned_plan_digest(3, exec), kPinned);
+}
+
+TEST(CampaignReplay, ReportBytesArePinned) {
+  // The writers' bytes for the plans of MixedPlanDigestIsPinned: every
+  // schema (legacy, async, live, verify, dirty), every gated cell and
+  // every short label. A change to how a config cell, a header column or
+  // a label is written moves one of these digests.
+  std::uint64_t csv = fnv1a("");
+  std::uint64_t json = csv;
+  std::uint64_t table = csv;
+  for (const char* text : kPinnedSpecTexts) {
+    const auto plan = campaign::expand(campaign::parse_spec_text(text));
+    const auto results = campaign::CampaignRunner(2).run(plan);
+    campaign::MetricsAggregator aggregator(plan.grid.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      aggregator.add(plan.runs[i].grid_index, results[i]);
+    }
+    const auto aggregates = aggregator.summarize();
+    std::ostringstream csv_out, json_out;
+    campaign::write_csv(csv_out, plan, aggregates);
+    campaign::write_json(json_out, plan, aggregates);
+    csv = fnv1a(csv_out.str(), csv);
+    json = fnv1a(json_out.str(), json);
+    table = fnv1a(campaign::summary_table(plan, aggregates).render(), table);
+  }
+  EXPECT_EQ(csv, 0x764ac95663d69a09ULL);
+  EXPECT_EQ(json, 0x06b5779f37451ed9ULL);
+  EXPECT_EQ(table, 0x60316c1e59ee0863ULL);
 }
 
 TEST(CampaignReplay, ReportsAreWellFormed) {

@@ -8,6 +8,7 @@
 #include <locale>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "campaign/spec.hpp"
 
@@ -75,6 +76,139 @@ TEST(CampaignSpec, RunCountBoundCoversTheExpansionAndSaturates) {
   )");
   EXPECT_EQ(campaign::run_count_bound(huge),
             std::numeric_limits<std::size_t>::max());
+}
+
+// Every key set away from its default; the sweeps below add the gated
+// axes. Expansion of each grid is pinned point by point, in grid order,
+// together with run_count_bound: canonical strings feed run seeds and
+// checkpoint spec hashes, so none of these bytes may move.
+constexpr const char* kPinBase = R"(
+name         = pin-axes
+seed_base    = 31337
+replications = 3
+topology     = uniform
+n            = 30
+radius       = 0.2
+variant      = dag
+mobility     = none
+speed_min    = 0.5
+speed_max    = 3
+tau          = 1
+churn_down   = 0
+churn_up     = 0.25
+steps        = 12
+window_s     = 1.5
+world_m      = 500
+live_horizon = 20
+)";
+
+constexpr const char* kPinPoint =
+    "topology=uniform;n=30;radius=0.2;variant=dag;mobility=none;"
+    "speed_min=0.5;speed_max=3;tau=1;churn_down=0;churn_up=0.25;steps=12;"
+    "window_s=1.5;world_m=500";
+
+void expect_grid(const std::string& sweeps, std::size_t bound,
+                 const std::vector<std::string>& suffixes) {
+  const auto spec = campaign::parse_spec_text(kPinBase + sweeps);
+  const auto plan = campaign::expand(spec);
+  EXPECT_EQ(campaign::run_count_bound(spec), bound) << sweeps;
+  EXPECT_EQ(plan.runs.size(), suffixes.size() * 3) << sweeps;
+  ASSERT_EQ(plan.grid.size(), suffixes.size()) << sweeps;
+  for (std::size_t g = 0; g < suffixes.size(); ++g) {
+    EXPECT_EQ(plan.grid[g].canonical, kPinPoint + suffixes[g])
+        << sweeps << "point " << g;
+  }
+}
+
+TEST(CampaignSpec, CanonicalStringsOfEveryGateArePinned) {
+  // Async gate: the knobs collapse on the sync point, stepping collapses
+  // on the classic sync point and is written only when dirty.
+  expect_grid(
+      "scheduler = sync, async\nperiod_jitter = 0.05, 0.2\n"
+      "link_delay = 0.1, 0.01\nstepping = full, dirty\n",
+      48,
+      {"",
+       ";scheduler=async;period_jitter=0.05;link_delay=0.1",
+       ";scheduler=async;period_jitter=0.05;link_delay=0.1;stepping=dirty",
+       ";scheduler=async;period_jitter=0.05;link_delay=0.01",
+       ";scheduler=async;period_jitter=0.05;link_delay=0.01;stepping=dirty",
+       ";scheduler=async;period_jitter=0.2;link_delay=0.1",
+       ";scheduler=async;period_jitter=0.2;link_delay=0.1;stepping=dirty",
+       ";scheduler=async;period_jitter=0.2;link_delay=0.01",
+       ";scheduler=async;period_jitter=0.2;link_delay=0.01;stepping=dirty"});
+  // Live gate on both engines: topology_update collapses on non-live
+  // points; stepping=dirty (listed first) on live sync, async and live
+  // async points, collapsed to it on the classic sync point.
+  const std::string live = ";protocol_live=true;topology_update=";
+  const std::string async = ";scheduler=async;period_jitter=0.1;"
+                            "link_delay=0.02";
+  expect_grid(
+      "scheduler = sync, async\nprotocol_live = false, true\n"
+      "topology_update = rebuild, incremental\nstepping = dirty, full\n",
+      48,
+      {"",
+       live + "rebuild;live_horizon=20;stepping=dirty",
+       live + "rebuild;live_horizon=20",
+       live + "incremental;live_horizon=20;stepping=dirty",
+       live + "incremental;live_horizon=20",
+       async + ";stepping=dirty",
+       async,
+       async + live + "rebuild;live_horizon=20;stepping=dirty",
+       async + live + "rebuild;live_horizon=20",
+       async + live + "incremental;live_horizon=20;stepping=dirty",
+       async + live + "incremental;live_horizon=20"});
+  // Verify gate: fault_class and daemon collapse on the non-verify
+  // point; stepping collapses on every point (classic and verify).
+  const std::string verify = ";verify_faults=true;fault_class=";
+  expect_grid(
+      "verify_faults = false, true\nfault_class = stale-cache, random-all\n"
+      "daemon = unfair, synchronous\nstepping = dirty, full\n",
+      48,
+      {"",
+       verify + "stale-cache;daemon=unfair",
+       verify + "stale-cache;daemon=synchronous",
+       verify + "random-all;daemon=unfair",
+       verify + "random-all;daemon=synchronous"});
+
+  // The ungated axes nest in table order: a two-value sweep of each, in
+  // descending file order, pinned by its ordered digest and both ends.
+  const auto spec = campaign::parse_spec_text(R"(
+    topology   = grid, uniform, poisson
+    n          = 60, 30
+    radius     = 0.2, 0.1
+    variant    = improved, basic
+    mobility   = random-waypoint, none
+    speed_min  = 1, 0
+    speed_max  = 5, 2
+    tau        = 0.8, 1
+    churn_down = 0.1, 0
+    churn_up   = 0.9, 0.5
+    steps      = 10, 5
+    replications = 2
+  )");
+  const auto plan = campaign::expand(spec);
+  EXPECT_EQ(campaign::run_count_bound(spec), 6144u);
+  ASSERT_EQ(plan.grid.size(), 3072u);
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const auto& point : plan.grid) {
+    for (const char c : point.canonical + '\n') {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ULL;
+    }
+  }
+  EXPECT_EQ(h, 0x1a94387219eb8e23ULL);
+  EXPECT_EQ(plan.grid[0].canonical,
+            "topology=grid;n=60;radius=0.2;variant=improved;"
+            "mobility=random-waypoint;speed_min=1;speed_max=5;tau=0.8;"
+            "churn_down=0.1;churn_up=0.9;steps=10;window_s=2;world_m=1000");
+  EXPECT_EQ(plan.grid[1].canonical,
+            "topology=grid;n=60;radius=0.2;variant=improved;"
+            "mobility=random-waypoint;speed_min=1;speed_max=5;tau=0.8;"
+            "churn_down=0.1;churn_up=0.9;steps=5;window_s=2;world_m=1000");
+  EXPECT_EQ(plan.grid.back().canonical,
+            "topology=poisson;n=30;radius=0.1;variant=basic;mobility=none;"
+            "speed_min=0;speed_max=2;tau=1;churn_down=0;churn_up=0.5;"
+            "steps=5;window_s=2;world_m=1000");
 }
 
 TEST(CampaignSpec, RunSeedsAreUnique) {

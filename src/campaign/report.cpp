@@ -39,96 +39,47 @@ void append_escaped_json(std::string& out, std::string_view s) {
   }
 }
 
-std::string config_fields_csv(const ScenarioConfig& c, bool extended,
-                              bool live_schema, bool verify_schema,
-                              bool dirty_schema) {
-  std::ostringstream out = classic_stream();
-  out << to_string(c.topology) << ',' << c.n << ','
-      << format_double(c.radius) << ',' << to_string(c.variant) << ','
-      << to_string(c.mobility) << ',' << format_double(c.speed_min) << ','
-      << format_double(c.speed_max) << ',' << format_double(c.tau) << ','
-      << format_double(c.churn_down) << ',' << format_double(c.churn_up)
-      << ',' << c.steps << ',' << format_double(c.window_s) << ','
-      << format_double(c.world_m);
-  if (extended) {
-    // The async knobs don't apply to a sync run; empty cells, not the
-    // arbitrary first value of the swept lists, so nobody groups a sync
-    // baseline under one particular link_delay slice.
-    const bool async = c.scheduler != SchedulerKind::kSync;
-    out << ',' << to_string(c.scheduler) << ','
-        << (async ? format_double(c.period_jitter) : std::string()) << ','
-        << (async ? format_double(c.link_delay) : std::string());
+/// The config columns of a plan's report: every grid-point row whose
+/// gate is on at some point of the plan, in table order.
+std::vector<const Axis*> config_columns(const CampaignPlan& plan) {
+  std::vector<const Axis*> columns;
+  for (const Axis& row : spec_axes()) {
+    if (row.bind.text != nullptr && plan_uses(plan, row.gate)) {
+      columns.push_back(&row);
+    }
   }
-  if (live_schema) {
-    // Same discipline for the live knobs: empty cells on non-live rows.
-    out << ',' << (c.protocol_live ? "true" : "false") << ','
-        << (c.protocol_live ? std::string(to_string(c.topology_update))
-                            : std::string())
-        << ',';
-    if (c.protocol_live) out << c.live_horizon;
-  }
-  if (verify_schema) {
-    // And for the certification knobs: empty cells on non-verify rows.
-    out << ',' << (c.verify_faults ? "true" : "false") << ','
-        << (c.verify_faults
-                ? std::string(verify::to_string(c.fault_class))
-                : std::string())
-        << ','
-        << (c.verify_faults ? std::string(verify::to_string(c.daemon))
-                            : std::string());
-  }
-  if (dirty_schema) {
-    // Stepper cell: the mode on rows with a stepper seam, empty where
-    // the axis is inapplicable (classic sync, certification trials).
-    out << ','
-        << (stepping_applies(c) ? std::string(to_string(c.stepping))
-                                : std::string());
-  }
-  return out.str();
+  return columns;
 }
 
-std::string config_json(const ScenarioConfig& c, bool extended,
-                        bool live_schema, bool verify_schema,
-                        bool dirty_schema) {
-  std::ostringstream out = classic_stream();
-  out << "\"topology\": \"" << to_string(c.topology) << "\", \"n\": " << c.n
-      << ", \"radius\": " << format_double(c.radius) << ", \"variant\": \""
-      << to_string(c.variant) << "\", \"mobility\": \""
-      << to_string(c.mobility)
-      << "\", \"speed_min\": " << format_double(c.speed_min)
-      << ", \"speed_max\": " << format_double(c.speed_max)
-      << ", \"tau\": " << format_double(c.tau)
-      << ", \"churn_down\": " << format_double(c.churn_down)
-      << ", \"churn_up\": " << format_double(c.churn_up)
-      << ", \"steps\": " << c.steps
-      << ", \"window_s\": " << format_double(c.window_s)
-      << ", \"world_m\": " << format_double(c.world_m);
-  if (extended) {
-    out << ", \"scheduler\": \"" << to_string(c.scheduler) << '"';
-    // As in the CSV: the async knobs are omitted for sync points.
-    if (c.scheduler != SchedulerKind::kSync) {
-      out << ", \"period_jitter\": " << format_double(c.period_jitter)
-          << ", \"link_delay\": " << format_double(c.link_delay);
-    }
+/// Whether a point fills its cell of `row`: a row under a gate that does
+/// not apply here gets an empty CSV cell and no JSON key, not the
+/// arbitrary first value of its swept list, so nobody groups a sync
+/// baseline under one particular link_delay slice.
+bool cell_written(const Axis& row, const ScenarioConfig& c) noexcept {
+  return row.toggle || gate_applies(row.gate, c);
+}
+
+std::string config_fields_csv(const ScenarioConfig& c,
+                              const std::vector<const Axis*>& columns) {
+  std::string out;
+  for (const Axis* row : columns) {
+    if (row != columns.front()) out += ',';
+    if (cell_written(*row, c)) out += row->bind.text(c);
   }
-  if (live_schema) {
-    out << ", \"protocol_live\": " << (c.protocol_live ? "true" : "false");
-    if (c.protocol_live) {
-      out << ", \"topology_update\": \"" << to_string(c.topology_update)
-          << "\", \"live_horizon\": " << c.live_horizon;
-    }
+  return out;
+}
+
+std::string config_json(const ScenarioConfig& c,
+                        const std::vector<const Axis*>& columns) {
+  std::string out;
+  for (const Axis* row : columns) {
+    if (!cell_written(*row, c)) continue;
+    const bool quoted = row->bind.kind == AxisKind::kEnum;
+    out.append(out.empty() ? "\"" : ", \"").append(row->key).append("\": ");
+    out.append(quoted ? "\"" : "").append(row->bind.text(c));
+    out.append(quoted ? "\"" : "");
   }
-  if (verify_schema) {
-    out << ", \"verify_faults\": " << (c.verify_faults ? "true" : "false");
-    if (c.verify_faults) {
-      out << ", \"fault_class\": \"" << verify::to_string(c.fault_class)
-          << "\", \"daemon\": \"" << verify::to_string(c.daemon) << '"';
-    }
-  }
-  if (dirty_schema && stepping_applies(c)) {
-    out << ", \"stepping\": \"" << to_string(c.stepping) << '"';
-  }
-  return out.str();
+  return out;
 }
 
 std::string summary_json(const MetricSummary& s) {
@@ -174,62 +125,30 @@ std::string short_label(const ScenarioConfig& c) {
 
 }  // namespace
 
-bool plan_uses_async(const CampaignPlan& plan) noexcept {
+bool plan_uses(const CampaignPlan& plan, Gate gate) noexcept {
   for (const auto& point : plan.grid) {
-    if (point.config.scheduler != SchedulerKind::kSync) return true;
-  }
-  return false;
-}
-
-bool plan_uses_live(const CampaignPlan& plan) noexcept {
-  for (const auto& point : plan.grid) {
-    if (point.config.protocol_live) return true;
-  }
-  return false;
-}
-
-bool plan_uses_verify(const CampaignPlan& plan) noexcept {
-  for (const auto& point : plan.grid) {
-    if (point.config.verify_faults) return true;
-  }
-  return false;
-}
-
-bool plan_uses_dirty(const CampaignPlan& plan) noexcept {
-  for (const auto& point : plan.grid) {
-    if (stepping_applies(point.config) &&
-        point.config.stepping == SteppingKind::kDirty) {
-      return true;
-    }
+    if (gate_on(gate, point.config)) return true;
   }
   return false;
 }
 
 std::size_t report_metric_count(const CampaignPlan& plan) noexcept {
-  if (plan_uses_verify(plan)) return kMetricNames.size();
-  if (plan_uses_live(plan)) return kLiveMetricCount;
-  return plan_uses_async(plan) ? kAsyncMetricCount : kSyncMetricCount;
+  if (plan_uses(plan, Gate::kVerify)) return kMetricNames.size();
+  if (plan_uses(plan, Gate::kLive)) return kLiveMetricCount;
+  return plan_uses(plan, Gate::kAsync) ? kAsyncMetricCount : kSyncMetricCount;
 }
 
 void write_csv(std::ostream& out, const CampaignPlan& plan,
                const std::vector<ScenarioAggregate>& aggregates) {
   out.imbue(std::locale::classic());
-  const bool extended = plan_uses_async(plan);
-  const bool live_schema = plan_uses_live(plan);
-  const bool verify_schema = plan_uses_verify(plan);
-  const bool dirty_schema = plan_uses_dirty(plan);
+  const auto columns = config_columns(plan);
   const std::size_t metric_count = report_metric_count(plan);
-  out << "campaign,topology,n,radius,variant,mobility,speed_min,speed_max,"
-         "tau,churn_down,churn_up,steps,window_s,world_m,";
-  if (extended) out << "scheduler,period_jitter,link_delay,";
-  if (live_schema) out << "protocol_live,topology_update,live_horizon,";
-  if (verify_schema) out << "verify_faults,fault_class,daemon,";
-  if (dirty_schema) out << "stepping,";
+  out << "campaign,";
+  for (const Axis* row : columns) out << row->key << ',';
   out << "metric,count,mean,stddev,p50,p95,min,max\n";
   for (const auto& aggregate : aggregates) {
     const auto& config = plan.grid[aggregate.grid_index].config;
-    const std::string fields = config_fields_csv(
-        config, extended, live_schema, verify_schema, dirty_schema);
+    const std::string fields = config_fields_csv(config, columns);
     // Only metrics the run actually measured (see metric_applies): no
     // fabricated converge_time=0 for sync points, no fabricated
     // delta=0 for async points.
@@ -252,10 +171,7 @@ void write_csv(std::ostream& out, const CampaignPlan& plan,
 void write_json(std::ostream& out, const CampaignPlan& plan,
                 const std::vector<ScenarioAggregate>& aggregates) {
   out.imbue(std::locale::classic());
-  const bool extended = plan_uses_async(plan);
-  const bool live_schema = plan_uses_live(plan);
-  const bool verify_schema = plan_uses_verify(plan);
-  const bool dirty_schema = plan_uses_dirty(plan);
+  const auto columns = config_columns(plan);
   const std::size_t metric_count = report_metric_count(plan);
   std::string name;
   append_escaped_json(name, plan.name);
@@ -266,9 +182,7 @@ void write_json(std::ostream& out, const CampaignPlan& plan,
     const auto& aggregate = aggregates[i];
     const auto& config = plan.grid[aggregate.grid_index].config;
     out << (i == 0 ? "\n" : ",\n") << "    {"
-        << config_json(config, extended, live_schema, verify_schema,
-                       dirty_schema)
-        << ", \"metrics\": {";
+        << config_json(config, columns) << ", \"metrics\": {";
     // As in write_csv: only the metrics this run actually measured.
     const bool async_point = config.scheduler != SchedulerKind::kSync;
     bool first = true;
@@ -291,9 +205,9 @@ util::Table summary_table(const CampaignPlan& plan,
   util::Table table("Campaign '" + plan.name + "' — " +
                     std::to_string(plan.grid.size()) + " scenario(s) x " +
                     std::to_string(plan.replications) + " replication(s)");
-  const bool extended = plan_uses_async(plan);
-  const bool live = plan_uses_live(plan);
-  const bool verify = plan_uses_verify(plan);
+  const bool extended = plan_uses(plan, Gate::kAsync);
+  const bool live = plan_uses(plan, Gate::kLive);
+  const bool verify = plan_uses(plan, Gate::kVerify);
   if (verify) {
     table.header({"scenario", "pass rate", "clusters", "async t(s)",
                   "async msgs", "sync steps", "sync msgs"});

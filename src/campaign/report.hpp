@@ -9,19 +9,17 @@
 // must produce byte-identical files; the replay test diffs these
 // writers' output to enforce that.
 //
-// Schema versioning: a plan whose grid is purely synchronous is written
-// in the legacy schema (the exact columns/keys/metric rows of PR 2), so
-// pre-existing campaigns replay byte-identically across the release
-// that introduced the execution-engine axis. A plan containing any
-// async grid point gets the extended schema: three more config columns
-// (scheduler, period_jitter, link_delay — the knob cells are empty for
-// sync rows, which the knobs don't apply to) and two more metric names
-// (converge_time, messages). Each row set carries only the metrics its
-// engine measured (see aggregate.hpp's metric_applies): sync points
-// keep stability/delta/reaffiliation/cluster_count, async points get
-// stability/cluster_count/converge_time/messages — never a fabricated
-// zero that would be indistinguishable from a measurement. The schema
-// choice is a pure function of the plan, never of the environment.
+// Schema versioning: the config columns are the grid-point rows of the
+// spec's axis table, in table order, and a gated row's column (and its
+// gate's metric rows) appears only in a plan where that gate is on at
+// some point (`plan_uses`). A purely synchronous plan is thus written in
+// the legacy schema of PR 2, and each later axis — async, live, verify,
+// dirty stepping — left every plan without it byte-identical. Cells of a
+// gated row are empty (CSV) or omitted (JSON) on points where its gate
+// does not apply. Each row set carries only the metrics its engine
+// measured (see aggregate.hpp's metric_applies) — never a fabricated
+// zero that would be indistinguishable from a measurement. The schema is
+// a pure function of the plan, never of the environment.
 #pragma once
 
 #include <iosfwd>
@@ -34,34 +32,10 @@
 
 namespace ssmwn::campaign {
 
-/// True iff any grid point runs on the event-driven engine — the
-/// extended-schema trigger described in the header comment.
-[[nodiscard]] bool plan_uses_async(const CampaignPlan& plan) noexcept;
-
-/// True iff any grid point is a live (protocol-under-mobility) run —
-/// triggers the live schema extension: three more config columns
-/// (protocol_live, topology_update, live_horizon — the knob cells empty
-/// for non-live rows) and the reconverge_time / reconverge_messages
-/// metric rows. Plans without live points keep their previous schema
-/// byte-for-byte, exactly as sync-only plans keep the legacy one.
-[[nodiscard]] bool plan_uses_live(const CampaignPlan& plan) noexcept;
-
-/// True iff any grid point is a certification trial (verify_faults) —
-/// triggers the verify schema extension: three more config columns
-/// (verify_faults, fault_class, daemon — knob cells empty for
-/// non-verify rows) and the sync_converge_steps / sync_messages metric
-/// rows. Plans without verify points keep their previous schema
-/// byte-for-byte, same release-boundary discipline as the live axis.
-[[nodiscard]] bool plan_uses_verify(const CampaignPlan& plan) noexcept;
-
-/// True iff any grid point runs the quiescence-aware dirty stepper
-/// (stepping_applies && stepping == kDirty) — triggers the dirty schema
-/// extension: one more config column/key (`stepping`, the cell empty /
-/// key omitted on points without a stepper). Plans that never flip the
-/// axis keep their previous schema byte-for-byte, same release-boundary
-/// discipline as every prior axis. The stepper changes *cost only* —
-/// never results — so no new metric rows come with it.
-[[nodiscard]] bool plan_uses_dirty(const CampaignPlan& plan) noexcept;
+/// True iff `gate` is on at some grid point (gate_on): the plan's report
+/// then carries the gate's config columns — and, for async, live and
+/// verify, its metric rows.
+[[nodiscard]] bool plan_uses(const CampaignPlan& plan, Gate gate) noexcept;
 
 /// Number of metric rows the writers emit per grid point:
 /// kSyncMetricCount for a purely synchronous plan, kAsyncMetricCount

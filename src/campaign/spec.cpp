@@ -1,13 +1,12 @@
 #include "campaign/spec.hpp"
 
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <fstream>
-#include <limits>
-#include <locale>
-#include <set>
 #include <sstream>
+#include <type_traits>
 
 #include "util/rng.hpp"
 #include "verify/trial.hpp"
@@ -73,25 +72,17 @@ std::size_t parse_count(const std::string& key, const std::string& raw) {
   return static_cast<std::size_t>(v);
 }
 
-TopologyKind parse_topology(const std::string& raw) {
-  if (raw == "uniform") return TopologyKind::kUniform;
-  if (raw == "grid") return TopologyKind::kGrid;
-  if (raw == "poisson") return TopologyKind::kPoisson;
-  fail("topology: expected uniform|grid|poisson, got '" + raw + "'");
-}
-
-MobilityKind parse_mobility(const std::string& raw) {
-  if (raw == "none") return MobilityKind::kNone;
-  if (raw == "random-direction") return MobilityKind::kRandomDirection;
-  if (raw == "random-waypoint") return MobilityKind::kRandomWaypoint;
-  fail("mobility: expected none|random-direction|random-waypoint, got '" +
-       raw + "'");
-}
-
-SchedulerKind parse_scheduler(const std::string& raw) {
-  if (raw == "sync") return SchedulerKind::kSync;
-  if (raw == "async") return SchedulerKind::kAsync;
-  fail("scheduler: expected sync|async, got '" + raw + "'");
+std::uint64_t parse_seed(const std::string& key, const std::string& raw) {
+  // stoull alone would wrap negatives modulo 2^64 and silently drop
+  // trailing junk.
+  try {
+    std::size_t used = 0;
+    if (raw.front() == '-') throw std::invalid_argument(raw);
+    const std::uint64_t seed = std::stoull(raw, &used);
+    if (used == raw.size()) return seed;
+  } catch (const std::exception&) {
+  }
+  fail(key + ": expected an unsigned integer, got '" + raw + "'");
 }
 
 bool parse_bool(const std::string& key, const std::string& raw) {
@@ -100,45 +91,335 @@ bool parse_bool(const std::string& key, const std::string& raw) {
   fail(key + ": expected true|false, got '" + raw + "'");
 }
 
-TopologyUpdateKind parse_topology_update(const std::string& raw) {
-  if (raw == "rebuild") return TopologyUpdateKind::kRebuild;
-  if (raw == "incremental") return TopologyUpdateKind::kIncremental;
-  fail("topology_update: expected rebuild|incremental, got '" + raw + "'");
+// One spelling array per enum, indexed by the enumerator's value.
+constexpr std::array<std::string_view, 3> kTopologyNames{"uniform", "grid",
+                                                         "poisson"};
+constexpr std::array<std::string_view, 3> kMobilityNames{
+    "none", "random-direction", "random-waypoint"};
+constexpr std::array<std::string_view, 4> kVariantNames{"basic", "dag",
+                                                        "improved", "full"};
+constexpr std::array<std::string_view, 2> kSchedulerNames{"sync", "async"};
+constexpr std::array<std::string_view, 2> kTopologyUpdateNames{
+    "rebuild", "incremental"};
+constexpr std::array<std::string_view, 2> kSteppingNames{"full", "dirty"};
+
+template <std::size_t N, typename E>
+std::string_view spell(const std::array<std::string_view, N>& names,
+                       E value) noexcept {
+  const auto i = static_cast<std::size_t>(value);
+  return i < N ? names[i] : "?";
 }
 
-SteppingKind parse_stepping(const std::string& raw) {
-  if (raw == "full") return SteppingKind::kFull;
-  if (raw == "dirty") return SteppingKind::kDirty;
-  fail("stepping: expected full|dirty, got '" + raw + "'");
-}
-
-// The verify-axis spellings live with the taxonomy (verify/faults.cpp);
-// rethrow their invalid_argument as SpecError so the parser's error
-// contract (and the CLI's exit-code mapping) stays uniform.
-verify::FaultClass parse_fault_class_or_fail(const std::string& raw) {
-  try {
-    return verify::parse_fault_class(raw);
-  } catch (const std::invalid_argument& error) {
-    fail(error.what());
+// Every swept enum runs 0..N-1, and to_string spells any value past the
+// last as "?" (the verify enums' spellings live in verify/faults.cpp).
+template <typename E>
+E parse_enum(const std::string& key, const std::string& raw) {
+  std::string choices;
+  for (int i = 0; to_string(static_cast<E>(i)) != "?"; ++i) {
+    const auto value = static_cast<E>(i);
+    if (raw == to_string(value)) return value;
+    if (i != 0) choices += '|';
+    choices += to_string(value);
   }
+  fail(key + ": expected " + choices + ", got '" + raw + "'");
 }
 
-verify::Daemon parse_daemon_or_fail(const std::string& raw) {
-  try {
-    return verify::parse_daemon(raw);
-  } catch (const std::invalid_argument& error) {
-    fail(error.what());
+std::string value_text(std::size_t v) { return std::to_string(v); }
+std::string value_text(double v) { return format_double(v); }
+std::string value_text(bool v) { return v ? "true" : "false"; }
+template <typename E>
+  requires std::is_enum_v<E>
+std::string value_text(E v) {
+  return std::string(to_string(v));
+}
+
+template <typename T>
+struct ListOf : std::false_type {
+  using Value = T;
+};
+template <typename T>
+struct ListOf<std::vector<T>> : std::true_type {
+  using Value = T;
+};
+
+template <typename Class, typename Member>
+Member member_type(Member Class::*);
+
+/// The type-erased accessors of a row binding CampaignSpec::*SpecField
+/// and (unless it is null) ScenarioConfig::*ConfigField.
+template <auto SpecField, auto ConfigField>
+struct Accessors {
+  using Stored = decltype(member_type(SpecField));
+  using T = typename ListOf<Stored>::Value;
+  static constexpr bool kSweep = ListOf<Stored>::value;
+
+  static T at(const CampaignSpec& spec, std::size_t i) {
+    if constexpr (kSweep) {
+      return (spec.*SpecField)[i];
+    } else {
+      return spec.*SpecField;
+    }
   }
-}
 
-void require_scalar(const std::string& key,
+  static std::size_t length(const CampaignSpec& spec) noexcept {
+    if constexpr (kSweep) {
+      return (spec.*SpecField).size();
+    } else {
+      return 1;
+    }
+  }
+
+  static T parse_value(const Axis& row, const std::string& raw) {
+    const std::string key(row.key);
+    if constexpr (std::is_same_v<T, std::string>) {
+      return raw;
+    } else if constexpr (std::is_same_v<T, bool>) {
+      return parse_bool(key, raw);
+    } else if constexpr (std::is_same_v<T, double>) {
+      return parse_number(key, raw);
+    } else if constexpr (std::is_enum_v<T>) {
+      return parse_enum<T>(key, raw);
+    } else {
+      return row.bind.kind == AxisKind::kSeed ? parse_seed(key, raw)
+                                              : parse_count(key, raw);
+    }
+  }
+
+  static void parse(const Axis& row, CampaignSpec& spec,
                     const std::vector<std::string>& values) {
-  if (values.size() != 1) {
-    fail(key + ": this key does not support sweep lists");
+    if constexpr (kSweep) {
+      auto& list = spec.*SpecField;
+      list.clear();
+      for (const auto& raw : values) list.push_back(parse_value(row, raw));
+    } else {
+      if (values.size() != 1) {
+        fail(std::string(row.key) + ": this key does not support sweep lists");
+      }
+      spec.*SpecField = parse_value(row, values.front());
+    }
+  }
+
+  static bool accepts(const Axis& row, const T& v) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      return !v.empty();
+    } else if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+      return row.range.contains(static_cast<double>(v));
+    } else {
+      return true;
+    }
+  }
+
+  static void check(const Axis& row, const CampaignSpec& spec) {
+    const std::string key(row.key);
+    const std::size_t count = length(spec);
+    if (count == 0) fail(key + ": needs at least one value");
+    for (std::size_t i = 0; i < count; ++i) {
+      const T v = at(spec, i);
+      if (row.what != nullptr && !accepts(row, v)) fail(key + ": " + row.what);
+    }
+  }
+
+  static void assign(const CampaignSpec& spec, std::size_t i,
+                     ScenarioConfig& config) {
+    config.*ConfigField = at(spec, i);
+  }
+
+  static std::string text(const ScenarioConfig& config) {
+    return value_text(config.*ConfigField);
+  }
+};
+
+template <auto SpecField, auto ConfigField = nullptr,
+          AxisKind kCountKind = AxisKind::kCount>
+constexpr Axis::Binding fields() {
+  using A = Accessors<SpecField, ConfigField>;
+  using T = typename A::T;
+  AxisKind kind = kCountKind;
+  if constexpr (std::is_same_v<T, std::string>) kind = AxisKind::kText;
+  if constexpr (std::is_same_v<T, bool>) kind = AxisKind::kBool;
+  if constexpr (std::is_same_v<T, double>) kind = AxisKind::kNumber;
+  if constexpr (std::is_enum_v<T>) kind = AxisKind::kEnum;
+  Axis::Binding binding{kind,      A::kSweep, &A::parse, &A::check,
+                        &A::length, nullptr,  nullptr};
+  if constexpr (!std::is_null_pointer_v<decltype(ConfigField)>) {
+    binding.assign = &A::assign;
+    binding.text = &A::text;
+  }
+  return binding;
+}
+
+using S = CampaignSpec;
+using C = ScenarioConfig;
+constexpr AxisRange kAtLeastOne{.lo = 1};
+constexpr AxisRange kPositive{.lo_open = true};
+constexpr AxisRange kUnit{.hi = 1};                           // [0, 1]
+constexpr AxisRange kPhysical{.hi = 1e9, .hi_open = true};    // [0, 1e9)
+
+// The axis table. Adding an axis is one row here (plus its CampaignSpec
+// and ScenarioConfig members and the code that consumes it): a new
+// grid-point row goes last, so it nests innermost and lands last in the
+// canonical string and the report, under a gate that is off on every
+// existing point — no existing seed or report byte moves.
+constexpr std::array kAxes{
+    Axis{.key = "name", .what = "must be non-empty",
+         .bind = fields<&S::name>()},
+    Axis{.key = "replications", .range = kAtLeastOne,
+         .what = "must be at least 1", .bind = fields<&S::replications>()},
+    Axis{.key = "seed_base",
+         .bind = fields<&S::seed_base, nullptr, AxisKind::kSeed>()},
+    Axis{.key = "topology", .bind = fields<&S::topology, &C::topology>()},
+    Axis{.key = "n", .range = kAtLeastOne,
+         .what = "node count must be at least 1",
+         .bind = fields<&S::n, &C::n>()},
+    Axis{.key = "radius",
+         .range = {.hi = 1e9, .lo_open = true, .hi_open = true},
+         .what = "radius must be positive",
+         .bind = fields<&S::radius, &C::radius>()},
+    Axis{.key = "variant", .bind = fields<&S::variant, &C::variant>()},
+    Axis{.key = "mobility", .bind = fields<&S::mobility, &C::mobility>()},
+    Axis{.key = "speed_min", .range = kPhysical,
+         .what = "speed must be non-negative",
+         .bind = fields<&S::speed_min, &C::speed_min>()},
+    Axis{.key = "speed_max", .range = kPhysical,
+         .what = "speed must be non-negative",
+         .bind = fields<&S::speed_max, &C::speed_max>()},
+    Axis{.key = "tau", .range = {.lo = 0, .hi = 1, .lo_open = true},
+         .what = "delivery probability must be in (0, 1]",
+         .bind = fields<&S::tau, &C::tau>()},
+    Axis{.key = "churn_down", .range = kUnit,
+         .what = "probability must be in [0, 1]",
+         .bind = fields<&S::churn_down, &C::churn_down>()},
+    Axis{.key = "churn_up", .range = kUnit,
+         .what = "probability must be in [0, 1]",
+         .bind = fields<&S::churn_up, &C::churn_up>()},
+    Axis{.key = "steps", .range = kAtLeastOne,
+         .what = "at least one snapshot window is required",
+         .bind = fields<&S::steps, &C::steps>()},
+    Axis{.key = "window_s", .range = kPositive, .what = "must be positive",
+         .bind = fields<&S::window_s, &C::window_s>()},
+    Axis{.key = "world_m", .range = kPositive, .what = "must be positive",
+         .bind = fields<&S::world_m, &C::world_m>()},
+    Axis{.key = "scheduler", .gate = Gate::kAsync, .toggle = true,
+         .bind = fields<&S::scheduler, &C::scheduler>()},
+    Axis{.key = "period_jitter", .gate = Gate::kAsync,
+         .range = {.hi = 1, .hi_open = true},
+         .what = "jitter fraction must be in [0, 1)",
+         .bind = fields<&S::period_jitter, &C::period_jitter>()},
+    Axis{.key = "link_delay", .gate = Gate::kAsync, .range = kPhysical,
+         .what = "delay must be non-negative seconds",
+         .bind = fields<&S::link_delay, &C::link_delay>()},
+    Axis{.key = "protocol_live", .gate = Gate::kLive, .toggle = true,
+         .bind = fields<&S::protocol_live, &C::protocol_live>()},
+    Axis{.key = "topology_update", .gate = Gate::kLive,
+         .bind = fields<&S::topology_update, &C::topology_update>()},
+    Axis{.key = "live_horizon", .gate = Gate::kLive, .range = kAtLeastOne,
+         .what = "must be at least 1 round",
+         .bind = fields<&S::live_horizon, &C::live_horizon>()},
+    Axis{.key = "verify_faults", .gate = Gate::kVerify, .toggle = true,
+         .bind = fields<&S::verify_faults, &C::verify_faults>()},
+    Axis{.key = "fault_class", .gate = Gate::kVerify,
+         .bind = fields<&S::fault_class, &C::fault_class>()},
+    Axis{.key = "daemon", .gate = Gate::kVerify,
+         .bind = fields<&S::daemon, &C::daemon>()},
+    Axis{.key = "stepping", .gate = Gate::kStepping,
+         .bind = fields<&S::stepping, &C::stepping>()},
+};
+
+using Odometer = std::array<std::size_t, kAxes.size()>;
+
+/// Turns the odometer one notch, innermost row first, and refreshes the
+/// rows that moved in `config`; false once every row has wrapped.
+bool advance(const CampaignSpec& spec, Odometer& at, ScenarioConfig& config) {
+  for (std::size_t r = kAxes.size(); r-- > 0;) {
+    const Axis::Binding& row = kAxes[r].bind;
+    if (!row.sweepable) continue;
+    at[r] = (at[r] + 1) % row.length(spec);
+    row.assign(spec, at[r], config);
+    if (at[r] != 0) return true;
+  }
+  return false;
+}
+
+/// True when a row sits past its first value on a point where its gate
+/// does not apply: the value changes neither the run nor its canonical
+/// string, so the point was already emitted with the first value.
+bool collapsed(const Odometer& at, const ScenarioConfig& config) {
+  for (std::size_t r = 0; r < kAxes.size(); ++r) {
+    if (at[r] != 0 && !kAxes[r].toggle &&
+        !gate_applies(kAxes[r].gate, config)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// The cross-axis rejections: combinations no single row can see.
+void reject_unrunnable(const ScenarioConfig& config) {
+  if (config.speed_min > config.speed_max) {
+    fail("speed_min " + format_double(config.speed_min) +
+         " exceeds speed_max " + format_double(config.speed_max));
+  }
+  if (config.scheduler == SchedulerKind::kAsync && !config.protocol_live &&
+      (config.mobility != MobilityKind::kNone || config.churn_down > 0.0)) {
+    fail("scheduler=async with mobility/churn requires protocol_live=true "
+         "(the dynamic-topology mode); without it the event-driven engine "
+         "runs a fixed deployment from an adversarial initial state");
+  }
+  if (config.scheduler == SchedulerKind::kAsync && config.window_s < 1e-6) {
+    fail("scheduler=async requires window_s >= 1e-6 (one virtual-time "
+         "tick; window_s is the async broadcast period)");
+  }
+  if (config.protocol_live && config.window_s < 1e-6) {
+    fail("protocol_live=true requires window_s >= 1e-6 (window_s is the "
+         "perturbation period and the live broadcast round)");
+  }
+}
+
+void reject_unsound(const ScenarioConfig& config) {
+  if (config.stepping == SteppingKind::kDirty && config.protocol_live &&
+      config.scheduler == SchedulerKind::kSync && config.tau < 1.0) {
+    // The synchronous dirty stepper elides whole nodes per tick, which is
+    // only bit-identical when the medium is loss-free
+    // (sim::Network::set_stepping enforces the same at runtime).
+    fail("stepping=dirty on the synchronous engine requires tau=1 (a lossy "
+         "medium draws per-link randomness for skipped nodes; use "
+         "scheduler=async for lossy dirty runs)");
+  }
+  if (!config.verify_faults) return;
+  // A certification trial is one corrupted fixed deployment played on
+  // BOTH engines; every axis that would change that shape is rejected
+  // loudly rather than silently ignored.
+  if (config.protocol_live) {
+    fail("verify_faults=true is incompatible with protocol_live=true (a "
+         "trial runs a fixed deployment)");
+  }
+  if (config.scheduler != SchedulerKind::kSync) {
+    fail("verify_faults=true runs both engines itself; drop the scheduler "
+         "axis (use daemon= for the async half)");
+  }
+  if (config.mobility != MobilityKind::kNone || config.churn_down > 0.0) {
+    fail("verify_faults=true is incompatible with mobility/churn (a trial "
+         "runs a fixed deployment)");
+  }
+  if (config.topology != TopologyKind::kUniform) {
+    fail("verify_faults=true requires topology=uniform (trials draw their "
+         "own uniform deployments)");
+  }
+  if (config.steps < verify::kMinHorizonRounds) {
+    // Below this no trial can ever confirm legitimacy, so every
+    // replication would report a "violation" that is really a budget
+    // impossibility.
+    fail("verify_faults=true requires steps >= " +
+         std::to_string(verify::kMinHorizonRounds) +
+         " (the horizon must cover the " +
+         std::to_string(verify::kDefaultConfirmRounds) +
+         "-round confirmation window plus the quiescence baseline)");
   }
 }
 
 }  // namespace
+
+std::span<const Axis> spec_axes() noexcept { return kAxes; }
 
 std::string format_double(double value) {
   // Shortest round-trip-exact decimal; the precision-17 fallback
@@ -163,29 +444,26 @@ std::string format_double(double value) {
 }
 
 std::string_view to_string(TopologyKind kind) noexcept {
-  switch (kind) {
-    case TopologyKind::kUniform: return "uniform";
-    case TopologyKind::kGrid: return "grid";
-    case TopologyKind::kPoisson: return "poisson";
-  }
-  return "?";
+  return spell(kTopologyNames, kind);
 }
-
 std::string_view to_string(MobilityKind kind) noexcept {
-  switch (kind) {
-    case MobilityKind::kNone: return "none";
-    case MobilityKind::kRandomDirection: return "random-direction";
-    case MobilityKind::kRandomWaypoint: return "random-waypoint";
-  }
-  return "?";
+  return spell(kMobilityNames, kind);
+}
+std::string_view to_string(Variant variant) noexcept {
+  return spell(kVariantNames, variant);
+}
+std::string_view to_string(SchedulerKind kind) noexcept {
+  return spell(kSchedulerNames, kind);
+}
+std::string_view to_string(TopologyUpdateKind kind) noexcept {
+  return spell(kTopologyUpdateNames, kind);
+}
+std::string_view to_string(SteppingKind kind) noexcept {
+  return spell(kSteppingNames, kind);
 }
 
 Variant parse_variant(const std::string& raw) {
-  if (raw == "basic") return Variant::kBasic;
-  if (raw == "dag") return Variant::kDag;
-  if (raw == "improved") return Variant::kImproved;
-  if (raw == "full") return Variant::kFull;
-  fail("variant: expected basic|dag|improved|full, got '" + raw + "'");
+  return parse_enum<Variant>("variant", raw);
 }
 
 core::ClusterOptions cluster_options(Variant variant) noexcept {
@@ -198,85 +476,17 @@ core::ClusterOptions cluster_options(Variant variant) noexcept {
   return {};
 }
 
-std::string_view to_string(Variant variant) noexcept {
-  switch (variant) {
-    case Variant::kBasic: return "basic";
-    case Variant::kDag: return "dag";
-    case Variant::kImproved: return "improved";
-    case Variant::kFull: return "full";
-  }
-  return "?";
-}
-
-std::string_view to_string(SchedulerKind kind) noexcept {
-  switch (kind) {
-    case SchedulerKind::kSync: return "sync";
-    case SchedulerKind::kAsync: return "async";
-  }
-  return "?";
-}
-
-std::string_view to_string(TopologyUpdateKind kind) noexcept {
-  switch (kind) {
-    case TopologyUpdateKind::kRebuild: return "rebuild";
-    case TopologyUpdateKind::kIncremental: return "incremental";
-  }
-  return "?";
-}
-
-std::string_view to_string(SteppingKind kind) noexcept {
-  switch (kind) {
-    case SteppingKind::kFull: return "full";
-    case SteppingKind::kDirty: return "dirty";
-  }
-  return "?";
-}
-
 std::string canonical_config(const ScenarioConfig& c) {
-  std::ostringstream out;
-  // Integer formatting also honors the stream's locale (grouping, e.g.
-  // "1.000" under de_DE); pin the classic locale so canonical strings —
-  // and therefore seeds — never depend on the process environment.
-  out.imbue(std::locale::classic());
-  out << "topology=" << to_string(c.topology) << ";n=" << c.n
-      << ";radius=" << format_double(c.radius)
-      << ";variant=" << to_string(c.variant)
-      << ";mobility=" << to_string(c.mobility)
-      << ";speed_min=" << format_double(c.speed_min)
-      << ";speed_max=" << format_double(c.speed_max)
-      << ";tau=" << format_double(c.tau)
-      << ";churn_down=" << format_double(c.churn_down)
-      << ";churn_up=" << format_double(c.churn_up) << ";steps=" << c.steps
-      << ";window_s=" << format_double(c.window_s)
-      << ";world_m=" << format_double(c.world_m);
-  // Appended only for async points — see the header comment: this keeps
-  // every pre-existing synchronous campaign's seeds bit-stable.
-  if (c.scheduler != SchedulerKind::kSync) {
-    out << ";scheduler=" << to_string(c.scheduler)
-        << ";period_jitter=" << format_double(c.period_jitter)
-        << ";link_delay=" << format_double(c.link_delay);
+  // Integers go through std::to_string and doubles through
+  // format_double: neither depends on the process locale, so neither do
+  // canonical strings — and therefore seeds.
+  std::string out;
+  for (const Axis& row : kAxes) {
+    if (row.bind.text == nullptr || !gate_on(row.gate, c)) continue;
+    if (!out.empty()) out += ';';
+    out.append(row.key).append("=").append(row.bind.text(c));
   }
-  // Same release-boundary discipline for the dynamic-topology axis: a
-  // non-live point serializes exactly as it did before the axis existed.
-  if (c.protocol_live) {
-    out << ";protocol_live=true;topology_update="
-        << to_string(c.topology_update) << ";live_horizon=" << c.live_horizon;
-  }
-  // And for the certification axis: only verify points carry it.
-  if (c.verify_faults) {
-    out << ";verify_faults=true;fault_class="
-        << verify::to_string(c.fault_class)
-        << ";daemon=" << verify::to_string(c.daemon);
-  }
-  // Quiescence axis: serialized only when it both applies and deviates
-  // from the default. `stepping=full` is never written — full stepping
-  // is what every campaign ran before the axis existed, so even
-  // pre-existing *live and async* points keep their exact canonical
-  // strings (and seeds, and outputs) across this release boundary.
-  if (stepping_applies(c) && c.stepping == SteppingKind::kDirty) {
-    out << ";stepping=dirty";
-  }
-  return out.str();
+  return out;
 }
 
 CampaignSpec parse_spec_text(std::string_view text) {
@@ -286,7 +496,7 @@ CampaignSpec parse_spec_text(std::string_view text) {
 
 CampaignSpec parse_spec(std::istream& in) {
   CampaignSpec spec;
-  std::set<std::string> seen;
+  std::array<bool, kAxes.size()> seen{};
   std::string line;
   std::size_t line_no = 0;
   while (std::getline(in, line)) {
@@ -309,121 +519,14 @@ CampaignSpec parse_spec(std::istream& in) {
         fail(key + ": empty value (line " + std::to_string(line_no) + ")");
       }
     }
-    if (!seen.insert(key).second) fail("duplicate key '" + key + "'");
-
-    if (key == "name") {
-      require_scalar(key, values);
-      spec.name = values.front();
-    } else if (key == "replications") {
-      require_scalar(key, values);
-      spec.replications = parse_count(key, values.front());
-    } else if (key == "seed_base") {
-      require_scalar(key, values);
-      const std::string& raw = values.front();
-      // Strict like every other key: stoull alone would wrap negatives
-      // modulo 2^64 and silently drop trailing junk.
-      try {
-        std::size_t used = 0;
-        if (raw.front() == '-') throw std::invalid_argument(raw);
-        spec.seed_base = std::stoull(raw, &used);
-        if (used != raw.size()) throw std::invalid_argument(raw);
-      } catch (const std::exception&) {
-        fail("seed_base: expected an unsigned integer, got '" + raw + "'");
-      }
-    } else if (key == "window_s") {
-      require_scalar(key, values);
-      spec.window_s = parse_number(key, values.front());
-    } else if (key == "world_m") {
-      require_scalar(key, values);
-      spec.world_m = parse_number(key, values.front());
-    } else if (key == "topology") {
-      spec.topology.clear();
-      for (const auto& v : values) spec.topology.push_back(parse_topology(v));
-    } else if (key == "n") {
-      spec.n.clear();
-      for (const auto& v : values) spec.n.push_back(parse_count(key, v));
-    } else if (key == "radius") {
-      spec.radius.clear();
-      for (const auto& v : values) spec.radius.push_back(parse_number(key, v));
-    } else if (key == "variant") {
-      spec.variant.clear();
-      for (const auto& v : values) spec.variant.push_back(parse_variant(v));
-    } else if (key == "mobility") {
-      spec.mobility.clear();
-      for (const auto& v : values) spec.mobility.push_back(parse_mobility(v));
-    } else if (key == "speed_min") {
-      spec.speed_min.clear();
-      for (const auto& v : values) {
-        spec.speed_min.push_back(parse_number(key, v));
-      }
-    } else if (key == "speed_max") {
-      spec.speed_max.clear();
-      for (const auto& v : values) {
-        spec.speed_max.push_back(parse_number(key, v));
-      }
-    } else if (key == "tau") {
-      spec.tau.clear();
-      for (const auto& v : values) spec.tau.push_back(parse_number(key, v));
-    } else if (key == "churn_down") {
-      spec.churn_down.clear();
-      for (const auto& v : values) {
-        spec.churn_down.push_back(parse_number(key, v));
-      }
-    } else if (key == "churn_up") {
-      spec.churn_up.clear();
-      for (const auto& v : values) {
-        spec.churn_up.push_back(parse_number(key, v));
-      }
-    } else if (key == "steps") {
-      spec.steps.clear();
-      for (const auto& v : values) spec.steps.push_back(parse_count(key, v));
-    } else if (key == "scheduler") {
-      spec.scheduler.clear();
-      for (const auto& v : values) spec.scheduler.push_back(parse_scheduler(v));
-    } else if (key == "period_jitter") {
-      spec.period_jitter.clear();
-      for (const auto& v : values) {
-        spec.period_jitter.push_back(parse_number(key, v));
-      }
-    } else if (key == "link_delay") {
-      spec.link_delay.clear();
-      for (const auto& v : values) {
-        spec.link_delay.push_back(parse_number(key, v));
-      }
-    } else if (key == "protocol_live") {
-      spec.protocol_live.clear();
-      for (const auto& v : values) {
-        spec.protocol_live.push_back(parse_bool(key, v));
-      }
-    } else if (key == "topology_update") {
-      spec.topology_update.clear();
-      for (const auto& v : values) {
-        spec.topology_update.push_back(parse_topology_update(v));
-      }
-    } else if (key == "live_horizon") {
-      require_scalar(key, values);
-      spec.live_horizon = parse_count(key, values.front());
-    } else if (key == "verify_faults") {
-      spec.verify_faults.clear();
-      for (const auto& v : values) {
-        spec.verify_faults.push_back(parse_bool(key, v));
-      }
-    } else if (key == "fault_class") {
-      spec.fault_class.clear();
-      for (const auto& v : values) {
-        spec.fault_class.push_back(parse_fault_class_or_fail(v));
-      }
-    } else if (key == "daemon") {
-      spec.daemon.clear();
-      for (const auto& v : values) {
-        spec.daemon.push_back(parse_daemon_or_fail(v));
-      }
-    } else if (key == "stepping") {
-      spec.stepping.clear();
-      for (const auto& v : values) spec.stepping.push_back(parse_stepping(v));
-    } else {
+    std::size_t r = 0;
+    while (r < kAxes.size() && kAxes[r].key != key) ++r;
+    if (r == kAxes.size()) {
       fail("unknown key '" + key + "' (line " + std::to_string(line_no) + ")");
     }
+    if (seen[r]) fail("duplicate key '" + key + "'");
+    seen[r] = true;
+    kAxes[r].bind.parse(kAxes[r], spec, values);
   }
   validate(spec);
   return spec;
@@ -436,66 +539,7 @@ CampaignSpec load_spec(const std::string& path) {
 }
 
 void validate(const CampaignSpec& spec) {
-  if (spec.replications == 0) fail("replications: must be at least 1");
-  // Negated comparisons so NaN fails every range check.
-  if (!(spec.window_s > 0.0)) fail("window_s: must be positive");
-  if (!(spec.world_m > 0.0)) fail("world_m: must be positive");
-  if (spec.name.empty()) fail("name: must be non-empty");
-  auto check_each = [](const char* key, const auto& values, auto&& ok,
-                       const char* what) {
-    if (values.empty()) fail(std::string(key) + ": needs at least one value");
-    for (const auto& v : values) {
-      if (!ok(v)) {
-        fail(std::string(key) + ": " + what);
-      }
-    }
-  };
-  check_each("n", spec.n, [](std::size_t v) { return v >= 1; },
-             "node count must be at least 1");
-  check_each("radius", spec.radius, [](double v) { return v > 0.0 && v < 1e9; },
-             "radius must be positive");
-  check_each("tau", spec.tau, [](double v) { return v > 0.0 && v <= 1.0; },
-             "delivery probability must be in (0, 1]");
-  check_each("churn_down", spec.churn_down,
-             [](double v) { return v >= 0.0 && v <= 1.0; },
-             "probability must be in [0, 1]");
-  check_each("churn_up", spec.churn_up,
-             [](double v) { return v >= 0.0 && v <= 1.0; },
-             "probability must be in [0, 1]");
-  check_each("speed_min", spec.speed_min,
-             [](double v) { return v >= 0.0 && v < 1e9; },
-             "speed must be non-negative");
-  check_each("speed_max", spec.speed_max,
-             [](double v) { return v >= 0.0 && v < 1e9; },
-             "speed must be non-negative");
-  check_each("steps", spec.steps, [](std::size_t v) { return v >= 1; },
-             "at least one snapshot window is required");
-  check_each("period_jitter", spec.period_jitter,
-             [](double v) { return v >= 0.0 && v < 1.0; },
-             "jitter fraction must be in [0, 1)");
-  check_each("link_delay", spec.link_delay,
-             [](double v) { return v >= 0.0 && v < 1e9; },
-             "delay must be non-negative seconds");
-  if (spec.live_horizon == 0) {
-    fail("live_horizon: must be at least 1 round");
-  }
-  // Empty axes for the enum fields can only arise programmatically.
-  if (spec.topology.empty()) fail("topology: needs at least one value");
-  if (spec.variant.empty()) fail("variant: needs at least one value");
-  if (spec.mobility.empty()) fail("mobility: needs at least one value");
-  if (spec.scheduler.empty()) fail("scheduler: needs at least one value");
-  if (spec.protocol_live.empty()) {
-    fail("protocol_live: needs at least one value");
-  }
-  if (spec.topology_update.empty()) {
-    fail("topology_update: needs at least one value");
-  }
-  if (spec.verify_faults.empty()) {
-    fail("verify_faults: needs at least one value");
-  }
-  if (spec.fault_class.empty()) fail("fault_class: needs at least one value");
-  if (spec.daemon.empty()) fail("daemon: needs at least one value");
-  if (spec.stepping.empty()) fail("stepping: needs at least one value");
+  for (const Axis& row : kAxes) row.bind.check(row, spec);
 }
 
 std::uint64_t run_seed(std::uint64_t seed_base, std::string_view canonical,
@@ -522,195 +566,25 @@ CampaignPlan expand(const CampaignSpec& spec) {
   plan.replications = spec.replications;
   plan.seed_base = spec.seed_base;
 
-  // Fixed axis nesting (outermost first). The order here — not the order
-  // of lines in the spec file — defines grid indices, so two files with
-  // reordered fields expand to identical plans. The newest (verify)
-  // axes nest innermost of all; they are applied in a second, shallow
-  // stage below so this ladder stops growing a level per release.
-  std::vector<ScenarioConfig> base_points;
-  for (const auto topology : spec.topology) {
-    for (const auto n : spec.n) {
-      for (const auto radius : spec.radius) {
-        for (const auto variant : spec.variant) {
-          for (const auto mobility : spec.mobility) {
-            for (const auto speed_min : spec.speed_min) {
-              for (const auto speed_max : spec.speed_max) {
-                for (const auto tau : spec.tau) {
-                  for (const auto churn_down : spec.churn_down) {
-                    for (const auto churn_up : spec.churn_up) {
-                      for (const auto steps : spec.steps) {
-                        // New axes nest innermost so a sync-only spec's
-                        // grid order is exactly what it was before the
-                        // scheduler axis existed.
-                        for (const auto scheduler : spec.scheduler) {
-                          for (const auto period_jitter : spec.period_jitter) {
-                            for (const auto link_delay : spec.link_delay) {
-                              // The async knobs don't affect a sync run
-                              // (or its canonical string); emit each
-                              // sync point once, not once per knob
-                              // combination, so seeds stay unique.
-                              if (scheduler == SchedulerKind::kSync &&
-                                  (period_jitter !=
-                                       spec.period_jitter.front() ||
-                                   link_delay != spec.link_delay.front())) {
-                                continue;
-                              }
-                              // Newest axes innermost, same discipline:
-                              // a non-live point ignores topology_update
-                              // (and doesn't serialize it), so emit it
-                              // once per knob value set.
-                              for (const bool protocol_live :
-                                   spec.protocol_live) {
-                                for (const auto topology_update :
-                                     spec.topology_update) {
-                                  if (!protocol_live &&
-                                      topology_update !=
-                                          spec.topology_update.front()) {
-                                    continue;
-                                  }
-                              ScenarioConfig config;
-                              config.topology = topology;
-                              config.n = n;
-                              config.radius = radius;
-                              config.variant = variant;
-                              config.mobility = mobility;
-                              config.speed_min = speed_min;
-                              config.speed_max = speed_max;
-                              config.tau = tau;
-                              config.churn_down = churn_down;
-                              config.churn_up = churn_up;
-                              config.steps = steps;
-                              config.window_s = spec.window_s;
-                              config.world_m = spec.world_m;
-                              config.scheduler = scheduler;
-                              config.period_jitter = period_jitter;
-                              config.link_delay = link_delay;
-                              config.protocol_live = protocol_live;
-                              config.topology_update = topology_update;
-                              config.live_horizon = spec.live_horizon;
-                              if (config.speed_min > config.speed_max) {
-                                fail("speed_min " +
-                                     format_double(config.speed_min) +
-                                     " exceeds speed_max " +
-                                     format_double(config.speed_max));
-                              }
-                              if (config.scheduler == SchedulerKind::kAsync &&
-                                  !config.protocol_live &&
-                                  (config.mobility != MobilityKind::kNone ||
-                                   config.churn_down > 0.0)) {
-                                fail("scheduler=async with mobility/churn "
-                                     "requires protocol_live=true (the "
-                                     "dynamic-topology mode); without it the "
-                                     "event-driven engine runs a fixed "
-                                     "deployment from an adversarial initial "
-                                     "state");
-                              }
-                              if (config.scheduler == SchedulerKind::kAsync &&
-                                  config.window_s < 1e-6) {
-                                fail("scheduler=async requires window_s >= "
-                                     "1e-6 (one virtual-time tick; window_s "
-                                     "is the async broadcast period)");
-                              }
-                              if (config.protocol_live &&
-                                  config.window_s < 1e-6) {
-                                fail("protocol_live=true requires window_s >= "
-                                     "1e-6 (window_s is the perturbation "
-                                     "period and the live broadcast round)");
-                              }
-                              base_points.push_back(config);
-                                }
-                              }
-                            }
-                          }
-                        }
-                      }
-                    }
-                  }
-                }
-              }
-            }
-          }
-        }
-      }
-    }
+  // One odometer over the table, the last row turning fastest. The table
+  // order — not the order of lines in the spec file — defines grid
+  // indices, so two files with reordered fields expand to identical plans.
+  Odometer at{};
+  ScenarioConfig config;
+  for (const Axis& row : kAxes) {
+    if (row.bind.assign != nullptr) row.bind.assign(spec, 0, config);
   }
+  do {
+    if (!collapsed(at, config)) {
+      plan.grid.push_back({config, canonical_config(config)});
+    }
+  } while (advance(spec, at, config));
 
-  // Stage 2: the certification axes, innermost of all (same
-  // release-boundary discipline as every prior axis: a non-verify point
-  // ignores fault_class and daemon, so emit it once per value set).
-  // Base-major, verify-minor iteration — identical grid order to
-  // splicing three more loops into the nest above, without deepening it.
-  for (const ScenarioConfig& base : base_points) {
-    for (const bool verify_faults : spec.verify_faults) {
-      for (const auto fault_class : spec.fault_class) {
-        for (const auto daemon : spec.daemon) {
-          if (!verify_faults && (fault_class != spec.fault_class.front() ||
-                                 daemon != spec.daemon.front())) {
-            continue;
-          }
-          // The stepping axis nests innermost of all. It only sweeps on
-          // points that have a stepper (live or async, never verify);
-          // everywhere else the point is emitted once, with the axis
-          // collapsed to its first value.
-          for (const auto stepping : spec.stepping) {
-          ScenarioConfig config = base;
-          config.verify_faults = verify_faults;
-          config.fault_class = fault_class;
-          config.daemon = daemon;
-          config.stepping = stepping;
-          if (!stepping_applies(config) &&
-              stepping != spec.stepping.front()) {
-            continue;
-          }
-          if (config.stepping == SteppingKind::kDirty &&
-              config.protocol_live &&
-              config.scheduler == SchedulerKind::kSync && config.tau < 1.0) {
-            // The synchronous dirty stepper elides whole nodes per tick,
-            // which is only bit-identical when the medium is loss-free
-            // (sim::Network::set_stepping enforces the same at runtime).
-            fail("stepping=dirty on the synchronous engine requires tau=1 "
-                 "(a lossy medium draws per-link randomness for skipped "
-                 "nodes; use scheduler=async for lossy dirty runs)");
-          }
-          if (config.verify_faults) {
-            // A certification trial is one corrupted fixed deployment
-            // played on BOTH engines; every axis that would change that
-            // shape is rejected loudly rather than silently ignored.
-            if (config.protocol_live) {
-              fail("verify_faults=true is incompatible with "
-                   "protocol_live=true (a trial runs a fixed deployment)");
-            }
-            if (config.scheduler != SchedulerKind::kSync) {
-              fail("verify_faults=true runs both engines itself; drop the "
-                   "scheduler axis (use daemon= for the async half)");
-            }
-            if (config.mobility != MobilityKind::kNone ||
-                config.churn_down > 0.0) {
-              fail("verify_faults=true is incompatible with mobility/churn "
-                   "(a trial runs a fixed deployment)");
-            }
-            if (config.topology != TopologyKind::kUniform) {
-              fail("verify_faults=true requires topology=uniform (trials "
-                   "draw their own uniform deployments)");
-            }
-            if (config.steps < verify::kMinHorizonRounds) {
-              // Below this no trial can ever confirm legitimacy, so
-              // every replication would report a "violation" that is
-              // really a budget impossibility.
-              fail("verify_faults=true requires steps >= " +
-                   std::to_string(verify::kMinHorizonRounds) +
-                   " (the horizon must cover the " +
-                   std::to_string(verify::kDefaultConfirmRounds) +
-                   "-round confirmation window plus the quiescence "
-                   "baseline)");
-            }
-          }
-          plan.grid.push_back({config, canonical_config(config)});
-          }
-        }
-      }
-    }
-  }
+  // All points pass the first list before any meets the second, so a
+  // spec with several faults is reported by the same first message as
+  // ever.
+  for (const GridPoint& point : plan.grid) reject_unrunnable(point.config);
+  for (const GridPoint& point : plan.grid) reject_unsound(point.config);
 
   plan.runs.reserve(plan.grid.size() * spec.replications);
   for (std::size_t g = 0; g < plan.grid.size(); ++g) {
@@ -725,16 +599,9 @@ CampaignPlan expand(const CampaignSpec& spec) {
 std::size_t run_count_bound(const CampaignSpec& spec) noexcept {
   constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
   std::size_t bound = spec.replications;
-  // Every list-valued field of CampaignSpec: a new sweep axis joins here.
-  for (const std::size_t len :
-       {spec.topology.size(), spec.n.size(), spec.radius.size(),
-        spec.variant.size(), spec.mobility.size(), spec.speed_min.size(),
-        spec.speed_max.size(), spec.tau.size(), spec.churn_down.size(),
-        spec.churn_up.size(), spec.steps.size(), spec.scheduler.size(),
-        spec.period_jitter.size(), spec.link_delay.size(),
-        spec.protocol_live.size(), spec.topology_update.size(),
-        spec.verify_faults.size(), spec.fault_class.size(),
-        spec.daemon.size(), spec.stepping.size()}) {
+  for (const Axis& row : kAxes) {
+    if (!row.bind.sweepable) continue;
+    const std::size_t len = row.bind.length(spec);
     bound = (len != 0 && bound > kMax / len) ? kMax : bound * len;
   }
   return bound;

@@ -25,19 +25,24 @@
 //   verify_faults = true              # self-stabilization certification trials
 //   fault_class  = stale-cache, partial-frame   # corruption distribution
 //   daemon       = synchronous, randomized, unfair  # async-half adversary
-//   stepping     = full, dirty        # quiescence-aware dirty-region stepper
+//   stepping     = full, dirty        # which step counters are reported
 //
-// Expansion takes the Cartesian product of every list-valued axis and
-// schedules `replications` independent runs per grid point. Each run's
-// seed derives from (seed_base, canonical serialization of its grid
-// point, replication index) — *not* from the position of fields in the
-// file — so seeds are stable under field reordering and unique across
-// the grid (asserted by tests/campaign/spec_property_test.cpp).
+// Every key is one row of the axis table (`spec_axes()`, kAxes in
+// spec.cpp): parsing, validation, the canonical string, expansion,
+// run_count_bound and the report columns all read it. Expansion takes
+// the Cartesian product of every list-valued axis and schedules
+// `replications` independent runs per grid point. Each run's seed
+// derives from (seed_base, canonical serialization of its grid point,
+// replication index) — *not* from the position of fields in the file —
+// so seeds are stable under field reordering and unique across the grid
+// (asserted by tests/campaign/spec_property_test.cpp).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -85,9 +90,9 @@ enum class SchedulerKind { kSync, kAsync };
 enum class TopologyUpdateKind { kRebuild, kIncremental };
 
 /// Which counter definitions a protocol-under-engine run reports
-/// (sim::Stepping). Both run the one quiescence-aware code path, so the
-/// axis never changes results — replay tests assert the outputs match
-/// byte for byte — only what the stepped/skipped counts count.
+/// (sim::Stepping). Both modes run the one quiescence-aware code path,
+/// which skips quiet nodes either way, so the axis never changes results
+/// — only what the stepped/skipped counts count.
 enum class SteppingKind { kFull, kDirty };
 
 [[nodiscard]] std::string_view to_string(TopologyKind kind) noexcept;
@@ -113,52 +118,78 @@ struct ScenarioConfig {
   std::size_t steps = 50;       // snapshot windows per run
   double window_s = 2.0;        // seconds simulated between snapshots
   double world_m = 1000.0;      // meters per unit-square side
-  // Execution-engine axis (PR 3). For kAsync, window_s doubles as the
-  // mean per-node broadcast period and steps bounds the virtual horizon
-  // (steps × window_s seconds).
+  // Execution engine. For kAsync, window_s doubles as the mean per-node
+  // broadcast period and steps bounds the virtual horizon (steps ×
+  // window_s seconds).
   SchedulerKind scheduler = SchedulerKind::kSync;
   double period_jitter = 0.1;   // ± fraction of the broadcast period
   double link_delay = 0.02;     // mean per-link delivery delay (s)
-  // Dynamic-topology axis (PR 4). protocol_live=true runs the
-  // *distributed protocol* continuously while mobility/churn evolve the
-  // graph (on either engine) and measures per-perturbation
-  // re-convergence; false keeps the classic modes. For live runs,
-  // `steps` counts perturbation windows and `live_horizon` bounds each
-  // convergence phase (in rounds: sync steps or async broadcast
-  // periods). All three serialize into the canonical string only when
-  // protocol_live is true, so pre-existing seeds are untouched.
+  // protocol_live=true runs the *distributed protocol* continuously
+  // while mobility/churn evolve the graph (on either engine) and
+  // measures per-perturbation re-convergence; `steps` then counts
+  // perturbation windows and `live_horizon` bounds each convergence
+  // phase (in rounds: sync steps or async broadcast periods).
   bool protocol_live = false;
   TopologyUpdateKind topology_update = TopologyUpdateKind::kIncremental;
   std::size_t live_horizon = 64;
-  // Self-stabilization certification axis (PR 5). verify_faults=true
-  // turns the run into one certification trial (src/verify/): corrupt
-  // the protocol state with `fault_class`, run to fixpoint on BOTH
-  // engines (the async half under `daemon`), check the legitimacy
-  // predicates plus cross-engine agreement. `steps` bounds the horizon
-  // in rounds. The three fields serialize into the canonical string
-  // only when verify_faults is true — pre-existing seeds untouched.
+  // verify_faults=true turns the run into one certification trial
+  // (src/verify/): corrupt the protocol state with `fault_class`, run to
+  // fixpoint on BOTH engines (the async half under `daemon`), check the
+  // legitimacy predicates plus cross-engine agreement. `steps` bounds
+  // the horizon in rounds.
   bool verify_faults = false;
   verify::FaultClass fault_class = verify::FaultClass::kRandomAll;
   verify::Daemon daemon = verify::Daemon::kRandomized;
-  // Quiescence axis (PR 6). Selects the stepper for runs that execute
-  // the protocol on an engine (live runs on either engine, classic
-  // async runs); the classic sync modes are oracle-driven and have no
-  // stepper, and certification trials pin their own execution, so the
-  // axis is inapplicable there (see stepping_applies). Serializes into
-  // the canonical string only when applicable AND dirty — every
-  // pre-existing campaign's seeds and outputs stay byte-identical, and
-  // a full-vs-dirty sweep differs only in the one new point's string.
+  // Which step counters a run that executes the protocol on an engine
+  // reports (see stepping_applies).
   SteppingKind stepping = SteppingKind::kFull;
 };
 
-/// Whether the stepping axis has any effect on this grid point: the run
-/// must execute the protocol on an engine with a stepper seam. (Classic
-/// sync points cluster via the oracle; verify points run fixed
-/// certification trials.)
+/// Whether the stepping axis applies to this grid point: the run must
+/// execute the protocol on an engine. (Classic sync points cluster
+/// via the oracle; verify points run fixed certification trials.)
 [[nodiscard]] constexpr bool stepping_applies(
     const ScenarioConfig& config) noexcept {
   if (config.verify_faults) return false;
   return config.protocol_live || config.scheduler == SchedulerKind::kAsync;
+}
+
+/// The axes whose values matter only on some grid points. Where a row's
+/// gate does not apply, expand collapses the row to its first value (the
+/// point is emitted once, not once per value) and the report leaves its
+/// cell empty; the gate's rows enter the canonical string only where the
+/// gate is on. Each axis added after the first release came with a gate
+/// that is off on every older point, so no older canonical string, seed
+/// or report moved.
+enum class Gate : std::uint8_t {
+  kNone,      // the row always matters
+  kAsync,     // scheduler != sync
+  kLive,      // protocol_live
+  kVerify,    // verify_faults
+  kStepping,  // stepping_applies; on only where stepping is also dirty
+};
+
+/// Whether rows under `gate` matter on this point (cell written, swept).
+[[nodiscard]] constexpr bool gate_applies(Gate gate,
+                                          const ScenarioConfig& c) noexcept {
+  switch (gate) {
+    case Gate::kNone: return true;
+    case Gate::kAsync: return c.scheduler != SchedulerKind::kSync;
+    case Gate::kLive: return c.protocol_live;
+    case Gate::kVerify: return c.verify_faults;
+    case Gate::kStepping: return stepping_applies(c);
+  }
+  return true;
+}
+
+/// Whether rows under `gate` enter this point's canonical string; a
+/// report carries the gate's columns iff it is on at some point.
+/// `stepping=full` is never written: it is what every point ran before
+/// the axis existed.
+[[nodiscard]] constexpr bool gate_on(Gate gate,
+                                     const ScenarioConfig& c) noexcept {
+  return gate_applies(gate, c) &&
+         (gate != Gate::kStepping || c.stepping == SteppingKind::kDirty);
 }
 
 /// Shortest decimal that round-trips to the exact double; used by the
@@ -166,13 +197,10 @@ struct ScenarioConfig {
 /// identically everywhere.
 [[nodiscard]] std::string format_double(double value);
 
-/// Fixed-order `key=value` serialization of a grid point. Identical
+/// Fixed-order `key=value` serialization of a grid point: every grid-point
+/// row of the axis table, in table order, whose gate is on. Identical
 /// configs serialize identically regardless of how the spec file was
-/// written; run seeds hash this string. The async-engine fields
-/// (scheduler, period_jitter, link_delay) are appended **only when
-/// scheduler != kSync**: a synchronous grid point serializes exactly as
-/// it did before the execution-engine axis existed, so every seed of
-/// every pre-existing campaign is stable across that release boundary.
+/// written; run seeds and checkpoint spec hashes hash this string.
 [[nodiscard]] std::string canonical_config(const ScenarioConfig& config);
 
 /// A parsed spec: scalar campaign-wide settings plus one value list per
@@ -209,8 +237,9 @@ struct CampaignSpec {
 };
 
 /// Parses `key = value` text. Throws SpecError on unknown keys,
-/// duplicate keys, malformed values, lists on scalar-only keys, or
-/// out-of-range settings (zero replications, negative radius, ...).
+/// duplicate keys, malformed values, lists on scalar-only keys, values
+/// repeated within one list, or out-of-range settings (zero replications,
+/// negative radius, ...).
 [[nodiscard]] CampaignSpec parse_spec_text(std::string_view text);
 [[nodiscard]] CampaignSpec parse_spec(std::istream& in);
 /// Loads and parses a spec file; throws SpecError if unreadable.
@@ -218,6 +247,63 @@ struct CampaignSpec {
 
 /// Semantic validation shared by the parser and programmatic callers.
 void validate(const CampaignSpec& spec);
+
+/// What a spec value is parsed as.
+enum class AxisKind : std::uint8_t {
+  kCount,   // non-negative integer, written in any number notation
+  kSeed,    // unsigned 64-bit integer, digits only
+  kNumber,  // double
+  kEnum,    // one of the type's to_string spellings
+  kBool,    // true | false
+  kText,    // the raw text
+};
+
+/// Accepted values of a count or number row. Negated comparisons: NaN is
+/// never inside.
+struct AxisRange {
+  double lo = 0.0;
+  double hi = std::numeric_limits<double>::infinity();
+  bool lo_open = false;
+  bool hi_open = false;
+
+  [[nodiscard]] constexpr bool contains(double v) const noexcept {
+    return (lo_open ? v > lo : v >= lo) && (hi_open ? v < hi : v <= hi);
+  }
+};
+
+/// One spec key: a row of the axis table.
+struct Axis {
+  /// Access to the CampaignSpec member the row binds (a value list for a
+  /// sweepable axis, else a scalar) and the ScenarioConfig member it
+  /// fills; generated from the two members, so rows state no types.
+  struct Binding {
+    AxisKind kind;
+    bool sweepable;
+    void (*parse)(const Axis&, CampaignSpec&, const std::vector<std::string>&);
+    void (*check)(const Axis&, const CampaignSpec&);
+    std::size_t (*length)(const CampaignSpec&) noexcept;
+    // Null for the campaign-wide rows (name, replications, seed_base),
+    // which are no field of a grid point.
+    void (*assign)(const CampaignSpec&, std::size_t index, ScenarioConfig&);
+    std::string (*text)(const ScenarioConfig&);
+  };
+
+  std::string_view key;
+  Gate gate = Gate::kNone;
+  /// The row whose value opens its gate (scheduler, protocol_live,
+  /// verify_faults): never collapsed, its cell always written.
+  bool toggle = false;
+  AxisRange range{};
+  /// SpecError text ("key: what") for a value outside `range` (or an
+  /// empty text); null when any parsed value is accepted.
+  const char* what = nullptr;
+  Binding bind;
+};
+
+/// The axis table: every spec key once, campaign-wide rows first, then
+/// the grid-point rows in canonical order, which is also expand's nesting
+/// order (outermost first) and the report's column order.
+[[nodiscard]] std::span<const Axis> spec_axes() noexcept;
 
 /// One scheduled run of the expanded campaign.
 struct RunPlanEntry {
@@ -246,10 +332,10 @@ struct CampaignPlan {
 [[nodiscard]] CampaignPlan expand(const CampaignSpec& spec);
 
 /// Upper bound on `expand(spec).runs.size()`, computed without expanding
-/// or allocating: replications × the length of every axis list,
-/// saturating at SIZE_MAX. Knob combinations `expand` collapses (async
-/// knobs on sync points, say) are counted, so the bound can exceed the
-/// real run count but never falls below it.
+/// or allocating: replications × the length of every sweepable row's
+/// list, saturating at SIZE_MAX. Rows `expand` collapses (async knobs on
+/// sync points, say) are counted, so the bound can exceed the real run
+/// count but never falls below it.
 [[nodiscard]] std::size_t run_count_bound(const CampaignSpec& spec) noexcept;
 
 /// Seed of replication `rep` of the grid point with the given canonical

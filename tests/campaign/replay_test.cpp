@@ -225,7 +225,7 @@ TEST(CampaignReplay, NonVerifyPlansKeepTheirSchemas) {
   EXPECT_EQ(live_plan.json.find("daemon"), std::string::npos);
   const auto plan =
       campaign::expand(campaign::parse_spec_text(kLiveSpecText));
-  EXPECT_FALSE(campaign::plan_uses_verify(plan));
+  EXPECT_FALSE(campaign::plan_uses(plan, campaign::Gate::kVerify));
   EXPECT_EQ(campaign::report_metric_count(plan), campaign::kLiveMetricCount);
 }
 
@@ -261,7 +261,7 @@ TEST(CampaignReplay, NonLivePlansKeepTheirSchemas) {
   EXPECT_EQ(async_plan.json.find("reconverge"), std::string::npos);
   const auto plan =
       campaign::expand(campaign::parse_spec_text(kAsyncSpecText));
-  EXPECT_FALSE(campaign::plan_uses_live(plan));
+  EXPECT_FALSE(campaign::plan_uses(plan, campaign::Gate::kLive));
   EXPECT_EQ(campaign::report_metric_count(plan), campaign::kAsyncMetricCount);
 }
 
@@ -274,7 +274,7 @@ TEST(CampaignReplay, SyncOnlyPlansKeepTheLegacySchema) {
   EXPECT_EQ(rendered.json.find("converge_time"), std::string::npos);
   const auto plan =
       campaign::expand(campaign::parse_spec_text(kSpecText));
-  EXPECT_FALSE(campaign::plan_uses_async(plan));
+  EXPECT_FALSE(campaign::plan_uses(plan, campaign::Gate::kAsync));
   EXPECT_EQ(campaign::report_metric_count(plan), campaign::kSyncMetricCount);
 }
 
@@ -362,8 +362,9 @@ TEST(CampaignReplay, NonDirtyPlansKeepTheirSchemas) {
     const auto rendered = render_campaign_text(text, 1);
     EXPECT_EQ(rendered.csv.find("stepping"), std::string::npos);
     EXPECT_EQ(rendered.json.find("stepping"), std::string::npos);
-    EXPECT_FALSE(campaign::plan_uses_dirty(
-        campaign::expand(campaign::parse_spec_text(text))));
+    EXPECT_FALSE(
+        campaign::plan_uses(campaign::expand(campaign::parse_spec_text(text)),
+                            campaign::Gate::kStepping));
   }
 }
 

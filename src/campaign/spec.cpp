@@ -216,6 +216,15 @@ struct Accessors {
     for (std::size_t i = 0; i < count; ++i) {
       const T v = at(spec, i);
       if (row.what != nullptr && !accepts(row, v)) fail(key + ": " + row.what);
+      if constexpr (kSweep) {
+        // A repeated value would expand to a second grid point with the
+        // same canonical string, so the same seeds.
+        for (std::size_t j = 0; j < i; ++j) {
+          if (at(spec, j) == v) {
+            fail(key + ": value '" + value_text(v) + "' is repeated");
+          }
+        }
+      }
     }
   }
 

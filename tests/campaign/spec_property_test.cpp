@@ -310,6 +310,52 @@ TEST(CampaignSpec, MalformedSpecsAreRejectedWithClearErrors) {
   rejects("n = 5\nn = 6", "duplicate key 'n'");
   rejects("radius = 0.1abc", "radius");            // trailing junk
   rejects("speed_min = 5\nspeed_max = 1", "speed_min");  // impossible combo
+  // A repeated sweep value would be a second grid point with the same
+  // canonical string and seeds; values compare parsed, not spelled.
+  rejects("n = 40, 40", "n: value '40' is repeated");
+  rejects("radius = 0.2, 0.20", "radius: value '0.2' is repeated");
+  rejects("stepping = dirty, full, dirty", "stepping: value 'dirty'");
+}
+
+TEST(CampaignSpec, EveryAxisRejectsHostileValuesNamingItsKey) {
+  // Driven by the axis table, so a new row is covered without a new
+  // test: each bad value must raise a SpecError whose message starts
+  // with the row's key.
+  for (const campaign::Axis& row : campaign::spec_axes()) {
+    const std::string key(row.key);
+    const auto rejects = [&key](const std::string& value, const char* what) {
+      try {
+        (void)campaign::parse_spec_text(key + " = " + value);
+        ADD_FAILURE() << key << " accepted " << what << " '" << value << "'";
+      } catch (const SpecError& error) {
+        EXPECT_EQ(std::string(error.what()).rfind(key + ": ", 0), 0u)
+            << what << " '" << value << "': " << error.what();
+      }
+    };
+    // A value the row accepts: the default of a grid-point row, else a
+    // campaign-wide one.
+    const std::string ok =
+        row.bind.text != nullptr ? row.bind.text(campaign::ScenarioConfig{})
+                                 : std::string("7");
+    EXPECT_NO_THROW((void)campaign::parse_spec_text(key + " = " + ok)) << key;
+    rejects("", "an empty value");
+    rejects(ok + ", " + ok, "a repeated value");
+    if (!row.bind.sweepable) rejects(ok + ", 8", "a list on a scalar key");
+    // Any non-empty text is a name.
+    if (row.bind.kind != campaign::AxisKind::kText) rejects("bogus", "junk");
+    if (row.what == nullptr || row.bind.kind == campaign::AxisKind::kText) {
+      continue;
+    }
+    // Just outside each finite bound of the row's range.
+    const campaign::AxisRange& range = row.range;
+    rejects(campaign::format_double(range.lo_open ? range.lo : range.lo - 1),
+            "a value below the range");
+    if (range.hi != std::numeric_limits<double>::infinity()) {
+      rejects(
+          campaign::format_double(range.hi_open ? range.hi : range.hi + 1),
+          "a value above the range");
+    }
+  }
 }
 
 TEST(CampaignSpec, SchedulerAxisExpandsAndDeduplicatesSyncPoints) {

@@ -738,8 +738,8 @@ const std::vector<FlagRow> kFlags = {
                  {{"live", "true"}}}},
     {kProtocol, {"window-s", kReal, "2", "seconds per window", 1e-6,
                  kBelow1e9, {}, {{"live", "true"}}}},
-    {kProtocol, {"stepping", kChoice, "full", "dirty: changed nodes only", 0,
-                 0, {"full", "dirty"}}},
+    {kProtocol, {"stepping", kChoice, "full", "which step counters to report",
+                 0, 0, {"full", "dirty"}}},
     {kCampaign, {"json", kText, "", "write per-scenario JSON"}},
     {kCampaign | kVerify, {"quiet", kBool, "false", "no progress or table"}},
     {kCampaign, {"replications", kInt, "", "override replications", 1, 1e9}},

@@ -1,25 +1,30 @@
-// Quiescence-aware stepping throughput: dirty-region vs full sweeps on
-// a converged live-mobility run.
+// Quiescence-aware stepping throughput on a converged live-mobility run,
+// under both counter definitions.
 //
-// The dirty stepper (sim/activity.hpp + Network::step_dirty) claims
-// that once the protocol has converged, a mobility tick that perturbs a
-// handful of links should cost O(affected region), not O(n·degree):
-// only nodes whose closed neighborhood changed re-run their rules, and
-// activity propagates exactly one hop per tick while it still changes
-// anything. This bench plays the SAME recorded delta stream through two
-// identically seeded protocol+engine pairs — one full, one dirty — and
-// measures steady-state ticks/s at n ∈ {1k, 10k, 100k}. The run doubles
-// as a bitwise-equivalence gate: after the timed window the two
-// populations must be bit-identical (shared variables, caches, RNG
-// state), so a stepping bug fails the binary rather than flattering it.
+// The one synchronous stepper skips what it can prove quiet: once the
+// protocol has converged, a mobility tick that perturbs a handful of
+// links should cost O(affected region), not O(n·degree) — only nodes
+// whose inputs changed re-run their rules, and activity propagates one
+// hop per tick while it still changes anything. `--stepping full` and
+// `dirty` run that same path and differ only in what the stepped and
+// skipped counters count, so the "full" and "dirty" rows time one
+// stepper twice (a control pair: they should read alike). Both replay
+// the SAME recorded delta stream from identical protocol seeds at n ∈
+// {1k, 10k, 100k}.
+//
+// The run doubles as a bitwise-equivalence gate: the same settle and
+// delta schedule is replayed untimed on the owning-frame reference
+// stepper (tests/support/reference_stepper.hpp), which steps every node
+// every tick with none of the engine's skipping, in lockstep with a
+// fresh engine compared after every step; both timed populations must
+// also equal the reference's final one (shared variables, caches, RNG
+// state). A skipping bug fails the binary rather than flattering it.
 //
 // Scenario: one node per thousand is mobile (pedestrian, 0-1.6 m/s);
-// the rest form a static converged mesh. This is the regime the dirty
-// stepper targets — couriers moving through a deployed sensor field.
-// When EVERY node moves at once the per-tick link churn is spread over
-// the whole area and the dirty region covers the graph, so dirty
-// stepping degenerates to full stepping plus bookkeeping (measured
-// ~0.85x); that regime belongs to the full stepper and the docs say so.
+// the rest form a static converged mesh — couriers moving through a
+// deployed sensor field. When EVERY node moves at once the per-tick
+// link churn is spread over the whole area and the stepper has little
+// to skip.
 //
 // Environment:
 //   SSMWN_DIRTY_MAX_N  cap on n (default 100000; CI smoke uses 1000)
@@ -38,6 +43,7 @@
 #include "mobility/mobility.hpp"
 #include "sim/loss.hpp"
 #include "sim/network.hpp"
+#include "support/reference_stepper.hpp"
 #include "topology/incremental.hpp"
 
 namespace {
@@ -68,24 +74,29 @@ struct SideResult {
   std::uint64_t nodes_skipped = 0;
 };
 
-/// Plays settle + warm-up + timed window for one stepping mode against
-/// a private copy of the graph, patched tick by tick from the shared
-/// recorded delta stream. The protocol and graph live in the caller's
-/// stores so the final populations can be diffed after both sides ran.
+/// A private copy of the graph and a freshly seeded protocol on it, in
+/// the caller's stores so the final populations can be diffed.
+void make_world(const graph::Graph& initial, const topology::IdAssignment& ids,
+                std::uint64_t protocol_seed,
+                std::optional<core::DensityProtocol>& protocol_store,
+                std::optional<graph::DynamicGraph>& graph_store) {
+  graph_store.emplace();
+  graph_store->reset(initial);
+  core::ProtocolConfig pconfig;
+  pconfig.delta_hint = std::max<std::uint64_t>(2, initial.max_degree());
+  util::Rng protocol_rng(protocol_seed);
+  protocol_store.emplace(ids, pconfig, protocol_rng);
+}
+
+/// Plays settle + warm-up + timed window for one stepping mode, the
+/// graph patched tick by tick from the shared recorded delta stream.
 SideResult run_side(const graph::Graph& initial,
                     const topology::IdAssignment& ids,
                     const std::vector<graph::EdgeDelta>& deltas,
                     std::uint64_t protocol_seed, sim::Stepping stepping,
                     std::optional<core::DensityProtocol>& protocol_store,
                     std::optional<graph::DynamicGraph>& graph_store) {
-  graph_store.emplace();
-  graph_store->reset(initial);
-
-  core::ProtocolConfig pconfig;
-  pconfig.delta_hint = std::max<std::uint64_t>(2, initial.max_degree());
-  util::Rng protocol_rng(protocol_seed);
-  protocol_store.emplace(ids, pconfig, protocol_rng);
-
+  make_world(initial, ids, protocol_seed, protocol_store, graph_store);
   sim::PerfectDelivery perfect;
   sim::Network network(graph_store->view(), *protocol_store, perfect, 1);
   network.set_stepping(stepping);
@@ -114,6 +125,56 @@ SideResult run_side(const graph::Graph& initial,
   return out;
 }
 
+/// Prints the first node where `side` differs from the reference.
+bool matches_reference(const core::DensityProtocol& reference,
+                       const core::DensityProtocol& side, const char* label,
+                       std::size_t n, std::size_t tick) {
+  const auto node = core::first_divergent_node(reference, side);
+  if (!node) return true;
+  std::printf("FAIL: %s diverged from the reference stepper at n=%zu "
+              "tick=%zu node=%u\n%s\n",
+              label, n, tick, static_cast<unsigned>(*node),
+              core::describe_divergence(reference, side, *node).c_str());
+  return false;
+}
+
+/// The gate's oracle: the same settle and delta schedule, untimed, on
+/// the reference stepper in lockstep with a fresh engine, compared after
+/// every step — a final-state check alone would miss a skipping bug
+/// that the protocol later heals. Leaves the reference's final
+/// population in `ref_store`.
+bool lockstep_with_reference(
+    const graph::Graph& initial, const topology::IdAssignment& ids,
+    const std::vector<graph::EdgeDelta>& deltas, std::uint64_t protocol_seed,
+    std::optional<core::DensityProtocol>& ref_store) {
+  std::optional<core::DensityProtocol> engine_store;
+  std::optional<graph::DynamicGraph> ref_graph, engine_graph;
+  make_world(initial, ids, protocol_seed, ref_store, ref_graph);
+  make_world(initial, ids, protocol_seed, engine_store, engine_graph);
+  sim::PerfectDelivery ref_loss, engine_loss;
+  testsupport::ReferenceStepper reference(ref_graph->view(), *ref_store,
+                                          ref_loss);
+  sim::Network network(engine_graph->view(), *engine_store, engine_loss, 1);
+  network.set_stepping(sim::Stepping::kDirty);
+  const std::size_t n = initial.node_count();
+  for (std::size_t t = 0; t < kSettleSteps + deltas.size(); ++t) {
+    if (t >= kSettleSteps) {
+      const graph::EdgeDelta& delta = deltas[t - kSettleSteps];
+      ref_graph->apply_delta(delta);
+      reference.apply_topology_delta(delta);
+      engine_graph->apply_delta(delta);
+      network.apply_topology_delta(delta);
+    }
+    reference.step();
+    network.step();
+    if (!matches_reference(*ref_store, *engine_store, "lockstep engine", n,
+                           t)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 int main() {
@@ -124,7 +185,7 @@ int main() {
   const mobility::SpeedRange speeds{0.0, 1.6};
 
   bench::print_header(
-      "Dirty-region stepping — quiescence-aware vs full protocol sweeps",
+      "Quiescence-aware stepping — full vs dirty counter definitions",
       "Steady-state cost of a converged protocol under live mobility "
       "(radius set for mean degree ~10 at every n)",
       1);
@@ -163,7 +224,7 @@ int main() {
       deltas.push_back(live.update(points));
     }
 
-    std::optional<core::DensityProtocol> full_store, dirty_store;
+    std::optional<core::DensityProtocol> full_store, dirty_store, ref_store;
     std::optional<graph::DynamicGraph> full_graph, dirty_graph;
     const SideResult full =
         run_side(initial, ids, deltas, protocol_seed, sim::Stepping::kFull,
@@ -173,16 +234,16 @@ int main() {
                  dirty_store, dirty_graph);
 
     // Equivalence gate: same seeds, same deltas, same tick count — the
-    // two populations must be bit-identical down to RNG state.
-    if (const auto node =
-            core::first_divergent_node(*full_store, *dirty_store)) {
-      std::printf("FAIL: dirty stepping diverged from full at n=%zu "
-                  "node=%u\n%s\n",
-                  n, static_cast<unsigned>(*node),
-                  core::describe_divergence(*full_store, *dirty_store, *node)
-                      .c_str());
-      equivalent = false;
-    }
+    // lockstep engine must match the reference after every step, and
+    // both timed populations must equal its final one down to RNG state.
+    const std::size_t ticks = kSettleSteps + deltas.size();
+    equivalent = lockstep_with_reference(initial, ids, deltas, protocol_seed,
+                                         ref_store) &&
+                 matches_reference(*ref_store, *full_store, "full", n,
+                                   ticks) &&
+                 matches_reference(*ref_store, *dirty_store, "dirty", n,
+                                   ticks) &&
+                 equivalent;
 
     const double mean_degree = 2.0 *
                                static_cast<double>(initial.edge_count()) /
@@ -202,9 +263,11 @@ int main() {
     json.add("dirty", n, 1, "speedup", speedup);
   }
 
-  table.note("both steppers replay the identical recorded delta stream "
+  table.note("both modes replay the identical recorded delta stream "
              "from identical protocol seeds; the binary exits nonzero if "
-             "their final states differ in any bit");
+             "an untimed lockstep replay differs in any bit from the "
+             "reference stepper after any step, or either timed final "
+             "state differs from the reference's");
   table.note("'stepped'/'skipped' = dirty-side rule sweeps run vs elided "
              "in the timed window; 1 mover per 1000 nodes, pedestrian "
              "0-1.6 m/s, dt = 0.1 s");

@@ -13,7 +13,7 @@
 // spec's axis table, in table order, and a gated row's column (and its
 // gate's metric rows) appears only in a plan where that gate is on at
 // some point (`plan_uses`). A purely synchronous plan is thus written in
-// the legacy schema of PR 2, and each later axis — async, live, verify,
+// the legacy schema, and each later axis — async, live, verify,
 // dirty stepping — left every plan without it byte-identical. Cells of a
 // gated row are empty (CSV) or omitted (JSON) on points where its gate
 // does not apply. Each row set carries only the metrics its engine

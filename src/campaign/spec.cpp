@@ -261,8 +261,8 @@ using S = CampaignSpec;
 using C = ScenarioConfig;
 constexpr AxisRange kAtLeastOne{.lo = 1};
 constexpr AxisRange kPositive{.lo_open = true};
-constexpr AxisRange kUnit{.hi = 1};                           // [0, 1]
-constexpr AxisRange kPhysical{.hi = 1e9, .hi_open = true};    // [0, 1e9)
+constexpr AxisRange kUnit{.hi = 1};                         // [0, 1]
+constexpr AxisRange kPhysical{.hi = 1e9, .hi_open = true};  // [0, 1e9)
 
 // The axis table. Adding an axis is one row here (plus its CampaignSpec
 // and ScenarioConfig members and the code that consumes it): a new

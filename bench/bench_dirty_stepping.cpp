@@ -125,7 +125,8 @@ SideResult run_side(const graph::Graph& initial,
   return out;
 }
 
-/// Prints the first node where `side` differs from the reference.
+/// True when `side` equals the reference; else prints the first node
+/// where they differ.
 bool matches_reference(const core::DensityProtocol& reference,
                        const core::DensityProtocol& side, const char* label,
                        std::size_t n, std::size_t tick) {

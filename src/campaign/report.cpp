@@ -74,10 +74,9 @@ std::string config_json(const ScenarioConfig& c,
   std::string out;
   for (const Axis* row : columns) {
     if (!cell_written(*row, c)) continue;
-    const bool quoted = row->bind.kind == AxisKind::kEnum;
+    const char* quote = row->bind.kind == AxisKind::kEnum ? "\"" : "";
     out.append(out.empty() ? "\"" : ", \"").append(row->key).append("\": ");
-    out.append(quoted ? "\"" : "").append(row->bind.text(c));
-    out.append(quoted ? "\"" : "");
+    out.append(quote).append(row->bind.text(c)).append(quote);
   }
   return out;
 }

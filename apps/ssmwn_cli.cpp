@@ -42,6 +42,7 @@
 #include "topology/udg.hpp"
 #include "util/args.hpp"
 #include "util/atomic_file.hpp"
+#include "util/enum_names.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "verify/certifier.hpp"
@@ -161,7 +162,8 @@ sim::AsyncConfig async_config(const util::Args& args) {
   async.period_s = args.real("period");
   async.period_jitter = args.real("period-jitter");
   async.link_delay_s = args.real("link-delay");
-  async.daemon = verify::sim_daemon(verify::parse_daemon(args.text("daemon")));
+  async.daemon = verify::sim_daemon(
+      util::parse_enum<verify::Daemon>("daemon", args.text("daemon")));
   return async;
 }
 
@@ -416,7 +418,8 @@ int run_verify(const util::Args& args) {
     for (std::size_t start = 0, comma = 0; comma != std::string::npos;
          start = comma + 1) {
       comma = classes.find(',', start);
-      config.classes.push_back(verify::parse_fault_class(
+      config.classes.push_back(util::parse_enum<verify::FaultClass>(
+          "fault_class",
           classes.substr(start, comma - start)));  // npos - start: the rest
     }
   }

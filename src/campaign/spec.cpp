@@ -1,13 +1,16 @@
 #include "campaign/spec.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 #include <type_traits>
 
+#include "util/enum_names.hpp"
 #include "util/rng.hpp"
 #include "verify/trial.hpp"
 
@@ -110,20 +113,6 @@ std::string_view spell(const std::array<std::string_view, N>& names,
   return i < N ? names[i] : "?";
 }
 
-// Every swept enum runs 0..N-1, and to_string spells any value past the
-// last as "?" (the verify enums' spellings live in verify/faults.cpp).
-template <typename E>
-E parse_enum(const std::string& key, const std::string& raw) {
-  std::string choices;
-  for (int i = 0; to_string(static_cast<E>(i)) != "?"; ++i) {
-    const auto value = static_cast<E>(i);
-    if (raw == to_string(value)) return value;
-    if (i != 0) choices += '|';
-    choices += to_string(value);
-  }
-  fail(key + ": expected " + choices + ", got '" + raw + "'");
-}
-
 std::string value_text(std::size_t v) { return std::to_string(v); }
 std::string value_text(double v) { return format_double(v); }
 std::string value_text(bool v) { return v ? "true" : "false"; }
@@ -131,6 +120,35 @@ template <typename E>
   requires std::is_enum_v<E>
 std::string value_text(E v) {
   return std::string(to_string(v));
+}
+
+// A repeated value would expand to a second grid point with the same
+// canonical string, so the same seeds. A daemon parses lists of any
+// length a client sends, so repeats are found by sorting positions by
+// value, O(k log k); the value reported is the earliest that repeats one
+// before it, as a left-to-right scan would find.
+template <typename T>
+void reject_repeats(const std::string& key, const std::vector<T>& values) {
+  std::vector<std::size_t> order(values.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&values](std::size_t a, std::size_t b) {
+                     if constexpr (std::is_floating_point_v<T>) {
+                       // NaNs sort last, so the order stays strict weak.
+                       if (std::isnan(values[a])) return false;
+                       if (std::isnan(values[b])) return true;
+                     }
+                     return values[a] < values[b];
+                   });
+  std::size_t first = values.size();
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    if (values[order[i]] == values[order[i - 1]]) {
+      first = std::min(first, order[i]);
+    }
+  }
+  if (first != values.size()) {
+    fail(key + ": value '" + value_text(values[first]) + "' is repeated");
+  }
 }
 
 template <typename T>
@@ -178,7 +196,7 @@ struct Accessors {
     } else if constexpr (std::is_same_v<T, double>) {
       return parse_number(key, raw);
     } else if constexpr (std::is_enum_v<T>) {
-      return parse_enum<T>(key, raw);
+      return util::parse_enum<T, SpecError>(key, raw);
     } else {
       return row.bind.kind == AxisKind::kSeed ? parse_seed(key, raw)
                                               : parse_count(key, raw);
@@ -214,18 +232,11 @@ struct Accessors {
     const std::size_t count = length(spec);
     if (count == 0) fail(key + ": needs at least one value");
     for (std::size_t i = 0; i < count; ++i) {
-      const T v = at(spec, i);
-      if (row.what != nullptr && !accepts(row, v)) fail(key + ": " + row.what);
-      if constexpr (kSweep) {
-        // A repeated value would expand to a second grid point with the
-        // same canonical string, so the same seeds.
-        for (std::size_t j = 0; j < i; ++j) {
-          if (at(spec, j) == v) {
-            fail(key + ": value '" + value_text(v) + "' is repeated");
-          }
-        }
+      if (row.what != nullptr && !accepts(row, at(spec, i))) {
+        fail(key + ": " + row.what);
       }
     }
+    if constexpr (kSweep) reject_repeats(key, spec.*SpecField);
   }
 
   static void assign(const CampaignSpec& spec, std::size_t i,
@@ -472,7 +483,7 @@ std::string_view to_string(SteppingKind kind) noexcept {
 }
 
 Variant parse_variant(const std::string& raw) {
-  return parse_enum<Variant>("variant", raw);
+  return util::parse_enum<Variant, SpecError>("variant", raw);
 }
 
 core::ClusterOptions cluster_options(Variant variant) noexcept {

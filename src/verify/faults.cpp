@@ -1,8 +1,6 @@
 #include "verify/faults.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 
 namespace ssmwn::verify {
 
@@ -25,25 +23,6 @@ std::string_view to_string(Daemon daemon) noexcept {
     case Daemon::kUnfair: return "unfair";
   }
   return "?";
-}
-
-FaultClass parse_fault_class(std::string_view text) {
-  for (const FaultClass fault : kAllFaultClasses) {
-    if (text == to_string(fault)) return fault;
-  }
-  throw std::invalid_argument(
-      "fault_class: expected random-all|metric-skew|cluster-id-noise|"
-      "stale-cache|hierarchy-loops|partial-frame, got '" +
-      std::string(text) + "'");
-}
-
-Daemon parse_daemon(std::string_view text) {
-  for (const Daemon daemon : kAllDaemons) {
-    if (text == to_string(daemon)) return daemon;
-  }
-  throw std::invalid_argument(
-      "daemon: expected synchronous|randomized|unfair, got '" +
-      std::string(text) + "'");
 }
 
 namespace {

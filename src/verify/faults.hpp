@@ -77,12 +77,6 @@ inline constexpr std::array<Daemon, 3> kAllDaemons{
 [[nodiscard]] std::string_view to_string(FaultClass fault) noexcept;
 [[nodiscard]] std::string_view to_string(Daemon daemon) noexcept;
 
-/// Parses the to_string spellings; throws std::invalid_argument (which
-/// campaign::SpecError derives from the same base the parser maps) on
-/// anything else.
-[[nodiscard]] FaultClass parse_fault_class(std::string_view text);
-[[nodiscard]] Daemon parse_daemon(std::string_view text);
-
 /// What one corruption pass actually did, for observability and tests.
 struct CorruptionStats {
   std::size_t nodes_touched = 0;

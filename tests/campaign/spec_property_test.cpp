@@ -4,6 +4,7 @@
 // rejected with a SpecError — never an assert.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <limits>
 #include <locale>
 #include <set>
@@ -315,6 +316,33 @@ TEST(CampaignSpec, MalformedSpecsAreRejectedWithClearErrors) {
   rejects("n = 40, 40", "n: value '40' is repeated");
   rejects("radius = 0.2, 0.20", "radius: value '0.2' is repeated");
   rejects("stepping = dirty, full, dirty", "stepping: value 'dirty'");
+  // The earliest value that repeats one before it is named.
+  rejects("n = 5, 7, 7, 5", "n: value '7' is repeated");
+  rejects("churn_down = 0, -0", "churn_down: value '-0' is repeated");
+}
+
+TEST(CampaignSpec, LongSweepListsAreCheckedQuickly) {
+  // A daemon parses whatever list a client sends, up to a 16 MiB frame,
+  // before it can refuse the run count. Comparing each value with every
+  // earlier one takes ~10^11 steps on this list, tens of seconds even on
+  // fast hardware; sorting takes milliseconds in a release build and
+  // under two seconds under ASan.
+  constexpr std::size_t kValues = 500000;
+  std::string text = "n = 1";
+  for (std::size_t v = 2; v <= kValues; ++v) text += ", " + std::to_string(v);
+  EXPECT_EQ(campaign::run_count_bound(campaign::parse_spec_text(text)),
+            kValues * CampaignSpec{}.replications);
+  text += ", 1";
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    (void)campaign::parse_spec_text(text);
+    ADD_FAILURE() << "a repeat at the end of a long list was accepted";
+  } catch (const SpecError& error) {
+    EXPECT_STREQ(error.what(), "n: value '1' is repeated");
+  }
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(took.count(), 10.0);
 }
 
 TEST(CampaignSpec, EveryAxisRejectsHostileValuesNamingItsKey) {

@@ -289,6 +289,39 @@ TEST(Server, OversizedSpecGetsAnErrorFrameAndTheConnectionKeepsServing) {
   ::close(fd);
 }
 
+TEST(Server, LongSweepListGetsAnErrorFrameAndTheConnectionKeepsServing) {
+  // 200k distinct values in one list: parsing must stay linear-ish so the
+  // over-cap refusal goes out at once; the same list with a repeat gets
+  // the spec error naming the key.
+  std::string list = "n = 1";
+  for (int v = 2; v <= 200000; ++v) list += ", " + std::to_string(v);
+  RunningServer daemon(1);
+  const int fd = connect_loopback(daemon.server.port());
+  [&] {  // ASSERTs leave this lambda only, so fd is always closed
+    serve::Frame frame;
+    serve::write_frame(fd, serve::FrameType::kSpec, list + "\n");
+    ASSERT_TRUE(serve::read_frame(fd, frame));
+    EXPECT_EQ(frame.type, serve::FrameType::kError);
+    EXPECT_NE(frame.body.find(std::to_string(serve::kMaxRunsPerSpec)),
+              std::string::npos)
+        << frame.body;
+    serve::write_frame(fd, serve::FrameType::kSpec, list + ", 7\n");
+    ASSERT_TRUE(serve::read_frame(fd, frame));
+    EXPECT_EQ(frame.type, serve::FrameType::kError);
+    EXPECT_EQ(frame.body, "n: value '7' is repeated");
+    serve::write_frame(fd, serve::FrameType::kSpec, tiny_spec(12));
+    std::size_t results = 0;
+    for (;;) {
+      ASSERT_TRUE(serve::read_frame(fd, frame));
+      ASSERT_NE(frame.type, serve::FrameType::kError) << frame.body;
+      if (frame.type == serve::FrameType::kEnd) break;
+      ++results;
+    }
+    EXPECT_EQ(results, 4u);
+  }();
+  ::close(fd);
+}
+
 TEST(Server, TinyRadiusSpecGetsAnEndFrame) {
   // The spec grammar accepts any 0 < radius < 1e9. A side-radius cell
   // grid over 50 nodes at radius 1e-6 would need ~10^12 cells; both runs

@@ -10,6 +10,7 @@
 #include "core/protocol.hpp"
 #include "support/deployments.hpp"
 #include "support/paper_example.hpp"
+#include "util/enum_names.hpp"
 #include "verify/faults.hpp"
 
 namespace ssmwn {
@@ -28,14 +29,16 @@ core::DensityProtocol make_protocol(const graph::Graph& g,
 
 TEST(StateCorruptor, SpellingsRoundTrip) {
   for (const FaultClass fault : kAllFaultClasses) {
-    EXPECT_EQ(verify::parse_fault_class(verify::to_string(fault)), fault);
+    EXPECT_EQ(util::parse_enum<FaultClass>("fault_class", to_string(fault)),
+              fault);
   }
   for (const verify::Daemon daemon : verify::kAllDaemons) {
-    EXPECT_EQ(verify::parse_daemon(verify::to_string(daemon)), daemon);
+    EXPECT_EQ(util::parse_enum<verify::Daemon>("daemon", to_string(daemon)),
+              daemon);
   }
-  EXPECT_THROW((void)verify::parse_fault_class("bitflip"),
+  EXPECT_THROW((void)util::parse_enum<FaultClass>("fault_class", "bitflip"),
                std::invalid_argument);
-  EXPECT_THROW((void)verify::parse_daemon("byzantine"),
+  EXPECT_THROW((void)util::parse_enum<verify::Daemon>("daemon", "byzantine"),
                std::invalid_argument);
 }
 

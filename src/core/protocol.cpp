@@ -13,30 +13,39 @@ namespace ssmwn::core {
 
 namespace {
 
-/// Key projection for the sorted-by-id digest kernels.
-struct DigestId {
-  topology::ProtocolId operator()(const NeighborDigest& d) const noexcept {
-    return d.id;
-  }
-};
+using Ids = std::span<const topology::ProtocolId>;
 
-/// Binary search for `id` in a digest list sorted by id.
-bool digest_contains(const DigestList& digests, topology::ProtocolId id) {
-  return util::contains_sorted(digests.data(), digests.size(), id, DigestId{});
+/// Binary search for `id` in a sorted relayed id sequence.
+bool ids_contain(Ids ids, topology::ProtocolId id) {
+  return util::contains_sorted(ids.data(), ids.size(), id);
 }
 
 using Cache = FlatMap<topology::ProtocolId, DensityProtocol::CacheEntry>;
 
+/// Every relay list of a node's cache — what its slab's compaction walks.
+auto lists_of(Cache& cache) {
+  return [&cache](auto&& visit) {
+    for (auto& item : cache) visit(item.second.relay);
+  };
+}
+
+/// A relayed neighbor the receiver keeps a head record for: its own head,
+/// with a valid metric (the fusion scan ranks nothing else).
+bool relays_as_head(topology::ProtocolId id,
+                    const DensityProtocol::CacheEntry& e) noexcept {
+  return e.head_valid && e.head == id && e.metric_valid;
+}
+
 /// Pairwise believed-link count over a cache: a pair (q, r) of cached
-/// neighbors counts iff either relayed digest list names the other. The
+/// neighbors counts iff either relayed id list names the other. The
 /// trusted reference the incremental count is maintained against — kept
 /// in the most transparent form (same shape as the pre-maintenance R1).
 std::uint64_t recompute_links(const Cache& cache) {
   std::uint64_t links = 0;
   for (auto a = cache.begin(); a != cache.end(); ++a) {
     for (auto b = std::next(a); b != cache.end(); ++b) {
-      if (digest_contains(a->second.digests, b->first) ||
-          digest_contains(b->second.digests, a->first)) {
+      if (ids_contain(a->second.relay.ids(), b->first) ||
+          ids_contain(b->second.relay.ids(), a->first)) {
         ++links;
       }
     }
@@ -48,23 +57,23 @@ std::uint64_t recompute_links(const Cache& cache) {
 /// over the *other* cached neighbors r with r ∈ list or q ∈ r's list.
 /// One merge of `list` against the cache keys plus a reverse-containment
 /// probe for the unmatched keys — the delta applied when an entry is
-/// inserted (list = the incoming digests, entry already in the cache) or
-/// evicted (list = the stored digests, entry not yet erased).
+/// inserted (list = the incoming ids, entry already in the cache) or
+/// evicted (list = the stored ids, entry not yet erased).
 std::uint64_t entry_link_count(const Cache& cache, topology::ProtocolId q,
-                               std::span<const NeighborDigest> list) {
+                               Ids list) {
   std::uint64_t links = 0;
   std::size_t i = 0;
   for (const auto& [key, other] : cache) {
     if (key == q) continue;
-    while (i < list.size() && list[i].id < key) ++i;
-    const bool believed = (i < list.size() && list[i].id == key) ||
-                          digest_contains(other.digests, q);
+    while (i < list.size() && list[i] < key) ++i;
+    const bool believed = (i < list.size() && list[i] == key) ||
+                          ids_contain(other.relay.ids(), q);
     links += static_cast<std::uint64_t>(believed);
   }
   return links;
 }
 
-/// ±1 contribution of one id flipping in/out of q's digest list: the
+/// ±1 contribution of one id flipping in/out of q's id list: the
 /// pair (q, x) gains/loses existence only if x is another cached
 /// neighbor whose own list does not already name q (the OR keeps the
 /// pair alive regardless of q's side).
@@ -73,7 +82,7 @@ std::uint64_t delta_if_sole_witness(const Cache& cache, topology::ProtocolId q,
   if (x == q) return 0;  // (q, q) is not a pair
   const auto it = cache.find(x);
   if (it == cache.end()) return 0;  // x not cached: no pair either way
-  return digest_contains(it->second.digests, q) ? 0 : 1;
+  return ids_contain(it->second.relay.ids(), q) ? 0 : 1;
 }
 
 }  // namespace
@@ -132,8 +141,17 @@ DensityProtocol::DensityProtocol(topology::IdAssignment uids,
           [this](NodeState& s) { rule_r2(s); });
 }
 
+std::size_t DensityProtocol::digest_count(graph::NodeId sender) const {
+  const Cache& cache = aux_[sender].cache;
+  std::size_t heads = 0;
+  if (config_.cluster.fusion) {
+    for (const auto& [id, entry] : cache) heads += relays_as_head(id, entry);
+  }
+  return cache.size() + kHeadWords * std::min<std::size_t>(heads, 2);
+}
+
 void DensityProtocol::make_frame(graph::NodeId sender, FrameHeader& header,
-                                 std::span<Digest> digests) const {
+                                 std::span<Digest> row) const {
   const ConstNodeState s = const_view(sender);
   header.id = s.uid;
   header.dag_id = s.dag_id;
@@ -141,21 +159,48 @@ void DensityProtocol::make_frame(graph::NodeId sender, FrameHeader& header,
   header.metric_valid = s.metric_valid != 0;
   header.head = s.head;
   header.head_valid = s.head_valid != 0;
+  // Map order is sorted by id. Each receiver keeps the best relayed head
+  // that is not itself, so the two best heads (distinct ids: cache keys)
+  // cover every receiver; they follow the ids, best first.
   std::size_t i = 0;
-  for (const auto& [id, entry] : s.cache) {  // map order: sorted by id
-    digests[i++] = NeighborDigest{
-        .id = id,
-        .dag_id = entry.dag_id,
-        .metric = entry.metric,
-        .metric_valid = entry.metric_valid,
-        .is_head = entry.head_valid && entry.head == id,
-    };
+  HeadRecord top[2];
+  PackedRank top_key[2] = {};  // sentinels
+  std::uint32_t heads = 0;
+  for (const auto& [id, entry] : s.cache) {
+    row[i++] = id;
+    if (!config_.cluster.fusion || !relays_as_head(id, entry)) continue;
+    const HeadRecord record{id, entry.dag_id, entry.metric};
+    const PackedRank key = head_key(record);
+    ++heads;
+    if (packed_precedes(top_key[0], key)) {
+      top[1] = top[0];
+      top_key[1] = top_key[0];
+      top[0] = record;
+      top_key[0] = key;
+    } else if (packed_precedes(top_key[1], key)) {
+      top[1] = record;
+      top_key[1] = key;
+    }
   }
+  header.heads = std::min<std::uint32_t>(heads, 2);
+  for (std::uint32_t k = 0; k < header.heads; ++k) {
+    put_head(row.data() + i + kHeadWords * k, top[k]);
+  }
+}
+
+const RelayWord* DensityProtocol::kept_head(graph::NodeId receiver,
+                                            const FrameHeader& header,
+                                            std::span<const Digest> row) const {
+  const RelayWord* record = row.data() + (row.size() - kHeadWords * header.heads);
+  for (std::uint32_t k = 0; k < header.heads; ++k, record += kHeadWords) {
+    if (record[0] != uids_[receiver]) return record;
+  }
+  return nullptr;
 }
 
 bool DensityProtocol::deliver_payload(graph::NodeId receiver,
                                       const FrameHeader& header,
-                                      std::span<const Digest> digests,
+                                      std::span<const Digest> row,
                                       bool bits_equal) {
   // Resync means the engine's proof says nothing about what the cache
   // now holds; with repeated uids one entry may hold another sender's
@@ -166,7 +211,8 @@ bool DensityProtocol::deliver_payload(graph::NodeId receiver,
   const auto it = aux.cache.find(header.id);
   if (it == aux.cache.end()) return false;  // evicted: reinsert via deliver
   CacheEntry& entry = it->second;
-  if (entry.digests.size() != digests.size()) return false;
+  const std::size_t ids = row.size() - kHeadWords * header.heads;
+  if (entry.relay.ids().size() != ids) return false;
   entry.age = 0;
   if (bits_equal) return true;  // the entry already holds these bytes
   // Engine-proved: the row differs from the one the entry holds, so
@@ -175,20 +221,25 @@ bool DensityProtocol::deliver_payload(graph::NodeId receiver,
   step_state_changed_[receiver] = 1;
   // Engine-proved: the stored id sequence equals the incoming one, so
   // the believed-link count cannot move and the whole delivery is the
-  // header fields and the digest payloads. The copy rewrites the
-  // (identical) ids too — cheaper than skipping them.
+  // header fields and the kept head record.
   entry.dag_id = header.dag_id;
   entry.metric = header.metric;
   entry.metric_valid = header.metric_valid;
   entry.head = header.head;
   entry.head_valid = header.head_valid;
-  std::copy(digests.begin(), digests.end(), entry.digests.data());
+  // The kept record may appear or vanish, so the span may move: the
+  // (unchanged) ids are copied along.
+  const RelayWord* record = kept_head(receiver, header, row);
+  RelayWord* dst =
+      entry.relay.rewrite(ids, record != nullptr, lists_of(aux.cache));
+  std::copy_n(row.data(), ids, dst);
+  if (record != nullptr) std::copy_n(record, kHeadWords, dst + ids);
   return true;
 }
 
 void DensityProtocol::deliver(graph::NodeId receiver,
                               const FrameHeader& header,
-                              std::span<const Digest> digests) {
+                              std::span<const Digest> row) {
   if (header.id == uids_[receiver]) return;  // defensive: never cache oneself
   NodeAux& aux = aux_[receiver];
   auto& cache = aux.cache;
@@ -196,30 +247,31 @@ void DensityProtocol::deliver(graph::NodeId receiver,
   // after an external mutation the next R1 recomputes from scratch and
   // deliveries until then just write content.
   const bool maintain = maintain_links_ && links_fresh_[receiver] != 0;
+  const Ids incoming = row.first(row.size() - kHeadWords * header.heads);
+  const RelayWord* record = kept_head(receiver, header, row);
 
-  // Compare-and-delta delivery. One merge walk over the cached list and
-  // the incoming one yields everything at once: whether any digest id
+  // Compare-and-delta delivery. One pass over the stored ids and the
+  // incoming ones yields everything at once: whether any relayed id
   // appeared/vanished (an e(N_p) delta and a rule-input change), whether
-  // any matched id's payload moved (a rule-input change only), and — via
-  // their disjunction — whether the stored list must be rewritten at
-  // all.
+  // the kept head record moved (a rule-input change only), and — via
+  // their disjunction — whether the stored span must be rewritten at all.
   auto it = cache.find(header.id);
   bool header_diff;
-  bool digests_diff;
+  bool relay_diff;
   CacheEntry* entry;
   if (it == cache.end()) {
     entry = &cache[header.id];
-    entry->digests.attach(*aux.digest_pool);
+    entry->relay.attach(*aux.relay_slab);
     header_diff = true;
-    digests_diff = true;
+    relay_diff = true;
     if (maintain) {
       // Structural insert: the new entry's full pair contribution,
       // evaluated against the incoming list (what the entry will hold).
-      links_among_[receiver] += entry_link_count(cache, header.id, digests);
+      links_among_[receiver] += entry_link_count(cache, header.id, incoming);
     }
   } else {
     entry = &it->second;
-    entry->digests.attach(*aux.digest_pool);
+    entry->relay.attach(*aux.relay_slab);
     // header_diff feeds only the change bit; the fields are rewritten
     // below either way.
     header_diff = entry->dag_id != header.dag_id ||
@@ -227,32 +279,25 @@ void DensityProtocol::deliver(graph::NodeId receiver,
                   entry->metric_valid != header.metric_valid ||
                   entry->head != header.head ||
                   entry->head_valid != header.head_valid;
-    const NeighborDigest* olds = entry->digests.data();
-    const std::size_t na = entry->digests.size();
-    const std::size_t nb = digests.size();
-    // One branchless pass, two accumulators: e(N_p) depends only on the
-    // *id sequence* (which neighbors the sender claims to hear), so in
-    // the common active-regime delivery — payload churn (metrics, DAG
-    // ids, head bits) over a stable neighborhood — the list is rewritten
-    // but no delta walk runs at all.
+    const Ids olds = entry->relay.ids();
+    const std::size_t na = olds.size();
+    const std::size_t nb = incoming.size();
+    // One branchless pass: e(N_p) depends only on the *id sequence*
+    // (which neighbors the sender claims to hear), so in the common
+    // active-regime delivery — header and head-record churn over a
+    // stable neighborhood — the span is rewritten but no delta walk runs
+    // at all.
     bool ids_diff = na != nb;
     if (!ids_diff) {
-      std::uint64_t id_acc = 0;
-      std::uint64_t payload_acc = 0;
-      for (std::size_t k = 0; k < na; ++k) {
-        const NeighborDigest& a = olds[k];
-        const NeighborDigest& b = digests[k];
-        id_acc |= a.id ^ b.id;
-        payload_acc |= (a.dag_id ^ b.dag_id) |
-                       (std::bit_cast<std::uint64_t>(a.metric) ^
-                        std::bit_cast<std::uint64_t>(b.metric)) |
-                       static_cast<std::uint64_t>(a.metric_valid != b.metric_valid) |
-                       static_cast<std::uint64_t>(a.is_head != b.is_head);
-      }
-      ids_diff = id_acc != 0;
-      digests_diff = ids_diff || payload_acc != 0;
-    } else {
-      digests_diff = true;
+      std::uint64_t acc = 0;
+      for (std::size_t k = 0; k < na; ++k) acc |= olds[k] ^ incoming[k];
+      ids_diff = acc != 0;
+    }
+    relay_diff = ids_diff || entry->relay.has_head() != (record != nullptr);
+    if (!relay_diff && record != nullptr) {
+      const RelayWord* old = olds.data() + na;
+      relay_diff = ((old[0] ^ record[0]) | (old[1] ^ record[1]) |
+                    (old[2] ^ record[2])) != 0;
     }
     if (maintain && ids_diff) {
       // Delta walk over the two sorted id sequences, by *group* of equal
@@ -262,20 +307,20 @@ void DensityProtocol::deliver(graph::NodeId receiver,
       // the count by at most one.
       std::size_t i = 0, j = 0;
       while (i < na || j < nb) {
-        if (j >= nb || (i < na && olds[i].id < digests[j].id)) {
-          const topology::ProtocolId x = olds[i].id;  // vanished from list
+        if (j >= nb || (i < na && olds[i] < incoming[j])) {
+          const topology::ProtocolId x = olds[i];  // vanished from list
           links_among_[receiver] -=
               delta_if_sole_witness(cache, header.id, x);
-          do { ++i; } while (i < na && olds[i].id == x);
-        } else if (i >= na || digests[j].id < olds[i].id) {
-          const topology::ProtocolId x = digests[j].id;  // newly listed
+          do { ++i; } while (i < na && olds[i] == x);
+        } else if (i >= na || incoming[j] < olds[i]) {
+          const topology::ProtocolId x = incoming[j];  // newly listed
           links_among_[receiver] +=
               delta_if_sole_witness(cache, header.id, x);
-          do { ++j; } while (j < nb && digests[j].id == x);
+          do { ++j; } while (j < nb && incoming[j] == x);
         } else {
-          const topology::ProtocolId x = olds[i].id;  // present in both
-          do { ++i; } while (i < na && olds[i].id == x);
-          do { ++j; } while (j < nb && digests[j].id == x);
+          const topology::ProtocolId x = olds[i];  // present in both
+          do { ++i; } while (i < na && olds[i] == x);
+          do { ++j; } while (j < nb && incoming[j] == x);
         }
       }
     }
@@ -285,11 +330,16 @@ void DensityProtocol::deliver(graph::NodeId receiver,
   entry->metric_valid = header.metric_valid;
   entry->head = header.head;
   entry->head_valid = header.head_valid;
-  if (digests_diff) {
-    entry->digests.assign(digests.begin(), digests.end());
+  if (relay_diff) {
+    RelayWord* dst = entry->relay.rewrite(incoming.size(), record != nullptr,
+                                          lists_of(cache));
+    std::copy(incoming.begin(), incoming.end(), dst);
+    if (record != nullptr) {
+      std::copy_n(record, kHeadWords, dst + incoming.size());
+    }
   }
   entry->age = 0;
-  if (header_diff || digests_diff) {
+  if (header_diff || relay_diff) {
     pending_[receiver] = 1;
     step_state_changed_[receiver] = 1;
   }
@@ -308,40 +358,6 @@ bool DensityProtocol::redeliver_unchanged(graph::NodeId receiver,
   return true;
 }
 
-namespace {
-
-/// Re-packs every live digest span of `cache` into the front of `pool`,
-/// in cache iteration order, and drops slack capacity. Two phases so no
-/// scratch memory is needed: bump fresh spans past the current cursor
-/// (the buffer retains its capacity, so steady state stays
-/// allocation-free), then slide the now-contiguous live region down to
-/// offset zero with one memmove and rebase the lists.
-void compact_digest_pool(DigestPool& pool, Cache& cache) {
-  const std::uint32_t base = pool.cursor();
-  for (auto& item : cache) {
-    DigestList& list = item.second.digests;
-    if (list.empty()) {
-      list.drop_empty_span();
-      continue;
-    }
-    const std::uint32_t size = static_cast<std::uint32_t>(list.size());
-    const std::uint32_t new_off = pool.allocate(size);
-    std::memcpy(pool.at(new_off), pool.at(list.offset()),
-                size * sizeof(NeighborDigest));
-    list.compacted_to(new_off);
-  }
-  const std::uint32_t live = pool.cursor() - base;
-  if (live != 0) {
-    std::memmove(pool.at(0), pool.at(base), live * sizeof(NeighborDigest));
-    for (auto& item : cache) {
-      if (!item.second.digests.empty()) item.second.digests.shift_down(base);
-    }
-  }
-  pool.reset_counters(live);
-}
-
-}  // namespace
-
 void DensityProtocol::on_edge_removed(graph::NodeId a, graph::NodeId b) {
   if (a >= aux_.size() || b >= aux_.size()) return;
   const auto forget = [this](graph::NodeId node, graph::NodeId gone) {
@@ -351,15 +367,11 @@ void DensityProtocol::on_edge_removed(graph::NodeId a, graph::NodeId b) {
       // delta, no invalidation needed (contrast mutable_state, where the
       // caller may scribble anything).
       if (maintain_links_ && links_fresh_[node] != 0) {
-        links_among_[node] -= entry_link_count(
-            cache, it->first,
-            {it->second.digests.data(), it->second.digests.size()});
+        links_among_[node] -=
+            entry_link_count(cache, it->first, it->second.relay.ids());
       }
       cache.erase(it);
-      if (aux_[node].digest_pool->fragmented()) {
-        compact_digest_pool(*aux_[node].digest_pool, cache);
-      }
-      // The evicted digest row vanishes from the node's next frame, so
+      // The evicted relay row vanishes from the node's next frame, so
       // this counts as an external mutation: the node must step, and the
       // grade of its rebuilt row wakes its neighbors.
       // The cache also stopped matching what perfect delivery implies,
@@ -425,9 +437,8 @@ void DensityProtocol::end_step(graph::NodeId node) {
         // Evictions inside one sweep are sequential: each delta is
         // evaluated against the cache as it stands, exactly mirroring a
         // recompute after each erase.
-        links_among_[node] -= entry_link_count(
-            cache, it->first,
-            {it->second.digests.data(), it->second.digests.size()});
+        links_among_[node] -=
+            entry_link_count(cache, it->first, it->second.relay.ids());
       }
       // Eviction changes the cache (a rule input).
       pending_[node] = 1;
@@ -444,11 +455,6 @@ void DensityProtocol::end_step(graph::NodeId node) {
       }
       ++it;
     }
-  }
-  // Churn (evictions above, list regrowth in deliver) leaves holes in
-  // the node's digest slab; re-pack once dead capacity outweighs live.
-  if (aux_[node].digest_pool->fragmented()) {
-    compact_digest_pool(*aux_[node].digest_pool, cache);
   }
   // The sweep that just completed ran full compares for this receiver
   // (redeliver_unchanged declines while the flag is up), so its cache
@@ -479,15 +485,17 @@ NodeRank DensityProtocol::entry_rank(topology::ProtocolId id,
   };
 }
 
-NodeRank DensityProtocol::digest_rank(const NeighborDigest& d) const {
-  return NodeRank{
-      .metric = d.metric,
-      .incumbent = d.is_head,
-      .tie_id = config_.cluster.use_dag_ids
-                    ? static_cast<topology::ProtocolId>(d.dag_id)
-                    : d.id,
-      .uid = d.id,
-  };
+PackedRank DensityProtocol::head_key(const HeadRecord& d) const {
+  return pack_rank(
+      NodeRank{
+          .metric = d.metric,
+          .incumbent = true,
+          .tie_id = config_.cluster.use_dag_ids
+                        ? static_cast<topology::ProtocolId>(d.dag_id)
+                        : d.id,
+          .uid = d.id,
+      },
+      config_.cluster.incumbency);
 }
 
 void DensityProtocol::rule_n1(NodeState& s) {
@@ -545,7 +553,7 @@ void DensityProtocol::rule_r1(NodeState& s) {
     return;
   }
   // d_p = (|N_p| + e(N_p)) / |N_p| over the cached neighborhood; links
-  // among neighbors are reconstructed from the relayed digests (an edge
+  // among neighbors are reconstructed from the relayed id lists (an edge
   // q—r is believed iff either endpoint lists the other). e(N_p) comes
   // from the maintained count when it is fresh — the O(deg²) pairwise
   // recompute runs only as the oracle, as the self-check, or once after
@@ -618,24 +626,26 @@ void DensityProtocol::rule_r2(NodeState& s) {
   if (!packed_precedes(me, best_key)) {
     // Local maximum (an empty or all-invalid cache lands here too: the
     // sentinel never dominates a valid self-rank). Fusion: search the
-    // relayed digests for a dominating cluster-head in N²_p. (1-hop
-    // heads cannot dominate here, or the winner above would.)
-    const NeighborDigest* blocking = nullptr;
+    // relayed head records for a dominating cluster-head in N²_p — each
+    // entry keeps its best one that is not p, so the best of those is the
+    // best of all. (1-hop heads cannot dominate here, or the winner above
+    // would.)
+    bool blocked = false;
+    topology::ProtocolId dominating = 0;
     if (config_.cluster.fusion) {
-      PackedRank blocking_key{};  // sentinel
+      PackedRank blocking_key = me;  // a record must dominate p
       for (const auto& [id, entry] : s.cache) {
-        for (const NeighborDigest& d : entry.digests) {
-          if (!d.is_head || !d.metric_valid || d.id == s.uid) continue;
-          const PackedRank key = pack_rank(digest_rank(d), inc);
-          if (!packed_precedes(me, key)) continue;
-          if (packed_precedes(blocking_key, key)) {
-            blocking_key = key;
-            blocking = &d;
-          }
+        if (!entry.relay.has_head()) continue;
+        const HeadRecord d = entry.relay.head();
+        const PackedRank key = head_key(d);
+        if (packed_precedes(blocking_key, key)) {
+          blocking_key = key;
+          blocked = true;
+          dominating = d.id;
         }
       }
     }
-    if (blocking == nullptr) {
+    if (!blocked) {
       // clusterHead = Id_p: p wins in its neighborhood.
       s.head = s.uid;
       s.head_valid = true;
@@ -649,20 +659,19 @@ void DensityProtocol::rule_r2(NodeState& s) {
     // binary-search containment probe entirely, and invalid entries
     // (sentinel keys) never win a compare, so no validity test is
     // needed either.
-    const topology::ProtocolId dominating = blocking->id;
     const CacheEntry* witness = nullptr;
     topology::ProtocolId witness_id = 0;
     PackedRank witness_key{};  // sentinel
     for (const auto& [id, entry] : s.cache) {
       const PackedRank key = entry_key(id, entry);
       if (packed_precedes(witness_key, key) &&
-          digest_contains(entry.digests, dominating)) {
+          ids_contain(entry.relay.ids(), dominating)) {
         witness_key = key;
         witness = &entry;
         witness_id = id;
       }
     }
-    if (witness == nullptr) return;  // stale digest; retry next step
+    if (witness == nullptr) return;  // stale relay; retry next step
     s.parent = witness_id;
     s.parent_valid = true;
     if (witness->head_valid) {
@@ -767,6 +776,30 @@ std::size_t DensityProtocol::corrupt_fraction(util::Rng& rng,
   return hit;
 }
 
+void DensityProtocol::plant_relay(graph::NodeId p, CacheEntry& entry,
+                                  std::span<const topology::ProtocolId> ids,
+                                  std::span<const HeadRecord> heads) {
+  // Keep what a delivery would: the first highest-ranked record not
+  // naming p, under fusion.
+  const HeadRecord* best = nullptr;
+  PackedRank best_key{};  // sentinel
+  if (config_.cluster.fusion) {
+    for (const HeadRecord& record : heads) {
+      if (record.id == uids_[p]) continue;
+      const PackedRank key = head_key(record);
+      if (packed_precedes(best_key, key)) {
+        best_key = key;
+        best = &record;
+      }
+    }
+  }
+  entry.relay.attach(*aux_[p].relay_slab);
+  RelayWord* dst =
+      entry.relay.rewrite(ids.size(), best != nullptr, lists_of(aux_[p].cache));
+  std::copy(ids.begin(), ids.end(), dst);
+  if (best != nullptr) put_head(dst + ids.size(), *best);
+}
+
 void DensityProtocol::reset_node(graph::NodeId p) {
   links_fresh_[p] = 0;
   resync_[p] = 1;
@@ -792,16 +825,13 @@ namespace {
 
 bool cache_entries_equal(const DensityProtocol::CacheEntry& a,
                          const DensityProtocol::CacheEntry& b) {
-  if (a.dag_id != b.dag_id || !double_bits_equal(a.metric, b.metric) ||
-      a.metric_valid != b.metric_valid || a.head != b.head ||
-      a.head_valid != b.head_valid || a.age != b.age ||
-      a.digests.size() != b.digests.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.digests.size(); ++i) {
-    if (!digest_bits_equal(a.digests[i], b.digests[i])) return false;
-  }
-  return true;
+  const auto wa = a.relay.words();
+  const auto wb = b.relay.words();
+  return a.dag_id == b.dag_id && double_bits_equal(a.metric, b.metric) &&
+         a.metric_valid == b.metric_valid && a.head == b.head &&
+         a.head_valid == b.head_valid && a.age == b.age &&
+         a.relay.has_head() == b.relay.has_head() &&
+         std::equal(wa.begin(), wa.end(), wb.begin(), wb.end());
 }
 
 bool cold_state_equal(const DensityProtocol& a, const DensityProtocol& b,

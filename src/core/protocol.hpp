@@ -3,7 +3,7 @@
 // This is the message-passing realization of the paper's Section 4: every
 // node holds the shared variables Id_p (its DAG name), d_p (density) and
 // H(p) (chosen cluster-head), periodically broadcasts them together with a
-// digest of its cached 1-neighborhood (the Herman–Tixeuil shared-variable
+// relay of its cached 1-neighborhood (the Herman–Tixeuil shared-variable
 // propagation scheme, which is what gives each node its 2-neighborhood
 // view), and repeatedly executes the guarded rules
 //
@@ -63,37 +63,24 @@
 
 namespace ssmwn::core {
 
-/// One cached-neighbor summary relayed inside a frame; receivers use these
-/// to reconstruct adjacency among their neighbors (for R1) and to spot
-/// cluster-heads at 2 hops (for the fusion rule).
-struct NeighborDigest {
-  topology::ProtocolId id = 0;
-  std::uint64_t dag_id = 0;
-  double metric = 0.0;
-  bool metric_valid = false;
-  bool is_head = false;
-};
-
-/// Bitwise digest equality (metric compared at the bit level, see
-/// double_bits_equal) — the comparison the quiescence change detector
-/// and the differential harness both use.
-[[nodiscard]] inline bool digest_bits_equal(const NeighborDigest& a,
-                                            const NeighborDigest& b) noexcept {
-  return a.id == b.id && a.dag_id == b.dag_id &&
-         double_bits_equal(a.metric, b.metric) &&
-         a.metric_valid == b.metric_valid && a.is_head == b.is_head;
-}
-
 /// The broadcast payload is the sender's shared variables (this header)
-/// plus its digest of its own 1-neighborhood, sorted by id. The digest
-/// list lives in storage the engine owns and travels alongside the
-/// header as a span.
+/// plus its relay row, in storage the engine owns: the ids of its cached
+/// neighbors, sorted, then — under fusion — the head records of its two
+/// highest-ranked cached neighbors that are their own heads with a valid
+/// metric, best first (slab_pool.hpp has the word layout). Receivers
+/// rebuild adjacency among their neighbors from the ids (R1) and keep the
+/// best record not naming themselves for the fusion scan, which only
+/// ever acts on the best 2-hop head; two records serve every receiver,
+/// so nothing else travels. 38 bytes of fields, widest first; the last
+/// two bytes of the 40 are tail padding.
 struct ProtocolFrameHeader {
   topology::ProtocolId id = 0;
   std::uint64_t dag_id = 0;
   double metric = 0.0;
-  bool metric_valid = false;
   topology::ProtocolId head = 0;
+  /// Head records at the row's tail (0, 1 or 2); the ids fill the rest.
+  std::uint32_t heads = 0;
+  bool metric_valid = false;
   bool head_valid = false;
 };
 
@@ -106,11 +93,6 @@ enum class ElectionMetric {
   Degree,
 };
 
-/// Per-node digest storage: one slab pool per node, spans handed out to
-/// that node's cache entries (see slab_pool.hpp).
-using DigestPool = SlabPool<NeighborDigest>;
-using DigestList = PooledList<NeighborDigest>;
-
 /// How rule R1 obtains e(N_p), the believed-link count among cached
 /// neighbors. The three modes compute bit-identical metrics; they differ
 /// only in cost and checking.
@@ -120,7 +102,7 @@ enum class DensityMaintenance {
   /// external mutation (fault injection, `mutable_state`). The default.
   kIncremental,
   /// The pre-maintenance cost model: every R1 firing recomputes the
-  /// pairwise count from the digest lists. The debug oracle the
+  /// pairwise count from the relayed id lists. The debug oracle the
   /// differential gate runs the incremental mode against.
   kRecompute,
   /// Incremental *and* recompute every firing, throwing std::logic_error
@@ -181,9 +163,11 @@ class DensityProtocol {
     std::uint64_t dag_id = 0;
     double metric = 0.0;
     topology::ProtocolId head = 0;
-    /// Sorted by id; a span into the owning node's digest pool. Entries
-    /// are move-only as a consequence (see slab_pool.hpp).
-    DigestList digests;
+    /// What this node keeps of the neighbor's last relay row: its sorted
+    /// neighbor ids and, under fusion, its best head record not naming
+    /// this node — a span into the owning node's relay slab. Entries are
+    /// move-only as a consequence (see slab_pool.hpp).
+    RelayList relay;
     std::uint32_t age = 0;
     bool metric_valid = false;
     bool head_valid = false;
@@ -193,11 +177,11 @@ class DensityProtocol {
   /// scalars. Kept array-of-structs — the cache dominates and is
   /// variable-sized anyway.
   struct NodeAux {
-    /// Slab storage for every digest list in this node's cache. Behind a
+    /// Slab storage for every relay list in this node's cache. Behind a
     /// unique_ptr so its address is stable when NodeAux itself moves
     /// (the cache entries hold pointers to it). Declared before the
     /// cache: entry destructors release their spans into it.
-    std::unique_ptr<DigestPool> digest_pool = std::make_unique<DigestPool>();
+    std::unique_ptr<RelaySlab> relay_slab = std::make_unique<RelaySlab>();
     /// Sorted by id — same iteration order as the std::map it replaced,
     /// but contiguous, so the per-step rule sweeps stream memory.
     FlatMap<topology::ProtocolId, CacheEntry> cache;
@@ -231,9 +215,9 @@ class DensityProtocol {
     /// `mutable_state()` already marked the count stale, so whatever is
     /// written here is recomputed away at the node's next R1 firing.
     std::uint64_t& links_among;
-    /// The node's digest slab; planting cache entries by hand requires
-    /// `entry.digests.attach(s.digest_pool)` before writing the list.
-    DigestPool& digest_pool;
+    /// The node's relay slab (relay lists are planted through
+    /// `DensityProtocol::plant_relay`).
+    const RelaySlab& relay_slab;
     /// Graph index of this node (uids map to protocol ids, not indices).
     graph::NodeId node;
   };
@@ -253,7 +237,7 @@ class DensityProtocol {
     const double& last_heard_s;
     const std::uint64_t& deliveries;
     const std::uint64_t& links_among;
-    const DigestPool& digest_pool;
+    const RelaySlab& relay_slab;
     graph::NodeId node;
   };
 
@@ -266,20 +250,21 @@ class DensityProtocol {
   // Both engines build frames through these into storage they own and
   // reuse, so a steady-state step allocates nothing.
   using FrameHeader = ProtocolFrameHeader;
-  using Digest = NeighborDigest;
-  /// Number of digest slots `make_frame` will fill for `sender` right now
-  /// (its current cache size); the engine sizes the pool from these.
-  [[nodiscard]] std::size_t digest_count(graph::NodeId sender) const {
-    return aux_[sender].cache.size();
-  }
+  /// A frame row is a relay span (slab_pool.hpp): the engine's digest
+  /// slots are its words.
+  using Digest = RelayWord;
+  /// Number of row words `make_frame` will fill for `sender` right now
+  /// (its cache size, plus three per relayed head record under fusion);
+  /// the engine sizes its rows from these.
+  [[nodiscard]] std::size_t digest_count(graph::NodeId sender) const;
   /// Writes the shared variables into `header` and exactly
-  /// `digest_count(sender)` digests into `digests`.
+  /// `digest_count(sender)` words into `row`.
   void make_frame(graph::NodeId sender, FrameHeader& header,
-                  std::span<Digest> digests) const;
-  /// Digest storage is only borrowed for the duration of the call (the
+                  std::span<Digest> row) const;
+  /// Row storage is only borrowed for the duration of the call (the
   /// cache copies what it keeps).
   void deliver(graph::NodeId receiver, const FrameHeader& header,
-               std::span<const Digest> digests);
+               std::span<const Digest> row);
   /// Sweeps the guarded rules N1, R1, R2 once, unconditionally, and
   /// notes whether the sweep moved a shared variable.
   void tick(graph::NodeId node);
@@ -295,25 +280,26 @@ class DensityProtocol {
   /// sizes differ (a phantom entry, an eviction), the receiver was
   /// externally mutated since the last full sweep, or uids repeat.
   bool redeliver_unchanged(graph::NodeId receiver, std::size_t heard);
-  /// Fast path for a frame whose *id sequence* the engine proved unchanged
-  /// since this receiver last consumed it (payloads — DAG ids, metrics,
-  /// head bits — may differ): e(N_p) depends only on which ids each digest
-  /// list names, so the delta walk and the compare both vanish and the
-  /// delivery collapses to a straight payload overwrite. `bits_equal` says
-  /// the engine proved the whole row bit-equal too: then only the age
-  /// resets. Otherwise the row differs, and that proof raises the change
-  /// bit `deliver` would. Returns false — demanding the full compare path —
-  /// when the entry is missing, its stored list disagrees with the engine's
-  /// proof, the receiver was externally mutated since the last full sweep,
-  /// or uids repeat.
+  /// Fast path for a frame whose *id sequence* and length the engine
+  /// proved unchanged since this receiver last consumed it (the header
+  /// and the head records may differ): e(N_p) depends only on which ids
+  /// each relay list names, so the delta walk and the compare both vanish
+  /// and the delivery collapses to a straight payload overwrite.
+  /// `bits_equal` says the engine proved the whole row bit-equal too: then
+  /// only the age resets. Otherwise the row differs, and that proof raises
+  /// the change bit `deliver` would. Returns false — demanding the full
+  /// compare path — when the entry is missing, its stored list disagrees
+  /// with the engine's proof, the receiver was externally mutated since
+  /// the last full sweep, or uids repeat.
   bool deliver_payload(graph::NodeId receiver, const FrameHeader& header,
-                       std::span<const Digest> digests, bool bits_equal);
+                       std::span<const Digest> row, bool bits_equal);
   /// The row-equality predicates (sim::RowEqualityProtocol) the engine
   /// grades rebuilt rows with — the grades back `deliver_payload` and
-  /// decide whose neighbors step. Id projection first.
-  [[nodiscard]] static bool digest_id_equal(const Digest& a,
-                                            const Digest& b) noexcept {
-    return a.id == b.id;
+  /// decide whose neighbors step. A row's leading `id_prefix` words are
+  /// its id sequence; the head records follow.
+  [[nodiscard]] static std::size_t id_prefix(const FrameHeader& header,
+                                             std::size_t row_words) noexcept {
+    return row_words - kHeadWords * header.heads;
   }
   /// Bitwise frame-header equality (field-wise — padding bytes never
   /// participate).
@@ -322,13 +308,13 @@ class DensityProtocol {
     return a.id == b.id && a.dag_id == b.dag_id &&
            double_bits_equal(a.metric, b.metric) &&
            a.metric_valid == b.metric_valid && a.head == b.head &&
-           a.head_valid == b.head_valid;
+           a.head_valid == b.head_valid && a.heads == b.heads;
   }
-  /// Digest counterpart; forwards to the namespace-scope predicate the
-  /// differential harness also uses.
+  /// Row words hold metrics as their bit patterns, so word equality is
+  /// bit equality.
   [[nodiscard]] static bool digest_bits_equal(const Digest& a,
                                               const Digest& b) noexcept {
-    return core::digest_bits_equal(a, b);
+    return a == b;
   }
 
   // --- dynamic-topology concept (sim::TopologyAwareProtocol) -----------
@@ -386,7 +372,7 @@ class DensityProtocol {
   /// the node externally dirty (any field may be about to change).
   [[nodiscard]] NodeState mutable_state(graph::NodeId p) {
     externally_touched(p);
-    // Any field — the cache and digest lists included — may be about to
+    // Any field — the cache and relay lists included — may be about to
     // change, so the maintained link count can no longer be trusted; the
     // node's next R1 firing recomputes it from scratch. This is the
     // self-stabilization story for the maintained count itself: external
@@ -440,6 +426,14 @@ class DensityProtocol {
   /// Resets a node to its freshly-booted state (empty caches, invalid
   /// variables) — models a crash/reboot.
   void reset_node(graph::NodeId p);
+  /// Writes a hand-planted relay list — `ids` (sorted) and any number of
+  /// `heads` — into `entry`, which must sit in node p's cache: the door
+  /// for fault injectors and tests, after `mutable_state(p)`. Keeps what
+  /// a delivery would: under fusion the first highest-ranked record not
+  /// naming p, without fusion none.
+  void plant_relay(graph::NodeId p, CacheEntry& entry,
+                   std::span<const topology::ProtocolId> ids,
+                   std::span<const HeadRecord> heads);
 
  private:
   [[nodiscard]] NodeState view(graph::NodeId p) {
@@ -456,7 +450,7 @@ class DensityProtocol {
                      aux_[p].last_heard_s,
                      aux_[p].deliveries,
                      links_among_[p],
-                     *aux_[p].digest_pool,
+                     *aux_[p].relay_slab,
                      p};
   }
   [[nodiscard]] ConstNodeState const_view(graph::NodeId p) const {
@@ -473,14 +467,20 @@ class DensityProtocol {
                           aux_[p].last_heard_s,
                           aux_[p].deliveries,
                           links_among_[p],
-                          *aux_[p].digest_pool,
+                          *aux_[p].relay_slab,
                           p};
   }
 
   [[nodiscard]] NodeRank self_rank(const NodeState& s) const;
   [[nodiscard]] NodeRank entry_rank(topology::ProtocolId id,
                                     const CacheEntry& e) const;
-  [[nodiscard]] NodeRank digest_rank(const NeighborDigest& d) const;
+  /// A relayed head record's ≺ key (a head is its own incumbent).
+  [[nodiscard]] PackedRank head_key(const HeadRecord& d) const;
+  /// The head record of `row` that `receiver` keeps — the best one not
+  /// naming it (the row's records come best first) — or nullptr.
+  [[nodiscard]] const RelayWord* kept_head(graph::NodeId receiver,
+                                           const FrameHeader& header,
+                                           std::span<const Digest> row) const;
   /// An entry's ≺ key for the R2 election: its packed rank when valid,
   /// the below-everything sentinel otherwise (so invalid entries lose
   /// every arg-max without a branch).
@@ -516,7 +516,7 @@ class DensityProtocol {
   /// Maintained believed-link count e(N_p) per node. Invariant: when
   /// links_fresh_[p] is set, links_among_[p] equals the pairwise
   /// recompute over p's current cache (a pair q,r counts iff either
-  /// digest list names the other). Not protocol state — a memoization —
+  /// relayed id list names the other). Not protocol state — a memoization —
   /// so the differential harness does not compare it.
   std::vector<std::uint64_t> links_among_;
   /// Cleared by any external mutation (mutable_state, corrupt_*,
@@ -546,7 +546,7 @@ class DensityProtocol {
 
 /// True iff node `p` holds bit-identical state in both protocols:
 /// shared variables, full cache contents (including ages and relayed
-/// digests), RNG state and the async observability fields.
+/// relay lists), RNG state and the async observability fields.
 [[nodiscard]] bool node_states_bitwise_equal(const DensityProtocol& a,
                                              const DensityProtocol& b,
                                              graph::NodeId p);

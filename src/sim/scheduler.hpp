@@ -57,28 +57,30 @@ concept ArenaProtocol =
 
 /// Optional row-equality extension: the protocol's own equality
 /// predicates over frame headers and digests (field-wise, so padding
-/// bytes never participate), with which the synchronous engine grades
-/// every rebuilt frame row against the row before it, so engine and
-/// protocol agree on what "unchanged" means. Row grades (a bitmask):
-/// bit-equality implies id-equality, so the valid values are 0,
-/// kRowIdsEqual and kRowIdsEqual | kRowBitsEqual.
+/// bytes never participate), plus where a row's id sequence ends: its
+/// first `id_prefix(header, len)` digests are the ids, the rest payload.
+/// With them the synchronous engine grades every rebuilt frame row
+/// against the row before it, so engine and protocol agree on what
+/// "unchanged" means. Row grades (a bitmask): bit-equality implies
+/// id-equality, so the valid values are 0, kRowIdsEqual and
+/// kRowIdsEqual | kRowBitsEqual.
 inline constexpr unsigned char kRowIdsEqual = 1;   // id sequence held
 inline constexpr unsigned char kRowBitsEqual = 2;  // whole row bit-equal
 
 template <typename P>
 concept RowEqualityProtocol =
     requires(const typename P::FrameHeader& header,
-             const typename P::Digest& digest) {
+             const typename P::Digest& digest, std::size_t len) {
       { P::header_bits_equal(header, header) } -> std::convertible_to<bool>;
       { P::digest_bits_equal(digest, digest) } -> std::convertible_to<bool>;
-      { P::digest_id_equal(digest, digest) } -> std::convertible_to<bool>;
+      { P::id_prefix(header, len) } -> std::convertible_to<std::size_t>;
     };
 
 /// Optional redelivery extension: when an engine can prove every frame a
 /// receiver hears bit-identical to the one it consumed last step
 /// (double-buffered arena rows + a loss-free medium), it may offer them
 /// all as one `redeliver_unchanged(receiver, heard)`; and a row whose id
-/// sequence held as `deliver_payload(receiver, header, digests,
+/// sequence and length held as `deliver_payload(receiver, header, digests,
 /// bits_equal)`, where the protocol can skip its compare/delta machinery
 /// and overwrite in place (or, for a row proved bit-equal as a whole,
 /// only refresh it). Either call performs the remaining side effects and

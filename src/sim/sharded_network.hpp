@@ -307,13 +307,14 @@ class ShardedNetwork {
   }
 
   /// Sparse-change rows across all steps so far: rebuilt rows whose id
-  /// sequence held, that are not bit-equal to their predecessor, and
-  /// where at most half the digests changed (changed · 2 ≤ len). A work
-  /// counter only — such rows are delivered like any other ids-equal
-  /// row. Rows a step does not rebuild are bit-equal and never count, so
-  /// the total does not depend on the kind of step. Folded serially in
-  /// shard order, so identical for any shard/thread count. Zero for
-  /// protocols without the row-equality extension.
+  /// sequence and length held, that are not bit-equal to their
+  /// predecessor, and where at most half the payload digests (those past
+  /// the id prefix) changed. A work counter only — such rows are
+  /// delivered like any other ids-equal row. Rows a step does not rebuild
+  /// are bit-equal and never count, so the total does not depend on the
+  /// kind of step. Folded serially in shard order, so identical for any
+  /// shard/thread count. Zero for protocols without the row-equality
+  /// extension.
   [[nodiscard]] std::uint64_t delta_rows_graded() const noexcept {
     return delta_rows_graded_;
   }
@@ -575,8 +576,9 @@ class ShardedNetwork {
   /// protocol's own field-equality predicates: id sequence held (payload
   /// overwrite suffices — the common active regime) or whole row
   /// bit-equal (nobody needs to hear it again; an all-bit-equal receiver
-  /// only resets ages — the quiescent regime). Ids-equal rows with at
-  /// most half the digests moved count as sparse-change rows.
+  /// only resets ages — the quiescent regime). A row whose length moved
+  /// grades 0. Ids-equal rows with at most half the payload digests moved
+  /// count as sparse-change rows.
   static unsigned char grade_row(const typename Protocol::FrameHeader& h,
                                  const typename Protocol::Digest* a,
                                  std::size_t len,
@@ -584,25 +586,23 @@ class ShardedNetwork {
                                  const typename Protocol::Digest* b,
                                  std::size_t old_len, std::uint64_t& sparse) {
     if (len != old_len) return 0;
-    // Past half the row the changed count no longer matters (the row can
-    // be neither bit-equal nor sparse-change), so the payload compares
-    // stop; the id compares must still cover the whole row — the
-    // ids-equal gate is what makes redelivery sound.
-    const std::size_t cap = len / 2;
-    bool ids = true;
-    std::size_t changed = 0;
-    std::size_t k = 0;
-    for (; k < len && ids; ++k) {
-      ids = Protocol::digest_id_equal(a[k], b[k]);
-      changed += !Protocol::digest_bits_equal(a[k], b[k]);
-      if (changed > cap) break;
+    const std::size_t ids = Protocol::id_prefix(h, len);
+    if (ids != Protocol::id_prefix(old_h, old_len)) return 0;
+    // The ids-equal gate must cover the whole id sequence — it is what
+    // makes redelivery sound — so this pass has no early exit.
+    bool same_ids = true;
+    for (std::size_t k = 0; k < ids; ++k) {
+      same_ids &= Protocol::digest_bits_equal(a[k], b[k]);
     }
-    for (; k < len && ids; ++k) ids = Protocol::digest_id_equal(a[k], b[k]);
-    if (!ids) return 0;
+    if (!same_ids) return 0;
+    std::size_t changed = 0;
+    for (std::size_t k = ids; k < len; ++k) {
+      changed += !Protocol::digest_bits_equal(a[k], b[k]);
+    }
     if (changed == 0 && Protocol::header_bits_equal(h, old_h)) {
       return kRowIdsEqual | kRowBitsEqual;
     }
-    sparse += changed * 2 <= len;
+    sparse += changed * 2 <= len - ids;
     return kRowIdsEqual;
   }
 

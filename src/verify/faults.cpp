@@ -28,7 +28,6 @@ std::string_view to_string(Daemon daemon) noexcept {
 namespace {
 
 using core::DensityProtocol;
-using core::NeighborDigest;
 using graph::NodeId;
 using topology::ProtocolId;
 
@@ -43,14 +42,47 @@ ProtocolId noisy_id(const topology::IdAssignment& ids, util::Rng& rng) {
   return rng.below(2 * std::max<std::uint64_t>(1, ids.size()));
 }
 
-/// Plants one cache entry for the *true* neighbor `q` of `node`,
-/// including a digest row per true neighbor-of-neighbor, then lets
-/// `mutate_entry` / `mutate_digest` decide how the contents lie.
-template <typename EntryFn, typename DigestFn>
+/// A relayed neighbor as the corruptor draws it: every field a frame
+/// could say about it. The cache keeps only the compact form — the id,
+/// and a head record when the neighbor is its own head with a valid
+/// metric — but the draws (and the tears of partial-frame) run over the
+/// full record, so every class draws the same numbers in the same order
+/// whatever the cache keeps.
+struct DrawnDigest {
+  ProtocolId id = 0;
+  std::uint64_t dag_id = 0;
+  double metric = 0.0;
+  bool metric_valid = false;
+  bool is_head = false;
+};
+
+bool by_id(const DrawnDigest& a, const DrawnDigest& b) { return a.id < b.id; }
+
+/// Draw buffers reused across the nodes of one corruption pass.
+struct PlantScratch {
+  struct Span {
+    ProtocolId key;
+    std::size_t begin;
+    std::size_t end;
+  };
+  std::vector<DrawnDigest> drawn;  // every entry's list, back to back
+  std::vector<Span> spans;         // one per planted entry, in draw order
+  std::vector<DrawnDigest> list;
+  std::vector<ProtocolId> ids;
+  std::vector<core::HeadRecord> heads;
+};
+
+/// Plants one cache entry per *true* neighbor `q` of `node`, with a
+/// relayed digest per true neighbor-of-neighbor, and lets `mutate_entry`
+/// / `mutate_digest` decide how the contents lie. Then, walking the
+/// cache in id order, `tear` may damage each entry's sorted digest list
+/// before its compact form is stored.
+template <typename EntryFn, typename DigestFn, typename TearFn>
 void plant_true_neighbors(DensityProtocol& protocol, const graph::Graph& g,
                           const topology::IdAssignment& ids, NodeId node,
-                          CorruptionStats& stats, EntryFn&& mutate_entry,
-                          DigestFn&& mutate_digest) {
+                          CorruptionStats& stats, PlantScratch& scratch,
+                          EntryFn&& mutate_entry, DigestFn&& mutate_digest,
+                          TearFn&& tear) {
   auto state = protocol.mutable_state(node);
   // Corrupt the maintained e(N_p) alongside the cache it summarizes.
   // Deterministic (an LCG step, no rng draw) so the corruption streams
@@ -60,38 +92,66 @@ void plant_true_neighbors(DensityProtocol& protocol, const graph::Graph& g,
   state.links_among =
       state.links_among * 6364136223846793005ULL + 1442695040888963407ULL;
   state.cache.clear();
+  scratch.drawn.clear();
+  scratch.spans.clear();
   for (const NodeId q : g.neighbors(node)) {
     DensityProtocol::CacheEntry& entry = state.cache[ids[q]];
-    entry.digests.attach(state.digest_pool);  // hand-planted lists live
-                                              // in the node's slab too
     mutate_entry(q, entry);
-    entry.digests.clear();
-    entry.digests.reserve(g.degree(q));
+    const std::size_t begin = scratch.drawn.size();
     for (const NodeId r : g.neighbors(q)) {
-      NeighborDigest digest;
+      DrawnDigest digest;
       digest.id = ids[r];
       mutate_digest(r, digest);
-      entry.digests.push_back(digest);
+      scratch.drawn.push_back(digest);
     }
-    std::sort(entry.digests.begin(), entry.digests.end(),
-              [](const NeighborDigest& a, const NeighborDigest& b) {
-                return a.id < b.id;
-              });
+    std::sort(scratch.drawn.begin() + static_cast<std::ptrdiff_t>(begin),
+              scratch.drawn.end(), by_id);
+    scratch.spans.push_back({ids[q], begin, scratch.drawn.size()});
     ++stats.cache_entries_planted;
   }
+  // A repeated uid re-plants its entry, so the last list drawn for a key
+  // is the one it keeps.
+  std::stable_sort(scratch.spans.begin(), scratch.spans.end(),
+                   [](const PlantScratch::Span& a,
+                      const PlantScratch::Span& b) { return a.key < b.key; });
+  std::size_t k = 0;
+  for (auto& [key, entry] : state.cache) {
+    while (scratch.spans[k].key != key) ++k;
+    while (k + 1 < scratch.spans.size() && scratch.spans[k + 1].key == key) {
+      ++k;
+    }
+    const PlantScratch::Span& span = scratch.spans[k];
+    scratch.list.assign(
+        scratch.drawn.begin() + static_cast<std::ptrdiff_t>(span.begin),
+        scratch.drawn.begin() + static_cast<std::ptrdiff_t>(span.end));
+    tear(scratch.list);
+    scratch.ids.clear();
+    scratch.heads.clear();
+    for (const DrawnDigest& d : scratch.list) {
+      scratch.ids.push_back(d.id);
+      if (d.is_head && d.metric_valid) {
+        scratch.heads.push_back({d.id, d.dag_id, d.metric});
+      }
+    }
+    protocol.plant_relay(node, entry, scratch.ids, scratch.heads);
+  }
 }
+
+/// The tear of every class but partial-frame: none.
+void keep_whole(std::vector<DrawnDigest>&) {}
 
 void corrupt_metric_skew(DensityProtocol& protocol, const graph::Graph& g,
                          const topology::IdAssignment& ids, util::Rng& rng,
                          CorruptionStats& stats) {
   const std::uint64_t name_space = protocol.name_space();
+  PlantScratch scratch;
   for (NodeId p = 0; p < g.node_count(); ++p) {
     auto s = protocol.mutable_state(p);
     s.dag_id = rng.below(2 * name_space);
     s.metric = rng.uniform(0.0, 8.0);
     s.metric_valid = rng.chance(0.9);
     plant_true_neighbors(
-        protocol, g, ids, p, stats,
+        protocol, g, ids, p, stats, scratch,
         [&](NodeId q, DensityProtocol::CacheEntry& entry) {
           entry.dag_id = rng.below(2 * name_space);
           entry.metric = rng.uniform(0.0, 8.0);
@@ -100,13 +160,14 @@ void corrupt_metric_skew(DensityProtocol& protocol, const graph::Graph& g,
           entry.head_valid = rng.chance(0.5);
           entry.age = 0;
         },
-        [&](NodeId, NeighborDigest& d) {
+        [&](NodeId, DrawnDigest& d) {
           d.dag_id = rng.below(2 * name_space);
           d.metric = rng.uniform(0.0, 8.0);
           d.metric_valid = rng.chance(0.9);
           d.is_head = rng.chance(0.2);
           ++stats.digests_mutated;
-        });
+        },
+        keep_whole);
     ++stats.nodes_touched;
   }
 }
@@ -135,6 +196,7 @@ void corrupt_stale_cache(DensityProtocol& protocol, const graph::Graph& g,
                          CorruptionStats& stats) {
   const std::uint32_t max_age = protocol.config().cache_max_age;
   const std::uint64_t name_space = protocol.name_space();
+  PlantScratch scratch;
   for (NodeId p = 0; p < g.node_count(); ++p) {
     auto s = protocol.mutable_state(p);
     // Everyone remembers a world in which it was doing fine — valid
@@ -151,7 +213,7 @@ void corrupt_stale_cache(DensityProtocol& protocol, const graph::Graph& g,
     s.head_valid = true;
     s.parent_valid = true;
     plant_true_neighbors(
-        protocol, g, ids, p, stats,
+        protocol, g, ids, p, stats, scratch,
         [&](NodeId, DensityProtocol::CacheEntry& entry) {
           entry.dag_id = rng.below(name_space);
           entry.metric = plausible_metric(rng);
@@ -164,13 +226,14 @@ void corrupt_stale_cache(DensityProtocol& protocol, const graph::Graph& g,
                                     rng.index(std::min<std::uint32_t>(
                                         3, max_age + 1)));
         },
-        [&](NodeId, NeighborDigest& d) {
+        [&](NodeId, DrawnDigest& d) {
           d.dag_id = rng.below(name_space);
           d.metric = plausible_metric(rng);
           d.metric_valid = true;
           d.is_head = rng.chance(0.3);
           ++stats.digests_mutated;
-        });
+        },
+        keep_whole);
     ++stats.nodes_touched;
   }
 }
@@ -186,6 +249,7 @@ void corrupt_hierarchy_loops(DensityProtocol& protocol, const graph::Graph& g,
   for (NodeId p = 0; p < g.node_count(); ++p) {
     bogus_head[p] = ids[rng.index(g.node_count())];
   }
+  PlantScratch scratch;
   for (NodeId p = 0; p < g.node_count(); ++p) {
     auto s = protocol.mutable_state(p);
     const auto neighbors = g.neighbors(p);
@@ -197,7 +261,7 @@ void corrupt_hierarchy_loops(DensityProtocol& protocol, const graph::Graph& g,
     s.metric = plausible_metric(rng);
     s.metric_valid = true;
     plant_true_neighbors(
-        protocol, g, ids, p, stats,
+        protocol, g, ids, p, stats, scratch,
         [&](NodeId q, DensityProtocol::CacheEntry& entry) {
           entry.dag_id = rng.below(protocol.name_space());
           entry.metric = plausible_metric(rng);
@@ -206,12 +270,13 @@ void corrupt_hierarchy_loops(DensityProtocol& protocol, const graph::Graph& g,
           entry.head_valid = true;
           entry.age = 0;
         },
-        [&](NodeId r, NeighborDigest& d) {
+        [&](NodeId r, DrawnDigest& d) {
           d.metric = plausible_metric(rng);
           d.metric_valid = true;
           d.is_head = bogus_head[r] == ids[r];
           ++stats.digests_mutated;
-        });
+        },
+        keep_whole);
     ++stats.nodes_touched;
   }
 }
@@ -222,9 +287,10 @@ void corrupt_partial_frame(DensityProtocol& protocol, const graph::Graph& g,
   // Start from an accurate cache (the state right after a clean round),
   // then tear the relayed digest lists the way a half-received frame
   // would: truncations, flag flips, ids rewritten to other nodes.
+  PlantScratch scratch;
   for (NodeId p = 0; p < g.node_count(); ++p) {
     plant_true_neighbors(
-        protocol, g, ids, p, stats,
+        protocol, g, ids, p, stats, scratch,
         [&](NodeId q, DensityProtocol::CacheEntry& entry) {
           entry.dag_id = rng.below(protocol.name_space());
           entry.metric = plausible_metric(rng);
@@ -233,36 +299,31 @@ void corrupt_partial_frame(DensityProtocol& protocol, const graph::Graph& g,
           entry.head_valid = rng.chance(0.5);
           entry.age = 0;
         },
-        [&](NodeId, NeighborDigest& d) {
+        [&](NodeId, DrawnDigest& d) {
           d.metric = plausible_metric(rng);
           d.metric_valid = true;
           d.is_head = false;
+        },
+        [&](std::vector<DrawnDigest>& digests) {
+          if (digests.empty()) return;
+          if (rng.chance(0.5)) {  // torn tail
+            digests.resize(rng.index(digests.size()) + 1);
+            ++stats.digests_mutated;
+          }
+          if (rng.chance(0.4)) {  // corrupted id byte
+            digests[rng.index(digests.size())].id = noisy_id(ids, rng);
+            ++stats.digests_mutated;
+          }
+          if (rng.chance(0.4)) {  // flipped head bit
+            DrawnDigest& d = digests[rng.index(digests.size())];
+            d.is_head = !d.is_head;
+            ++stats.digests_mutated;
+          }
+          // Keep the sorted-by-id invariant the protocol's binary searches
+          // document; a torn frame reassembled by the radio layer would
+          // still be ordered, just wrong.
+          std::sort(digests.begin(), digests.end(), by_id);
         });
-    auto s = protocol.mutable_state(p);
-    for (auto& [id, entry] : s.cache) {
-      auto& digests = entry.digests;
-      if (digests.empty()) continue;
-      if (rng.chance(0.5)) {  // torn tail
-        digests.resize(rng.index(digests.size()) + 1);
-        ++stats.digests_mutated;
-      }
-      if (rng.chance(0.4)) {  // corrupted id byte
-        digests[rng.index(digests.size())].id = noisy_id(ids, rng);
-        ++stats.digests_mutated;
-      }
-      if (rng.chance(0.4)) {  // flipped head bit
-        NeighborDigest& d = digests[rng.index(digests.size())];
-        d.is_head = !d.is_head;
-        ++stats.digests_mutated;
-      }
-      // Keep the sorted-by-id invariant the protocol's binary searches
-      // document; a torn frame reassembled by the radio layer would
-      // still be ordered, just wrong.
-      std::sort(digests.begin(), digests.end(),
-                [](const NeighborDigest& a, const NeighborDigest& b) {
-                  return a.id < b.id;
-                });
-    }
     ++stats.nodes_touched;
   }
 }

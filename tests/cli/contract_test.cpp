@@ -261,15 +261,15 @@ TEST_F(CliContract, ProtocolReportsArePinned) {
        0,
        "live mode: sync engine, topology=rebuild, random-direction 0-10 m/s, "
        "4 windows of 2s\n"
-       "cold start: converged at t=12.00s (virtual), 1944 messages\n"
-       "window   1: +0/-0 edges, re-converged in 30.00s, 3035 messages\n"
-       "window   2: +0/-0 edges, re-converged in 30.00s, 2725 messages\n"
-       "window   3: +0/-0 edges, re-converged in 22.00s, 2390 messages\n"
-       "window   4: +0/-0 edges, re-converged in 26.00s, 2886 messages\n"
-       "re-converged 4/4 windows; mean 27.00s, mean 2759 messages per "
+       "cold start: converged at t=12.00s (virtual), 1777 messages\n"
+       "window   1: +0/-0 edges, re-converged in 30.00s, 2620 messages\n"
+       "window   2: +0/-0 edges, re-converged in 30.00s, 2289 messages\n"
+       "window   3: +0/-0 edges, re-converged in 22.00s, 2198 messages\n"
+       "window   4: +0/-0 edges, re-converged in 26.00s, 2596 messages\n"
+       "re-converged 4/4 windows; mean 27.00s, mean 2426 messages per "
        "perturbation\n"
        "final cluster-heads: 7\n"
-       "dirty stepping: 2424 rule sweeps run, 2076 elided\n"},
+       "dirty stepping: 2070 rule sweeps run, 2430 elided\n"},
       {{"--steps", "40", "--live", "--scheduler", "async", "--topology",
         "incremental", "--mobility", "random-waypoint", "--stepping", "dirty",
         "--windows", "4", "--speed-max", "10"},
@@ -284,7 +284,7 @@ TEST_F(CliContract, ProtocolReportsArePinned) {
        "re-converged 4/4 windows; mean 10.00s, mean 1754 messages per "
        "perturbation\n"
        "final cluster-heads: 5\n"
-       "dirty stepping: 1043 rule sweeps run, 1355 elided\n"},
+       "dirty stepping: 904 rule sweeps run, 1494 elided\n"},
   };
   for (const auto& pin : pins) {
     auto args = world;

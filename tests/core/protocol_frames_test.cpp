@@ -2,6 +2,9 @@
 // broadcast, how caches absorb deliveries, and when entries age out.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstddef>
+
 #include "core/protocol.hpp"
 #include "sim/loss.hpp"
 #include "sim/network.hpp"
@@ -43,11 +46,13 @@ TEST(ProtocolFrames, FrameCarriesSharedVariables) {
   EXPECT_TRUE(frame.digests.empty());  // cold cache -> no digests
 }
 
-TEST(ProtocolFrames, DigestsMirrorTheCacheSortedById) {
-  core::DensityProtocol protocol({1, 2, 3}, tiny_config(), util::Rng(2));
-  // Deliver frames from nodes with ids 3 then 2 into node 0's cache.
+/// Delivers frames into node 0: from id 3 (its own head, metric 2, DAG
+/// name 6), id 2 (no valid head) and, with `fourth`, id 4 (its own head,
+/// metric 3, DAG name 5).
+void hear_neighbors(core::DensityProtocol& protocol, bool fourth) {
   Frame from3;
   from3.header.id = 3;
+  from3.header.dag_id = 6;
   from3.header.metric = 2.0;
   from3.header.metric_valid = true;
   from3.header.head = 3;
@@ -58,13 +63,91 @@ TEST(ProtocolFrames, DigestsMirrorTheCacheSortedById) {
   from2.header.metric_valid = true;
   from3.deliver_to(protocol, 0);
   from2.deliver_to(protocol, 0);
+  if (fourth) {
+    Frame from4 = from3;
+    from4.header.id = 4;
+    from4.header.dag_id = 5;
+    from4.header.metric = 3.0;
+    from4.header.head = 4;
+    from4.deliver_to(protocol, 0);
+  }
+}
+
+core::ProtocolConfig fusion_config() {
+  core::ProtocolConfig config = tiny_config();
+  config.cluster.fusion = true;
+  return config;
+}
+
+TEST(ProtocolFrames, RowRelaysSortedIdsThenHeadRecords) {
+  core::DensityProtocol protocol({1, 2, 3}, fusion_config(), util::Rng(2));
+  hear_neighbors(protocol, false);
 
   const auto frame = frame_of(protocol, 0);
+  // Ids sorted ascending, then the record {id, dag_id, metric} of the
+  // one neighbor that is its own head with a valid metric.
+  ASSERT_EQ(frame.header.heads, 1u);
+  ASSERT_EQ(frame.digests.size(), 2u + core::kHeadWords);
+  EXPECT_EQ(core::DensityProtocol::id_prefix(frame.header,
+                                             frame.digests.size()),
+            2u);
+  EXPECT_EQ(frame.digests[0], 2u);
+  EXPECT_EQ(frame.digests[1], 3u);
+  EXPECT_EQ(frame.digests[2], 3u);
+  EXPECT_EQ(frame.digests[3], 6u);
+  EXPECT_EQ(std::bit_cast<double>(frame.digests[4]), 2.0);
+
+  // A receiver keeps the ids and the record.
+  frame.deliver_to(protocol, 1);
+  const auto& relay = protocol.state(1).cache.begin()->second.relay;
+  ASSERT_EQ(relay.ids().size(), 2u);
+  ASSERT_TRUE(relay.has_head());
+  EXPECT_EQ(relay.head().id, 3u);
+  EXPECT_EQ(relay.head().dag_id, 6u);
+  EXPECT_EQ(relay.head().metric, 2.0);
+  // The receiver the record names keeps none: its fusion scan skips
+  // itself.
+  frame.deliver_to(protocol, 2);
+  EXPECT_FALSE(protocol.state(2).cache.begin()->second.relay.has_head());
+}
+
+TEST(ProtocolFrames, RowRelaysTheTwoBestHeadsAndEachReceiverKeepsOne) {
+  core::DensityProtocol protocol({1, 2, 3, 4}, fusion_config(),
+                                 util::Rng(2));
+  hear_neighbors(protocol, true);
+  const auto frame = frame_of(protocol, 0);
+  // Both heads travel, best (metric 3, id 4) first.
+  ASSERT_EQ(frame.header.heads, 2u);
+  ASSERT_EQ(frame.digests.size(), 3u + 2 * core::kHeadWords);
+  EXPECT_EQ(frame.digests[3], 4u);
+  EXPECT_EQ(frame.digests[6], 3u);
+  // Node 1 (id 2) keeps the best; node 3 (id 4) is the best, so it keeps
+  // the runner-up.
+  frame.deliver_to(protocol, 1);
+  frame.deliver_to(protocol, 3);
+  EXPECT_EQ(protocol.state(1).cache.begin()->second.relay.head().id, 4u);
+  EXPECT_EQ(protocol.state(3).cache.begin()->second.relay.head().id, 3u);
+}
+
+TEST(ProtocolFrames, WithoutFusionRowsCarryOnlyIds) {
+  core::DensityProtocol protocol({1, 2, 3}, tiny_config(), util::Rng(2));
+  hear_neighbors(protocol, false);
+  const auto frame = frame_of(protocol, 0);
+  EXPECT_EQ(frame.header.heads, 0u);
   ASSERT_EQ(frame.digests.size(), 2u);
-  EXPECT_EQ(frame.digests[0].id, 2u);  // sorted ascending by id
-  EXPECT_EQ(frame.digests[1].id, 3u);
-  EXPECT_TRUE(frame.digests[1].is_head);   // head==id and valid
-  EXPECT_FALSE(frame.digests[0].is_head);  // head not valid
+  EXPECT_EQ(frame.digests[0], 2u);
+  EXPECT_EQ(frame.digests[1], 3u);
+}
+
+TEST(ProtocolFrames, WireRecordsCarryNoPadding) {
+  // Every byte of a head record is a field; the frame header's fields
+  // fill 38 of its 40 bytes, widest first.
+  EXPECT_EQ(sizeof(core::HeadRecord), 24u);
+  EXPECT_EQ(sizeof(core::HeadRecord),
+            sizeof(topology::ProtocolId) + sizeof(std::uint64_t) +
+                sizeof(double));
+  EXPECT_EQ(sizeof(core::ProtocolFrameHeader), 40u);
+  EXPECT_EQ(offsetof(core::ProtocolFrameHeader, head_valid) + 1, 38u);
 }
 
 TEST(ProtocolFrames, SelfFramesAreIgnored) {

@@ -12,9 +12,11 @@
 // shard- and thread-invariant, and the closed forms of a settled step.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -73,7 +75,6 @@ void plant_phantom(core::DensityProtocol& protocol, graph::NodeId q,
                    topology::ProtocolId id) {
   auto s = protocol.mutable_state(q);
   auto& entry = s.cache[id];
-  entry.digests.attach(s.digest_pool);
   entry.dag_id = 7;
   entry.metric = 3.5;
   entry.metric_valid = true;
@@ -83,17 +84,20 @@ void plant_phantom(core::DensityProtocol& protocol, graph::NodeId q,
 }
 
 /// The invariant the row hints rest on: after a step, every node's cache
-/// holds, for each neighbor, the bytes of the row that neighbor
-/// broadcast this step (`frames`, snapshotted before the step) — also
+/// holds, for each neighbor, what it keeps of the row that neighbor
+/// broadcast this step (`frames`, snapshotted before the step): the
+/// header, the ids and the best head record not naming the node — also
 /// for the nodes the step skipped.
 ::testing::AssertionResult caches_hold_rows(
     const graph::Graph& g, const core::DensityProtocol& protocol,
     const std::vector<Frame>& frames) {
   for (graph::NodeId q = 0; q < g.node_count(); ++q) {
     const auto& cache = protocol.state(q).cache;
+    const topology::ProtocolId uid = protocol.state(q).uid;
     for (const graph::NodeId p : g.neighbors(q)) {
       const auto& f = frames[p].header;
       const auto& digests = frames[p].digests;
+      const std::size_t ids = core::DensityProtocol::id_prefix(f, digests.size());
       const auto it = cache.find(f.id);
       if (it == cache.end()) {
         return ::testing::AssertionFailure()
@@ -104,10 +108,18 @@ void plant_phantom(core::DensityProtocol& protocol, graph::NodeId q,
                   core::double_bits_equal(e.metric, f.metric) &&
                   e.metric_valid == f.metric_valid && e.head == f.head &&
                   e.head_valid == f.head_valid &&
-                  e.digests.size() == digests.size();
-      for (std::size_t k = 0; same && k < digests.size(); ++k) {
-        same = core::digest_bits_equal(e.digests.data()[k], digests[k]);
+                  std::ranges::equal(e.relay.ids(),
+                                     std::span(digests).first(ids));
+      // The kept record is the row's best one not naming q.
+      const core::RelayWord* kept = nullptr;
+      for (std::size_t k = 0; kept == nullptr && k < f.heads; ++k) {
+        const core::RelayWord* record = &digests[ids + core::kHeadWords * k];
+        if (record[0] != uid) kept = record;
       }
+      same = same && e.relay.has_head() == (kept != nullptr) &&
+             (kept == nullptr ||
+              std::ranges::equal(e.relay.words().subspan(ids),
+                                 std::span(kept, core::kHeadWords)));
       if (!same) {
         return ::testing::AssertionFailure()
                << "node " << q << " holds a stale row of neighbor " << p;

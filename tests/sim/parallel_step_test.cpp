@@ -5,6 +5,7 @@
 // models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <vector>
@@ -47,17 +48,9 @@ core::DensityProtocol make_protocol(const Fixture& f, std::uint64_t seed) {
   return core::DensityProtocol(f.ids, config, util::Rng(seed));
 }
 
-bool digests_equal(const core::DigestList& a, const core::DigestList& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].id != b[i].id || a[i].dag_id != b[i].dag_id ||
-        std::memcmp(&a[i].metric, &b[i].metric, sizeof(double)) != 0 ||
-        a[i].metric_valid != b[i].metric_valid ||
-        a[i].is_head != b[i].is_head) {
-      return false;
-    }
-  }
-  return true;
+bool relays_equal(const core::RelayList& a, const core::RelayList& b) {
+  return a.has_head() == b.has_head() &&
+         std::ranges::equal(a.words(), b.words());
 }
 
 /// Bit-identical protocol state: every shared variable, every cache entry
@@ -92,7 +85,7 @@ bool digests_equal(const core::DigestList& a, const core::DigestList& b) {
           ita->second.head != itb->second.head ||
           ita->second.head_valid != itb->second.head_valid ||
           ita->second.age != itb->second.age ||
-          !digests_equal(ita->second.digests, itb->second.digests)) {
+          !relays_equal(ita->second.relay, itb->second.relay)) {
         return ::testing::AssertionFailure()
                << "cache entry differs at node " << p;
       }

@@ -120,7 +120,6 @@ void plant_phantom(core::DensityProtocol& protocol, graph::NodeId q,
                    topology::ProtocolId id) {
   auto s = protocol.mutable_state(q);
   auto& entry = s.cache[id];
-  entry.digests.attach(s.digest_pool);
   entry.dag_id = 7;
   entry.metric = 3.5;
   entry.metric_valid = true;

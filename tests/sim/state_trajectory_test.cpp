@@ -4,29 +4,25 @@
 // each with DAG names + fusion and with the basic rules — play
 // `corrupt_all` + 40 steps, then `corrupt_fraction(0.1)` + 30 steps.
 // After every step (every virtual second on the async engine) the whole
-// population's state folds into one FNV-1a hash: shared variables, RNG
-// state, async observability, cache keys, entry fields and ages, the
-// relayed id sequences and, under fusion, each entry's best relayed head
-// record (of the relayed neighbors with a valid metric that are their own
-// heads and are not the holder, the highest-ranked one: id, DAG name,
-// metric — the fusion scan's maximum over the entries' records is its
-// maximum over all of them). That is every bit a rule can act on, and
-// nothing the rules never read, so a change to how the two-hop state is stored, relayed or
-// graded must leave these four values alone whatever simulator-work
-// counters it moves.
+// population's state folds into one FNV-1a hash (support/state_fold.hpp):
+// shared variables, RNG state, async observability, cache keys, entry
+// fields and ages, the relayed id sequences and, under fusion, each
+// entry's best relayed head record. That is every bit a rule can act on,
+// and nothing the rules never read, so a change to how the two-hop state
+// is stored, relayed or graded must leave these four values alone
+// whatever simulator-work counters it moves.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "core/protocol.hpp"
-#include "core/rank.hpp"
 #include "graph/partition.hpp"
 #include "sim/async_network.hpp"
 #include "sim/loss.hpp"
 #include "sim/sharded_network.hpp"
+#include "support/state_fold.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
 #include "topology/udg.hpp"
@@ -67,106 +63,21 @@ core::DensityProtocol make_protocol(const World& w, bool dag_fusion) {
   return core::DensityProtocol(w.ids, config, util::Rng(11));
 }
 
-struct Fnv {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  void add(std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  }
-  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
-};
-
-/// Under fusion, the one relayed head record of an entry that the fusion
-/// scan can pick: the highest-ranked relayed neighbor that is its own
-/// head with a valid metric and is not the holder (the first such maximum
-/// in list order).
-bool fold_best_head(Fnv& h, const core::DensityProtocol& protocol,
-                    topology::ProtocolId holder,
-                    const core::DensityProtocol::CacheEntry& entry) {
-  const bool dag = protocol.config().cluster.use_dag_ids;
-  const bool inc = protocol.config().cluster.incumbency;
-  const core::NeighborDigest* best = nullptr;
-  core::PackedRank best_key{};
-  for (const core::NeighborDigest& d : entry.digests) {
-    if (!d.is_head || !d.metric_valid || d.id == holder) continue;
-    const core::PackedRank key = core::pack_rank(
-        {.metric = d.metric,
-         .incumbent = true,
-         .tie_id = dag ? static_cast<topology::ProtocolId>(d.dag_id) : d.id,
-         .uid = d.id},
-        inc);
-    if (core::packed_precedes(best_key, key)) {
-      best_key = key;
-      best = &d;
-    }
-  }
-  h.add(static_cast<std::uint64_t>(best != nullptr));
-  if (best != nullptr) {
-    h.add(best->id);
-    h.add(best->dag_id);
-    h.add(best->metric);
-  }
-  return best != nullptr;
-}
-
-/// The relayed id sequence, then (only the fusion rule reads it) the
-/// entry's best head record.
-void fold_relay(Fnv& h, const core::DensityProtocol& protocol,
-                topology::ProtocolId holder,
-                const core::DensityProtocol::CacheEntry& entry) {
-  h.add(static_cast<std::uint64_t>(entry.digests.size()));
-  for (const core::NeighborDigest& d : entry.digests) h.add(d.id);
-  if (protocol.config().cluster.fusion) {
-    (void)fold_best_head(h, protocol, holder, entry);
-  }
-}
-
-void fold_state(Fnv& h, const core::DensityProtocol& protocol) {
-  for (graph::NodeId p = 0; p < protocol.node_count(); ++p) {
-    const auto s = protocol.state(p);
-    h.add(s.uid);
-    h.add(s.dag_id);
-    h.add(s.metric);
-    h.add(static_cast<std::uint64_t>(s.metric_valid));
-    h.add(s.head);
-    h.add(static_cast<std::uint64_t>(s.head_valid));
-    h.add(s.parent);
-    h.add(static_cast<std::uint64_t>(s.parent_valid));
-    util::Rng rng = s.rng;
-    h.add(rng());
-    h.add(s.last_heard_s);
-    h.add(s.deliveries);
-    h.add(static_cast<std::uint64_t>(s.cache.size()));
-    for (const auto& [id, entry] : s.cache) {
-      h.add(id);
-      h.add(entry.dag_id);
-      h.add(entry.metric);
-      h.add(static_cast<std::uint64_t>(entry.metric_valid));
-      h.add(entry.head);
-      h.add(static_cast<std::uint64_t>(entry.head_valid));
-      h.add(static_cast<std::uint64_t>(entry.age));
-      fold_relay(h, protocol, s.uid, entry);
-    }
-  }
-}
-
 /// Plays the two fault epochs, calling `advance()` once per step and
 /// folding the state after each.
 template <typename Advance>
 std::uint64_t trajectory(core::DensityProtocol& protocol, Advance&& advance) {
   util::Rng faults(0xfa17);
-  Fnv h;
+  testsupport::Fnv h;
   protocol.corrupt_all(faults);
   for (std::size_t k = 0; k < kColdSteps; ++k) {
     advance();
-    fold_state(h, protocol);
+    testsupport::fold_state(h, protocol);
   }
   protocol.corrupt_fraction(faults, 0.1);
   for (std::size_t k = 0; k < kFaultSteps; ++k) {
     advance();
-    fold_state(h, protocol);
+    testsupport::fold_state(h, protocol);
   }
   return h.h;
 }

@@ -127,8 +127,9 @@ struct OrderProtocol {
   static bool digest_bits_equal(const Digest& a, const Digest& b) {
     return a.owner == b.owner && a.index == b.index;
   }
-  static bool digest_id_equal(const Digest& a, const Digest& b) {
-    return a.owner == b.owner;
+  // The whole row is the id sequence: the toy relays no payload.
+  static std::size_t id_prefix(const FrameHeader&, std::size_t len) {
+    return len;
   }
 
   /// Starts a step's log: clears it and snapshots the frame values.

@@ -191,7 +191,8 @@ void DensityProtocol::make_frame(graph::NodeId sender, FrameHeader& header,
 const RelayWord* DensityProtocol::kept_head(graph::NodeId receiver,
                                             const FrameHeader& header,
                                             std::span<const Digest> row) const {
-  const RelayWord* record = row.data() + (row.size() - kHeadWords * header.heads);
+  const RelayWord* record =
+      row.data() + (row.size() - kHeadWords * header.heads);
   for (std::uint32_t k = 0; k < header.heads; ++k, record += kHeadWords) {
     if (record[0] != uids_[receiver]) return record;
   }

@@ -215,9 +215,6 @@ class DensityProtocol {
     /// `mutable_state()` already marked the count stale, so whatever is
     /// written here is recomputed away at the node's next R1 firing.
     std::uint64_t& links_among;
-    /// The node's relay slab (relay lists are planted through
-    /// `DensityProtocol::plant_relay`).
-    const RelaySlab& relay_slab;
     /// Graph index of this node (uids map to protocol ids, not indices).
     graph::NodeId node;
   };
@@ -237,6 +234,8 @@ class DensityProtocol {
     const double& last_heard_s;
     const std::uint64_t& deliveries;
     const std::uint64_t& links_among;
+    /// The node's relay slab (for memory censuses; relay lists are
+    /// planted through `DensityProtocol::plant_relay`).
     const RelaySlab& relay_slab;
     graph::NodeId node;
   };
@@ -450,7 +449,6 @@ class DensityProtocol {
                      aux_[p].last_heard_s,
                      aux_[p].deliveries,
                      links_among_[p],
-                     *aux_[p].relay_slab,
                      p};
   }
   [[nodiscard]] ConstNodeState const_view(graph::NodeId p) const {

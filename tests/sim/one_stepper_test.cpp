@@ -97,7 +97,8 @@ void plant_phantom(core::DensityProtocol& protocol, graph::NodeId q,
     for (const graph::NodeId p : g.neighbors(q)) {
       const auto& f = frames[p].header;
       const auto& digests = frames[p].digests;
-      const std::size_t ids = core::DensityProtocol::id_prefix(f, digests.size());
+      const std::size_t ids =
+          core::DensityProtocol::id_prefix(f, digests.size());
       const auto it = cache.find(f.id);
       if (it == cache.end()) {
         return ::testing::AssertionFailure()

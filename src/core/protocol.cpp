@@ -5,6 +5,7 @@
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "util/env.hpp"
 #include "util/merge.hpp"
@@ -119,7 +120,7 @@ DensityProtocol::DensityProtocol(topology::IdAssignment uids,
   // quiescence is discovered, never assumed.
   pending_.assign(uids_.size(), 1);
   stable_.assign(uids_.size(), 0);
-  step_state_changed_.assign(uids_.size(), 0);
+  step_activity_.assign(uids_.size(), sim::Activity::kQuiet);
   external_mark_.assign(uids_.size(), 0);
   std::vector<topology::ProtocolId> sorted = uids_;
   std::sort(sorted.begin(), sorted.end());
@@ -219,7 +220,7 @@ bool DensityProtocol::deliver_payload(graph::NodeId receiver,
   // Engine-proved: the row differs from the one the entry holds, so
   // `deliver` would flag a rule-input change.
   pending_[receiver] = 1;
-  step_state_changed_[receiver] = 1;
+  step_activity_[receiver] = sim::Activity::kChanged;
   // Engine-proved: the stored id sequence equals the incoming one, so
   // the believed-link count cannot move and the whole delivery is the
   // header fields and the kept head record.
@@ -342,20 +343,28 @@ void DensityProtocol::deliver(graph::NodeId receiver,
   entry->age = 0;
   if (header_diff || relay_diff) {
     pending_[receiver] = 1;
-    step_state_changed_[receiver] = 1;
+    step_activity_[receiver] = sim::Activity::kChanged;
   }
 }
 
 bool DensityProtocol::redeliver_unchanged(graph::NodeId receiver,
                                           std::size_t heard) {
+  if (resync_[receiver] != 0 || !uids_distinct_) return false;
+  // Every heard neighbor's entry was refreshed at this receiver's last
+  // sweep and has aged at most once since (engine-proved), and every
+  // other entry has aged at least once since it was written (an external
+  // write raises resync first). So when exactly `heard` entries are at
+  // age <= 1, those are the heard neighbors'.
   auto& cache = aux_[receiver].cache;
-  if (resync_[receiver] != 0 || !uids_distinct_ || cache.size() != heard) {
-    return false;
+  std::size_t fresh = 0;
+  for (const auto& item : cache) fresh += item.second.age <= 1;
+  if (fresh != heard) return false;
+  // Only the age resets of the rows the engine proved bit-equal remain;
+  // the engine delivers the other rows itself. Entries past age 1 keep
+  // counting toward eviction.
+  for (auto& item : cache) {
+    if (item.second.age <= 1) item.second.age = 0;
   }
-  // Every entry is a heard neighbor's and already holds its frame's bytes
-  // (engine-proved), so only the age resets remain; nothing rule-relevant
-  // changed, so no change bit.
-  for (auto& item : cache) item.second.age = 0;
   return true;
 }
 
@@ -390,7 +399,7 @@ void DensityProtocol::tick(graph::NodeId node) {
   NodeState s = view(node);
   engine_.sweep(s);
   const bool own_diff = !rows_bitwise_equal(before, scalar_row(cols_, node));
-  if (own_diff) step_state_changed_[node] = 1;
+  if (own_diff) step_activity_[node] = sim::Activity::kChanged;
   stable_[node] = own_diff ? 0 : 1;
   pending_[node] = 0;
 }
@@ -405,16 +414,14 @@ bool DensityProtocol::maybe_tick(graph::NodeId node) {
   return true;
 }
 
-bool DensityProtocol::consume_activity(graph::NodeId node) {
-  const bool changed = step_state_changed_[node] != 0;
-  step_state_changed_[node] = 0;
-  return changed;
+sim::Activity DensityProtocol::consume_activity(graph::NodeId node) {
+  return std::exchange(step_activity_[node], sim::Activity::kQuiet);
 }
 
 void DensityProtocol::externally_touched(graph::NodeId p) {
   pending_[p] = 1;
   stable_[p] = 0;
-  step_state_changed_[p] = 1;
+  step_activity_[p] = sim::Activity::kChanged;
   if (!external_mark_[p]) {
     external_mark_[p] = 1;
     external_list_.push_back(p);
@@ -443,16 +450,17 @@ void DensityProtocol::end_step(graph::NodeId node) {
       }
       // Eviction changes the cache (a rule input).
       pending_[node] = 1;
-      step_state_changed_[node] = 1;
+      step_activity_[node] = sim::Activity::kChanged;
       it = cache.erase(it);
     } else {
       if (it->second.age >= 2) {
         // An entry nobody refreshed this step (phantom neighbor or a
-        // silenced sender) is counting toward eviction: the node's
-        // boundary state differs from one where the entry was fresh, so
-        // it must keep stepping until the entry dies. Rule inputs are
-        // untouched (ages never feed the rules), hence no `pending_`.
-        step_state_changed_[node] = 1;
+        // silenced sender) is counting toward eviction, so the node must
+        // keep stepping until the entry dies. Rule inputs are untouched
+        // (ages never feed the rules), hence no `pending_`, and no frame
+        // row carries an age, so the node steps without a row rebuild.
+        step_activity_[node] =
+            std::max(step_activity_[node], sim::Activity::kStepOnly);
       }
       ++it;
     }

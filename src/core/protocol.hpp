@@ -57,6 +57,7 @@
 #include "core/slab_pool.hpp"
 #include "core/soa_state.hpp"
 #include "graph/graph.hpp"
+#include "sim/scheduler.hpp"
 #include "stabilize/rules.hpp"
 #include "topology/ids.hpp"
 #include "util/rng.hpp"
@@ -271,13 +272,17 @@ class DensityProtocol {
   void end_step(graph::NodeId node);
 
   // --- redelivery concept (sim::RedeliveryProtocol) --------------------
-  /// Fast path for a receiver whose `heard` frames the engine all proved
-  /// bit-identical to the ones it consumed last step, which put every
-  /// neighbor's uid in its cache: with pairwise-distinct uids, a cache of
-  /// exactly `heard` entries is the neighbors, and only the age resets
-  /// remain. Returns false — demanding per-frame delivery — when the
-  /// sizes differ (a phantom entry, an eviction), the receiver was
-  /// externally mutated since the last full sweep, or uids repeat.
+  /// Age refresh for a receiver the engine steps with valid row hints,
+  /// before any of its deliveries: every heard neighbor's entry was
+  /// refreshed at the receiver's last sweep, and every other entry has
+  /// aged at least once since it was written, so with pairwise-distinct
+  /// uids the entries at age <= 1 are the neighbors' exactly when there
+  /// are `heard` of them. Then it zeroes those ages and returns true, and
+  /// the engine delivers only the rows it did not prove bit-equal; older
+  /// entries (phantoms, silenced senders) keep counting toward eviction.
+  /// Returns false — demanding every row's delivery — when the count
+  /// differs (a phantom or a fresh entry still at age <= 1), the receiver
+  /// was externally mutated since the last full sweep, or uids repeat.
   bool redeliver_unchanged(graph::NodeId receiver, std::size_t heard);
   /// Fast path for a frame whose *id sequence* and length the engine
   /// proved unchanged since this receiver last consumed it (the header
@@ -345,11 +350,14 @@ class DensityProtocol {
   /// construction, so its first call always sweeps.
   bool maybe_tick(graph::NodeId node);
 
-  /// Returns and clears whether any rule-relevant part of the node's
-  /// state changed during the step that just completed (it must step
-  /// again). Whether its frame changed is the engine's row grade, not
-  /// this bit.
-  [[nodiscard]] bool consume_activity(graph::NodeId node);
+  /// Returns and clears the verdict on the step that just completed:
+  /// kChanged when a rule-relevant part of the node's state changed (a
+  /// differing delivery, an eviction, an own-variable change, an external
+  /// mutation), kStepOnly when the only news is an entry aged past 1 —
+  /// the node must step again to age it out, but no frame row carries an
+  /// age — and kQuiet otherwise. Whether its frame changed is the
+  /// engine's row grade, not this verdict.
+  [[nodiscard]] sim::Activity consume_activity(graph::NodeId node);
 
   /// Nodes whose state was mutated from outside the step loop since the
   /// last call (fault injection, `mutable_state`, severed links). The
@@ -525,8 +533,8 @@ class DensityProtocol {
   /// decline so the next sweep's full compares resync this receiver's
   /// cache. Cleared by `end_step` (which runs after that sweep).
   std::vector<std::uint8_t> resync_;
-  /// No two nodes share a uid — what lets a cache's size prove which
-  /// entries it holds (`redeliver_unchanged`).
+  /// No two nodes share a uid — what lets a count of cache entries prove
+  /// which entries it holds (`redeliver_unchanged`).
   bool uids_distinct_ = true;
 
   // --- quiescence machinery --------------------------------------------
@@ -534,8 +542,8 @@ class DensityProtocol {
   std::vector<std::uint8_t> pending_;
   /// The last sweep changed none of the node's shared variables.
   std::vector<std::uint8_t> stable_;
-  /// Step-scoped: some rule-relevant state changed this step.
-  std::vector<std::uint8_t> step_state_changed_;
+  /// Step-scoped: the strongest activity verdict raised this step.
+  std::vector<sim::Activity> step_activity_;
   std::vector<std::uint8_t> external_mark_;
   std::vector<graph::NodeId> external_list_;
 };

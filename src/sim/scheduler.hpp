@@ -76,17 +76,21 @@ concept RowEqualityProtocol =
       { P::id_prefix(header, len) } -> std::convertible_to<std::size_t>;
     };
 
-/// Optional redelivery extension: when an engine can prove every frame a
-/// receiver hears bit-identical to the one it consumed last step
-/// (double-buffered arena rows + a loss-free medium), it may offer them
-/// all as one `redeliver_unchanged(receiver, heard)`; and a row whose id
-/// sequence and length held as `deliver_payload(receiver, header, digests,
-/// bits_equal)`, where the protocol can skip its compare/delta machinery
-/// and overwrite in place (or, for a row proved bit-equal as a whole,
-/// only refresh it). Either call performs the remaining side effects and
-/// returns true, or returns false to demand per-frame `deliver` — both
-/// must decline when the receiver's cache was mutated from outside the
-/// step loop since the last full sweep.
+/// Optional redelivery extension. With valid row hints (double-buffered
+/// arena rows + a loss-free medium) the engine knows every heard
+/// neighbor's frame reached the receiver at its last step, and which of
+/// this step's rows are bit-identical to those. Before a stepped
+/// receiver's deliveries it calls `redeliver_unchanged(receiver, heard)`:
+/// an accepting protocol refreshes the entries of all `heard` neighbors
+/// at once, and the engine then delivers only the rows not proved
+/// bit-equal. A row whose id sequence and length held goes through
+/// `deliver_payload(receiver, header, digests, bits_equal)`, where the
+/// protocol can skip its compare/delta machinery and overwrite in place
+/// (or, for a row proved bit-equal as a whole, only refresh it). Either
+/// call performs the remaining side effects and returns true, or returns
+/// false to demand per-frame `deliver` — both must decline when the
+/// receiver's cache was mutated from outside the step loop since the
+/// last full sweep.
 template <typename P>
 concept RedeliveryProtocol =
     RowEqualityProtocol<P> &&
@@ -119,6 +123,16 @@ concept TopologyAwareProtocol = requires(P& p, graph::NodeId a,
   p.on_edge_removed(a, b);
 };
 
+/// A stepped node's verdict on the step that just ran, weakest first:
+/// nothing moved (it sleeps until woken); only cache ages moved (it steps
+/// again, but no frame row carries an age, so its row holds); or
+/// rule-relevant state moved (it steps again and its row is rebuilt).
+enum class Activity : unsigned char {
+  kQuiet,
+  kStepOnly,
+  kChanged,
+};
+
 /// Optional quiescence extension: the protocol detects, per node and
 /// per step, whether anything rule-relevant changed, and skips a rule
 /// sweep when it is provably a no-op. Its change detector is always
@@ -127,9 +141,10 @@ concept TopologyAwareProtocol = requires(P& p, graph::NodeId a,
 ///
 ///   * maybe_tick(p) sweeps unless provably redundant and returns
 ///     whether it swept (both engines call it in place of tick);
-///   * consume_activity(p) reports and clears whether p's state changed
-///     during the step that just ran — one bit, which keeps p awake and
-///     queues its frame row for rebuild;
+///   * consume_activity(p) reports and clears p's Activity verdict on
+///     the step that just ran: kChanged keeps p awake and queues its
+///     frame row for rebuild, kStepOnly keeps p awake without a rebuild
+///     (an entry aging toward eviction), kQuiet lets it sleep;
 ///   * take_external_wakes() lists nodes mutated from outside the step
 ///     loop (fault injection, severed links) so the stepper can queue
 ///     them before the next step.
@@ -143,7 +158,7 @@ concept QuiescentProtocol =
     RowEqualityProtocol<P> &&
     requires(P& p, graph::NodeId node) {
       { p.maybe_tick(node) } -> std::convertible_to<bool>;
-      { p.consume_activity(node) } -> std::convertible_to<bool>;
+      { p.consume_activity(node) } -> std::convertible_to<Activity>;
       { p.take_external_wakes() } -> std::convertible_to<std::vector<graph::NodeId>>;
     };
 

@@ -37,18 +37,21 @@
 // node owns one persistent row in its shard's frame arena, and after
 // every build phase each row equals the frame its node would build
 // then. A step rebuilds the rows of the *queued* nodes — those whose
-// state changed last step (consume_activity), that were mutated from
-// outside, or that a topology change woke — and grades each against the
-// row before it; every other row is bit-equal by construction. The
-// queued nodes step, and so does every neighbor of a rebuilt row that
-// is not bit-equal: the grade is the one test of whether a frame
-// changed. Every other node sits at a fixpoint with unchanged inputs,
-// so skipping it is bit-identical (docs/ARCHITECTURE.md §7 has the
-// induction). A *whole* step rebuilds every row, a *subset* step only
-// the queued ones; the kind is a global rule on the queued count
-// (kWholeBuildShare), so it never depends on shard or thread count, and
-// it moves no counter but rows_rebuilt and subset_steps. A step with
-// nothing queued runs no phase at all. Lossy media and protocols
+// state changed last step (consume_activity said kChanged), that were
+// mutated from outside, or that a topology change woke — and grades
+// each against the row before it; every other row is bit-equal by
+// construction. The queued nodes step, and so does every neighbor of a
+// rebuilt row that is not bit-equal: the grade is the one test of
+// whether a frame changed. So do the *step-only* nodes, whose last step
+// only aged a cache entry past 1 (kStepOnly): they must step again to
+// age it out, but no row carries an age, so theirs is not rebuilt.
+// Every other node sits at a fixpoint with unchanged inputs, so skipping
+// it is bit-identical (docs/ARCHITECTURE.md §7 has the induction). A
+// *whole* step rebuilds every row, a *subset* step only the queued ones;
+// the kind is a global rule on the queued count (kWholeBuildShare), so
+// it never depends on shard or thread count, and it moves no counter
+// but rows_rebuilt and subset_steps. A step with nothing queued and no
+// step-only node runs no phase at all. Lossy media and protocols
 // without the extension step every node with whole builds (the
 // extension still lets a stepped node skip a sweep it proves a no-op).
 // `set_stepping` picks only the counter definitions (and, for kDirty,
@@ -79,13 +82,16 @@
 // that is not bit-equal wakes its sender's neighbors, local ones in the
 // shard's tracker, remote ones through the wake mailboxes; (2) loss —
 // serial per-edge decisions (lossy media only); (3) receive — each
-// shard drains its inbound mailboxes and promotes its wake set to the
-// step's work list, then for each stepped node q in ascending order
-// delivers every heard frame in ascending-sender order, then tick(q)
-// (maybe_tick with the quiescence extension, which also skips a sweep
-// the protocol proves a no-op), end_step(q) and, under tracking,
-// consume_activity(q), whose bit queues q for the next step. Phases
-// are separated by barriers.
+// shard drains its inbound mailboxes and its step-only list and
+// promotes its wake set to the step's work list, then for each stepped
+// node q in ascending order refreshes the ages of its bit-equal rows'
+// entries in one call (valid row hints only; redeliver_unchanged),
+// delivers the other heard frames — every one when the refresh declined
+// — in ascending-sender order, then tick(q) (maybe_tick with the
+// quiescence extension, which also skips a sweep the protocol proves a
+// no-op), end_step(q) and, under tracking, consume_activity(q), whose
+// verdict queues q for the next step's rebuild or lists it step-only.
+// Phases are separated by barriers.
 //
 // Determinism argument (the property the differential tests assert):
 // every row of a step is built before the receive pass starts, so no
@@ -163,8 +169,9 @@ class ShardedNetwork {
     for (std::size_t s = 0; s < S; ++s) {
       shards_[s].begin = bounds_[s];
       shards_[s].end = bounds_[s + 1];
-      // Sized once, so tracked steps never grow it.
+      // Sized once, so tracked steps never grow them.
       shards_[s].changed.reserve(bounds_[s + 1] - bounds_[s]);
+      shards_[s].step_only.reserve(bounds_[s + 1] - bounds_[s]);
     }
     wake_mb_.resize(S * S);
     threads = effective_threads(threads);
@@ -319,9 +326,14 @@ class ShardedNetwork {
     return delta_rows_graded_;
   }
 
-  /// Stepped receivers served by one accepted `redeliver_unchanged`
-  /// call, across all steps so far; folded like delta_rows_graded (zero
-  /// under loss; skipped nodes are never counted).
+  /// Stepped receivers whose `redeliver_unchanged` call accepted,
+  /// across all steps so far: each had the entries of its bit-equal rows
+  /// refreshed in that one call and was delivered only its other rows.
+  /// The engine offers the call to every receiver it steps with valid
+  /// row hints, so the count moves whenever such a receiver's cache holds
+  /// no phantom at age <= 1 and no resync is pending. Folded like
+  /// delta_rows_graded (zero under loss; skipped nodes are never
+  /// counted).
   [[nodiscard]] std::uint64_t receivers_refreshed() const noexcept {
     return receivers_refreshed_;
   }
@@ -374,12 +386,16 @@ class ShardedNetwork {
     const bool whole = !arena_built_ || queued * kWholeBuildShare >= n;
     subset_steps_ += whole ? 0 : 1;
     rows_rebuilt_ += whole ? n : queued;
+    const bool step_only = std::any_of(
+        shards_.begin(), shards_.end(),
+        [](const Shard& sh) { return !sh.step_only.empty(); });
 
     const auto offsets = g.csr_offsets();
     const auto flat = g.csr_neighbors();
     const bool hear_all = loss_->always_delivers();
-    if (!whole && queued == 0) {
-      // Nothing queued: no row changes, so no node steps.
+    if (!whole && queued == 0 && !step_only) {
+      // Nothing queued and no entry aging: no row changes, so no node
+      // steps.
       for (Shard& sh : shards_) sh.tracker.begin_step();
     } else {
       // Phase 1 (parallel by shard): rebuild the shard's rows (all of
@@ -490,6 +506,10 @@ class ShardedNetwork {
     // senders' neighbors step, and their grades revert to bit-equal at
     // the next subset build.
     std::vector<graph::NodeId> changed;
+    // Nodes whose last step only aged an entry (local indices): they step
+    // next step without a row rebuild, joining the active set when the
+    // wakes are promoted.
+    std::vector<graph::NodeId> step_only;
     // This step's tallies, folded serially into the engine totals.
     std::uint64_t sparse_rows = 0;
     std::uint64_t refreshed = 0;
@@ -532,7 +552,10 @@ class ShardedNetwork {
   }
 
   void wake_all() {
-    for (Shard& sh : shards_) sh.tracker.reset(sh.end - sh.begin, true);
+    for (Shard& sh : shards_) {
+      sh.tracker.reset(sh.end - sh.begin, true);
+      sh.step_only.clear();
+    }
   }
 
   /// Queues `p` in its owner's tracker; serial code only.
@@ -557,8 +580,10 @@ class ShardedNetwork {
     }
   }
 
-  /// Drains shard `t`'s inbound wake mailboxes into its tracker, then
-  /// promotes the accumulated wake set to this step's work list.
+  /// Drains shard `t`'s inbound wake mailboxes and its step-only list
+  /// into its tracker, then promotes the accumulated wake set to this
+  /// step's work list. Runs after the build phase, so step-only nodes
+  /// never join the rows it rebuilt.
   void promote_wakes(std::size_t t) {
     Shard& sh = shards_[t];
     const std::size_t S = shard_count();
@@ -569,14 +594,16 @@ class ShardedNetwork {
       }
       mb.clear();
     }
+    for (const graph::NodeId i : sh.step_only) sh.tracker.wake(i);
+    sh.step_only.clear();
     sh.tracker.begin_step();
   }
 
   /// The row grade of a freshly built row against its predecessor, by the
   /// protocol's own field-equality predicates: id sequence held (payload
   /// overwrite suffices — the common active regime) or whole row
-  /// bit-equal (nobody needs to hear it again; an all-bit-equal receiver
-  /// only resets ages — the quiescent regime). A row whose length moved
+  /// bit-equal (nobody needs to hear it again: a receiver's refresh
+  /// resets its entry's age — the quiescent regime). A row whose length moved
   /// grades 0. Ids-equal rows with at most half the payload digests moved
   /// count as sparse-change rows.
   static unsigned char grade_row(const typename Protocol::FrameHeader& h,
@@ -754,36 +781,33 @@ class ShardedNetwork {
   /// remote senders straight from the owner's — then runs its guarded
   /// rules and ages its caches before the pass moves on. With valid row
   /// hints (every listener consumed the graded rows' predecessors), a
-  /// receiver whose heard rows are all bit-equal collapses its
-  /// deliveries into one redelivery call — its cache entries already
-  /// hold the bytes. Under tracking the pass starts by draining the
-  /// shard's inbound wake mailboxes and promoting its wake set, and each
-  /// receiver ends by reporting its change bit: a state change queues it
-  /// for the next step, which rebuilds and grades its row.
+  /// receiver first offers its heard count to one redelivery call; when
+  /// the protocol accepts, the entries of the bit-equal rows are already
+  /// refreshed, and only the other rows are delivered. Under tracking the
+  /// pass starts by draining the shard's inbound wake mailboxes and
+  /// promoting its wake set, and each receiver ends by reporting its
+  /// verdict: a changed node is queued for the next step, which rebuilds
+  /// and grades its row; a step-only node steps next step as it is.
   void receive(std::size_t t, bool tracked, bool hints, bool hear_all) {
     Shard& sh = shards_[t];
     const graph::Graph& g = *graph_;
     const auto offsets = g.csr_offsets();
     const auto flat = g.csr_neighbors();
     const auto step_node = [&](graph::NodeId q) {
-      std::size_t e = offsets[q];
+      const std::size_t begin = offsets[q];
       const std::size_t end = offsets[q + 1];
+      bool refreshed = false;
       if constexpr (RedeliveryProtocol<Protocol>) {
-        unsigned char quiet = hints ? kRowBitsEqual : 0;
-        for (std::size_t f = e; quiet != 0 && f < end; ++f) {
-          quiet &= row_unchanged_[flat[f]];
-        }
-        if (quiet != 0 && protocol_->redeliver_unchanged(q, end - e)) {
-          ++sh.refreshed;
-          e = end;  // every delivery done
-        }
+        refreshed = hints && protocol_->redeliver_unchanged(q, end - begin);
+        sh.refreshed += refreshed;
       }
-      for (; e < end; ++e) {
+      for (std::size_t e = begin; e < end; ++e) {
         if (!hear_all && !incoming_[e]) continue;
         const graph::NodeId p = flat[e];
         unsigned char grade = 0;
         if constexpr (RedeliveryProtocol<Protocol>) {
           if (hints) grade = row_unchanged_[p];
+          if (refreshed && (grade & kRowBitsEqual) != 0) continue;
         }
         const Shard& src =
             p >= sh.begin && p < sh.end ? sh : shards_[shard_of(p)];
@@ -810,7 +834,16 @@ class ShardedNetwork {
         const auto q = static_cast<graph::NodeId>(sh.begin + lq);
         sh.delivered += offsets[q + 1] - offsets[q];
         step_node(q);
-        if (protocol_->consume_activity(q)) sh.tracker.wake(lq);
+        switch (protocol_->consume_activity(q)) {
+          case Activity::kChanged:
+            sh.tracker.wake(lq);
+            break;
+          case Activity::kStepOnly:
+            sh.step_only.push_back(lq);
+            break;
+          case Activity::kQuiet:
+            break;
+        }
       }
     }
   }

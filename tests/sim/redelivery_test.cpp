@@ -28,8 +28,10 @@ namespace {
 
 core::DensityProtocol make_protocol(const graph::Graph& g,
                                     const topology::IdAssignment& ids,
-                                    std::uint64_t seed) {
+                                    std::uint64_t seed,
+                                    std::uint32_t cache_max_age = 8) {
   core::ProtocolConfig config;
+  config.cache_max_age = cache_max_age;
   config.cluster.use_dag_ids = true;
   config.cluster.fusion = true;
   config.delta_hint = std::max<std::uint64_t>(2, g.max_degree());
@@ -202,6 +204,221 @@ TEST(Redelivery, ProtocolFastPathsDeclineWhenUnsafe) {
   EXPECT_TRUE(protocol.deliver_payload(receiver, header, digests, false))
       << "the resync sweep should have cleared the flag";
   EXPECT_FALSE(protocol.redeliver_unchanged(receiver, heard));
+}
+
+/// Age of the entry `id` in node q's cache.
+std::uint32_t age_of(const core::DensityProtocol& protocol, graph::NodeId q,
+                     topology::ProtocolId id) {
+  const auto& cache = protocol.state(q).cache;
+  const auto it = cache.find(id);
+  return it == cache.end() ? 0 : it->second.age;
+}
+
+/// The refresh runs before a receiver's deliveries and counts its entries
+/// at age <= 1. Every heard neighbor's entry sits there (refreshed at the
+/// receiver's last sweep, aged once since), and a phantom reaches age 1
+/// at the sweep that clears the resync flag, so the refresh declines
+/// beside a phantom at age 1 and accepts beside one aged >= 2, whose age
+/// keeps counting to eviction. The count includes age 0: an entry an
+/// earlier delivery of the same step refreshed must not let a phantom at
+/// age 1 pass for it.
+TEST(Redelivery, RefreshAcceptsBesideAnAgingPhantomOnly) {
+  util::Rng rng(3);
+  const std::size_t n = 40;
+  const auto points = topology::uniform_points(n, rng);
+  const auto ids = topology::random_ids(n, rng);
+  const auto g = topology::unit_disk_graph(points, 0.25);
+
+  auto protocol = make_protocol(g, ids, 1);
+  sim::PerfectDelivery loss;
+  sim::Network network(g, protocol, loss, 1);
+  network.run(10);  // settled: caches mirror neighborhoods
+
+  graph::NodeId receiver = 0;
+  while (g.degree(receiver) == 0) {
+    ++receiver;
+    ASSERT_LT(receiver, n) << "deployment has no edge";
+  }
+  const graph::NodeId sender = g.neighbors(receiver)[0];
+  const std::size_t heard = g.degree(receiver);
+  const topology::ProtocolId phantom = 0xFFFFFFFF;
+  const std::uint32_t max_age = protocol.config().cache_max_age;
+
+  plant_phantom(protocol, receiver, phantom);
+  EXPECT_FALSE(protocol.redeliver_unchanged(receiver, heard))
+      << "an external write raises resync";
+  network.step();  // the resync sweep
+  ASSERT_EQ(age_of(protocol, receiver, phantom), 1u);
+  EXPECT_FALSE(protocol.redeliver_unchanged(receiver, heard))
+      << "a phantom at age 1 is one fresh entry too many";
+
+  // A delivery earlier in the same step refreshes the sender's entry to
+  // age 0; the phantom at age 1 must still give itself away.
+  core::DensityProtocol::FrameHeader header;
+  std::vector<core::DensityProtocol::Digest> digests(
+      protocol.digest_count(sender));
+  protocol.make_frame(sender, header, digests);
+  ASSERT_TRUE(protocol.deliver_payload(receiver, header, digests, true));
+  ASSERT_EQ(age_of(protocol, receiver, protocol.state(sender).uid), 0u);
+  EXPECT_FALSE(protocol.redeliver_unchanged(receiver, heard));
+
+  network.step();  // declined in the engine too: every row delivered
+  ASSERT_EQ(age_of(protocol, receiver, phantom), 2u);
+  EXPECT_TRUE(protocol.redeliver_unchanged(receiver, heard));
+  for (const auto& [id, entry] : protocol.state(receiver).cache) {
+    EXPECT_EQ(entry.age, id == phantom ? 2u : 0u) << id;
+  }
+  network.step();
+  EXPECT_EQ(age_of(protocol, receiver, phantom), 3u)
+      << "the refresh must leave an aging phantom counting";
+  network.run(max_age - 2);
+  EXPECT_FALSE(protocol.state(receiver).cache.contains(phantom));
+  EXPECT_EQ(protocol.state(receiver).cache.size(), heard);
+}
+
+/// With a repeated uid one entry may stand for two senders, so no count
+/// of entries proves which ones are the neighbors': the refresh declines
+/// beside an aging phantom too.
+TEST(Redelivery, RefreshDeclinesOnDuplicateUidsBesideAnAgingPhantom) {
+  const auto g = graph::from_edges(4, {{0, 1}, {1, 2}, {2, 3}});
+  auto protocol = make_protocol(g, {1, 1, 2, 3}, 4);
+  sim::PerfectDelivery loss;
+  sim::Network network(g, protocol, loss, 1);
+  network.run(12);
+  plant_phantom(protocol, 2, 0xFFFFFFFF);
+  network.run(3);
+  ASSERT_GE(age_of(protocol, 2, 0xFFFFFFFF), 2u);
+  for (graph::NodeId q = 0; q < 4; ++q) {
+    EXPECT_FALSE(protocol.redeliver_unchanged(q, g.degree(q))) << q;
+  }
+}
+
+/// Plants a cache entry for a uid no node holds that carries no valid
+/// metric or head: it never wins an election, so only the holder's own
+/// density (and its row's id list) moves.
+void plant_silent_phantom(core::DensityProtocol& protocol, graph::NodeId q,
+                          topology::ProtocolId id) {
+  auto s = protocol.mutable_state(q);
+  auto& entry = s.cache[id];
+  entry.age = 0;
+}
+
+/// The last step's work list in global ids, ascending.
+std::vector<graph::NodeId> active_nodes(
+    const sim::Network<core::DensityProtocol>& net) {
+  std::vector<graph::NodeId> out;
+  for (std::size_t s = 0; s < net.shard_count(); ++s) {
+    for (const graph::NodeId local : net.shard_activity(s).active()) {
+      out.push_back(static_cast<graph::NodeId>(net.bounds()[s] + local));
+    }
+  }
+  return out;
+}
+
+/// Closed form of the step-only verdict on a settled world. One phantom
+/// planted into each of k nodes that share no neighbor starts a wave (the
+/// holders' rows name it, their densities move), which takes about ten
+/// steps here, so the cache timeout is 30 rounds. Once that wave has
+/// settled, the only news left is the phantoms aging toward eviction:
+/// every step up to the one that evicts them steps exactly the k holders,
+/// refreshes each of them in one call and rebuilds no row. Lockstep with
+/// the hint-free reference stepper through the plant, the window, the
+/// eviction and its wave, at one shard inline and at five shards on four
+/// threads.
+TEST(Redelivery, AgingPhantomsStepOnlyTheirHoldersWithoutRebuilds) {
+  util::Rng rng(20050612);
+  const std::size_t n = 250;
+  const auto points = topology::uniform_points(n, rng);
+  const auto ids = topology::random_ids(n, rng);
+  const auto g = topology::unit_disk_graph(points, 0.11);
+
+  // Holders pairwise more than two hops apart: no node hears two.
+  std::vector<graph::NodeId> holders;
+  std::vector<char> blocked(n, 0);
+  for (graph::NodeId p = 0; p < n && holders.size() < 6; ++p) {
+    if (blocked[p] || g.degree(p) == 0) continue;
+    holders.push_back(p);
+    blocked[p] = 1;
+    for (const graph::NodeId r : g.neighbors(p)) {
+      blocked[r] = 1;
+      for (const graph::NodeId w : g.neighbors(r)) blocked[w] = 1;
+    }
+  }
+  const std::size_t k = holders.size();
+  ASSERT_GE(k, 3u);
+  const auto phantom = [](graph::NodeId q) -> topology::ProtocolId {
+    return 0xFFFFFF00 + q;
+  };
+
+  for (const auto& [shards, threads] :
+       {std::pair<std::size_t, unsigned>{1, 1}, {5, 4}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "shards " << shards << " threads " << threads);
+    auto fast = make_protocol(g, ids, 5, /*cache_max_age=*/30);
+    auto slow = make_protocol(g, ids, 5, /*cache_max_age=*/30);
+    sim::PerfectDelivery loss_a, loss_b;
+    sim::Network net_fast(g, fast, loss_a,
+                          graph::plan_contiguous_shards(n, shards).bounds,
+                          threads);
+    net_fast.set_stepping(sim::Stepping::kDirty);
+    testsupport::ReferenceStepper net_slow(g, slow, loss_b);
+    const std::uint32_t max_age = fast.config().cache_max_age;
+    const auto lockstep = [&]() -> ::testing::AssertionResult {
+      net_fast.step();
+      net_slow.step();
+      if (const auto div = core::first_divergent_node(fast, slow)) {
+        return ::testing::AssertionFailure()
+               << core::describe_divergence(fast, slow, *div);
+      }
+      return ::testing::AssertionSuccess();
+    };
+
+    for (std::size_t s = 0;; ++s) {
+      ASSERT_LT(s, 200u) << "no quiescent step";
+      ASSERT_TRUE(lockstep()) << "settling step " << s;
+      if (net_fast.activity().last_nodes_stepped() == 0) break;
+    }
+
+    for (const graph::NodeId q : holders) {
+      plant_silent_phantom(fast, q, phantom(q));
+      plant_silent_phantom(slow, q, phantom(q));
+    }
+    // The plant's own wave, until a step moves only the holders. A
+    // phantom reaches age s at the end of step s after the plant.
+    std::size_t step = 1;
+    for (;; ++step) {
+      ASSERT_LT(step, max_age) << "the plant's wave outlived the phantoms";
+      const std::uint64_t rebuilt = net_fast.rows_rebuilt();
+      ASSERT_TRUE(lockstep()) << "wave step " << step;
+      if (active_nodes(net_fast) == holders &&
+          net_fast.rows_rebuilt() == rebuilt) {
+        break;
+      }
+    }
+    EXPECT_LE(step + 3, max_age) << "a window too short to pin anything";
+
+    // The window: up to and including the step that evicts the phantoms.
+    for (++step; step <= max_age + 1; ++step) {
+      const std::uint64_t rebuilt = net_fast.rows_rebuilt();
+      const std::uint64_t refreshed = net_fast.receivers_refreshed();
+      ASSERT_TRUE(lockstep()) << "window step " << step;
+      EXPECT_EQ(net_fast.activity().last_nodes_stepped(), k) << step;
+      EXPECT_EQ(active_nodes(net_fast), holders) << step;
+      EXPECT_EQ(net_fast.rows_rebuilt(), rebuilt) << step;
+      EXPECT_EQ(net_fast.receivers_refreshed() - refreshed, k) << step;
+      for (const graph::NodeId q : holders) {
+        EXPECT_EQ(fast.state(q).cache.contains(phantom(q)), step <= max_age)
+            << "holder " << q << " step " << step;
+      }
+    }
+
+    // The eviction's own wave, back to quiescence.
+    for (std::size_t s = 0;; ++s) {
+      ASSERT_LT(s, 200u) << "no quiescent step after the eviction";
+      ASSERT_TRUE(lockstep()) << "post-eviction step " << s;
+      if (net_fast.activity().last_nodes_stepped() == 0) break;
+    }
+  }
 }
 
 /// Duplicate uids break the size argument (two senders, one entry), so

@@ -112,11 +112,11 @@ struct OrderProtocol {
     tick(q);
     return true;
   }
-  bool consume_activity(graph::NodeId q) {
+  sim::Activity consume_activity(graph::NodeId q) {
     record({Call::kConsume, q, q});
     const bool moved = changed[q] != 0;
     changed[q] = 0;
-    return moved;
+    return moved ? sim::Activity::kChanged : sim::Activity::kQuiet;
   }
   std::vector<graph::NodeId> take_external_wakes() { return {}; }
   // Row-equality predicates: the engine's grades decide whose neighbors

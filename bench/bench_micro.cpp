@@ -19,7 +19,6 @@
 #include "core/clustering.hpp"
 #include "core/density.hpp"
 #include "core/protocol.hpp"
-#include "core/rank.hpp"
 #include "core/soa_state.hpp"
 #include "sim/network.hpp"
 #include "topology/generators.hpp"
@@ -141,76 +140,11 @@ int main() {
     b.head[n - 5] ^= 1;
     const double t_first = seconds_per_call(
         [&] { sink = core::first_divergent_row(a, b); });
-    const double t_count = seconds_per_call(
-        [&] { sink = core::count_divergent_rows(a, b); });
     table.row({"soa_first_divergent", "100k rows",
                util::Table::num(static_cast<double>(n) / t_first / 1e6, 1) +
                    " Mrow/s"});
-    table.row({"soa_count_divergent", "100k rows",
-               util::Table::num(static_cast<double>(n) / t_count / 1e6, 1) +
-                   " Mrow/s"});
     json.add("soa/first_divergent_row", n, 1, "row/s",
              static_cast<double>(n) / t_first);
-    json.add("soa/count_divergent_rows", n, 1, "row/s",
-             static_cast<double>(n) / t_count);
-  }
-
-  // --- rank election: packed keys vs field-by-field scan ---------------
-  // The R2 election kernel at cache/neighborhood sizes. The scalar
-  // baseline is the original three-field ≺ comparison chain; the packed
-  // kernel is the branchless argmax over a prepacked key column — the
-  // steady-state shape, where keys are maintained incrementally on
-  // cache writes (docs/ARCHITECTURE.md §9).
-  {
-    // Independent stream: drawing root.split() here would shift every
-    // later section's instances and orphan their tracked rate series.
-    util::Rng rng(util::bench_seed() ^ 0x72616e6b);  // "rank"
-    for (const std::size_t n : {std::size_t{16}, std::size_t{256},
-                                std::size_t{4096}}) {
-      std::vector<core::NodeRank> ranks(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        // Coarse metric grid: ties are common, so the deeper fields of
-        // the comparison chain actually execute in the scalar scan.
-        ranks[i].metric = static_cast<double>(rng.index(64)) / 8.0;
-        ranks[i].incumbent = rng.chance(0.1);
-        ranks[i].tie_id = rng.below(1 << 20);
-        ranks[i].uid = i;
-      }
-      const core::RankKeyColumn keys = core::pack_rank_column(ranks, true);
-      const double scalar = seconds_per_call([&] {
-        // Transliterated original comparison chain (incumbency on).
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < n; ++i) {
-          const core::NodeRank& p = ranks[best];
-          const core::NodeRank& q = ranks[i];
-          bool prec;
-          if (p.metric != q.metric) {
-            prec = p.metric < q.metric;
-          } else if (p.incumbent != q.incumbent) {
-            prec = q.incumbent;
-          } else if (p.tie_id != q.tie_id) {
-            prec = q.tie_id < p.tie_id;
-          } else {
-            prec = q.uid < p.uid;
-          }
-          if (prec) best = i;
-        }
-        sink = best;
-      });
-      const double packed = seconds_per_call(
-          [&] { sink = core::max_rank_key_index(keys); });
-      const std::string shape = std::to_string(n);
-      table.row({"election_scalar", shape,
-                 util::Table::num(static_cast<double>(n) / scalar / 1e6, 1) +
-                     " Melem/s"});
-      table.row({"election_packed", shape,
-                 util::Table::num(static_cast<double>(n) / packed / 1e6, 1) +
-                     " Melem/s"});
-      json.add("rank/election_scalar/" + shape, n, 1, "elem/s",
-               static_cast<double>(n) / scalar);
-      json.add("rank/election_packed/" + shape, n, 1, "elem/s",
-               static_cast<double>(n) / packed);
-    }
   }
 
   // --- density ---------------------------------------------------------

@@ -1,33 +1,13 @@
 #include "core/density.hpp"
 
-#include <algorithm>
-
-#include "util/merge.hpp"
-
 namespace ssmwn::core {
-
-double node_density(const graph::Graph& g, graph::NodeId p) {
-  const auto neighbors = g.neighbors(p);
-  if (neighbors.empty()) return 0.0;
-  // Each neighbor q contributes |N_q ∩ N_p| ordered pairs of adjacent
-  // neighbors; halving yields e(N_p). This is the definition the
-  // triangle count in compute_densities is tested against, so it stays
-  // the plainest merge.
-  std::size_t ordered_pairs = 0;
-  for (graph::NodeId q : neighbors) {
-    const auto nq = g.neighbors(q);
-    ordered_pairs += util::intersect_count_linear(
-        nq.data(), nq.size(), neighbors.data(), neighbors.size());
-  }
-  const std::size_t links = neighbors.size() + ordered_pairs / 2;
-  return static_cast<double>(links) / static_cast<double>(neighbors.size());
-}
 
 std::vector<double> compute_densities(const graph::Graph& g) {
   // e(N_p) is the number of triangles through p. Find each triangle
   // p < q < w once, from its lowest corner: mark N_p, scan N_q above q
   // for marked nodes, and credit all three corners. The numerator and
-  // division below are node_density's, so the results are bit-equal.
+  // division below are those of the per-node definition, so the results
+  // are bit-equal to it.
   const std::size_t n = g.node_count();
   std::vector<std::size_t> triangles(n, 0);
   std::vector<graph::NodeId> mark(n, graph::kInvalidNode);

@@ -20,13 +20,11 @@
 
 namespace ssmwn::core {
 
-/// Density of a single node; 0 by convention for isolated nodes (they are
+/// Densities of all nodes; 0 by convention for isolated nodes (they are
 /// trivially their own cluster-heads, so the value never competes).
-[[nodiscard]] double node_density(const graph::Graph& g, graph::NodeId p);
-
-/// Densities of all nodes, bit-equal to `node_density` at every node.
 /// Counts each triangle once, from its lowest corner:
-/// O(sum over edges {p < q} of deg(q)).
+/// O(sum over edges {p < q} of deg(q)). Bit-equal at every node to the
+/// per-node definition the tests keep (tests/support/oracles.hpp).
 [[nodiscard]] std::vector<double> compute_densities(const graph::Graph& g);
 
 /// Number of edges among the members of `nodes` (each counted once),

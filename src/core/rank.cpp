@@ -6,19 +6,4 @@ bool precedes(const NodeRank& p, const NodeRank& q, bool incumbency) noexcept {
   return packed_precedes(pack_rank(p, incumbency), pack_rank(q, incumbency));
 }
 
-std::size_t max_rank_index(std::span<const NodeRank> ranks,
-                           bool incumbency) noexcept {
-  if (ranks.empty()) return 0;
-  std::size_t best = 0;
-  PackedRank best_key = pack_rank(ranks[0], incumbency);
-  for (std::size_t i = 1; i < ranks.size(); ++i) {
-    const PackedRank key = pack_rank(ranks[i], incumbency);
-    if (packed_precedes(best_key, key)) {
-      best_key = key;
-      best = i;
-    }
-  }
-  return best;
-}
-
 }  // namespace ssmwn::core

@@ -127,9 +127,4 @@ struct PackedRank {
 [[nodiscard]] bool precedes(const NodeRank& p, const NodeRank& q,
                             bool incumbency) noexcept;
 
-/// Index of the ≺-maximum among `ranks` (which must be non-empty).
-/// Packs each element once and reduces with single integer compares.
-[[nodiscard]] std::size_t max_rank_index(std::span<const NodeRank> ranks,
-                                         bool incumbency) noexcept;
-
 }  // namespace ssmwn::core

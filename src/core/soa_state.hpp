@@ -153,43 +153,4 @@ using RankKeyColumn = std::vector<PackedRank>;
   return keys;
 }
 
-/// Index of the ≺-maximum over a packed column (which must be non-empty).
-/// Branchless conditional-select reduction: each step is one wide compare
-/// plus three selects, no data-dependent branches for the predictor to
-/// miss on shuffled metric data.
-[[nodiscard]] inline std::size_t max_rank_key_index(
-    std::span<const PackedRank> keys) noexcept {
-  std::size_t best = 0;
-  PackedRank best_key = keys.empty() ? PackedRank{} : keys[0];
-  for (std::size_t i = 1; i < keys.size(); ++i) {
-    const bool better = packed_precedes(best_key, keys[i]);
-    best = better ? i : best;
-    best_key.hi = better ? keys[i].hi : best_key.hi;
-    best_key.lo = better ? keys[i].lo : best_key.lo;
-    best_key.sub = better ? keys[i].sub : best_key.sub;
-  }
-  return best;
-}
-
-/// Number of rows whose scalars differ — the population analogue of
-/// `rows_bitwise_equal`, used by bench_micro to measure the diff kernel
-/// at scale.
-[[nodiscard]] inline std::size_t count_divergent_rows(const NodeScalars& a,
-                                                      const NodeScalars& b) {
-  const std::size_t n = a.size();
-  std::size_t count = 0;
-  const auto* ma = reinterpret_cast<const std::uint64_t*>(a.metric.data());
-  const auto* mb = reinterpret_cast<const std::uint64_t*>(b.metric.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool differs =
-        (a.dag_id[i] != b.dag_id[i]) | (ma[i] != mb[i]) |
-        (a.head[i] != b.head[i]) | (a.parent[i] != b.parent[i]) |
-        (a.metric_valid[i] != b.metric_valid[i]) |
-        (a.head_valid[i] != b.head_valid[i]) |
-        (a.parent_valid[i] != b.parent_valid[i]);
-    count += differs;
-  }
-  return count;
-}
-
 }  // namespace ssmwn::core

@@ -92,17 +92,4 @@ std::uint32_t diameter(const Graph& g) {
   return best;
 }
 
-std::vector<NodeId> two_hop_neighborhood(const Graph& g, NodeId node) {
-  std::vector<NodeId> out;
-  for (NodeId v : g.neighbors(node)) {
-    out.push_back(v);
-    for (NodeId w : g.neighbors(v)) {
-      if (w != node) out.push_back(w);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 }  // namespace ssmwn::graph

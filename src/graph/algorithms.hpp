@@ -39,9 +39,4 @@ inline constexpr std::uint32_t kUnreachable =
 /// fine at the paper's scales (~1000 nodes).
 [[nodiscard]] std::uint32_t diameter(const Graph& g);
 
-/// N²_p: nodes at hop distance exactly 1 or 2 from `node` (sorted, without
-/// `node` itself). The fusion rule of Section 4.3 quantifies over this set.
-[[nodiscard]] std::vector<NodeId> two_hop_neighborhood(const Graph& g,
-                                                       NodeId node);
-
 }  // namespace ssmwn::graph

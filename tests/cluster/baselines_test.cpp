@@ -8,8 +8,8 @@
 #include <algorithm>
 
 #include "core/density.hpp"
-#include "graph/algorithms.hpp"
 #include "graph/forest.hpp"
+#include "support/oracles.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
 #include "topology/udg.hpp"
@@ -134,7 +134,7 @@ TEST(Baselines, DensityValueIsLocalToTheTwoHopNeighborhood) {
     }
     const auto g2 = topology::unit_disk_graph(reduced, 0.1);
     const auto after = core::compute_densities(g2);
-    const auto two_hop = graph::two_hop_neighborhood(g, victim);
+    const auto two_hop = testsupport::two_hop_neighborhood(g, victim);
     for (graph::NodeId q = 0; q < g2.node_count(); ++q) {
       const graph::NodeId orig = old_index[q];
       const bool in_blast_zone =

@@ -11,9 +11,9 @@
 
 #include "core/dag_ids.hpp"
 #include "core/density.hpp"
-#include "graph/algorithms.hpp"
 #include "graph/forest.hpp"
 #include "support/paper_example.hpp"
+#include "support/oracles.hpp"
 #include "support/reference_clustering.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
@@ -92,7 +92,7 @@ void check_invariants(const graph::Graph& g,
   if (fusion) {
     // Section 4.3: with fusion, any two heads are at least 3 hops apart.
     for (graph::NodeId p : r.heads) {
-      const auto two_hop = graph::two_hop_neighborhood(g, p);
+      const auto two_hop = testsupport::two_hop_neighborhood(g, p);
       for (graph::NodeId q : two_hop) {
         EXPECT_FALSE(r.is_head[q])
             << "heads " << p << " and " << q << " within 2 hops";
@@ -314,7 +314,7 @@ TEST(Clustering, FusionGuaranteesMinimumClusterDiameter) {
     const auto r = core::cluster_density(g, ids, opt);
     const auto forest = r.forest();
     for (graph::NodeId head : r.heads) {
-      for (graph::NodeId q : graph::two_hop_neighborhood(g, head)) {
+      for (graph::NodeId q : testsupport::two_hop_neighborhood(g, head)) {
         EXPECT_FALSE(r.is_head[q]);
       }
     }

@@ -8,6 +8,7 @@
 #include <cstdint>
 
 #include "graph/graph.hpp"
+#include "support/oracles.hpp"
 #include "support/paper_example.hpp"
 #include "topology/generators.hpp"
 #include "topology/udg.hpp"
@@ -48,13 +49,13 @@ TEST(Density, IsolatedNodeHasZeroDensityByConvention) {
   graph::Graph g(3);
   g.add_edge(0, 1);
   g.finalize();
-  EXPECT_DOUBLE_EQ(core::node_density(g, 2), 0.0);
+  EXPECT_DOUBLE_EQ(testsupport::node_density(g, 2), 0.0);
 }
 
 TEST(Density, SingleEdgeGivesDensityOne) {
   const auto g = graph::from_edges(2, {{0, 1}});
-  EXPECT_DOUBLE_EQ(core::node_density(g, 0), 1.0);
-  EXPECT_DOUBLE_EQ(core::node_density(g, 1), 1.0);
+  EXPECT_DOUBLE_EQ(testsupport::node_density(g, 0), 1.0);
+  EXPECT_DOUBLE_EQ(testsupport::node_density(g, 1), 1.0);
 }
 
 TEST(Density, CompleteGraphDensity) {
@@ -67,7 +68,7 @@ TEST(Density, CompleteGraphDensity) {
     }
     g.finalize();
     for (graph::NodeId p = 0; p < n; ++p) {
-      EXPECT_DOUBLE_EQ(core::node_density(g, p),
+      EXPECT_DOUBLE_EQ(testsupport::node_density(g, p),
                        static_cast<double>(n) / 2.0)
           << "K_" << n << " node " << p;
     }
@@ -81,7 +82,7 @@ TEST(Density, StarCenterAndLeaves) {
   for (graph::NodeId leaf = 1; leaf < 6; ++leaf) g.add_edge(0, leaf);
   g.finalize();
   for (graph::NodeId p = 0; p < 6; ++p) {
-    EXPECT_DOUBLE_EQ(core::node_density(g, p), 1.0);
+    EXPECT_DOUBLE_EQ(testsupport::node_density(g, p), 1.0);
   }
 }
 
@@ -94,7 +95,7 @@ TEST(Density, CycleDensityIsOne) {
   }
   g.finalize();
   for (graph::NodeId p = 0; p < n; ++p) {
-    EXPECT_DOUBLE_EQ(core::node_density(g, p), 1.0);
+    EXPECT_DOUBLE_EQ(testsupport::node_density(g, p), 1.0);
   }
 }
 
@@ -102,7 +103,7 @@ TEST(Density, TriangleDensity) {
   // Triangle: 2 neighbors, link between them: d = 3/2.
   const auto g = graph::from_edges(3, {{0, 1}, {1, 2}, {0, 2}});
   for (graph::NodeId p = 0; p < 3; ++p) {
-    EXPECT_DOUBLE_EQ(core::node_density(g, p), 1.5);
+    EXPECT_DOUBLE_EQ(testsupport::node_density(g, p), 1.5);
   }
 }
 
@@ -146,7 +147,7 @@ void expect_bit_equal_to_node_density(const graph::Graph& g,
   ASSERT_EQ(all.size(), g.node_count());
   for (graph::NodeId p = 0; p < g.node_count(); ++p) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(all[p]),
-              std::bit_cast<std::uint64_t>(core::node_density(g, p)))
+              std::bit_cast<std::uint64_t>(testsupport::node_density(g, p)))
         << label << " node " << p;
   }
 }
@@ -189,8 +190,8 @@ TEST(Density, SmoothsDegreeChanges) {
     for (graph::NodeId b = a + 1; b < k; ++b) smaller.add_edge(a, b);
   }
   smaller.finalize();
-  const double before = core::node_density(full, 0);
-  const double after = core::node_density(smaller, 0);
+  const double before = testsupport::node_density(full, 0);
+  const double after = testsupport::node_density(smaller, 0);
   EXPECT_NEAR(before - after, 0.5, 1e-9);  // K11 vs K10: 5.5 -> 5.0
 }
 

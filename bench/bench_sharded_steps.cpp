@@ -130,7 +130,8 @@ bool equivalence_gate(util::Rng& rng, std::size_t shards, unsigned threads) {
       // Mass faults, identically seeded for all three protocols, so the
       // remaining steps replay the recovery regime where the payload
       // fast path carries the traffic.
-      util::Rng f1(20050612 + s), f2(20050612 + s), f3(20050612 + s);
+      const std::uint64_t seed = 20050612 + (s - kFirstFault);
+      util::Rng f1(seed), f2(seed), f3(seed);
       reference.corrupt_fraction(f1, 0.2);
       one.corrupt_fraction(f2, 0.2);
       candidate.corrupt_fraction(f3, 0.2);

@@ -43,6 +43,7 @@
 #include "mobility/mobility.hpp"
 #include "sim/loss.hpp"
 #include "sim/network.hpp"
+#include "support/divergence.hpp"
 #include "support/reference_stepper.hpp"
 #include "topology/incremental.hpp"
 
@@ -130,12 +131,12 @@ SideResult run_side(const graph::Graph& initial,
 bool matches_reference(const core::DensityProtocol& reference,
                        const core::DensityProtocol& side, const char* label,
                        std::size_t n, std::size_t tick) {
-  const auto node = core::first_divergent_node(reference, side);
+  const auto node = testsupport::first_divergent_node(reference, side);
   if (!node) return true;
   std::printf("FAIL: %s diverged from the reference stepper at n=%zu "
               "tick=%zu node=%u\n%s\n",
               label, n, tick, static_cast<unsigned>(*node),
-              core::describe_divergence(reference, side, *node).c_str());
+              testsupport::describe_divergence(reference, side, *node).c_str());
   return false;
 }
 

@@ -21,10 +21,11 @@
 #include "core/protocol.hpp"
 #include "core/soa_state.hpp"
 #include "sim/network.hpp"
+#include "support/divergence.hpp"
+#include "support/merge_kernels.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
 #include "topology/udg.hpp"
-#include "util/merge.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -92,8 +93,8 @@ int main() {
       const auto a = sorted_keys(s.na, rng);
       const auto b = sorted_keys(s.nb, rng);
       const double linear = seconds_per_call([&] {
-        sink = util::intersect_count_linear(a.data(), a.size(), b.data(),
-                                            b.size());
+        sink = testsupport::intersect_count_linear(a.data(), a.size(),
+                                                   b.data(), b.size());
       });
       const double elems =
           static_cast<double>(s.na + s.nb);
@@ -113,8 +114,9 @@ int main() {
     auto a = sorted_keys(n, rng);
     auto b = a;
     b[n - 3] ^= 1;
-    const double t = seconds_per_call(
-        [&] { sink = util::first_mismatch_index(a.data(), b.data(), n); });
+    const double t = seconds_per_call([&] {
+      sink = testsupport::first_mismatch_index(a.data(), b.data(), n);
+    });
     table.row({"first_mismatch", "1M u64",
                util::Table::num(static_cast<double>(n) / t / 1e9, 2) +
                    " Gelem/s"});
@@ -139,7 +141,7 @@ int main() {
     core::NodeScalars b = a;
     b.head[n - 5] ^= 1;
     const double t_first = seconds_per_call(
-        [&] { sink = core::first_divergent_row(a, b); });
+        [&] { sink = testsupport::first_divergent_row(a, b); });
     table.row({"soa_first_divergent", "100k rows",
                util::Table::num(static_cast<double>(n) / t_first / 1e6, 1) +
                    " Mrow/s"});

@@ -30,6 +30,7 @@
 #include "core/protocol.hpp"
 #include "graph/partition.hpp"
 #include "sim/sharded_network.hpp"
+#include "support/divergence.hpp"
 #include "support/reference_stepper.hpp"
 
 namespace {
@@ -93,9 +94,9 @@ ShardedInstance shard_instance(const bench::Instance& inst, double radius,
 /// phantoms (aged >= 2: the refresh accepts, the holder steps without a
 /// rebuild) sit beside the second's (at age <= 1: it declines). The run
 /// goes on until every phantom of both faults is evicted. The work
-/// counters (sparse-change rows, rows rebuilt, subset steps, receivers
-/// refreshed) must agree across the two engine runs, and the sparse-change
-/// rows and refreshes must actually fire.
+/// counters (sparse-change rows, rows rebuilt, receivers refreshed) must
+/// agree across the two engine runs, and the sparse-change rows and
+/// refreshes must actually fire.
 bool equivalence_gate(util::Rng& rng, std::size_t shards, unsigned threads) {
   const auto inst = bench::poisson_instance(2000.0, 0.035, rng);
   const auto sharded_inst = shard_instance(inst, 0.035, shards);
@@ -110,11 +111,11 @@ bool equivalence_gate(util::Rng& rng, std::size_t shards, unsigned threads) {
                                 loss_c, sharded_inst.bounds, threads);
   const auto check = [&](std::size_t s, const core::DensityProtocol& other,
                          const char* label) -> bool {
-    if (const auto div = core::first_divergent_node(reference, other)) {
-      std::fprintf(stderr,
-                   "EQUIVALENCE FAILURE (%s) at step %zu, node %u:\n%s",
-                   label, s, static_cast<unsigned>(*div),
-                   core::describe_divergence(reference, other, *div).c_str());
+    if (const auto div = testsupport::first_divergent_node(reference, other)) {
+      std::fprintf(
+          stderr, "EQUIVALENCE FAILURE (%s) at step %zu, node %u:\n%s", label,
+          s, static_cast<unsigned>(*div),
+          testsupport::describe_divergence(reference, other, *div).c_str());
       return false;
     }
     return true;
@@ -166,28 +167,25 @@ bool equivalence_gate(util::Rng& rng, std::size_t shards, unsigned threads) {
     return false;
   }
   const auto counters = [](const auto& net) {
-    return std::array<std::uint64_t, 4>{
-        net.delta_rows_graded(), net.rows_rebuilt(), net.subset_steps(),
-        net.receivers_refreshed()};
+    return std::array<std::uint64_t, 3>{net.delta_rows_graded(),
+                                        net.rows_rebuilt(),
+                                        net.receivers_refreshed()};
   };
   const auto one_counts = counters(net_one);
   const auto shard_counts = counters(net_shard);
   if (one_counts != shard_counts || one_counts[0] == 0 ||
-      one_counts[3] == 0) {
+      one_counts[2] == 0) {
     std::fprintf(stderr,
                  "EQUIVALENCE FAILURE: work counters diverged (one shard / "
                  "sharded: sparse-change rows %llu / %llu, rows rebuilt "
-                 "%llu / %llu, subset steps %llu / %llu, receivers "
-                 "refreshed %llu / %llu; sparse-change rows and refreshes "
-                 "must be nonzero)\n",
+                 "%llu / %llu, receivers refreshed %llu / %llu; "
+                 "sparse-change rows and refreshes must be nonzero)\n",
                  static_cast<unsigned long long>(one_counts[0]),
                  static_cast<unsigned long long>(shard_counts[0]),
                  static_cast<unsigned long long>(one_counts[1]),
                  static_cast<unsigned long long>(shard_counts[1]),
                  static_cast<unsigned long long>(one_counts[2]),
-                 static_cast<unsigned long long>(shard_counts[2]),
-                 static_cast<unsigned long long>(one_counts[3]),
-                 static_cast<unsigned long long>(shard_counts[3]));
+                 static_cast<unsigned long long>(shard_counts[2]));
     return false;
   }
   std::printf("equivalence gate: PASS (n=%zu, %zu shards, %u threads, "
@@ -198,7 +196,7 @@ bool equivalence_gate(util::Rng& rng, std::size_t shards, unsigned threads) {
               g.node_count(), shards, threads, kFirstFault, kSecondFault,
               steps, static_cast<unsigned long long>(one_counts[0]),
               static_cast<unsigned long long>(one_counts[1]),
-              static_cast<unsigned long long>(one_counts[3]));
+              static_cast<unsigned long long>(one_counts[2]));
   return true;
 }
 

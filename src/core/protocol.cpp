@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "util/env.hpp"
 #include "util/merge.hpp"
 
 namespace ssmwn::core {
@@ -104,13 +102,9 @@ DensityProtocol::DensityProtocol(topology::IdAssignment uids,
     cols_.dag_id[p] = aux_[p].rng.below(name_space_);
   }
 
-  maintenance_ = config_.density_maintenance;
-  if (maintenance_ == DensityMaintenance::kIncremental &&
-      util::env_int("SSMWN_CHECK_DENSITY", 0) != 0) {
-    maintenance_ = DensityMaintenance::kChecked;
-  }
   maintain_links_ = config_.metric == ElectionMetric::Density &&
-                    maintenance_ != DensityMaintenance::kRecompute;
+                    config_.density_maintenance !=
+                        DensityMaintenance::kRecompute;
   links_among_.assign(uids_.size(), 0);
   // Stale at birth: the first R1 firing per node computes the count from
   // whatever the cache then holds (trivially 0 for an empty cache).
@@ -202,8 +196,7 @@ const RelayWord* DensityProtocol::kept_head(graph::NodeId receiver,
 
 bool DensityProtocol::deliver_payload(graph::NodeId receiver,
                                       const FrameHeader& header,
-                                      std::span<const Digest> row,
-                                      bool bits_equal) {
+                                      std::span<const Digest> row) {
   // Resync means the engine's proof says nothing about what the cache
   // now holds; with repeated uids one entry may hold another sender's
   // row.
@@ -216,7 +209,6 @@ bool DensityProtocol::deliver_payload(graph::NodeId receiver,
   const std::size_t ids = row.size() - kHeadWords * header.heads;
   if (entry.relay.ids().size() != ids) return false;
   entry.age = 0;
-  if (bits_equal) return true;  // the entry already holds these bytes
   // Engine-proved: the row differs from the one the entry holds, so
   // `deliver` would flag a rule-input change.
   pending_[receiver] = 1;
@@ -577,7 +569,7 @@ void DensityProtocol::rule_r1(NodeState& s) {
     return;
   }
   std::uint64_t among = 0;
-  switch (maintenance_) {
+  switch (config_.density_maintenance) {
     case DensityMaintenance::kRecompute:
       among = recompute_links(s.cache);
       break;
@@ -826,110 +818,6 @@ void DensityProtocol::reset_node(graph::NodeId p) {
   s.deliveries = 0;
   s.dag_id = s.rng.below(name_space_);
   externally_touched(p);
-}
-
-// --- differential-harness helpers ------------------------------------
-
-namespace {
-
-bool cache_entries_equal(const DensityProtocol::CacheEntry& a,
-                         const DensityProtocol::CacheEntry& b) {
-  const auto wa = a.relay.words();
-  const auto wb = b.relay.words();
-  return a.dag_id == b.dag_id && double_bits_equal(a.metric, b.metric) &&
-         a.metric_valid == b.metric_valid && a.head == b.head &&
-         a.head_valid == b.head_valid && a.age == b.age &&
-         a.relay.has_head() == b.relay.has_head() &&
-         std::equal(wa.begin(), wa.end(), wb.begin(), wb.end());
-}
-
-bool cold_state_equal(const DensityProtocol& a, const DensityProtocol& b,
-                      graph::NodeId p) {
-  const auto sa = a.state(p);
-  const auto sb = b.state(p);
-  if (sa.uid != sb.uid || !(sa.rng == sb.rng) ||
-      !double_bits_equal(sa.last_heard_s, sb.last_heard_s) ||
-      sa.deliveries != sb.deliveries) {
-    return false;
-  }
-  if (sa.cache.size() != sb.cache.size()) return false;
-  auto ib = sb.cache.begin();
-  for (const auto& [id, entry] : sa.cache) {
-    if (ib->first != id || !cache_entries_equal(entry, ib->second)) {
-      return false;
-    }
-    ++ib;
-  }
-  return true;
-}
-
-}  // namespace
-
-bool node_states_bitwise_equal(const DensityProtocol& a,
-                               const DensityProtocol& b, graph::NodeId p) {
-  return rows_bitwise_equal(scalar_row(a.scalars(), p),
-                            scalar_row(b.scalars(), p)) &&
-         cold_state_equal(a, b, p);
-}
-
-std::optional<graph::NodeId> first_divergent_node(const DensityProtocol& a,
-                                                  const DensityProtocol& b) {
-  if (a.node_count() != b.node_count()) return graph::NodeId{0};
-  // Hot scalars first: one vectorized pass over the SoA columns finds
-  // the earliest scalar divergence; cold state is then checked row by
-  // row only up to that bound.
-  const std::size_t scalar_first = first_divergent_row(a.scalars(), b.scalars());
-  for (graph::NodeId p = 0; p < a.node_count(); ++p) {
-    if (p == scalar_first) return p;
-    if (!cold_state_equal(a, b, p)) return p;
-  }
-  if (scalar_first < a.node_count()) {
-    return static_cast<graph::NodeId>(scalar_first);
-  }
-  return std::nullopt;
-}
-
-std::string describe_divergence(const DensityProtocol& a,
-                                const DensityProtocol& b, graph::NodeId p) {
-  std::ostringstream out;
-  const auto sa = a.state(p);
-  const auto sb = b.state(p);
-  const auto field = [&out](const char* name, const auto& va,
-                            const auto& vb) {
-    if (va != vb) {
-      out << ' ' << name << '=' << +va << " vs " << +vb;
-    }
-  };
-  field("uid", sa.uid, sb.uid);
-  field("dag_id", sa.dag_id, sb.dag_id);
-  field("metric", sa.metric, sb.metric);
-  field("metric_valid", sa.metric_valid, sb.metric_valid);
-  field("head", sa.head, sb.head);
-  field("head_valid", sa.head_valid, sb.head_valid);
-  field("parent", sa.parent, sb.parent);
-  field("parent_valid", sa.parent_valid, sb.parent_valid);
-  field("last_heard_s", sa.last_heard_s, sb.last_heard_s);
-  field("deliveries", sa.deliveries, sb.deliveries);
-  if (!(sa.rng == sb.rng)) out << " rng=<diverged>";
-  if (sa.cache.size() != sb.cache.size()) {
-    out << " cache_size=" << sa.cache.size() << " vs " << sb.cache.size();
-  } else {
-    auto ib = sb.cache.begin();
-    for (const auto& [id, entry] : sa.cache) {
-      if (ib->first != id) {
-        out << " cache_key=" << id << " vs " << ib->first;
-        break;
-      }
-      if (!cache_entries_equal(entry, ib->second)) {
-        out << " cache[" << id << "]=<diverged age " << entry.age << " vs "
-            << ib->second.age << '>';
-        break;
-      }
-      ++ib;
-    }
-  }
-  const std::string text = out.str();
-  return text.empty() ? std::string(" <bitwise identical>") : text;
 }
 
 }  // namespace ssmwn::core

@@ -45,9 +45,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/dag_ids.hpp"
@@ -107,8 +105,7 @@ enum class DensityMaintenance {
   /// differential gate runs the incremental mode against.
   kRecompute,
   /// Incremental *and* recompute every firing, throwing std::logic_error
-  /// on any mismatch — the self-checking mode. `SSMWN_CHECK_DENSITY=1`
-  /// upgrades kIncremental to this at construction.
+  /// on any mismatch — the self-checking mode.
   kChecked,
 };
 
@@ -285,18 +282,17 @@ class DensityProtocol {
   /// was externally mutated since the last full sweep, or uids repeat.
   bool redeliver_unchanged(graph::NodeId receiver, std::size_t heard);
   /// Fast path for a frame whose *id sequence* and length the engine
-  /// proved unchanged since this receiver last consumed it (the header
-  /// and the head records may differ): e(N_p) depends only on which ids
+  /// proved unchanged since this receiver last consumed it, while the
+  /// header or the head records differ: e(N_p) depends only on which ids
   /// each relay list names, so the delta walk and the compare both vanish
-  /// and the delivery collapses to a straight payload overwrite.
-  /// `bits_equal` says the engine proved the whole row bit-equal too: then
-  /// only the age resets. Otherwise the row differs, and that proof raises
-  /// the change bit `deliver` would. Returns false — demanding the full
-  /// compare path — when the entry is missing, its stored list disagrees
-  /// with the engine's proof, the receiver was externally mutated since
-  /// the last full sweep, or uids repeat.
+  /// and the delivery collapses to a straight payload overwrite. The
+  /// engine's proof that the row differs raises the change bit `deliver`
+  /// would. Returns false — demanding the full compare path — when the
+  /// entry is missing, its stored list disagrees with the engine's proof,
+  /// the receiver was externally mutated since the last full sweep, or
+  /// uids repeat.
   bool deliver_payload(graph::NodeId receiver, const FrameHeader& header,
-                       std::span<const Digest> row, bool bits_equal);
+                       std::span<const Digest> row);
   /// The row-equality predicates (sim::RowEqualityProtocol) the engine
   /// grades rebuilt rows with — the grades back `deliver_payload` and
   /// decide whose neighbors step. A row's leading `id_prefix` words are
@@ -395,10 +391,9 @@ class DensityProtocol {
   [[nodiscard]] const ProtocolConfig& config() const noexcept {
     return config_;
   }
-  /// The resolved e(N_p) cost model (config, possibly upgraded to
-  /// kChecked by SSMWN_CHECK_DENSITY at construction).
+  /// The e(N_p) cost model (`config().density_maintenance`).
   [[nodiscard]] DensityMaintenance density_maintenance() const noexcept {
-    return maintenance_;
+    return config_.density_maintenance;
   }
   /// True iff node p's maintained link count currently carries the
   /// invariant (== pairwise recompute over its cache). Test/debug hook.
@@ -513,9 +508,6 @@ class DensityProtocol {
   stabilize::RuleEngine<NodeState> engine_;
 
   // --- incremental e(N_p) maintenance ---------------------------------
-  /// Resolved cost model (config_.density_maintenance, possibly upgraded
-  /// to kChecked by the SSMWN_CHECK_DENSITY env knob).
-  DensityMaintenance maintenance_ = DensityMaintenance::kIncremental;
   /// Deltas are applied iff this is set: Density metric and a
   /// maintaining mode (kIncremental/kChecked).
   bool maintain_links_ = true;
@@ -547,27 +539,5 @@ class DensityProtocol {
   std::vector<std::uint8_t> external_mark_;
   std::vector<graph::NodeId> external_list_;
 };
-
-// --- differential-harness helpers ------------------------------------
-
-/// True iff node `p` holds bit-identical state in both protocols:
-/// shared variables, full cache contents (including ages and relayed
-/// relay lists), RNG state and the async observability fields.
-[[nodiscard]] bool node_states_bitwise_equal(const DensityProtocol& a,
-                                             const DensityProtocol& b,
-                                             graph::NodeId p);
-
-/// First node whose state differs bitwise, or nullopt when the two
-/// populations are identical. Scans the SoA columns first (vectorized),
-/// then the cold state of candidate rows.
-[[nodiscard]] std::optional<graph::NodeId> first_divergent_node(
-    const DensityProtocol& a, const DensityProtocol& b);
-
-/// Human-readable description of how node `p` differs between the two
-/// protocols (field names and both values) — the payload of a
-/// divergence report from the equivalence harness.
-[[nodiscard]] std::string describe_divergence(const DensityProtocol& a,
-                                              const DensityProtocol& b,
-                                              graph::NodeId p);
 
 }  // namespace ssmwn::core

@@ -1,14 +1,15 @@
 // Structure-of-arrays storage for the protocol's per-node shared
-// variables, plus the flat compare kernels built on top of it.
+// variables, plus the row compare built on top of it.
 //
 // The paper's shared variables (Id_p, d_p, H(p), the parent pointer and
 // their valid bits) used to live inside one per-node struct. Splitting
 // them into parallel flat arrays buys two things:
 //
-//   * the snapshot/diff kernels the quiescence machinery and the
-//     differential test harness run every step become straight-line
-//     loops over contiguous same-typed memory, which the compiler
-//     vectorizes under -O3 (bench_micro measures exactly these loops);
+//   * the snapshot/diff kernels the quiescence machinery runs every step
+//     and the differential harnesses' divergence search
+//     (tests/support/divergence.hpp) become straight-line loops over
+//     contiguous same-typed memory, which the compiler vectorizes under
+//     -O3 (bench_micro measures exactly these loops);
 //   * a whole-population scan (head census, metric sweep, divergence
 //     search) touches only the columns it needs instead of dragging
 //     every node's cache and RNG state through the cache lines.
@@ -23,12 +24,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "core/rank.hpp"
 #include "topology/ids.hpp"
-#include "util/merge.hpp"
 
 namespace ssmwn::core {
 
@@ -92,47 +91,6 @@ struct ScalarRow {
          a.metric_valid == b.metric_valid && a.head == b.head &&
          a.head_valid == b.head_valid && a.parent == b.parent &&
          a.parent_valid == b.parent_valid;
-}
-
-namespace detail {
-
-/// First index where two same-length columns disagree, or `n` if none.
-/// Delegates to the blocked branch-free scan in util/merge.hpp — the
-/// all-equal prefix (the common case in a divergence search) runs as a
-/// vectorized OR reduction. Doubles compare as bit patterns (the
-/// harness contract is bitwise, not IEEE ==).
-template <typename T>
-[[nodiscard]] std::size_t first_column_mismatch(const std::vector<T>& a,
-                                                const std::vector<T>& b) {
-  const std::size_t n = a.size();
-  if constexpr (std::is_same_v<T, double>) {
-    const auto* pa = reinterpret_cast<const std::uint64_t*>(a.data());
-    const auto* pb = reinterpret_cast<const std::uint64_t*>(b.data());
-    return util::first_mismatch_index(pa, pb, n);
-  } else {
-    return util::first_mismatch_index(a.data(), b.data(), n);
-  }
-}
-
-}  // namespace detail
-
-/// First row where two scalar populations diverge bitwise, or
-/// `a.size()` when they are identical. Column-major: seven flat scans,
-/// each one a vectorizable loop, instead of one gather-heavy row loop.
-[[nodiscard]] inline std::size_t first_divergent_row(const NodeScalars& a,
-                                                     const NodeScalars& b) {
-  std::size_t first = a.size();
-  first = std::min(first, detail::first_column_mismatch(a.dag_id, b.dag_id));
-  first = std::min(first, detail::first_column_mismatch(a.metric, b.metric));
-  first = std::min(first, detail::first_column_mismatch(a.head, b.head));
-  first = std::min(first, detail::first_column_mismatch(a.parent, b.parent));
-  first = std::min(first,
-                   detail::first_column_mismatch(a.metric_valid, b.metric_valid));
-  first =
-      std::min(first, detail::first_column_mismatch(a.head_valid, b.head_valid));
-  first = std::min(first, detail::first_column_mismatch(a.parent_valid,
-                                                        b.parent_valid));
-  return first;
 }
 
 /// A packed rank-key column: one PackedRank per node, the eighth hot

@@ -61,9 +61,10 @@ concept ArenaProtocol =
 /// first `id_prefix(header, len)` digests are the ids, the rest payload.
 /// With them the synchronous engine grades every rebuilt frame row
 /// against the row before it, so engine and protocol agree on what
-/// "unchanged" means. Row grades (a bitmask): bit-equality implies
-/// id-equality, so the valid values are 0, kRowIdsEqual and
-/// kRowIdsEqual | kRowBitsEqual.
+/// "unchanged" means; a row graded bit-equal keeps its old bytes, so the
+/// predicates must cover every field a receiver reads. Row grades (a
+/// bitmask): bit-equality implies id-equality, so the valid values are
+/// 0, kRowIdsEqual and kRowIdsEqual | kRowBitsEqual.
 inline constexpr unsigned char kRowIdsEqual = 1;   // id sequence held
 inline constexpr unsigned char kRowBitsEqual = 2;  // whole row bit-equal
 
@@ -76,21 +77,21 @@ concept RowEqualityProtocol =
       { P::id_prefix(header, len) } -> std::convertible_to<std::size_t>;
     };
 
-/// Optional redelivery extension. With valid row hints (double-buffered
-/// arena rows + a loss-free medium) the engine knows every heard
-/// neighbor's frame reached the receiver at its last step, and which of
-/// this step's rows are bit-identical to those. Before a stepped
-/// receiver's deliveries it calls `redeliver_unchanged(receiver, heard)`:
-/// an accepting protocol refreshes the entries of all `heard` neighbors
-/// at once, and the engine then delivers only the rows not proved
-/// bit-equal. A row whose id sequence and length held goes through
-/// `deliver_payload(receiver, header, digests, bits_equal)`, where the
-/// protocol can skip its compare/delta machinery and overwrite in place
-/// (or, for a row proved bit-equal as a whole, only refresh it). Either
-/// call performs the remaining side effects and returns true, or returns
-/// false to demand per-frame `deliver` — both must decline when the
-/// receiver's cache was mutated from outside the step loop since the
-/// last full sweep.
+/// Optional redelivery extension. With valid row hints (graded arena
+/// rows + a loss-free medium) the engine knows every heard neighbor's
+/// frame reached the receiver at its last step, and which of this step's
+/// rows are bit-identical to those. Before a stepped receiver's
+/// deliveries it calls `redeliver_unchanged(receiver, heard)`: an
+/// accepting protocol refreshes the entries of all `heard` neighbors at
+/// once, and the engine then delivers only the rows not proved
+/// bit-equal. A row whose id sequence and length held but whose bytes
+/// moved goes through `deliver_payload(receiver, header, digests)`, where
+/// the protocol can skip its compare/delta machinery and overwrite in
+/// place; every other row (bit-equal ones too, when the refresh
+/// declined) goes through `deliver`. Either fast call performs the
+/// remaining side effects and returns true, or returns false to demand
+/// per-frame `deliver` — both must decline when the receiver's cache was
+/// mutated from outside the step loop since the last full sweep.
 template <typename P>
 concept RedeliveryProtocol =
     RowEqualityProtocol<P> &&
@@ -98,7 +99,7 @@ concept RedeliveryProtocol =
              const typename P::FrameHeader& header,
              std::span<const typename P::Digest> in) {
       { p.redeliver_unchanged(receiver, heard) } -> std::convertible_to<bool>;
-      { p.deliver_payload(receiver, header, in, true) } -> std::convertible_to<bool>;
+      { p.deliver_payload(receiver, header, in) } -> std::convertible_to<bool>;
     };
 
 /// Optional async extension: the protocol is told the virtual time of

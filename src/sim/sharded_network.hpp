@@ -32,30 +32,28 @@
 // unlock the row grades, the redelivery fast paths, the active set
 // and severed-link hooks.
 //
-// One stepper, two kinds of step. With the quiescence extension and a
-// medium that always delivers, the engine keeps an active set. Every
-// node owns one persistent row in its shard's frame arena, and after
-// every build phase each row equals the frame its node would build
-// then. A step rebuilds the rows of the *queued* nodes — those whose
+// One stepper, one build. Every node owns one persistent row in its
+// shard's frame arena, and after every build phase each row equals the
+// frame its node would build then. The first build and every step of an
+// untracked run rebuild every row. With the quiescence extension and a
+// medium that always delivers, the engine keeps an active set, and a
+// step rebuilds only the rows of the *queued* nodes — those whose
 // state changed last step (consume_activity said kChanged), that were
-// mutated from outside, or that a topology change woke — and grades
-// each against the row before it; every other row is bit-equal by
-// construction. The queued nodes step, and so does every neighbor of a
-// rebuilt row that is not bit-equal: the grade is the one test of
-// whether a frame changed. So do the *step-only* nodes, whose last step
-// only aged a cache entry past 1 (kStepOnly): they must step again to
-// age it out, but no row carries an age, so theirs is not rebuilt.
-// Every other node sits at a fixpoint with unchanged inputs, so skipping
-// it is bit-identical (docs/ARCHITECTURE.md §7 has the induction). A
-// *whole* step rebuilds every row, a *subset* step only the queued ones;
-// the kind is a global rule on the queued count (kWholeBuildShare), so
-// it never depends on shard or thread count, and it moves no counter
-// but rows_rebuilt and subset_steps. A step with nothing queued and no
-// step-only node runs no phase at all. Lossy media and protocols
-// without the extension step every node with whole builds (the
-// extension still lets a stepped node skip a sweep it proves a no-op).
-// `set_stepping` picks only the counter definitions (and, for kDirty,
-// demands a loss-free medium).
+// mutated from outside, or that a topology change woke. Either way the
+// one build routine grades each rebuilt row against the row before it;
+// every other row is bit-equal by construction. The queued nodes step,
+// and so does every neighbor of a rebuilt row that is not bit-equal: the
+// grade is the one test of whether a frame changed. So do the
+// *step-only* nodes, whose last step only aged a cache entry past 1
+// (kStepOnly): they must step again to age it out, but no row carries an
+// age, so theirs is not rebuilt. Every other node sits at a fixpoint
+// with unchanged inputs, so skipping it is bit-identical
+// (docs/ARCHITECTURE.md §7 has the induction). A step with nothing
+// queued and no step-only node runs no phase at all. Lossy media and
+// protocols without the extension step every node and rebuild every row
+// (the extension still lets a stepped node skip a sweep it proves a
+// no-op). `set_stepping` picks only the counter definitions (and, for
+// kDirty, demands a loss-free medium).
 //
 // Shards. The node range [0, n) is carved into contiguous ranges
 // ("shards"); every parallel phase is "one task per shard". A shard owns
@@ -77,8 +75,8 @@
 // node for someone else, and it runs before any of them.
 //
 // Phases. (0) prologue — serial: externally mutated nodes join the
-// queue, and the queued count picks the kind of step; (1) build — each
-// shard rebuilds (whole or subset) and grades its rows, and every row
+// queue; (1) build — each shard rebuilds its queued rows (every row when
+// untracked or at the first build) and grades them, and every row
 // that is not bit-equal wakes its sender's neighbors, local ones in the
 // shard's tracker, remote ones through the wake mailboxes; (2) loss —
 // serial per-edge decisions (lossy media only); (3) receive — each
@@ -115,6 +113,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <numeric>
+#include <ranges>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -138,11 +138,6 @@ class ShardedNetwork {
                 "(flat frame headers + digest pools)");
 
  public:
-  /// A step rebuilds every row once the queued rows reach
-  /// 1/kWholeBuildShare of the population, and only those rows below it
-  /// (docs/BENCHMARKS.md has the ablation that picked the share).
-  static constexpr std::size_t kWholeBuildShare = 2;
-
   /// `bounds` carves [0, n) into shard-owned ranges (see
   /// graph::ShardPlan::bounds — front 0, back n, monotone; empty ranges
   /// allowed). Throws std::invalid_argument on a malformed cover.
@@ -167,11 +162,19 @@ class ShardedNetwork {
     const std::size_t S = shard_count();
     shards_.resize(S);
     for (std::size_t s = 0; s < S; ++s) {
-      shards_[s].begin = bounds_[s];
-      shards_[s].end = bounds_[s + 1];
-      // Sized once, so tracked steps never grow them.
-      shards_[s].changed.reserve(bounds_[s + 1] - bounds_[s]);
-      shards_[s].step_only.reserve(bounds_[s + 1] - bounds_[s]);
+      Shard& sh = shards_[s];
+      sh.begin = bounds_[s];
+      sh.end = bounds_[s + 1];
+      // Sized once, so steps never grow them. Every row starts empty; the
+      // first build appends each.
+      const std::size_t local_n = sh.end - sh.begin;
+      sh.headers.resize(local_n);
+      sh.offsets.assign(local_n, 0);
+      sh.lengths.assign(local_n, 0);
+      sh.by_offset.resize(local_n);
+      std::iota(sh.by_offset.begin(), sh.by_offset.end(), graph::NodeId{0});
+      sh.changed.reserve(local_n);
+      sh.step_only.reserve(local_n);
     }
     wake_mb_.resize(S * S);
     threads = effective_threads(threads);
@@ -293,13 +296,8 @@ class ShardedNetwork {
 
   [[nodiscard]] std::size_t steps_run() const noexcept { return steps_; }
 
-  /// Steps that rebuilt only the queued rows (the rest rebuilt every
-  /// row), and frame rows rebuilt across all steps so far; functions of
-  /// the active-set history alone, so identical for any shard/thread
-  /// count.
-  [[nodiscard]] std::size_t subset_steps() const noexcept {
-    return subset_steps_;
-  }
+  /// Frame rows rebuilt across all steps so far; a function of the
+  /// active-set history alone, so identical for any shard/thread count.
   [[nodiscard]] std::uint64_t rows_rebuilt() const noexcept {
     return rows_rebuilt_;
   }
@@ -371,21 +369,24 @@ class ShardedNetwork {
 
     // Prologue (tracking): externally mutated nodes join the queue — the
     // grade of their rebuilt rows decides whether their neighbors step.
-    // The queued nodes are the rows to rebuild, and their count is the
-    // global choice of the kind of step.
+    // The queued nodes are the rows to rebuild; the first build and
+    // untracked steps rebuild every row.
+    const bool every_row = !tracked || !arena_built_;
     std::size_t queued = n;
     if constexpr (QuiescentProtocol<Protocol>) {
       if (tracked) {
         for (const graph::NodeId p : protocol_->take_external_wakes()) {
           wake(p);
         }
-        queued = 0;
-        for (const Shard& sh : shards_) queued += sh.tracker.pending().size();
+        if (!every_row) {
+          queued = 0;
+          for (const Shard& sh : shards_) {
+            queued += sh.tracker.pending().size();
+          }
+        }
       }
     }
-    const bool whole = !arena_built_ || queued * kWholeBuildShare >= n;
-    subset_steps_ += whole ? 0 : 1;
-    rows_rebuilt_ += whole ? n : queued;
+    rows_rebuilt_ += queued;
     const bool step_only = std::any_of(
         shards_.begin(), shards_.end(),
         [](const Shard& sh) { return !sh.step_only.empty(); });
@@ -393,7 +394,7 @@ class ShardedNetwork {
     const auto offsets = g.csr_offsets();
     const auto flat = g.csr_neighbors();
     const bool hear_all = loss_->always_delivers();
-    if (!whole && queued == 0 && !step_only) {
+    if (queued == 0 && !step_only) {
       // Nothing queued and no entry aging: no row changes, so no node
       // steps.
       for (Shard& sh : shards_) sh.tracker.begin_step();
@@ -403,12 +404,14 @@ class ShardedNetwork {
       // its predecessor, and wake the neighbors of every row that is not
       // bit-equal — they hear it this very step.
       if constexpr (kGraded) row_unchanged_.resize(n);
-      for_shards([this, tracked, whole](std::size_t s) {
+      for_shards([this, tracked, every_row](std::size_t s) {
         Shard& sh = shards_[s];
-        if (whole) {
-          build_whole(sh);
+        if (every_row) {
+          build_rows(sh, std::views::iota(graph::NodeId{0},
+                                          static_cast<graph::NodeId>(
+                                              sh.end - sh.begin)));
         } else {
-          build_queued(sh);
+          build_rows(sh, sh.tracker.pending());
         }
         if (!tracked) return;
         for (const graph::NodeId i : sh.changed) {
@@ -486,25 +489,21 @@ class ShardedNetwork {
     std::size_t begin = 0;
     std::size_t end = 0;
     // Frame arena: one row per owned node (local index) — its header and
-    // the digests at pool[offsets[i], offsets[i] + lengths[i]). A whole
-    // build lays the rows out back to back; a subset build may leave dead
-    // digests behind (`dead` of them) until it compacts. `prev_*` is the
-    // other half of the double buffer: a whole build swaps the live rows
-    // there and grades the fresh rows against them, a subset build keeps
-    // the old bytes of its same-length rows there, and compaction re-lays
-    // the pool through it.
+    // the digests at pool[offsets[i], offsets[i] + lengths[i]]. Rebuilds
+    // leave dead digests behind (`dead` of them) until the pool compacts
+    // in place, visiting the rows in `by_offset` order; `row` is the
+    // scratch a row is built into, so it can be graded against its old
+    // bytes before it overwrites them.
     std::vector<typename Protocol::FrameHeader> headers;
     std::vector<typename Protocol::Digest> pool;
     std::vector<std::size_t> offsets;
     std::vector<std::size_t> lengths;
     std::size_t dead = 0;
-    std::vector<typename Protocol::FrameHeader> prev_headers;
-    std::vector<typename Protocol::Digest> prev_pool;
-    std::vector<std::size_t> prev_offsets;
-    std::vector<std::size_t> prev_lengths;
+    std::vector<graph::NodeId> by_offset;
+    std::vector<typename Protocol::Digest> row;
     // The rows the last build graded not bit-equal (local indices): their
     // senders' neighbors step, and their grades revert to bit-equal at
-    // the next subset build.
+    // the next build.
     std::vector<graph::NodeId> changed;
     // Nodes whose last step only aged an entry (local indices): they step
     // next step without a row rebuild, joining the active set when the
@@ -633,92 +632,46 @@ class ShardedNetwork {
     return kRowIdsEqual;
   }
 
-  /// Swaps the digest pool's halves and gives both the larger capacity:
-  /// the halves alternate (and a subset build mirrors the live half into
-  /// the other), so both reach the high-water mark together and later
-  /// builds stay allocation-free.
-  static void swap_pools(Shard& sh) {
-    std::swap(sh.pool, sh.prev_pool);
-    const std::size_t cap =
-        std::max(sh.pool.capacity(), sh.prev_pool.capacity());
-    sh.pool.reserve(cap);
-    sh.prev_pool.reserve(cap);
-  }
-
-  /// Rebuilds every owned row, back to back. Graded protocols
-  /// double-buffer: the live rows move to prev_* first, then each fresh
-  /// row is graded against its predecessor (one pass over two buffers
-  /// instead of a gathered per-edge compare in phase 3) — except at the
-  /// first build, which grades every row 0.
-  void build_whole(Shard& sh) {
-    const std::size_t local_n = sh.end - sh.begin;
-    if constexpr (kGraded) {
-      std::swap(sh.headers, sh.prev_headers);
-      swap_pools(sh);
-      std::swap(sh.offsets, sh.prev_offsets);
-      std::swap(sh.lengths, sh.prev_lengths);
-    }
-    sh.offsets.resize(local_n);
-    sh.lengths.resize(local_n);
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < local_n; ++i) {
-      sh.offsets[i] = total;
-      sh.lengths[i] =
-          protocol_->digest_count(static_cast<graph::NodeId>(sh.begin + i));
-      total += sh.lengths[i];
-    }
-    sh.pool.resize(total);
-    sh.dead = 0;
-    sh.headers.resize(local_n);
-    for (std::size_t i = 0; i < local_n; ++i) {
-      protocol_->make_frame(
-          static_cast<graph::NodeId>(sh.begin + i), sh.headers[i],
-          std::span(sh.pool.data() + sh.offsets[i], sh.lengths[i]));
-    }
-    if constexpr (kGraded) {
-      // Each shard writes only its owned slice of the global grades.
-      const bool cmp = arena_built_;
-      sh.changed.clear();
-      for (std::size_t i = 0; i < local_n; ++i) {
-        const unsigned char grade =
-            cmp ? grade_row(sh.headers[i], sh.pool.data() + sh.offsets[i],
-                            sh.lengths[i], sh.prev_headers[i],
-                            sh.prev_pool.data() + sh.prev_offsets[i],
-                            sh.prev_lengths[i], sh.sparse_rows)
-                : 0;
-        row_unchanged_[sh.begin + i] = grade;
-        if ((grade & kRowBitsEqual) == 0) {
-          sh.changed.push_back(static_cast<graph::NodeId>(i));
-        }
-      }
-    }
-  }
-
-  /// Rebuilds only the queued rows (the shard's pending wakes, taken
-  /// before any grade wake joins them); every other row is bit-equal to
-  /// its predecessor by construction and keeps the bit-equal grade. A
-  /// row that keeps its length or shrinks is rebuilt in place; a row
-  /// that grows moves to the end of the pool. Once a quarter of the pool
-  /// is dead the live rows are re-laid back to back, so the pool stays
-  /// within 4/3 of its live digests and each rebuilt row costs its own
-  /// length, amortized.
-  void build_queued(Shard& sh) {
-    const std::size_t local_n = sh.end - sh.begin;
+  /// Rebuilds the given rows of shard `sh` (local indices) — every row at
+  /// the first build and at untracked steps, the queued rows otherwise;
+  /// every other row is bit-equal to its predecessor by construction and
+  /// keeps the bit-equal grade. Each row is built into a scratch row and
+  /// graded against its old bytes (every row grades 0 at the first build,
+  /// which has none); a row that is not bit-equal is then written over
+  /// them if it keeps its length or shrinks, and moves to the end of the
+  /// pool if it grows. Once a quarter of the pool is dead the live rows
+  /// are re-laid back to back in place, so the pool stays within 4/3 of
+  /// its live digests and each rebuilt row costs its own length,
+  /// amortized.
+  template <typename Rows>
+  void build_rows(Shard& sh, const Rows& rows) {
     if constexpr (kGraded) {
       unsigned char* grades = row_unchanged_.data() + sh.begin;
       for (const graph::NodeId i : sh.changed) {
         grades[i] = kRowIdsEqual | kRowBitsEqual;
       }
       sh.changed.clear();
-      // A same-length row's old bytes, for its grade, are kept in the
-      // other pool half at the same offset.
-      sh.prev_pool.resize(sh.pool.size());
     }
-    for (const graph::NodeId i : sh.tracker.pending()) {
+    typename Protocol::FrameHeader header{};
+    for (const graph::NodeId i : rows) {
       const auto p = static_cast<graph::NodeId>(sh.begin + i);
       const std::size_t len = protocol_->digest_count(p);
       const std::size_t old_len = sh.lengths[i];
-      const typename Protocol::FrameHeader old_header = sh.headers[i];
+      sh.row.resize(len);
+      protocol_->make_frame(p, header, std::span(sh.row));
+      if constexpr (kGraded) {
+        // A row whose length moved grades 0 whatever its bytes.
+        const unsigned char grade =
+            arena_built_ && len == old_len
+                ? grade_row(header, sh.row.data(), len, sh.headers[i],
+                            sh.pool.data() + sh.offsets[i], len,
+                            sh.sparse_rows)
+                : 0;
+        row_unchanged_[sh.begin + i] = grade;
+        // A bit-equal row already holds these bytes.
+        if ((grade & kRowBitsEqual) != 0) continue;
+        sh.changed.push_back(i);
+      }
       if (len > old_len) {
         sh.dead += old_len;
         sh.offsets[i] = sh.pool.size();
@@ -727,49 +680,41 @@ class ShardedNetwork {
         sh.dead += old_len - len;
       }
       sh.lengths[i] = len;
-      typename Protocol::Digest* row = sh.pool.data() + sh.offsets[i];
-      if (kGraded && len == old_len) {
-        std::copy(row, row + len, sh.prev_pool.data() + sh.offsets[i]);
-      }
-      protocol_->make_frame(p, sh.headers[i], std::span(row, len));
-      if constexpr (kGraded) {
-        // A row whose length moved grades 0 whatever its bytes.
-        const unsigned char grade =
-            len == old_len
-                ? grade_row(sh.headers[i], row, len, old_header,
-                            sh.prev_pool.data() + sh.offsets[i], len,
-                            sh.sparse_rows)
-                : 0;
-        row_unchanged_[sh.begin + i] = grade;
-        if ((grade & kRowBitsEqual) == 0) sh.changed.push_back(i);
-      }
+      sh.headers[i] = header;
+      std::copy(sh.row.begin(), sh.row.end(), sh.pool.data() + sh.offsets[i]);
     }
     if (sh.dead * 4 > sh.pool.size()) {
-      sh.prev_pool.resize(sh.pool.size() - sh.dead);
+      // Re-lay the live rows back to back in offset order: each row moves
+      // down, over dead digests or rows already moved.
+      std::sort(sh.by_offset.begin(), sh.by_offset.end(),
+                [&sh](graph::NodeId a, graph::NodeId b) {
+                  return sh.offsets[a] < sh.offsets[b];
+                });
       std::size_t total = 0;
-      for (std::size_t i = 0; i < local_n; ++i) {
-        std::copy(sh.pool.data() + sh.offsets[i],
-                  sh.pool.data() + sh.offsets[i] + sh.lengths[i],
-                  sh.prev_pool.data() + total);
-        sh.offsets[i] = total;
+      for (const graph::NodeId i : sh.by_offset) {
+        if (sh.offsets[i] != total) {
+          const auto* from = sh.pool.data() + sh.offsets[i];
+          std::copy(from, from + sh.lengths[i], sh.pool.data() + total);
+          sh.offsets[i] = total;
+        }
         total += sh.lengths[i];
       }
-      swap_pools(sh);
+      sh.pool.resize(total);
       sh.dead = 0;
     }
   }
 
   /// Delivers `src`'s row `i` to `q`, as a payload overwrite when `grade`
-  /// proves its id sequence held (redelivery protocols; 0 = full
-  /// delivery).
+  /// proves its id sequence held but not the whole row (redelivery
+  /// protocols); every other row takes the full delivery.
   void deliver_row(graph::NodeId q, const Shard& src, std::size_t i,
                    unsigned char grade) {
     const auto& header = src.headers[i];
     const auto digests =
         std::span(src.pool.data() + src.offsets[i], src.lengths[i]);
     if constexpr (RedeliveryProtocol<Protocol>) {
-      if (grade != 0 && protocol_->deliver_payload(
-                            q, header, digests, (grade & kRowBitsEqual) != 0)) {
+      if (grade == kRowIdsEqual &&
+          protocol_->deliver_payload(q, header, digests)) {
         return;
       }
     }
@@ -854,7 +799,6 @@ class ShardedNetwork {
   std::vector<std::size_t> bounds_;
   std::vector<Shard> shards_;
   std::size_t steps_ = 0;
-  std::size_t subset_steps_ = 0;
   std::uint64_t rows_rebuilt_ = 0;
   std::uint64_t messages_delivered_ = 0;
   Stepping stepping_ = Stepping::kFull;

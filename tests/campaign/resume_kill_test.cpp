@@ -43,7 +43,7 @@ mobility     = random-direction
 speed_max    = 1.6
 tau          = 0.9
 steps        = 40
-replications = 10
+replications = 40
 seed_base    = 20250807
 )";
 

@@ -17,6 +17,7 @@
 #include "sim/loss.hpp"
 #include "sim/network.hpp"
 #include "sim/sharded_network.hpp"
+#include "support/divergence.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
 #include "topology/incremental.hpp"
@@ -73,10 +74,10 @@ TEST(DensityIncremental, LockstepBitwiseEqualToRecomputeUnderFaults) {
     }
     net_a.step();
     net_b.step();
-    const auto div = core::first_divergent_node(incremental, recompute);
+    const auto div = testsupport::first_divergent_node(incremental, recompute);
     ASSERT_EQ(div, std::nullopt)
         << "step " << step << ":\n"
-        << core::describe_divergence(incremental, recompute, *div);
+        << testsupport::describe_divergence(incremental, recompute, *div);
   }
   EXPECT_EQ(net_a.messages_delivered(), net_b.messages_delivered());
 }

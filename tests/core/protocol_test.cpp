@@ -10,6 +10,7 @@
 #include "graph/forest.hpp"
 #include "sim/network.hpp"
 #include "stabilize/convergence.hpp"
+#include "support/divergence.hpp"
 #include "support/paper_example.hpp"
 #include "support/reference_stepper.hpp"
 #include "topology/generators.hpp"
@@ -344,7 +345,7 @@ void settle(const graph::Graph& g, core::DensityProtocol& protocol) {
   for (int step = 0; step < 60; ++step) {
     const core::NodeScalars before = protocol.scalars();
     stepper.step();
-    if (core::first_divergent_row(before, protocol.scalars()) ==
+    if (testsupport::first_divergent_row(before, protocol.scalars()) ==
         protocol.node_count()) {
       stepper.step();
       return;

@@ -19,6 +19,7 @@
 #include "sim/loss.hpp"
 #include "sim/network.hpp"
 #include "sim/sharded_network.hpp"
+#include "support/divergence.hpp"
 #include "support/reference_stepper.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
@@ -71,10 +72,10 @@ TEST(DeltaFrames, SparseChangeRowsBitIdenticalToReference) {
     }
     net_fast.step();
     net_slow.step();
-    const auto div = core::first_divergent_node(fast, slow);
+    const auto div = testsupport::first_divergent_node(fast, slow);
     ASSERT_EQ(div, std::nullopt)
         << "step " << step << ":\n"
-        << core::describe_divergence(fast, slow, *div);
+        << testsupport::describe_divergence(fast, slow, *div);
   }
   EXPECT_EQ(net_fast.messages_delivered(), net_slow.messages_delivered());
   EXPECT_GT(net_fast.delta_rows_graded(), 0u)
@@ -107,17 +108,17 @@ TEST(DeltaFrames, AllFaultClassesRecoverBitIdentically) {
     util::Rng chaos_a(99), chaos_b(99);
     corruptor.apply(fast, fault, chaos_a);
     corruptor.apply(slow, fault, chaos_b);
-    ASSERT_EQ(core::first_divergent_node(fast, slow), std::nullopt)
+    ASSERT_EQ(testsupport::first_divergent_node(fast, slow), std::nullopt)
         << "corruptor is nondeterministic for "
         << verify::to_string(fault);
 
     for (std::size_t step = 0; step < 15; ++step) {
       net_fast.step();
       net_slow.step();
-      const auto div = core::first_divergent_node(fast, slow);
+      const auto div = testsupport::first_divergent_node(fast, slow);
       ASSERT_EQ(div, std::nullopt)
           << verify::to_string(fault) << " step " << step << ":\n"
-          << core::describe_divergence(fast, slow, *div);
+          << testsupport::describe_divergence(fast, slow, *div);
     }
   }
 }
@@ -142,10 +143,10 @@ TEST(DeltaFrames, LossyMediumStaysBitIdentical) {
   for (std::size_t step = 0; step < 30; ++step) {
     net_fast.step();
     net_slow.step();
-    const auto div = core::first_divergent_node(fast, slow);
+    const auto div = testsupport::first_divergent_node(fast, slow);
     ASSERT_EQ(div, std::nullopt)
         << "step " << step << ":\n"
-        << core::describe_divergence(fast, slow, *div);
+        << testsupport::describe_divergence(fast, slow, *div);
   }
   EXPECT_EQ(net_fast.messages_delivered(), net_slow.messages_delivered());
 }
@@ -180,10 +181,10 @@ TEST(DeltaFrames, TopologyDeltasDropAndRearmHintsBitIdentically) {
     net_slow.apply_topology_delta(delta);
     net_fast.step();
     net_slow.step();
-    const auto div = core::first_divergent_node(fast, slow);
+    const auto div = testsupport::first_divergent_node(fast, slow);
     ASSERT_EQ(div, std::nullopt)
         << "window " << window << ":\n"
-        << core::describe_divergence(fast, slow, *div);
+        << testsupport::describe_divergence(fast, slow, *div);
   }
 }
 
@@ -215,10 +216,10 @@ TEST(DeltaFrames, SteppingSwitchesRearmBitIdentically) {
     if (step == 38) net_fast.set_stepping(sim::Stepping::kFull);
     net_fast.step();
     net_slow.step();
-    const auto div = core::first_divergent_node(fast, slow);
+    const auto div = testsupport::first_divergent_node(fast, slow);
     ASSERT_EQ(div, std::nullopt)
         << "step " << step << ":\n"
-        << core::describe_divergence(fast, slow, *div);
+        << testsupport::describe_divergence(fast, slow, *div);
   }
 }
 
@@ -249,10 +250,10 @@ TEST(DeltaFrames, ShardedSparseChangeRowsMatchOneShard) {
     }
     net_flat.step();
     net_shard.step();
-    const auto div = core::first_divergent_node(flat, sharded);
+    const auto div = testsupport::first_divergent_node(flat, sharded);
     ASSERT_EQ(div, std::nullopt)
         << "step " << step << ":\n"
-        << core::describe_divergence(flat, sharded, *div);
+        << testsupport::describe_divergence(flat, sharded, *div);
   }
   EXPECT_EQ(net_flat.messages_delivered(), net_shard.messages_delivered());
   EXPECT_EQ(net_flat.delta_rows_graded(), net_shard.delta_rows_graded());

@@ -30,6 +30,7 @@
 #include "sim/loss.hpp"
 #include "sim/network.hpp"
 #include "support/deployments.hpp"
+#include "support/divergence.hpp"
 #include "support/full_sweep_protocol.hpp"
 #include "topology/incremental.hpp"
 #include "util/env.hpp"
@@ -69,11 +70,12 @@ std::string spec_string(const char* scenario, std::size_t n, double radius,
 ::testing::AssertionResult populations_identical(
     const core::DensityProtocol& full, const core::DensityProtocol& dirty,
     std::size_t tick, const std::string& spec) {
-  const auto div = core::first_divergent_node(full, dirty);
+  const auto div = testsupport::first_divergent_node(full, dirty);
   if (!div) return ::testing::AssertionSuccess();
   return ::testing::AssertionFailure()
          << "first divergence at tick " << tick << ", node " << *div << "\n"
-         << core::describe_divergence(full, dirty, *div) << "replay: " << spec
+         << testsupport::describe_divergence(full, dirty, *div)
+         << "replay: " << spec
          << " tick=" << tick << " node=" << *div;
 }
 

@@ -1,15 +1,16 @@
 // The one synchronous stepper: with the quiescence extension and a
-// loss-free medium, sim::ShardedNetwork keeps an active set and runs a
-// whole step (every frame row rebuilt and graded) or a subset step (only
-// the queued rows) as the queued count dictates, under either counter
-// definition (kFull, kDirty). This suite plays one history — cold start,
-// fault epochs, a live topology delta, a swapped graph and a planted
-// phantom — on a ~20k-node world cut into 16 spatial shards, at 1 and 4
-// threads and in both modes, in lockstep with the owning-frame reference
-// stepper, and demands bit-identical state after every step. It also
-// pins what the row hints rest on (every cache holds the bytes of its
-// neighbors' rows), that both kinds of step ran, that every counter is
-// shard- and thread-invariant, and the closed forms of a settled step.
+// loss-free medium, sim::ShardedNetwork keeps an active set and rebuilds
+// and grades only the queued frame rows after the first build, under
+// either counter definition (kFull, kDirty). This suite plays one
+// history — cold start, fault epochs, a live topology delta, a swapped
+// graph and a planted phantom — on a ~20k-node world cut into 16 spatial
+// shards, at 1 and 4 threads and in both modes, in lockstep with the
+// owning-frame reference stepper, and demands bit-identical state after
+// every step. It also pins what the row hints rest on (every cache holds
+// the bytes of its neighbors' rows), that steps rebuilt only part of the
+// rows, that every counter is shard- and thread-invariant, the closed
+// forms of a settled step, and the cold start of a grid world whose
+// isolated node broadcasts a header-only row.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,10 +26,12 @@
 #include "graph/partition.hpp"
 #include "sim/loss.hpp"
 #include "sim/sharded_network.hpp"
+#include "support/divergence.hpp"
 #include "support/reference_stepper.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
 #include "topology/incremental.hpp"
+#include "topology/point.hpp"
 #include "topology/udg.hpp"
 #include "util/rng.hpp"
 
@@ -225,27 +228,27 @@ TEST(OneStepper, BitIdenticalToReferenceAcrossKindsShardsAndThreads) {
     for (auto& lane : lanes) {
       lane->net->step();
       const auto div =
-          core::first_divergent_node(lane->protocol, reference_protocol);
+          testsupport::first_divergent_node(lane->protocol, reference_protocol);
       ASSERT_EQ(div, std::nullopt)
           << lane->name << " step " << step << ":\n"
-          << core::describe_divergence(lane->protocol, reference_protocol,
-                                       *div);
+          << testsupport::describe_divergence(lane->protocol,
+                                              reference_protocol, *div);
     }
     // Bit-identical lanes hold bit-identical caches: one check per mode.
     ASSERT_TRUE(caches_hold_rows(*g, lanes.front()->protocol, frames))
         << "step " << step;
   }
 
-  // Both kinds of step ran. The kind history, the rows rebuilt and
-  // graded and the refreshed receivers are functions of the active-set
-  // history alone: equal in every lane, under both counter definitions.
+  // Steps after the first rebuilt only the queued rows. The rows rebuilt
+  // and graded and the refreshed receivers are functions of the
+  // active-set history alone: equal in every lane, under both counter
+  // definitions.
   const Engine& first = *lanes.front()->net;
-  EXPECT_GT(first.subset_steps(), 0u);
-  EXPECT_LT(first.subset_steps(), first.steps_run());
+  EXPECT_GT(first.rows_rebuilt(), n);
+  EXPECT_LT(first.rows_rebuilt(), first.steps_run() * n);
   for (const auto& lane : lanes) {
     const Engine& net = *lane->net;
     SCOPED_TRACE(lane->name);
-    EXPECT_EQ(net.subset_steps(), first.subset_steps());
     EXPECT_EQ(net.rows_rebuilt(), first.rows_rebuilt());
     EXPECT_EQ(net.delta_rows_graded(), first.delta_rows_graded());
     EXPECT_EQ(net.receivers_refreshed(), first.receivers_refreshed());
@@ -285,7 +288,6 @@ TEST(OneStepper, SettledStepClosedForms) {
         const std::uint64_t graded = net.delta_rows_graded();
         const std::uint64_t refreshed = net.receivers_refreshed();
         const std::uint64_t sent = net.messages_delivered();
-        const std::size_t subset = net.subset_steps();
         net.step();
         std::size_t stepped = 0;
         for (std::size_t s = 0; s < net.shard_count(); ++s) {
@@ -299,7 +301,6 @@ TEST(OneStepper, SettledStepClosedForms) {
         EXPECT_EQ(net.rows_rebuilt(), rows);
         EXPECT_EQ(net.delta_rows_graded(), graded);
         EXPECT_EQ(net.receivers_refreshed(), refreshed);
-        EXPECT_EQ(net.subset_steps(), subset + 1);
         EXPECT_EQ(net.messages_delivered() - sent,
                   mode == sim::Stepping::kFull ? g.csr_neighbors().size()
                                                : 0u);
@@ -307,6 +308,70 @@ TEST(OneStepper, SettledStepClosedForms) {
                   mode == sim::Stepping::kFull ? g.node_count() : 0u);
       }
       EXPECT_EQ(settled, 3u) << "the world never settled";
+    }
+  }
+}
+
+/// Cold start on the paper's adversarial grid (sequential ids, so uid 0
+/// exists) plus one isolated node, stepped from construction: the first
+/// build rebuilds every row and grades each 0 — it has no predecessor to
+/// compare against, also for the isolated node's header-only row, which
+/// a compare against an empty slot would count as a sparse-change row.
+/// Loss-free lanes under both counter definitions and a lossy lane (every
+/// row rebuilt every step), each at 1 and 4 shards, in lockstep with the
+/// reference stepper on the same medium.
+TEST(OneStepper, GridColdStartWithAnIsolatedNode) {
+  std::vector<topology::Point> points{{0.95, 0.95}};  // node 0: isolated
+  for (const topology::Point& p : topology::grid_points(20)) {
+    points.push_back({p.x * 0.8, p.y * 0.8});
+  }
+  const std::size_t n = points.size();
+  const auto g = topology::unit_disk_graph(points, 0.061);
+  ASSERT_EQ(g.degree(0), 0u);
+  ASSERT_GT(g.degree(1), 0u);
+  const auto ids = topology::sequential_ids(n);
+
+  struct Shape {
+    sim::Stepping mode;
+    double tau;
+    std::size_t shards;
+  };
+  for (const auto& [mode, tau, shards] :
+       {Shape{sim::Stepping::kFull, 1.0, 1},
+        Shape{sim::Stepping::kDirty, 1.0, 4},
+        Shape{sim::Stepping::kFull, 0.8, 1},
+        Shape{sim::Stepping::kFull, 0.8, 4}}) {
+    SCOPED_TRACE(std::string(mode == sim::Stepping::kFull ? "full" : "dirty") +
+                 " tau " + std::to_string(tau) + " S" + std::to_string(shards));
+    auto reference_protocol = make_protocol(g, ids);
+    auto protocol = make_protocol(g, ids);
+    const auto reference_loss = sim::make_loss_model(tau, util::Rng(17));
+    const auto loss = sim::make_loss_model(tau, util::Rng(17));
+    testsupport::ReferenceStepper reference(g, reference_protocol,
+                                            *reference_loss);
+    Engine net(g, protocol, *loss,
+               graph::plan_contiguous_shards(n, shards).bounds, 4);
+    net.set_stepping(mode);
+    for (std::size_t step = 0; step < 40; ++step) {
+      reference.step();
+      net.step();
+      const auto div =
+          testsupport::first_divergent_node(protocol, reference_protocol);
+      ASSERT_EQ(div, std::nullopt)
+          << "step " << step << ":\n"
+          << testsupport::describe_divergence(protocol, reference_protocol,
+                                              *div);
+      if (step == 0) {
+        EXPECT_EQ(net.rows_rebuilt(), n);
+        EXPECT_EQ(net.delta_rows_graded(), 0u)
+            << "a first-build row was graded against a predecessor";
+        EXPECT_EQ(net.receivers_refreshed(), 0u);
+      }
+    }
+    if (tau < 1.0) {
+      EXPECT_EQ(net.rows_rebuilt(), 40 * n);
+    } else {
+      EXPECT_LT(net.rows_rebuilt(), 40 * n);
     }
   }
 }

@@ -20,6 +20,7 @@
 #include "sim/loss.hpp"
 #include "sim/network.hpp"
 #include "support/deployments.hpp"
+#include "support/divergence.hpp"
 #include "util/rng.hpp"
 
 namespace ssmwn {
@@ -96,7 +97,7 @@ TEST(Quiescence, ConvergedRunStopsSteppingEntirely) {
   }
   EXPECT_EQ(net.activity().nodes_stepped(), stepped);
   EXPECT_EQ(net.messages_delivered(), delivered);
-  EXPECT_EQ(core::first_divergent_row(frozen, protocol.scalars()),
+  EXPECT_EQ(testsupport::first_divergent_row(frozen, protocol.scalars()),
             frozen.size())
       << "state moved during quiescence";
 }
@@ -243,7 +244,7 @@ std::vector<graph::NodeId> step_after_fault(const testsupport::World& w,
   net.step();
   const auto stepped = active_nodes(net);
   step_to_quiescence(net, 50);
-  EXPECT_EQ(core::first_divergent_row(frozen, protocol.scalars()),
+  EXPECT_EQ(testsupport::first_divergent_row(frozen, protocol.scalars()),
             frozen.size())
       << "the fault did not heal back to the pre-fault state";
   return stepped;
@@ -308,7 +309,7 @@ TEST(Quiescence, AsyncActivationsKeepFiringButSweepsStop) {
   EXPECT_EQ(net.activity().nodes_stepped(), stepped)
       << "converged async run must skip every rule sweep";
   EXPECT_GT(net.activity().nodes_skipped(), 0u);
-  EXPECT_EQ(core::first_divergent_row(frozen, protocol.scalars()),
+  EXPECT_EQ(testsupport::first_divergent_row(frozen, protocol.scalars()),
             frozen.size());
 }
 

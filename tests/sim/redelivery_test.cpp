@@ -16,6 +16,7 @@
 #include "graph/partition.hpp"
 #include "sim/loss.hpp"
 #include "sim/network.hpp"
+#include "support/divergence.hpp"
 #include "support/reference_stepper.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
@@ -70,10 +71,10 @@ TEST(Redelivery, ArenaFastPathsBitIdenticalToLegacyEngine) {
     }
     net_fast.step();
     net_slow.step();
-    const auto div = core::first_divergent_node(fast, slow);
+    const auto div = testsupport::first_divergent_node(fast, slow);
     ASSERT_EQ(div, std::nullopt)
         << "step " << step << ":\n"
-        << core::describe_divergence(fast, slow, *div);
+        << testsupport::describe_divergence(fast, slow, *div);
   }
   EXPECT_EQ(net_fast.messages_delivered(), net_slow.messages_delivered());
 }
@@ -109,10 +110,10 @@ TEST(Redelivery, TopologyDeltasInvalidateHintsBitIdentically) {
     net_slow.apply_topology_delta(delta);
     net_fast.step();
     net_slow.step();
-    const auto div = core::first_divergent_node(fast, slow);
+    const auto div = testsupport::first_divergent_node(fast, slow);
     ASSERT_EQ(div, std::nullopt)
         << "window " << window << ":\n"
-        << core::describe_divergence(fast, slow, *div);
+        << testsupport::describe_divergence(fast, slow, *div);
   }
 }
 
@@ -167,7 +168,7 @@ TEST(Redelivery, ProtocolFastPathsDeclineWhenUnsafe) {
   for (const auto& item : protocol.state(receiver).cache) {
     EXPECT_EQ(item.second.age, 0u);
   }
-  EXPECT_TRUE(protocol.deliver_payload(receiver, header, digests, false));
+  EXPECT_TRUE(protocol.deliver_payload(receiver, header, digests));
 
   // A heard count that is not the cache size: the engine's proof cannot
   // say which entries are the neighbors'.
@@ -177,25 +178,25 @@ TEST(Redelivery, ProtocolFastPathsDeclineWhenUnsafe) {
   // Unknown sender id: the receiver has no entry to overwrite.
   core::DensityProtocol::FrameHeader stranger = header;
   stranger.id = 0xFFFFFFFF;  // ids are random_ids(n) values, not this
-  EXPECT_FALSE(protocol.deliver_payload(receiver, stranger, digests, false));
+  EXPECT_FALSE(protocol.deliver_payload(receiver, stranger, digests));
 
   // Digest-list length mismatch: the engine's proof cannot apply.
   if (!digests.empty()) {
     std::vector<core::DensityProtocol::Digest> shorter(digests.begin(),
                                                        digests.end() - 1);
-    EXPECT_FALSE(protocol.deliver_payload(receiver, header, shorter, false));
+    EXPECT_FALSE(protocol.deliver_payload(receiver, header, shorter));
   }
 
   // External mutation raises the resync flag: both paths must decline
   // until the next full sweep clears it.
   { auto s = protocol.mutable_state(receiver); (void)s; }
   EXPECT_FALSE(protocol.redeliver_unchanged(receiver, heard));
-  EXPECT_FALSE(protocol.deliver_payload(receiver, header, digests, false));
+  EXPECT_FALSE(protocol.deliver_payload(receiver, header, digests));
   network.step();  // full sweep: end_step clears the flag
   digests.resize(protocol.digest_count(sender));
   protocol.make_frame(sender, header, digests);
   EXPECT_TRUE(protocol.redeliver_unchanged(receiver, heard));
-  EXPECT_TRUE(protocol.deliver_payload(receiver, header, digests, false));
+  EXPECT_TRUE(protocol.deliver_payload(receiver, header, digests));
 
   // A phantom entry outlives the resync sweep that clears the flag; the
   // cache size is what still gives it away.
@@ -205,7 +206,7 @@ TEST(Redelivery, ProtocolFastPathsDeclineWhenUnsafe) {
   ASSERT_EQ(protocol.state(receiver).cache.size(), heard + 1);
   digests.resize(protocol.digest_count(sender));
   protocol.make_frame(sender, header, digests);
-  EXPECT_TRUE(protocol.deliver_payload(receiver, header, digests, false))
+  EXPECT_TRUE(protocol.deliver_payload(receiver, header, digests))
       << "the resync sweep should have cleared the flag";
   EXPECT_FALSE(protocol.redeliver_unchanged(receiver, heard));
 }
@@ -262,7 +263,7 @@ TEST(Redelivery, RefreshAcceptsBesideAnAgingPhantomOnly) {
   std::vector<core::DensityProtocol::Digest> digests(
       protocol.digest_count(sender));
   protocol.make_frame(sender, header, digests);
-  ASSERT_TRUE(protocol.deliver_payload(receiver, header, digests, true));
+  protocol.deliver(receiver, header, digests);
   ASSERT_EQ(age_of(protocol, receiver, protocol.state(sender).uid), 0u);
   EXPECT_FALSE(protocol.redeliver_unchanged(receiver, heard));
 
@@ -331,9 +332,9 @@ TEST(Redelivery, AgingPhantomsStepOnlyTheirHoldersWithoutRebuilds) {
     const auto lockstep = [&]() -> ::testing::AssertionResult {
       net_fast.step();
       net_slow.step();
-      if (const auto div = core::first_divergent_node(fast, slow)) {
+      if (const auto div = testsupport::first_divergent_node(fast, slow)) {
         return ::testing::AssertionFailure()
-               << core::describe_divergence(fast, slow, *div);
+               << testsupport::describe_divergence(fast, slow, *div);
       }
       return ::testing::AssertionSuccess();
     };
@@ -445,11 +446,11 @@ void expect_lockstep_with_phantoms(const topology::IdAssignment& ids,
       }
       net_fast.step();
       net_slow.step();
-      const auto div = core::first_divergent_node(fast, slow);
+      const auto div = testsupport::first_divergent_node(fast, slow);
       ASSERT_EQ(div, std::nullopt)
           << "shards " << shards << " threads " << threads << " step "
           << step << ":\n"
-          << core::describe_divergence(fast, slow, *div);
+          << testsupport::describe_divergence(fast, slow, *div);
     }
     if (expect_refreshes) {
       EXPECT_GT(net_fast.receivers_refreshed(), 0u);

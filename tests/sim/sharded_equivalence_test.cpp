@@ -26,6 +26,7 @@
 #include "sim/network.hpp"
 #include "sim/sharded_network.hpp"
 #include "support/deployments.hpp"
+#include "support/divergence.hpp"
 #include "support/reference_stepper.hpp"
 #include "topology/incremental.hpp"
 #include "topology/udg.hpp"
@@ -65,11 +66,11 @@ std::string spec_string(const char* scenario, std::size_t n, double radius,
 ::testing::AssertionResult populations_identical(
     const core::DensityProtocol& reference, const core::DensityProtocol& sharded,
     std::size_t tick, const std::string& spec) {
-  const auto div = core::first_divergent_node(reference, sharded);
+  const auto div = testsupport::first_divergent_node(reference, sharded);
   if (!div) return ::testing::AssertionSuccess();
   return ::testing::AssertionFailure()
          << "first divergence at tick " << tick << ", node " << *div << "\n"
-         << core::describe_divergence(reference, sharded, *div)
+         << testsupport::describe_divergence(reference, sharded, *div)
          << "replay: " << spec << " tick=" << tick << " node=" << *div;
 }
 

@@ -94,8 +94,8 @@ TEST(ZeroAlloc, SteadyStateStepDoesNotTouchTheHeap) {
 // lists) churn for many steps while the clustering re-settles. The
 // pooled digest storage must absorb all of that churn in place —
 // digest-list rewrites reuse each node's slab spans, cache entries are
-// updated without rehashing, and the engine's double-buffered arenas
-// are already at capacity. Zero heap traffic, same as steady state.
+// updated without rehashing, and the engine's frame arenas are already
+// at capacity. Zero heap traffic, same as steady state.
 TEST(ZeroAlloc, ActiveRecoveryRegimeDoesNotTouchTheHeap) {
   util::Rng rng(2007);
   const std::size_t n = 300;
@@ -124,15 +124,15 @@ TEST(ZeroAlloc, ActiveRecoveryRegimeDoesNotTouchTheHeap) {
   protocol.corrupt_fraction(chaos, 0.3);
   network.run(5);
   const std::size_t before = g_allocations.load();
-  const std::size_t subset_before = network.subset_steps();
+  const std::uint64_t rows_before = network.rows_rebuilt();
   network.run(10);
   const std::size_t during = g_allocations.load() - before;
   EXPECT_EQ(during, 0u) << "active-recovery steps allocated " << during
                         << " times";
-  // The window holds both kinds of step and the switches between them.
-  const std::size_t subset = network.subset_steps() - subset_before;
-  EXPECT_GT(subset, 0u);
-  EXPECT_LT(subset, 10u);
+  // The window rebuilt rows, but not every row every step.
+  const std::uint64_t rows = network.rows_rebuilt() - rows_before;
+  EXPECT_GT(rows, 0u);
+  EXPECT_LT(rows, 10 * n);
 }
 
 // The late-recovery regime of sparse-change rows: after the structural
@@ -176,7 +176,7 @@ TEST(ZeroAlloc, SparseChangeRowsDoNotTouchTheHeap) {
 
 // The same recovery window on four workers and four shards: wakes that
 // cross shards ride the wake mailboxes, remote rows are read in place,
-// and the window again switches between whole and subset steps.
+// and the window again rebuilds only the queued rows.
 TEST(ZeroAlloc, ShardedRecoveryDoesNotTouchTheHeap) {
   util::Rng rng(2011);
   const std::size_t n = 300;
@@ -197,14 +197,14 @@ TEST(ZeroAlloc, ShardedRecoveryDoesNotTouchTheHeap) {
   protocol.corrupt_fraction(chaos, 0.3);
   network.run(5);
   const std::size_t before = g_allocations.load();
-  const std::size_t subset_before = network.subset_steps();
+  const std::uint64_t rows_before = network.rows_rebuilt();
   network.run(10);
   const std::size_t during = g_allocations.load() - before;
   EXPECT_EQ(during, 0u) << "sharded recovery steps allocated " << during
                         << " times";
-  const std::size_t subset = network.subset_steps() - subset_before;
-  EXPECT_GT(subset, 0u);
-  EXPECT_LT(subset, 10u);
+  const std::uint64_t rows = network.rows_rebuilt() - rows_before;
+  EXPECT_GT(rows, 0u);
+  EXPECT_LT(rows, 10 * n);
 }
 
 TEST(ZeroAlloc, PoolDispatchDoesNotTouchTheHeap) {

@@ -13,7 +13,7 @@
 
 #include "core/rank.hpp"
 #include "graph/graph.hpp"
-#include "util/merge.hpp"
+#include "support/merge_kernels.hpp"
 
 namespace ssmwn::testsupport {
 
@@ -27,7 +27,7 @@ inline double node_density(const graph::Graph& g, graph::NodeId p) {
   std::size_t ordered_pairs = 0;
   for (const graph::NodeId q : neighbors) {
     const auto nq = g.neighbors(q);
-    ordered_pairs += util::intersect_count_linear(
+    ordered_pairs += testsupport::intersect_count_linear(
         nq.data(), nq.size(), neighbors.data(), neighbors.size());
   }
   const std::size_t links = neighbors.size() + ordered_pairs / 2;

@@ -1,4 +1,5 @@
-// The branchless merge/intersection kernels in util/merge.hpp against
+// The branchless merge/intersection kernels in util/merge.hpp and
+// support/merge_kernels.hpp against
 // their std:: references, across randomized sorted inputs (balanced and
 // skewed lengths) and the projection path the protocol uses on digest
 // structs.
@@ -9,6 +10,7 @@
 #include <iterator>
 #include <vector>
 
+#include "support/merge_kernels.hpp"
 #include "util/merge.hpp"
 #include "util/rng.hpp"
 
@@ -43,8 +45,9 @@ TEST(MergeKernels, IntersectCountMatchesStdAcrossShapes) {
         const auto a = sorted_unique(na, gap, rng);
         const auto b = sorted_unique(nb, gap, rng);
         const std::size_t want = reference_intersection(a, b);
-        EXPECT_EQ(util::intersect_count_linear(a.data(), na, b.data(), nb),
-                  want)
+        EXPECT_EQ(
+            testsupport::intersect_count_linear(a.data(), na, b.data(), nb),
+            want)
             << "na=" << na << " nb=" << nb;
       }
     }
@@ -64,8 +67,8 @@ TEST(MergeKernels, IntersectCountWithProjection) {
   for (const auto k : keys_b) b.push_back({k, rng.uniform()});
   const auto proj = [](const Digestish& d) { return d.id; };
   const std::size_t want = reference_intersection(keys_a, keys_b);
-  EXPECT_EQ(util::intersect_count_linear(a.data(), a.size(), b.data(),
-                                         b.size(), proj, proj),
+  EXPECT_EQ(testsupport::intersect_count_linear(a.data(), a.size(), b.data(),
+                                                b.size(), proj, proj),
             want);
 }
 
@@ -92,13 +95,13 @@ TEST(MergeKernels, FirstMismatchIndexMatchesStdMismatch) {
     for (auto& e : a) e = rng();
     // identical
     std::vector<std::uint64_t> b = a;
-    EXPECT_EQ(util::first_mismatch_index(a.data(), b.data(), n), n);
+    EXPECT_EQ(testsupport::first_mismatch_index(a.data(), b.data(), n), n);
     for (std::size_t at = 0; at < n; ++at) {
       b = a;
       b[at] ^= 0x8000000000000000ull;  // sign-bit flip: bitwise, not ==
       const auto want = static_cast<std::size_t>(
           std::mismatch(a.begin(), a.end(), b.begin()).first - a.begin());
-      EXPECT_EQ(util::first_mismatch_index(a.data(), b.data(), n), want)
+      EXPECT_EQ(testsupport::first_mismatch_index(a.data(), b.data(), n), want)
           << "n=" << n << " at=" << at;
     }
   }

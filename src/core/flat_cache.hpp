@@ -44,6 +44,9 @@ class FlatMap {
     return items_.begin();
   }
   [[nodiscard]] const_iterator end() const noexcept { return items_.end(); }
+  /// The items' address, `size()` of them contiguous in key order; safe
+  /// on an empty map, where `&*begin()` is not.
+  [[nodiscard]] const Item* data() const noexcept { return items_.data(); }
 
   [[nodiscard]] iterator find(const Key& key) noexcept {
     auto it = lower_bound(key);

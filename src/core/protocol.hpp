@@ -317,6 +317,26 @@ class DensityProtocol {
     return a == b;
   }
 
+  // --- prefetch concept (sim::PrefetchProtocol) -------------------------
+  /// Memory hints for a node the engine is about to build or step: its
+  /// state sits behind a chain of heap blocks (`aux_[node]` → the cache
+  /// items; `aux_[node].relay_slab` → the RelaySlab → its words), each a
+  /// dependent miss at scale. kState hints the cache items and the slab
+  /// object; kRelays, issued nearer the node, reads the slab pointer
+  /// kState brought in and hints its words up to the cursor. Reads only
+  /// `node`'s own state and changes nothing.
+  void prefetch(graph::NodeId node, sim::PrefetchStage stage) const noexcept {
+    const NodeAux& aux = aux_[node];
+    if (stage == sim::PrefetchStage::kState) {
+      prefetch_bytes(aux.cache.data(),
+                     aux.cache.size() * sizeof(*aux.cache.data()));
+      __builtin_prefetch(aux.relay_slab.get());
+    } else {
+      const RelaySlab& slab = *aux.relay_slab;
+      prefetch_bytes(slab.at(0), slab.cursor() * sizeof(RelayWord));
+    }
+  }
+
   // --- dynamic-topology concept (sim::TopologyAwareProtocol) -----------
   /// Link-severed notification from a live topology change: each
   /// endpoint immediately evicts its cache entry for the other, so the
@@ -470,6 +490,16 @@ class DensityProtocol {
                           links_among_[p],
                           *aux_[p].relay_slab,
                           p};
+  }
+
+  /// Hints every cache line of [p, p + bytes); nothing when empty.
+  static void prefetch_bytes(const void* p, std::size_t bytes) noexcept {
+    constexpr std::uintptr_t kLine = 64;
+    const auto begin = reinterpret_cast<std::uintptr_t>(p);
+    for (std::uintptr_t a = begin & ~(kLine - 1); a < begin + bytes;
+         a += kLine) {
+      __builtin_prefetch(reinterpret_cast<const void*>(a));
+    }
   }
 
   [[nodiscard]] NodeRank self_rank(const NodeState& s) const;

@@ -87,6 +87,8 @@ class RelaySlab {
     return buf_.data() + off;
   }
 
+  /// Words below the cursor are in use, live or dead: [at(0),
+  /// at(cursor())).
   [[nodiscard]] std::uint32_t cursor() const noexcept { return cursor_; }
   [[nodiscard]] std::uint32_t dead() const noexcept { return dead_; }
   [[nodiscard]] std::size_t buffer_capacity() const noexcept {

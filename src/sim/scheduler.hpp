@@ -163,6 +163,29 @@ concept QuiescentProtocol =
       { p.take_external_wakes() } -> std::convertible_to<std::vector<graph::NodeId>>;
     };
 
+/// The two stages of a node's prefetch, far stage first: kState hints
+/// the blocks a node's own state points to (its cache items, its relay
+/// slab's header), and kRelays the relay words behind that header — it
+/// reads the pointer kState brought in, so it runs nearer the node.
+enum class PrefetchStage : unsigned char {
+  kState,
+  kRelays,
+};
+
+/// Optional prefetch extension: `prefetch(node, stage)` issues memory
+/// hints for the state the node's next protocol calls will touch, and
+/// nothing else — it is const, noexcept and never allocates, reads only
+/// `node`'s own state (so a shard may call it for its own nodes while
+/// other shards write theirs) and changes no bit. The synchronous engine
+/// calls it a fixed number of nodes ahead of its two per-node walks
+/// (the build's rows, the receive pass's stepped nodes); protocols
+/// without it get the plain walks.
+template <typename P>
+concept PrefetchProtocol = requires(const P& cp, graph::NodeId node,
+                                    PrefetchStage stage) {
+  { cp.prefetch(node, stage) } noexcept;
+};
+
 /// Reusable storage for one in-flight frame: a POD header plus a digest
 /// vector whose capacity survives reuse (steady state: zero allocations
 /// once every slot has seen its deepest frame).

@@ -89,7 +89,13 @@
 // quiescence extension, which also skips a sweep the protocol proves a
 // no-op), end_step(q) and, under tracking, consume_activity(q), whose
 // verdict queues q for the next step's rebuild or lists it step-only.
-// Phases are separated by barriers.
+// Phases are separated by barriers. Both per-node walks, (1)'s rows and
+// (3)'s stepped nodes, hint the memory of the nodes a fixed distance
+// ahead through the prefetch extension (sim::PrefetchProtocol): at scale
+// a node's state is a chain of cold heap blocks, and the hints overlap
+// its misses with the work on the nodes before it. Hints change no bit:
+// the hook reads only a node of the acting shard and writes nothing, and
+// the walk's nodes and order are the same without it.
 //
 // Determinism argument (the property the differential tests assert):
 // every row of a step is built before the receive pass starts, so no
@@ -173,6 +179,9 @@ class ShardedNetwork {
       sh.lengths.assign(local_n, 0);
       sh.by_offset.resize(local_n);
       std::iota(sh.by_offset.begin(), sh.by_offset.end(), graph::NodeId{0});
+      // Reserved, not touched: the list lives in the pages of its
+      // high-water mark and seldom outgrows this block.
+      sh.grown.reserve(local_n);
       sh.changed.reserve(local_n);
       sh.step_only.reserve(local_n);
     }
@@ -407,9 +416,7 @@ class ShardedNetwork {
       for_shards([this, tracked, every_row](std::size_t s) {
         Shard& sh = shards_[s];
         if (every_row) {
-          build_rows(sh, std::views::iota(graph::NodeId{0},
-                                          static_cast<graph::NodeId>(
-                                              sh.end - sh.begin)));
+          build_rows(sh, all_rows(sh));
         } else {
           build_rows(sh, sh.tracker.pending());
         }
@@ -485,14 +492,23 @@ class ShardedNetwork {
   /// requires them).
   static constexpr bool kGraded = RowEqualityProtocol<Protocol>;
 
+  /// Prefetch lookahead of the per-node walks, in nodes (see walk): far
+  /// enough ahead to cover a DRAM miss behind a node's work, near enough
+  /// that the hinted lines are still cached when the walk gets there.
+  /// docs/BENCHMARKS.md ("prefetch the per-node walks") has the ablation.
+  static constexpr std::size_t kStateAhead = 12;
+  static constexpr std::size_t kRelaysAhead = 6;
+
   struct Shard {
     std::size_t begin = 0;
     std::size_t end = 0;
     // Frame arena: one row per owned node (local index) — its header and
     // the digests at pool[offsets[i], offsets[i] + lengths[i]]. Rebuilds
     // leave dead digests behind (`dead` of them) until the pool compacts
-    // in place, visiting the rows in `by_offset` order; `row` is the
-    // scratch a row is built into, so it can be graded against its old
+    // in place, visiting the rows in `by_offset` order — the offset order
+    // as of the last compaction, which laid the rows out up to
+    // `laid_end`; `grown` lists the rows appended past it since. `row` is
+    // the scratch a row is built into, so it can be graded against its old
     // bytes before it overwrites them.
     std::vector<typename Protocol::FrameHeader> headers;
     std::vector<typename Protocol::Digest> pool;
@@ -500,6 +516,8 @@ class ShardedNetwork {
     std::vector<std::size_t> lengths;
     std::size_t dead = 0;
     std::vector<graph::NodeId> by_offset;
+    std::size_t laid_end = 0;
+    std::vector<graph::NodeId> grown;
     std::vector<typename Protocol::Digest> row;
     // The rows the last build graded not bit-equal (local indices): their
     // senders' neighbors step, and their grades revert to bit-equal at
@@ -515,6 +533,12 @@ class ShardedNetwork {
     std::uint64_t delivered = 0;  // in-degree sum of the stepped nodes
     ActivityTracker tracker;
   };
+
+  /// Every local index of shard `sh`, ascending.
+  static auto all_rows(const Shard& sh) {
+    return std::views::iota(graph::NodeId{0},
+                            static_cast<graph::NodeId>(sh.end - sh.begin));
+  }
 
   /// 0 = hardware concurrency; absurd counts (e.g. an unsigned-cast -1)
   /// are clamped — more workers than cores can ever help is waste.
@@ -653,7 +677,8 @@ class ShardedNetwork {
       sh.changed.clear();
     }
     typename Protocol::FrameHeader header{};
-    for (const graph::NodeId i : rows) {
+    // The build reads a sender's cache, never its relay words.
+    walk(sh.begin, rows, false, [&](const graph::NodeId i) {
       const auto p = static_cast<graph::NodeId>(sh.begin + i);
       const std::size_t len = protocol_->digest_count(p);
       const std::size_t old_len = sh.lengths[i];
@@ -669,12 +694,13 @@ class ShardedNetwork {
                 : 0;
         row_unchanged_[sh.begin + i] = grade;
         // A bit-equal row already holds these bytes.
-        if ((grade & kRowBitsEqual) != 0) continue;
+        if ((grade & kRowBitsEqual) != 0) return;
         sh.changed.push_back(i);
       }
       if (len > old_len) {
         sh.dead += old_len;
         sh.offsets[i] = sh.pool.size();
+        if (arena_built_) sh.grown.push_back(i);
         sh.pool.resize(sh.pool.size() + len);
       } else {
         sh.dead += old_len - len;
@@ -682,14 +708,36 @@ class ShardedNetwork {
       sh.lengths[i] = len;
       sh.headers[i] = header;
       std::copy(sh.row.begin(), sh.row.end(), sh.pool.data() + sh.offsets[i]);
-    }
+    });
+    // The first build appends every row in index order — `by_offset`'s
+    // order at construction — so it leaves the pool laid out.
+    if (!arena_built_) sh.laid_end = sh.pool.size();
     if (sh.dead * 4 > sh.pool.size()) {
       // Re-lay the live rows back to back in offset order: each row moves
-      // down, over dead digests or rows already moved.
-      std::sort(sh.by_offset.begin(), sh.by_offset.end(),
-                [&sh](graph::NodeId a, graph::NodeId b) {
-                  return sh.offsets[a] < sh.offsets[b];
-                });
+      // down, over dead digests or rows already moved. `by_offset` held
+      // that order at the last re-lay, and since then only rows that grew
+      // moved, each to the pool's end, listed in `grown` in append order
+      // (a row that grew twice, twice). So the order is the rows that did
+      // not move (every empty row among them: its place holds nothing) as
+      // listed, then the moved rows at their latest offsets. Walking
+      // `grown` backwards, a row's latest entry comes first and its offset
+      // lies below every moved row placed so far; its older entries come
+      // after it, when the bound has already reached its offset.
+      std::size_t kept = 0;
+      for (const graph::NodeId i : sh.by_offset) {
+        if (sh.lengths[i] == 0 || sh.offsets[i] < sh.laid_end) {
+          sh.by_offset[kept++] = i;
+        }
+      }
+      std::size_t slot = sh.by_offset.size();
+      std::size_t bound = sh.pool.size();
+      for (const graph::NodeId i : std::views::reverse(sh.grown)) {
+        if (sh.lengths[i] != 0 && sh.offsets[i] < bound) {
+          bound = sh.offsets[i];
+          sh.by_offset[--slot] = i;
+        }
+      }
+      sh.grown.clear();
       std::size_t total = 0;
       for (const graph::NodeId i : sh.by_offset) {
         if (sh.offsets[i] != total) {
@@ -700,7 +748,35 @@ class ShardedNetwork {
         total += sh.lengths[i];
       }
       sh.pool.resize(total);
+      sh.laid_end = total;
       sh.dead = 0;
+    }
+  }
+
+  /// Runs `body(i)` over the local indices `rows` of the shard starting
+  /// at `base`, in order. With the prefetch extension it hints, while at
+  /// the j-th row, the state of the node kStateAhead rows on and — when
+  /// `relays`, for walks whose calls read relay words — the relay words
+  /// of the node kRelaysAhead rows on, whose state the earlier hint
+  /// brought in. Hints only: the walk visits the same nodes in the same
+  /// order either way.
+  template <typename Rows, typename Body>
+  void walk(std::size_t base, const Rows& rows, bool relays, Body&& body) {
+    const std::size_t count = std::ranges::size(rows);
+    for (std::size_t j = 0; j < count; ++j) {
+      if constexpr (PrefetchProtocol<Protocol>) {
+        if (j + kStateAhead < count) {
+          protocol_->prefetch(
+              static_cast<graph::NodeId>(base + rows[j + kStateAhead]),
+              PrefetchStage::kState);
+        }
+        if (relays && j + kRelaysAhead < count) {
+          protocol_->prefetch(
+              static_cast<graph::NodeId>(base + rows[j + kRelaysAhead]),
+              PrefetchStage::kRelays);
+        }
+      }
+      body(rows[j]);
     }
   }
 
@@ -768,14 +844,14 @@ class ShardedNetwork {
       protocol_->end_step(q);
     };
     if (!tracked) {
-      for (std::size_t q = sh.begin; q < sh.end; ++q) {
-        step_node(static_cast<graph::NodeId>(q));
-      }
+      walk(sh.begin, all_rows(sh), true, [&](const graph::NodeId lq) {
+        step_node(static_cast<graph::NodeId>(sh.begin + lq));
+      });
       return;
     }
     if constexpr (QuiescentProtocol<Protocol>) {
       promote_wakes(t);
-      for (const graph::NodeId lq : sh.tracker.active()) {
+      walk(sh.begin, sh.tracker.active(), true, [&](const graph::NodeId lq) {
         const auto q = static_cast<graph::NodeId>(sh.begin + lq);
         sh.delivered += offsets[q + 1] - offsets[q];
         step_node(q);
@@ -789,7 +865,7 @@ class ShardedNetwork {
           case Activity::kQuiet:
             break;
         }
-      }
+      });
     }
   }
 

@@ -6,6 +6,11 @@
 // crash model: no atexit, no stack unwinding, no flushing — whatever
 // the atomic-rename discipline left on disk is all the resume gets.
 //
+// Kill points are measured in progress, not time: the harness watches
+// the checkpoint file and kills right after the k-th publish it sees
+// (each publish renames a new file over it), so a kill lands mid-sweep
+// on a host of any speed.
+//
 // The CLI binary's path arrives via SSMWN_CLI_BIN (set by CMake from
 // $<TARGET_FILE:ssmwn_cli>); the test is skipped when absent so the
 // bare test binary still runs standalone.
@@ -28,11 +33,10 @@
 
 namespace {
 
-// Heavy enough that a kill lands mid-sweep (~350 ms a sweep on a dev
-// box — an order of magnitude above the shortest kill delay), small
-// enough to stay in the campaign-tier time budget. checkpoint-every=1
-// maximizes the number of distinct crash surfaces a kill can hit
-// (including mid-publish).
+// 80 runs, so a sweep publishes up to 80 checkpoints — more than every
+// seeded kill point of one lane adds up to — while staying in the
+// campaign-tier time budget. checkpoint-every=1 maximizes the number of
+// distinct crash surfaces a kill can hit (including mid-publish).
 constexpr const char* kSpecText = R"(
 name         = killrun
 topology     = uniform
@@ -64,15 +68,48 @@ bool file_exists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0;
 }
 
+/// What identifies one published version of a file: every publish
+/// renames a freshly written file over the path, so its inode or its
+/// times move with each one.
+struct Stamp {
+  bool exists = false;
+  ino_t inode = 0;
+  timespec mtime{};
+  timespec ctime{};
+
+  bool operator==(const Stamp& o) const {
+    return exists == o.exists && inode == o.inode &&
+           mtime.tv_sec == o.mtime.tv_sec &&
+           mtime.tv_nsec == o.mtime.tv_nsec &&
+           ctime.tv_sec == o.ctime.tv_sec && ctime.tv_nsec == o.ctime.tv_nsec;
+  }
+};
+
+Stamp stamp_of(const std::string& path) {
+  struct stat st{};
+  if (::stat(path.c_str(), &st) != 0) return {};
+  return {true, st.st_ino, st.st_mtim, st.st_ctim};
+}
+
+/// When to SIGKILL a child: never, or once it has published `publishes`
+/// new versions of `watched` (0: as soon as it has staged `staged`, its
+/// first output file, before any checkpoint of its own exists).
+struct KillPoint {
+  bool enabled = false;
+  int publishes = 0;
+  std::string watched;
+  std::string staged;
+};
+
 struct Exit {
   bool signaled = false;
   int code = -1;  // exit status, or the signal number when signaled
 };
 
-/// fork/exec the CLI with stdout/stderr sent to /dev/null. If
-/// `kill_after_us` is nonzero, SIGKILL the child after that delay;
-/// returns how the child ended.
-Exit run_cli(const std::vector<std::string>& args, useconds_t kill_after_us) {
+/// fork/exec the CLI with stdout/stderr sent to /dev/null, SIGKILLing it
+/// at `kill` (polled every 200 µs while it runs); returns how the child
+/// ended.
+Exit run_cli(const std::vector<std::string>& args, const KillPoint& kill = {}) {
   std::vector<char*> argv;
   static std::string bin;  // exec needs stable storage
   bin = cli_bin();
@@ -92,12 +129,24 @@ Exit run_cli(const std::vector<std::string>& args, useconds_t kill_after_us) {
     ::execv(argv[0], argv.data());
     _exit(127);
   }
-  if (kill_after_us != 0) {
-    ::usleep(kill_after_us);
-    ::kill(pid, SIGKILL);
-  }
   int status = 0;
-  ::waitpid(pid, &status, 0);
+  bool reaped = false;
+  if (kill.enabled) {
+    const std::string staged = kill.staged + ".tmp." + std::to_string(pid);
+    Stamp last = stamp_of(kill.watched);
+    int seen = 0;
+    while (!(reaped = ::waitpid(pid, &status, WNOHANG) == pid)) {
+      const Stamp now = stamp_of(kill.watched);
+      if (now.exists && !(now == last)) ++seen;
+      last = now;
+      if (kill.publishes == 0 ? file_exists(staged) : seen >= kill.publishes) {
+        ::kill(pid, SIGKILL);
+        break;
+      }
+      ::usleep(200);
+    }
+  }
+  if (!reaped) ::waitpid(pid, &status, 0);
   Exit out;
   if (WIFSIGNALED(status)) {
     out.signaled = true;
@@ -146,7 +195,7 @@ TEST_F(ResumeKillTest, KilledSweepsResumeToIdenticalBytes) {
   const std::string base_json = dir_ + "/base.json";
   const auto ref = run_cli({"campaign", spec_, "--quiet", "--threads", "2",
                             "--csv", base_csv, "--json", base_json},
-                           0);
+                           {});
   ASSERT_FALSE(ref.signaled);
   ASSERT_EQ(ref.code, 0);
   const std::string want_csv = slurp(base_csv);
@@ -155,14 +204,17 @@ TEST_F(ResumeKillTest, KilledSweepsResumeToIdenticalBytes) {
   ASSERT_FALSE(want_json.empty());
 
   // Seeded "random" kill points: deterministic in CI, still spread over
-  // genuinely different sweep phases. Some kills land before the first
+  // genuinely different sweep phases — after the k-th checkpoint publish
+  // an attempt makes, k in [1, 16], so the four kills of a lane stop
+  // short of its 80 runs. The very first kill lands before the first
   // checkpoint exists — resume must then be told to start fresh, which
   // the harness does exactly like a user would (no --resume).
   unsigned rng = 0x5eed;
-  auto next_delay_us = [&rng] {
+  auto next_publishes = [&rng] {
     rng = rng * 1664525u + 1013904223u;
-    return 20'000u + rng % 180'000u;  // 20–200 ms into a ~350 ms sweep
+    return 1 + static_cast<int>((rng >> 8) % 16u);
   };
+  bool first_kill = true;
 
   int total_kills = 0;
   for (const char* threads : {"1", "4"}) {
@@ -183,7 +235,9 @@ TEST_F(ResumeKillTest, KilledSweepsResumeToIdenticalBytes) {
       } else {
         args.insert(args.end(), {"--checkpoint", ckpt});
       }
-      const auto r = run_cli(args, next_delay_us());
+      KillPoint kill{true, first_kill ? 0 : next_publishes(), ckpt, out_csv};
+      first_kill = false;
+      const auto r = run_cli(args, kill);
       if (r.signaled) {
         ++kills;
         continue;
@@ -195,7 +249,7 @@ TEST_F(ResumeKillTest, KilledSweepsResumeToIdenticalBytes) {
                                      "--threads", threads, "--csv",
                                      out_csv,     "--json", out_json};
     if (file_exists(ckpt)) args.insert(args.end(), {"--resume", ckpt});
-    const auto final_run = run_cli(args, 0);
+    const auto final_run = run_cli(args);
     ASSERT_FALSE(final_run.signaled);
     ASSERT_EQ(final_run.code, 0);
 
@@ -206,18 +260,16 @@ TEST_F(ResumeKillTest, KilledSweepsResumeToIdenticalBytes) {
     total_kills += kills;
   }
   // The harness is worthless if every child finished before its kill
-  // fired; the spec is sized an order of magnitude above the shortest
-  // delay precisely so this cannot happen.
-  EXPECT_GE(total_kills, 1) << "no SIGKILL landed mid-sweep; the spec is "
-                               "too light for this machine";
+  // fired; the first kill point (staged, no checkpoint yet) cannot be
+  // outrun, and each later one stops short of the sweep's publishes.
+  EXPECT_GE(total_kills, 1) << "no SIGKILL landed mid-sweep";
 }
 
 TEST_F(ResumeKillTest, TornCheckpointRejectedBeforeAnyExecution) {
   // Produce a valid checkpoint, then truncate it.
   const std::string ckpt = dir_ + "/c.ckpt";
   const auto make = run_cli({"campaign", spec_, "--quiet", "--threads", "2",
-                             "--checkpoint", ckpt},
-                            0);
+                             "--checkpoint", ckpt});
   ASSERT_FALSE(make.signaled);
   ASSERT_EQ(make.code, 0);
   const std::string good = slurp(ckpt);
@@ -231,8 +283,7 @@ TEST_F(ResumeKillTest, TornCheckpointRejectedBeforeAnyExecution) {
     }
     std::remove(out_csv.c_str());
     const auto r = run_cli(
-        {"campaign", spec_, "--quiet", "--resume", ckpt, "--csv", out_csv},
-        0);
+        {"campaign", spec_, "--quiet", "--resume", ckpt, "--csv", out_csv});
     ASSERT_FALSE(r.signaled);
     // Exit 2 (bad arguments), and no partial execution: the output file
     // must not even have been staged into existence.
@@ -252,7 +303,7 @@ TEST_F(ResumeKillTest, TornCheckpointRejectedBeforeAnyExecution) {
     out << other;
   }
   const auto r = run_cli(
-      {"campaign", spec_, "--quiet", "--resume", ckpt, "--csv", out_csv}, 0);
+      {"campaign", spec_, "--quiet", "--resume", ckpt, "--csv", out_csv});
   ASSERT_FALSE(r.signaled);
   EXPECT_EQ(r.code, 2);
   EXPECT_FALSE(file_exists(out_csv));

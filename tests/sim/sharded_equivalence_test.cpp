@@ -100,6 +100,45 @@ TEST(ShardedEquivalence, FullSteppingLockstepAcrossShardAndThreadCounts) {
   }
 }
 
+// An engine built over caches that already hold entries lays every row
+// out at its first build, and the pool's compactions reorder from that
+// layout. Handing a settled protocol to a fresh engine, then faulting it
+// until rows grow, shrink and compact, pins the first layout too (an
+// engine built over empty caches first builds only empty rows).
+TEST(ShardedEquivalence, EngineBuiltOverFilledCachesLockstep) {
+  const std::size_t n = 140;
+  const double radius = 0.11;
+  const auto w = testsupport::make_deployment(n, radius, 901);
+  for (const std::size_t shards : {1u, 7u}) {
+    auto reference = make_protocol(w, 23);
+    auto candidate = make_protocol(w, 23);
+    sim::PerfectDelivery loss_a, loss_b, loss_c;
+    testsupport::ReferenceStepper net_ref(w.graph, reference, loss_a);
+    const std::string spec = spec_string("filled-caches", n, radius, 901, 23,
+                                         shards, 2);
+    {
+      sim::ShardedNetwork warm(w.graph, candidate, loss_b,
+                               contiguous(n, shards), 1);
+      for (std::size_t s = 0; s < 20; ++s) {
+        net_ref.step();
+        warm.step();
+      }
+    }
+    sim::ShardedNetwork net_shard(w.graph, candidate, loss_c,
+                                  contiguous(n, shards), 2);
+    util::Rng chaos_a(5), chaos_b(5);
+    for (std::size_t s = 0; s < 40; ++s) {
+      if (s % 10 == 3) {
+        ASSERT_EQ(reference.corrupt_fraction(chaos_a, 0.3),
+                  candidate.corrupt_fraction(chaos_b, 0.3));
+      }
+      net_ref.step();
+      net_shard.step();
+      ASSERT_TRUE(populations_identical(reference, candidate, s, spec));
+    }
+  }
+}
+
 TEST(ShardedEquivalence, ReceiversRefreshedIsShardAndThreadInvariant) {
   // The per-receiver redelivery count is a deterministic work counter:
   // one shard inline, five shards inline and five shards on four

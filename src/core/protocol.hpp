@@ -178,7 +178,8 @@ class DensityProtocol {
     /// Slab storage for every relay list in this node's cache. Behind a
     /// unique_ptr so its address is stable when NodeAux itself moves
     /// (the cache entries hold pointers to it). Declared before the
-    /// cache: entry destructors release their spans into it.
+    /// cache: entry destructors release their spans into it. The two
+    /// lead the record, where the kRecord prefetch hint covers them.
     std::unique_ptr<RelaySlab> relay_slab = std::make_unique<RelaySlab>();
     /// Sorted by id — same iteration order as the std::map it replaced,
     /// but contiguous, so the per-step rule sweeps stream memory.
@@ -321,19 +322,29 @@ class DensityProtocol {
   /// Memory hints for a node the engine is about to build or step: its
   /// state sits behind a chain of heap blocks (`aux_[node]` → the cache
   /// items; `aux_[node].relay_slab` → the RelaySlab → its words), each a
-  /// dependent miss at scale. kState hints the cache items and the slab
-  /// object; kRelays, issued nearer the node, reads the slab pointer
-  /// kState brought in and hints its words up to the cursor. Reads only
-  /// `node`'s own state and changes nothing.
+  /// dependent miss at scale. kRecord hints `aux_[node]` itself, reading
+  /// nothing; kState, issued nearer the node, reads the block pointers
+  /// kRecord brought in and hints the cache items and the slab object;
+  /// kRelays, nearer still, reads the slab kState brought in and hints
+  /// its words up to the cursor. Reads only `node`'s own state and
+  /// changes nothing.
   void prefetch(graph::NodeId node, sim::PrefetchStage stage) const noexcept {
     const NodeAux& aux = aux_[node];
-    if (stage == sim::PrefetchStage::kState) {
-      prefetch_bytes(aux.cache.data(),
-                     aux.cache.size() * sizeof(*aux.cache.data()));
-      __builtin_prefetch(aux.relay_slab.get());
-    } else {
-      const RelaySlab& slab = *aux.relay_slab;
-      prefetch_bytes(slab.at(0), slab.cursor() * sizeof(RelayWord));
+    switch (stage) {
+      case sim::PrefetchStage::kRecord:
+        // The two members kState reads, which may straddle a line.
+        prefetch_bytes(&aux, sizeof(aux.relay_slab) + sizeof(aux.cache));
+        break;
+      case sim::PrefetchStage::kState:
+        prefetch_bytes(aux.cache.data(),
+                       aux.cache.size() * sizeof(*aux.cache.data()));
+        __builtin_prefetch(aux.relay_slab.get());
+        break;
+      case sim::PrefetchStage::kRelays: {
+        const RelaySlab& slab = *aux.relay_slab;
+        prefetch_bytes(slab.at(0), slab.cursor() * sizeof(RelayWord));
+        break;
+      }
     }
   }
 

@@ -163,11 +163,16 @@ concept QuiescentProtocol =
       { p.take_external_wakes() } -> std::convertible_to<std::vector<graph::NodeId>>;
     };
 
-/// The two stages of a node's prefetch, far stage first: kState hints
-/// the blocks a node's own state points to (its cache items, its relay
-/// slab's header), and kRelays the relay words behind that header — it
-/// reads the pointer kState brought in, so it runs nearer the node.
+/// The three stages of a node's prefetch, far stage first, one per hop
+/// of the chain behind the node; each reads only what the stage before
+/// it brought in. kRecord hints the node's own record (hop 0) — address
+/// arithmetic, no load — so that kState, nearer the node, reads the
+/// record's block pointers from cache rather than stalling on them, and
+/// hints the blocks they point to (its cache items, its relay slab's
+/// header); kRelays, nearer still, reads the header kState brought in
+/// and hints the relay words behind it.
 enum class PrefetchStage : unsigned char {
+  kRecord,
   kState,
   kRelays,
 };
@@ -177,9 +182,10 @@ enum class PrefetchStage : unsigned char {
 /// nothing else — it is const, noexcept and never allocates, reads only
 /// `node`'s own state (so a shard may call it for its own nodes while
 /// other shards write theirs) and changes no bit. The synchronous engine
-/// calls it a fixed number of nodes ahead of its two per-node walks
-/// (the build's rows, the receive pass's stepped nodes); protocols
-/// without it get the plain walks.
+/// calls each stage a fixed number of nodes ahead of its two per-node
+/// walks (the build's rows, the receive pass's stepped nodes), kRelays
+/// only in the receive pass and only for nodes that may read relay
+/// words; protocols without it get the plain walks.
 template <typename P>
 concept PrefetchProtocol = requires(const P& cp, graph::NodeId node,
                                     PrefetchStage stage) {

@@ -91,11 +91,13 @@
 // verdict queues q for the next step's rebuild or lists it step-only.
 // Phases are separated by barriers. Both per-node walks, (1)'s rows and
 // (3)'s stepped nodes, hint the memory of the nodes a fixed distance
-// ahead through the prefetch extension (sim::PrefetchProtocol): at scale
-// a node's state is a chain of cold heap blocks, and the hints overlap
-// its misses with the work on the nodes before it. Hints change no bit:
-// the hook reads only a node of the acting shard and writes nothing, and
-// the walk's nodes and order are the same without it.
+// ahead through the prefetch extension (sim::PrefetchProtocol), one
+// stage per hop of the chain: at scale a node's state (and, in (3), its
+// CSR row) is a chain of cold blocks, and the hints overlap its misses
+// with the work on the nodes before it. Hints change no bit: the hook
+// reads only a node of the acting shard and writes nothing, the engine's
+// own hints read only the graph and the step's finished row grades, and
+// the walk's nodes and order are the same without them.
 //
 // Determinism argument (the property the differential tests assert):
 // every row of a step is built before the receive pass starts, so no
@@ -495,9 +497,13 @@ class ShardedNetwork {
   /// Prefetch lookahead of the per-node walks, in nodes (see walk): far
   /// enough ahead to cover a DRAM miss behind a node's work, near enough
   /// that the hinted lines are still cached when the walk gets there.
-  /// docs/BENCHMARKS.md ("prefetch the per-node walks") has the ablation.
+  /// Each stage leads the one that reads what it brought in, by a miss.
+  /// docs/BENCHMARKS.md ("prefetch the per-node walks", "hint the node
+  /// record a stage ahead") has the ablations.
+  static constexpr std::size_t kRecordAhead = 24;
   static constexpr std::size_t kStateAhead = 12;
   static constexpr std::size_t kRelaysAhead = 6;
+  static_assert(kRecordAhead > kStateAhead && kStateAhead > kRelaysAhead);
 
   struct Shard {
     std::size_t begin = 0;
@@ -555,7 +561,11 @@ class ShardedNetwork {
   }
 
   /// Maps `body(shard_index)` over all shards, inline or across the
-  /// pool (one chunk per shard: shard tasks are coarse by design).
+  /// pool (one chunk per shard: shard tasks are coarse by design). At
+  /// stabilize-250k (16 shards, 4 workers) the receive pass's workers are
+  /// busy for 91–93% of its wall time on every step of 3 ms and more
+  /// (docs/BENCHMARKS.md, "hint the node record a stage ahead"), so finer
+  /// tasks could win at most the rest.
   /// Phases must write only shard-owned state and mailboxes keyed by
   /// the acting shard.
   template <typename F>
@@ -678,7 +688,7 @@ class ShardedNetwork {
     }
     typename Protocol::FrameHeader header{};
     // The build reads a sender's cache, never its relay words.
-    walk(sh.begin, rows, false, [&](const graph::NodeId i) {
+    walk(sh.begin, rows, false, false, [&](const graph::NodeId i) {
       const auto p = static_cast<graph::NodeId>(sh.begin + i);
       const std::size_t len = protocol_->digest_count(p);
       const std::size_t old_len = sh.lengths[i];
@@ -755,28 +765,60 @@ class ShardedNetwork {
 
   /// Runs `body(i)` over the local indices `rows` of the shard starting
   /// at `base`, in order. With the prefetch extension it hints, while at
-  /// the j-th row, the state of the node kStateAhead rows on and — when
-  /// `relays`, for walks whose calls read relay words — the relay words
-  /// of the node kRelaysAhead rows on, whose state the earlier hint
-  /// brought in. Hints only: the walk visits the same nodes in the same
-  /// order either way.
+  /// the j-th row, the record of the node kRecordAhead rows on and the
+  /// state of the node kStateAhead rows on, whose record the first hint
+  /// brought in. `receive` marks the receive pass's walks, whose calls
+  /// also read the node's CSR row — hinted at the same two stages, its
+  /// offsets entry, then its neighbor list — and relay words: those of
+  /// the node kRelaysAhead rows on, whose state the second hint brought
+  /// in, are hinted unless `hints` holds and the row grades show that it
+  /// hears only bit-equal rows (its calls then refresh ages and, as a
+  /// rule, read no relay word). Hints only: the walk visits the same
+  /// nodes in the same order either way.
   template <typename Rows, typename Body>
-  void walk(std::size_t base, const Rows& rows, bool relays, Body&& body) {
+  void walk(std::size_t base, const Rows& rows, bool receive, bool hints,
+            Body&& body) {
     const std::size_t count = std::ranges::size(rows);
+    [[maybe_unused]] const auto offsets = graph_->csr_offsets();
+    [[maybe_unused]] const auto flat = graph_->csr_neighbors();
     for (std::size_t j = 0; j < count; ++j) {
       if constexpr (PrefetchProtocol<Protocol>) {
-        if (j + kStateAhead < count) {
-          protocol_->prefetch(
-              static_cast<graph::NodeId>(base + rows[j + kStateAhead]),
-              PrefetchStage::kState);
+        if (j + kRecordAhead < count) {
+          const std::size_t q = base + rows[j + kRecordAhead];
+          protocol_->prefetch(static_cast<graph::NodeId>(q),
+                              PrefetchStage::kRecord);
+          if (receive) __builtin_prefetch(&offsets[q]);
         }
-        if (relays && j + kRelaysAhead < count) {
-          protocol_->prefetch(
-              static_cast<graph::NodeId>(base + rows[j + kRelaysAhead]),
-              PrefetchStage::kRelays);
+        if (j + kStateAhead < count) {
+          const std::size_t q = base + rows[j + kStateAhead];
+          protocol_->prefetch(static_cast<graph::NodeId>(q),
+                              PrefetchStage::kState);
+          if (receive) __builtin_prefetch(flat.data() + offsets[q]);
+        }
+        if (receive && j + kRelaysAhead < count) {
+          const std::size_t q = base + rows[j + kRelaysAhead];
+          if (!hints || hears_changed_row(q)) {
+            protocol_->prefetch(static_cast<graph::NodeId>(q),
+                                PrefetchStage::kRelays);
+          }
         }
       }
       body(rows[j]);
+    }
+  }
+
+  /// Whether receiver `q` hears a row its grade does not prove bit-equal
+  /// (valid row hints only): a row its refresh does not cover.
+  [[nodiscard]] bool hears_changed_row(std::size_t q) const {
+    if constexpr (RedeliveryProtocol<Protocol>) {
+      const auto offsets = graph_->csr_offsets();
+      const auto flat = graph_->csr_neighbors();
+      for (std::size_t e = offsets[q]; e < offsets[q + 1]; ++e) {
+        if ((row_unchanged_[flat[e]] & kRowBitsEqual) == 0) return true;
+      }
+      return false;
+    } else {
+      return true;
     }
   }
 
@@ -844,28 +886,29 @@ class ShardedNetwork {
       protocol_->end_step(q);
     };
     if (!tracked) {
-      walk(sh.begin, all_rows(sh), true, [&](const graph::NodeId lq) {
+      walk(sh.begin, all_rows(sh), true, hints, [&](const graph::NodeId lq) {
         step_node(static_cast<graph::NodeId>(sh.begin + lq));
       });
       return;
     }
     if constexpr (QuiescentProtocol<Protocol>) {
       promote_wakes(t);
-      walk(sh.begin, sh.tracker.active(), true, [&](const graph::NodeId lq) {
-        const auto q = static_cast<graph::NodeId>(sh.begin + lq);
-        sh.delivered += offsets[q + 1] - offsets[q];
-        step_node(q);
-        switch (protocol_->consume_activity(q)) {
-          case Activity::kChanged:
-            sh.tracker.wake(lq);
-            break;
-          case Activity::kStepOnly:
-            sh.step_only.push_back(lq);
-            break;
-          case Activity::kQuiet:
-            break;
-        }
-      });
+      walk(sh.begin, sh.tracker.active(), true, hints,
+           [&](const graph::NodeId lq) {
+             const auto q = static_cast<graph::NodeId>(sh.begin + lq);
+             sh.delivered += offsets[q + 1] - offsets[q];
+             step_node(q);
+             switch (protocol_->consume_activity(q)) {
+               case Activity::kChanged:
+                 sh.tracker.wake(lq);
+                 break;
+               case Activity::kStepOnly:
+                 sh.step_only.push_back(lq);
+                 break;
+               case Activity::kQuiet:
+                 break;
+             }
+           });
     }
   }
 

@@ -6,11 +6,14 @@
 // ASan+UBSan, `ctest -L hotpath`, they also check that it reads nothing
 // out of bounds); then they run the sharded engine over the protocol
 // with and without the hook in lockstep and check that both leave the
-// same state and count the same work.
+// same state and count the same work. One more case checks that the
+// harnesses' oracle compare finds a one-bit difference at exactly its
+// node.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "sim/loss.hpp"
 #include "sim/sharded_network.hpp"
 #include "support/deployments.hpp"
+#include "support/divergence.hpp"
 #include "support/full_sweep_protocol.hpp"
 #include "support/state_fold.hpp"
 #include "util/rng.hpp"
@@ -40,13 +44,17 @@ std::uint64_t fold(const core::DensityProtocol& protocol) {
   return h.h;
 }
 
-/// Calls both stages on every node, far stage first as the engine does,
-/// and returns whether the protocol state is bit-identical afterwards.
+constexpr sim::PrefetchStage kStages[] = {sim::PrefetchStage::kRecord,
+                                          sim::PrefetchStage::kState,
+                                          sim::PrefetchStage::kRelays};
+
+/// Calls the three stages on every node, far stage first as the engine
+/// does, and returns whether the protocol state is bit-identical
+/// afterwards.
 bool hints_leave_state_alone(const core::DensityProtocol& protocol) {
   const std::uint64_t before = fold(protocol);
   for (graph::NodeId p = 0; p < protocol.node_count(); ++p) {
-    protocol.prefetch(p, sim::PrefetchStage::kState);
-    protocol.prefetch(p, sim::PrefetchStage::kRelays);
+    for (const sim::PrefetchStage stage : kStages) protocol.prefetch(p, stage);
   }
   return fold(protocol) == before;
 }
@@ -83,10 +91,47 @@ TEST(PrefetchHook, HintsEveryNodeShapeWithoutMovingABit) {
   protocol.reset_node(0);
   ASSERT_TRUE(protocol.state(last).cache.empty());
   EXPECT_TRUE(hints_leave_state_alone(protocol));
+  // Out of order, as at the head of a walk, where the near stages reach
+  // nodes the far ones never hinted.
   const std::uint64_t before = fold(protocol);
   protocol.prefetch(last, sim::PrefetchStage::kRelays);
   protocol.prefetch(last, sim::PrefetchStage::kState);
+  protocol.prefetch(last, sim::PrefetchStage::kRecord);
   EXPECT_EQ(fold(protocol), before);
+}
+
+TEST(OracleCompare, FindsOneFlippedCacheAge) {
+  // The differential harnesses' oracle compare, first_divergent_node:
+  // one flipped cache age at the first, a middle and the last node with
+  // a cache must come back as exactly that node.
+  const auto w = testsupport::make_deployment(300, 0.1, 4242);
+  auto a = make_protocol(w);
+  auto b = make_protocol(w);
+  sim::PerfectDelivery loss_a, loss_b;
+  const auto bounds =
+      graph::plan_contiguous_shards(w.graph.node_count(), 3).bounds;
+  sim::ShardedNetwork<core::DensityProtocol> net_a(w.graph, a, loss_a,
+                                                   bounds, 2);
+  sim::ShardedNetwork<core::DensityProtocol> net_b(w.graph, b, loss_b,
+                                                   bounds, 2);
+  net_a.run(12);
+  net_b.run(12);
+  ASSERT_EQ(testsupport::first_divergent_node(a, b), std::nullopt);
+
+  std::vector<graph::NodeId> with_cache;
+  for (graph::NodeId p = 0; p < b.node_count(); ++p) {
+    if (!b.state(p).cache.empty()) with_cache.push_back(p);
+  }
+  ASSERT_GT(with_cache.size(), 2u);
+  for (const graph::NodeId q : {with_cache.front(),
+                                with_cache[with_cache.size() / 2],
+                                with_cache.back()}) {
+    auto& entry = b.mutable_state(q).cache.begin()->second;
+    entry.age ^= 1;
+    EXPECT_EQ(testsupport::first_divergent_node(a, b), q);
+    entry.age ^= 1;
+    EXPECT_EQ(testsupport::first_divergent_node(a, b), std::nullopt);
+  }
 }
 
 /// DensityProtocol with every extension but the prefetch hook: the
@@ -144,16 +189,17 @@ static_assert(sim::RedeliveryProtocol<UnhintedProtocol>);
 static_assert(sim::QuiescentProtocol<UnhintedProtocol>);
 static_assert(!sim::PrefetchProtocol<UnhintedProtocol>);
 
-TEST(PrefetchHook, HintedWalksMatchPlainWalksBitForBit) {
-  const auto w = testsupport::make_deployment(600, 0.075, 777);
+/// Steps the engine over `w` cut into `shards` contiguous shards on 4
+/// threads, with and without the hook, through 60 steps and two faults,
+/// and checks equal state after every step and equal work counters.
+void expect_hinted_walks_match_plain(const testsupport::World& w,
+                                     std::size_t shards) {
   auto hinted = make_protocol(w);
   auto plain = make_protocol(w);
   UnhintedProtocol view(plain);
   sim::PerfectDelivery loss_a, loss_b;
-  // Shards of ~40 nodes: the walks run past both lookaheads and their
-  // tails, and the queued-row walks are short.
   const auto bounds =
-      graph::plan_contiguous_shards(w.graph.node_count(), 15).bounds;
+      graph::plan_contiguous_shards(w.graph.node_count(), shards).bounds;
   sim::ShardedNetwork<core::DensityProtocol> a(w.graph, hinted, loss_a,
                                                bounds, 4);
   sim::ShardedNetwork<UnhintedProtocol> b(w.graph, view, loss_b, bounds, 4);
@@ -172,6 +218,21 @@ TEST(PrefetchHook, HintedWalksMatchPlainWalksBitForBit) {
   EXPECT_EQ(a.delta_rows_graded(), b.delta_rows_graded());
   EXPECT_EQ(a.receivers_refreshed(), b.receivers_refreshed());
   EXPECT_GT(a.receivers_refreshed(), 0u);
+}
+
+TEST(PrefetchHook, HintedWalksMatchPlainWalksBitForBit) {
+  // Shards of ~40 nodes: the whole-shard walks run past every lead and
+  // their tails, and the queued-row walks are short.
+  expect_hinted_walks_match_plain(
+      testsupport::make_deployment(600, 0.075, 777), 15);
+}
+
+TEST(PrefetchHook, WalksShorterThanTheRecordLeadMatchPlainWalks) {
+  // Shards of ~20 nodes, under the 24-node record lead: no walk issues
+  // the record stage, the state and relay stages reach nodes whose
+  // record was never hinted, and every walk is all head and tail.
+  expect_hinted_walks_match_plain(
+      testsupport::make_deployment(300, 0.1, 4243), 15);
 }
 
 }  // namespace

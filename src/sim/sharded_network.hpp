@@ -688,7 +688,7 @@ class ShardedNetwork {
     }
     typename Protocol::FrameHeader header{};
     // The build reads a sender's cache, never its relay words.
-    walk(sh.begin, rows, false, false, [&](const graph::NodeId i) {
+    walk(sh.begin, rows, Walk::kBuild, [&](const graph::NodeId i) {
       const auto p = static_cast<graph::NodeId>(sh.begin + i);
       const std::size_t len = protocol_->digest_count(p);
       const std::size_t old_len = sh.lengths[i];
@@ -763,24 +763,41 @@ class ShardedNetwork {
     }
   }
 
+  /// The per-node walks, by the hints they issue (see walk).
+  enum class Walk : unsigned char {
+    kBuild,         // the build's rows
+    kReceive,       // stepped receivers
+    kReceiveGated,  // stepped receivers, with valid row grades
+  };
+
   /// Runs `body(i)` over the local indices `rows` of the shard starting
   /// at `base`, in order. With the prefetch extension it hints, while at
   /// the j-th row, the record of the node kRecordAhead rows on and the
   /// state of the node kStateAhead rows on, whose record the first hint
-  /// brought in. `receive` marks the receive pass's walks, whose calls
-  /// also read the node's CSR row — hinted at the same two stages, its
-  /// offsets entry, then its neighbor list — and relay words: those of
-  /// the node kRelaysAhead rows on, whose state the second hint brought
-  /// in, are hinted unless `hints` holds and the row grades show that it
-  /// hears only bit-equal rows (its calls then refresh ages and, as a
-  /// rule, read no relay word). Hints only: the walk visits the same
-  /// nodes in the same order either way.
+  /// brought in. The receive walks' calls also read the node's CSR row,
+  /// hinted at the same two stages (its offsets entry, then its neighbor
+  /// list), and relay words: those of the node kRelaysAhead rows on,
+  /// whose state the second hint brought in — in a gated walk only if
+  /// the node hears a row not graded bit-equal (one its refresh does not
+  /// cover; a node that hears none refreshes ages and, as a rule, reads
+  /// no relay word). Hints only: the walk visits the same nodes in the
+  /// same order either way.
   template <typename Rows, typename Body>
-  void walk(std::size_t base, const Rows& rows, bool receive, bool hints,
-            Body&& body) {
+  void walk(std::size_t base, const Rows& rows, Walk kind, Body&& body) {
     const std::size_t count = std::ranges::size(rows);
+    [[maybe_unused]] const bool receive = kind != Walk::kBuild;
     [[maybe_unused]] const auto offsets = graph_->csr_offsets();
     [[maybe_unused]] const auto flat = graph_->csr_neighbors();
+    [[maybe_unused]] const auto hears_changed_row = [&](std::size_t q) {
+      if constexpr (RedeliveryProtocol<Protocol>) {
+        for (std::size_t e = offsets[q]; e < offsets[q + 1]; ++e) {
+          if ((row_unchanged_[flat[e]] & kRowBitsEqual) == 0) return true;
+        }
+        return false;
+      } else {
+        return true;
+      }
+    };
     for (std::size_t j = 0; j < count; ++j) {
       if constexpr (PrefetchProtocol<Protocol>) {
         if (j + kRecordAhead < count) {
@@ -797,28 +814,13 @@ class ShardedNetwork {
         }
         if (receive && j + kRelaysAhead < count) {
           const std::size_t q = base + rows[j + kRelaysAhead];
-          if (!hints || hears_changed_row(q)) {
+          if (kind == Walk::kReceive || hears_changed_row(q)) {
             protocol_->prefetch(static_cast<graph::NodeId>(q),
                                 PrefetchStage::kRelays);
           }
         }
       }
       body(rows[j]);
-    }
-  }
-
-  /// Whether receiver `q` hears a row its grade does not prove bit-equal
-  /// (valid row hints only): a row its refresh does not cover.
-  [[nodiscard]] bool hears_changed_row(std::size_t q) const {
-    if constexpr (RedeliveryProtocol<Protocol>) {
-      const auto offsets = graph_->csr_offsets();
-      const auto flat = graph_->csr_neighbors();
-      for (std::size_t e = offsets[q]; e < offsets[q + 1]; ++e) {
-        if ((row_unchanged_[flat[e]] & kRowBitsEqual) == 0) return true;
-      }
-      return false;
-    } else {
-      return true;
     }
   }
 
@@ -885,30 +887,30 @@ class ShardedNetwork {
       }
       protocol_->end_step(q);
     };
+    const Walk kind = hints ? Walk::kReceiveGated : Walk::kReceive;
     if (!tracked) {
-      walk(sh.begin, all_rows(sh), true, hints, [&](const graph::NodeId lq) {
+      walk(sh.begin, all_rows(sh), kind, [&](const graph::NodeId lq) {
         step_node(static_cast<graph::NodeId>(sh.begin + lq));
       });
       return;
     }
     if constexpr (QuiescentProtocol<Protocol>) {
       promote_wakes(t);
-      walk(sh.begin, sh.tracker.active(), true, hints,
-           [&](const graph::NodeId lq) {
-             const auto q = static_cast<graph::NodeId>(sh.begin + lq);
-             sh.delivered += offsets[q + 1] - offsets[q];
-             step_node(q);
-             switch (protocol_->consume_activity(q)) {
-               case Activity::kChanged:
-                 sh.tracker.wake(lq);
-                 break;
-               case Activity::kStepOnly:
-                 sh.step_only.push_back(lq);
-                 break;
-               case Activity::kQuiet:
-                 break;
-             }
-           });
+      walk(sh.begin, sh.tracker.active(), kind, [&](const graph::NodeId lq) {
+        const auto q = static_cast<graph::NodeId>(sh.begin + lq);
+        sh.delivered += offsets[q + 1] - offsets[q];
+        step_node(q);
+        switch (protocol_->consume_activity(q)) {
+          case Activity::kChanged:
+            sh.tracker.wake(lq);
+            break;
+          case Activity::kStepOnly:
+            sh.step_only.push_back(lq);
+            break;
+          case Activity::kQuiet:
+            break;
+        }
+      });
     }
   }
 

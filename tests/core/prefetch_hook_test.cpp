@@ -6,14 +6,11 @@
 // ASan+UBSan, `ctest -L hotpath`, they also check that it reads nothing
 // out of bounds); then they run the sharded engine over the protocol
 // with and without the hook in lockstep and check that both leave the
-// same state and count the same work. One more case checks that the
-// harnesses' oracle compare finds a one-bit difference at exactly its
-// node.
+// same state and count the same work.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -22,7 +19,6 @@
 #include "sim/loss.hpp"
 #include "sim/sharded_network.hpp"
 #include "support/deployments.hpp"
-#include "support/divergence.hpp"
 #include "support/full_sweep_protocol.hpp"
 #include "support/state_fold.hpp"
 #include "util/rng.hpp"
@@ -98,40 +94,6 @@ TEST(PrefetchHook, HintsEveryNodeShapeWithoutMovingABit) {
   protocol.prefetch(last, sim::PrefetchStage::kState);
   protocol.prefetch(last, sim::PrefetchStage::kRecord);
   EXPECT_EQ(fold(protocol), before);
-}
-
-TEST(OracleCompare, FindsOneFlippedCacheAge) {
-  // The differential harnesses' oracle compare, first_divergent_node:
-  // one flipped cache age at the first, a middle and the last node with
-  // a cache must come back as exactly that node.
-  const auto w = testsupport::make_deployment(300, 0.1, 4242);
-  auto a = make_protocol(w);
-  auto b = make_protocol(w);
-  sim::PerfectDelivery loss_a, loss_b;
-  const auto bounds =
-      graph::plan_contiguous_shards(w.graph.node_count(), 3).bounds;
-  sim::ShardedNetwork<core::DensityProtocol> net_a(w.graph, a, loss_a,
-                                                   bounds, 2);
-  sim::ShardedNetwork<core::DensityProtocol> net_b(w.graph, b, loss_b,
-                                                   bounds, 2);
-  net_a.run(12);
-  net_b.run(12);
-  ASSERT_EQ(testsupport::first_divergent_node(a, b), std::nullopt);
-
-  std::vector<graph::NodeId> with_cache;
-  for (graph::NodeId p = 0; p < b.node_count(); ++p) {
-    if (!b.state(p).cache.empty()) with_cache.push_back(p);
-  }
-  ASSERT_GT(with_cache.size(), 2u);
-  for (const graph::NodeId q : {with_cache.front(),
-                                with_cache[with_cache.size() / 2],
-                                with_cache.back()}) {
-    auto& entry = b.mutable_state(q).cache.begin()->second;
-    entry.age ^= 1;
-    EXPECT_EQ(testsupport::first_divergent_node(a, b), q);
-    entry.age ^= 1;
-    EXPECT_EQ(testsupport::first_divergent_node(a, b), std::nullopt);
-  }
 }
 
 /// DensityProtocol with every extension but the prefetch hook: the

@@ -376,5 +376,38 @@ TEST(OneStepper, GridColdStartWithAnIsolatedNode) {
   }
 }
 
+
+TEST(OneStepper, OracleCompareFindsOneFlippedCacheAge) {
+  // The lockstep's oracle compare, first_divergent_node: one flipped
+  // cache age at the first, a middle and the last node with a cache
+  // must come back as exactly that node.
+  const auto g = topology::unit_disk_graph(topology::grid_points(18), 0.09);
+  const auto ids = topology::sequential_ids(g.node_count());
+  auto a = make_protocol(g, ids);
+  auto b = make_protocol(g, ids);
+  sim::PerfectDelivery loss_a, loss_b;
+  const auto bounds = graph::plan_contiguous_shards(g.node_count(), 3).bounds;
+  Engine net_a(g, a, loss_a, bounds, 2);
+  Engine net_b(g, b, loss_b, bounds, 2);
+  net_a.run(12);
+  net_b.run(12);
+  ASSERT_EQ(testsupport::first_divergent_node(a, b), std::nullopt);
+
+  std::vector<graph::NodeId> with_cache;
+  for (graph::NodeId p = 0; p < b.node_count(); ++p) {
+    if (!b.state(p).cache.empty()) with_cache.push_back(p);
+  }
+  ASSERT_GT(with_cache.size(), 2u);
+  for (const graph::NodeId q : {with_cache.front(),
+                                with_cache[with_cache.size() / 2],
+                                with_cache.back()}) {
+    auto& entry = b.mutable_state(q).cache.begin()->second;
+    entry.age ^= 1;
+    EXPECT_EQ(testsupport::first_divergent_node(a, b), q);
+    entry.age ^= 1;
+    EXPECT_EQ(testsupport::first_divergent_node(a, b), std::nullopt);
+  }
+}
+
 }  // namespace
 }  // namespace ssmwn
